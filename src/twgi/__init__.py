@@ -11,6 +11,7 @@ from .errors import (
     BoundsError,
     ChecksumError,
     FormatError,
+    InvariantError,
     NotFoundError,
     TruncatedError,
     TwgiError,
@@ -75,6 +76,7 @@ __all__ = [
     "BoundsError",
     "NotFoundError",
     "ValidationError",
+    "InvariantError",
     "FormatError",
     "BadMagicError",
     "VersionError",

@@ -174,6 +174,16 @@ class BitVec:
             word &= word - 1
         return (lo << 6) + (word & -word).bit_length()
 
+    def iter_ones(self):
+        """Positions of the set bits, ascending: one pass over the words,
+        no select."""
+        for w, word in enumerate(self._words):
+            base = w << 6
+            while word:
+                low = word & -word
+                yield base + low.bit_length()
+                word ^= low
+
     def to_packed(self) -> bytes:
         out = bytearray()
         for w in self._words:

@@ -22,6 +22,12 @@ class ValidationError(TwgiError, ValueError):
         self.condition = condition
 
 
+class InvariantError(TwgiError, RuntimeError):
+    """An internal invariant of a graph or index does not hold: its
+    structures contradict each other (a corrupt index that loaded) or the
+    code has a bug."""
+
+
 class FormatError(TwgiError, ValueError):
     """Base class for serialized-file problems."""
 

@@ -16,6 +16,7 @@ from .bitvec import BitVec, LabelSeq
 from .errors import (
     BadMagicError,
     ChecksumError,
+    FormatError,
     TruncatedError,
     ValidationError,
     VersionError,
@@ -357,6 +358,13 @@ def _parse_sections(data: bytes, flags: int) -> TextIndex:
     l_ids = _unpack_symbols(rd.section(), mt, sigma)
     I = BitVec.from_packed(rd.section(), nt + mt + 1)
     O = BitVec.from_packed(rd.section(), nt + mt + 1)
+    for name, bv in (("I", I), ("O", O)):
+        # the node-offset arrays decoded from I and O answer every
+        # navigation step, so their unary shape is checked here
+        if bv.ones != nt + 1 or not (bv.access(1) and bv.access(bv.n)):
+            raise FormatError(
+                f"{name} must hold {nt + 1} ones and {mt} zeros, "
+                f"starting and ending with a one")
     ipr = BitVec.from_packed(rd.section(), mt)
     opr = BitVec.from_packed(rd.section(), mt)
     ent = BitVec.from_packed(rd.section(), nt)

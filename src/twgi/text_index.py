@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitvec import BitVec, LabelSeq
-from .errors import BoundsError, NotFoundError, ValidationError
+from .errors import BoundsError, InvariantError, ValidationError
 from .tunnel import TraversalPos, TunneledGraph, find_string_blocks, tunnel_graph
 from .wheeler import WheelerGraph
 
@@ -354,12 +354,8 @@ class TextIndex:
                 end_pos = self.locate_one(TraversalPos(v, o), counter)
                 out.append(end_pos - plen)
                 if limit is not None and len(out) >= limit:
-                    out.sort()
-                    assert len(set(out)) == len(out), "duplicate occurrence"
-                    return out
-        out.sort()
-        assert len(set(out)) == len(out), "duplicate occurrence"
-        return out
+                    return _distinct_sorted(out)
+        return _distinct_sorted(out)
 
     # -- extracting -----------------------------------------------------------------
 
@@ -433,6 +429,13 @@ class TextIndex:
     def __repr__(self) -> str:
         return (f"TextIndex(|T|={self.text_len}, n_t={self.tg.g.n}, "
                 f"tunnels={len(self.tg.tunnels)})")
+
+
+def _distinct_sorted(positions: list[int]) -> list[int]:
+    positions.sort()
+    if len(set(positions)) != len(positions):
+        raise InvariantError("two occurrences located at one text position")
+    return positions
 
 
 def build_index(text: bytes, *, sample_rate_n: int | None = None,

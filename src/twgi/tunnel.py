@@ -16,6 +16,13 @@ exact when every copy participates in the edge group under inspection:
 * every exit edge records which copy it left, so exits stay exact when
   copies have differing counts of same-labeled out-edges (legal under the
   block conditions, and present in tree-shaped tunnels).
+
+The c-edges leaving a tunnel node form one O'-marked group per copy that
+has any.  Kept edges sort by (label, tunneled source, original source), and
+the rows of a column are consecutive original ranks, ascending with the
+copy index; so inside one label range the copy rises strictly with the
+group index.  ``_exit_group`` therefore finds a copy bound by binary search
+over the O' marks: O(log w) selects on a tunnel of width w.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from .bitvec import BitVec
-from .errors import BoundsError, NotFoundError, ValidationError
+from .errors import BoundsError, InvariantError, NotFoundError, ValidationError
 from .wheeler import CheckResult, EdgeList, NodeRange, WheelerGraph, encode
 
 
@@ -514,25 +521,32 @@ class TunneledGraph:
         marks = self.iprime.rank(start + deg) - self.iprime.rank(start)
         return (rec.width - marks) + self.iprime.rank(j) - self.iprime.rank(start)
 
-    def _exit_groups(self, j1: int, j2: int):
-        """Per-copy exit-edge groups inside the label range [j1, j2]:
-        (first edge, last edge, copy index), ordered by copy."""
-        groups = []
-        base = self.oprime.rank(j1)  # includes j1's own mark
-        t = 0
-        starts = []
-        total = self.oprime.ones
-        while base + t <= total:
-            p = self.oprime.select(base + t)
-            if p > j2:
-                break
-            starts.append(p)
-            t += 1
-        for idx, s0 in enumerate(starts):
-            e0 = starts[idx + 1] - 1 if idx + 1 < len(starts) else j2
-            copy = self.exit_copies.get(s0, idx + 1)
-            groups.append((s0, e0, copy))
-        return groups
+    def _exit_group(self, j1: int, j2: int, bound: int | None, last: bool = False):
+        """The exit-edge group of the first copy >= bound (with ``last``, of
+        the last copy <= bound) inside the label range [j1, j2] of one
+        tunnel node, as (first edge, last edge, copy); None when no copy
+        qualifies.  A bound of None takes the first (last) group."""
+        opr = self.oprime
+        base = opr.rank(j1)  # j1 opens the first group
+        groups = opr.rank(j2) - base + 1
+        if bound is None:
+            t = groups - 1 if last else 0
+        else:
+            # first group whose copy reaches key; copies rise with the group
+            key = bound + 1 if last else bound
+            lo, hi = 0, groups
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if self.exit_copies.get(opr.select(base + mid), mid + 1) < key:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            t = lo - 1 if last else lo
+            if not 0 <= t < groups:
+                return None
+        s0 = opr.select(base + t)
+        e0 = opr.select(base + t + 1) - 1 if t + 1 < groups else j2
+        return s0, e0, self.exit_copies.get(s0, t + 1)
 
     def exit_edge(self, j1: int, o: int, k: int = 1, last: bool = False) -> int:
         """Wheeler rank of the k-th (or last) same-labeled edge that
@@ -542,14 +556,15 @@ class TunneledGraph:
         r1, r2 = self.g.edge_range_for_label(NodeRange(src, src), c)
         if r1 != j1:
             raise ValidationError(f"edge {j1} is not the first {c}-edge of its node")
-        for s0, e0, copy in self._exit_groups(r1, r2):
-            if copy == o:
-                if last:
-                    return e0
-                if s0 + k - 1 > e0:
-                    raise NotFoundError(f"copy {o} has fewer than {k} such edges")
-                return s0 + k - 1
-        raise NotFoundError(f"copy {o} has no out-edge labeled {c}")
+        grp = self._exit_group(r1, r2, o)
+        if grp is None or grp[2] != o:
+            raise NotFoundError(f"copy {o} has no out-edge labeled {c}")
+        s0, e0, _ = grp
+        if last:
+            return e0
+        if s0 + k - 1 > e0:
+            raise NotFoundError(f"copy {o} has fewer than {k} such edges")
+        return s0 + k - 1
 
     # -- single-step traversal -------------------------------------------------
 
@@ -574,13 +589,14 @@ class TunneledGraph:
             if k != 1:
                 raise NotFoundError("in-tunnel letters have exactly one edge per copy")
             return TraversalPos(r1, p.offset)
-        for s0, e0, copy in self._exit_groups(j1, j2):
-            if copy == p.offset:
-                j = s0 + k - 1
-                if j > e0 or k < 1:
-                    raise NotFoundError(f"copy {p.offset} has fewer than {k} {c}-edges")
-                return self._land(j)
-        raise NotFoundError(f"copy {p.offset} has no out-edge labeled {c}")
+        grp = self._exit_group(j1, j2, p.offset)
+        if grp is None or grp[2] != p.offset:
+            raise NotFoundError(f"copy {p.offset} has no out-edge labeled {c}")
+        s0, e0, _ = grp
+        j = s0 + k - 1
+        if j > e0 or k < 1:
+            raise NotFoundError(f"copy {p.offset} has fewer than {k} {c}-edges")
+        return self._land(j)
 
     def _land(self, j: int) -> TraversalPos:
         r = self.g.edge_target(j)
@@ -602,13 +618,10 @@ class TunneledGraph:
         r1 = g.edge_target(j1)
         if self.is_inner(r1):
             return (j1, "carry", min_copy if min_copy is not None else 1)
-        for s0, e0, copy in self._exit_groups(j1, j2):
-            if min_copy is not None and copy < min_copy:
-                continue
-            if max_copy is not None and copy > max_copy:
-                return None
-            return (s0, "plain", None)
-        return None
+        grp = self._exit_group(j1, j2, min_copy)
+        if grp is None or (max_copy is not None and grp[2] > max_copy):
+            return None
+        return (grp[0], "plain", None)
 
     def _node_last(self, v, c, min_copy, max_copy):
         g = self.g
@@ -620,14 +633,10 @@ class TunneledGraph:
         r1 = g.edge_target(j1)
         if self.is_inner(r1):
             return (j1, "carry", max_copy)
-        best = None
-        for s0, e0, copy in self._exit_groups(j1, j2):
-            if min_copy is not None and copy < min_copy:
-                continue
-            if max_copy is not None and copy > max_copy:
-                break
-            best = (e0, "plain", None)
-        return best
+        grp = self._exit_group(j1, j2, max_copy, last=True)
+        if grp is None or (min_copy is not None and grp[2] < min_copy):
+            return None
+        return (grp[1], "plain", None)
 
     def _middle_pick(self, j, first: bool):
         r = self.g.edge_target(j)
@@ -677,11 +686,13 @@ class TunneledGraph:
                     hi_pick = self._middle_pick(mj2, first=False)
             if hi_pick is None:
                 hi_pick = self._node_last(lo_node, c, lo_off, None)
-        assert hi_pick is not None, "lo endpoint found but hi endpoint missing"
+        if hi_pick is None:
+            raise InvariantError("lo endpoint found but hi endpoint missing")
 
         new_lo = self._resolve(lo_pick)
         new_hi = self._resolve(hi_pick)
-        assert new_lo[0] <= new_hi[0], "follow produced a non-coherent range"
+        if new_lo[0] > new_hi[0]:
+            raise InvariantError("follow produced a non-coherent range")
         return new_lo, new_hi
 
     def _search_pairs(self, pattern):

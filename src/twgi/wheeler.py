@@ -7,6 +7,14 @@ unary.  Node ranks, edge ranks, and L positions are all 1-based.
 
 Edge order is (label, source rank); ties among parallel edges with equal
 label and source keep input order.
+
+Navigation never selects on I or O.  Construction decodes both unary
+vectors once, in one pass over their set bits, into the node-offset arrays
+``_istart`` and ``_lstart`` (edges entering, and L positions left by, the
+nodes of smaller rank).  The target of edge j is then the node whose
+in-edge interval holds j, and the source of the L position p the node whose
+out-edge interval holds p: a binary search over an array in memory, which
+costs a fraction of a select.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .bitvec import BitVec, LabelSeq
 from .errors import BoundsError, NotFoundError, ValidationError
@@ -159,14 +168,11 @@ class WheelerGraph:
 
     def _rebuild_node_offsets(self) -> None:
         # _lstart[i]: number of edges leaving nodes of rank < i (the L offset
-        # select_1(O,i) - i); _istart[i]: edges entering nodes of rank < i.
-        lstart = array("q", [0] * (self.n + 2))
-        istart = array("q", [0] * (self.n + 2))
-        for i in range(1, self.n + 2):
-            lstart[i] = self.O.select(i, 1) - i
-            istart[i] = self.I.select(i, 1) - i
-        self._lstart = lstart
-        self._istart = istart
+        # select_1(O,i) - i); _istart[i]: edges entering nodes of rank < i
+        # (select_1(I,i) - i).  Both are read off the set bits in one pass;
+        # every navigation step reads them instead of selecting.
+        self._lstart = _node_starts(self.O, self.n, "O")
+        self._istart = _node_starts(self.I, self.n, "I")
 
     # -- degrees and label helpers -----------------------------------------
 
@@ -215,16 +221,17 @@ class WheelerGraph:
         return self.C[c] + lo + k
 
     def edge_target(self, j: int) -> int:
-        """Wheeler rank of the target node of edge j."""
+        """Wheeler rank of the target node of edge j: the node v with
+        _istart[v] < j <= _istart[v+1]."""
         if not 1 <= j <= self.m:
             raise BoundsError(f"edge rank {j} outside [1..{self.m}]")
-        return self.I.rank(self.I.select(j, 0), 1)
+        return bisect_left(self._istart, j, 1, self.n + 2) - 1
 
     def edge_source(self, j: int) -> int:
-        """Wheeler rank of the source node of edge j (decoded, not O(1))."""
+        """Wheeler rank of the source node of edge j (one select on L)."""
         c = self.edge_label(j)
         pos = self.L.select(j - self.C[c], c)
-        return self.O.rank(self.O.select(pos, 0), 1)
+        return bisect_left(self._lstart, pos, 1, self.n + 2) - 1
 
     def edge_range_for_label(self, r: NodeRange, c: int) -> tuple[int, int]:
         """First and last c-labeled edge leaving nodes in r; (j1, j2) with
@@ -259,12 +266,23 @@ class WheelerGraph:
     # -- decoding ------------------------------------------------------------
 
     def to_edge_list(self) -> EdgeList:
-        """Recover the edge multiset in Wheeler edge order, labels as bytes."""
-        edges = []
-        for j in range(1, self.m + 1):
-            c = self.edge_label(j)
-            edges.append((self.edge_source(j), self.edge_target(j),
-                          self.alphabet[c - 1]))
+        """Recover the edge multiset in Wheeler edge order, labels as bytes.
+
+        One linear pass: L is scanned node by node, and the i-th c in L is
+        edge C[c] + i, whose target is read by walking _istart.
+        """
+        targets = [0] * (self.m + 1)
+        for v in range(1, self.n + 1):
+            for j in range(self._istart[v] + 1, self._istart[v + 1] + 1):
+                targets[j] = v
+        edges = [None] * self.m
+        last = list(self.C)  # last edge rank handed out per label
+        for u in range(1, self.n + 1):
+            for p in range(self._lstart[u] + 1, self._lstart[u + 1] + 1):
+                c = self.L.access(p)
+                last[c] += 1
+                j = last[c]
+                edges[j - 1] = (u, targets[j], self.alphabet[c - 1])
         return EdgeList(self.n, edges)
 
     def structures_equal(self, other: "WheelerGraph") -> bool:
@@ -275,6 +293,17 @@ class WheelerGraph:
 
     def __repr__(self) -> str:
         return f"WheelerGraph(n={self.n}, m={self.m}, sigma={self.sigma})"
+
+
+def _node_starts(bv: BitVec, n: int, name: str) -> array:
+    """starts[i] = select_1(bv, i) - i for i in 1..n+1 (starts[0] unused):
+    the zeros before the i-th one, read in one pass over the set bits."""
+    starts = array("q", [0])
+    starts.extend(p - i for i, p in enumerate(islice(bv.iter_ones(), n + 1), 1))
+    if len(starts) < n + 2:
+        raise NotFoundError(
+            f"{name} holds {len(starts) - 1} ones, a graph of {n} nodes needs {n + 1}")
+    return starts
 
 
 def encode(el: EdgeList) -> WheelerGraph:

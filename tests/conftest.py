@@ -8,9 +8,12 @@ axioms hold by construction.
 
 import random
 
+import pytest
+
 from twgi.errors import NotFoundError
+from twgi.text_index import build_index
 from twgi.tunnel import Block, TraversalPos
-from twgi.wheeler import EdgeList, validate_wheeler
+from twgi.wheeler import EdgeList, NodeRange, validate_wheeler
 
 
 def colex_string_graph(text: bytes):
@@ -227,3 +230,110 @@ def make_patterns(rng: random.Random, text: bytes, count: int,
         else:
             pats.append(bytes(rng.choice(alpha) for _ in range(ln)))
     return pats
+
+
+# ---------------------------------------------------------------------------
+# select-based navigation: the rank/select formulas of the (L, C, I, O)
+# representation, which the library answers from its node-offset arrays
+
+
+def select_edge_target(g, j: int) -> int:
+    return g.I.rank(g.I.select(j, 0), 1)
+
+
+def select_edge_source(g, j: int) -> int:
+    c = g.edge_label(j)
+    pos = g.L.select(j - g.C[c], c)
+    return g.O.rank(g.O.select(pos, 0), 1)
+
+
+def select_node_offsets(g):
+    """(lstart, istart) with one select per node and vector; index 0 unused."""
+    lstart = [0] + [g.O.select(i, 1) - i for i in range(1, g.n + 2)]
+    istart = [0] + [g.I.select(i, 1) - i for i in range(1, g.n + 2)]
+    return lstart, istart
+
+
+def select_edge_list(g) -> EdgeList:
+    return EdgeList(g.n, [(select_edge_source(g, j), select_edge_target(g, j),
+                           g.alphabet[g.edge_label(j) - 1])
+                          for j in range(1, g.m + 1)])
+
+
+def scan_exit_groups(tg, j1: int, j2: int):
+    """Every per-copy exit-edge group in the label range [j1, j2], by one
+    O' select per group: (first edge, last edge, copy), ordered by copy."""
+    starts = []
+    base = tg.oprime.rank(j1)
+    while base + len(starts) <= tg.oprime.ones:
+        p = tg.oprime.select(base + len(starts))
+        if p > j2:
+            break
+        starts.append(p)
+    ends = [s - 1 for s in starts[1:]] + [j2]
+    return [(s0, e0, tg.exit_copies.get(s0, idx + 1))
+            for idx, (s0, e0) in enumerate(zip(starts, ends))]
+
+
+def scan_node_first(tg, v, c, min_copy, max_copy):
+    """TunneledGraph._node_first over the scanned exit groups."""
+    j1, j2 = tg.g.edge_range_for_label(NodeRange(v, v), c)
+    if j1 > j2:
+        return None
+    if not tg.is_tunnel_node(v):
+        return (j1, "plain", None)
+    if tg.is_inner(tg.g.edge_target(j1)):
+        return (j1, "carry", min_copy if min_copy is not None else 1)
+    for s0, _, copy in scan_exit_groups(tg, j1, j2):
+        if min_copy is not None and copy < min_copy:
+            continue
+        if max_copy is not None and copy > max_copy:
+            return None
+        return (s0, "plain", None)
+    return None
+
+
+def scan_node_last(tg, v, c, min_copy, max_copy):
+    """TunneledGraph._node_last over the scanned exit groups."""
+    j1, j2 = tg.g.edge_range_for_label(NodeRange(v, v), c)
+    if j1 > j2:
+        return None
+    if not tg.is_tunnel_node(v):
+        return (j2, "plain", None)
+    if tg.is_inner(tg.g.edge_target(j1)):
+        return (j1, "carry", max_copy)
+    best = None
+    for _, e0, copy in scan_exit_groups(tg, j1, j2):
+        if min_copy is not None and copy < min_copy:
+            continue
+        if max_copy is not None and copy > max_copy:
+            break
+        best = (e0, "plain", None)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# small indexes shared across test modules
+
+SMALL_TEXTS = {
+    "fib": fibonacci_word(2048),
+    "cpm4": copy_paste_mutate(random.Random(4), 2048, 4),
+    "rand96": random_text(random.Random(1), 2048, 96),
+    # sigma 77 after mutation: tunnels on the wavelet-matrix label sequence
+    "cpm96": copy_paste_mutate(random.Random(4), 2048, 96),
+}
+
+
+@pytest.fixture(scope="session")
+def small_index():
+    """small_index(name, tunneling) -> the TextIndex of SMALL_TEXTS[name],
+    built once per session.  Queries do not modify an index."""
+    built = {}
+
+    def get(name: str, tunneling: bool = True):
+        key = (name, tunneling)
+        if key not in built:
+            built[key] = build_index(SMALL_TEXTS[name], tunneling=tunneling)
+        return built[key]
+
+    return get

@@ -1,5 +1,8 @@
+import hashlib
 import io
 import random
+import struct
+import zlib
 
 import pytest
 
@@ -158,3 +161,50 @@ class TestIndexFile:
         ix2 = deserialize_index(serialize_index(ix))
         assert ix2.count(b"") == 1
         assert ix2.count(b"a") == 0
+
+    def test_unary_vector_bit_flip(self):
+        # a flipped bit of I or O under a recomputed CRC must not reach the
+        # node-offset arrays that answer navigation
+        ix = build_index(b"abcabc")
+        data = serialize_index(ix)
+        nbits = ix.tg.g.n + ix.tg.g.m + 1
+        sections = _section_offsets(data)
+        for sec in (4, 5):  # I, O
+            start = sections[sec]
+            for bit in range(nbits):
+                corrupt = bytearray(data)
+                corrupt[start + (bit >> 3)] ^= 1 << (bit & 7)
+                corrupt[-4:] = struct.pack("<I", zlib.crc32(bytes(corrupt[:-4])))
+                with pytest.raises(FormatError):
+                    deserialize_index(bytes(corrupt))
+
+
+def _section_offsets(data: bytes) -> list[int]:
+    """Payload offset of every length-prefixed section of an index file."""
+    offsets = []
+    off = 8
+    while off < len(data) - 4:
+        (ln,) = struct.unpack_from("<I", data, off)
+        offsets.append(off + 4)
+        off += 4 + ln
+    return offsets
+
+
+# sha256 of serialize_index output on the shared small texts: the file
+# format and every build step that decides its bytes are pinned
+INDEX_DIGESTS = {
+    ("fib", True): "34467232d0dcb70222d5b104c0786fc2dd3008e033e1abea7c8a3663f13ce057",
+    ("fib", False): "f4cae362d7e43bd1289c00a3d8c3fd5b0cb65affd0b44fb99231fc47206f76a3",
+    ("cpm4", True): "54fb9ec339f1e9cd5469748dee6cea7be870407a804e8d64ec329525e0e02a23",
+    ("cpm4", False): "d4df7bdbfb1a6b42339b96ec7b911d4df36181df25994d37c99d5d91e61bf18d",
+    ("rand96", True): "cc7af7a3a2192c47ebffea54c48c48f9784d02c7a13dac0380287e650de5c19e",
+    ("rand96", False): "cc7af7a3a2192c47ebffea54c48c48f9784d02c7a13dac0380287e650de5c19e",
+    ("cpm96", True): "c2ad89de6ad035f70fd0e6e3f98e1c8a78bea38abf9abfc9d5c8fcc212075934",
+    ("cpm96", False): "bcebd8d3800d17af4b4e153b1a17836230856a5d74698968570ec517fc3156fe",
+}
+
+
+@pytest.mark.parametrize("name,tunneling", sorted(INDEX_DIGESTS))
+def test_index_bytes_unchanged(name, tunneling, small_index):
+    data = serialize_index(small_index(name, tunneling))
+    assert hashlib.sha256(data).hexdigest() == INDEX_DIGESTS[name, tunneling]

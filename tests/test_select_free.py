@@ -1,0 +1,181 @@
+"""Navigation reads the node-offset arrays instead of selecting.
+
+The select formulas and the linear exit-group scan in conftest are the
+references; the library must agree with them on every edge, node and copy
+bound, and must not call ``BitVec.select`` where it no longer needs to.
+"""
+
+import math
+import random
+
+import pytest
+
+from conftest import (
+    SMALL_TEXTS,
+    chain_graph,
+    fig1_block,
+    fig1_edge_list,
+    make_patterns,
+    random_wheeler_edge_list,
+    scan_node_first,
+    scan_node_last,
+    select_edge_list,
+    select_edge_source,
+    select_edge_target,
+    select_node_offsets,
+    unequal_exit_graph,
+)
+from twgi.bitvec import BitVec
+from twgi.errors import NotFoundError
+from twgi.persist import deserialize_index, serialize_index
+from twgi.text_index import build_graph_from_text, build_index
+from twgi.tunnel import (
+    Block,
+    TraversalPos,
+    TunneledGraph,
+    find_string_blocks,
+    tunnel_graph,
+)
+from twgi.wheeler import EdgeList, WheelerGraph, encode
+
+
+def sourceless_root_case():
+    # tunnel roots (1, 2) where copy 1 has no in-edge at all
+    el = EdgeList(4, [(3, 2, 97), (4, 3, 98), (3, 4, 99)])
+    return el, [Block(2, 1, [(1, 2)])]
+
+
+def tunneled_cases():
+    cases = []
+    for el, blocks in [unequal_exit_graph(), sourceless_root_case(),
+                       (fig1_edge_list(), [fig1_block()]),
+                       *(chain_graph(d) for d in (2, 3, 4))]:
+        cases.append(tunnel_graph(encode(el), blocks))
+    rng = random.Random(61)
+    for _ in range(8):
+        text = bytes(rng.choice(b"abc"[:rng.randint(2, 3)])
+                     for _ in range(rng.randint(4, 100)))
+        g = build_graph_from_text(text)
+        cases.append(tunnel_graph(g, [sb.expand(g) for sb in find_string_blocks(g)]))
+        # a loaded index rebuilds its exit copies from the tunnel records
+        cases.append(deserialize_index(serialize_index(build_index(text))).tg)
+    return cases
+
+
+def wheeler_cases():
+    rng = random.Random(59)
+    graphs = [encode(random_wheeler_edge_list(rng, n_max=18, sigma_max=4))
+              for _ in range(40)]
+    return graphs + [tg.g for tg in tunneled_cases()]
+
+
+class TestSelectOracles:
+    def test_navigation_matches_select_formulas(self):
+        for g in wheeler_cases():
+            lstart, istart = select_node_offsets(g)
+            assert list(g._lstart) == lstart
+            assert list(g._istart) == istart
+            for j in range(1, g.m + 1):
+                assert g.edge_target(j) == select_edge_target(g, j)
+                assert g.edge_source(j) == select_edge_source(g, j)
+            assert g.to_edge_list().edges == select_edge_list(g).edges
+
+    def test_node_offsets_need_n_plus_one_ones(self):
+        g = encode(fig1_edge_list())
+        for vec in ("I", "O"):
+            bits = [int(ch) for ch in getattr(g, vec).to01()]
+            bits[bits.index(1, 1)] = 0  # drop the second node's one
+            parts = {"I": g.I, "O": g.O, vec: BitVec(bits)}
+            with pytest.raises(NotFoundError):
+                WheelerGraph(g.n, g.m, g.sigma, g.L, g.C, parts["I"],
+                             parts["O"], g.alphabet)
+
+    def test_exit_group_lookup_matches_scan(self):
+        for tg in tunneled_cases():
+            w_max = max((t.width for t in tg.tunnels), default=1)
+            bounds = [None, *range(1, w_max + 2)]
+            for v in range(1, tg.g.n + 1):
+                for c in range(1, tg.g.sigma + 1):
+                    for lo in bounds:
+                        for hi in bounds:
+                            assert (tg._node_first(v, c, lo, hi)
+                                    == scan_node_first(tg, v, c, lo, hi)), (v, c, lo, hi)
+                            assert (tg._node_last(v, c, lo, hi)
+                                    == scan_node_last(tg, v, c, lo, hi)), (v, c, lo, hi)
+
+
+@pytest.fixture
+def select_calls(monkeypatch):
+    """Counts every BitVec.select call, LabelSeq.select included."""
+    calls = [0]
+    select = BitVec.select
+
+    def counting(bv, k, b=1):
+        calls[0] += 1
+        return select(bv, k, b)
+
+    monkeypatch.setattr(BitVec, "select", counting)
+    return calls
+
+
+CASES = [(name, tunneling) for name in SMALL_TEXTS for tunneling in (True, False)]
+
+
+class TestSelectGuard:
+    @pytest.mark.parametrize("name", ["cpm4", "cpm96"])
+    def test_build_and_load(self, name, select_calls):
+        ix = build_index(SMALL_TEXTS[name])
+        assert ix.tg.tunnels
+        deserialize_index(serialize_index(ix))
+        assert select_calls[0] == 0
+
+    @pytest.mark.parametrize("name,tunneling", CASES)
+    def test_walks(self, name, tunneling, small_index, select_calls):
+        ix = small_index(name, tunneling)
+        text = SMALL_TEXTS[name]
+        assert ix.extract(1, len(text)) == text
+        located = set()
+        for v in range(1, ix.tg.g.n + 1):
+            for o in range(1, ix.node_width(v) + 1):
+                located.add(ix.locate_one(TraversalPos(v, o)))
+        assert located == set(range(1, len(text) + 2))
+        assert select_calls[0] == 0
+
+    @pytest.mark.parametrize("name", list(SMALL_TEXTS))
+    def test_plain_count(self, name, small_index, select_calls):
+        ix = small_index(name, tunneling=False)
+        for pat in make_patterns(random.Random(67), SMALL_TEXTS[name], 60, max_len=24):
+            ix.count(pat)
+        assert select_calls[0] == 0
+
+    def test_tunneled_search_selects_only_in_exit_lookups(
+            self, small_index, select_calls, monkeypatch):
+        ix = small_index("fib")
+        text = SMALL_TEXTS["fib"]
+        w_max = max(t.width for t in ix.tg.tunnels)
+        per_lookup = math.ceil(math.log2(w_max)) + 3  # binary search + 2
+        lookup = TunneledGraph._exit_group
+        lookups = []  # selects made by each exit-group lookup
+
+        def counting_lookup(tg, *args, **kwargs):
+            before = select_calls[0]
+            try:
+                return lookup(tg, *args, **kwargs)
+            finally:
+                lookups.append(select_calls[0] - before)
+
+        monkeypatch.setattr(TunneledGraph, "_exit_group", counting_lookup)
+        rng = random.Random(71)
+        total_lookups = 0
+        for plen in (1, 2, 5, 13, 34, 97):
+            for _ in range(20):
+                i = rng.randrange(len(text) - plen + 1)
+                select_calls[0] = 0
+                lookups.clear()
+                assert ix.tg._search_pairs(text[i:i + plen]) is not None
+                assert select_calls[0] <= plen * 4 * per_lookup, (i, plen)
+                assert select_calls[0] == sum(lookups), (i, plen)
+                assert len(lookups) <= 4 * plen
+                assert max(lookups, default=0) <= per_lookup, (i, plen)
+                total_lookups += len(lookups)
+        assert total_lookups > 0  # the tunnel exits are really searched

@@ -10,9 +10,10 @@ from conftest import (
     naive_count,
     naive_locate,
 )
-from twgi.errors import BoundsError, ValidationError
+from twgi.errors import BoundsError, InvariantError, ValidationError
 from twgi.text_index import (
     StepCounter,
+    TextIndex,
     build_graph_from_text,
     build_index,
     suffix_array,
@@ -146,6 +147,13 @@ class TestLocate:
     def test_limit(self):
         ix = build_index(b"abcabc")
         assert len(ix.locate(b"c", limit=1)) == 1
+
+    def test_duplicate_occurrence_raises(self, monkeypatch):
+        ix = build_index(b"abcabc")
+        monkeypatch.setattr(TextIndex, "locate_one", lambda self, p, counter=None: 7)
+        for limit in (None, 2):
+            with pytest.raises(InvariantError, match="two occurrences"):
+                ix.locate(b"a", limit=limit)
 
     def test_empty_pattern_rejected(self):
         ix = build_index(b"abcabc")

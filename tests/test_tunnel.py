@@ -11,12 +11,13 @@ from conftest import (
     naive_count,
     unequal_exit_graph,
 )
-from twgi.errors import NotFoundError, ValidationError
+from twgi.errors import InvariantError, NotFoundError, ValidationError
 from twgi.text_index import build_graph_from_text
 from twgi.tunnel import (
     Block,
     StringBlock,
     TraversalPos,
+    TunneledGraph,
     check_block,
     check_string_block,
     derive_string_block,
@@ -405,3 +406,18 @@ class TestTunneledSearch:
         assert tg.path_search(b"acd").is_empty
         assert not tg.path_search(b"bcd").is_empty
         assert g.path_search(b"acd").is_empty
+
+
+class TestInvariantErrors:
+    def test_hi_endpoint_missing(self, monkeypatch):
+        _, _, tg = abcabc()
+        monkeypatch.setattr(TunneledGraph, "_node_last", lambda self, *args: None)
+        with pytest.raises(InvariantError, match="hi endpoint missing"):
+            tg.follow_range(NodeRange(1, 1), tg.g.label_id(97))
+
+    def test_non_coherent_range(self, monkeypatch):
+        _, _, tg = abcabc()
+        ends = iter([(2, 1), (1, 1)])  # lo resolves above hi
+        monkeypatch.setattr(TunneledGraph, "_resolve", lambda self, pick: next(ends))
+        with pytest.raises(InvariantError, match="non-coherent"):
+            tg.path_search(b"a")
