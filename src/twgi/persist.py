@@ -264,6 +264,21 @@ def _section(payload: bytes) -> bytes:
     return struct.pack("<I", len(payload)) + payload
 
 
+def _pack_records(fmt: str, rows) -> bytes:
+    """A section of fixed-size records: a 32-bit count, then the rows."""
+    rec = struct.Struct("<" + fmt)
+    return _section(struct.pack("<I", len(rows)) + b"".join(rec.pack(*row) for row in rows))
+
+
+def _unpack_records(raw: bytes, fmt: str) -> list[tuple]:
+    rec = struct.Struct("<" + fmt)
+    (count,) = struct.unpack("<I", raw[:4])
+    if len(raw) != 4 + count * rec.size:
+        raise TruncatedError(
+            f"record section holds {len(raw)} bytes, {count} records need {4 + count * rec.size}")
+    return list(rec.iter_unpack(raw[4:]))
+
+
 class _Reader:
     def __init__(self, data: bytes, off: int):
         self.data = data
@@ -308,20 +323,12 @@ def serialize_index(ix: TextIndex) -> bytes:
     buf += _section(tg.inner_marks.to_packed())
     buf += _section(b"".join(struct.pack("<QQII", t.entrance, t.exit, t.width,
                                          t.length) for t in tg.tunnels))
-    skip_items = sorted(ix.skip.items())
-    buf += _section(struct.pack("<I", len(skip_items)) +
-                    b"".join(struct.pack("<QQQ", node, tgt, dist)
-                             for node, (tgt, dist) in skip_items))
-    back_items = [(e, d, node) for e, lst in sorted(ix.back.items())
-                  for d, node in lst]
-    buf += _section(struct.pack("<I", len(back_items)) +
-                    b"".join(struct.pack("<QQQ", *it) for it in back_items))
-    loc_items = sorted(ix.loc.items())
-    buf += _section(struct.pack("<I", len(loc_items)) +
-                    b"".join(struct.pack("<QQ", node, pos)
-                             for node, pos in loc_items))
-    buf += _section(struct.pack("<I", len(ix.cnt)) +
-                    b"".join(struct.pack("<Q", v) for v in ix.cnt))
+    buf += _pack_records("QQQ", [(node, tgt, dist)
+                                 for node, (tgt, dist) in sorted(ix.skip.items())])
+    buf += _pack_records("QQQ", [(e, d, node) for e, lst in sorted(ix.back.items())
+                                 for d, node in lst])
+    buf += _pack_records("QQ", sorted(ix.loc.items()))
+    buf += _pack_records("Q", [(v,) for v in ix.cnt])
     if tg.node_map is not None:
         buf += _section(b"".join(struct.pack("<Q", v) for v in tg.node_map))
     buf += struct.pack("<I", zlib.crc32(bytes(buf)))
@@ -372,33 +379,16 @@ def _parse_sections(data: bytes, flags: int) -> TextIndex:
     traw = rd.section()
     if len(traw) != 24 * ntun:
         raise TruncatedError("tunnel record section has the wrong size")
-    tunnels = [TunnelRecord(*struct.unpack("<QQII", traw[i:i + 24]))
-               for i in range(0, len(traw), 24)]
+    tunnels = [TunnelRecord(*rec) for rec in struct.iter_unpack("<QQII", traw)]
 
-    sraw = rd.section()
-    (cnt_skip,) = struct.unpack("<I", sraw[:4])
-    skip = {}
-    for i in range(cnt_skip):
-        node, tgt, dist = struct.unpack("<QQQ", sraw[4 + 24 * i:4 + 24 * (i + 1)])
-        skip[node] = (tgt, dist)
-    braw = rd.section()
-    (cnt_back,) = struct.unpack("<I", braw[:4])
+    skip = {node: (tgt, dist) for node, tgt, dist in _unpack_records(rd.section(), "QQQ")}
     back: dict[int, list] = {}
-    for i in range(cnt_back):
-        e, d, node = struct.unpack("<QQQ", braw[4 + 24 * i:4 + 24 * (i + 1)])
+    for e, d, node in _unpack_records(rd.section(), "QQQ"):
         back.setdefault(e, []).append((d, node))
     for lst in back.values():
         lst.sort()
-    lraw = rd.section()
-    (cnt_loc,) = struct.unpack("<I", lraw[:4])
-    loc = {}
-    for i in range(cnt_loc):
-        node, pos = struct.unpack("<QQ", lraw[4 + 16 * i:4 + 16 * (i + 1)])
-        loc[node] = pos
-    craw2 = rd.section()
-    (cnt_n,) = struct.unpack("<I", craw2[:4])
-    cnt = [struct.unpack("<Q", craw2[4 + 8 * i:4 + 8 * (i + 1)])[0]
-           for i in range(cnt_n)]
+    loc = dict(_unpack_records(rd.section(), "QQ"))
+    cnt = [v for (v,) in _unpack_records(rd.section(), "Q")]
     node_map = None
     if flags & _FLAG_NODE_MAP:
         mraw = rd.section()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitvec import BitVec, LabelSeq
-from .errors import BoundsError, InvariantError, ValidationError
+from .errors import BoundsError, FormatError, InvariantError, ValidationError
 from .tunnel import TraversalPos, TunneledGraph, find_string_blocks, tunnel_graph
 from .wheeler import WheelerGraph
 
@@ -243,14 +243,8 @@ class TextIndex:
         p = lstart + slot
         c = g.L.access(p)
         j = g.C[c] + g.L.partial_rank(p)
-        r = g.edge_target(j)
         counter.steps += 1
-        if self.tg.is_inner(r):
-            noff = off
-        elif self.tg.is_entrance(r):
-            noff = self.tg.enter_offset(j, r)
-        else:
-            noff = 1
+        r, noff = self.tg.land(j, off)
         return r, noff, g.alphabet[c - 1]
 
     def node_width(self, v: int, counter: StepCounter | None = None) -> int:
@@ -261,7 +255,7 @@ class TextIndex:
             return 1
         g = self.tg.g
         cur = v
-        while True:
+        for _ in range(self.n):
             ptr = self.skip.get(cur)
             if ptr is not None:
                 cur = ptr[0]
@@ -274,6 +268,7 @@ class TextIndex:
             c = g.L.access(p)
             cur = g.edge_target(g.C[c] + g.L.partial_rank(p))
             counter.steps += 1
+        raise FormatError(f"found no tunnel exit in {self.n} steps from node {v}")
 
     # -- counting --------------------------------------------------------------
 
@@ -320,7 +315,7 @@ class TextIndex:
         counter = counter if counter is not None else StepCounter()
         node, off = p.node, p.offset
         travelled = 0
-        while True:
+        for _ in range(self.n):
             pos = self.loc.get(node)
             if pos is not None:
                 return pos - travelled
@@ -332,6 +327,7 @@ class TextIndex:
                 continue
             node, off, _ = self._fstep(node, off, counter)
             travelled += 1
+        raise FormatError(f"found no sample in {self.n} steps")
 
     def locate(self, pattern: bytes, limit: int | None = None,
                counter: StepCounter | None = None) -> list[int]:
@@ -376,7 +372,9 @@ class TextIndex:
             # the first sample may sit past `start` when the source node
             # lives inside a tunnel; the source is always rank 1, copy 1
             pos, node, off = 1, 1, 1
-        while pos < start:
+        for _ in range(self.n):
+            if pos >= start:
+                break
             ptr = self.skip.get(node)
             if ptr is not None:
                 exit_rank, dist = ptr
@@ -397,6 +395,8 @@ class TextIndex:
                 break
             node, off, _ = self._fstep(node, off, counter)
             pos += 1
+        else:
+            raise FormatError(f"did not reach text position {start} in {self.n} steps")
         out = bytearray()
         for _ in range(length):
             node, off, byte = self._fstep(node, off, counter)
@@ -440,8 +440,7 @@ def _distinct_sorted(positions: list[int]) -> list[int]:
 
 def build_index(text: bytes, *, sample_rate_n: int | None = None,
                 sample_rate_t: int | None = None, min_width: int = 2,
-                min_length: int = 2, tunneling: bool = True,
-                keep_node_map: bool = False) -> TextIndex:
+                min_length: int = 2, tunneling: bool = True) -> TextIndex:
     """Build the full index: string graph, block discovery, tunneling, and
     all sampling structures.  With tunneling off this degenerates to a plain
     FM-index over the Wheeler graph."""
@@ -451,7 +450,7 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
     g, rank = _string_graph(text)
     blocks = find_string_blocks(g, min_width, min_length) if tunneling else []
     expanded = [sb.expand(g) for sb in blocks]
-    tg = tunnel_graph(g, expanded, keep_node_map=True)
+    tg = tunnel_graph(g, expanded)
     n = g.n
     nt = tg.g.n
     if (sample_rate_n is not None and sample_rate_n < 1) or \
@@ -524,6 +523,5 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
                              "must be counted exactly once")
     cnt = [0] + [int(cumulative[k * rate_t - 1]) for k in range(1, nt // rate_t + 1)]
 
-    if not keep_node_map:
-        tg.node_map = None
+    tg.node_map = None  # needed only to place the samples above
     return TextIndex(tg, n, rate_n, rate_t, skip, back, loc, cnt)

@@ -23,6 +23,12 @@ the rows of a column are consecutive original ranks, ascending with the
 copy index; so inside one label range the copy rises strictly with the
 group index.  ``_exit_group`` therefore finds a copy bound by binary search
 over the O' marks: O(log w) selects on a tunnel of width w.
+
+Every traversal (``step``, range search, the text walks) uses one edge-group
+lookup, ``_group``, and one landing rule, ``land``: an edge into an inner
+node keeps the copy, one into an entrance takes ``enter_offset``, any other
+lands at offset 1.  By block condition (v) only in-tunnel moves reach inner
+nodes, so the target alone tells whether an edge carries the copy.
 """
 
 from __future__ import annotations
@@ -237,42 +243,51 @@ def _require_path_graph(g: WheelerGraph) -> None:
             raise ValidationError(f"not a path graph: node {r} has branching degree")
 
 
+def _walk_string_block(g: WheelerGraph, start: int, w: int, s: int | None = None):
+    """Walk and check the column tuples of the string block seeded at
+    [start .. start+w-1]: (the tuples that passed, first failed condition as
+    (name, detail) or None).  With s, check the block of length s; without,
+    stop at the first failure or at the tuple after the first column with
+    mixed out-labels, so len(columns) - 1 is the longest valid length.
+    """
+    if w < 1 or start < 1 or start + w - 1 > g.n:
+        return [], ("bounds", f"seed run outside [1..{g.n}]")
+    cols = [tuple(range(start, start + w))]
+    present = [lab for lab in map(g.in_label, cols[0]) if lab is not None]
+    if any(lab != present[0] for lab in present):
+        return cols, ("iii", "in-labels of the seed column differ")
+    used = set(cols[0])
+    j = 1
+    while s is None or j <= s:
+        last = cols[-1]
+        outs = [g.out_label_single(r) for r in last]
+        if None in outs:
+            return cols, ("ii", f"column {j} contains the sink")
+        if any(o != outs[0] for o in outs):
+            if s is not None and j < s:
+                return cols, ("iii", f"in-labels of column {j + 1} differ")
+            s = j
+        nxt = tuple(g.edge_target(g.out_edge_rank(r, o, 1)) for r, o in zip(last, outs))
+        if any(nxt[i + 1] != nxt[i] + 1 for i in range(w - 1)):
+            return cols, ("i", f"column {j + 1} is not consecutive")
+        if used.intersection(nxt):
+            return cols, ("distinct", f"column {j + 1} overlaps the block")
+        cols.append(nxt)
+        used.update(nxt)
+        j += 1
+    return cols, None
+
+
 def derive_string_block(g: WheelerGraph, start: int, w: int):
     """Greedily derive the longest valid string block at (start, w).
 
     Returns (s_max, columns) where columns holds the s_max+1 implied tuples
-    (just the seed column when s_max = 0).  Mirrors check_string_block: the
-    block of length s is valid iff s <= s_max.
+    (just the seed column when s_max = 0, none when the seed is out of
+    bounds).  The block of length s passes check_string_block iff
+    s <= s_max.
     """
-    if w < 1 or start < 1 or start + w - 1 > g.n:
-        return 0, []
-    col1 = tuple(range(start, start + w))
-    in_labels = [g.in_label(r) for r in col1]
-    present = [lab for lab in in_labels if lab is not None]
-    if present and any(lab != present[0] for lab in present):
-        return 0, [col1]
-    cols = [col1]
-    used = set(col1)
-    first_nonuniform = None  # 1-based index of first column with mixed out-labels
-    while first_nonuniform is None or len(cols) <= first_nonuniform:
-        last = cols[-1]
-        outs = [g.out_label_single(r) for r in last]
-        if any(o is None for o in outs):
-            break
-        if first_nonuniform is None and any(o != outs[0] for o in outs):
-            first_nonuniform = len(cols)
-        nxt = tuple(g.edge_target(g.out_edge_rank(r, outs[i], 1))
-                    for i, r in enumerate(last))
-        if any(nxt[i + 1] != nxt[i] + 1 for i in range(w - 1)):
-            break
-        if used & set(nxt):
-            break
-        cols.append(nxt)
-        used |= set(nxt)
-    s_max = len(cols) - 1
-    if first_nonuniform is not None:
-        s_max = min(s_max, first_nonuniform)
-    return s_max, cols[:s_max + 1] if s_max else cols[:1]
+    cols, _ = _walk_string_block(g, start, w)
+    return max(len(cols) - 1, 0), cols
 
 
 def check_string_block(g: WheelerGraph, sb: StringBlock) -> CheckResult:
@@ -280,32 +295,8 @@ def check_string_block(g: WheelerGraph, sb: StringBlock) -> CheckResult:
     _require_path_graph(g)
     if sb.length < 1 or sb.width < 1:
         raise ValidationError("string block needs width >= 1 and length >= 1")
-    start, w, s = sb.start_rank, sb.width, sb.length
-    if start < 1 or start + w - 1 > g.n:
-        return CheckResult.bad("bounds", f"seed run outside [1..{g.n}]")
-    cols = [tuple(range(start, start + w))]
-    used = set(cols[0])
-    in_labels = [g.in_label(r) for r in cols[0]]
-    present = [lab for lab in in_labels if lab is not None]
-    if present and any(lab != present[0] for lab in present):
-        return CheckResult.bad("iii", "in-labels of the seed column differ")
-    for j in range(1, s + 1):
-        last = cols[-1]
-        outs = [g.out_label_single(r) for r in last]
-        if any(o is None for o in outs):
-            return CheckResult.bad("ii", f"column {j} contains the sink")
-        if j < s and any(o != outs[0] for o in outs):
-            # in-labels of column j+1 <= s must be uniform
-            return CheckResult.bad("iii", f"in-labels of column {j + 1} differ")
-        nxt = tuple(g.edge_target(g.out_edge_rank(r, outs[i], 1))
-                    for i, r in enumerate(last))
-        if any(nxt[i + 1] != nxt[i] + 1 for i in range(w - 1)):
-            return CheckResult.bad("i", f"column {j + 1} is not consecutive")
-        if used & set(nxt):
-            return CheckResult.bad("distinct", f"column {j + 1} overlaps the block")
-        cols.append(nxt)
-        used |= set(nxt)
-    return CheckResult.good()
+    _, violation = _walk_string_block(g, sb.start_rank, sb.width, sb.length)
+    return CheckResult.bad(*violation) if violation else CheckResult.good()
 
 
 def find_string_blocks(g: WheelerGraph, min_w: int = 2, min_s: int = 2) -> list[StringBlock]:
@@ -476,8 +467,8 @@ class TunneledGraph:
     Holds the succinct graph of G_t, bitvectors I'/O' (first edge per
     original target / per original (source, letter) group), entrance and
     inner marks over nodes, per-tunnel records, the per-exit-edge copy
-    directory, and optionally the original-to-tunneled node map (testing
-    builds only).
+    directory, and the original-to-tunneled node map while one is known
+    (``tunnel_graph`` sets it; a loaded index has it only if it was saved).
     """
 
     def __init__(self, g, iprime, oprime, entrance_marks, inner_marks,
@@ -548,23 +539,38 @@ class TunneledGraph:
         e0 = opr.select(base + t + 1) - 1 if t + 1 < groups else j2
         return s0, e0, self.exit_copies.get(s0, t + 1)
 
-    def exit_edge(self, j1: int, o: int, k: int = 1, last: bool = False) -> int:
-        """Wheeler rank of the k-th (or last) same-labeled edge that
-        originally left copy o of the tunnel node owning edge j1."""
-        c = self.g.edge_label(j1)
-        src = self.g.edge_source(j1)
-        r1, r2 = self.g.edge_range_for_label(NodeRange(src, src), c)
-        if r1 != j1:
-            raise ValidationError(f"edge {j1} is not the first {c}-edge of its node")
-        grp = self._exit_group(r1, r2, o)
-        if grp is None or grp[2] != o:
-            raise NotFoundError(f"copy {o} has no out-edge labeled {c}")
-        s0, e0, _ = grp
-        if last:
-            return e0
-        if s0 + k - 1 > e0:
-            raise NotFoundError(f"copy {o} has fewer than {k} such edges")
-        return s0 + k - 1
+    def _group(self, a: int, b: int, c: int, lo_copy: int | None,
+               hi_copy: int | None, last: bool = False):
+        """(first, last) c-edge leaving nodes [a..b], or None.  When one
+        tunnel node's c-edges leave the tunnel, only the group of the lowest
+        (with ``last``, highest) copy in [lo_copy, hi_copy] counts; a bound of
+        None is open."""
+        if a > b:
+            return None
+        g = self.g
+        j1, j2 = g.edge_range_for_label(NodeRange(a, b), c)
+        if j1 > j2:
+            return None
+        inner = self.inner_marks.access
+        if (a != b or (lo_copy is None and hi_copy is None)
+                or not (self.entrance_marks.access(a) or inner(a)) or inner(g.edge_target(j1))):
+            return j1, j2
+        grp = self._exit_group(j1, j2, hi_copy if last else lo_copy, last)
+        if grp is None:
+            return None
+        s0, e0, copy = grp
+        if (lo_copy is not None and copy < lo_copy) or (hi_copy is not None and copy > hi_copy):
+            return None
+        return s0, e0
+
+    def land(self, j: int, copy: int | None) -> tuple[int, int | None]:
+        """(node, offset) that edge j reaches from copy ``copy`` of its source."""
+        r = self.g.edge_target(j)
+        if self.inner_marks.access(r):
+            return r, copy
+        if self.entrance_marks.access(r):
+            return r, self.enter_offset(j, r)
+        return r, 1
 
     # -- single-step traversal -------------------------------------------------
 
@@ -575,122 +581,45 @@ class TunneledGraph:
             raise BoundsError(f"node {p.node} outside [1..{g.n}]")
         if not 1 <= c <= g.sigma:
             raise NotFoundError(f"symbol {c} not in alphabet")
-        j1, j2 = g.edge_range_for_label(NodeRange(p.node, p.node), c)
-        if j1 > j2:
-            raise NotFoundError(f"node {p.node} has no out-edge labeled {c}")
-        if not self.is_tunnel_node(p.node):
-            j = j1 + k - 1
-            if j > j2 or k < 1:
-                raise NotFoundError(f"node {p.node} has no {k}-th {c}-edge")
-            return self._land(j)
-        r1 = g.edge_target(j1)
-        if self.is_inner(r1):
-            # moving inside: one collapsed edge serves every copy
-            if k != 1:
-                raise NotFoundError("in-tunnel letters have exactly one edge per copy")
-            return TraversalPos(r1, p.offset)
-        grp = self._exit_group(j1, j2, p.offset)
-        if grp is None or grp[2] != p.offset:
-            raise NotFoundError(f"copy {p.offset} has no out-edge labeled {c}")
-        s0, e0, _ = grp
-        j = s0 + k - 1
-        if j > e0 or k < 1:
-            raise NotFoundError(f"copy {p.offset} has fewer than {k} {c}-edges")
-        return self._land(j)
-
-    def _land(self, j: int) -> TraversalPos:
-        r = self.g.edge_target(j)
-        if self.is_entrance(r):
-            return TraversalPos(r, self.enter_offset(j, r))
-        return TraversalPos(r, 1)
+        grp = self._group(p.node, p.node, c, p.offset, p.offset)
+        if grp is None or not 1 <= k <= grp[1] - grp[0] + 1:
+            raise NotFoundError(f"copy {p.offset} of node {p.node} has no {k}-th {c}-edge")
+        return TraversalPos(*self.land(grp[0] + k - 1, p.offset))
 
     # -- range search ------------------------------------------------------------
-
-    def _node_first(self, v, c, min_copy, max_copy):
-        """First qualifying c-edge leaving node v, restricted to copies in
-        [min_copy, max_copy] (None = unbounded).  Returns (edge, kind, carry)."""
-        g = self.g
-        j1, j2 = g.edge_range_for_label(NodeRange(v, v), c)
-        if j1 > j2:
-            return None
-        if not self.is_tunnel_node(v):
-            return (j1, "plain", None)
-        r1 = g.edge_target(j1)
-        if self.is_inner(r1):
-            return (j1, "carry", min_copy if min_copy is not None else 1)
-        grp = self._exit_group(j1, j2, min_copy)
-        if grp is None or (max_copy is not None and grp[2] > max_copy):
-            return None
-        return (grp[0], "plain", None)
-
-    def _node_last(self, v, c, min_copy, max_copy):
-        g = self.g
-        j1, j2 = g.edge_range_for_label(NodeRange(v, v), c)
-        if j1 > j2:
-            return None
-        if not self.is_tunnel_node(v):
-            return (j2, "plain", None)
-        r1 = g.edge_target(j1)
-        if self.is_inner(r1):
-            return (j1, "carry", max_copy)
-        grp = self._exit_group(j1, j2, max_copy, last=True)
-        if grp is None or (min_copy is not None and grp[2] < min_copy):
-            return None
-        return (grp[1], "plain", None)
-
-    def _middle_pick(self, j, first: bool):
-        r = self.g.edge_target(j)
-        if self.is_inner(r):
-            return (j, "carry", 1 if first else None)
-        return (j, "plain", None)
-
-    def _resolve(self, pick):
-        j, kind, carry = pick
-        r = self.g.edge_target(j)
-        if kind == "carry":
-            return (r, carry)
-        if self.is_entrance(r):
-            return (r, self.enter_offset(j, r))
-        return (r, 1)
 
     def _follow_pairs(self, lo, hi, c):
         """One search step on offset-annotated endpoints.
 
         lo = (node, offset), hi = (node, offset-or-None); None means the
-        full width of the node.  Returns the new endpoint pair or None.
+        full width of the node.  The endpoints land by the first and last
+        edge over the parts lo node, middle nodes, hi node.  Returns the new
+        endpoint pair or None.
         """
-        g = self.g
-        if not 1 <= c <= g.sigma:
+        if not 1 <= c <= self.g.sigma:
             return None
         lo_node, lo_off = lo
         hi_node, hi_off = hi
-        single = lo_node == hi_node
-
-        lo_pick = self._node_first(lo_node, c, lo_off,
-                                   hi_off if single else None)
-        if lo_pick is None and not single:
-            if lo_node + 1 <= hi_node - 1:
-                mj1, mj2 = g.edge_range_for_label(NodeRange(lo_node + 1, hi_node - 1), c)
-                if mj1 <= mj2:
-                    lo_pick = self._middle_pick(mj1, first=True)
-            if lo_pick is None:
-                lo_pick = self._node_first(hi_node, c, None, hi_off)
-        if lo_pick is None:
+        if lo_node == hi_node:
+            parts = ((lo_node, lo_node, lo_off, hi_off),)
+        else:
+            parts = ((lo_node, lo_node, lo_off, None),
+                     (lo_node + 1, hi_node - 1, None, None),
+                     (hi_node, hi_node, None, hi_off))
+        for a, b, lo_copy, hi_copy in parts:
+            grp = self._group(a, b, c, lo_copy, hi_copy)
+            if grp is not None:
+                new_lo = self.land(grp[0], 1 if lo_copy is None else lo_copy)
+                break
+        else:
             return None
-
-        hi_pick = self._node_last(hi_node, c, lo_off if single else None, hi_off)
-        if hi_pick is None and not single:
-            if lo_node + 1 <= hi_node - 1:
-                mj1, mj2 = g.edge_range_for_label(NodeRange(lo_node + 1, hi_node - 1), c)
-                if mj1 <= mj2:
-                    hi_pick = self._middle_pick(mj2, first=False)
-            if hi_pick is None:
-                hi_pick = self._node_last(lo_node, c, lo_off, None)
-        if hi_pick is None:
+        for a, b, lo_copy, hi_copy in reversed(parts):
+            grp = self._group(a, b, c, lo_copy, hi_copy, last=True)
+            if grp is not None:
+                new_hi = self.land(grp[1], hi_copy)
+                break
+        else:
             raise InvariantError("lo endpoint found but hi endpoint missing")
-
-        new_lo = self._resolve(lo_pick)
-        new_hi = self._resolve(hi_pick)
         if new_lo[0] > new_hi[0]:
             raise InvariantError("follow produced a non-coherent range")
         return new_lo, new_hi
@@ -732,8 +661,7 @@ class TunneledGraph:
                 f"tunnels={len(self.tunnels)})")
 
 
-def tunnel_graph(g: WheelerGraph, blocks: list[Block],
-                 keep_node_map: bool = True) -> TunneledGraph:
+def tunnel_graph(g: WheelerGraph, blocks: list[Block]) -> TunneledGraph:
     """Collapse the given pairwise-disjoint blocks.
 
     Every block must pass check_block; width-1 blocks are accepted and act
@@ -830,5 +758,5 @@ def tunnel_graph(g: WheelerGraph, blocks: list[Block],
         tunnels,
         exit_copies,
         orig_n=n,
-        node_map=phi if keep_node_map else None,
+        node_map=phi,
     )

@@ -276,7 +276,9 @@ def scan_exit_groups(tg, j1: int, j2: int):
 
 
 def scan_node_first(tg, v, c, min_copy, max_copy):
-    """TunneledGraph._node_first over the scanned exit groups."""
+    """First c-edge leaving node v from a copy in [min_copy, max_copy]
+    (None = unbounded), over the scanned exit groups: (edge, "carry", copy)
+    for an in-tunnel move, which keeps the copy, else (edge, "plain", None)."""
     j1, j2 = tg.g.edge_range_for_label(NodeRange(v, v), c)
     if j1 > j2:
         return None
@@ -294,7 +296,7 @@ def scan_node_first(tg, v, c, min_copy, max_copy):
 
 
 def scan_node_last(tg, v, c, min_copy, max_copy):
-    """TunneledGraph._node_last over the scanned exit groups."""
+    """Last such c-edge, as scan_node_first picks the first."""
     j1, j2 = tg.g.edge_range_for_label(NodeRange(v, v), c)
     if j1 > j2:
         return None

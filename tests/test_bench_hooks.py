@@ -1,0 +1,35 @@
+"""The benchmark's hooks into the library stay callable.
+
+``perfbench/`` wraps library functions by name at run time and times a set
+of primitives on a loaded index.  A renamed or removed one would otherwise
+show only in a traced benchmark run.
+"""
+
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import SMALL_TEXTS
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import micro  # noqa: E402
+import tracing  # noqa: E402
+from clock import Clock  # noqa: E402
+
+HOOKS = [(owner, attr) for owner, attr, *_ in tracing._SPANS + tracing._COUNTERS]
+
+
+@pytest.mark.parametrize("owner,attr", HOOKS,
+                         ids=[f"{getattr(o, '__name__', o)}.{a}" for o, a in HOOKS])
+def test_traced_hook_is_callable(owner, attr):
+    assert callable(getattr(owner, attr, None))
+
+
+def test_micro_timings_are_finite(small_index):
+    with Clock() as clock:
+        timings = micro.measure(small_index("fib"), SMALL_TEXTS["fib"], 1, clock)
+    assert len(timings) == 13
+    for name, value in timings.items():
+        assert math.isfinite(value) and value > 0, name

@@ -28,6 +28,7 @@ from twgi.persist import (
     write_graph_file,
 )
 from twgi.text_index import build_index
+from twgi.tunnel import TraversalPos
 from twgi.tunnel import tunnel_graph
 from twgi.wheeler import encode
 
@@ -177,6 +178,35 @@ class TestIndexFile:
                 corrupt[-4:] = struct.pack("<I", zlib.crc32(bytes(corrupt[:-4])))
                 with pytest.raises(FormatError):
                     deserialize_index(bytes(corrupt))
+
+    @pytest.mark.parametrize("sec", [11, 12, 13, 14])  # skip, back, loc, cnt
+    def test_record_section_extra_bytes(self, sec, small_index):
+        # 16 bytes past the declared records, under a recomputed CRC
+        data = serialize_index(small_index("fib"))
+        start = _section_offsets(data)[sec]
+        (ln,) = struct.unpack_from("<I", data, start - 4)
+        corrupt = bytearray(data[:-4])
+        corrupt[start + ln:start + ln] = bytes(16)
+        struct.pack_into("<I", corrupt, start - 4, ln + 16)
+        corrupt += struct.pack("<I", zlib.crc32(bytes(corrupt)))
+        with pytest.raises(TruncatedError):
+            deserialize_index(bytes(corrupt))
+
+    def test_skip_pointer_cycle_stops_every_walk(self, small_index):
+        # two skip pointers of one tunnel point at each other at distance 0;
+        # the file loads, and each walk that reaches them must stop
+        ix = deserialize_index(serialize_index(small_index("fib")))
+        _, ptrs = max(ix.back.items(), key=lambda item: len(item[1]))
+        (_, b), (_, a) = ptrs[-2:]  # a lies farthest from the exit
+        pos_a = ix.locate_one(TraversalPos(a, 1))
+        ix.skip[a], ix.skip[b] = (b, 0), (a, 0)
+        bad = deserialize_index(serialize_index(ix))
+        with pytest.raises(FormatError, match="no sample"):
+            bad.locate_one(TraversalPos(a, 1))
+        with pytest.raises(FormatError, match="no tunnel exit"):
+            bad.node_width(a)
+        with pytest.raises(FormatError, match="did not reach"):
+            bad.extract(pos_a + 1, 1)
 
 
 def _section_offsets(data: bytes) -> list[int]:

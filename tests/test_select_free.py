@@ -98,10 +98,31 @@ class TestSelectOracles:
                 for c in range(1, tg.g.sigma + 1):
                     for lo in bounds:
                         for hi in bounds:
-                            assert (tg._node_first(v, c, lo, hi)
-                                    == scan_node_first(tg, v, c, lo, hi)), (v, c, lo, hi)
-                            assert (tg._node_last(v, c, lo, hi)
-                                    == scan_node_last(tg, v, c, lo, hi)), (v, c, lo, hi)
+                            first = tg._group(v, v, c, lo, hi)
+                            last = tg._group(v, v, c, lo, hi, last=True)
+                            want = scan_node_first(tg, v, c, lo, hi)
+                            assert (first and first[0]) == (want and want[0]), (v, c, lo, hi)
+                            if want:
+                                assert_lands_like(tg, first[0], 1 if lo is None else lo, want)
+                            want = scan_node_last(tg, v, c, lo, hi)
+                            assert (last and last[1]) == (want and want[0]), (v, c, lo, hi)
+                            if want:
+                                assert_lands_like(tg, last[1], hi, want)
+
+
+def assert_lands_like(tg, j, copy, pick):
+    """land(j, copy) against a scanned (edge, kind, carry) pick: an edge
+    lands on an inner node exactly when the scan calls it an in-tunnel
+    move, which carries the copy; any other edge enters a tunnel at the
+    copy enter_offset gives, or lands at offset 1."""
+    _, kind, carry = pick
+    node, off = tg.land(j, copy)
+    assert node == tg.g.edge_target(j)
+    assert tg.is_inner(node) == (kind == "carry"), (j, pick)
+    if kind == "carry":
+        assert off == carry, (j, pick)
+    else:
+        assert off == (tg.enter_offset(j, node) if tg.is_entrance(node) else 1), (j, pick)
 
 
 @pytest.fixture

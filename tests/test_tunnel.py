@@ -117,6 +117,55 @@ class TestCheckStringBlock:
                     ok = bool(check_string_block(g, StringBlock(start, w, s)))
                     assert ok == (s <= s_max), (text, start, w, s, s_max)
 
+    def test_named_conditions_match_colex_columns(self):
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(80):
+            alpha = rng.choice((b"a", b"ab", b"abc", b"aab"))
+            text = bytes(rng.choice(alpha) for _ in range(rng.randint(2, 40)))
+            g = build_graph_from_text(text)
+            for _ in range(25):
+                start = rng.randint(0, g.n + 1)
+                w, s = rng.randint(1, 4), rng.randint(1, 5)
+                res = check_string_block(g, StringBlock(start, w, s))
+                want = string_block_violation(text, start, w, s)
+                if want is None:
+                    assert res, (text, start, w, s, res)
+                    continue
+                cond, col = want
+                assert not res and res.condition == cond, (text, start, w, s, res, want)
+                if col is not None:
+                    assert f"column {col} " in res.detail, (text, start, w, s, res, want)
+                seen.add((cond, col is not None and col > 1))
+        assert seen >= {("bounds", False), ("iii", False), ("iii", True), ("ii", True),
+                        ("i", True), ("distinct", True)}
+
+
+def string_block_violation(text, start, w, s):
+    """First failed path-graph block condition of StringBlock(start, w, s)
+    on the colex oracle graph of text, as (name, column), column None for
+    the bounds and the seed column; None when the block is valid."""
+    el, _ = colex_string_graph(text)
+    succ = {u: (v, c) for u, v, c in el.edges}
+    into = {v: c for _, v, c in el.edges}
+    if start < 1 or start + w - 1 > el.n:
+        return "bounds", None
+    cols = [list(range(start, start + w))]
+    if len({into[v] for v in cols[0] if v in into}) > 1:
+        return "iii", None
+    for j in range(1, s + 1):
+        if any(v not in succ for v in cols[-1]):
+            return "ii", j
+        if j < s and len({succ[v][1] for v in cols[-1]}) > 1:
+            return "iii", j + 1
+        nxt = [succ[v][0] for v in cols[-1]]
+        if nxt != list(range(nxt[0], nxt[0] + w)):
+            return "i", j + 1
+        if any(v in col for v in nxt for col in cols):
+            return "distinct", j + 1
+        cols.append(nxt)
+    return None
+
 
 class TestFindStringBlocks:
     def test_abcabc(self):
@@ -276,14 +325,17 @@ class TestOffsets:
 
     def test_exit_edge_examples(self):
         _, _, tg = abcabc()
+        c = tg.g.label_id(ord("c"))
         # c-edges of x2 (rank 3) are edges 4 and 5
-        assert tg.exit_edge(4, 1, 1) == 4
-        assert tg.exit_edge(4, 2, 1) == 5
-        assert tg.exit_edge(4, 1, last=True) == 4
+        assert tg.g.edge_range_for_label(NodeRange(3, 3), c) == (4, 5)
+        assert tg._group(3, 3, c, 1, 1) == (4, 4)
+        assert tg._group(3, 3, c, 2, 2) == (5, 5)
+        assert tg._group(3, 3, c, 1, 1, last=True) == (4, 4)
+        assert tg._group(3, 3, c, 3, 3) is None  # offset beyond the group count
         with pytest.raises(NotFoundError):
-            tg.exit_edge(4, 3, 1)  # offset beyond the group count
+            tg.step(TraversalPos(3, 3), c)
         with pytest.raises(NotFoundError):
-            tg.exit_edge(4, 1, 2)  # each copy has one c-edge
+            tg.step(TraversalPos(3, 1), c, 2)  # each copy has one c-edge
 
     def test_enter_offset_with_sourceless_root(self):
         # tunnel roots (1, 2) where copy 1 has no in-edge at all: the only
@@ -411,13 +463,15 @@ class TestTunneledSearch:
 class TestInvariantErrors:
     def test_hi_endpoint_missing(self, monkeypatch):
         _, _, tg = abcabc()
-        monkeypatch.setattr(TunneledGraph, "_node_last", lambda self, *args: None)
+        group = TunneledGraph._group
+        monkeypatch.setattr(TunneledGraph, "_group",
+                            lambda self, *args, last=False: None if last else group(self, *args))
         with pytest.raises(InvariantError, match="hi endpoint missing"):
             tg.follow_range(NodeRange(1, 1), tg.g.label_id(97))
 
     def test_non_coherent_range(self, monkeypatch):
         _, _, tg = abcabc()
         ends = iter([(2, 1), (1, 1)])  # lo resolves above hi
-        monkeypatch.setattr(TunneledGraph, "_resolve", lambda self, pick: next(ends))
+        monkeypatch.setattr(TunneledGraph, "land", lambda self, j, copy: next(ends))
         with pytest.raises(InvariantError, match="non-coherent"):
             tg.path_search(b"a")
