@@ -362,7 +362,11 @@ def _parse_sections(data: bytes, flags: int) -> TextIndex:
     craw = rd.section()
     cvals = struct.unpack(f"<{sigma + 1}Q", craw)
     C = [0] + list(cvals)
-    l_ids = _unpack_symbols(rd.section(), mt, sigma)
+    L = LabelSeq(_unpack_symbols(rd.section(), mt, sigma), sigma)
+    # every label of L lies in [1..sigma], so these steps also make C
+    # non-decreasing and end it at m_t
+    if C[1] != 0 or any(C[c + 1] - C[c] != L.count(c) for c in range(1, sigma + 1)):
+        raise FormatError("C must start at 0 and rise by each label's count in L")
     I = BitVec.from_packed(rd.section(), nt + mt + 1)
     O = BitVec.from_packed(rd.section(), nt + mt + 1)
     for name, bv in (("I", I), ("O", O)):
@@ -397,7 +401,7 @@ def _parse_sections(data: bytes, flags: int) -> TextIndex:
     if rd.off != len(rd.data):
         raise TruncatedError("trailing bytes after the last section")
 
-    g = WheelerGraph(nt, mt, sigma, LabelSeq(l_ids, sigma), C, I, O, alphabet)
+    g = WheelerGraph(nt, mt, sigma, L, C, I, O, alphabet)
     tg = TunneledGraph(g, ipr, opr, ent, inn, tunnels,
                        _rebuild_exit_copies(g, ent, inn, tunnels),
                        orig_n=n, node_map=node_map)

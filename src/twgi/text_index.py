@@ -23,121 +23,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitvec import BitVec, LabelSeq
+from .bitvec import LabelSeq
 from .errors import BoundsError, FormatError, InvariantError, ValidationError
 from .tunnel import TraversalPos, TunneledGraph, find_string_blocks, tunnel_graph
-from .wheeler import WheelerGraph
+from .wheeler import WheelerGraph, unary
 
 
 # ---------------------------------------------------------------------------
-# suffix array construction (induced sorting)
+# suffix array construction (prefix doubling)
 
 
 def suffix_array(seq) -> list[int]:
     """Suffix array of seq plus a virtual terminator smaller than every
     symbol.  Returns len(seq)+1 start positions; position len(seq) is the
-    empty suffix and always sorts first."""
-    s = [v + 1 for v in seq]
-    s.append(0)
-    return _sais(s, max(s) + 1)
+    empty suffix and always sorts first.
 
-
-def _sais(s: list[int], alphabet: int) -> list[int]:
-    n = len(s)
-    if n == 1:
-        return [0]
-    stype = [False] * n
-    stype[n - 1] = True
-    for i in range(n - 2, -1, -1):
-        stype[i] = s[i] < s[i + 1] or (s[i] == s[i + 1] and stype[i + 1])
-    bucket = [0] * (alphabet + 1)
-    for ch in s:
-        bucket[ch] += 1
-
-    def heads():
-        out, acc = [0] * (alphabet + 1), 0
-        for c in range(alphabet + 1):
-            out[c] = acc
-            acc += bucket[c]
-        return out
-
-    def tails():
-        out, acc = [0] * (alphabet + 1), 0
-        for c in range(alphabet + 1):
-            acc += bucket[c]
-            out[c] = acc
-        return out
-
-    def induce(sa):
-        h = heads()
-        for i in range(n):
-            p = sa[i]
-            if p > 0 and not stype[p - 1]:
-                c = s[p - 1]
-                sa[h[c]] = p - 1
-                h[c] += 1
-        t = tails()
-        for i in range(n - 1, -1, -1):
-            p = sa[i]
-            if p > 0 and stype[p - 1]:
-                c = s[p - 1]
-                t[c] -= 1
-                sa[t[c]] = p - 1
-
-    lms = [i for i in range(1, n) if stype[i] and not stype[i - 1]]
-    lms_set = set(lms)
-
-    sa = [-1] * n
-    t = tails()
-    for i in reversed(lms):
-        c = s[i]
-        t[c] -= 1
-        sa[t[c]] = i
-    induce(sa)
-
-    order = [p for p in sa if p in lms_set]
-    names = {}
-    prev = None
-    cur = -1
-    for p in order:
-        if prev is None or not _lms_equal(s, stype, prev, p):
-            cur += 1
-        names[p] = cur
-        prev = p
-    reduced = [names[i] for i in lms]
-    if cur + 1 == len(lms):
-        sub = [0] * len(lms)
-        for i, nm in enumerate(reduced):
-            sub[nm] = i
-    else:
-        sub = _sais(reduced, cur + 1)
-    ordered_lms = [lms[i] for i in sub]
-
-    sa = [-1] * n
-    t = tails()
-    for i in reversed(ordered_lms):
-        c = s[i]
-        t[c] -= 1
-        sa[t[c]] = i
-    induce(sa)
-    return sa
-
-
-def _lms_equal(s, stype, a, b) -> bool:
-    if a == b:
-        return True
-    n = len(s)
-    if a == n - 1 or b == n - 1:
-        return False
-    i = 0
-    while True:
-        a_lms = i > 0 and stype[a + i] and not stype[a + i - 1]
-        b_lms = i > 0 and stype[b + i] and not stype[b + i - 1]
-        if i > 0 and a_lms and b_lms:
-            return True
-        if a_lms != b_lms or s[a + i] != s[b + i]:
-            return False
-        i += 1
+    Prefix doubling (Manber & Myers 1993): when rank orders the suffixes
+    by their first k symbols, the pair (rank[i], rank[i+k]) orders them by
+    their first 2k.  Each round is one sort; the rounds stop once every rank
+    is distinct.
+    """
+    n = len(seq) + 1
+    rank = np.unique(np.append(np.fromiter(seq, np.int64, n - 1), -1),
+                     return_inverse=True)[1]
+    k = 1
+    while rank.max() < n - 1:
+        # no second key past the end: such a suffix holds the terminator in
+        # its first k symbols, so its rank is already distinct
+        key = rank * n
+        key[:n - k] += rank[k:]
+        rank = np.unique(key, return_inverse=True)[1]
+        k *= 2
+    sa = np.empty(n, np.int64)
+    sa[rank] = np.arange(n)
+    return sa.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -151,45 +70,22 @@ def _string_graph(text: bytes):
     characters (i = 1..|T|+1): the colex rank of the prefix of length i-1.
     """
     n = len(text)
-    sa = suffix_array(text[::-1])
-    isa = [0] * (n + 1)
-    for idx, p in enumerate(sa):
-        isa[p] = idx
-    rank = [0] * (n + 2)
-    for i in range(1, n + 2):
-        rank[i] = isa[n - (i - 1)] + 1
-
-    alphabet = sorted(set(text))
+    rev = text[::-1]
+    alphabet, ids = np.unique(np.frombuffer(rev, np.uint8), return_inverse=True)
     sigma = len(alphabet)
-    to_id = {b: i + 1 for i, b in enumerate(alphabet)}
-    out_label = [0] * (n + 2)  # by Wheeler rank; 0 = sink
-    for i in range(1, n + 1):
-        out_label[rank[i]] = to_id[text[i - 1]]
-    sink = rank[n + 1]
-
-    l_ids = [out_label[r] for r in range(1, n + 2) if r != sink]
-    counts = [0] * (sigma + 2)
-    for cid in l_ids:
-        counts[cid] += 1
-    C = [0] * (sigma + 2)
-    for c in range(1, sigma + 1):
-        C[c + 1] = C[c] + counts[c]
-
-    # the source (empty prefix) always has rank 1; every other node has
-    # in-degree exactly 1
-    i_bits = [1]
-    for _ in range(n):
-        i_bits.extend((1, 0))
-    i_bits.append(1)
-    o_bits = []
-    for r in range(1, n + 2):
-        o_bits.append(1)
-        if r != sink:
-            o_bits.append(0)
-    o_bits.append(1)
-
-    g = WheelerGraph(n + 1, n, sigma, LabelSeq(l_ids, sigma), C,
-                     BitVec(i_bits), BitVec(o_bits), alphabet)
+    sa = np.array(suffix_array(rev), np.int64)
+    isa = np.empty(n + 1, np.int64)
+    isa[sa] = np.arange(1, n + 2)
+    rank = [0] + isa[::-1].tolist()
+    # the node of a reversed suffix leaves by the symbol before it: L is the
+    # BWT of the reversed text, without the sink (the suffix at 0)
+    l_ids = ids[sa[sa > 0] - 1] + 1
+    C = [0, 0] + np.cumsum(np.bincount(l_ids, minlength=sigma + 1)[1:]).tolist()
+    # the source (empty prefix) always has rank 1 and in-degree 0, the sink
+    # out-degree 0; every other degree is 1
+    nodes = np.arange(1, n + 2)
+    g = WheelerGraph(n + 1, n, sigma, LabelSeq(l_ids.tolist(), sigma), C,
+                     unary(nodes != 1), unary(nodes != rank[n + 1]), alphabet.tolist())
     return g, rank
 
 

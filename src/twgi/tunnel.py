@@ -37,6 +37,8 @@ import heapq
 from array import array
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bitvec import BitVec
 from .errors import BoundsError, InvariantError, NotFoundError, ValidationError
 from .wheeler import CheckResult, EdgeList, NodeRange, WheelerGraph, encode
@@ -461,6 +463,9 @@ def _bf_extensions(view: _GraphView, b: Block) -> list[Block]:
 # the tunneling transform
 
 
+_ENTRANCE, _INNER = 1, 2  # the mark bits of TunneledGraph._kind
+
+
 class TunneledGraph:
     """A tunneled Wheeler graph with the traversal support structures.
 
@@ -483,17 +488,22 @@ class TunneledGraph:
         self.orig_n = orig_n
         self.node_map = node_map
         self.entrance_info = {t.entrance: t for t in self.tunnels}
+        # both marks decoded once into one byte per node (index 0 unused):
+        # every traversal step reads it, and most nodes carry no mark
+        ent, inn = (np.unpackbits(np.frombuffer(m.to_packed(), np.uint8), count=m.n,
+                                  bitorder="little") for m in (entrance_marks, inner_marks))
+        self._kind = bytearray(1) + (ent * _ENTRANCE | inn * _INNER).tobytes()
 
     # -- marks ---------------------------------------------------------------
 
     def is_entrance(self, r: int) -> bool:
-        return bool(self.entrance_marks.access(r))
+        return bool(self._kind[r] & _ENTRANCE)
 
     def is_inner(self, r: int) -> bool:
-        return bool(self.inner_marks.access(r))
+        return bool(self._kind[r] & _INNER)
 
     def is_tunnel_node(self, r: int) -> bool:
-        return self.is_entrance(r) or self.is_inner(r)
+        return self._kind[r] != 0
 
     # -- offset machinery ------------------------------------------------------
 
@@ -551,9 +561,9 @@ class TunneledGraph:
         j1, j2 = g.edge_range_for_label(NodeRange(a, b), c)
         if j1 > j2:
             return None
-        inner = self.inner_marks.access
+        kind = self._kind
         if (a != b or (lo_copy is None and hi_copy is None)
-                or not (self.entrance_marks.access(a) or inner(a)) or inner(g.edge_target(j1))):
+                or not kind[a] or kind[g.edge_target(j1)] & _INNER):
             return j1, j2
         grp = self._exit_group(j1, j2, hi_copy if last else lo_copy, last)
         if grp is None:
@@ -566,9 +576,10 @@ class TunneledGraph:
     def land(self, j: int, copy: int | None) -> tuple[int, int | None]:
         """(node, offset) that edge j reaches from copy ``copy`` of its source."""
         r = self.g.edge_target(j)
-        if self.inner_marks.access(r):
+        kind = self._kind[r]
+        if kind & _INNER:
             return r, copy
-        if self.entrance_marks.access(r):
+        if kind & _ENTRANCE:
             return r, self.enter_offset(j, r)
         return r, 1
 
@@ -701,6 +712,7 @@ def tunnel_graph(g: WheelerGraph, blocks: list[Block]) -> TunneledGraph:
             if info is not None:
                 col_rank[(info[0], info[2])] = nt
 
+    # no sort needed: view edges are in (label, source, input) order and phi never decreases
     kept = []
     for idx, (u, v, cbyte) in enumerate(view.edges):
         iu = node_to.get(u)
@@ -709,7 +721,6 @@ def tunnel_graph(g: WheelerGraph, blocks: list[Block]) -> TunneledGraph:
                 and iu[1] == iv[1] and iu[1] >= 2):
             continue  # duplicate subtree edge of a copy >= 2
         kept.append((cbyte, phi[u], u, idx, phi[v], v, iu))
-    kept.sort(key=lambda e: e[:4])
 
     tedges = [(pu, pv, cbyte) for cbyte, pu, u, idx, pv, v, iu in kept]
     tg = encode(EdgeList(nt, tedges))

@@ -12,8 +12,7 @@ Navigation never selects on I or O.  Construction decodes both unary
 vectors once, in one pass over their set bits, into the node-offset arrays
 ``_istart`` and ``_lstart`` (edges entering, and L positions left by, the
 nodes of smaller rank).  The target of edge j is then the node whose
-in-edge interval holds j, and the source of the L position p the node whose
-out-edge interval holds p: a binary search over an array in memory, which
+in-edge interval holds j: a binary search over an array in memory, which
 costs a fraction of a select.
 """
 
@@ -22,7 +21,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
+
+import numpy as np
 
 from .bitvec import BitVec, LabelSeq
 from .errors import BoundsError, NotFoundError, ValidationError
@@ -227,12 +228,6 @@ class WheelerGraph:
             raise BoundsError(f"edge rank {j} outside [1..{self.m}]")
         return bisect_left(self._istart, j, 1, self.n + 2) - 1
 
-    def edge_source(self, j: int) -> int:
-        """Wheeler rank of the source node of edge j (one select on L)."""
-        c = self.edge_label(j)
-        pos = self.L.select(j - self.C[c], c)
-        return bisect_left(self._lstart, pos, 1, self.n + 2) - 1
-
     def edge_range_for_label(self, r: NodeRange, c: int) -> tuple[int, int]:
         """First and last c-labeled edge leaving nodes in r; (j1, j2) with
         j1 > j2 when none exist."""
@@ -306,6 +301,15 @@ def _node_starts(bv: BitVec, n: int, name: str) -> array:
     return starts
 
 
+def unary(deg) -> BitVec:
+    """The I or O vector of the given per-node degrees: a one per node
+    followed by its degree in zeros, then a closing one."""
+    deg = np.asarray(deg, np.int64)
+    bits = np.zeros(len(deg) + int(deg.sum()) + 1, np.uint8)
+    bits[np.arange(len(deg) + 1) + np.append(0, np.cumsum(deg))] = 1
+    return BitVec.from_packed(np.packbits(bits, bitorder="little").tobytes(), len(bits))
+
+
 def encode(el: EdgeList) -> WheelerGraph:
     """Build the succinct representation from an edge list.
 
@@ -331,24 +335,9 @@ def encode(el: EdgeList) -> WheelerGraph:
         counts[cid] += 1
 
     l_ids = []
-    o_bits = []
     for i in range(1, n + 1):
         out_lists[i].sort()
         l_ids.extend(cid for cid, _ in out_lists[i])
-        o_bits.append(1)
-        o_bits.extend([0] * len(out_lists[i]))
-    o_bits.append(1)
-
-    i_bits = []
-    for i in range(1, n + 1):
-        i_bits.append(1)
-        i_bits.extend([0] * indeg[i])
-    i_bits.append(1)
-
-    C = [0] * (sigma + 2)
-    for c in range(1, sigma + 1):
-        C[c + 1] = C[c] + counts[c]
-
-    L = LabelSeq(l_ids, sigma)
-    return WheelerGraph(n, m, sigma, L, C, BitVec(i_bits), BitVec(o_bits),
-                        alphabet)
+    C = [0, 0] + list(accumulate(counts[1:sigma + 1]))
+    return WheelerGraph(n, m, sigma, LabelSeq(l_ids, sigma), C, unary(indeg[1:]),
+                        unary([len(out) for out in out_lists[1:]]), alphabet)

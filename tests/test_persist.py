@@ -179,6 +179,23 @@ class TestIndexFile:
                 with pytest.raises(FormatError):
                     deserialize_index(bytes(corrupt))
 
+    def test_label_counts_rewritten(self, small_index):
+        # one C entry moved by one under a recomputed CRC: C[1] = 0, C
+        # non-decreasing, C[sigma+1] = m_t or C[c+1] - C[c] = L.count(c) breaks
+        ix = small_index("fib")
+        data = serialize_index(ix)
+        start = _section_offsets(data)[2]
+        for k in range(ix.tg.g.sigma + 1):  # C[k+1]
+            for delta in (1, -1):
+                corrupt = bytearray(data)
+                (v,) = struct.unpack_from("<Q", corrupt, start + 8 * k)
+                if v + delta < 0:
+                    continue
+                struct.pack_into("<Q", corrupt, start + 8 * k, v + delta)
+                corrupt[-4:] = struct.pack("<I", zlib.crc32(bytes(corrupt[:-4])))
+                with pytest.raises(FormatError, match="C must"):
+                    deserialize_index(bytes(corrupt))
+
     @pytest.mark.parametrize("sec", [11, 12, 13, 14])  # skip, back, loc, cnt
     def test_record_section_extra_bytes(self, sec, small_index):
         # 16 bytes past the declared records, under a recomputed CRC

@@ -2,7 +2,8 @@
 
 The select formulas and the linear exit-group scan in conftest are the
 references; the library must agree with them on every edge, node and copy
-bound, and must not call ``BitVec.select`` where it no longer needs to.
+bound, and must not call ``BitVec.select`` where it no longer needs to, nor
+read the tunnel marks bit by bit on a plain index's query path.
 """
 
 import math
@@ -20,7 +21,6 @@ from conftest import (
     scan_node_first,
     scan_node_last,
     select_edge_list,
-    select_edge_source,
     select_edge_target,
     select_node_offsets,
     unequal_exit_graph,
@@ -77,7 +77,6 @@ class TestSelectOracles:
             assert list(g._istart) == istart
             for j in range(1, g.m + 1):
                 assert g.edge_target(j) == select_edge_target(g, j)
-                assert g.edge_source(j) == select_edge_source(g, j)
             assert g.to_edge_list().edges == select_edge_list(g).edges
 
     def test_node_offsets_need_n_plus_one_ones(self):
@@ -200,3 +199,26 @@ class TestSelectGuard:
                 assert max(lookups, default=0) <= per_lookup, (i, plen)
                 total_lookups += len(lookups)
         assert total_lookups > 0  # the tunnel exits are really searched
+
+
+class TestMarkGuard:
+    @pytest.mark.parametrize("name", list(SMALL_TEXTS))
+    def test_plain_queries_read_no_marks(self, name, small_index, monkeypatch):
+        # the entrance and inner marks are decoded once, when the graph is
+        # made; a query on an untunneled index reads neither bitvector
+        ix = deserialize_index(serialize_index(small_index(name, tunneling=False)))
+        marks = (ix.tg.entrance_marks, ix.tg.inner_marks)
+        calls = [0]
+        access = BitVec.access
+
+        def counting(bv, i):
+            calls[0] += any(bv is mk for mk in marks)
+            return access(bv, i)
+
+        monkeypatch.setattr(BitVec, "access", counting)
+        text = SMALL_TEXTS[name]
+        for pat in make_patterns(random.Random(73), text, 40, max_len=12):
+            ix.count(pat)
+            ix.locate(pat)
+        assert ix.extract(1, len(text)) == text
+        assert calls[0] == 0

@@ -26,7 +26,8 @@ class TestSuffixArray:
     def test_against_comparison_sort(self):
         rng = random.Random(3)
         cases = [b"", b"a", b"aaaa", b"abcabc", b"banana", b"mississippi",
-                 fibonacci_word(100)]
+                 fibonacci_word(100), b"a" * 2000,
+                 bytes(rng.choice((0, 255)) for _ in range(300))]
         for _ in range(150):
             n = rng.randint(0, 150)
             sigma = rng.choice([1, 2, 4, 26, 256])
@@ -38,6 +39,7 @@ class TestSuffixArray:
             got = suffix_array(s)
             want = sorted(range(len(s) + 1), key=lambda p: s[p:])
             assert got == want, text
+            assert suffix_array(text) == got, text
 
     def test_larger_text(self):
         rng = random.Random(5)
