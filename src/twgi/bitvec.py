@@ -9,12 +9,19 @@ The rank directory is two-level: absolute counts per superblock (512 bits)
 plus 16-bit relative counts per 64-bit word, with a popcount for the word
 remainder.  Select binary-searches the directory, narrowed by sampled hints
 (one per 512 occurrences).
+
+``BitVec`` alone knows the packed layout: bit i of a sequence is bit i % 8
+of byte i // 8 (LSB first), and every other module hands it bit arrays or
+packed bytes.  The directory is built once with numpy; queries read only
+pure-Python words and ``array`` counts.
 """
 
 from __future__ import annotations
 
 from array import array
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import BoundsError, NotFoundError
 
@@ -23,73 +30,56 @@ _SUPER_WORDS = 8  # 512-bit superblocks
 _HINT_EVERY = 512
 
 
-def _pack_bits(bits) -> tuple[bytes, int]:
-    if isinstance(bits, str):
-        bits = [1 if ch == "1" else 0 for ch in bits]
-    else:
-        bits = list(bits)
-    n = len(bits)
-    buf = bytearray((n + 7) >> 3)
-    for i, b in enumerate(bits):
-        if b:
-            buf[i >> 3] |= 1 << (i & 7)
-    return bytes(buf), n
-
-
 class BitVec:
     """Static bit sequence with O(1) rank and near-O(1) select."""
 
     __slots__ = ("n", "_words", "_super", "_rel", "_ones",
                  "_hints1", "_hints0")
 
-    def __init__(self, bits: Iterable[int] | str = ()):
-        data, n = _pack_bits(bits)
-        self._build(data, n)
+    def __init__(self, bits: Iterable[int] | str | np.ndarray = ()):
+        """``bits``: a 0/1 iterable, a ``"01"`` string or a numpy array.
+        In a string only ``"1"`` is a one; elsewhere any nonzero value is."""
+        if isinstance(bits, str):
+            bits = np.frombuffer(bits.encode(), np.uint8) == ord("1")
+        elif not isinstance(bits, np.ndarray):
+            bits = list(bits)
+        bits = np.asarray(bits) != 0
+        self._build(np.packbits(bits, bitorder="little"), len(bits))
 
     @classmethod
     def from_packed(cls, data: bytes, length: int) -> "BitVec":
-        """Wrap LSB-first packed bytes holding ``length`` bits."""
+        """Wrap LSB-first packed bytes holding at least ``length`` bits."""
         bv = cls.__new__(cls)
-        bv._build(data, length)
+        bv._build(np.frombuffer(data, np.uint8, count=(length + 7) >> 3), length)
         return bv
 
-    def _build(self, data: bytes, n: int) -> None:
+    def _build(self, packed: np.ndarray, n: int) -> None:
         nwords = (n + _WORD - 1) >> 6
-        padded = data.ljust(nwords * 8, b"\x00")
-        words = [int.from_bytes(padded[w * 8:w * 8 + 8], "little")
-                 for w in range(nwords)]
-        # mask padding bits beyond n so popcounts stay exact
-        if n & 63 and nwords:
-            words[-1] &= (1 << (n & 63)) - 1
-        nsuper = (nwords + _SUPER_WORDS - 1) // _SUPER_WORDS
-        sup = array("q", [0] * (nsuper + 1))
-        rel = array("H", [0] * max(nwords, 1))
-        hints1 = array("q")
-        hints0 = array("q")
-        ones = 0
-        for w, word in enumerate(words):
-            if w % _SUPER_WORDS == 0:
-                sup[w // _SUPER_WORDS] = ones
-            rel[w] = ones - sup[w // _SUPER_WORDS]
-            zeros = w * _WORD - ones
-            pc = word.bit_count()
-            zc = _WORD - pc if (w + 1) * _WORD <= n else (n - w * _WORD) - pc
-            # hint h holds the word containing the (h*_HINT_EVERY + 1)-th bit
-            while len(hints1) * _HINT_EVERY + 1 <= ones + pc:
-                hints1.append(w)
-            while len(hints0) * _HINT_EVERY + 1 <= zeros + zc:
-                hints0.append(w)
-            ones += pc
-        sup[nsuper] = ones
-        hints1.append(max(nwords - 1, 0))
-        hints0.append(max(nwords - 1, 0))
+        buf = np.zeros(nwords * 8, np.uint8)
+        buf[:len(packed)] = packed
+        if n & 7:  # bits past n read as zero, so popcounts stay exact
+            buf[n >> 3] &= (1 << (n & 7)) - 1
+        words = buf.view("<u8")
+        pc = np.bitwise_count(words).astype(np.int64)
+        ones_through = np.cumsum(pc)
+        before = ones_through - pc
+        ones = int(pc.sum())
+        sup = np.append(before[::_SUPER_WORDS], ones)
+        rel = before - before[np.arange(nwords) // _SUPER_WORDS * _SUPER_WORDS]
+        zeros_through = np.minimum(np.arange(1, nwords + 1) * _WORD, n) - ones_through
+        # hint h holds the word containing the (h*_HINT_EVERY + 1)-th bit
+        last = [max(nwords - 1, 0)]
+        hints1 = np.searchsorted(ones_through, np.arange(1, ones + 1, _HINT_EVERY))
+        hints0 = np.searchsorted(zeros_through, np.arange(1, n - ones + 1, _HINT_EVERY))
+        # query-time state is pure Python: a numpy scalar read per rank
+        # would cost more than the rank itself
         self.n = n
-        self._words = words
-        self._super = sup
-        self._rel = rel
+        self._words = words.tolist()
+        self._super = array("q", sup.tolist())
+        self._rel = array("H", rel.tolist() or [0])
         self._ones = ones
-        self._hints1 = hints1
-        self._hints0 = hints0
+        self._hints1 = array("q", hints1.tolist() + last)
+        self._hints0 = array("q", hints0.tolist() + last)
 
     # -- internal 0-based helpers (p = exclusive prefix length) ------------
 
@@ -174,24 +164,16 @@ class BitVec:
             word &= word - 1
         return (lo << 6) + (word & -word).bit_length()
 
-    def iter_ones(self):
-        """Positions of the set bits, ascending: one pass over the words,
-        no select."""
-        for w, word in enumerate(self._words):
-            base = w << 6
-            while word:
-                low = word & -word
-                yield base + low.bit_length()
-                word ^= low
+    def bits(self) -> np.ndarray:
+        """The n bits as a uint8 array of zeros and ones."""
+        return np.unpackbits(np.frombuffer(self.to_packed(), np.uint8),
+                             count=self.n, bitorder="little")
 
     def to_packed(self) -> bytes:
-        out = bytearray()
-        for w in self._words:
-            out += w.to_bytes(8, "little")
-        return bytes(out[:(self.n + 7) >> 3])
+        return np.array(self._words, "<u8").tobytes()[:(self.n + 7) >> 3]
 
     def to01(self) -> str:
-        return "".join(str(self.access(i)) for i in range(1, self.n + 1))
+        return (self.bits() + ord("0")).tobytes().decode()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BitVec) and self.n == other.n
@@ -217,45 +199,30 @@ class LabelSeq:
     __slots__ = ("n", "sigma", "_syms", "_per_symbol", "_levels", "_zeros",
                  "_nbits")
 
-    def __init__(self, symbols: Sequence[int], sigma: int):
-        symbols = list(symbols)
-        if any(not 1 <= v <= sigma for v in symbols):
+    def __init__(self, symbols: Sequence[int] | np.ndarray, sigma: int):
+        syms = np.asarray(symbols, np.int64)
+        if syms.size and not (1 <= syms.min() and syms.max() <= sigma):
             raise BoundsError("symbol id outside [1..sigma]")
-        self.n = len(symbols)
+        self.n = len(syms)
         self.sigma = sigma
-        self._syms = array("H", symbols)
+        self._syms = array("H", syms.astype(np.uint16).tobytes())
         self._per_symbol = None
         self._levels = None
         self._zeros = None
         self._nbits = 0
         if sigma <= _SMALL_SIGMA:
-            packs = [bytearray((self.n + 7) >> 3) for _ in range(sigma + 1)]
-            for i, v in enumerate(symbols):
-                packs[v][i >> 3] |= 1 << (i & 7)
-            self._per_symbol = [None] + [
-                BitVec.from_packed(bytes(p), self.n) for p in packs[1:]]
+            self._per_symbol = [None] + [BitVec(syms == c) for c in range(1, sigma + 1)]
         else:
-            nbits = max(1, (sigma - 1).bit_length())
-            levels = []
-            zeros = []
-            seq = [v - 1 for v in symbols]
+            # wavelet matrix: level lev holds bit nbits-1-lev of each id, in
+            # the order a stable partition on the bits above it leaves
+            self._nbits = nbits = max(1, (sigma - 1).bit_length())
+            self._levels, self._zeros = [], []
+            seq = syms - 1
             for lev in range(nbits):
-                shift = nbits - 1 - lev
-                buf = bytearray((self.n + 7) >> 3)
-                lo, hi = [], []
-                for i, v in enumerate(seq):
-                    if (v >> shift) & 1:
-                        buf[i >> 3] |= 1 << (i & 7)
-                        hi.append(v)
-                    else:
-                        lo.append(v)
-                bv = BitVec.from_packed(bytes(buf), self.n)
-                levels.append(bv)
-                zeros.append(len(lo))
-                seq = lo + hi
-            self._levels = levels
-            self._zeros = zeros
-            self._nbits = nbits
+                bit = ((seq >> (nbits - 1 - lev)) & 1) != 0
+                self._levels.append(BitVec(bit))
+                self._zeros.append(self.n - int(bit.sum()))
+                seq = np.concatenate((seq[~bit], seq[bit]))
 
     def __len__(self) -> int:
         return self.n

@@ -12,6 +12,8 @@ from __future__ import annotations
 import struct
 import zlib
 
+import numpy as np
+
 from .bitvec import BitVec, LabelSeq
 from .errors import (
     BadMagicError,
@@ -156,13 +158,12 @@ def _parse_meta_line(body: str, meta: dict | None) -> dict:
 
 
 def tunneled_graph_meta(tg: TunneledGraph) -> dict:
-    nt = tg.g.n
     return {
         "orig_n": tg.orig_n,
         "iprime": tg.iprime.to01(),
         "oprime": tg.oprime.to01(),
-        "entrance": [r for r in range(1, nt + 1) if tg.entrance_marks.access(r)],
-        "inner": [r for r in range(1, nt + 1) if tg.inner_marks.access(r)],
+        "entrance": (np.flatnonzero(tg.entrance_marks.bits()) + 1).tolist(),
+        "inner": (np.flatnonzero(tg.inner_marks.bits()) + 1).tolist(),
         "tunnels": [(t.entrance, t.exit, t.width, t.length) for t in tg.tunnels],
         "exit_copies": dict(tg.exit_copies),
     }
@@ -170,18 +171,13 @@ def tunneled_graph_meta(tg: TunneledGraph) -> dict:
 
 def tunneled_graph_from_meta(g: WheelerGraph, meta: dict) -> TunneledGraph:
     records = [TunnelRecord(*t) for t in meta["tunnels"]]
-    ent = bytearray((g.n + 7) >> 3)
-    inn = bytearray((g.n + 7) >> 3)
-    for r in meta["entrance"]:
-        ent[(r - 1) >> 3] |= 1 << ((r - 1) & 7)
-    for r in meta["inner"]:
-        inn[(r - 1) >> 3] |= 1 << ((r - 1) & 7)
+    ranks = np.arange(1, g.n + 1)
     return TunneledGraph(
         g,
         BitVec(meta["iprime"]),
         BitVec(meta["oprime"]),
-        BitVec.from_packed(bytes(ent), g.n),
-        BitVec.from_packed(bytes(inn), g.n),
+        BitVec(np.isin(ranks, meta["entrance"])),
+        BitVec(np.isin(ranks, meta["inner"])),
         records,
         meta["exit_copies"],
         orig_n=meta["orig_n"] or g.n,
@@ -232,32 +228,25 @@ def read_blocks_file(fh) -> list[Block]:
 
 
 def _pack_symbols(ids, sigma: int) -> bytes:
-    width = max(1, (sigma - 1).bit_length()) if sigma > 1 else 1
-    total = len(ids) * width
-    buf = bytearray((total + 7) >> 3)
-    pos = 0
-    for v in ids:
-        val = v - 1
-        for b in range(width):
-            if (val >> b) & 1:
-                buf[pos >> 3] |= 1 << (pos & 7)
-            pos += 1
-    return bytes(buf)
+    """Symbol ids 1..sigma as (id - 1) in max(1, ceil(log2 sigma)) bits
+    each, least significant bit first, one id after another."""
+    width = max(1, (sigma - 1).bit_length())
+    vals = np.asarray(ids, np.int64) - 1
+    bits = (vals[:, None] >> np.arange(width)) & 1
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
-def _unpack_symbols(data: bytes, count: int, sigma: int) -> list[int]:
-    width = max(1, (sigma - 1).bit_length()) if sigma > 1 else 1
-    if len(data) < (count * width + 7) >> 3:
-        raise TruncatedError("label section shorter than declared")
-    out = []
-    pos = 0
-    for _ in range(count):
-        val = 0
-        for b in range(width):
-            val |= ((data[pos >> 3] >> (pos & 7)) & 1) << b
-            pos += 1
-        out.append(val + 1)
-    return out
+def _unpack_symbols(data: bytes, count: int, sigma: int) -> np.ndarray:
+    width = max(1, (sigma - 1).bit_length())
+    nbytes = (count * width + 7) >> 3
+    if len(data) != nbytes:
+        raise TruncatedError(f"label section holds {len(data)} bytes, not {nbytes}")
+    bits = np.unpackbits(np.frombuffer(data, np.uint8), count=count * width,
+                         bitorder="little").reshape(count, width)
+    ids = (bits.astype(np.int64) << np.arange(width)).sum(axis=1) + 1
+    if count and ids.max() > sigma:
+        raise FormatError(f"label id {ids.max()} outside [1..{sigma}]")
+    return ids
 
 
 def _section(payload: bytes) -> bytes:
@@ -295,6 +284,13 @@ class _Reader:
         (ln,) = struct.unpack("<I", self.take(4))
         return self.take(ln)
 
+    def bits(self, nbits: int, name: str) -> BitVec:
+        """A bit section, which must hold exactly ceil(nbits / 8) bytes."""
+        raw = self.section()
+        if len(raw) != (nbits + 7) >> 3:
+            raise TruncatedError(f"{name} section holds {len(raw)} bytes for {nbits} bits")
+        return BitVec.from_packed(raw, nbits)
+
 
 def serialize_index(ix: TextIndex) -> bytes:
     tg = ix.tg
@@ -313,14 +309,9 @@ def serialize_index(ix: TextIndex) -> bytes:
                                 len(tg.tunnels)))
     buf += _section(bytes(g.alphabet))
     buf += _section(struct.pack(f"<{g.sigma + 1}Q", *g.C[1:g.sigma + 2]))
-    l_ids = [g.L.access(i) for i in range(1, g.m + 1)]
-    buf += _section(_pack_symbols(l_ids, g.sigma))
-    buf += _section(g.I.to_packed())
-    buf += _section(g.O.to_packed())
-    buf += _section(tg.iprime.to_packed())
-    buf += _section(tg.oprime.to_packed())
-    buf += _section(tg.entrance_marks.to_packed())
-    buf += _section(tg.inner_marks.to_packed())
+    buf += _section(_pack_symbols(g.L._syms, g.sigma))
+    for bv in (g.I, g.O, tg.iprime, tg.oprime, tg.entrance_marks, tg.inner_marks):
+        buf += _section(bv.to_packed())
     buf += _section(b"".join(struct.pack("<QQII", t.entrance, t.exit, t.width,
                                          t.length) for t in tg.tunnels))
     buf += _pack_records("QQQ", [(node, tgt, dist)
@@ -356,6 +347,8 @@ def deserialize_index(data: bytes) -> TextIndex:
 def _parse_sections(data: bytes, flags: int) -> TextIndex:
     rd = _Reader(data[:-4], 8)
     n, nt, mt, sigma, rate_n, rate_t, ntun = struct.unpack("<QQQIIII", rd.section())
+    if rate_n < 1 or rate_t < 1:
+        raise FormatError(f"sample rates {rate_n} and {rate_t} must be at least 1")
     alphabet = list(rd.section())
     if len(alphabet) != sigma:
         raise TruncatedError("alphabet section has the wrong size")
@@ -367,8 +360,8 @@ def _parse_sections(data: bytes, flags: int) -> TextIndex:
     # non-decreasing and end it at m_t
     if C[1] != 0 or any(C[c + 1] - C[c] != L.count(c) for c in range(1, sigma + 1)):
         raise FormatError("C must start at 0 and rise by each label's count in L")
-    I = BitVec.from_packed(rd.section(), nt + mt + 1)
-    O = BitVec.from_packed(rd.section(), nt + mt + 1)
+    I = rd.bits(nt + mt + 1, "I")
+    O = rd.bits(nt + mt + 1, "O")
     for name, bv in (("I", I), ("O", O)):
         # the node-offset arrays decoded from I and O answer every
         # navigation step, so their unary shape is checked here
@@ -376,10 +369,10 @@ def _parse_sections(data: bytes, flags: int) -> TextIndex:
             raise FormatError(
                 f"{name} must hold {nt + 1} ones and {mt} zeros, "
                 f"starting and ending with a one")
-    ipr = BitVec.from_packed(rd.section(), mt)
-    opr = BitVec.from_packed(rd.section(), mt)
-    ent = BitVec.from_packed(rd.section(), nt)
-    inn = BitVec.from_packed(rd.section(), nt)
+    ipr = rd.bits(mt, "I'")
+    opr = rd.bits(mt, "O'")
+    ent = rd.bits(nt, "entrance")
+    inn = rd.bits(nt, "inner")
     traw = rd.section()
     if len(traw) != 24 * ntun:
         raise TruncatedError("tunnel record section has the wrong size")
@@ -393,6 +386,15 @@ def _parse_sections(data: bytes, flags: int) -> TextIndex:
         lst.sort()
     loc = dict(_unpack_records(rd.section(), "QQ"))
     cnt = [v for (v,) in _unpack_records(rd.section(), "Q")]
+    # count and locate index these samples directly, so a bad one would
+    # surface as a wrong answer or an IndexError far from the file
+    if (len(cnt) != nt // rate_t + 1 or cnt[0] != 0 or cnt[-1] > n
+            or any(a > b for a, b in zip(cnt, cnt[1:]))):
+        raise FormatError(
+            f"cnt must hold {nt // rate_t + 1} non-decreasing samples from 0 to at most {n}")
+    if (any(not 1 <= r <= nt for r in loc) or len(set(loc.values())) != len(loc)
+            or any(not 1 <= p <= n for p in loc.values())):
+        raise FormatError(f"loc must map nodes in [1..{nt}] to distinct positions in [1..{n}]")
     node_map = None
     if flags & _FLAG_NODE_MAP:
         mraw = rd.section()

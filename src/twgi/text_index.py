@@ -415,7 +415,7 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
             widths[phi[col[0]]] = blk.width
     cumulative = np.cumsum(widths[1:])
     if nt and int(cumulative[-1]) != n:
-        raise AssertionError("width conservation broke: every original node "
+        raise InvariantError("width conservation broke: every original node "
                              "must be counted exactly once")
     cnt = [0] + [int(cumulative[k * rate_t - 1]) for k in range(1, nt // rate_t + 1)]
 

@@ -490,9 +490,8 @@ class TunneledGraph:
         self.entrance_info = {t.entrance: t for t in self.tunnels}
         # both marks decoded once into one byte per node (index 0 unused):
         # every traversal step reads it, and most nodes carry no mark
-        ent, inn = (np.unpackbits(np.frombuffer(m.to_packed(), np.uint8), count=m.n,
-                                  bitorder="little") for m in (entrance_marks, inner_marks))
-        self._kind = bytearray(1) + (ent * _ENTRANCE | inn * _INNER).tobytes()
+        kind = entrance_marks.bits() * _ENTRANCE | inner_marks.bits() * _INNER
+        self._kind = bytearray(1) + kind.tobytes()
 
     # -- marks ---------------------------------------------------------------
 
@@ -711,6 +710,9 @@ def tunnel_graph(g: WheelerGraph, blocks: list[Block]) -> TunneledGraph:
             phi[v] = nt
             if info is not None:
                 col_rank[(info[0], info[2])] = nt
+    expected = n - sum((b.width - 1) * b.size for b in real)
+    if nt != expected:
+        raise InvariantError(f"node accounting broke: {nt} != {expected}")
 
     # no sort needed: view edges are in (label, source, input) order and phi never decreases
     kept = []
@@ -726,46 +728,29 @@ def tunnel_graph(g: WheelerGraph, blocks: list[Block]) -> TunneledGraph:
     tg = encode(EdgeList(nt, tedges))
     mt = len(tedges)
 
-    ipr = bytearray((mt + 7) >> 3)
-    opr = bytearray((mt + 7) >> 3)
-    seen_target = set()
-    seen_sl = set()
+    # I' marks the first kept edge into each original target, O' the first
+    # out of each original (source, letter) group
+    first_in, first_out = {}, {}
     exit_copies = {}
     for pos, (cbyte, pu, u, idx, pv, v, iu) in enumerate(kept):
-        if v not in seen_target:
-            seen_target.add(v)
-            ipr[pos >> 3] |= 1 << (pos & 7)
-        if (u, cbyte) not in seen_sl:
-            seen_sl.add((u, cbyte))
-            opr[pos >> 3] |= 1 << (pos & 7)
+        first_in.setdefault(v, pos)
+        first_out.setdefault((u, cbyte), pos)
         if iu is not None:
             iv = node_to.get(v)
             inside = (iv is not None and iv[0] == iu[0] and iv[1] == iu[1])
             if not inside:
                 exit_copies[pos + 1] = iu[1]
 
-    ent_bits = bytearray((nt + 7) >> 3)
-    inn_bits = bytearray((nt + 7) >> 3)
-    tunnels = []
-    for bidx, b in enumerate(real):
-        entrance = col_rank[(bidx, 1)]
-        ent_bits[(entrance - 1) >> 3] |= 1 << ((entrance - 1) & 7)
-        for j in range(2, b.size + 1):
-            r = col_rank[(bidx, j)]
-            inn_bits[(r - 1) >> 3] |= 1 << ((r - 1) & 7)
-        tunnels.append(TunnelRecord(entrance, col_rank[(bidx, b.size)],
-                                    b.width, b.size))
-
-    expected = n - sum((b.width - 1) * b.size for b in real)
-    if nt != expected:
-        raise AssertionError(f"node accounting broke: {nt} != {expected}")
-
+    tunnels = [TunnelRecord(col_rank[(bidx, 1)], col_rank[(bidx, b.size)], b.width, b.size)
+               for bidx, b in enumerate(real)]
+    inner = [col_rank[(bidx, j)] for bidx, b in enumerate(real) for j in range(2, b.size + 1)]
+    edges, ranks = np.arange(mt), np.arange(1, nt + 1)
     return TunneledGraph(
         tg,
-        BitVec.from_packed(bytes(ipr), mt),
-        BitVec.from_packed(bytes(opr), mt),
-        BitVec.from_packed(bytes(ent_bits), nt),
-        BitVec.from_packed(bytes(inn_bits), nt),
+        BitVec(np.isin(edges, list(first_in.values()))),
+        BitVec(np.isin(edges, list(first_out.values()))),
+        BitVec(np.isin(ranks, [t.entrance for t in tunnels])),
+        BitVec(np.isin(ranks, inner)),
         tunnels,
         exit_copies,
         orig_n=n,

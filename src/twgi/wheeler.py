@@ -21,7 +21,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
 
 import numpy as np
 
@@ -263,22 +262,17 @@ class WheelerGraph:
     def to_edge_list(self) -> EdgeList:
         """Recover the edge multiset in Wheeler edge order, labels as bytes.
 
-        One linear pass: L is scanned node by node, and the i-th c in L is
-        edge C[c] + i, whose target is read by walking _istart.
+        The i-th c in L is edge C[c] + i, so a stable sort of L's positions
+        by label lists their sources in edge order; node v's in-edges are
+        the ranks _istart[v] + 1 .. _istart[v + 1].
         """
-        targets = [0] * (self.m + 1)
-        for v in range(1, self.n + 1):
-            for j in range(self._istart[v] + 1, self._istart[v + 1] + 1):
-                targets[j] = v
-        edges = [None] * self.m
-        last = list(self.C)  # last edge rank handed out per label
-        for u in range(1, self.n + 1):
-            for p in range(self._lstart[u] + 1, self._lstart[u + 1] + 1):
-                c = self.L.access(p)
-                last[c] += 1
-                j = last[c]
-                edges[j - 1] = (u, targets[j], self.alphabet[c - 1])
-        return EdgeList(self.n, edges)
+        nodes = np.arange(1, self.n + 1)
+        labels = np.asarray(self.L._syms)
+        order = np.argsort(labels, kind="stable")
+        sources = np.repeat(nodes, np.diff(self._lstart[1:]))[order]
+        targets = np.repeat(nodes, np.diff(self._istart[1:]))
+        names = np.asarray(self.alphabet, np.int64)[labels[order] - 1]
+        return EdgeList(self.n, list(zip(sources.tolist(), targets.tolist(), names.tolist())))
 
     def structures_equal(self, other: "WheelerGraph") -> bool:
         return (self.n == other.n and self.m == other.m
@@ -292,9 +286,9 @@ class WheelerGraph:
 
 def _node_starts(bv: BitVec, n: int, name: str) -> array:
     """starts[i] = select_1(bv, i) - i for i in 1..n+1 (starts[0] unused):
-    the zeros before the i-th one, read in one pass over the set bits."""
-    starts = array("q", [0])
-    starts.extend(p - i for i, p in enumerate(islice(bv.iter_ones(), n + 1), 1))
+    the zeros before the i-th one, read off the positions of the set bits."""
+    ones = np.flatnonzero(bv.bits())[:n + 1]
+    starts = array("q", [0] + (ones - np.arange(len(ones))).tolist())
     if len(starts) < n + 2:
         raise NotFoundError(
             f"{name} holds {len(starts) - 1} ones, a graph of {n} nodes needs {n + 1}")
@@ -307,7 +301,7 @@ def unary(deg) -> BitVec:
     deg = np.asarray(deg, np.int64)
     bits = np.zeros(len(deg) + int(deg.sum()) + 1, np.uint8)
     bits[np.arange(len(deg) + 1) + np.append(0, np.cumsum(deg))] = 1
-    return BitVec.from_packed(np.packbits(bits, bitorder="little").tobytes(), len(bits))
+    return BitVec(bits)
 
 
 def encode(el: EdgeList) -> WheelerGraph:
@@ -321,23 +315,13 @@ def encode(el: EdgeList) -> WheelerGraph:
         raise ValidationError(f"not a Wheeler graph: {res.detail}",
                               condition=res.condition)
     n, m = el.n, len(el.edges)
-    alphabet = sorted({c for _, _, c in el.edges})
+    u, v, c = np.array(el.edges, np.int64).reshape(m, 3).T
+    alphabet, cid = np.unique(c, return_inverse=True)
+    cid += 1
     sigma = len(alphabet)
-    to_id = {b: i + 1 for i, b in enumerate(alphabet)}
-
-    out_lists: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    indeg = [0] * (n + 1)
-    counts = [0] * (sigma + 2)
-    for idx, (u, v, c) in enumerate(el.edges):
-        cid = to_id[c]
-        out_lists[u].append((cid, idx))
-        indeg[v] += 1
-        counts[cid] += 1
-
-    l_ids = []
-    for i in range(1, n + 1):
-        out_lists[i].sort()
-        l_ids.extend(cid for cid, _ in out_lists[i])
-    C = [0, 0] + list(accumulate(counts[1:sigma + 1]))
-    return WheelerGraph(n, m, sigma, LabelSeq(l_ids, sigma), C, unary(indeg[1:]),
-                        unary([len(out) for out in out_lists[1:]]), alphabet)
+    # L lists each node's out-edges by label; parallel edges keep input order
+    l_ids = cid[np.lexsort((np.arange(m), cid, u))]
+    C = [0, 0] + np.cumsum(np.bincount(cid, minlength=sigma + 1)[1:]).tolist()
+    return WheelerGraph(n, m, sigma, LabelSeq(l_ids, sigma), C,
+                        unary(np.bincount(v, minlength=n + 1)[1:]),
+                        unary(np.bincount(u, minlength=n + 1)[1:]), alphabet.tolist())

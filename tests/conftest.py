@@ -260,6 +260,35 @@ def select_edge_list(g) -> EdgeList:
                           for j in range(1, g.m + 1)])
 
 
+# ---------------------------------------------------------------------------
+# the label codec of the index file's L section, one bit per loop step
+
+
+def loop_pack_symbols(ids, sigma: int) -> bytes:
+    width = max(1, (sigma - 1).bit_length()) if sigma > 1 else 1
+    buf = bytearray((len(ids) * width + 7) >> 3)
+    pos = 0
+    for v in ids:
+        for b in range(width):
+            if ((v - 1) >> b) & 1:
+                buf[pos >> 3] |= 1 << (pos & 7)
+            pos += 1
+    return bytes(buf)
+
+
+def loop_unpack_symbols(data: bytes, count: int, sigma: int) -> list[int]:
+    width = max(1, (sigma - 1).bit_length()) if sigma > 1 else 1
+    out = []
+    pos = 0
+    for _ in range(count):
+        val = 0
+        for b in range(width):
+            val |= ((data[pos >> 3] >> (pos & 7)) & 1) << b
+            pos += 1
+        out.append(val + 1)
+    return out
+
+
 def scan_exit_groups(tg, j1: int, j2: int):
     """Every per-copy exit-edge group in the label range [j1, j2], by one
     O' select per group: (first edge, last edge, copy), ordered by copy."""

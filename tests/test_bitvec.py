@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +103,27 @@ class TestBitVecOracle:
             bv = BitVec(bits)
             again = BitVec.from_packed(bv.to_packed(), n)
             assert bv == again
+
+
+class TestConstruction:
+    def test_from_packed_drops_bits_past_length(self):
+        bv = BitVec.from_packed(b"\xff", 3)
+        assert bv.ones == 3
+        assert bv.to_packed() == b"\x07"
+        assert bv.to01() == "111"
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 63, 64, 65, 1000])
+    def test_list_string_and_array_agree(self, n):
+        rng = random.Random(n)
+        bits = [rng.randint(0, 1) for _ in range(n)]
+        want = BitVec(bits)
+        text = "".join(map(str, bits))
+        for same in (BitVec(text), BitVec(np.array(bits, np.uint8)),
+                     BitVec(np.array(bits, bool)), BitVec(iter(bits))):
+            assert same == want
+            assert same.ones == want.ones
+        assert want.bits().tolist() == bits
+        assert want.to01() == text
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,10 +3,19 @@ import io
 import random
 import struct
 import zlib
+from array import array
 
 import pytest
 
-from conftest import fig1_block, fig1_edge_list, make_patterns, naive_count, naive_locate
+from conftest import (
+    fig1_block,
+    fig1_edge_list,
+    loop_pack_symbols,
+    loop_unpack_symbols,
+    make_patterns,
+    naive_count,
+    naive_locate,
+)
 from twgi.errors import (
     BadMagicError,
     ChecksumError,
@@ -16,6 +25,8 @@ from twgi.errors import (
     VersionError,
 )
 from twgi.persist import (
+    _pack_symbols,
+    _unpack_symbols,
     deserialize_index,
     parse_label,
     parse_pattern,
@@ -98,6 +109,33 @@ class TestPattern:
     def test_parse_pattern(self):
         assert parse_pattern("abc") == b"abc"
         assert parse_pattern("\\x00a\\xff") == b"\x00a\xff"
+
+
+def _set_item(seq, key, value):
+    seq[key] = value
+
+
+def _move_loc(ix, key):
+    node, pos = next(iter(ix.loc.items()))
+    del ix.loc[node]
+    ix.loc[key] = pos
+
+
+# each breaks one sampling rule that deserialize_index checks
+SAMPLING_FAULTS = {
+    "rate_n zero": lambda ix: setattr(ix, "sample_rate_n", 0),
+    "rate_t zero": lambda ix: setattr(ix, "sample_rate_t", 0),
+    "cnt 3 short": lambda ix: ix.cnt.__delitem__(slice(-3, None)),
+    "cnt 1 long": lambda ix: ix.cnt.append(ix.cnt[-1]),
+    "cnt start": lambda ix: _set_item(ix.cnt, 0, 1),
+    "cnt falls": lambda ix: _set_item(ix.cnt, 2, ix.cnt[1] - 1),
+    "cnt past n": lambda ix: _set_item(ix.cnt, -1, ix.n + 1),
+    "loc node 0": lambda ix: _move_loc(ix, 0),
+    "loc node past nt": lambda ix: _move_loc(ix, ix.tg.g.n + 1),
+    "loc shared position": lambda ix: _set_item(ix.loc, max(ix.loc), ix.loc[min(ix.loc)]),
+    "loc position 0": lambda ix: _set_item(ix.loc, min(ix.loc), 0),
+    "loc position past n": lambda ix: _set_item(ix.loc, min(ix.loc), ix.loc[min(ix.loc)] + 10**6),
+}
 
 
 class TestIndexFile:
@@ -209,6 +247,52 @@ class TestIndexFile:
         with pytest.raises(TruncatedError):
             deserialize_index(bytes(corrupt))
 
+    @pytest.mark.parametrize("sec", [3, 4, 5, 6, 7, 8, 9])  # L, I, O, I', O', entrance, inner
+    def test_bit_section_exact_length(self, sec, small_index):
+        # a bit section cut to nothing, to one byte, or one byte too long,
+        # under a recomputed CRC; a short one would read as zero bits
+        data = serialize_index(small_index("fib"))
+        start = _section_offsets(data)[sec]
+        (ln,) = struct.unpack_from("<I", data, start - 4)
+        assert ln > 1
+        for payload in (b"", data[start:start + 1], data[start:start + ln] + b"\x00"):
+            with pytest.raises(TruncatedError):
+                deserialize_index(_with_section(data, sec, payload))
+
+    def test_label_id_past_sigma(self, small_index):
+        # sigma 96 labels take 7 bits, so ids up to 128 can be written
+        data = serialize_index(small_index("rand96"))
+        start = _section_offsets(data)[3]
+        corrupt = bytearray(data)
+        corrupt[start] |= 0x7F
+        corrupt[-4:] = struct.pack("<I", zlib.crc32(bytes(corrupt[:-4])))
+        with pytest.raises(FormatError, match="label id 128"):
+            deserialize_index(bytes(corrupt))
+
+    @pytest.mark.parametrize("fault", sorted(SAMPLING_FAULTS))
+    def test_bad_samples_rejected(self, fault, small_index):
+        ix = deserialize_index(serialize_index(small_index("fib")))
+        SAMPLING_FAULTS[fault](ix)
+        with pytest.raises(FormatError):
+            deserialize_index(serialize_index(ix))
+
+    @pytest.mark.parametrize("name", ["fib", "rand96"])  # per-symbol and wavelet-matrix L
+    def test_loaded_index_ranks_on_python_ints(self, name, small_index):
+        # a numpy scalar in a rank directory would slow every rank
+        ix = deserialize_index(serialize_index(small_index(name)))
+        g, tg = ix.tg.g, ix.tg
+        L = g.L
+        vectors = [g.I, g.O, tg.iprime, tg.oprime, tg.entrance_marks, tg.inner_marks]
+        vectors += L._levels if L._levels is not None else L._per_symbol[1:]
+        for bv in vectors:
+            assert type(bv.n) is int and type(bv._ones) is int
+            assert all(type(w) is int for w in bv._words)
+            for directory in (bv._super, bv._rel, bv._hints1, bv._hints0):
+                assert type(directory) is array
+        assert type(L._syms) is array and L._syms.typecode == "H"
+        assert all(type(z) is int for z in L._zeros or [])
+        assert type(g.I.rank(3)) is int and type(L.rank(5, 1)) is int
+
     def test_skip_pointer_cycle_stops_every_walk(self, small_index):
         # two skip pointers of one tunnel point at each other at distance 0;
         # the file loads, and each walk that reaches them must stop
@@ -224,6 +308,14 @@ class TestIndexFile:
             bad.node_width(a)
         with pytest.raises(FormatError, match="did not reach"):
             bad.extract(pos_a + 1, 1)
+
+
+def _with_section(data: bytes, sec: int, payload: bytes) -> bytes:
+    """The index file with section ``sec`` replaced and its CRC recomputed."""
+    start = _section_offsets(data)[sec]
+    (ln,) = struct.unpack_from("<I", data, start - 4)
+    out = data[:start - 4] + struct.pack("<I", len(payload)) + payload + data[start + ln:-4]
+    return out + struct.pack("<I", zlib.crc32(out))
 
 
 def _section_offsets(data: bytes) -> list[int]:
@@ -249,6 +341,19 @@ INDEX_DIGESTS = {
     ("cpm96", True): "c2ad89de6ad035f70fd0e6e3f98e1c8a78bea38abf9abfc9d5c8fcc212075934",
     ("cpm96", False): "bcebd8d3800d17af4b4e153b1a17836230856a5d74698968570ec517fc3156fe",
 }
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 3, 64, 65, 96, 256])
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 1000])
+def test_label_codec_matches_bit_loop(sigma, count):
+    rng = random.Random(sigma * 10_000 + count)
+    ids = [rng.randint(1, sigma) for _ in range(count)]
+    if ids:
+        ids[-1] = sigma  # the widest id, in the last (padded) byte
+    data = _pack_symbols(ids, sigma)
+    assert data == loop_pack_symbols(ids, sigma)
+    assert _unpack_symbols(data, count, sigma).tolist() == ids
+    assert loop_unpack_symbols(data, count, sigma) == ids
 
 
 @pytest.mark.parametrize("name,tunneling", sorted(INDEX_DIGESTS))

@@ -157,6 +157,22 @@ class TestLocate:
             with pytest.raises(InvariantError, match="two occurrences"):
                 ix.locate(b"a", limit=limit)
 
+    def test_width_conservation(self, monkeypatch):
+        # two columns of one tunnel mapped to one tunneled node: the widths
+        # of the tunneled nodes no longer sum to n
+        import twgi.text_index
+        build = twgi.text_index.tunnel_graph
+
+        def merge_two_columns(g, blocks):
+            tg = build(g, blocks)
+            b = next(b for b in blocks if b.width > 1)
+            tg.node_map[b.columns[1][0]] = tg.node_map[b.columns[0][0]]
+            return tg
+
+        monkeypatch.setattr(twgi.text_index, "tunnel_graph", merge_two_columns)
+        with pytest.raises(InvariantError, match="width conservation"):
+            build_index(fibonacci_word(300))
+
     def test_empty_pattern_rejected(self):
         ix = build_index(b"abcabc")
         with pytest.raises(ValidationError):

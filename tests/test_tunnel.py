@@ -469,6 +469,15 @@ class TestInvariantErrors:
         with pytest.raises(InvariantError, match="hi endpoint missing"):
             tg.follow_range(NodeRange(1, 1), tg.g.label_id(97))
 
+    def test_node_accounting(self, monkeypatch):
+        # a block declaring more columns than it lists slips past a check
+        # that passes everything, and the node count no longer adds up
+        import twgi.tunnel
+        monkeypatch.setattr(twgi.tunnel, "_check_block", lambda view, b: True)
+        g = encode(fig1_edge_list())
+        with pytest.raises(InvariantError, match="node accounting"):
+            tunnel_graph(g, [Block(2, 3, [(1, 2), (3, 4)])])
+
     def test_non_coherent_range(self, monkeypatch):
         _, _, tg = abcabc()
         ends = iter([(2, 1), (1, 1)])  # lo resolves above hi
