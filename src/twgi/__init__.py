@@ -34,7 +34,6 @@ from .tunnel import (
     check_block,
     check_string_block,
     derive_string_block,
-    enumerate_blocks_bruteforce,
     find_string_blocks,
     tunnel_graph,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "check_string_block",
     "derive_string_block",
     "find_string_blocks",
-    "enumerate_blocks_bruteforce",
     "tunnel_graph",
     "TextIndex",
     "StepCounter",

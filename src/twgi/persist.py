@@ -30,7 +30,6 @@ from .wheeler import EdgeList, WheelerGraph
 MAGIC = b"TWGI"
 VERSION = 1
 _FLAG_TUNNELED = 1
-_FLAG_NODE_MAP = 2
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +297,6 @@ def serialize_index(ix: TextIndex) -> bytes:
     flags = 0
     if tg.tunnels:
         flags |= _FLAG_TUNNELED
-    if tg.node_map is not None:
-        flags |= _FLAG_NODE_MAP
     buf = bytearray()
     buf += MAGIC
     buf += struct.pack("<HH", VERSION, flags)
@@ -320,8 +317,6 @@ def serialize_index(ix: TextIndex) -> bytes:
                                  for d, node in lst])
     buf += _pack_records("QQ", sorted(ix.loc.items()))
     buf += _pack_records("Q", [(v,) for v in ix.cnt])
-    if tg.node_map is not None:
-        buf += _section(b"".join(struct.pack("<Q", v) for v in tg.node_map))
     buf += struct.pack("<I", zlib.crc32(bytes(buf)))
     return bytes(buf)
 
@@ -337,14 +332,16 @@ def deserialize_index(data: bytes) -> TextIndex:
     version, flags = struct.unpack("<HH", data[4:8])
     if version != VERSION:
         raise VersionError(f"format version {version}, reader supports {VERSION}")
+    if flags & ~_FLAG_TUNNELED:
+        raise FormatError(f"unknown flag bits {flags & ~_FLAG_TUNNELED:#x}")
 
     try:
-        return _parse_sections(data, flags)
+        return _parse_sections(data)
     except struct.error as exc:
         raise TruncatedError(f"malformed section: {exc}") from exc
 
 
-def _parse_sections(data: bytes, flags: int) -> TextIndex:
+def _parse_sections(data: bytes) -> TextIndex:
     rd = _Reader(data[:-4], 8)
     n, nt, mt, sigma, rate_n, rate_t, ntun = struct.unpack("<QQQIIII", rd.section())
     if rate_n < 1 or rate_t < 1:
@@ -395,18 +392,13 @@ def _parse_sections(data: bytes, flags: int) -> TextIndex:
     if (any(not 1 <= r <= nt for r in loc) or len(set(loc.values())) != len(loc)
             or any(not 1 <= p <= n for p in loc.values())):
         raise FormatError(f"loc must map nodes in [1..{nt}] to distinct positions in [1..{n}]")
-    node_map = None
-    if flags & _FLAG_NODE_MAP:
-        mraw = rd.section()
-        from array import array
-        node_map = array("q", struct.unpack(f"<{len(mraw) // 8}Q", mraw))
     if rd.off != len(rd.data):
         raise TruncatedError("trailing bytes after the last section")
 
     g = WheelerGraph(nt, mt, sigma, L, C, I, O, alphabet)
     tg = TunneledGraph(g, ipr, opr, ent, inn, tunnels,
                        _rebuild_exit_copies(g, ent, inn, tunnels),
-                       orig_n=n, node_map=node_map)
+                       orig_n=n)
     return TextIndex(tg, n, rate_n, rate_t, skip, back, loc, cnt)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bitvec import LabelSeq
 from .errors import BoundsError, FormatError, InvariantError, ValidationError
-from .tunnel import TraversalPos, TunneledGraph, find_string_blocks, tunnel_graph
+from .tunnel import Block, TraversalPos, TunneledGraph, find_string_blocks, tunnel_graph
 from .wheeler import WheelerGraph, unary
 
 
@@ -344,10 +344,16 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
         raise TypeError("text must be bytes")
     text = bytes(text)
     g, rank = _string_graph(text)
-    blocks = find_string_blocks(g, min_width, min_length) if tunneling else []
-    expanded = [sb.expand(g) for sb in blocks]
-    tg = tunnel_graph(g, expanded)
     n = g.n
+    # column t of a string block's row r is the node t steps after r in text
+    # order; tunnel_graph checks every block
+    at = np.argsort(rank)  # rank[at[r]] = r
+    expanded = []
+    for sb in (find_string_blocks(g, min_width, min_length) if tunneling else []):
+        rows = at[sb.start_rank:sb.start_rank + sb.width].tolist()
+        expanded.append(Block(sb.width, sb.length,
+                              [tuple(rank[i + t] for i in rows) for t in range(sb.length)]))
+    tg = tunnel_graph(g, expanded)
     nt = tg.g.n
     if (sample_rate_n is not None and sample_rate_n < 1) or \
             (sample_rate_t is not None and sample_rate_t < 1):

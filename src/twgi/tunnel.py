@@ -7,6 +7,14 @@ one, redirecting boundary edges.  Traversal of the original graph is
 simulated on the tunneled one with (node, tunnel offset) pairs; bitvectors
 I' and O' recover which copy an edge entered or left.
 
+On the path graph of a text, blocks are runs of colex-adjacent nodes that
+keep moving together (Baier, CPM 2018), and ``find_string_blocks`` measures
+them without a walk.  The pair (r, r+1) extends ext[r] columns: 0 at the
+sink or where the two successors stop being adjacent, 1 where the out-labels
+differ, else 1 + ext[succ(r)].  A run of rows lasts the least ext over its
+pairs, cut one short of the smallest gap d between the rows' text positions
+(column d would revisit a row); a single row runs to the sink.
+
 Two places deliberately go beyond the bare I'/O' arithmetic, which is only
 exact when every copy participates in the edge group under inspection:
 
@@ -240,9 +248,10 @@ def _check_block(view: _GraphView, b: Block) -> CheckResult:
 def _require_path_graph(g: WheelerGraph) -> None:
     if g.m != g.n - 1:
         raise ValidationError("not a path graph: edge count must be n-1")
-    for r in range(1, g.n + 1):
-        if g.outdeg(r) > 1 or g.indeg(r) > 1:
-            raise ValidationError(f"not a path graph: node {r} has branching degree")
+    # np.diff(starts)[r] is node r's degree for r >= 1 (index 0 is unused)
+    branching = np.flatnonzero((np.diff(g._lstart) > 1) | (np.diff(g._istart) > 1))
+    if branching.size:
+        raise ValidationError(f"not a path graph: node {branching[0]} has branching degree")
 
 
 def _walk_string_block(g: WheelerGraph, start: int, w: int, s: int | None = None):
@@ -304,159 +313,84 @@ def check_string_block(g: WheelerGraph, sb: StringBlock) -> CheckResult:
 def find_string_blocks(g: WheelerGraph, min_w: int = 2, min_s: int = 2) -> list[StringBlock]:
     """Heuristic block discovery on the Wheeler graph of a string.
 
-    Seeds on maximal runs of equal out-labels whose source nodes share
-    in-labels, maximizes each seed in size and width, then selects greedily
-    by merged-edge benefit (w-1)(s-1) with ties to smaller start rank.
-    Overlapping candidates are truncated to their longest conflict-free
-    column prefix and re-scored.
+    Seeds on maximal runs of nodes with equal (out-label, in-label), widens
+    each seed by a row below or above while its longest valid length does
+    not fall, then selects greedily by merged-edge benefit (w-1)(s-1) with
+    ties to smaller start rank.  Overlapping candidates are truncated to
+    their longest conflict-free column prefix and re-scored.
+
+    Lengths come from arrays, not walks.  Column t of row r is the node at
+    text position pos[r] + t.  ext[r], the columns by which the pair
+    (r, r+1) extends, is 0 if either is the sink or succ(r+1) != succ(r)+1,
+    else 1 if their out-labels differ, else 1 + ext[succ(r)]; one pass
+    against text order fills it.  The seed [start..start+w-1] is valid up to
+    min(ext[start..start+w-2], d-1), d the smallest gap between its rows'
+    positions, or to the sink (n-1-pos[start]) when w = 1, and not at all
+    when its in-labels differ.
     """
     _require_path_graph(g)
     if min_w < 1 or min_s < 1:
         raise ValidationError("min_w and min_s must be >= 1")
     n = g.n
-    out = [None] * (n + 2)
-    inl = [None] * (n + 2)
-    for r in range(1, n + 1):
-        out[r] = g.out_label_single(r)
-        inl[r] = g.in_label(r)
+    succ, out, inl = [0] * (n + 2), [None] * (n + 2), [None] * (n + 2)
+    for u, v, c in g.to_edge_list().edges:
+        succ[u], out[u], inl[v] = v, c, c
+    path = [1]
+    while succ[path[-1]]:
+        path.append(succ[path[-1]])
+    if len(path) != n:
+        raise ValidationError(f"not a path graph: {n - len(path)} nodes lie off the source's path")
+    pos = [0] + np.argsort(path).tolist()
+    ext = [0] * (n + 1)
+    for r in reversed(path):
+        if succ[r] and succ[r + 1] == succ[r] + 1:
+            ext[r] = 1 if out[r] != out[r + 1] else 1 + ext[succ[r]]
 
-    seeds = []
-    r = 1
-    while r <= n:
-        if out[r] is None:
-            r += 1
+    def longest(start: int, w: int) -> int:
+        if len({inl[r] for r in range(start, start + w)} - {None}) > 1:
+            return 0
+        if w == 1:
+            return n - 1 - pos[start]
+        ps = sorted(pos[start:start + w])
+        gap = min(b - a for a, b in zip(ps, ps[1:]))
+        return min(min(ext[start:start + w - 1]), gap - 1)
+
+    candidates = set()
+    a = 1
+    for r in range(2, n + 2):
+        if r <= n and (out[r], inl[r]) == (out[a], inl[a]):
             continue
-        r2 = r
-        while r2 + 1 <= n and out[r2 + 1] == out[r]:
-            r2 += 1
-        a = r
-        while a <= r2:
-            b = a
-            while b + 1 <= r2 and inl[b + 1] == inl[a]:
-                b += 1
-            if b - a + 1 >= min_w:
-                seeds.append((a, b - a + 1))
-            a = b + 1
-        r = r2 + 1
+        start, w, a = a, r - a, r
+        s = longest(start, w) if w >= min_w and out[start] is not None else 0
+        while s >= 1:
+            for ns in (start - 1, start):
+                s2 = longest(ns, w + 1) if 1 <= ns <= n - w else -1
+                if s2 >= s:
+                    start, w, s = ns, w + 1, s2
+                    break
+            else:
+                if s >= min_s:
+                    candidates.add((start, w, s))
+                break
 
-    candidates = {}
-    for start, w in seeds:
-        got = _maximize_string_block(g, start, w)
-        if got is None:
-            continue
-        start, w, s, cols = got
-        if s >= min_s and w >= min_w and (start, w, s) not in candidates:
-            candidates[(start, w, s)] = cols
-
-    heap = []
-    for (start, w, s), cols in candidates.items():
-        heapq.heappush(heap, (-(w - 1) * (s - 1), start, w, s, cols))
-    used: set[int] = set()
+    heap = [(-(w - 1) * (s - 1), start, w, s) for start, w, s in candidates]
+    heapq.heapify(heap)
+    used = bytearray(n)  # collapsed nodes, by text position
     selected = []
     while heap:
-        negb, start, w, s, cols = heapq.heappop(heap)
-        collapsed = [set(col) for col in cols[:s]]
-        if any(colset & used for colset in collapsed):
-            s2 = 0
-            for colset in collapsed:
-                if colset & used:
-                    break
-                s2 += 1
-            if s2 >= min_s:
-                heapq.heappush(heap, (-(w - 1) * (s2 - 1), start, w, s2, cols[:s2 + 1]))
-            continue
-        selected.append(StringBlock(start, w, s))
-        for colset in collapsed:
-            used |= colset
-    selected.sort(key=lambda sb: sb.start_rank)
-    return selected
-
-
-def _maximize_string_block(g: WheelerGraph, start: int, w: int):
-    s, cols = derive_string_block(g, start, w)
-    if s < 1:
-        return None
-    while True:
-        for ns, nw in ((start - 1, w + 1), (start, w + 1)):
-            if ns < 1 or ns + nw - 1 > g.n:
-                continue
-            s2, cols2 = derive_string_block(g, ns, nw)
-            if s2 >= s:
-                start, w, s, cols = ns, nw, s2, cols2
-                break
-        else:
-            return start, w, s, cols
-
-
-# ---------------------------------------------------------------------------
-# brute-force enumeration of maximal blocks
-
-
-def enumerate_blocks_bruteforce(g: WheelerGraph, max_nodes: int = 64) -> list[Block]:
-    """All maximal blocks, by exhaustive extension of every legal single
-    column.  Guarded by a node-count limit; this is an oracle, not a
-    production finder."""
-    if g.n > max_nodes:
-        raise ValidationError(
-            f"graph has {g.n} nodes, over the brute-force guard {max_nodes}")
-    view = _GraphView(g)
-    stack = []
-    for w in range(1, g.n + 1):
-        for base in range(1, g.n - w + 2):
-            b = Block(w, 1, [tuple(range(base, base + w))])
-            if _check_block(view, b):
-                stack.append(b)
-    seen = set()
-    maximal = {}
-    while stack:
-        b = stack.pop()
-        key = b.key()
-        if key in seen:
-            continue
-        seen.add(key)
-        exts = _bf_extensions(view, b)
-        if exts:
-            stack.extend(exts)
-        else:
-            maximal[key] = b
-    return sorted(maximal.values(),
-                  key=lambda b: (b.columns[0][0], b.width, b.size,
-                                 sorted(c[0] for c in b.columns)))
-
-
-def _bf_extensions(view: _GraphView, b: Block) -> list[Block]:
-    out = []
-    w = b.width
-    blocknodes = b.node_set()
-    # append a column: its first row must be a child of a first-row node
-    child_bases = set()
-    for col in b.columns:
-        for _, t, _ in view.out_adj[col[0]]:
-            child_bases.add(t)
-    for u in sorted(child_bases):
-        if u in blocknodes or u + w - 1 > view.n:
-            continue
-        nb = Block(w, b.size + 1, b.columns + [tuple(range(u, u + w))])
-        if _check_block(view, nb):
-            out.append(nb)
-    # prepend new roots: only possible when the old roots have in-degree 1
-    roots = b.columns[0]
-    if all(len(view.in_adj[r]) == 1 for r in roots):
-        q = view.in_adj[roots[0]][0][1]
-        if 1 <= q and q + w - 1 <= view.n:
-            nb = Block(w, b.size + 1, [tuple(range(q, q + w))] + b.columns)
-            if _check_block(view, nb):
-                out.append(nb)
-    # widen by one row below or above
-    if all(col[0] - 1 >= 1 for col in b.columns):
-        nb = Block(w + 1, b.size, [(col[0] - 1,) + col for col in b.columns])
-        if _check_block(view, nb):
-            out.append(nb)
-    if all(col[-1] + 1 <= view.n for col in b.columns):
-        nb = Block(w + 1, b.size, [col + (col[-1] + 1,) for col in b.columns])
-        if _check_block(view, nb):
-            out.append(nb)
-    return out
+        _, start, w, s = heapq.heappop(heap)
+        rows, s2 = pos[start:start + w], s
+        for p in rows:
+            hit = used.find(1, p, p + s2)
+            if hit >= 0:
+                s2 = hit - p
+        if s2 == s:
+            selected.append(StringBlock(start, w, s))
+            for p in rows:
+                used[p:p + s] = b"\x01" * s
+        elif s2 >= min_s:
+            heapq.heappush(heap, (-(w - 1) * (s2 - 1), start, w, s2))
+    return sorted(selected, key=lambda sb: sb.start_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +407,7 @@ class TunneledGraph:
     original target / per original (source, letter) group), entrance and
     inner marks over nodes, per-tunnel records, the per-exit-edge copy
     directory, and the original-to-tunneled node map while one is known
-    (``tunnel_graph`` sets it; a loaded index has it only if it was saved).
+    (``tunnel_graph`` sets it; an index file does not store it).
     """
 
     def __init__(self, g, iprime, oprime, entrance_marks, inner_marks,

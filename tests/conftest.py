@@ -6,13 +6,21 @@ naive scans, and random Wheeler graphs are built constructively so that the
 axioms hold by construction.
 """
 
+import heapq
 import random
 
 import pytest
 
-from twgi.errors import NotFoundError
+from twgi.errors import NotFoundError, ValidationError
 from twgi.text_index import build_index
-from twgi.tunnel import Block, TraversalPos
+from twgi.tunnel import (
+    Block,
+    StringBlock,
+    TraversalPos,
+    _check_block,
+    _GraphView,
+    derive_string_block,
+)
 from twgi.wheeler import EdgeList, NodeRange, validate_wheeler
 
 
@@ -341,6 +349,148 @@ def scan_node_last(tg, v, c, min_copy, max_copy):
             break
         best = (e0, "plain", None)
     return best
+
+
+# ---------------------------------------------------------------------------
+# block discovery by walking the graph: the string-block finder that derives
+# every candidate column by column, and the exhaustive search for maximal
+# blocks
+
+
+def walk_string_blocks(g, min_w: int = 2, min_s: int = 2) -> list[StringBlock]:
+    """find_string_blocks by walks: seeds on maximal runs of equal
+    out-labels split by in-label, widens each seed while derive_string_block
+    finds a length no shorter, then selects greedily by (w-1)(s-1), ties to
+    the smaller start rank, truncating overlapping candidates."""
+    n = g.n
+    out = [None] + [g.out_label_single(r) for r in range(1, n + 1)] + [None]
+    inl = [None] + [g.in_label(r) for r in range(1, n + 1)] + [None]
+
+    seeds = []
+    r = 1
+    while r <= n:
+        if out[r] is None:
+            r += 1
+            continue
+        r2 = r
+        while r2 + 1 <= n and out[r2 + 1] == out[r]:
+            r2 += 1
+        a = r
+        while a <= r2:
+            b = a
+            while b + 1 <= r2 and inl[b + 1] == inl[a]:
+                b += 1
+            if b - a + 1 >= min_w:
+                seeds.append((a, b - a + 1))
+            a = b + 1
+        r = r2 + 1
+
+    candidates = {}
+    for start, w in seeds:
+        s, cols = derive_string_block(g, start, w)
+        if s < 1:
+            continue
+        while True:
+            for ns, nw in ((start - 1, w + 1), (start, w + 1)):
+                if ns < 1 or ns + nw - 1 > n:
+                    continue
+                s2, cols2 = derive_string_block(g, ns, nw)
+                if s2 >= s:
+                    start, w, s, cols = ns, nw, s2, cols2
+                    break
+            else:
+                break
+        if s >= min_s and w >= min_w and (start, w, s) not in candidates:
+            candidates[(start, w, s)] = cols
+
+    heap = []
+    for (start, w, s), cols in candidates.items():
+        heapq.heappush(heap, (-(w - 1) * (s - 1), start, w, s, cols))
+    used = set()
+    selected = []
+    while heap:
+        _, start, w, s, cols = heapq.heappop(heap)
+        collapsed = [set(col) for col in cols[:s]]
+        if any(colset & used for colset in collapsed):
+            s2 = 0
+            for colset in collapsed:
+                if colset & used:
+                    break
+                s2 += 1
+            if s2 >= min_s:
+                heapq.heappush(heap, (-(w - 1) * (s2 - 1), start, w, s2, cols[:s2 + 1]))
+            continue
+        selected.append(StringBlock(start, w, s))
+        for colset in collapsed:
+            used |= colset
+    selected.sort(key=lambda sb: sb.start_rank)
+    return selected
+
+
+def enumerate_blocks_bruteforce(g, max_nodes: int = 64) -> list[Block]:
+    """All maximal blocks, by exhaustive extension of every legal single
+    column.  Guarded by a node-count limit."""
+    if g.n > max_nodes:
+        raise ValidationError(
+            f"graph has {g.n} nodes, over the brute-force guard {max_nodes}")
+    view = _GraphView(g)
+    stack = []
+    for w in range(1, g.n + 1):
+        for base in range(1, g.n - w + 2):
+            b = Block(w, 1, [tuple(range(base, base + w))])
+            if _check_block(view, b):
+                stack.append(b)
+    seen = set()
+    maximal = {}
+    while stack:
+        b = stack.pop()
+        key = b.key()
+        if key in seen:
+            continue
+        seen.add(key)
+        exts = _bf_extensions(view, b)
+        if exts:
+            stack.extend(exts)
+        else:
+            maximal[key] = b
+    return sorted(maximal.values(),
+                  key=lambda b: (b.columns[0][0], b.width, b.size,
+                                 sorted(c[0] for c in b.columns)))
+
+
+def _bf_extensions(view, b: Block) -> list[Block]:
+    out = []
+    w = b.width
+    blocknodes = b.node_set()
+    # append a column: its first row must be a child of a first-row node
+    child_bases = set()
+    for col in b.columns:
+        for _, t, _ in view.out_adj[col[0]]:
+            child_bases.add(t)
+    for u in sorted(child_bases):
+        if u in blocknodes or u + w - 1 > view.n:
+            continue
+        nb = Block(w, b.size + 1, b.columns + [tuple(range(u, u + w))])
+        if _check_block(view, nb):
+            out.append(nb)
+    # prepend new roots: only possible when the old roots have in-degree 1
+    roots = b.columns[0]
+    if all(len(view.in_adj[r]) == 1 for r in roots):
+        q = view.in_adj[roots[0]][0][1]
+        if 1 <= q and q + w - 1 <= view.n:
+            nb = Block(w, b.size + 1, [tuple(range(q, q + w))] + b.columns)
+            if _check_block(view, nb):
+                out.append(nb)
+    # widen by one row below or above
+    if all(col[0] - 1 >= 1 for col in b.columns):
+        nb = Block(w + 1, b.size, [(col[0] - 1,) + col for col in b.columns])
+        if _check_block(view, nb):
+            out.append(nb)
+    if all(col[-1] + 1 <= view.n for col in b.columns):
+        nb = Block(w + 1, b.size, [col + (col[-1] + 1,) for col in b.columns])
+        if _check_block(view, nb):
+            out.append(nb)
+    return out
 
 
 # ---------------------------------------------------------------------------

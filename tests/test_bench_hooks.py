@@ -17,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import micro  # noqa: E402
 import tracing  # noqa: E402
 from clock import Clock  # noqa: E402
+from twgi import text_index  # noqa: E402
 
 HOOKS = [(owner, attr) for owner, attr, *_ in tracing._SPANS + tracing._COUNTERS]
 
@@ -33,3 +34,19 @@ def test_micro_timings_are_finite(small_index):
     assert len(timings) == 13
     for name, value in timings.items():
         assert math.isfinite(value) and value > 0, name
+
+
+def test_build_phase_spans():
+    # the bench times the build by these spans; each phase runs once, and
+    # block columns come from the rank table, not from StringBlock.expand
+    with Clock() as clock:
+        tracer = tracing.Tracer(clock)
+        tracer.install()
+        try:
+            text_index.build_index(SMALL_TEXTS["fib"])
+        finally:
+            tracer.restore()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("tunnel.find_string_blocks") == 1
+    assert names.count("tunnel.tunnel_graph") == 1
+    assert "tunnel.expand" not in names

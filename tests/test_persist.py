@@ -247,6 +247,19 @@ class TestIndexFile:
         with pytest.raises(TruncatedError):
             deserialize_index(bytes(corrupt))
 
+    def test_unknown_flag_rejected(self, small_index):
+        # flag 2 once announced a trailing node-map section; the format has
+        # no such section, so the flag and its section must not load
+        ix = small_index("fib")
+        data = serialize_index(ix)
+        (flags,) = struct.unpack_from("<H", data, 6)
+        node_map = struct.pack(f"<{ix.n + 1}Q", *range(ix.n + 1))
+        corrupt = (data[:6] + struct.pack("<H", flags | 2) + data[8:-4]
+                   + struct.pack("<I", len(node_map)) + node_map)
+        corrupt += struct.pack("<I", zlib.crc32(corrupt))
+        with pytest.raises(FormatError, match="flag"):
+            deserialize_index(corrupt)
+
     @pytest.mark.parametrize("sec", [3, 4, 5, 6, 7, 8, 9])  # L, I, O, I', O', entrance, inner
     def test_bit_section_exact_length(self, sec, small_index):
         # a bit section cut to nothing, to one byte, or one byte too long,

@@ -3,7 +3,8 @@
 The select formulas and the linear exit-group scan in conftest are the
 references; the library must agree with them on every edge, node and copy
 bound, and must not call ``BitVec.select`` where it no longer needs to, nor
-read the tunnel marks bit by bit on a plain index's query path.
+read the tunnel marks bit by bit on a plain index's query path.  The build
+takes block columns from arrays and walks none of them.
 """
 
 import math
@@ -25,12 +26,14 @@ from conftest import (
     select_node_offsets,
     unequal_exit_graph,
 )
+from twgi import tunnel
 from twgi.bitvec import BitVec
 from twgi.errors import NotFoundError
 from twgi.persist import deserialize_index, serialize_index
 from twgi.text_index import build_graph_from_text, build_index
 from twgi.tunnel import (
     Block,
+    StringBlock,
     TraversalPos,
     TunneledGraph,
     find_string_blocks,
@@ -199,6 +202,33 @@ class TestSelectGuard:
                 assert max(lookups, default=0) <= per_lookup, (i, plen)
                 total_lookups += len(lookups)
         assert total_lookups > 0  # the tunnel exits are really searched
+
+
+@pytest.fixture
+def walk_calls(monkeypatch):
+    """Names of the column walks made: the string-block walk,
+    StringBlock.expand and WheelerGraph.out_edge_rank."""
+    calls = []
+    for owner, attr in ((tunnel, "_walk_string_block"), (StringBlock, "expand"),
+                        (WheelerGraph, "out_edge_rank")):
+        def counting(*args, _fn=getattr(owner, attr), _name=attr, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+    return calls
+
+
+class TestBuildWalkGuard:
+    @pytest.mark.parametrize("name", list(SMALL_TEXTS))
+    def test_build_walks_no_column(self, name, walk_calls):
+        build_index(SMALL_TEXTS[name])
+        assert walk_calls == []
+
+    def test_guard_sees_the_walks(self, walk_calls):
+        g = build_graph_from_text(b"abcabc")
+        StringBlock(2, 2, 2).expand(g)
+        assert set(walk_calls) == {"expand", "_walk_string_block", "out_edge_rank"}
 
 
 class TestMarkGuard:

@@ -6,10 +6,15 @@ from conftest import (
     assert_simulation_equal,
     chain_graph,
     colex_string_graph,
+    copy_paste_mutate,
+    enumerate_blocks_bruteforce,
+    fibonacci_word,
     fig1_block,
     fig1_edge_list,
     naive_count,
+    random_text,
     unequal_exit_graph,
+    walk_string_blocks,
 )
 from twgi.errors import InvariantError, NotFoundError, ValidationError
 from twgi.text_index import build_graph_from_text
@@ -21,7 +26,6 @@ from twgi.tunnel import (
     check_block,
     check_string_block,
     derive_string_block,
-    enumerate_blocks_bruteforce,
     find_string_blocks,
     tunnel_graph,
 )
@@ -95,6 +99,10 @@ class TestCheckStringBlock:
         g = encode(fig1_edge_list())
         with pytest.raises(ValidationError):
             check_string_block(g, StringBlock(2, 2, 1))
+        # n-1 edges, but node 1 has two out-edges, or node 3 two in-edges
+        for edges, node in (([(1, 2, 97), (1, 3, 98)], 1), ([(1, 3, 97), (2, 3, 97)], 3)):
+            with pytest.raises(ValidationError, match=f"node {node} has branching"):
+                check_string_block(encode(EdgeList(3, edges)), StringBlock(1, 1, 1))
 
     def test_agrees_with_check_block_on_expansion(self):
         g = build_graph_from_text(b"abcabc")
@@ -167,7 +175,55 @@ def string_block_violation(text, start, w, s):
     return None
 
 
+ORACLE_TEXTS = {
+    "fib": fibonacci_word(2048),
+    "cpm4": copy_paste_mutate(random.Random(4), 2048, 4),
+    "cpm4-s7": copy_paste_mutate(random.Random(7), 1500, 4),
+    "cpm96": copy_paste_mutate(random.Random(2), 1024, 96),
+    "rand2": random_text(random.Random(3), 2048, 2),
+    "rand4": random_text(random.Random(5), 2048, 4),
+    "rand96": random_text(random.Random(1), 2048, 96),
+}
+
+
+def short_texts():
+    """Every text of length 0..2 over {a, b}, three texts whose blocks
+    end in a column of differing out-labels (``abcabd``, ``bacac``) or
+    widen onto the last rank (``cacacb``), then short random and copy-paste
+    texts; a single row (w = 1) walks to the sink in the oracle, so these
+    carry the min_w = 1 cases."""
+    texts = [b"", b"a", b"b", b"aa", b"ab", b"ba", b"bb", b"abcabd", b"bacac", b"cacacb"]
+    rng = random.Random(47)
+    for k in range(40):
+        size, sigma = rng.randint(3, 64), (1, 2, 3, 4, 96)[k % 5]
+        texts.append(random_text(rng, size, sigma) if k % 2
+                     else copy_paste_mutate(rng, size, min(sigma, 26)))
+    return texts
+
+
 class TestFindStringBlocks:
+    @pytest.mark.parametrize("min_w", [2, 3])
+    @pytest.mark.parametrize("min_s", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(ORACLE_TEXTS))
+    def test_matches_walking_oracle(self, name, min_w, min_s):
+        g = build_graph_from_text(ORACLE_TEXTS[name])
+        assert find_string_blocks(g, min_w, min_s) == walk_string_blocks(g, min_w, min_s)
+
+    @pytest.mark.parametrize("min_w", [1, 2, 3])
+    @pytest.mark.parametrize("min_s", [1, 2, 3])
+    def test_matches_walking_oracle_short(self, min_w, min_s):
+        for text in short_texts():
+            g = build_graph_from_text(text)
+            assert (find_string_blocks(g, min_w, min_s)
+                    == walk_string_blocks(g, min_w, min_s)), text
+
+    def test_rejects_cycle_off_the_path(self):
+        # a Wheeler graph with n-1 edges and no branching, whose nodes 2 and
+        # 3 form a cycle that the source's path never reaches
+        g = encode(EdgeList(3, [(2, 3, 98), (3, 2, 97)]))
+        with pytest.raises(ValidationError, match="not a path graph"):
+            find_string_blocks(g, 1, 1)
+
     def test_abcabc(self):
         g = build_graph_from_text(b"abcabc")
         assert find_string_blocks(g, 2, 2) == [StringBlock(2, 2, 2)]
