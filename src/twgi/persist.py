@@ -374,10 +374,22 @@ def _parse_sections(data: bytes) -> TextIndex:
     if len(traw) != 24 * ntun:
         raise TruncatedError("tunnel record section has the wrong size")
     tunnels = [TunnelRecord(*rec) for rec in struct.iter_unpack("<QQII", traw)]
+    # exits and entrance offsets are read off these records
+    marked = ent.bits()
+    for t in tunnels:
+        if not (1 <= t.entrance <= nt and 1 <= t.exit <= nt and marked[t.entrance - 1]
+                and t.width >= 2 and t.length >= 1):
+            raise FormatError(f"{t} needs a marked entrance and an exit in [1..{nt}], "
+                              f"width >= 2 and length >= 1")
+    if len({t.entrance for t in tunnels}) != len(tunnels):
+        raise FormatError("two tunnel records share an entrance")
 
     skip = {node: (tgt, dist) for node, tgt, dist in _unpack_records(rd.section(), "QQQ")}
+    back_rows = _unpack_records(rd.section(), "QQQ")
+    if sorted(back_rows) != sorted((tgt, dist, node) for node, (tgt, dist) in skip.items()):
+        raise FormatError("back must hold exactly the skip pointers, keyed by their targets")
     back: dict[int, list] = {}
-    for e, d, node in _unpack_records(rd.section(), "QQQ"):
+    for e, d, node in back_rows:
         back.setdefault(e, []).append((d, node))
     for lst in back.values():
         lst.sort()

@@ -365,40 +365,19 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
 
     phi = tg.node_map
     real = [b for b in expanded if b.width > 1]
-    block_of = {}
+    block_of = np.full(n + 1, -1)  # by node rank
     for bidx, blk in enumerate(real):
-        for col in blk.columns:
-            for v in col:
-                block_of[v] = bidx
+        block_of[[v for col in blk.columns for v in col]] = bidx
 
     # run-contracted text-order sequence: one element per non-tunnel node,
-    # one per full tunnel traversal
-    elements = []  # (first text position, tunneled node or None, is_tunnel)
-    i = 1
-    while i <= n:
-        r = rank[i]
-        b = block_of.get(r)
-        if b is None:
-            elements.append((i, phi[r], False))
-            i += 1
-        else:
-            j = i
-            while j + 1 <= n and block_of.get(rank[j + 1]) == b:
-                j += 1
-            elements.append((i, None, True))
-            i = j + 1
-
-    nelem = len(elements)
-    wanted = set(range(rate_n, nelem + 1, rate_n))
-    wanted.add(1)
-    wanted.add(nelem)
-    loc = {}
-    for k in sorted(wanted):
-        kk = k
-        while elements[kk - 1][2]:  # shift off tunnels (chains included)
-            kk += 1
-        pos, tnode, _ = elements[kk - 1]
-        loc[tnode] = pos
+    # one per run of text positions in one tunnel; a sample that falls on a
+    # tunnel element moves to the next non-tunnel element
+    in_block = block_of[rank[1:]]  # by text position - 1
+    first = np.flatnonzero((in_block < 0) | (np.diff(in_block, prepend=-2) != 0))
+    plain = np.flatnonzero(in_block[first] < 0)
+    wanted = sorted({1, len(first), *range(rate_n, len(first) + 1, rate_n)})
+    at_plain = (first[plain[np.searchsorted(plain, np.array(wanted) - 1)]] + 1).tolist()
+    loc = {phi[rank[i]]: i for i in at_plain}
 
     skip = {}
     back = {}

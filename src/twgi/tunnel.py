@@ -7,6 +7,14 @@ one, redirecting boundary edges.  Traversal of the original graph is
 simulated on the tunneled one with (node, tunnel offset) pairs; bitvectors
 I' and O' recover which copy an edge entered or left.
 
+``tunnel_graph`` checks all blocks at once and collapses them with array
+operations over the graph's edge arrays.  The tunneled rank phi counts the
+nodes outside rows 2..w; a node in row >= 2 takes phi[v - row + 1], its
+row-1 node's, as condition (i) makes each column a run of consecutive
+ranks.  The kept edges are a mask (no edge inside a row >= 2).  I' and O'
+mark the first kept edge into each original target and out of each original
+(source, label) group: both are contiguous in edge order.
+
 On the path graph of a text, blocks are runs of colex-adjacent nodes that
 keep moving together (Baier, CPM 2018), and ``find_string_blocks`` measures
 them without a walk.  The pair (r, r+1) extends ext[r] columns: 0 at the
@@ -44,12 +52,13 @@ from __future__ import annotations
 import heapq
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .bitvec import BitVec
 from .errors import BoundsError, InvariantError, NotFoundError, ValidationError
-from .wheeler import CheckResult, EdgeList, NodeRange, WheelerGraph, encode
+from .wheeler import CheckResult, NodeRange, WheelerGraph, _encode
 
 
 @dataclass
@@ -111,138 +120,135 @@ class TunnelRecord:
     length: int
 
 
-class _GraphView:
-    """Decoded adjacency of a WheelerGraph, shared across block checks."""
-
-    __slots__ = ("n", "edges", "out_adj", "in_adj")
-
-    def __init__(self, g: WheelerGraph):
-        el = g.to_edge_list()
-        self.n = g.n
-        self.edges = el.edges
-        self.out_adj = [[] for _ in range(g.n + 1)]
-        self.in_adj = [[] for _ in range(g.n + 1)]
-        for idx, (u, v, c) in enumerate(el.edges):
-            self.out_adj[u].append((idx, v, c))
-            self.in_adj[v].append((idx, u, c))
-
-
 # ---------------------------------------------------------------------------
 # block checking
 
 
 def check_block(g: WheelerGraph, b: Block) -> CheckResult:
     """Verify the five block conditions against the graph."""
-    return _check_block(_GraphView(g), b)
+    bad = _check_blocks(g.n, g.edge_arrays(), [b])
+    return CheckResult.good() if bad is None else bad[1]
 
 
-def _check_block(view: _GraphView, b: Block) -> CheckResult:
-    w, s = b.width, b.size
-    if w < 1 or s < 1 or len(b.columns) != s or any(len(c) != w for c in b.columns):
-        raise ValidationError("malformed block: column shape does not match width/size")
-    nodes = [v for col in b.columns for v in col]
-    for v in nodes:
-        if not 1 <= v <= view.n:
-            return CheckResult.bad("bounds", f"node rank {v} outside [1..{view.n}]")
-    if len(set(nodes)) != len(nodes):
-        return CheckResult.bad("distinct", "block nodes are not pairwise distinct")
-    for j, col in enumerate(b.columns, 1):
-        for i in range(w - 1):
-            if col[i + 1] != col[i] + 1:
-                return CheckResult.bad(
-                    "i", f"column {j} is not a run of consecutive ranks")
+def _entries(blocks: list[Block]):
+    """One entry per listed block node, column by column: (block, node,
+    row, column) as int64 arrays, rows and columns counted from 1."""
+    columns = list(chain.from_iterable(b.columns for b in blocks))
+    ncols = np.array([len(b.columns) for b in blocks], np.int64)
+    col_block, col_num = _expand(np.zeros(len(blocks), np.int64), ncols)
+    col, row = _expand(np.zeros(len(columns), np.int64),
+                       np.fromiter(map(len, columns), np.int64, len(columns)))
+    nodes = np.fromiter(chain.from_iterable(columns), np.int64, len(col))
+    return col_block[col], nodes, row + 1, col_num[col] + 1
 
-    node_set = set(nodes)
-    vi = [set() for _ in range(w + 1)]
-    colidx = {}
-    for j, col in enumerate(b.columns, 1):
-        for i, v in enumerate(col, 1):
-            vi[i].add(v)
-            colidx[v] = (i, j)
 
-    # subtree shape: s-1 internal edges, root parentless, everyone else
-    # with exactly one internal parent
-    ei = [None] * (w + 1)
-    for i in range(1, w + 1):
-        edges_i = []
-        indeg_within = {}
-        for u in vi[i]:
-            for _, v, c in view.out_adj[u]:
-                if v in vi[i]:
-                    edges_i.append((u, v, c))
-                    indeg_within[v] = indeg_within.get(v, 0) + 1
-        root = b.columns[0][i - 1]
-        if indeg_within.get(root, 0) != 0:
-            return CheckResult.bad("ii", f"root {root} has an in-edge inside its subtree")
-        for v in vi[i]:
-            if v != root and indeg_within.get(v, 0) != 1:
-                return CheckResult.bad(
-                    "ii", f"node {v} has {indeg_within.get(v, 0)} parents inside subtree {i}")
-        if len(edges_i) != s - 1:
-            return CheckResult.bad(
-                "ii", f"subtree {i} has {len(edges_i)} internal edges, expected {s - 1}")
-        ei[i] = set(edges_i)
+def _expand(lo, deg):
+    """(owner, position) of every slot of the runs [lo[k], lo[k] + deg[k])."""
+    owner = np.repeat(np.arange(len(deg)), deg)
+    return owner, np.arange(int(deg.sum())) + np.repeat(lo - (np.cumsum(deg) - deg), deg)
 
-    # label-preserving isomorphism along rows (simultaneous traversal of the
-    # forced correspondences)
-    for u, v, c in ei[1]:
-        _, cu = colidx[u]
-        _, cv = colidx[v]
-        for i in range(2, w + 1):
-            u2 = b.columns[cu - 1][i - 1]
-            v2 = b.columns[cv - 1][i - 1]
-            if (u2, v2, c) not in ei[i]:
-                return CheckResult.bad(
-                    "ii", f"edge ({u},{v},{c}) of subtree 1 has no counterpart in subtree {i}")
 
-    # (iii) all edges into any root carry one label
-    entry = None
-    for root in b.columns[0]:
-        for _, _, c in view.in_adj[root]:
-            if entry is None:
-                entry = c
-            elif c != entry:
-                return CheckResult.bad(
-                    "iii", f"edges into the roots carry labels {entry} and {c}")
-    if b.entry_label is not None and entry is not None and b.entry_label != entry:
-        return CheckResult.bad("iii", "stored entry label does not match the graph")
+def _check_blocks(n: int, edges, blocks: list[Block]) -> tuple[int, CheckResult] | None:
+    """The first block to fail a block condition, as (index, result), or
+    None; a malformed block raises ValidationError unless one before it
+    fails.  ``edges`` are the graph's (sources, targets, labels).
 
-    # (iv) non-root block nodes have total in-degree 1
-    for col in b.columns[1:]:
-        for v in col:
-            if len(view.in_adj[v]) != 1:
-                return CheckResult.bad(
-                    "iv", f"node {v} has in-degree {len(view.in_adj[v])}, expected 1")
+    All blocks are checked at once; each reports the first it fails of
+    bounds, distinct, (i), (ii) subtree shape and isomorphism, (iii), (iv)
+    and (v).  Each listed node is an entry keyed by (block, node); an
+    out-edge is internal when it reaches an entry of the same block and
+    row, cross when it reaches another row.  (ii) needs internal in-degree
+    0 at roots and 1 elsewhere, and one (parent column, label) across the
+    rows of a column; (v) groups out-edges by (column, label, row).
+    """
+    shaped = next((i for i, b in enumerate(blocks) if b.width < 1 or b.size < 1
+                   or len(b.columns) != b.size or any(len(col) != b.width for col in b.columns)),
+                  None)
+    if shaped is not None:
+        found = _check_blocks(n, edges, blocks[:shaped])
+        if found is None:
+            raise ValidationError("malformed block: column shape does not match width/size")
+        return found
+    if not blocks:
+        return None
+    src, tgt, lab = edges
+    eb, ev, er, ec = _entries(blocks)
+    nb, ne = len(blocks), len(ev)
+    width = np.array([b.width for b in blocks], np.int64)[eb]
+    top = np.arange(ne) - (er - 1)  # the row-1 entry of each entry's column
+    inb = (ev >= 1) & (ev <= n)
+    node = np.where(inb, ev, 0)  # node 0 has no edges
+    key = eb * (n + 1) + node
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
 
-    # (v) per column and letter: either one internal edge per copy and no
-    # escapes, or no internal edges and only escapes to non-block nodes
-    for j, col in enumerate(b.columns, 1):
-        letters = set()
-        for v in col:
-            for _, _, c in view.out_adj[v]:
-                letters.add(c)
-        for c in letters:
-            holds_a = True
-            holds_b = True
-            for i, v in enumerate(col, 1):
-                internal = outside = cross = 0
-                for _, t, lab in view.out_adj[v]:
-                    if lab != c:
-                        continue
-                    if t in vi[i]:
-                        internal += 1
-                    elif t in node_set:
-                        cross += 1
-                    else:
-                        outside += 1
-                if not (internal == 1 and outside == 0 and cross == 0):
-                    holds_a = False
-                if not (internal == 0 and cross == 0):
-                    holds_b = False
-            if not holds_a and not holds_b:
-                return CheckResult.bad(
-                    "v", f"column {j}, letter {c}: neither uniformity case holds")
-    return CheckResult.good()
+    outdeg, indeg = np.bincount(src, minlength=n + 2), np.bincount(tgt, minlength=n + 2)
+    k, at = _expand((np.cumsum(outdeg) - outdeg)[node], outdeg[node])
+    j = np.argsort(src, kind="stable")[at]
+    c, q = lab[j], eb[k] * (n + 1) + tgt[j]
+    hit = np.minimum(np.searchsorted(skey, q), ne - 1)
+    t = np.where(skey[hit] == q, order[hit], -1)  # the target's entry in the block
+    internal = (t >= 0) & (er[t] == er[k])
+    cross = (t >= 0) & ~internal
+
+    # (ii): the parents inside the row, then each parent's column and label
+    parents = np.bincount(t[internal], minlength=ne)
+    parent = np.full(ne, -1)
+    parent[t[internal]] = ec[k[internal]] * 256 + c[internal]
+    shape_bad = parents != (ec > 1)
+    iso_bad = (ec > 1) & (parent != parent[top])
+
+    # (iii): one label on every edge into a root
+    rk, at = _expand((np.cumsum(indeg) - indeg)[node], np.where(ec == 1, indeg[node], 0))
+    lo, hi = np.full(nb, 256), np.full(nb, -1)
+    np.minimum.at(lo, eb[rk], lab[at])
+    np.maximum.at(hi, eb[rk], lab[at])
+    stored = np.array([-1 if b.entry_label is None else b.entry_label for b in blocks])
+    mixed = hi > lo
+
+    # (v): per column and label, one internal edge and no other in every
+    # row, or no internal or cross edge in any row
+    groups, inv = np.unique(k * 256 + c, return_inverse=True)
+    n_int = np.bincount(inv, internal)
+    case_a = (n_int == 1) & (np.bincount(inv) == 1)
+    cols, cinv = np.unique(top[groups // 256] * 256 + groups % 256, return_inverse=True)
+    cv, cl = cols // 256, cols % 256
+    v_bad = ((np.bincount(cinv, case_a) < width[cv])
+             & (np.bincount(cinv, (n_int > 0) | (np.bincount(inv, cross) > 0)) > 0))
+
+    def ii_detail(e):
+        if shape_bad[e] and ec[e] == 1:
+            return f"root {ev[e]} has an in-edge inside its subtree"
+        if shape_bad[e]:
+            return f"node {ev[e]} has {parents[e]} parents inside subtree {er[e]}"
+        pc, pl = divmod(int(parent[top[e]]), 256)
+        u = ev[top[e] + (pc - ec[e]) * width[e]]
+        return f"edge ({u},{ev[top[e]]},{pl}) of subtree 1 has no counterpart in subtree {er[e]}"
+
+    stages = [  # (condition, failing items, the block of each item, detail of an item)
+        ("bounds", ~inb, eb, lambda e: f"node rank {ev[e]} outside [1..{n}]"),
+        ("distinct", np.isin(np.arange(ne), order[1:][skey[1:] == skey[:-1]]), eb,
+         lambda e: "block nodes are not pairwise distinct"),
+        ("i", (er < width) & (np.append(ev[1:], 0) != ev + 1), eb,
+         lambda e: f"column {ec[e]} is not a run of consecutive ranks"),
+        ("ii", shape_bad | iso_bad, eb, ii_detail),
+        ("iii", mixed | ((hi >= 0) & (stored >= 0) & (stored != lo)), np.arange(nb),
+         lambda b: (f"edges into the roots carry labels {lo[b]} and {hi[b]}" if mixed[b]
+                    else "stored entry label does not match the graph")),
+        ("iv", (ec > 1) & (indeg[node] != 1), eb,
+         lambda e: f"node {ev[e]} has in-degree {indeg[node[e]]}, expected 1"),
+        ("v", v_bad, eb[cv],
+         lambda i: f"column {ec[cv[i]]}, letter {cl[i]}: neither uniformity case holds"),
+    ]
+    fails = np.zeros((len(stages), nb), bool)
+    for s, (_, bad, owner, _) in enumerate(stages):
+        fails[s, owner[bad]] = True
+    failed = np.flatnonzero(fails.any(axis=0))
+    if not failed.size:
+        return None
+    b = int(failed[0])
+    cond, bad, owner, detail = stages[int(np.argmax(fails[:, b]))]
+    return b, CheckResult.bad(cond, detail(np.flatnonzero(bad & (owner == b))[0]))
 
 
 def _require_path_graph(g: WheelerGraph) -> None:
@@ -332,9 +338,10 @@ def find_string_blocks(g: WheelerGraph, min_w: int = 2, min_s: int = 2) -> list[
     if min_w < 1 or min_s < 1:
         raise ValidationError("min_w and min_s must be >= 1")
     n = g.n
-    succ, out, inl = [0] * (n + 2), [None] * (n + 2), [None] * (n + 2)
-    for u, v, c in g.to_edge_list().edges:
-        succ[u], out[u], inl[v] = v, c, c
+    src, tgt, lab = g.edge_arrays()
+    succ, out, inl = np.zeros(n + 2, np.int64), np.full(n + 2, -1), np.full(n + 2, -1)
+    succ[src], out[src], inl[tgt] = tgt, lab, lab  # -1: no such edge
+    succ, out, inl = succ.tolist(), out.tolist(), inl.tolist()
     path = [1]
     while succ[path[-1]]:
         path.append(succ[path[-1]])
@@ -347,7 +354,7 @@ def find_string_blocks(g: WheelerGraph, min_w: int = 2, min_s: int = 2) -> list[
             ext[r] = 1 if out[r] != out[r + 1] else 1 + ext[succ[r]]
 
     def longest(start: int, w: int) -> int:
-        if len({inl[r] for r in range(start, start + w)} - {None}) > 1:
+        if len({inl[r] for r in range(start, start + w)} - {-1}) > 1:
             return 0
         if w == 1:
             return n - 1 - pos[start]
@@ -361,7 +368,7 @@ def find_string_blocks(g: WheelerGraph, min_w: int = 2, min_s: int = 2) -> list[
         if r <= n and (out[r], inl[r]) == (out[a], inl[a]):
             continue
         start, w, a = a, r - a, r
-        s = longest(start, w) if w >= min_w and out[start] is not None else 0
+        s = longest(start, w) if w >= min_w and out[start] >= 0 else 0
         while s >= 1:
             for ns in (start - 1, start):
                 s2 = longest(ns, w + 1) if 1 <= ns <= n - w else -1
@@ -611,82 +618,55 @@ def tunnel_graph(g: WheelerGraph, blocks: list[Block]) -> TunneledGraph:
     Every block must pass check_block; width-1 blocks are accepted and act
     as the identity.  Node count drops by sum (w-1)*s, edge count by
     sum (w-1)*(s-1).
-    """
-    view = _GraphView(g)
-    real = []
-    for bidx, b in enumerate(blocks):
-        res = _check_block(view, b)
-        if not res:
-            raise ValidationError(
-                f"block {bidx} violates condition ({res.condition}): {res.detail}",
-                condition=res.condition)
-        if b.width > 1:
-            real.append(b)
-    node_to: dict[int, tuple[int, int, int]] = {}
-    for bidx, b in enumerate(real):
-        for j, col in enumerate(b.columns, 1):
-            for i, v in enumerate(col, 1):
-                if v in node_to:
-                    raise ValidationError(
-                        f"blocks overlap at node {v}", condition="disjoint")
-                node_to[v] = (bidx, i, j)
 
+    phi is a cumulative sum over the mask "row < 2": a node v in row r >= 2
+    gets phi[v - r + 1], its row-1 node's, as condition (i) puts rows 2..r
+    of its column right after it.  The kept edges are a mask over the edge
+    arrays.  I' marks each kept edge whose original target differs from the
+    previous one's (the first into it), O' each whose (source, label) does.
+    """
+    src, tgt, lab = g.edge_arrays()
+    bad = _check_blocks(g.n, (src, tgt, lab), blocks)
+    if bad is not None:
+        bidx, res = bad
+        raise ValidationError(
+            f"block {bidx} violates condition ({res.condition}): {res.detail}",
+            condition=res.condition)
+    real = [b for b in blocks if b.width > 1]
     n = g.n
-    phi = array("q", [0] * (n + 1))
-    col_rank: dict[tuple[int, int], int] = {}
-    nt = 0
-    for v in range(1, n + 1):
-        info = node_to.get(v)
-        if info is not None and info[1] > 1:
-            phi[v] = col_rank[(info[0], info[2])]
-        else:
-            nt += 1
-            phi[v] = nt
-            if info is not None:
-                col_rank[(info[0], info[2])] = nt
+    eb, ev, er, ec = _entries(real)
+    order = np.argsort(ev, kind="stable")
+    again = order[1:][ev[order][1:] == ev[order][:-1]]
+    if again.size:
+        raise ValidationError(f"blocks overlap at node {ev[again.min()]}", condition="disjoint")
+    block, row = np.full(n + 1, -1), np.zeros(n + 1, np.int64)
+    block[ev], row[ev] = eb, er
+    phi = np.cumsum(row < 2) - 1  # node 0 counts itself
+    nt = int(phi[n])
     expected = n - sum((b.width - 1) * b.size for b in real)
     if nt != expected:
         raise InvariantError(f"node accounting broke: {nt} != {expected}")
 
-    # no sort needed: view edges are in (label, source, input) order and phi never decreases
-    kept = []
-    for idx, (u, v, cbyte) in enumerate(view.edges):
-        iu = node_to.get(u)
-        iv = node_to.get(v)
-        if (iu is not None and iv is not None and iu[0] == iv[0]
-                and iu[1] == iv[1] and iu[1] >= 2):
-            continue  # duplicate subtree edge of a copy >= 2
-        kept.append((cbyte, phi[u], u, idx, phi[v], v, iu))
-
-    tedges = [(pu, pv, cbyte) for cbyte, pu, u, idx, pv, v, iu in kept]
-    tg = encode(EdgeList(nt, tedges))
-    mt = len(tedges)
-
-    # I' marks the first kept edge into each original target, O' the first
-    # out of each original (source, letter) group
-    first_in, first_out = {}, {}
-    exit_copies = {}
-    for pos, (cbyte, pu, u, idx, pv, v, iu) in enumerate(kept):
-        first_in.setdefault(v, pos)
-        first_out.setdefault((u, cbyte), pos)
-        if iu is not None:
-            iv = node_to.get(v)
-            inside = (iv is not None and iv[0] == iu[0] and iv[1] == iu[1])
-            if not inside:
-                exit_copies[pos + 1] = iu[1]
-
-    tunnels = [TunnelRecord(col_rank[(bidx, 1)], col_rank[(bidx, b.size)], b.width, b.size)
-               for bidx, b in enumerate(real)]
-    inner = [col_rank[(bidx, j)] for bidx, b in enumerate(real) for j in range(2, b.size + 1)]
-    edges, ranks = np.arange(mt), np.arange(1, nt + 1)
+    inside = (block[src] >= 0) & (block[src] == block[tgt]) & (row[src] == row[tgt])
+    kept = ~inside | (row[src] < 2)
+    u, v, c, inside = src[kept], tgt[kept], lab[kept], inside[kept]
+    tg = _encode(nt, phi[u], phi[v], c)
+    exits = np.flatnonzero((block[u] >= 0) & ~inside)
+    roots = phi[ev[er == 1]]  # column by column
+    starts = roots[ec[er == 1] == 1]
+    ends = roots[np.cumsum([b.size for b in real], dtype=np.int64) - 1]
+    kind = np.zeros(nt + 1, np.int8)  # of the tunneled nodes: 1 entrance, 2 inner
+    kind[roots] = 2
+    kind[starts] = 1
     return TunneledGraph(
         tg,
-        BitVec(np.isin(edges, list(first_in.values()))),
-        BitVec(np.isin(edges, list(first_out.values()))),
-        BitVec(np.isin(ranks, [t.entrance for t in tunnels])),
-        BitVec(np.isin(ranks, inner)),
-        tunnels,
-        exit_copies,
+        BitVec(np.diff(v, prepend=0) != 0),
+        BitVec((np.diff(u, prepend=0) != 0) | (np.diff(c, prepend=-1) != 0)),
+        BitVec(kind[1:] == 1),
+        BitVec(kind[1:] == 2),
+        [TunnelRecord(a, z, b.width, b.size)
+         for a, z, b in zip(starts.tolist(), ends.tolist(), real)],
+        dict(zip((exits + 1).tolist(), row[u[exits]].tolist())),
         orig_n=n,
-        node_map=phi,
+        node_map=array("q", phi.tolist()),
     )

@@ -79,13 +79,27 @@ class EdgeList:
     edges: list[tuple[int, int, int]] = field(default_factory=list)
 
     def check_well_formed(self) -> None:
-        if self.n < 1:
-            raise ValidationError("graph needs at least one node")
-        for u, v, c in self.edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValidationError(f"edge ({u},{v}) rank outside [1..{self.n}]")
-            if not 0 <= c <= 255:
-                raise ValidationError(f"label {c} outside byte range")
+        _columns(self)
+
+
+def _columns(el: EdgeList) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sources, targets and labels of a well-formed edge list, as int64
+    arrays in list order; ValidationError on the first malformed edge."""
+    n = el.n
+    if n < 1:
+        raise ValidationError("graph needs at least one node")
+    try:
+        u, v, c = np.array(el.edges, np.int64).reshape(len(el.edges), 3).T
+    except OverflowError as exc:
+        raise ValidationError(f"edge value outside the 64-bit range: {exc}") from exc
+    rank_bad = (np.minimum(u, v) < 1) | (np.maximum(u, v) > n)
+    bad = np.flatnonzero(rank_bad | (c < 0) | (c > 255))
+    if bad.size:
+        k = bad[0]
+        if rank_bad[k]:
+            raise ValidationError(f"edge ({u[k]},{v[k]}) rank outside [1..{n}]")
+        raise ValidationError(f"label {c[k]} outside byte range")
+    return u, v, c
 
 
 def validate_wheeler(el: EdgeList) -> CheckResult:
@@ -94,57 +108,64 @@ def validate_wheeler(el: EdgeList) -> CheckResult:
     Does not search for a valid reordering; the supplied ranks are the
     ordering under test.
     """
-    el.check_well_formed()
-    indeg = [0] * (el.n + 1)
-    for _, v, _ in el.edges:
-        indeg[v] += 1
-    max_zero = max((r for r in range(1, el.n + 1) if indeg[r] == 0), default=0)
-    min_pos = min((r for r in range(1, el.n + 1) if indeg[r] > 0), default=el.n + 1)
-    if max_zero > min_pos:
+    return _wheeler_check(el.n, *_columns(el))
+
+
+def _wheeler_check(n: int, u, v, c) -> CheckResult:
+    """validate_wheeler on edge arrays, whose ranks lie in [1..n].
+
+    Axiom (i) compares each label's least target with the largest target of
+    all smaller labels; axiom (ii) compares each (label, source) group's
+    least target with the largest target of the label's smaller sources, a
+    running maximum over groups sorted by (label, source).  Details are built
+    only for a failure.
+    """
+    indeg = np.bincount(v, minlength=n + 1)[1:]
+    zero, pos = np.flatnonzero(indeg == 0) + 1, np.flatnonzero(indeg) + 1
+    if zero.size and pos.size and zero[-1] > pos[0]:
         return CheckResult.bad(
             "zero-indegree-prefix",
-            f"node {max_zero} has in-degree 0 but follows node {min_pos} "
+            f"node {zero[-1]} has in-degree 0 but follows node {pos[0]} "
             f"which has positive in-degree")
+    if not len(v):
+        return CheckResult.good()
 
+    def source_of(lab, tgt):  # of the first edge in list order with this label and target
+        return int(u[np.flatnonzero((c == lab) & (v == tgt))[0]])
+
+    order = np.lexsort((v, u, c))
+    su, sv, sc = u[order], v[order], c[order]
     # axiom (i): a1 < a2 implies v1 < v2 -- label target zones must be
     # strictly increasing with the label order
-    by_label: dict[int, list[tuple[int, int]]] = {}
-    for u, v, c in el.edges:
-        by_label.setdefault(c, []).append((u, v))
-    labels = sorted(by_label)
-    run_max, run_max_edge, run_max_label = -1, None, None
-    for c in labels:
-        targets = [v for _, v in by_label[c]]
-        mn = min(targets)
-        if run_max >= mn:
-            u2, v2 = next(e for e in by_label[c] if e[1] == mn)
-            return CheckResult.bad(
-                "axiom-i",
-                f"edge {run_max_edge} labeled {run_max_label!r} reaches node "
-                f"{run_max} but smaller-ranked node {mn} is reached by edge "
-                f"({u2},{v2}) with larger label {c!r}")
-        mx = max(targets)
-        if mx > run_max:
-            run_max = mx
-            run_max_edge = next(e for e in by_label[c] if e[1] == mx)
-            run_max_label = c
+    lab_start = np.flatnonzero(np.diff(sc, prepend=-1))
+    mn, mx = np.minimum.reduceat(sv, lab_start), np.maximum.reduceat(sv, lab_start)
+    before = np.append(-1, np.maximum.accumulate(mx)[:-1])
+    bad = np.flatnonzero(before >= mn)
+    if bad.size:
+        k = bad[0]
+        run_max, lab, low = int(before[k]), int(sc[lab_start[k]]), int(mn[k])
+        prev_lab = int(sc[lab_start[np.flatnonzero(mx == run_max)[0]]])
+        return CheckResult.bad(
+            "axiom-i",
+            f"edge {(source_of(prev_lab, run_max), run_max)} labeled {prev_lab!r} reaches "
+            f"node {run_max} but smaller-ranked node {low} is reached by edge "
+            f"({source_of(lab, low)},{low}) with larger label {lab!r}")
 
     # axiom (ii): same label and u1 < u2 implies v1 <= v2
-    for c in labels:
-        per_source: dict[int, list[int]] = {}
-        for u, v in by_label[c]:
-            per_source.setdefault(u, []).append(v)
-        prev_max, prev_src = -1, None
-        for u in sorted(per_source):
-            cur_min = min(per_source[u])
-            if prev_max > cur_min:
-                return CheckResult.bad(
-                    "axiom-ii",
-                    f"label {c!r}: source {prev_src} reaches node {prev_max} "
-                    f"but larger source {u} reaches smaller node {cur_min}")
-            m = max(per_source[u])
-            if m > prev_max:
-                prev_max, prev_src = m, u
+    grp_start = np.flatnonzero((np.diff(sc, prepend=-1) != 0) | (np.diff(su, prepend=0) != 0))
+    grp_lab = np.cumsum(np.diff(sc[grp_start], prepend=-1) != 0)  # label index, from 1
+    grp_max = np.append(sv[grp_start[1:] - 1], sv[-1])
+    base = grp_lab * (n + 2)  # negative below: the first group of its label
+    before = np.append(-1, np.maximum.accumulate(base + grp_max)[:-1]) - base
+    bad = np.flatnonzero(before > sv[grp_start])
+    if bad.size:
+        k = bad[0]
+        same = np.flatnonzero((grp_lab == grp_lab[k]) & (grp_max == before[k]))[0]
+        return CheckResult.bad(
+            "axiom-ii",
+            f"label {int(sc[grp_start[k]])!r}: source {int(su[grp_start[same]])} reaches node "
+            f"{int(before[k])} but larger source {int(su[grp_start[k]])} reaches smaller "
+            f"node {int(sv[grp_start[k]])}")
     return CheckResult.good()
 
 
@@ -259,8 +280,9 @@ class WheelerGraph:
 
     # -- decoding ------------------------------------------------------------
 
-    def to_edge_list(self) -> EdgeList:
-        """Recover the edge multiset in Wheeler edge order, labels as bytes.
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sources, targets and labels (as bytes) of the edges in Wheeler
+        edge order, as int64 arrays; targets never decrease.
 
         The i-th c in L is edge C[c] + i, so a stable sort of L's positions
         by label lists their sources in edge order; node v's in-edges are
@@ -271,8 +293,11 @@ class WheelerGraph:
         order = np.argsort(labels, kind="stable")
         sources = np.repeat(nodes, np.diff(self._lstart[1:]))[order]
         targets = np.repeat(nodes, np.diff(self._istart[1:]))
-        names = np.asarray(self.alphabet, np.int64)[labels[order] - 1]
-        return EdgeList(self.n, list(zip(sources.tolist(), targets.tolist(), names.tolist())))
+        return sources, targets, np.asarray(self.alphabet, np.int64)[labels[order] - 1]
+
+    def to_edge_list(self) -> EdgeList:
+        """Recover the edge multiset in Wheeler edge order, labels as bytes."""
+        return EdgeList(self.n, list(zip(*(a.tolist() for a in self.edge_arrays()))))
 
     def structures_equal(self, other: "WheelerGraph") -> bool:
         return (self.n == other.n and self.m == other.m
@@ -310,12 +335,16 @@ def encode(el: EdgeList) -> WheelerGraph:
     The edge list must already be a Wheeler graph under the identity rank
     order; otherwise the violated axiom is raised as a ValidationError.
     """
-    res = validate_wheeler(el)
+    return _encode(el.n, *_columns(el))
+
+
+def _encode(n: int, u, v, c) -> WheelerGraph:
+    """encode on edge arrays, whose ranks lie in [1..n] and labels in [0..255]."""
+    res = _wheeler_check(n, u, v, c)
     if not res:
         raise ValidationError(f"not a Wheeler graph: {res.detail}",
                               condition=res.condition)
-    n, m = el.n, len(el.edges)
-    u, v, c = np.array(el.edges, np.int64).reshape(m, 3).T
+    m = len(u)
     alphabet, cid = np.unique(c, return_inverse=True)
     cid += 1
     sigma = len(alphabet)

@@ -3,25 +3,29 @@
 Everything here is deliberately independent of the library's own formulas:
 colex orders come from sorting reversed prefixes, occurrence counts from
 naive scans, and random Wheeler graphs are built constructively so that the
-axioms hold by construction.
+axioms hold by construction.  Where the library computes with array
+operations, the loop form it replaced stays here as the reference.
 """
 
 import heapq
 import random
+from array import array
 
+import numpy as np
 import pytest
 
-from twgi.errors import NotFoundError, ValidationError
+from twgi.bitvec import BitVec
+from twgi.errors import InvariantError, NotFoundError, ValidationError
 from twgi.text_index import build_index
 from twgi.tunnel import (
     Block,
     StringBlock,
     TraversalPos,
-    _check_block,
-    _GraphView,
+    TunneledGraph,
+    TunnelRecord,
     derive_string_block,
 )
-from twgi.wheeler import EdgeList, NodeRange, validate_wheeler
+from twgi.wheeler import CheckResult, EdgeList, NodeRange, encode, validate_wheeler
 
 
 def colex_string_graph(text: bytes):
@@ -352,6 +356,284 @@ def scan_node_last(tg, v, c, min_copy, max_copy):
 
 
 # ---------------------------------------------------------------------------
+# loop forms of the Wheeler axiom check, the block check and the tunneling
+# transform, which the library computes with array operations
+
+
+def loop_validate_wheeler(el: EdgeList) -> CheckResult:
+    """validate_wheeler by loops over the edges: the same conditions, in the
+    same order, with the same details."""
+    if el.n < 1:
+        raise ValidationError("graph needs at least one node")
+    for u, v, c in el.edges:
+        if not (1 <= u <= el.n and 1 <= v <= el.n):
+            raise ValidationError(f"edge ({u},{v}) rank outside [1..{el.n}]")
+        if not 0 <= c <= 255:
+            raise ValidationError(f"label {c} outside byte range")
+    indeg = [0] * (el.n + 1)
+    for _, v, _ in el.edges:
+        indeg[v] += 1
+    max_zero = max((r for r in range(1, el.n + 1) if indeg[r] == 0), default=0)
+    min_pos = min((r for r in range(1, el.n + 1) if indeg[r] > 0), default=el.n + 1)
+    if max_zero > min_pos:
+        return CheckResult.bad(
+            "zero-indegree-prefix",
+            f"node {max_zero} has in-degree 0 but follows node {min_pos} "
+            f"which has positive in-degree")
+
+    # axiom (i): a1 < a2 implies v1 < v2 -- label target zones must be
+    # strictly increasing with the label order
+    by_label: dict[int, list[tuple[int, int]]] = {}
+    for u, v, c in el.edges:
+        by_label.setdefault(c, []).append((u, v))
+    labels = sorted(by_label)
+    run_max, run_max_edge, run_max_label = -1, None, None
+    for c in labels:
+        targets = [v for _, v in by_label[c]]
+        mn = min(targets)
+        if run_max >= mn:
+            u2, v2 = next(e for e in by_label[c] if e[1] == mn)
+            return CheckResult.bad(
+                "axiom-i",
+                f"edge {run_max_edge} labeled {run_max_label!r} reaches node "
+                f"{run_max} but smaller-ranked node {mn} is reached by edge "
+                f"({u2},{v2}) with larger label {c!r}")
+        mx = max(targets)
+        if mx > run_max:
+            run_max = mx
+            run_max_edge = next(e for e in by_label[c] if e[1] == mx)
+            run_max_label = c
+
+    # axiom (ii): same label and u1 < u2 implies v1 <= v2
+    for c in labels:
+        per_source: dict[int, list[int]] = {}
+        for u, v in by_label[c]:
+            per_source.setdefault(u, []).append(v)
+        prev_max, prev_src = -1, None
+        for u in sorted(per_source):
+            cur_min = min(per_source[u])
+            if prev_max > cur_min:
+                return CheckResult.bad(
+                    "axiom-ii",
+                    f"label {c!r}: source {prev_src} reaches node {prev_max} "
+                    f"but larger source {u} reaches smaller node {cur_min}")
+            m = max(per_source[u])
+            if m > prev_max:
+                prev_max, prev_src = m, u
+    return CheckResult.good()
+
+
+class GraphView:
+    """Decoded adjacency of a WheelerGraph, shared across block checks."""
+
+    __slots__ = ("n", "edges", "out_adj", "in_adj")
+
+    def __init__(self, g):
+        el = g.to_edge_list()
+        self.n = g.n
+        self.edges = el.edges
+        self.out_adj = [[] for _ in range(g.n + 1)]
+        self.in_adj = [[] for _ in range(g.n + 1)]
+        for idx, (u, v, c) in enumerate(el.edges):
+            self.out_adj[u].append((idx, v, c))
+            self.in_adj[v].append((idx, u, c))
+
+
+def loop_check_block(view: GraphView, b: Block) -> CheckResult:
+    """The five block conditions by loops over a GraphView, in the order
+    bounds, distinct, (i), (ii), (iii), (iv), (v)."""
+    w, s = b.width, b.size
+    if w < 1 or s < 1 or len(b.columns) != s or any(len(c) != w for c in b.columns):
+        raise ValidationError("malformed block: column shape does not match width/size")
+    nodes = [v for col in b.columns for v in col]
+    for v in nodes:
+        if not 1 <= v <= view.n:
+            return CheckResult.bad("bounds", f"node rank {v} outside [1..{view.n}]")
+    if len(set(nodes)) != len(nodes):
+        return CheckResult.bad("distinct", "block nodes are not pairwise distinct")
+    for j, col in enumerate(b.columns, 1):
+        for i in range(w - 1):
+            if col[i + 1] != col[i] + 1:
+                return CheckResult.bad(
+                    "i", f"column {j} is not a run of consecutive ranks")
+
+    node_set = set(nodes)
+    vi = [set() for _ in range(w + 1)]
+    colidx = {}
+    for j, col in enumerate(b.columns, 1):
+        for i, v in enumerate(col, 1):
+            vi[i].add(v)
+            colidx[v] = (i, j)
+
+    # subtree shape: s-1 internal edges, root parentless, everyone else
+    # with exactly one internal parent
+    ei = [None] * (w + 1)
+    for i in range(1, w + 1):
+        edges_i = []
+        indeg_within = {}
+        for u in vi[i]:
+            for _, v, c in view.out_adj[u]:
+                if v in vi[i]:
+                    edges_i.append((u, v, c))
+                    indeg_within[v] = indeg_within.get(v, 0) + 1
+        root = b.columns[0][i - 1]
+        if indeg_within.get(root, 0) != 0:
+            return CheckResult.bad("ii", f"root {root} has an in-edge inside its subtree")
+        for v in vi[i]:
+            if v != root and indeg_within.get(v, 0) != 1:
+                return CheckResult.bad(
+                    "ii", f"node {v} has {indeg_within.get(v, 0)} parents inside subtree {i}")
+        if len(edges_i) != s - 1:
+            return CheckResult.bad(
+                "ii", f"subtree {i} has {len(edges_i)} internal edges, expected {s - 1}")
+        ei[i] = set(edges_i)
+
+    # label-preserving isomorphism along rows (simultaneous traversal of the
+    # forced correspondences)
+    for u, v, c in ei[1]:
+        _, cu = colidx[u]
+        _, cv = colidx[v]
+        for i in range(2, w + 1):
+            u2 = b.columns[cu - 1][i - 1]
+            v2 = b.columns[cv - 1][i - 1]
+            if (u2, v2, c) not in ei[i]:
+                return CheckResult.bad(
+                    "ii", f"edge ({u},{v},{c}) of subtree 1 has no counterpart in subtree {i}")
+
+    # (iii) all edges into any root carry one label
+    entry = None
+    for root in b.columns[0]:
+        for _, _, c in view.in_adj[root]:
+            if entry is None:
+                entry = c
+            elif c != entry:
+                return CheckResult.bad(
+                    "iii", f"edges into the roots carry labels {entry} and {c}")
+    if b.entry_label is not None and entry is not None and b.entry_label != entry:
+        return CheckResult.bad("iii", "stored entry label does not match the graph")
+
+    # (iv) non-root block nodes have total in-degree 1
+    for col in b.columns[1:]:
+        for v in col:
+            if len(view.in_adj[v]) != 1:
+                return CheckResult.bad(
+                    "iv", f"node {v} has in-degree {len(view.in_adj[v])}, expected 1")
+
+    # (v) per column and letter: either one internal edge per copy and no
+    # escapes, or no internal edges and only escapes to non-block nodes
+    for j, col in enumerate(b.columns, 1):
+        letters = set()
+        for v in col:
+            for _, _, c in view.out_adj[v]:
+                letters.add(c)
+        for c in letters:
+            holds_a = True
+            holds_b = True
+            for i, v in enumerate(col, 1):
+                internal = outside = cross = 0
+                for _, t, lab in view.out_adj[v]:
+                    if lab != c:
+                        continue
+                    if t in vi[i]:
+                        internal += 1
+                    elif t in node_set:
+                        cross += 1
+                    else:
+                        outside += 1
+                if not (internal == 1 and outside == 0 and cross == 0):
+                    holds_a = False
+                if not (internal == 0 and cross == 0):
+                    holds_b = False
+            if not holds_a and not holds_b:
+                return CheckResult.bad(
+                    "v", f"column {j}, letter {c}: neither uniformity case holds")
+    return CheckResult.good()
+
+
+def loop_tunnel_graph(g, blocks: list[Block]):
+    """tunnel_graph by loops: GraphView, loop_check_block per block, phi by
+    a rank counter, the kept edges and I'/O' from 7-tuples and dicts."""
+    view = GraphView(g)
+    real = []
+    for bidx, b in enumerate(blocks):
+        res = loop_check_block(view, b)
+        if not res:
+            raise ValidationError(
+                f"block {bidx} violates condition ({res.condition}): {res.detail}",
+                condition=res.condition)
+        if b.width > 1:
+            real.append(b)
+    node_to: dict[int, tuple[int, int, int]] = {}
+    for bidx, b in enumerate(real):
+        for j, col in enumerate(b.columns, 1):
+            for i, v in enumerate(col, 1):
+                if v in node_to:
+                    raise ValidationError(
+                        f"blocks overlap at node {v}", condition="disjoint")
+                node_to[v] = (bidx, i, j)
+
+    n = g.n
+    phi = array("q", [0] * (n + 1))
+    col_rank: dict[tuple[int, int], int] = {}
+    nt = 0
+    for v in range(1, n + 1):
+        info = node_to.get(v)
+        if info is not None and info[1] > 1:
+            phi[v] = col_rank[(info[0], info[2])]
+        else:
+            nt += 1
+            phi[v] = nt
+            if info is not None:
+                col_rank[(info[0], info[2])] = nt
+    expected = n - sum((b.width - 1) * b.size for b in real)
+    if nt != expected:
+        raise InvariantError(f"node accounting broke: {nt} != {expected}")
+
+    # no sort needed: view edges are in (label, source, input) order and phi never decreases
+    kept = []
+    for idx, (u, v, cbyte) in enumerate(view.edges):
+        iu = node_to.get(u)
+        iv = node_to.get(v)
+        if (iu is not None and iv is not None and iu[0] == iv[0]
+                and iu[1] == iv[1] and iu[1] >= 2):
+            continue  # duplicate subtree edge of a copy >= 2
+        kept.append((cbyte, phi[u], u, idx, phi[v], v, iu))
+
+    tedges = [(pu, pv, cbyte) for cbyte, pu, u, idx, pv, v, iu in kept]
+    tg = encode(EdgeList(nt, tedges))
+    mt = len(tedges)
+
+    # I' marks the first kept edge into each original target, O' the first
+    # out of each original (source, letter) group
+    first_in, first_out = {}, {}
+    exit_copies = {}
+    for pos, (cbyte, pu, u, idx, pv, v, iu) in enumerate(kept):
+        first_in.setdefault(v, pos)
+        first_out.setdefault((u, cbyte), pos)
+        if iu is not None:
+            iv = node_to.get(v)
+            inside = (iv is not None and iv[0] == iu[0] and iv[1] == iu[1])
+            if not inside:
+                exit_copies[pos + 1] = iu[1]
+
+    tunnels = [TunnelRecord(col_rank[(bidx, 1)], col_rank[(bidx, b.size)], b.width, b.size)
+               for bidx, b in enumerate(real)]
+    inner = [col_rank[(bidx, j)] for bidx, b in enumerate(real) for j in range(2, b.size + 1)]
+    edges, ranks = np.arange(mt), np.arange(1, nt + 1)
+    return TunneledGraph(
+        tg,
+        BitVec(np.isin(edges, list(first_in.values()))),
+        BitVec(np.isin(edges, list(first_out.values()))),
+        BitVec(np.isin(ranks, [t.entrance for t in tunnels])),
+        BitVec(np.isin(ranks, inner)),
+        tunnels,
+        exit_copies,
+        orig_n=n,
+        node_map=phi,
+    )
+
+
+# ---------------------------------------------------------------------------
 # block discovery by walking the graph: the string-block finder that derives
 # every candidate column by column, and the exhaustive search for maximal
 # blocks
@@ -433,12 +715,12 @@ def enumerate_blocks_bruteforce(g, max_nodes: int = 64) -> list[Block]:
     if g.n > max_nodes:
         raise ValidationError(
             f"graph has {g.n} nodes, over the brute-force guard {max_nodes}")
-    view = _GraphView(g)
+    view = GraphView(g)
     stack = []
     for w in range(1, g.n + 1):
         for base in range(1, g.n - w + 2):
             b = Block(w, 1, [tuple(range(base, base + w))])
-            if _check_block(view, b):
+            if loop_check_block(view, b):
                 stack.append(b)
     seen = set()
     maximal = {}
@@ -471,7 +753,7 @@ def _bf_extensions(view, b: Block) -> list[Block]:
         if u in blocknodes or u + w - 1 > view.n:
             continue
         nb = Block(w, b.size + 1, b.columns + [tuple(range(u, u + w))])
-        if _check_block(view, nb):
+        if loop_check_block(view, nb):
             out.append(nb)
     # prepend new roots: only possible when the old roots have in-degree 1
     roots = b.columns[0]
@@ -479,16 +761,16 @@ def _bf_extensions(view, b: Block) -> list[Block]:
         q = view.in_adj[roots[0]][0][1]
         if 1 <= q and q + w - 1 <= view.n:
             nb = Block(w, b.size + 1, [tuple(range(q, q + w))] + b.columns)
-            if _check_block(view, nb):
+            if loop_check_block(view, nb):
                 out.append(nb)
     # widen by one row below or above
     if all(col[0] - 1 >= 1 for col in b.columns):
         nb = Block(w + 1, b.size, [(col[0] - 1,) + col for col in b.columns])
-        if _check_block(view, nb):
+        if loop_check_block(view, nb):
             out.append(nb)
     if all(col[-1] + 1 <= view.n for col in b.columns):
         nb = Block(w + 1, b.size, [col + (col[-1] + 1,) for col in b.columns])
-        if _check_block(view, nb):
+        if loop_check_block(view, nb):
             out.append(nb)
     return out
 

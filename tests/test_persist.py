@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import random
@@ -5,6 +6,7 @@ import struct
 import zlib
 from array import array
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -135,6 +137,37 @@ SAMPLING_FAULTS = {
     "loc shared position": lambda ix: _set_item(ix.loc, max(ix.loc), ix.loc[min(ix.loc)]),
     "loc position 0": lambda ix: _set_item(ix.loc, min(ix.loc), 0),
     "loc position past n": lambda ix: _set_item(ix.loc, min(ix.loc), ix.loc[min(ix.loc)] + 10**6),
+}
+
+
+def _set_tunnel(ix, k, **fields):
+    ix.tg.tunnels[k] = dataclasses.replace(ix.tg.tunnels[k], **fields)
+
+
+def _unmarked(ix):
+    return int(np.flatnonzero(ix.tg.entrance_marks.bits() == 0)[0]) + 1
+
+
+def _longest_back(ix):
+    return max(ix.back.values(), key=len)
+
+
+# each breaks one rule on tunnel records or back pointers that
+# deserialize_index checks
+TUNNEL_FAULTS = {
+    "entrance 0": lambda ix: _set_tunnel(ix, 0, entrance=0),
+    "entrance past nt": lambda ix: _set_tunnel(ix, 0, entrance=ix.tg.g.n + 1),
+    "exit 0": lambda ix: _set_tunnel(ix, 0, exit=0),
+    "exit 10**6": lambda ix: _set_tunnel(ix, 0, exit=10**6),
+    "entrance unmarked": lambda ix: _set_tunnel(ix, 0, entrance=_unmarked(ix)),
+    "width 1": lambda ix: _set_tunnel(ix, 0, width=1),
+    "length 0": lambda ix: _set_tunnel(ix, 0, length=0),
+    "shared entrance": lambda ix: _set_tunnel(ix, 1, entrance=ix.tg.tunnels[0].entrance),
+    "back drops a pointer": lambda ix: _longest_back(ix).pop(),
+    "back distance moved": lambda ix: _set_item(_longest_back(ix), 0,
+                                                (_longest_back(ix)[0][0] + 1,
+                                                 _longest_back(ix)[0][1])),
+    "back names an extra node": lambda ix: _longest_back(ix).append((1, 1)),
 }
 
 
@@ -289,6 +322,14 @@ class TestIndexFile:
         with pytest.raises(FormatError):
             deserialize_index(serialize_index(ix))
 
+    @pytest.mark.parametrize("fault", sorted(TUNNEL_FAULTS))
+    def test_bad_tunnel_records_rejected(self, fault, small_index):
+        ix = deserialize_index(serialize_index(small_index("fib")))
+        assert len(ix.tg.tunnels) > 1 and ix.skip
+        TUNNEL_FAULTS[fault](ix)
+        with pytest.raises(FormatError):
+            deserialize_index(serialize_index(ix))
+
     @pytest.mark.parametrize("name", ["fib", "rand96"])  # per-symbol and wavelet-matrix L
     def test_loaded_index_ranks_on_python_ints(self, name, small_index):
         # a numpy scalar in a rank directory would slow every rank
@@ -314,6 +355,9 @@ class TestIndexFile:
         (_, b), (_, a) = ptrs[-2:]  # a lies farthest from the exit
         pos_a = ix.locate_one(TraversalPos(a, 1))
         ix.skip[a], ix.skip[b] = (b, 0), (a, 0)
+        ix.back = {}  # loading requires back to be the inverse of skip
+        for node, (tgt, dist) in ix.skip.items():
+            ix.back.setdefault(tgt, []).append((dist, node))
         bad = deserialize_index(serialize_index(ix))
         with pytest.raises(FormatError, match="no sample"):
             bad.locate_one(TraversalPos(a, 1))

@@ -225,6 +225,18 @@ class TestBuildWalkGuard:
         build_index(SMALL_TEXTS[name])
         assert walk_calls == []
 
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", list(SMALL_TEXTS))
+    def test_build_decodes_no_edge_list(self, name, tunneling, monkeypatch):
+        # the build reads WheelerGraph.edge_arrays; to_edge_list would make
+        # one Python tuple per edge
+        calls = []
+        to_edge_list = WheelerGraph.to_edge_list
+        monkeypatch.setattr(WheelerGraph, "to_edge_list",
+                            lambda g: calls.append(g) or to_edge_list(g))
+        build_index(SMALL_TEXTS[name], tunneling=tunneling)
+        assert calls == []
+
     def test_guard_sees_the_walks(self, walk_calls):
         g = build_graph_from_text(b"abcabc")
         StringBlock(2, 2, 2).expand(g)

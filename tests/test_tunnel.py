@@ -529,7 +529,7 @@ class TestInvariantErrors:
         # a block declaring more columns than it lists slips past a check
         # that passes everything, and the node count no longer adds up
         import twgi.tunnel
-        monkeypatch.setattr(twgi.tunnel, "_check_block", lambda view, b: True)
+        monkeypatch.setattr(twgi.tunnel, "_check_blocks", lambda n, edges, blocks: None)
         g = encode(fig1_edge_list())
         with pytest.raises(InvariantError, match="node accounting"):
             tunnel_graph(g, [Block(2, 3, [(1, 2), (3, 4)])])
