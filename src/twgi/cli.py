@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import TwgiError, ValidationError
+from .errors import TwgiError
 from .persist import (
     load_index,
     parse_pattern,
@@ -192,9 +192,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.cmd](args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except TwgiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

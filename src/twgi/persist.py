@@ -5,12 +5,18 @@ flags, followed by little-endian length-prefixed sections and a trailing
 CRC-32 over all preceding bytes.  Any single corrupted byte is caught: the
 magic and version have dedicated errors and everything (including them) is
 covered by the checksum.
+
+Loading accepts exactly the skip pointers ``build_index`` writes: each sits
+on an entrance- or inner-marked node, and a tunnel of length s has one
+pointer to its exit at each distance s - j, j = rate_t, 2 rate_t, ... < s.
+The back section must list the same pointers keyed by exit.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from operator import attrgetter
 
 import numpy as np
 
@@ -384,15 +390,20 @@ def _parse_sections(data: bytes) -> TextIndex:
     if len({t.entrance for t in tunnels}) != len(tunnels):
         raise FormatError("two tunnel records share an entrance")
 
+    # bounds the skip pointers expected below by the size of the file
+    if sum(t.length for t in tunnels) > nt:
+        raise FormatError(f"tunnel lengths sum past n_t = {nt}")
     skip = {node: (tgt, dist) for node, tgt, dist in _unpack_records(rd.section(), "QQQ")}
-    back_rows = _unpack_records(rd.section(), "QQQ")
-    if sorted(back_rows) != sorted((tgt, dist, node) for node, (tgt, dist) in skip.items()):
+    tunnel_node = (marked | inn.bits()).tobytes()
+    if any(not (1 <= v <= nt and tunnel_node[v - 1]) for v in skip):
+        raise FormatError(f"skip pointers must sit on marked nodes in [1..{nt}]")
+    pointers = sorted((tgt, dist, node) for node, (tgt, dist) in skip.items())
+    expected = [(t.exit, d) for t in sorted(tunnels, key=attrgetter("exit"))
+                for d in reversed(range(t.length - rate_t, 0, -rate_t))]
+    if [(tgt, dist) for tgt, dist, _ in pointers] != expected:
+        raise FormatError(f"skip pointers must reach each tunnel's exit every {rate_t} columns")
+    if sorted(_unpack_records(rd.section(), "QQQ")) != pointers:
         raise FormatError("back must hold exactly the skip pointers, keyed by their targets")
-    back: dict[int, list] = {}
-    for e, d, node in back_rows:
-        back.setdefault(e, []).append((d, node))
-    for lst in back.values():
-        lst.sort()
     loc = dict(_unpack_records(rd.section(), "QQ"))
     cnt = [v for (v,) in _unpack_records(rd.section(), "Q")]
     # count and locate index these samples directly, so a bad one would
@@ -411,7 +422,7 @@ def _parse_sections(data: bytes) -> TextIndex:
     tg = TunneledGraph(g, ipr, opr, ent, inn, tunnels,
                        _rebuild_exit_copies(g, ent, inn, tunnels),
                        orig_n=n)
-    return TextIndex(tg, n, rate_n, rate_t, skip, back, loc, cnt)
+    return TextIndex(tg, n, rate_n, rate_t, skip, loc, cnt)
 
 
 def _rebuild_exit_copies(g: WheelerGraph, ent: BitVec, inn: BitVec,

@@ -5,7 +5,8 @@ of prefixes, i.e. the suffix array of the reversed text; its label array is
 the BWT of the reversed text.  After tunneling, count / locate / extract are
 answered with sampling structures:
 
-* skip pointers inside long tunnels (with backpointers from the exit),
+* skip pointers inside long tunnels, and the backpointers from each exit,
+  which are derived from the skip pointers,
 * text-position samples on the run-contracted node sequence for locate and
   extract,
 * cumulative tunnel-width sums at aligned ranks for count.
@@ -64,7 +65,7 @@ def suffix_array(seq) -> list[int]:
 
 
 def _string_graph(text: bytes):
-    """Succinct graph plus the node-index -> Wheeler-rank table.
+    """Succinct graph plus the node-index -> Wheeler-rank table, an array.
 
     rank[i] is the Wheeler rank of the node reached after i-1 text
     characters (i = 1..|T|+1): the colex rank of the prefix of length i-1.
@@ -76,7 +77,7 @@ def _string_graph(text: bytes):
     sa = np.array(suffix_array(rev), np.int64)
     isa = np.empty(n + 1, np.int64)
     isa[sa] = np.arange(1, n + 2)
-    rank = [0] + isa[::-1].tolist()
+    rank = np.concatenate(([0], isa[::-1]))
     # the node of a reversed suffix leaves by the symbol before it: L is the
     # BWT of the reversed text, without the sink (the suffix at 0)
     l_ids = ids[sa[sa > 0] - 1] + 1
@@ -84,7 +85,7 @@ def _string_graph(text: bytes):
     # the source (empty prefix) always has rank 1 and in-degree 0, the sink
     # out-degree 0; every other degree is 1
     nodes = np.arange(1, n + 2)
-    g = WheelerGraph(n + 1, n, sigma, LabelSeq(l_ids.tolist(), sigma), C,
+    g = WheelerGraph(n + 1, n, sigma, LabelSeq(l_ids, sigma), C,
                      unary(nodes != 1), unary(nodes != rank[n + 1]), alphabet.tolist())
     return g, rank
 
@@ -110,17 +111,20 @@ class TextIndex:
     """Tunneled FM-index over a byte string: count, locate, extract."""
 
     def __init__(self, tg: TunneledGraph, n: int, sample_rate_n: int,
-                 sample_rate_t: int, skip, back, loc, cnt):
+                 sample_rate_t: int, skip, loc, cnt):
         self.tg = tg
         self.n = n                       # |T| + 1, node count of the original graph
         self.sample_rate_n = sample_rate_n
         self.sample_rate_t = sample_rate_t
         self.skip = skip                 # pointer node -> (exit rank, distance)
-        self.back = back                 # exit rank -> [(distance, node)] ascending
+        self.back = {}                   # exit rank -> [(distance, node)] ascending
+        for node, (exit_rank, dist) in skip.items():
+            self.back.setdefault(exit_rank, []).append((dist, node))
+        for ptrs in self.back.values():
+            ptrs.sort()
         self.loc = loc                   # non-tunnel node rank -> text position
         self.cnt = cnt                   # cumulative widths at rank multiples
         self.ext = sorted((pos, node) for node, pos in loc.items())
-        self._ext_pos = [p for p, _ in self.ext]
 
     @property
     def text_len(self) -> int:
@@ -260,7 +264,7 @@ class TextIndex:
         if length == 0:
             return b""
         counter = counter if counter is not None else StepCounter()
-        idx = bisect_right(self._ext_pos, start) - 1
+        idx = bisect_right(self.ext, (start, self.n + 1)) - 1
         if idx >= 0:
             pos, node = self.ext[idx]
             off = 1
@@ -350,9 +354,9 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
     at = np.argsort(rank)  # rank[at[r]] = r
     expanded = []
     for sb in (find_string_blocks(g, min_width, min_length) if tunneling else []):
-        rows = at[sb.start_rank:sb.start_rank + sb.width].tolist()
+        rows = at[sb.start_rank:sb.start_rank + sb.width]
         expanded.append(Block(sb.width, sb.length,
-                              [tuple(rank[i + t] for i in rows) for t in range(sb.length)]))
+                              rank[rows + np.arange(sb.length)[:, None]].tolist()))
     tg = tunnel_graph(g, expanded)
     nt = tg.g.n
     if (sample_rate_n is not None and sample_rate_n < 1) or \
@@ -363,46 +367,33 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
     rate_t = sample_rate_t if sample_rate_t is not None else \
         max(1, math.ceil(math.log2(max(2, nt))))
 
+    # one pass over each tunnel's column roots sets the widths and the skip
+    # pointers; tg.tunnels lists the tunnels in block order
     phi = tg.node_map
-    real = [b for b in expanded if b.width > 1]
-    block_of = np.full(n + 1, -1)  # by node rank
-    for bidx, blk in enumerate(real):
-        block_of[[v for col in blk.columns for v in col]] = bidx
-
-    # run-contracted text-order sequence: one element per non-tunnel node,
-    # one per run of text positions in one tunnel; a sample that falls on a
-    # tunnel element moves to the next non-tunnel element
-    in_block = block_of[rank[1:]]  # by text position - 1
-    first = np.flatnonzero((in_block < 0) | (np.diff(in_block, prepend=-2) != 0))
-    plain = np.flatnonzero(in_block[first] < 0)
-    wanted = sorted({1, len(first), *range(rate_n, len(first) + 1, rate_n)})
-    at_plain = (first[plain[np.searchsorted(plain, np.array(wanted) - 1)]] + 1).tolist()
-    loc = {phi[rank[i]]: i for i in at_plain}
-
-    skip = {}
-    back = {}
-    for blk in real:
-        s = blk.size
-        if s < rate_t:
-            continue
-        exit_rank = phi[blk.columns[s - 1][0]]
-        ptrs = []
-        for j in range(rate_t, s, rate_t):
-            nodej = phi[blk.columns[j - 1][0]]
-            skip[nodej] = (exit_rank, s - j)
-            ptrs.append((s - j, nodej))
-        ptrs.sort()
-        back[exit_rank] = ptrs
-
     widths = np.ones(nt + 1, dtype=np.int64)
-    for blk in real:
-        for col in blk.columns:
-            widths[phi[col[0]]] = blk.width
+    skip = {}
+    for blk, rec in zip([b for b in expanded if b.width > 1], tg.tunnels):
+        roots = phi[[col[0] for col in blk.columns]].tolist()
+        widths[roots] = blk.width
+        for j in range(rate_t, blk.size, rate_t):
+            skip[roots[j - 1]] = (rec.exit, blk.size - j)
     cumulative = np.cumsum(widths[1:])
     if nt and int(cumulative[-1]) != n:
         raise InvariantError("width conservation broke: every original node "
                              "must be counted exactly once")
-    cnt = [0] + [int(cumulative[k * rate_t - 1]) for k in range(1, nt // rate_t + 1)]
+    cnt = [0] + cumulative[rate_t - 1::rate_t].tolist()
+
+    # run-contracted text-order sequence: one element per non-tunnel node,
+    # one per run of text positions through one tunnel.  A run starts at its
+    # tunnel's entrance and rows of one block lie at least s+1 positions
+    # apart, so an element starts at every position whose node is not inner.
+    # A sample that falls on a tunnel element moves to the next plain one.
+    node = phi[rank[1:]]  # by text position - 1
+    first = np.flatnonzero(tg.inner_marks.bits()[node - 1] == 0)
+    plain = np.flatnonzero(tg.entrance_marks.bits()[node[first] - 1] == 0)
+    wanted = sorted({1, len(first), *range(rate_n, len(first) + 1, rate_n)})
+    at_plain = first[plain[np.searchsorted(plain, np.array(wanted) - 1)]]
+    loc = dict(zip(node[at_plain].tolist(), (at_plain + 1).tolist()))
 
     tg.node_map = None  # needed only to place the samples above
-    return TextIndex(tg, n, rate_n, rate_t, skip, back, loc, cnt)
+    return TextIndex(tg, n, rate_n, rate_t, skip, loc, cnt)

@@ -50,7 +50,6 @@ nodes, so the target alone tells whether an edge carries the copy.
 from __future__ import annotations
 
 import heapq
-from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -668,5 +667,5 @@ def tunnel_graph(g: WheelerGraph, blocks: list[Block]) -> TunneledGraph:
          for a, z, b in zip(starts.tolist(), ends.tolist(), real)],
         dict(zip((exits + 1).tolist(), row[u[exits]].tolist())),
         orig_n=n,
-        node_map=array("q", phi.tolist()),
+        node_map=phi,
     )

@@ -8,6 +8,7 @@ operations, the loop form it replaced stays here as the reference.
 """
 
 import heapq
+import math
 import random
 from array import array
 
@@ -16,7 +17,7 @@ import pytest
 
 from twgi.bitvec import BitVec
 from twgi.errors import InvariantError, NotFoundError, ValidationError
-from twgi.text_index import build_index
+from twgi.text_index import _string_graph, build_index
 from twgi.tunnel import (
     Block,
     StringBlock,
@@ -24,6 +25,8 @@ from twgi.tunnel import (
     TunneledGraph,
     TunnelRecord,
     derive_string_block,
+    find_string_blocks,
+    tunnel_graph,
 )
 from twgi.wheeler import CheckResult, EdgeList, NodeRange, encode, validate_wheeler
 
@@ -631,6 +634,67 @@ def loop_tunnel_graph(g, blocks: list[Block]):
         orig_n=n,
         node_map=phi,
     )
+
+
+def loop_samples(text: bytes, *, sample_rate_n=None, sample_rate_t=None,
+                 min_width: int = 2, min_length: int = 2):
+    """(loc, skip, back, cnt) of build_index by loops: block membership
+    node by node, the run-contracted elements from it position by position,
+    and the pointers and widths column by column."""
+    g, rank = _string_graph(text)
+    rank = rank.tolist()
+    n = g.n
+    at = sorted(range(len(rank)), key=rank.__getitem__)  # rank[at[r]] = r
+    blocks = []
+    for sb in find_string_blocks(g, min_width, min_length):
+        rows = at[sb.start_rank:sb.start_rank + sb.width]
+        blocks.append(Block(sb.width, sb.length,
+                            [tuple(rank[i + t] for i in rows) for t in range(sb.length)]))
+    tg = tunnel_graph(g, blocks)
+    nt = tg.g.n
+    rate_n = sample_rate_n or max(1, math.ceil(math.log2(max(2, n))))
+    rate_t = sample_rate_t or max(1, math.ceil(math.log2(max(2, nt))))
+    phi = tg.node_map.tolist()
+    real = [b for b in blocks if b.width > 1]
+
+    block_of = [-1] * (n + 1)
+    for bidx, blk in enumerate(real):
+        for col in blk.columns:
+            for v in col:
+                block_of[v] = bidx
+    # one element per node outside the blocks, one per run of positions in
+    # one block: (first position, plain)
+    elements = []
+    for i in range(1, n + 1):
+        b = block_of[rank[i]]
+        if b < 0 or b != block_of[rank[i - 1]]:
+            elements.append((i, b < 0))
+    loc = {}
+    for k in sorted({1, len(elements), *range(rate_n, len(elements) + 1, rate_n)}):
+        e = k - 1
+        while not elements[e][1]:  # a sample moves to the next plain element
+            e += 1
+        loc[phi[rank[elements[e][0]]]] = elements[e][0]
+
+    skip, back = {}, {}
+    widths = [1] * (nt + 1)
+    for blk in real:
+        s = blk.size
+        exit_rank = phi[blk.columns[s - 1][0]]
+        for j in range(rate_t, s, rate_t):
+            node = phi[blk.columns[j - 1][0]]
+            skip[node] = (exit_rank, s - j)
+            back.setdefault(exit_rank, []).append((s - j, node))
+        for col in blk.columns:
+            widths[phi[col[0]]] = blk.width
+    for ptrs in back.values():
+        ptrs.sort()
+    cnt, total = [0], 0
+    for v in range(1, nt + 1):
+        total += widths[v]
+        if v % rate_t == 0:
+            cnt.append(total)
+    return loc, skip, back, cnt
 
 
 # ---------------------------------------------------------------------------

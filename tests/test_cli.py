@@ -1,8 +1,12 @@
 import os
+import random
 
 import pytest
 
+from conftest import copy_paste_mutate
 from twgi.cli import main
+from twgi.persist import serialize_index
+from twgi.text_index import build_index
 
 
 @pytest.fixture
@@ -27,6 +31,29 @@ def test_build_prints_summary(tmp_path, capsys):
     assert lines["m_t"] == "5"
     assert lines["tunnels"] == "1"
     assert lines["merged_edges"] == "1"
+
+
+BUILD_FLAGS = {
+    "--sample-rate": ("sample_rate_n", 3),
+    "--tunnel-rate": ("sample_rate_t", 2),
+    "--min-width": ("min_width", 3),
+    "--min-length": ("min_length", 1),
+}
+
+
+@pytest.mark.parametrize("flags", [[f] for f in sorted(BUILD_FLAGS)] + [sorted(BUILD_FLAGS)])
+def test_build_flags_reach_the_index(tmp_path, flags):
+    data = copy_paste_mutate(random.Random(2), 600, 4)
+    text = tmp_path / "t.txt"
+    text.write_bytes(data)
+    argv = ["build", str(text), "-o", str(tmp_path / "x.twgi")]
+    for flag in flags:
+        argv += [flag, str(BUILD_FLAGS[flag][1])]
+    assert main(argv) == 0
+    assert main(["build", str(text), "-o", str(tmp_path / "default.twgi")]) == 0
+    got = (tmp_path / "x.twgi").read_bytes()
+    assert got == serialize_index(build_index(data, **dict(BUILD_FLAGS[f] for f in flags)))
+    assert got != (tmp_path / "default.twgi").read_bytes()
 
 
 def test_count(workdir, capsys):

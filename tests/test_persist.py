@@ -40,7 +40,7 @@ from twgi.persist import (
     write_blocks_file,
     write_graph_file,
 )
-from twgi.text_index import build_index
+from twgi.text_index import TextIndex, build_index
 from twgi.tunnel import TraversalPos
 from twgi.tunnel import tunnel_graph
 from twgi.wheeler import encode
@@ -168,6 +168,37 @@ TUNNEL_FAULTS = {
                                                 (_longest_back(ix)[0][0] + 1,
                                                  _longest_back(ix)[0][1])),
     "back names an extra node": lambda ix: _longest_back(ix).append((1, 1)),
+}
+
+
+def _with_skip(ix, skip):
+    """ix with other skip pointers, and the backpointers derived from them."""
+    return TextIndex(ix.tg, ix.n, ix.sample_rate_n, ix.sample_rate_t, skip, ix.loc, ix.cnt)
+
+
+def _plain(ix):
+    marks = ix.tg.entrance_marks.bits() | ix.tg.inner_marks.bits()
+    return int(np.flatnonzero(marks == 0)[0]) + 1
+
+
+def _not_exit(ix):
+    return min(set(range(1, ix.tg.g.n + 1)) - {t.exit for t in ix.tg.tunnels})
+
+
+def _tunnel_length(ix, exit_rank):
+    return next(t.length for t in ix.tg.tunnels if t.exit == exit_rank)
+
+
+# each changes the skip pointer on node v and keeps back its inverse; only
+# the skip rule of deserialize_index tells such a file from a good one, and
+# without it locate answers wrong or fails at query time
+SKIP_FAULTS = {
+    "distance +1": lambda ix, skip, v: skip.update({v: (skip[v][0], skip[v][1] + 1)}),
+    "target not an exit": lambda ix, skip, v: skip.update({v: (_not_exit(ix), skip[v][1])}),
+    "pointer on a plain node": lambda ix, skip, v: skip.update({_plain(ix): skip.pop(v)}),
+    "pointer dropped": lambda ix, skip, v: skip.pop(v),
+    "distance past the tunnel": lambda ix, skip, v: skip.update(
+        {v: (skip[v][0], _tunnel_length(ix, skip[v][0]))}),
 }
 
 
@@ -330,6 +361,14 @@ class TestIndexFile:
         with pytest.raises(FormatError):
             deserialize_index(serialize_index(ix))
 
+    @pytest.mark.parametrize("fault", sorted(SKIP_FAULTS))
+    def test_bad_skip_pointers_rejected(self, fault, small_index):
+        ix = small_index("fib")
+        skip = dict(ix.skip)
+        SKIP_FAULTS[fault](ix, skip, min(skip))
+        with pytest.raises(FormatError, match="skip pointers"):
+            deserialize_index(serialize_index(_with_skip(ix, skip)))
+
     @pytest.mark.parametrize("name", ["fib", "rand96"])  # per-symbol and wavelet-matrix L
     def test_loaded_index_ranks_on_python_ints(self, name, small_index):
         # a numpy scalar in a rank directory would slow every rank
@@ -348,17 +387,16 @@ class TestIndexFile:
         assert type(g.I.rank(3)) is int and type(L.rank(5, 1)) is int
 
     def test_skip_pointer_cycle_stops_every_walk(self, small_index):
-        # two skip pointers of one tunnel point at each other at distance 0;
-        # the file loads, and each walk that reaches them must stop
+        # two skip pointers of one tunnel point at each other at distance 0:
+        # each walk that reaches them must stop, and the file must not load
         ix = deserialize_index(serialize_index(small_index("fib")))
         _, ptrs = max(ix.back.items(), key=lambda item: len(item[1]))
         (_, b), (_, a) = ptrs[-2:]  # a lies farthest from the exit
         pos_a = ix.locate_one(TraversalPos(a, 1))
         ix.skip[a], ix.skip[b] = (b, 0), (a, 0)
-        ix.back = {}  # loading requires back to be the inverse of skip
-        for node, (tgt, dist) in ix.skip.items():
-            ix.back.setdefault(tgt, []).append((dist, node))
-        bad = deserialize_index(serialize_index(ix))
+        bad = _with_skip(ix, ix.skip)
+        with pytest.raises(FormatError, match="skip pointers"):
+            deserialize_index(serialize_index(bad))
         with pytest.raises(FormatError, match="no sample"):
             bad.locate_one(TraversalPos(a, 1))
         with pytest.raises(FormatError, match="no tunnel exit"):

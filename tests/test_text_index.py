@@ -3,12 +3,15 @@ import random
 import pytest
 
 from conftest import (
+    SMALL_TEXTS,
     colex_string_graph,
     copy_paste_mutate,
     fibonacci_word,
+    loop_samples,
     make_patterns,
     naive_count,
     naive_locate,
+    random_text,
 )
 from twgi.errors import BoundsError, InvariantError, ValidationError
 from twgi.text_index import (
@@ -106,6 +109,49 @@ class TestBuildIndex:
             build_index(b"abcabc", sample_rate_n=0)
         with pytest.raises(TypeError):
             build_index("not bytes")
+
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_samples_hold_python_ints(self, name, tunneling, small_index):
+        # the build works on numpy arrays; a numpy scalar left in a sample
+        # table would slow every query on a freshly built index
+        ix = small_index(name, tunneling)
+
+        def ints(values):
+            return all(type(v) is int for v in values)
+
+        assert ix.loc and ints(ix.loc) and ints(ix.loc.values())
+        assert ints(ix.cnt)
+        assert ints(ix.skip) and all(ints(ptr) for ptr in ix.skip.values())
+        assert ints(ix.back) and all(ints(p) for ptrs in ix.back.values() for p in ptrs)
+
+
+def _sample_texts():
+    rng = random.Random(11)
+    texts = []
+    for size in (20, 97, 250, 600):
+        texts += [fibonacci_word(size), copy_paste_mutate(rng, size, 4),
+                  random_text(rng, size, 2), random_text(rng, size, 4)]
+    return texts
+
+
+SAMPLE_TEXTS = _sample_texts()
+
+
+class TestSamples:
+    @pytest.mark.parametrize("rate_n,rate_t", [(1, 1), (2, 3), (None, None)])
+    @pytest.mark.parametrize("min_width,min_length", [(2, 1), (2, 2), (3, 1), (3, 3)])
+    def test_match_loop_samples(self, min_width, min_length, rate_n, rate_t):
+        length_one = 0
+        for text in SAMPLE_TEXTS:
+            kw = dict(sample_rate_n=rate_n, sample_rate_t=rate_t,
+                      min_width=min_width, min_length=min_length)
+            ix = build_index(text, **kw)
+            assert (ix.loc, ix.skip, ix.back, ix.cnt) == loop_samples(text, **kw)
+            length_one += sum(t.length == 1 for t in ix.tg.tunnels)
+        if min_length == 1:
+            # entrances with no inner node: elements that start and end there
+            assert length_one > 0
 
 
 class TestNodeWidth:
