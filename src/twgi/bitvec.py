@@ -75,11 +75,11 @@ class BitVec:
         # would cost more than the rank itself
         self.n = n
         self._words = words.tolist()
-        self._super = array("q", sup.tolist())
-        self._rel = array("H", rel.tolist() or [0])
+        self._super = array("q", sup.tobytes())
+        self._rel = array("H", rel.astype(np.uint16).tobytes() if nwords else bytes(2))
         self._ones = ones
-        self._hints1 = array("q", hints1.tolist() + last)
-        self._hints0 = array("q", hints0.tolist() + last)
+        self._hints1 = array("q", np.append(hints1, last).astype(np.int64).tobytes())
+        self._hints0 = array("q", np.append(hints0, last).astype(np.int64).tobytes())
 
     # -- internal 0-based helpers (p = exclusive prefix length) ------------
 

@@ -50,6 +50,7 @@ nodes, so the target alone tells whether an edge carries the copy.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -325,10 +326,10 @@ def find_string_blocks(g: WheelerGraph, min_w: int = 2, min_s: int = 2) -> list[
     their longest conflict-free column prefix and re-scored.
 
     Lengths come from arrays, not walks.  Column t of row r is the node at
-    text position pos[r] + t.  ext[r], the columns by which the pair
-    (r, r+1) extends, is 0 if either is the sink or succ(r+1) != succ(r)+1,
-    else 1 if their out-labels differ, else 1 + ext[succ(r)]; one pass
-    against text order fills it.  The seed [start..start+w-1] is valid up to
+    text position pos[r] + t.  ext[r], the columns by which the pair (r, r+1)
+    extends, is 0 if either is the sink or succ(r+1) != succ(r)+1, else 1 if
+    their out-labels differ, else 1 + ext[succ(r)], read off a running
+    minimum over text order.  The seed [start..start+w-1] is valid up to
     min(ext[start..start+w-2], d-1), d the smallest gap between its rows'
     positions, or to the sink (n-1-pos[start]) when w = 1, and not at all
     when its in-labels differ.
@@ -340,20 +341,25 @@ def find_string_blocks(g: WheelerGraph, min_w: int = 2, min_s: int = 2) -> list[
     src, tgt, lab = g.edge_arrays()
     succ, out, inl = np.zeros(n + 2, np.int64), np.full(n + 2, -1), np.full(n + 2, -1)
     succ[src], out[src], inl[tgt] = tgt, lab, lab  # -1: no such edge
-    succ, out, inl = succ.tolist(), out.tolist(), inl.tolist()
-    path = [1]
-    while succ[path[-1]]:
-        path.append(succ[path[-1]])
-    if len(path) != n:
-        raise ValidationError(f"not a path graph: {n - len(path)} nodes lie off the source's path")
-    pos = [0] + np.argsort(path).tolist()
-    ext = [0] * (n + 1)
-    for r in reversed(path):
-        if succ[r] and succ[r + 1] == succ[r] + 1:
-            ext[r] = 1 if out[r] != out[r + 1] else 1 + ext[succ[r]]
+    step, path, v = array("q", succ.tobytes()), array("q"), 1  # words, not n int objects
+    while v and len(path) < n:
+        path.append(v)
+        v = step[v]
+    if v or len(path) != n:
+        raise ValidationError("not a path graph: some nodes lie off the source's path")
+    path = np.frombuffer(path, np.int64)
+    extends, at = succ[path + 1] == succ[path] + 1, np.arange(n)  # no edge enters node 1
+    stop = np.where(extends & (out[path] == out[path + 1]), n, at)
+    stop = np.minimum.accumulate(stop[::-1])[::-1]  # where the 1 + ext[succ(r)] chain ends
+    pos, ext = np.zeros((2, n + 1), np.int64)
+    pos[path], ext[path] = at, stop - at + extends[stop]
+    pos, ext = array("q", pos.tobytes()), array("q", ext.tobytes())
+    starts = np.flatnonzero(np.diff(out[1:n + 1] * 257 + inl[1:n + 1], prepend=-259)) + 1
+    widths = np.diff(starts, append=n + 1)  # runs of equal (out, in), labels -1..255
+    seeds = (widths >= min_w) & (out[starts] >= 0)
 
     def longest(start: int, w: int) -> int:
-        if len({inl[r] for r in range(start, start + w)} - {-1}) > 1:
+        if len(set(inl[start:start + w].tolist()) - {-1}) > 1:
             return 0
         if w == 1:
             return n - 1 - pos[start]
@@ -362,12 +368,8 @@ def find_string_blocks(g: WheelerGraph, min_w: int = 2, min_s: int = 2) -> list[
         return min(min(ext[start:start + w - 1]), gap - 1)
 
     candidates = set()
-    a = 1
-    for r in range(2, n + 2):
-        if r <= n and (out[r], inl[r]) == (out[a], inl[a]):
-            continue
-        start, w, a = a, r - a, r
-        s = longest(start, w) if w >= min_w and out[start] >= 0 else 0
+    for start, w in zip(starts[seeds].tolist(), widths[seeds].tolist()):
+        s = longest(start, w)
         while s >= 1:
             for ns in (start - 1, start):
                 s2 = longest(ns, w + 1) if 1 <= ns <= n - w else -1

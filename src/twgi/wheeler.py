@@ -313,7 +313,7 @@ def _node_starts(bv: BitVec, n: int, name: str) -> array:
     """starts[i] = select_1(bv, i) - i for i in 1..n+1 (starts[0] unused):
     the zeros before the i-th one, read off the positions of the set bits."""
     ones = np.flatnonzero(bv.bits())[:n + 1]
-    starts = array("q", [0] + (ones - np.arange(len(ones))).tolist())
+    starts = array("q", np.append(0, ones - np.arange(len(ones))).tobytes())
     if len(starts) < n + 2:
         raise NotFoundError(
             f"{name} holds {len(starts) - 1} ones, a graph of {n} nodes needs {n + 1}")
