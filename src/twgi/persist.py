@@ -9,7 +9,11 @@ covered by the checksum.
 Loading accepts exactly the skip pointers ``build_index`` writes: each sits
 on an entrance- or inner-marked node, and a tunnel of length s has one
 pointer to its exit at each distance s - j, j = rate_t, 2 rate_t, ... < s.
-The back section must list the same pointers keyed by exit.
+The back section must list the same pointers keyed by exit.  Queries cross
+a tunnel by its record, so the records must agree with the marks: one
+record per entrance mark, sum(length - 1) inner marks, sum((width - 1) *
+length) = n - n_t collapsed nodes, and each exit inner-marked (the entrance
+itself for length 1) with out-degree equal to the width.
 """
 
 from __future__ import annotations
@@ -389,12 +393,23 @@ def _parse_sections(data: bytes) -> TextIndex:
                               f"width >= 2 and length >= 1")
     if len({t.entrance for t in tunnels}) != len(tunnels):
         raise FormatError("two tunnel records share an entrance")
+    # walks cross a tunnel by its record's exit and length, so the records
+    # must account for every mark and every collapsed node
+    inner = inn.bits()
+    if (ent.ones != ntun or inn.ones != sum(t.length - 1 for t in tunnels)
+            or sum((t.width - 1) * t.length for t in tunnels) != n - nt):
+        raise FormatError("tunnel records must account for every entrance and inner "
+                          "mark and for the n - n_t collapsed nodes")
+    if any(t.exit != t.entrance if t.length == 1 else not inner[t.exit - 1]
+           for t in tunnels):
+        raise FormatError("a tunnel's exit must be inner-marked, or its entrance "
+                          "when its length is 1")
 
     # bounds the skip pointers expected below by the size of the file
     if sum(t.length for t in tunnels) > nt:
         raise FormatError(f"tunnel lengths sum past n_t = {nt}")
     skip = {node: (tgt, dist) for node, tgt, dist in _unpack_records(rd.section(), "QQQ")}
-    tunnel_node = (marked | inn.bits()).tobytes()
+    tunnel_node = (marked | inner).tobytes()
     if any(not (1 <= v <= nt and tunnel_node[v - 1]) for v in skip):
         raise FormatError(f"skip pointers must sit on marked nodes in [1..{nt}]")
     pointers = sorted((tgt, dist, node) for node, (tgt, dist) in skip.items())
@@ -419,6 +434,8 @@ def _parse_sections(data: bytes) -> TextIndex:
         raise TruncatedError("trailing bytes after the last section")
 
     g = WheelerGraph(nt, mt, sigma, L, C, I, O, alphabet)
+    if any(g.outdeg(t.exit) != t.width for t in tunnels):
+        raise FormatError("a tunnel's exit must have out-degree equal to its width")
     tg = TunneledGraph(g, ipr, opr, ent, inn, tunnels,
                        _rebuild_exit_copies(g, ent, inn, tunnels),
                        orig_n=n)

@@ -5,11 +5,17 @@ of prefixes, i.e. the suffix array of the reversed text; its label array is
 the BWT of the reversed text.  After tunneling, count / locate / extract are
 answered with sampling structures:
 
-* skip pointers inside long tunnels, and the backpointers from each exit,
-  which are derived from the skip pointers,
 * text-position samples on the run-contracted node sequence for locate and
   extract,
-* cumulative tunnel-width sums at aligned ranks for count.
+* cumulative tunnel-width sums at aligned ranks for count,
+* skip pointers inside long tunnels, and the backpointers from each exit,
+  which are derived from the skip pointers.
+
+A walk that reaches a tunnel at its entrance crosses it in one jump: the
+tunnel record gives the exit and the length.  Skip pointers serve only walks
+that start inside a tunnel, and extract's back hop to a position inside one.
+All copies of a tunnel node share one walk to the exit, where the walk
+splits by copy.
 
 All forward walks use partial rank: the next edge's label is read directly
 from L at the node's offset, so the rank is always taken at a position
@@ -37,7 +43,12 @@ from .wheeler import WheelerGraph, unary
 def suffix_array(seq) -> list[int]:
     """Suffix array of seq plus a virtual terminator smaller than every
     symbol.  Returns len(seq)+1 start positions; position len(seq) is the
-    empty suffix and always sorts first.
+    empty suffix and always sorts first."""
+    return _suffix_array(seq).tolist()
+
+
+def _suffix_array(seq) -> np.ndarray:
+    """suffix_array as an int64 array.
 
     Prefix doubling (Manber & Myers 1993): when rank orders the suffixes
     by their first k symbols, the pair (rank[i], rank[i+k]) orders them by
@@ -57,7 +68,7 @@ def suffix_array(seq) -> list[int]:
         k *= 2
     sa = np.empty(n, np.int64)
     sa[rank] = np.arange(n)
-    return sa.tolist()
+    return sa
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +85,7 @@ def _string_graph(text: bytes):
     rev = text[::-1]
     alphabet, ids = np.unique(np.frombuffer(rev, np.uint8), return_inverse=True)
     sigma = len(alphabet)
-    sa = np.array(suffix_array(rev), np.int64)
+    sa = _suffix_array(rev)
     isa = np.empty(n + 1, np.int64)
     isa[sa] = np.arange(1, n + 2)
     rank = np.concatenate(([0], isa[::-1]))
@@ -102,7 +113,8 @@ def build_graph_from_text(text: bytes) -> WheelerGraph:
 
 @dataclass
 class StepCounter:
-    """Counts graph traversal operations (forward steps and skip jumps)."""
+    """Counts graph traversal operations: forward steps, and jumps by a
+    tunnel record or a skip pointer."""
 
     steps: int = 0
 
@@ -147,28 +159,41 @@ class TextIndex:
         r, noff = self.tg.land(j, off)
         return r, noff, g.alphabet[c - 1]
 
-    def node_width(self, v: int, counter: StepCounter | None = None) -> int:
-        """Width of the tunnel containing v (1 outside tunnels): follow the
-        tunnel to its exit and read the exit's out-degree."""
-        counter = counter if counter is not None else StepCounter()
-        if not self.tg.is_tunnel_node(v):
-            return 1
+    def _to_exit(self, v: int, counter: StepCounter) -> tuple[int, int]:
+        """(exit, distance) of the tunnel node v: its tunnel's exit and the
+        text positions from v to it.  An entrance reads both off its tunnel
+        record; an inner node follows skip pointers and single edges until
+        it reaches a node whose out-degree is not 1."""
+        rec = self.tg.entrance_info.get(v)
+        if rec is not None:
+            counter.steps += 1
+            return rec.exit, rec.length - 1
         g = self.tg.g
-        cur = v
+        skip = self.skip
+        cur, dist = v, 0
         for _ in range(self.n):
-            ptr = self.skip.get(cur)
+            ptr = skip.get(cur)
             if ptr is not None:
                 cur = ptr[0]
+                dist += ptr[1]
                 counter.steps += 1
                 continue
-            deg = g.outdeg(cur)
-            if deg != 1:
-                return deg
+            if g.outdeg(cur) != 1:
+                return cur, dist
             p = g._lstart[cur] + 1
             c = g.L.access(p)
             cur = g.edge_target(g.C[c] + g.L.partial_rank(p))
+            dist += 1
             counter.steps += 1
         raise FormatError(f"found no tunnel exit in {self.n} steps from node {v}")
+
+    def node_width(self, v: int, counter: StepCounter | None = None) -> int:
+        """Width of the tunnel containing v (1 outside tunnels): the
+        out-degree of its exit."""
+        if not self.tg.is_tunnel_node(v):
+            return 1
+        counter = counter if counter is not None else StepCounter()
+        return self.tg.g.outdeg(self._to_exit(v, counter)[0])
 
     # -- counting --------------------------------------------------------------
 
@@ -210,21 +235,20 @@ class TextIndex:
 
     def locate_one(self, p: TraversalPos, counter: StepCounter | None = None) -> int:
         """Text position (1-based) of the original node at the simulated
-        position p: walk forward to the next text-order sample, skipping
-        long tunnels, and subtract the travelled distance."""
+        position p: walk forward to the next text-order sample, crossing
+        each tunnel in one jump to its exit, and subtract the travelled
+        distance."""
         counter = counter if counter is not None else StepCounter()
         node, off = p.node, p.offset
         travelled = 0
+        is_tunnel_node = self.tg.is_tunnel_node
         for _ in range(self.n):
             pos = self.loc.get(node)
             if pos is not None:
                 return pos - travelled
-            ptr = self.skip.get(node)
-            if ptr is not None:
-                node = ptr[0]
-                travelled += ptr[1]
-                counter.steps += 1
-                continue
+            if is_tunnel_node(node):
+                node, dist = self._to_exit(node, counter)
+                travelled += dist
             node, off, _ = self._fstep(node, off, counter)
             travelled += 1
         raise FormatError(f"found no sample in {self.n} steps")
@@ -243,11 +267,17 @@ class TextIndex:
         out = []
         plen = len(pattern)
         for v in range(lo, hi + 1):
-            w_v = self.node_width(v, counter)
+            # every copy of a tunnel node reaches the same exit: walk there
+            # once, then locate each copy from the exit
+            if self.tg.is_tunnel_node(v):
+                node, dist = self._to_exit(v, counter)
+                w_v = self.tg.g.outdeg(node)
+            else:
+                node, dist, w_v = v, 0, 1
             first = lo_off if v == lo else 1
             last = (hi_off if hi_off is not None else w_v) if v == hi else w_v
             for o in range(first, last + 1):
-                end_pos = self.locate_one(TraversalPos(v, o), counter)
+                end_pos = self.locate_one(TraversalPos(node, o), counter) - dist
                 out.append(end_pos - plen)
                 if limit is not None and len(out) >= limit:
                     return _distinct_sorted(out)
@@ -275,24 +305,21 @@ class TextIndex:
         for _ in range(self.n):
             if pos >= start:
                 break
-            ptr = self.skip.get(node)
-            if ptr is not None:
-                exit_rank, dist = ptr
-                if pos + dist <= start:
-                    node = exit_rank
-                    pos += dist
+            if self.tg.is_tunnel_node(node):
+                exit_rank, dist = self._to_exit(node, counter)
+                if pos + dist > start:
+                    # target lies inside this tunnel: hop to the exit's
+                    # backpointer closest before the target, then plain-walk
+                    # (no pointer sits between that backpointer and the target)
+                    node, pos = self._back_hop(exit_rank, pos + dist, start, node, pos)
                     counter.steps += 1
-                    continue
-                # target lies inside this tunnel: hop to the exit's
-                # backpointer closest before the target, then plain-walk
-                # (no pointer sits between that backpointer and the target)
-                exit_pos = pos + dist
-                node, pos = self._back_hop(exit_rank, exit_pos, start, node, pos)
-                counter.steps += 1
-                while pos < start:
-                    node, off, _ = self._fstep(node, off, counter)
-                    pos += 1
-                break
+                    while pos < start:
+                        node, off, _ = self._fstep(node, off, counter)
+                        pos += 1
+                    break
+                node, pos = exit_rank, pos + dist
+                if pos == start:
+                    break
             node, off, _ = self._fstep(node, off, counter)
             pos += 1
         else:

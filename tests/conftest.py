@@ -636,6 +636,18 @@ def loop_tunnel_graph(g, blocks: list[Block]):
     )
 
 
+def walk_to_exit(g, v: int) -> tuple[int, int]:
+    """(exit, distance) of the tunnel node v by single-edge steps: follow
+    the one out-edge until a node whose out-degree is not 1.  Reads no
+    tunnel record and no skip pointer."""
+    cur = v
+    for dist in range(g.n):
+        if g.outdeg(cur) != 1:
+            return cur, dist
+        cur = g.edge_target(g.out_edge_rank(cur, g.out_label_single(cur), 1))
+    raise InvariantError(f"no node of out-degree other than 1 within {g.n} steps of {v}")
+
+
 def loop_samples(text: bytes, *, sample_rate_n=None, sample_rate_t=None,
                  min_width: int = 2, min_length: int = 2):
     """(loc, skip, back, cnt) of build_index by loops: block membership

@@ -12,6 +12,7 @@ from conftest import (
     naive_count,
     naive_locate,
     random_text,
+    walk_to_exit,
 )
 from twgi.errors import BoundsError, InvariantError, ValidationError
 from twgi.text_index import (
@@ -152,6 +153,48 @@ class TestSamples:
         if min_length == 1:
             # entrances with no inner node: elements that start and end there
             assert length_one > 0
+
+
+def _exit_texts():
+    rng = random.Random(41)
+    texts = []
+    for size in (97, 600):
+        texts += [fibonacci_word(size), copy_paste_mutate(rng, size, 4),
+                  random_text(rng, size, 2)]
+    return texts
+
+
+EXIT_TEXTS = _exit_texts()
+
+
+class TestExitRule:
+    @pytest.mark.parametrize("rate_t", [1, 3, None])
+    @pytest.mark.parametrize("min_width,min_length", [(2, 1), (2, 2), (3, 1)])
+    def test_matches_single_edge_walk(self, min_width, min_length, rate_t):
+        rng = random.Random(43)
+        length_one = entrance_pointers = 0
+        for text in EXIT_TEXTS:
+            ix = build_index(text, sample_rate_t=rate_t, min_width=min_width,
+                             min_length=min_length)
+            g = ix.tg.g
+            for v in range(1, g.n + 1):
+                if ix.tg.is_tunnel_node(v):
+                    assert ix._to_exit(v, StepCounter()) == walk_to_exit(g, v), (text, v)
+            length_one += sum(t.length == 1 for t in ix.tg.tunnels)
+            entrance_pointers += sum(t.entrance in ix.skip for t in ix.tg.tunnels)
+            for pat in make_patterns(rng, text, 20, max_len=10):
+                assert ix.locate(pat) == naive_locate(text, pat), (text, pat)
+            for _ in range(20):
+                i = rng.randint(1, len(text))
+                ln = rng.randint(0, min(30, len(text) - i + 1))
+                assert ix.extract(i, ln) == text[i - 1:i - 1 + ln], (text, i, ln)
+            assert ix.extract(1, len(text)) == text
+        if min_length == 1:
+            # entrances that are their own exits
+            assert length_one > 0
+        if rate_t == 1:
+            # entrances that also carry a skip pointer
+            assert entrance_pointers > 0
 
 
 class TestNodeWidth:
@@ -314,6 +357,21 @@ class TestStepBudgets:
                 counter = StepCounter()
                 ix.count(pat, counter)
                 assert counter.steps <= budget, (text, pat, counter.steps)
+
+    @pytest.mark.parametrize("name", ["fib", "cpm4", "cpm96"])
+    def test_tunneled_locate_steps_per_occurrence(self, name, small_index):
+        # a walk crosses each tunnel in one jump and the copies of a tunnel
+        # node share it, so tunneling must not multiply locate's steps
+        text = SMALL_TEXTS[name]
+        per_occ = {}
+        for tunneling in (True, False):
+            ix = small_index(name, tunneling)
+            counter, occ = StepCounter(), 0
+            for pat in make_patterns(random.Random(5), text, 200, max_len=12):
+                if pat in text:
+                    occ += len(ix.locate(pat, counter=counter))
+            per_occ[tunneling] = counter.steps / occ
+        assert per_occ[True] <= 2 * per_occ[False], per_occ
 
 
 class TestSampleSharing:
