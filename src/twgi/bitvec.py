@@ -7,8 +7,9 @@ returns the position of the ``k``-th occurrence of ``b``.
 
 The rank directory is two-level: absolute counts per superblock (512 bits)
 plus 16-bit relative counts per 64-bit word, with a popcount for the word
-remainder.  Select binary-searches the directory, narrowed by sampled hints
-(one per 512 occurrences).
+remainder.  Select is a binary search over rank, O(log n): no query path
+selects (navigation reads offsets decoded once from the set bits), so it
+keeps no directory of its own.
 
 ``BitVec`` alone knows the packed layout: bit i of a sequence is bit i % 8
 of byte i // 8 (LSB first), and every other module hands it bit arrays or
@@ -19,6 +20,7 @@ pure-Python words and ``array`` counts.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,14 +29,12 @@ from .errors import BoundsError, NotFoundError
 
 _WORD = 64
 _SUPER_WORDS = 8  # 512-bit superblocks
-_HINT_EVERY = 512
 
 
 class BitVec:
-    """Static bit sequence with O(1) rank and near-O(1) select."""
+    """Static bit sequence with O(1) rank and O(log n) select."""
 
-    __slots__ = ("n", "_words", "_super", "_rel", "_ones",
-                 "_hints1", "_hints0")
+    __slots__ = ("n", "_words", "_super", "_rel", "_ones")
 
     def __init__(self, bits: Iterable[int] | str | np.ndarray = ()):
         """``bits``: a 0/1 iterable, a ``"01"`` string or a numpy array.
@@ -61,16 +61,10 @@ class BitVec:
             buf[n >> 3] &= (1 << (n & 7)) - 1
         words = buf.view("<u8")
         pc = np.bitwise_count(words).astype(np.int64)
-        ones_through = np.cumsum(pc)
-        before = ones_through - pc
+        before = np.cumsum(pc) - pc
         ones = int(pc.sum())
         sup = np.append(before[::_SUPER_WORDS], ones)
         rel = before - before[np.arange(nwords) // _SUPER_WORDS * _SUPER_WORDS]
-        zeros_through = np.minimum(np.arange(1, nwords + 1) * _WORD, n) - ones_through
-        # hint h holds the word containing the (h*_HINT_EVERY + 1)-th bit
-        last = [max(nwords - 1, 0)]
-        hints1 = np.searchsorted(ones_through, np.arange(1, ones + 1, _HINT_EVERY))
-        hints0 = np.searchsorted(zeros_through, np.arange(1, n - ones + 1, _HINT_EVERY))
         # query-time state is pure Python: a numpy scalar read per rank
         # would cost more than the rank itself
         self.n = n
@@ -78,8 +72,6 @@ class BitVec:
         self._super = array("q", sup.tobytes())
         self._rel = array("H", rel.astype(np.uint16).tobytes() if nwords else bytes(2))
         self._ones = ones
-        self._hints1 = array("q", np.append(hints1, last).astype(np.int64).tobytes())
-        self._hints0 = array("q", np.append(hints0, last).astype(np.int64).tobytes())
 
     # -- internal 0-based helpers (p = exclusive prefix length) ------------
 
@@ -90,11 +82,6 @@ class BitVec:
         if r and w < len(self._words):
             base += (self._words[w] & ((1 << r) - 1)).bit_count()
         return base
-
-    def _ones_before_word(self, w: int) -> int:
-        if w >= len(self._rel):
-            return self._ones
-        return self._super[w >> 3] + self._rel[w]
 
     # -- public 1-based interface -------------------------------------------
 
@@ -126,43 +113,9 @@ class BitVec:
         if not 1 <= k <= total:
             raise NotFoundError(
                 f"select({k}, {b}): only {total} such bits present")
-        return self._select1(k) if b else self._select0(k)
-
-    def _select1(self, k: int) -> int:
-        h = (k - 1) // _HINT_EVERY
-        lo = self._hints1[h]
-        hi = self._hints1[h + 1] if h + 1 < len(self._hints1) else len(self._words) - 1
-        # largest word with ones_before < k
-        while lo < hi:
-            mid = (lo + hi + 1) >> 1
-            if self._ones_before_word(mid) < k:
-                lo = mid
-            else:
-                hi = mid - 1
-        t = k - self._ones_before_word(lo)
-        word = self._words[lo]
-        for _ in range(t - 1):
-            word &= word - 1
-        return (lo << 6) + (word & -word).bit_length()
-
-    def _select0(self, k: int) -> int:
-        h = (k - 1) // _HINT_EVERY
-        lo = self._hints0[h]
-        hi = self._hints0[h + 1] if h + 1 < len(self._hints0) else len(self._words) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) >> 1
-            zeros_before = (mid << 6) - self._ones_before_word(mid)
-            if zeros_before < k:
-                lo = mid
-            else:
-                hi = mid - 1
-        t = k - ((lo << 6) - self._ones_before_word(lo))
-        tail = self.n - (lo << 6)
-        mask = (1 << tail) - 1 if tail < _WORD else (1 << _WORD) - 1
-        word = ~self._words[lo] & mask
-        for _ in range(t - 1):
-            word &= word - 1
-        return (lo << 6) + (word & -word).bit_length()
+        # the least prefix p holding k such bits
+        rank = self.rank1_prefix if b else lambda p: p - self.rank1_prefix(p)
+        return bisect_left(range(self.n + 1), k, key=rank)
 
     def bits(self) -> np.ndarray:
         """The n bits as a uint8 array of zeros and ones."""
@@ -252,15 +205,12 @@ class LabelSeq:
         return self._wm_rank(i, c - 1)
 
     def select(self, k: int, c: int) -> int:
-        """Position of the k-th occurrence of symbol c."""
-        if not 1 <= c <= self.sigma:
-            raise NotFoundError(f"symbol {c} not in alphabet")
-        if self._per_symbol is not None:
-            return self._per_symbol[c].select(k, 1)
-        total = self._wm_rank(self.n, c - 1)
+        """Position of the k-th occurrence of symbol c: the least i with
+        rank(i, c) = k."""
+        total = self.count(c)
         if not 1 <= k <= total:
             raise NotFoundError(f"select({k}) of symbol {c}: only {total} present")
-        return self._wm_select(k, c - 1)
+        return bisect_left(range(self.n + 1), k, key=lambda i: self.rank(i, c))
 
     def count(self, c: int) -> int:
         return self.rank(self.n, c)
@@ -281,26 +231,6 @@ class LabelSeq:
                 p = p - bv.rank1_prefix(p)
                 s = s - bv.rank1_prefix(s)
         return p - s
-
-    def _wm_select(self, k: int, v: int) -> int:
-        nbits = self._nbits
-        starts = [0]
-        s = 0
-        for lev in range(nbits):
-            bv = self._levels[lev]
-            if (v >> (nbits - 1 - lev)) & 1:
-                s = self._zeros[lev] + bv.rank1_prefix(s)
-            else:
-                s = s - bv.rank1_prefix(s)
-            starts.append(s)
-        p = starts[nbits] + k - 1  # 0-based position at the deepest level
-        for lev in range(nbits - 1, -1, -1):
-            bv = self._levels[lev]
-            if (v >> (nbits - 1 - lev)) & 1:
-                p = bv.select(p - self._zeros[lev] + 1, 1) - 1
-            else:
-                p = bv.select(p + 1, 0) - 1
-        return p + 1
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LabelSeq) and self.sigma == other.sigma

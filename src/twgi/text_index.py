@@ -25,7 +25,7 @@ holding that same symbol.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,13 +332,15 @@ class TextIndex:
 
     def _back_hop(self, exit_rank: int, exit_pos: int, target: int,
                   cur_node: int, cur_pos: int):
-        """Best pointer node at or before the target position."""
-        best_node, best_pos = cur_node, cur_pos
-        for dist_b, node_b in self.back.get(exit_rank, ()):
-            pos_b = exit_pos - dist_b
-            if cur_pos < pos_b <= target and pos_b > best_pos:
-                best_node, best_pos = node_b, pos_b
-        return best_node, best_pos
+        """Best pointer node at or before the target position: the pointer
+        nearest the exit that is at least exit_pos - target away, if it
+        lies past cur_pos (the distances are distinct and ascending)."""
+        ptrs = self.back.get(exit_rank, ())
+        i = bisect_left(ptrs, (exit_pos - target,))
+        if i < len(ptrs) and exit_pos - ptrs[i][0] > cur_pos:
+            dist_b, node_b = ptrs[i]
+            return node_b, exit_pos - dist_b
+        return cur_node, cur_pos
 
     # -- bookkeeping ------------------------------------------------------------------
 

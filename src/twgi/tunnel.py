@@ -38,7 +38,8 @@ has any.  Kept edges sort by (label, tunneled source, original source), and
 the rows of a column are consecutive original ranks, ascending with the
 copy index; so inside one label range the copy rises strictly with the
 group index.  ``_exit_group`` therefore finds a copy bound by binary search
-over the O' marks: O(log w) selects on a tunnel of width w.
+over the O' marks: O(log w) reads, on a tunnel of width w, of the positions
+of the O' ones, which are decoded once.
 
 Every traversal (``step``, range search, the text walks) uses one edge-group
 lookup, ``_group``, and one landing rule, ``land``: an edge into an inner
@@ -434,6 +435,10 @@ class TunneledGraph:
         # every traversal step reads it, and most nodes carry no mark
         kind = entrance_marks.bits() * _ENTRANCE | inner_marks.bits() * _INNER
         self._kind = bytearray(1) + kind.tobytes()
+        # _oprime_ones[k] = select_1(O', k) (index 0 unused): the exit-group
+        # lookups read it instead of selecting
+        self._oprime_ones = array(
+            "q", np.append(0, np.flatnonzero(oprime.bits()) + 1).tobytes())
 
     # -- marks ---------------------------------------------------------------
 
@@ -468,7 +473,7 @@ class TunneledGraph:
         the last copy <= bound) inside the label range [j1, j2] of one
         tunnel node, as (first edge, last edge, copy); None when no copy
         qualifies.  A bound of None takes the first (last) group."""
-        opr = self.oprime
+        opr, ones = self.oprime, self._oprime_ones
         base = opr.rank(j1)  # j1 opens the first group
         groups = opr.rank(j2) - base + 1
         if bound is None:
@@ -479,15 +484,15 @@ class TunneledGraph:
             lo, hi = 0, groups
             while lo < hi:
                 mid = (lo + hi) >> 1
-                if self.exit_copies.get(opr.select(base + mid), mid + 1) < key:
+                if self.exit_copies.get(ones[base + mid], mid + 1) < key:
                     lo = mid + 1
                 else:
                     hi = mid
             t = lo - 1 if last else lo
             if not 0 <= t < groups:
                 return None
-        s0 = opr.select(base + t)
-        e0 = opr.select(base + t + 1) - 1 if t + 1 < groups else j2
+        s0 = ones[base + t]
+        e0 = ones[base + t + 1] - 1 if t + 1 < groups else j2
         return s0, e0, self.exit_copies.get(s0, t + 1)
 
     def _group(self, a: int, b: int, c: int, lo_copy: int | None,

@@ -436,8 +436,10 @@ class TestIndexFile:
         for bv in vectors:
             assert type(bv.n) is int and type(bv._ones) is int
             assert all(type(w) is int for w in bv._words)
-            for directory in (bv._super, bv._rel, bv._hints1, bv._hints0):
+            for directory in (bv._super, bv._rel):
                 assert type(directory) is array
+        # the decoded O' positions that the exit-group lookups read
+        assert type(tg._oprime_ones) is array and tg._oprime_ones.typecode == "q"
         assert type(L._syms) is array and L._syms.typecode == "H"
         assert all(type(z) is int for z in L._zeros or [])
         assert type(g.I.rank(3)) is int and type(L.rank(5, 1)) is int

@@ -2,19 +2,21 @@
 
 The select formulas and the linear exit-group scan in conftest are the
 references; the library must agree with them on every edge, node and copy
-bound, and must not call ``BitVec.select`` where it no longer needs to, nor
-read the tunnel marks bit by bit on a plain index's query path.  The build
-takes block columns from arrays and walks none of them.
+bound, must call neither ``BitVec.select`` nor ``LabelSeq.select`` to build,
+load, search, step or walk, and must not read the tunnel marks bit by bit on
+a plain index's query path.  The build takes block columns from arrays and
+walks none of them.
 """
 
-import math
 import random
 
 import pytest
 
 from conftest import (
     SMALL_TEXTS,
+    assert_simulation_equal,
     chain_graph,
+    enumerate_blocks_bruteforce,
     fig1_block,
     fig1_edge_list,
     make_patterns,
@@ -27,7 +29,7 @@ from conftest import (
     unequal_exit_graph,
 )
 from twgi import tunnel
-from twgi.bitvec import BitVec
+from twgi.bitvec import BitVec, LabelSeq
 from twgi.errors import NotFoundError
 from twgi.persist import deserialize_index, serialize_index
 from twgi.text_index import build_graph_from_text, build_index
@@ -129,27 +131,65 @@ def assert_lands_like(tg, j, copy, pick):
 
 @pytest.fixture
 def select_calls(monkeypatch):
-    """Counts every BitVec.select call, LabelSeq.select included."""
+    """Counts every BitVec.select and LabelSeq.select call."""
     calls = [0]
-    select = BitVec.select
+    for owner in (BitVec, LabelSeq):
+        def counting(obj, *args, _fn=owner.select):
+            calls[0] += 1
+            return _fn(obj, *args)
 
-    def counting(bv, k, b=1):
-        calls[0] += 1
-        return select(bv, k, b)
-
-    monkeypatch.setattr(BitVec, "select", counting)
+        monkeypatch.setattr(owner, "select", counting)
     return calls
+
+
+@pytest.fixture
+def exit_lookups(monkeypatch):
+    """Counts TunneledGraph._exit_group calls, so a guard can show that it
+    saw the tunnel exits."""
+    calls = [0]
+    lookup = TunneledGraph._exit_group
+
+    def counting(tg, *args, **kwargs):
+        calls[0] += 1
+        return lookup(tg, *args, **kwargs)
+
+    monkeypatch.setattr(TunneledGraph, "_exit_group", counting)
+    return calls
+
+
+def random_tunneled_graphs(seed: int, count: int):
+    """(edge list, blocks, tunneled graph) for random Wheeler graphs of at
+    most 14 nodes, tunneled on disjoint brute-force blocks; fig1 first."""
+    el, blocks = fig1_edge_list(), [fig1_block()]
+    yield el, blocks, tunnel_graph(encode(el), blocks)
+    rng = random.Random(seed)
+    for _ in range(count):
+        el = random_wheeler_edge_list(rng, n_max=14)
+        g = encode(el)
+        blocks, used = [], set()
+        for b in enumerate_blocks_bruteforce(g):
+            if b.width > 1 and not used & b.node_set():
+                blocks.append(b)
+                used |= b.node_set()
+        if blocks:
+            yield el, blocks, tunnel_graph(g, blocks)
 
 
 CASES = [(name, tunneling) for name in SMALL_TEXTS for tunneling in (True, False)]
 
 
 class TestSelectGuard:
-    @pytest.mark.parametrize("name", ["cpm4", "cpm96"])
+    def test_guard_sees_the_selects(self, select_calls):
+        BitVec("0110").select(2, 1)
+        LabelSeq([1, 2, 2], 2).select(2, 2)
+        assert select_calls[0] == 2
+
+    @pytest.mark.parametrize("name", list(SMALL_TEXTS))
     def test_build_and_load(self, name, select_calls):
-        ix = build_index(SMALL_TEXTS[name])
-        assert ix.tg.tunnels
-        deserialize_index(serialize_index(ix))
+        for tunneling in (True, False):
+            ix = build_index(SMALL_TEXTS[name], tunneling=tunneling)
+            assert bool(ix.tg.tunnels) == (tunneling and name != "rand96")
+            deserialize_index(serialize_index(ix))
         assert select_calls[0] == 0
 
     @pytest.mark.parametrize("name,tunneling", CASES)
@@ -164,44 +204,42 @@ class TestSelectGuard:
         assert located == set(range(1, len(text) + 2))
         assert select_calls[0] == 0
 
-    @pytest.mark.parametrize("name", list(SMALL_TEXTS))
-    def test_plain_count(self, name, small_index, select_calls):
-        ix = small_index(name, tunneling=False)
-        for pat in make_patterns(random.Random(67), SMALL_TEXTS[name], 60, max_len=24):
+    @pytest.mark.parametrize("name,tunneling", CASES)
+    def test_queries(self, name, tunneling, small_index, select_calls):
+        ix = small_index(name, tunneling)
+        text = SMALL_TEXTS[name]
+        rng = random.Random(67)
+        for pat in make_patterns(rng, text, 60, max_len=24):
+            ix.tg._search_pairs(pat)
             ix.count(pat)
+            ix.locate(pat)
+        for _ in range(40):  # extracts that start inside tunnels hop back
+            start = rng.randint(1, len(text))
+            ix.extract(start, rng.randint(0, len(text) - start + 1))
         assert select_calls[0] == 0
 
-    def test_tunneled_search_selects_only_in_exit_lookups(
-            self, small_index, select_calls, monkeypatch):
+    def test_tunneled_search_selects_nowhere(self, small_index, select_calls, exit_lookups):
         ix = small_index("fib")
         text = SMALL_TEXTS["fib"]
-        w_max = max(t.width for t in ix.tg.tunnels)
-        per_lookup = math.ceil(math.log2(w_max)) + 3  # binary search + 2
-        lookup = TunneledGraph._exit_group
-        lookups = []  # selects made by each exit-group lookup
-
-        def counting_lookup(tg, *args, **kwargs):
-            before = select_calls[0]
-            try:
-                return lookup(tg, *args, **kwargs)
-            finally:
-                lookups.append(select_calls[0] - before)
-
-        monkeypatch.setattr(TunneledGraph, "_exit_group", counting_lookup)
         rng = random.Random(71)
-        total_lookups = 0
         for plen in (1, 2, 5, 13, 34, 97):
             for _ in range(20):
                 i = rng.randrange(len(text) - plen + 1)
-                select_calls[0] = 0
-                lookups.clear()
                 assert ix.tg._search_pairs(text[i:i + plen]) is not None
-                assert select_calls[0] <= plen * 4 * per_lookup, (i, plen)
-                assert select_calls[0] == sum(lookups), (i, plen)
-                assert len(lookups) <= 4 * plen
-                assert max(lookups, default=0) <= per_lookup, (i, plen)
-                total_lookups += len(lookups)
-        assert total_lookups > 0  # the tunnel exits are really searched
+        assert exit_lookups[0] > 0  # the tunnel exits are really searched
+        assert select_calls[0] == 0
+
+    def test_general_graph_steps(self, select_calls, exit_lookups):
+        rng = random.Random(79)
+        graphs = steps = 0
+        for el, blocks, tg in random_tunneled_graphs(83, 60):
+            steps += assert_simulation_equal(el, tg, blocks)  # every step
+            alphabet = sorted({c for _, _, c in el.edges}) or [97]
+            for _ in range(30):
+                tg.path_search(bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 5))))
+            graphs += 1
+        assert graphs > 10 and steps > 0 and exit_lookups[0] > 0
+        assert select_calls[0] == 0
 
 
 @pytest.fixture
