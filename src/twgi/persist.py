@@ -6,14 +6,19 @@ CRC-32 over all preceding bytes.  Any single corrupted byte is caught: the
 magic and version have dedicated errors and everything (including them) is
 covered by the checksum.
 
-Loading accepts exactly the skip pointers ``build_index`` writes: each sits
-on an entrance- or inner-marked node, and a tunnel of length s has one
-pointer to its exit at each distance s - j, j = rate_t, 2 rate_t, ... < s.
-The back section must list the same pointers keyed by exit.  Queries cross
-a tunnel by its record, so the records must agree with the marks: one
-record per entrance mark, sum(length - 1) inner marks, sum((width - 1) *
-length) = n - n_t collapsed nodes, and each exit inner-marked (the entrance
-itself for length 1) with out-degree equal to the width.
+A text index file holds the header, alphabet, C, L, I, O, inner marks,
+tunnel records, skip, loc and cnt.  Its I', O', entrance and back sections
+are empty, and loading derives them: I' and O' are all ones (a string's
+nodes have one in-edge and one out-edge at most), the entrances are the
+records', and back is the inverse of skip.  Loading accepts exactly the
+skip pointers ``build_index`` writes: each sits on an entrance- or
+inner-marked node, and a tunnel of length s has one pointer to its exit at
+each distance s - j, j = rate_t, 2 rate_t, ... < s.  Queries cross a tunnel
+by its record, so no two records share an entrance or an exit, an entrance
+has in-degree equal to the width (one less at the source, rank 1), the
+records account for every inner mark and the n - n_t collapsed nodes, and
+an exit is inner-marked (the entrance itself for length 1) with out-degree
+equal to the width.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .tunnel import Block, TunneledGraph, TunnelRecord
 from .wheeler import EdgeList, WheelerGraph
 
 MAGIC = b"TWGI"
-VERSION = 1
+VERSION = 2
 _FLAG_TUNNELED = 1
 
 
@@ -59,8 +64,18 @@ def parse_label(tok: str) -> int:
             raise ValidationError(f"label {tok!r} is not a byte")
         return v
     if len(tok) == 4 and tok.startswith("\\x"):
-        return int(tok[2:], 16)
+        return _ints([tok[2:]], tok, base=16)[0]
     raise ValidationError(f"bad label token {tok!r}")
+
+
+def _ints(tokens, line: str, count: int | None = None, base: int = 10) -> list[int]:
+    """The tokens of a file line as ints, exactly ``count`` of them if given."""
+    try:
+        if count is None or len(tokens) == count:
+            return [int(tok, base) for tok in tokens]
+    except ValueError:
+        pass
+    raise ValidationError(f"bad numbers in line {line!r}")
 
 
 def parse_pattern(s: str) -> bytes:
@@ -122,13 +137,12 @@ def read_graph_file(fh) -> tuple[EdgeList, int, dict | None]:
             parts = line.split()
             if len(parts) != 4 or parts[0] != "WG":
                 raise ValidationError(f"bad graph header: {line!r}")
-            header = (int(parts[1]), int(parts[2]))
-            declared = int(parts[3])
+            *header, declared = _ints(parts[1:], line)
             continue
         parts = line.split()
         if len(parts) != 3:
             raise ValidationError(f"bad edge line: {line!r}")
-        edges.append((int(parts[0]), int(parts[1]), parse_label(parts[2])))
+        edges.append((*_ints(parts[:2], line), parse_label(parts[2])))
     if header is None:
         raise ValidationError("graph file has no header line")
     n, m = header
@@ -150,17 +164,17 @@ def _parse_meta_line(body: str, meta: dict | None) -> dict:
     if key == "tunneled":
         pass
     elif key == "orig-n":
-        meta["orig_n"] = int(parts[1])
+        (meta["orig_n"],) = _ints(parts[1:], body, 1)
     elif key in ("iprime", "oprime"):
         meta[key] = parts[1] if len(parts) > 1 else ""
     elif key in ("entrance", "inner"):
-        meta[key] = [int(x) for x in parts[1:]]
+        meta[key] = _ints(parts[1:], body)
     elif key == "tunnel":
-        meta["tunnels"].append(tuple(int(x) for x in parts[1:5]))
+        meta["tunnels"].append(tuple(_ints(parts[1:], body, 4)))
     elif key == "exitcopy":
         for pair in parts[1:]:
-            j, o = pair.split(":")
-            meta["exit_copies"][int(j)] = int(o)
+            j, o = _ints(pair.split(":"), body, 2)
+            meta["exit_copies"][j] = o
     else:
         raise ValidationError(f"unknown metadata key {key!r}")
     return meta
@@ -213,14 +227,12 @@ def read_blocks_file(fh) -> list[Block]:
             continue
         parts = line.split()
         if parts[0] == "BLOCK":
-            if len(parts) != 3:
-                raise ValidationError(f"bad block header: {line!r}")
-            cur = Block(int(parts[1]), int(parts[2]), [])
+            cur = Block(*_ints(parts[1:], line, 2), [])
             blocks.append(cur)
             continue
         if cur is None:
             raise ValidationError("column line before any BLOCK header")
-        col = tuple(int(x) for x in parts)
+        col = tuple(_ints(parts, line))
         if len(col) != cur.width:
             raise ValidationError(
                 f"column {line!r} has {len(col)} entries, width is {cur.width}")
@@ -317,14 +329,14 @@ def serialize_index(ix: TextIndex) -> bytes:
     buf += _section(bytes(g.alphabet))
     buf += _section(struct.pack(f"<{g.sigma + 1}Q", *g.C[1:g.sigma + 2]))
     buf += _section(_pack_symbols(g.L._syms, g.sigma))
-    for bv in (g.I, g.O, tg.iprime, tg.oprime, tg.entrance_marks, tg.inner_marks):
-        buf += _section(bv.to_packed())
+    buf += _section(g.I.to_packed()) + _section(g.O.to_packed())
+    buf += _section(b"") * 3  # I', O' and the entrance marks: loading derives them
+    buf += _section(tg.inner_marks.to_packed())
     buf += _section(b"".join(struct.pack("<QQII", t.entrance, t.exit, t.width,
                                          t.length) for t in tg.tunnels))
     buf += _pack_records("QQQ", [(node, tgt, dist)
                                  for node, (tgt, dist) in sorted(ix.skip.items())])
-    buf += _pack_records("QQQ", [(e, d, node) for e, lst in sorted(ix.back.items())
-                                 for d, node in lst])
+    buf += _section(b"")  # back: TextIndex derives it from skip
     buf += _pack_records("QQ", sorted(ix.loc.items()))
     buf += _pack_records("Q", [(v,) for v in ix.cnt])
     buf += struct.pack("<I", zlib.crc32(bytes(buf)))
@@ -359,9 +371,7 @@ def _parse_sections(data: bytes) -> TextIndex:
     alphabet = list(rd.section())
     if len(alphabet) != sigma:
         raise TruncatedError("alphabet section has the wrong size")
-    craw = rd.section()
-    cvals = struct.unpack(f"<{sigma + 1}Q", craw)
-    C = [0] + list(cvals)
+    C = [0, *struct.unpack(f"<{sigma + 1}Q", rd.section())]
     L = LabelSeq(_unpack_symbols(rd.section(), mt, sigma), sigma)
     # every label of L lies in [1..sigma], so these steps also make C
     # non-decreasing and end it at m_t
@@ -376,30 +386,29 @@ def _parse_sections(data: bytes) -> TextIndex:
             raise FormatError(
                 f"{name} must hold {nt + 1} ones and {mt} zeros, "
                 f"starting and ending with a one")
-    ipr = rd.bits(mt, "I'")
-    opr = rd.bits(mt, "O'")
-    ent = rd.bits(nt, "entrance")
+    if any(rd.section() for _ in range(3)):
+        raise FormatError("the I', O' and entrance sections must be empty")
     inn = rd.bits(nt, "inner")
     traw = rd.section()
     if len(traw) != 24 * ntun:
         raise TruncatedError("tunnel record section has the wrong size")
     tunnels = [TunnelRecord(*rec) for rec in struct.iter_unpack("<QQII", traw)]
-    # exits and entrance offsets are read off these records
-    marked = ent.bits()
+    # exits, entrance offsets and the entrance marks are read off these records
     for t in tunnels:
-        if not (1 <= t.entrance <= nt and 1 <= t.exit <= nt and marked[t.entrance - 1]
-                and t.width >= 2 and t.length >= 1):
-            raise FormatError(f"{t} needs a marked entrance and an exit in [1..{nt}], "
+        if not (1 <= t.entrance <= nt and 1 <= t.exit <= nt and t.width >= 2 and t.length >= 1):
+            raise FormatError(f"{t} needs an entrance and an exit in [1..{nt}], "
                               f"width >= 2 and length >= 1")
-    if len({t.entrance for t in tunnels}) != len(tunnels):
-        raise FormatError("two tunnel records share an entrance")
+    if len({t.entrance for t in tunnels}) < ntun or len({t.exit for t in tunnels}) < ntun:
+        raise FormatError("two tunnel records share an entrance or an exit")
+    marked = np.zeros(nt, np.uint8)
+    marked[np.frombuffer(traw, "<u8")[::3] - 1] = 1  # entrance: word 0 of 3 per record
     # walks cross a tunnel by its record's exit and length, so the records
-    # must account for every mark and every collapsed node
+    # must account for every inner mark and every collapsed node
     inner = inn.bits()
-    if (ent.ones != ntun or inn.ones != sum(t.length - 1 for t in tunnels)
+    if (inn.ones != sum(t.length - 1 for t in tunnels)
             or sum((t.width - 1) * t.length for t in tunnels) != n - nt):
-        raise FormatError("tunnel records must account for every entrance and inner "
-                          "mark and for the n - n_t collapsed nodes")
+        raise FormatError("tunnel records must account for every inner mark "
+                          "and for the n - n_t collapsed nodes")
     if any(t.exit != t.entrance if t.length == 1 else not inner[t.exit - 1]
            for t in tunnels):
         raise FormatError("a tunnel's exit must be inner-marked, or its entrance "
@@ -417,8 +426,8 @@ def _parse_sections(data: bytes) -> TextIndex:
                 for d in reversed(range(t.length - rate_t, 0, -rate_t))]
     if [(tgt, dist) for tgt, dist, _ in pointers] != expected:
         raise FormatError(f"skip pointers must reach each tunnel's exit every {rate_t} columns")
-    if sorted(_unpack_records(rd.section(), "QQQ")) != pointers:
-        raise FormatError("back must hold exactly the skip pointers, keyed by their targets")
+    if rd.section():
+        raise FormatError("the back section must be empty")
     loc = dict(_unpack_records(rd.section(), "QQ"))
     cnt = [v for (v,) in _unpack_records(rd.section(), "Q")]
     # count and locate index these samples directly, so a bad one would
@@ -436,25 +445,23 @@ def _parse_sections(data: bytes) -> TextIndex:
     g = WheelerGraph(nt, mt, sigma, L, C, I, O, alphabet)
     if any(g.outdeg(t.exit) != t.width for t in tunnels):
         raise FormatError("a tunnel's exit must have out-degree equal to its width")
-    tg = TunneledGraph(g, ipr, opr, ent, inn, tunnels,
-                       _rebuild_exit_copies(g, ent, inn, tunnels),
-                       orig_n=n)
+    if any(g.indeg(t.entrance) != t.width - (t.entrance == 1) for t in tunnels):
+        raise FormatError("a tunnel entrance's in-degree must equal its width, less one at rank 1")
+    ones = BitVec(np.ones(mt, np.uint8))  # I' and O' of a text index
+    tg = TunneledGraph(g, ones, ones, BitVec(marked), inn, tunnels,
+                       _rebuild_exit_copies(g, tunnels), orig_n=n)
     return TextIndex(tg, n, rate_n, rate_t, skip, loc, cnt)
 
 
-def _rebuild_exit_copies(g: WheelerGraph, ent: BitVec, inn: BitVec,
-                         tunnels: list[TunnelRecord]) -> dict[int, int]:
+def _rebuild_exit_copies(g: WheelerGraph, tunnels: list[TunnelRecord]) -> dict[int, int]:
     """String-tunnel exits leave only from the exit column; the copy index
     is the edge's slot among the exit's out-edges."""
     copies = {}
     for t in tunnels:
-        lstart = g._lstart[t.exit]
-        deg = g.outdeg(t.exit)
-        for o in range(1, deg + 1):
-            p = lstart + o
+        for o in range(1, g.outdeg(t.exit) + 1):
+            p = g._lstart[t.exit] + o
             c = g.L.access(p)
-            j = g.C[c] + g.L.rank(p, c)
-            copies[j] = o
+            copies[g.C[c] + g.L.rank(p, c)] = o
     return copies
 
 

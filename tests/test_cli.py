@@ -197,6 +197,42 @@ def test_graph_tunnel_bad_blocks_exit_1(tmp_path, capsys):
     assert rc == 1
 
 
+# GRAPH with one number, field count or label token malformed
+MALFORMED_GRAPHS = {
+    "header number": GRAPH.replace("WG 7 6 3", "WG 7 x 3"),
+    "edge number": GRAPH.replace("1 2 a", "1 x a"),
+    "label token": GRAPH.replace("1 2 a", "1 2 \\xzz"),
+    "orig-n without a value": GRAPH.replace("\n", "\n#! orig-n\n", 1),
+    "tunnel with two fields": GRAPH.replace("\n", "\n#! tunnel 1 2\n", 1),
+    "exitcopy without a colon": GRAPH.replace("\n", "\n#! exitcopy 5\n", 1),
+}
+MALFORMED_BLOCKS = {
+    "size": "BLOCK 2 x\n",
+    "header fields": "BLOCK 2\n",
+    "column number": "BLOCK 2 1\n2 y\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_GRAPHS))
+def test_malformed_graph_file_exit_1(tmp_path, capsys, name):
+    gf = tmp_path / "g.wg"
+    gf.write_text(MALFORMED_GRAPHS[name])
+    assert main(["graph", "search", str(gf), "a"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_BLOCKS))
+def test_malformed_blocks_file_exit_1(tmp_path, capsys, name):
+    gf = tmp_path / "g.wg"
+    gf.write_text(GRAPH)
+    bf = tmp_path / "b.blk"
+    bf.write_text(MALFORMED_BLOCKS[name])
+    rc = main(["graph", "tunnel", str(gf), "--blocks", str(bf),
+               "-o", str(tmp_path / "o.wg")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_no_tunnel_build_queries_match(tmp_path, capsys):
     text = tmp_path / "t.txt"
     text.write_bytes(b"abcabcabc")

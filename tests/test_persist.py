@@ -29,6 +29,7 @@ from twgi.errors import (
     VersionError,
 )
 from twgi.persist import (
+    VERSION,
     _pack_symbols,
     _unpack_symbols,
     deserialize_index,
@@ -146,30 +147,15 @@ def _set_tunnel(ix, k, **fields):
     ix.tg.tunnels[k] = dataclasses.replace(ix.tg.tunnels[k], **fields)
 
 
-def _unmarked(ix):
-    return int(np.flatnonzero(ix.tg.entrance_marks.bits() == 0)[0]) + 1
-
-
-def _longest_back(ix):
-    return max(ix.back.values(), key=len)
-
-
-# each breaks one rule on tunnel records or back pointers that
-# deserialize_index checks
+# each breaks one rule on tunnel records that deserialize_index checks
 TUNNEL_FAULTS = {
     "entrance 0": lambda ix: _set_tunnel(ix, 0, entrance=0),
     "entrance past nt": lambda ix: _set_tunnel(ix, 0, entrance=ix.tg.g.n + 1),
     "exit 0": lambda ix: _set_tunnel(ix, 0, exit=0),
     "exit 10**6": lambda ix: _set_tunnel(ix, 0, exit=10**6),
-    "entrance unmarked": lambda ix: _set_tunnel(ix, 0, entrance=_unmarked(ix)),
     "width 1": lambda ix: _set_tunnel(ix, 0, width=1),
     "length 0": lambda ix: _set_tunnel(ix, 0, length=0),
     "shared entrance": lambda ix: _set_tunnel(ix, 1, entrance=ix.tg.tunnels[0].entrance),
-    "back drops a pointer": lambda ix: _longest_back(ix).pop(),
-    "back distance moved": lambda ix: _set_item(_longest_back(ix), 0,
-                                                (_longest_back(ix)[0][0] + 1,
-                                                 _longest_back(ix)[0][1])),
-    "back names an extra node": lambda ix: _longest_back(ix).append((1, 1)),
 }
 
 
@@ -209,12 +195,12 @@ def _inner_not_exit(ix):
     return int(min(set(inner.tolist()) - {t.exit for t in ix.tg.tunnels}))
 
 
-def _add_mark(ix, marks):
-    """Marks a plain node halfway up the ranks, which walks pass through."""
+def _add_inner_mark(ix):
+    """Inner-marks a plain node halfway up the ranks, which walks pass through."""
     plain = np.flatnonzero((ix.tg.entrance_marks.bits() | ix.tg.inner_marks.bits()) == 0)
-    bits = getattr(ix.tg, marks).bits().copy()
+    bits = ix.tg.inner_marks.bits().copy()
     bits[plain[len(plain) // 2]] = 1
-    setattr(ix.tg, marks, BitVec(bits))
+    ix.tg.inner_marks = BitVec(bits)
 
 
 def _trade_lengths(ix):
@@ -224,18 +210,21 @@ def _trade_lengths(ix):
     _set_tunnel(ix, 1, length=second.length - 1)
 
 
-def _length_one_exit_moved(ix):
+def _move_exit(ix, length_one: bool):
+    """Gives a record of length 1 (with ``length_one``, else a longer one)
+    the exit of another, longer record of the same width."""
     for k, t in enumerate(ix.tg.tunnels):
-        other = [u.exit for u in ix.tg.tunnels if u.width == t.width and u.length > 1]
-        if t.length == 1 and other:
+        other = [u.exit for u in ix.tg.tunnels
+                 if u.width == t.width and u.length > 1 and u is not t]
+        if (t.length == 1) == length_one and other:
             _set_tunnel(ix, k, exit=other[0])
             return
-    raise AssertionError("no length-1 tunnel shares its width with a longer one")
+    raise AssertionError("no tunnel shares its width with another, longer one")
 
 
 # each breaks one agreement between the tunnel records, the marks and the
-# out-degrees in an index without skip pointers.  Queries cross a tunnel by
-# its record, so each such file answers wrong or fails at query time unless
+# degrees in an index without skip pointers.  Queries cross a tunnel by its
+# record, so each such file answers wrong or fails at query time unless
 # deserialize_index rejects it
 RECORD_FAULTS = {
     "length +1": lambda ix: _set_tunnel(ix, 0, length=ix.tg.tunnels[0].length + 1),
@@ -243,9 +232,11 @@ RECORD_FAULTS = {
     "lengths traded between widths": _trade_lengths,
     "exit on a plain node": lambda ix: _set_tunnel(ix, 0, exit=_plain(ix)),
     "exit on another inner node": lambda ix: _set_tunnel(ix, 0, exit=_inner_not_exit(ix)),
-    "length-1 exit on another exit": _length_one_exit_moved,
-    "entrance mark without a record": lambda ix: _add_mark(ix, "entrance_marks"),
-    "inner mark without a record": lambda ix: _add_mark(ix, "inner_marks"),
+    "length-1 exit on another exit": lambda ix: _move_exit(ix, True),
+    "shared exit": lambda ix: _move_exit(ix, False),
+    "entrance on a plain node": lambda ix: _set_tunnel(ix, 0, entrance=_plain(ix)),
+    "entrance on an inner node": lambda ix: _set_tunnel(ix, 0, entrance=_inner_not_exit(ix)),
+    "inner mark without a record": _add_inner_mark,
 }
 
 
@@ -279,14 +270,12 @@ class TestIndexFile:
             deserialize_index(b"NOPE" + data[4:])
 
     def test_version_mismatch(self):
-        import struct
-        import zlib
         data = bytearray(serialize_index(build_index(b"abcabc")))
-        data[4:6] = struct.pack("<H", 2)
-        body = bytes(data[:-4])
-        data[-4:] = struct.pack("<I", zlib.crc32(body))
-        with pytest.raises(VersionError):
-            deserialize_index(bytes(data))
+        for version in (VERSION - 1, VERSION + 1):
+            data[4:6] = struct.pack("<H", version)
+            data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
+            with pytest.raises(VersionError):
+                deserialize_index(bytes(data))
 
     def test_flipped_payload_byte(self):
         data = bytearray(serialize_index(build_index(b"abcabc")))
@@ -345,7 +334,7 @@ class TestIndexFile:
                 with pytest.raises(FormatError, match="C must"):
                     deserialize_index(bytes(corrupt))
 
-    @pytest.mark.parametrize("sec", [11, 12, 13, 14])  # skip, back, loc, cnt
+    @pytest.mark.parametrize("sec", [11, 13, 14])  # skip, loc, cnt
     def test_record_section_extra_bytes(self, sec, small_index):
         # 16 bytes past the declared records, under a recomputed CRC
         data = serialize_index(small_index("fib"))
@@ -371,7 +360,7 @@ class TestIndexFile:
         with pytest.raises(FormatError, match="flag"):
             deserialize_index(corrupt)
 
-    @pytest.mark.parametrize("sec", [3, 4, 5, 6, 7, 8, 9])  # L, I, O, I', O', entrance, inner
+    @pytest.mark.parametrize("sec", [3, 4, 5, 9])  # L, I, O, inner
     def test_bit_section_exact_length(self, sec, small_index):
         # a bit section cut to nothing, to one byte, or one byte too long,
         # under a recomputed CRC; a short one would read as zero bits
@@ -381,6 +370,22 @@ class TestIndexFile:
         assert ln > 1
         for payload in (b"", data[start:start + 1], data[start:start + ln] + b"\x00"):
             with pytest.raises(TruncatedError):
+                deserialize_index(_with_section(data, sec, payload))
+
+    @pytest.mark.parametrize("sec", [6, 7, 8, 12])  # I', O', entrance, back
+    def test_derived_section_must_be_empty(self, sec, small_index):
+        # one zero byte, or what format version 1 stored there, under a
+        # recomputed CRC: loading derives these facts and reads no copy
+        ix = small_index("fib")
+        stored = {6: ix.tg.iprime.to_packed(), 7: ix.tg.oprime.to_packed(),
+                  8: ix.tg.entrance_marks.to_packed(),
+                  12: struct.pack("<I", len(ix.skip)) + b"".join(
+                      struct.pack("<QQQ", e, d, node)
+                      for e, ptrs in sorted(ix.back.items()) for d, node in ptrs)}
+        data = serialize_index(ix)
+        assert struct.unpack_from("<I", data, _section_offsets(data)[sec] - 4) == (0,)
+        for payload in (bytes(1), stored[sec]):
+            with pytest.raises(FormatError, match="must be empty"):
                 deserialize_index(_with_section(data, sec, payload))
 
     def test_label_id_past_sigma(self, small_index):
@@ -486,14 +491,14 @@ def _section_offsets(data: bytes) -> list[int]:
 # sha256 of serialize_index output on the shared small texts: the file
 # format and every build step that decides its bytes are pinned
 INDEX_DIGESTS = {
-    ("fib", True): "34467232d0dcb70222d5b104c0786fc2dd3008e033e1abea7c8a3663f13ce057",
-    ("fib", False): "f4cae362d7e43bd1289c00a3d8c3fd5b0cb65affd0b44fb99231fc47206f76a3",
-    ("cpm4", True): "54fb9ec339f1e9cd5469748dee6cea7be870407a804e8d64ec329525e0e02a23",
-    ("cpm4", False): "d4df7bdbfb1a6b42339b96ec7b911d4df36181df25994d37c99d5d91e61bf18d",
-    ("rand96", True): "cc7af7a3a2192c47ebffea54c48c48f9784d02c7a13dac0380287e650de5c19e",
-    ("rand96", False): "cc7af7a3a2192c47ebffea54c48c48f9784d02c7a13dac0380287e650de5c19e",
-    ("cpm96", True): "c2ad89de6ad035f70fd0e6e3f98e1c8a78bea38abf9abfc9d5c8fcc212075934",
-    ("cpm96", False): "bcebd8d3800d17af4b4e153b1a17836230856a5d74698968570ec517fc3156fe",
+    ("fib", True): "0f766dd2a29cced0a27af6f1103e9a966970bfba4f33cf8f18e9abf0bf52f56b",
+    ("fib", False): "1b540fabdd9b7c4ac438c93fff387395ad552439e51e76708bbaad0f627f8b3f",
+    ("cpm4", True): "ef9733281c9a9c13e9e957407df4563c044d6e2ccc40a2e5ed5e89fc4d3a424b",
+    ("cpm4", False): "66b6acdcf9c4d0678bee1a1f0b1e711588945ef6c9b49d20d624e2253ba1dfc4",
+    ("rand96", True): "5ee31a380617476a13af523014d59999661db5c9a9914c73ef1bd5de4b55eb36",
+    ("rand96", False): "5ee31a380617476a13af523014d59999661db5c9a9914c73ef1bd5de4b55eb36",
+    ("cpm96", True): "e39a4a7d29fb62f55ab162b44763aa1ff690ae6dc2ac15d426a66cdd03be7707",
+    ("cpm96", False): "f158d6e036b018b0192850d24a2ddd6806b1598971cd9158ff38645b2d561f71",
 }
 
 
@@ -514,3 +519,38 @@ def test_label_codec_matches_bit_loop(sigma, count):
 def test_index_bytes_unchanged(name, tunneling, small_index):
     data = serialize_index(small_index(name, tunneling))
     assert hashlib.sha256(data).hexdigest() == INDEX_DIGESTS[name, tunneling]
+
+
+# build settings (min_width, min_length, sample_rate_t) beside the defaults
+DERIVED_SETTINGS = {"default": {}, "w2-s1-t1": dict(min_width=2, min_length=1, sample_rate_t=1),
+                    "w3-s1-t2": dict(min_width=3, min_length=1, sample_rate_t=2)}
+
+
+@pytest.mark.parametrize("settings", sorted(DERIVED_SETTINGS))
+@pytest.mark.parametrize("tunneling", [True, False])
+@pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+def test_load_derives_what_the_build_holds(name, tunneling, settings, small_index):
+    # the file stores no I', O', entrance marks or back: loading derives
+    # them, and the exit copies, equal to the ones the build made
+    if settings == "default":
+        ix = small_index(name, tunneling)
+    else:
+        ix = build_index(SMALL_TEXTS[name], tunneling=tunneling, **DERIVED_SETTINGS[settings])
+    got = deserialize_index(serialize_index(ix))
+    for vec in ("iprime", "oprime", "entrance_marks"):
+        assert getattr(got.tg, vec).to01() == getattr(ix.tg, vec).to01()
+    assert got.back == ix.back
+    assert got.tg.exit_copies == ix.tg.exit_copies
+
+
+@pytest.mark.parametrize("text", [b"babab", b"bacac"])
+def test_entrance_at_the_source(text):
+    # with min_length 1 a width-3 tunnel enters at the source, rank 1, which
+    # has no in-edge of its own: its entrance has in-degree 2 and still loads
+    ix = build_index(text, min_length=1)
+    assert any(t.entrance == 1 and ix.tg.g.indeg(1) == t.width - 1 for t in ix.tg.tunnels)
+    got = deserialize_index(serialize_index(ix))
+    assert got.tg.entrance_marks.to01() == ix.tg.entrance_marks.to01()
+    for pat in {text[i:j] for i in range(len(text)) for j in range(i + 1, len(text) + 1)}:
+        assert got.locate(pat) == naive_locate(text, pat)
+    assert got.extract(1, len(text)) == text

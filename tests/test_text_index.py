@@ -298,6 +298,19 @@ class TestExtract:
             ln = min(25, len(text) - start + 1)
             assert ix.extract(start, ln) == text[start - 1:start - 1 + ln]
 
+    def test_back_hop_never_steps_back(self, small_index):
+        # the pointer nearest the exit that is at or before the target lies
+        # 5 positions before it; the hop takes it only when it lies past the
+        # walk's position, else the walk keeps its node (0 here) and position
+        ix = small_index("fib")
+        exit_rank, ptrs = max(ix.back.items(), key=lambda item: len(item[1]))
+        dist, node = ptrs[0]
+        exit_pos = 10_000
+        target = exit_pos - dist + 5
+        assert ix._back_hop(exit_rank, exit_pos, target, 0, target - 6) == (node, target - 5)
+        for cur_pos in (target - 5, target - 3):
+            assert ix._back_hop(exit_rank, exit_pos, target, 0, cur_pos) == (0, cur_pos)
+
     def test_full_roundtrip_various(self):
         rng = random.Random(19)
         texts = [b"a", b"ab" * 30, fibonacci_word(200),
