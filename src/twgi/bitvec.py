@@ -15,6 +15,11 @@ keeps no directory of its own.
 of byte i // 8 (LSB first), and every other module hands it bit arrays or
 packed bytes.  The directory is built once with numpy; queries read only
 pure-Python words and ``array`` counts.
+
+``LabelSeq`` has one layout for every alphabet of up to 256 symbols: the
+symbols as bytes, plus each symbol's count sampled every 128 positions.  A
+rank is one sampled count plus a C-level ``bytes.count`` of the rest of the
+block; select is again a binary search over rank.
 """
 
 from __future__ import annotations
@@ -137,53 +142,54 @@ class BitVec:
         return f"BitVec({body!r})"
 
 
-_SMALL_SIGMA = 64
+_BLOCK_BITS = 7  # a row of symbol counts every 128 positions
+_NEEDLE = [b""] + [bytes((c - 1,)) for c in range(1, 257)]  # symbol id -> its byte
 
 
 class LabelSeq:
-    """Sequence over a compact alphabet [1..sigma] with per-symbol rank,
-    select, access, and partial rank.
+    """Sequence over a compact alphabet [1..sigma], sigma <= 256, with
+    per-symbol rank, select, access, and partial rank.
 
-    Small alphabets keep one bitvector per symbol, which makes partial rank
-    a single O(1) rank; larger alphabets use a wavelet matrix with one level
-    per bit of the symbol id.
+    The symbols are stored once, as bytes of id - 1.  Row k of a flat count
+    table holds each symbol's occurrences among the first 128 k symbols (the
+    sampled occurrence table of FM-index rank), so a rank reads one count and
+    adds a C-level ``bytes.count`` over at most 127 bytes.
     """
 
-    __slots__ = ("n", "sigma", "_syms", "_per_symbol", "_levels", "_zeros",
-                 "_nbits")
+    __slots__ = ("n", "sigma", "_bytes", "_occ", "_stride")
 
     def __init__(self, symbols: Sequence[int] | np.ndarray, sigma: int):
         syms = np.asarray(symbols, np.int64)
-        if syms.size and not (1 <= syms.min() and syms.max() <= sigma):
+        n = len(syms)
+        if sigma > 256:
+            raise BoundsError(f"alphabet of {sigma} symbols is larger than 256")
+        if n >= 1 << 31:
+            raise BoundsError(f"{n} symbols overflow the 32-bit counts")
+        if n and not (1 <= syms.min() and syms.max() <= sigma):
             raise BoundsError("symbol id outside [1..sigma]")
-        self.n = len(syms)
+        self.n = n
         self.sigma = sigma
-        self._syms = array("H", syms.astype(np.uint16).tobytes())
-        self._per_symbol = None
-        self._levels = None
-        self._zeros = None
-        self._nbits = 0
-        if sigma <= _SMALL_SIGMA:
-            self._per_symbol = [None] + [BitVec(syms == c) for c in range(1, sigma + 1)]
-        else:
-            # wavelet matrix: level lev holds bit nbits-1-lev of each id, in
-            # the order a stable partition on the bits above it leaves
-            self._nbits = nbits = max(1, (sigma - 1).bit_length())
-            self._levels, self._zeros = [], []
-            seq = syms - 1
-            for lev in range(nbits):
-                bit = ((seq >> (nbits - 1 - lev)) & 1) != 0
-                self._levels.append(BitVec(bit))
-                self._zeros.append(self.n - int(bit.sum()))
-                seq = np.concatenate((seq[~bit], seq[bit]))
+        self._bytes = (syms - 1).astype(np.uint8).tobytes()
+        # column c of row k: occurrences of c among the first 128 k symbols;
+        # column 0 stays zero, so symbol ids index the rows directly
+        self._stride = stride = sigma + 1
+        rows = (n >> _BLOCK_BITS) + 1
+        block = np.arange(n) >> _BLOCK_BITS
+        per_block = np.bincount((block + 1) * stride + syms, minlength=(rows + 1) * stride)
+        occ = per_block[:rows * stride].reshape(rows, stride).cumsum(axis=0)
+        self._occ = array("i", occ.astype(np.int32).tobytes())
 
     def __len__(self) -> int:
         return self.n
 
+    def ids(self) -> np.ndarray:
+        """The symbol ids as an int64 array."""
+        return np.frombuffer(self._bytes, np.uint8).astype(np.int64) + 1
+
     def access(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise BoundsError(f"position {i} outside [1..{self.n}]")
-        return self._syms[i - 1]
+        return self._bytes[i - 1] + 1
 
     def rank(self, i: int, c: int) -> int:
         """Occurrences of symbol ``c`` in positions 1..i; 0 for unknown c."""
@@ -191,18 +197,18 @@ class LabelSeq:
             raise BoundsError(f"rank position {i} outside [0..{self.n}]")
         if not 1 <= c <= self.sigma:
             return 0
-        if self._per_symbol is not None:
-            return self._per_symbol[c].rank1_prefix(i)
-        return self._wm_rank(i, c - 1)
+        k = i >> _BLOCK_BITS
+        return (self._occ[k * self._stride + c]
+                + self._bytes.count(_NEEDLE[c], k << _BLOCK_BITS, i))
 
     def partial_rank(self, i: int) -> int:
         """rank of symbols[i] at its own position i."""
         if not 1 <= i <= self.n:
             raise BoundsError(f"position {i} outside [1..{self.n}]")
-        c = self._syms[i - 1]
-        if self._per_symbol is not None:
-            return self._per_symbol[c].rank1_prefix(i)
-        return self._wm_rank(i, c - 1)
+        c = self._bytes[i - 1] + 1
+        k = i >> _BLOCK_BITS
+        return (self._occ[k * self._stride + c]
+                + self._bytes.count(_NEEDLE[c], k << _BLOCK_BITS, i))
 
     def select(self, k: int, c: int) -> int:
         """Position of the k-th occurrence of symbol c: the least i with
@@ -215,26 +221,9 @@ class LabelSeq:
     def count(self, c: int) -> int:
         return self.rank(self.n, c)
 
-    # -- wavelet matrix internals -----------------------------------------
-
-    def _wm_rank(self, i: int, v: int) -> int:
-        p = i
-        s = 0
-        nbits = self._nbits
-        for lev in range(nbits):
-            bv = self._levels[lev]
-            if (v >> (nbits - 1 - lev)) & 1:
-                z = self._zeros[lev]
-                p = z + bv.rank1_prefix(p)
-                s = z + bv.rank1_prefix(s)
-            else:
-                p = p - bv.rank1_prefix(p)
-                s = s - bv.rank1_prefix(s)
-        return p - s
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, LabelSeq) and self.sigma == other.sigma
-                and self._syms == other._syms)
+                and self._bytes == other._bytes)
 
     def __repr__(self) -> str:
         return f"LabelSeq(n={self.n}, sigma={self.sigma})"

@@ -23,6 +23,7 @@ equal to the width.
 
 from __future__ import annotations
 
+import string
 import struct
 import zlib
 from operator import attrgetter
@@ -64,15 +65,23 @@ def parse_label(tok: str) -> int:
             raise ValidationError(f"label {tok!r} is not a byte")
         return v
     if len(tok) == 4 and tok.startswith("\\x"):
-        return _ints([tok[2:]], tok, base=16)[0]
+        return _hex_byte(tok, 0)
     raise ValidationError(f"bad label token {tok!r}")
 
 
-def _ints(tokens, line: str, count: int | None = None, base: int = 10) -> list[int]:
+def _hex_byte(s: str, i: int) -> int:
+    """The byte of the ``\\xNN`` escape at s[i]: exactly two hex digits."""
+    digits = s[i + 2:i + 4]
+    if len(digits) != 2 or not all(ch in string.hexdigits for ch in digits):
+        raise ValidationError(f"bad escape {s[i:i + 4]!r}: \\x takes two hex digits")
+    return int(digits, 16)
+
+
+def _ints(tokens, line: str, count: int | None = None) -> list[int]:
     """The tokens of a file line as ints, exactly ``count`` of them if given."""
     try:
         if count is None or len(tokens) == count:
-            return [int(tok, base) for tok in tokens]
+            return [int(tok) for tok in tokens]
     except ValueError:
         pass
     raise ValidationError(f"bad numbers in line {line!r}")
@@ -83,8 +92,8 @@ def parse_pattern(s: str) -> bytes:
     out = bytearray()
     i = 0
     while i < len(s):
-        if s.startswith("\\x", i) and i + 4 <= len(s):
-            out.append(int(s[i + 2:i + 4], 16))
+        if s.startswith("\\x", i):
+            out.append(_hex_byte(s, i))
             i += 4
         else:
             v = ord(s[i])
@@ -328,7 +337,7 @@ def serialize_index(ix: TextIndex) -> bytes:
                                 len(tg.tunnels)))
     buf += _section(bytes(g.alphabet))
     buf += _section(struct.pack(f"<{g.sigma + 1}Q", *g.C[1:g.sigma + 2]))
-    buf += _section(_pack_symbols(g.L._syms, g.sigma))
+    buf += _section(_pack_symbols(g.L.ids(), g.sigma))
     buf += _section(g.I.to_packed()) + _section(g.O.to_packed())
     buf += _section(b"") * 3  # I', O' and the entrance marks: loading derives them
     buf += _section(tg.inner_marks.to_packed())
@@ -371,6 +380,8 @@ def _parse_sections(data: bytes) -> TextIndex:
     alphabet = list(rd.section())
     if len(alphabet) != sigma:
         raise TruncatedError("alphabet section has the wrong size")
+    if any(a >= b for a, b in zip(alphabet, alphabet[1:])):
+        raise FormatError("the alphabet must list distinct bytes in increasing order")
     C = [0, *struct.unpack(f"<{sigma + 1}Q", rd.section())]
     L = LabelSeq(_unpack_symbols(rd.section(), mt, sigma), sigma)
     # every label of L lies in [1..sigma], so these steps also make C
@@ -405,6 +416,8 @@ def _parse_sections(data: bytes) -> TextIndex:
     # walks cross a tunnel by its record's exit and length, so the records
     # must account for every inner mark and every collapsed node
     inner = inn.bits()
+    if (marked & inner).any():
+        raise FormatError("a tunnel entrance must not be inner-marked")
     if (inn.ones != sum(t.length - 1 for t in tunnels)
             or sum((t.width - 1) * t.length for t in tunnels) != n - nt):
         raise FormatError("tunnel records must account for every inner mark "

@@ -289,7 +289,7 @@ class WheelerGraph:
         the ranks _istart[v] + 1 .. _istart[v + 1].
         """
         nodes = np.arange(1, self.n + 1)
-        labels = np.asarray(self.L._syms)
+        labels = self.L.ids()
         order = np.argsort(labels, kind="stable")
         sources = np.repeat(nodes, np.diff(self._lstart[1:]))[order]
         targets = np.repeat(nodes, np.diff(self._istart[1:]))

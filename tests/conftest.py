@@ -858,7 +858,7 @@ SMALL_TEXTS = {
     "fib": fibonacci_word(2048),
     "cpm4": copy_paste_mutate(random.Random(4), 2048, 4),
     "rand96": random_text(random.Random(1), 2048, 96),
-    # sigma 77 after mutation: tunnels on the wavelet-matrix label sequence
+    # sigma 77 after mutation: tunnels over a large alphabet
     "cpm96": copy_paste_mutate(random.Random(4), 2048, 96),
 }
 

@@ -186,8 +186,37 @@ class TestLabelSeq:
         ls, _ = self.make("abbcca")
         assert sum(ls.count(c) for c in range(1, ls.sigma + 1)) == len(ls)
 
+    @pytest.mark.parametrize("sigma", [1, 2, 4, 65, 255, 256])
+    def test_every_position_against_scan(self, sigma):
+        # counts are sampled every 128 positions: sequences end before, on
+        # and past a sample, and hold the largest id, sigma
+        rng = random.Random(sigma)
+        for n in (0, 1, 127, 128, 129, 256, 300):
+            syms = [rng.randint(1, sigma) for _ in range(n)]
+            if n:
+                syms[rng.randrange(n)] = sigma
+            ls = LabelSeq(syms, sigma)
+            seen = [0] * (sigma + 2)
+            for i in range(n + 1):
+                if i:
+                    seen[syms[i - 1]] += 1
+                    assert ls.access(i) == syms[i - 1]
+                    assert ls.partial_rank(i) == seen[syms[i - 1]]
+                assert [ls.rank(i, c) for c in range(sigma + 2)] == [0, *seen[1:-1], 0]
+            with pytest.raises(BoundsError):
+                ls.rank(n + 1, 1)
+            with pytest.raises(BoundsError):
+                ls.access(n + 1)
+
+    def test_size_limits(self):
+        with pytest.raises(BoundsError, match="larger than 256"):
+            LabelSeq([1, 2], 257)
+        # a view of one value: no memory for 2**31 symbols is taken
+        with pytest.raises(BoundsError, match="32-bit"):
+            LabelSeq(np.broadcast_to(np.int64(1), (1 << 31,)), 1)
+
     @pytest.mark.parametrize("sigma", [2, 5, 64, 65, 130, 256])
-    def test_against_scan_both_layouts(self, sigma):
+    def test_against_scan(self, sigma):
         rng = random.Random(sigma)
         n = 600
         syms = [rng.randint(1, sigma) for _ in range(n)]

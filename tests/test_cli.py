@@ -258,3 +258,9 @@ def test_escaped_pattern(tmp_path, capsys):
     rc = main(["count", str(index), "\\x00\\x01"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_bad_escape_in_pattern_exit_1(workdir, capsys):
+    _, _, index = workdir
+    assert main(["count", index, "\\xzz"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

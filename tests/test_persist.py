@@ -115,6 +115,14 @@ class TestPattern:
         assert parse_pattern("abc") == b"abc"
         assert parse_pattern("\\x00a\\xff") == b"\x00a\xff"
 
+    @pytest.mark.parametrize("pat", ["\\xzz", "\\x-1", "\\x+f", "\\x f", "a\\x4", "\\x"])
+    def test_escape_takes_two_hex_digits(self, pat):
+        with pytest.raises(ValidationError, match="two hex digits"):
+            parse_pattern(pat)
+        if len(pat) == 4 and pat.startswith("\\x"):  # the shape of a label token
+            with pytest.raises(ValidationError, match="two hex digits"):
+                parse_label(pat)
+
 
 def _set_item(seq, key, value):
     seq[key] = value
@@ -203,6 +211,15 @@ def _add_inner_mark(ix):
     ix.tg.inner_marks = BitVec(bits)
 
 
+def _inner_mark_to_entrance(ix):
+    """Moves the inner mark of a non-exit inner node onto the first
+    record's entrance, which keeps the number of inner marks."""
+    bits = ix.tg.inner_marks.bits().copy()
+    bits[_inner_not_exit(ix) - 1] = 0
+    bits[ix.tg.tunnels[0].entrance - 1] = 1
+    ix.tg.inner_marks = BitVec(bits)
+
+
 def _trade_lengths(ix):
     first, second = ix.tg.tunnels[:2]
     assert first.width != second.width and second.length > 1
@@ -237,6 +254,7 @@ RECORD_FAULTS = {
     "entrance on a plain node": lambda ix: _set_tunnel(ix, 0, entrance=_plain(ix)),
     "entrance on an inner node": lambda ix: _set_tunnel(ix, 0, entrance=_inner_not_exit(ix)),
     "inner mark without a record": _add_inner_mark,
+    "inner mark on an entrance": _inner_mark_to_entrance,
 }
 
 
@@ -388,6 +406,15 @@ class TestIndexFile:
             with pytest.raises(FormatError, match="must be empty"):
                 deserialize_index(_with_section(data, sec, payload))
 
+    def test_alphabet_out_of_order(self, small_index):
+        # two bytes swapped, under a recomputed CRC; only a repeated byte
+        # would let the alphabet list more than the 256 symbols L holds
+        data = serialize_index(small_index("rand96"))
+        start = _section_offsets(data)[1]
+        swapped = data[start + 1:start - 1:-1] + data[start + 2:start + 96]
+        with pytest.raises(FormatError, match="increasing order"):
+            deserialize_index(_with_section(data, 1, swapped))
+
     def test_label_id_past_sigma(self, small_index):
         # sigma 96 labels take 7 bits, so ids up to 128 can be written
         data = serialize_index(small_index("rand96"))
@@ -430,24 +457,25 @@ class TestIndexFile:
         with pytest.raises(FormatError, match="skip pointers"):
             deserialize_index(serialize_index(_with_skip(ix, skip)))
 
-    @pytest.mark.parametrize("name", ["fib", "rand96"])  # per-symbol and wavelet-matrix L
+    @pytest.mark.parametrize("name", ["fib", "rand96"])  # sigma 2 and 96
     def test_loaded_index_ranks_on_python_ints(self, name, small_index):
         # a numpy scalar in a rank directory would slow every rank
         ix = deserialize_index(serialize_index(small_index(name)))
         g, tg = ix.tg.g, ix.tg
         L = g.L
-        vectors = [g.I, g.O, tg.iprime, tg.oprime, tg.entrance_marks, tg.inner_marks]
-        vectors += L._levels if L._levels is not None else L._per_symbol[1:]
-        for bv in vectors:
+        for bv in (g.I, g.O, tg.iprime, tg.oprime, tg.entrance_marks, tg.inner_marks):
             assert type(bv.n) is int and type(bv._ones) is int
             assert all(type(w) is int for w in bv._words)
             for directory in (bv._super, bv._rel):
                 assert type(directory) is array
         # the decoded O' positions that the exit-group lookups read
         assert type(tg._oprime_ones) is array and tg._oprime_ones.typecode == "q"
-        assert type(L._syms) is array and L._syms.typecode == "H"
-        assert all(type(z) is int for z in L._zeros or [])
-        assert type(g.I.rank(3)) is int and type(L.rank(5, 1)) is int
+        assert type(L._occ) is array and type(L._bytes) is bytes
+        assert type(L.n) is int and type(L._stride) is int
+        assert type(g.I.rank(3)) is int
+        for i in (0, 5, L.n):
+            assert all(type(L.rank(i, c)) is int for c in range(1, g.sigma + 1))
+        assert type(L.partial_rank(L.n)) is int and type(L.access(1)) is int
 
     def test_skip_pointer_cycle_stops_every_walk(self, small_index):
         # two skip pointers of one tunnel point at each other at distance 0:
