@@ -11,11 +11,13 @@ import sys
 
 from .errors import TwgiError
 from .persist import (
+    deserialize_index,
     load_index,
     parse_pattern,
     read_blocks_file,
     read_graph_file,
     save_index,
+    section_bits,
     tunneled_graph_from_meta,
     tunneled_graph_meta,
     write_graph_file,
@@ -122,17 +124,18 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    import os
-
-    ix = load_index(args.index)
+    with open(args.index, "rb") as fh:
+        data = fh.read()
+    ix = deserialize_index(data)
     st = ix.stats()
-    size_bits = os.path.getsize(args.index) * 8
-    bps = size_bits / max(1, st["n"] - 1)
+    bps = len(data) * 8 / max(1, st["n"] - 1)
     print(f"n: {st['n']}")
     print(f"n_t: {st['n_t']}")
     print(f"sigma: {st['sigma']}")
     print(f"tunnels: {st['tunnels']}")
     print(f"bits_per_symbol: {bps:.2f}")
+    for name, bits in section_bits(data).items():
+        print(f"bits.{name}: {bits}")
     return 0
 
 

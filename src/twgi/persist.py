@@ -6,19 +6,34 @@ CRC-32 over all preceding bytes.  Any single corrupted byte is caught: the
 magic and version have dedicated errors and everything (including them) is
 covered by the checksum.
 
-A text index file holds the header, alphabet, C, L, I, O, inner marks,
-tunnel records, skip, loc and cnt.  Its I', O', entrance and back sections
-are empty, and loading derives them: I' and O' are all ones (a string's
-nodes have one in-edge and one out-edge at most), the entrances are the
-records', and back is the inverse of skip.  Loading accepts exactly the
-skip pointers ``build_index`` writes: each sits on an entrance- or
-inner-marked node, and a tunnel of length s has one pointer to its exit at
-each distance s - j, j = rate_t, 2 rate_t, ... < s.  Queries cross a tunnel
-by its record, so no two records share an entrance or an exit, an entrance
-has in-degree equal to the width (one less at the source, rank 1), the
-records account for every inner mark and the n - n_t collapsed nodes, and
-an exit is inner-marked (the entrance itself for length 1) with out-degree
-equal to the width.
+A text index file (format version 3) holds the header, alphabet, C, L, I,
+O, inner marks, tunnel records, skip, loc and cnt, the ``SECTIONS`` in that
+order.  The header is fixed-width; every other integer (C, the four fields
+of each tunnel record, skip nodes, loc positions, cnt samples) is an
+unsigned field of w = ``n.bit_length()`` bits, n = |T| + 1, packed least
+significant bit first with zero padding in the last byte.  L holds each
+label id - 1 in ceil(log2 sigma) bits (at least 1) the same way.  Each
+sampling fact is stored once:
+
+* skip holds only the pointer nodes.  A tunnel of length s has one pointer
+  to its exit at each distance s - j, j = rate_t, 2 rate_t, ... < s, so the
+  exits and distances follow from the records; the nodes are listed by
+  exit, then by ascending distance.
+* loc is a bitvector over the n_t nodes marking the sampled ones, followed
+  by their text positions in rank order.
+* cnt holds the n_t // rate_t + 1 cumulative tunnel widths at the ranks
+  k rate_t.  Without tunnels cnt and the inner marks are written empty:
+  loading derives cnt[k] = k rate_t and all-zero marks.
+
+The I', O', entrance and back sections are always empty, and loading
+derives them: I' and O' are all ones (a string's nodes have one in-edge and
+one out-edge at most), the entrances are the records', and back is the
+inverse of skip.  Every skip pointer sits on a distinct entrance- or
+inner-marked node.  Queries cross a tunnel by its record, so no two records
+share an entrance or an exit, an entrance has in-degree equal to the width
+(one less at the source, rank 1), the records account for every inner mark
+and the n - n_t collapsed nodes, and an exit is inner-marked (the entrance
+itself for length 1) with out-degree equal to the width.
 """
 
 from __future__ import annotations
@@ -35,6 +50,7 @@ from .errors import (
     BadMagicError,
     ChecksumError,
     FormatError,
+    InvariantError,
     TruncatedError,
     ValidationError,
     VersionError,
@@ -44,8 +60,10 @@ from .tunnel import Block, TunneledGraph, TunnelRecord
 from .wheeler import EdgeList, WheelerGraph
 
 MAGIC = b"TWGI"
-VERSION = 2
+VERSION = 3
 _FLAG_TUNNELED = 1
+SECTIONS = ("header", "alphabet", "C", "L", "I", "O", "iprime", "oprime",
+            "entrance", "inner", "tunnels", "skip", "back", "loc", "cnt")
 
 
 # ---------------------------------------------------------------------------
@@ -257,45 +275,60 @@ def read_blocks_file(fh) -> list[Block]:
 # binary index files
 
 
+def _pack_ints(vals, width: int) -> bytes:
+    """Unsigned ints as ``width``-bit fields, least significant bit first,
+    one after another, the last byte padded with zero bits.  A value
+    outside [0, 2**width) raises: a field is never truncated."""
+    vals = np.asarray(vals)
+    if vals.size and (vals.min() < 0 or vals.max() >= 1 << width):
+        raise InvariantError(f"a value outside [0, 2**{width}) cannot be written "
+                             f"in {width} bits")
+    bits = (vals.astype(np.uint64)[:, None] >> np.arange(width, dtype=np.uint64)) & 1
+    return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
+
+
+def _unpack_ints(data: bytes, count: int, width: int, name: str) -> np.ndarray:
+    """The ``count`` fields of ``_pack_ints`` as an int64 array; ``data``
+    must hold exactly them, with zero padding."""
+    if width > 63:
+        raise FormatError(f"{name} fields of {width} bits do not fit in 63")
+    nbits = count * width
+    if len(data) != (nbits + 7) >> 3:
+        raise TruncatedError(f"{name} section holds {len(data)} bytes, "
+                             f"{count} fields of {width} bits need {(nbits + 7) >> 3}")
+    bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
+    if bits[nbits:].any():
+        raise FormatError(f"{name} section pads its last byte with nonzero bits")
+    fields = bits[:nbits].reshape(count, width).astype(np.int64)
+    return (fields << np.arange(width)).sum(axis=1)
+
+
+def _label_width(sigma: int) -> int:
+    return max(1, (sigma - 1).bit_length())
+
+
 def _pack_symbols(ids, sigma: int) -> bytes:
-    """Symbol ids 1..sigma as (id - 1) in max(1, ceil(log2 sigma)) bits
-    each, least significant bit first, one id after another."""
-    width = max(1, (sigma - 1).bit_length())
-    vals = np.asarray(ids, np.int64) - 1
-    bits = (vals[:, None] >> np.arange(width)) & 1
-    return np.packbits(bits, bitorder="little").tobytes()
+    """Symbol ids 1..sigma as id - 1 in ``_label_width(sigma)`` bits each."""
+    return _pack_ints(np.asarray(ids, np.int64) - 1, _label_width(sigma))
 
 
 def _unpack_symbols(data: bytes, count: int, sigma: int) -> np.ndarray:
-    width = max(1, (sigma - 1).bit_length())
-    nbytes = (count * width + 7) >> 3
-    if len(data) != nbytes:
-        raise TruncatedError(f"label section holds {len(data)} bytes, not {nbytes}")
-    bits = np.unpackbits(np.frombuffer(data, np.uint8), count=count * width,
-                         bitorder="little").reshape(count, width)
-    ids = (bits.astype(np.int64) << np.arange(width)).sum(axis=1) + 1
+    ids = _unpack_ints(data, count, _label_width(sigma), "label") + 1
     if count and ids.max() > sigma:
         raise FormatError(f"label id {ids.max()} outside [1..{sigma}]")
     return ids
 
 
+def _skip_pairs(tunnels, rate_t: int) -> list[tuple[int, int]]:
+    """(exit, distance) of every skip pointer ``build_index`` sets, in file
+    order: by exit, then by ascending distance s - j, j = rate_t, 2 rate_t,
+    ... < s for a tunnel of length s."""
+    return [(t.exit, d) for t in sorted(tunnels, key=attrgetter("exit"))
+            for d in range((t.length - 1) % rate_t + 1, t.length, rate_t)]
+
+
 def _section(payload: bytes) -> bytes:
     return struct.pack("<I", len(payload)) + payload
-
-
-def _pack_records(fmt: str, rows) -> bytes:
-    """A section of fixed-size records: a 32-bit count, then the rows."""
-    rec = struct.Struct("<" + fmt)
-    return _section(struct.pack("<I", len(rows)) + b"".join(rec.pack(*row) for row in rows))
-
-
-def _unpack_records(raw: bytes, fmt: str) -> list[tuple]:
-    rec = struct.Struct("<" + fmt)
-    (count,) = struct.unpack("<I", raw[:4])
-    if len(raw) != 4 + count * rec.size:
-        raise TruncatedError(
-            f"record section holds {len(raw)} bytes, {count} records need {4 + count * rec.size}")
-    return list(rec.iter_unpack(raw[4:]))
 
 
 class _Reader:
@@ -322,32 +355,58 @@ class _Reader:
         return BitVec.from_packed(raw, nbits)
 
 
+def section_bits(data: bytes) -> dict[str, int]:
+    """Bits of each section's payload of an index file, by its name in
+    ``SECTIONS``, plus ``framing``: magic, version, flags, the length
+    prefixes and the CRC.  The parts sum to the file."""
+    rd = _Reader(data[:-4], 8)
+    bits = {name: 8 * len(rd.section()) for name in SECTIONS}
+    if rd.off != len(rd.data):
+        raise TruncatedError("the sections do not end where the CRC starts")
+    bits["framing"] = 8 * (12 + 4 * len(SECTIONS))
+    return bits
+
+
 def serialize_index(ix: TextIndex) -> bytes:
+    """The index file of ``ix``.  An index that the file cannot hold, such
+    as a skip pointer whose exit or distance is not the one its tunnel
+    record gives, raises ``InvariantError``."""
     tg = ix.tg
     g = tg.g
-    flags = 0
-    if tg.tunnels:
-        flags |= _FLAG_TUNNELED
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<HH", VERSION, flags)
+    nt = g.n
+    rate_t = ix.sample_rate_t
+    width = ix.n.bit_length()
+    if rate_t < 1:
+        raise InvariantError(f"sample_rate_t {rate_t} must be at least 1")
+    expected = _skip_pairs(tg.tunnels, rate_t)
+    if sorted(ix.skip.values()) != sorted(expected):
+        raise InvariantError(f"skip pointers must reach each tunnel's exit every "
+                             f"{rate_t} columns: only their nodes are written")
+    node_at = {pair: node for node, pair in ix.skip.items()}
+    loc_nodes = sorted(ix.loc)
+    if loc_nodes and not 1 <= loc_nodes[0] <= loc_nodes[-1] <= nt:
+        raise InvariantError(f"loc nodes must lie in [1..{nt}]: they are written as marks")
+    if not tg.tunnels and (ix.cnt != list(range(0, nt + 1, rate_t)) or tg.inner_marks.ones):
+        raise InvariantError("an index without tunnels must have cnt[k] = k * rate_t "
+                             "and no inner marks: loading derives them")
 
-    buf += _section(struct.pack("<QQQIIII", ix.n, g.n, g.m, g.sigma,
-                                ix.sample_rate_n, ix.sample_rate_t,
-                                len(tg.tunnels)))
+    buf = bytearray(MAGIC)
+    buf += struct.pack("<HH", VERSION, _FLAG_TUNNELED if tg.tunnels else 0)
+    buf += _section(struct.pack("<QQQIIII", ix.n, nt, g.m, g.sigma,
+                                ix.sample_rate_n, rate_t, len(tg.tunnels)))
     buf += _section(bytes(g.alphabet))
-    buf += _section(struct.pack(f"<{g.sigma + 1}Q", *g.C[1:g.sigma + 2]))
+    buf += _section(_pack_ints(g.C[1:g.sigma + 2], width))
     buf += _section(_pack_symbols(g.L.ids(), g.sigma))
     buf += _section(g.I.to_packed()) + _section(g.O.to_packed())
     buf += _section(b"") * 3  # I', O' and the entrance marks: loading derives them
-    buf += _section(tg.inner_marks.to_packed())
-    buf += _section(b"".join(struct.pack("<QQII", t.entrance, t.exit, t.width,
-                                         t.length) for t in tg.tunnels))
-    buf += _pack_records("QQQ", [(node, tgt, dist)
-                                 for node, (tgt, dist) in sorted(ix.skip.items())])
+    buf += _section(tg.inner_marks.to_packed() if tg.tunnels else b"")
+    buf += _section(_pack_ints([f for t in tg.tunnels
+                                for f in (t.entrance, t.exit, t.width, t.length)], width))
+    buf += _section(_pack_ints([node_at[pair] for pair in expected], width))
     buf += _section(b"")  # back: TextIndex derives it from skip
-    buf += _pack_records("QQ", sorted(ix.loc.items()))
-    buf += _pack_records("Q", [(v,) for v in ix.cnt])
+    buf += _section(_pack_ints(np.isin(np.arange(1, nt + 1), loc_nodes), 1)
+                    + _pack_ints([ix.loc[v] for v in loc_nodes], width))
+    buf += _section(_pack_ints(ix.cnt, width) if tg.tunnels else b"")
     buf += struct.pack("<I", zlib.crc32(bytes(buf)))
     return bytes(buf)
 
@@ -377,12 +436,13 @@ def _parse_sections(data: bytes) -> TextIndex:
     n, nt, mt, sigma, rate_n, rate_t, ntun = struct.unpack("<QQQIIII", rd.section())
     if rate_n < 1 or rate_t < 1:
         raise FormatError(f"sample rates {rate_n} and {rate_t} must be at least 1")
+    width = n.bit_length()
     alphabet = list(rd.section())
     if len(alphabet) != sigma:
         raise TruncatedError("alphabet section has the wrong size")
     if any(a >= b for a, b in zip(alphabet, alphabet[1:])):
         raise FormatError("the alphabet must list distinct bytes in increasing order")
-    C = [0, *struct.unpack(f"<{sigma + 1}Q", rd.section())]
+    C = [0, *_unpack_ints(rd.section(), sigma + 1, width, "C").tolist()]
     L = LabelSeq(_unpack_symbols(rd.section(), mt, sigma), sigma)
     # every label of L lies in [1..sigma], so these steps also make C
     # non-decreasing and end it at m_t
@@ -399,11 +459,14 @@ def _parse_sections(data: bytes) -> TextIndex:
                 f"starting and ending with a one")
     if any(rd.section() for _ in range(3)):
         raise FormatError("the I', O' and entrance sections must be empty")
-    inn = rd.bits(nt, "inner")
-    traw = rd.section()
-    if len(traw) != 24 * ntun:
-        raise TruncatedError("tunnel record section has the wrong size")
-    tunnels = [TunnelRecord(*rec) for rec in struct.iter_unpack("<QQII", traw)]
+    if ntun:
+        inn = rd.bits(nt, "inner")
+    elif rd.section():
+        raise FormatError("the inner section must be empty without tunnels")
+    else:
+        inn = BitVec(np.zeros(nt, np.uint8))
+    fields = _unpack_ints(rd.section(), 4 * ntun, width, "tunnel record").reshape(ntun, 4)
+    tunnels = [TunnelRecord(*rec) for rec in fields.tolist()]
     # exits, entrance offsets and the entrance marks are read off these records
     for t in tunnels:
         if not (1 <= t.entrance <= nt and 1 <= t.exit <= nt and t.width >= 2 and t.length >= 1):
@@ -412,7 +475,7 @@ def _parse_sections(data: bytes) -> TextIndex:
     if len({t.entrance for t in tunnels}) < ntun or len({t.exit for t in tunnels}) < ntun:
         raise FormatError("two tunnel records share an entrance or an exit")
     marked = np.zeros(nt, np.uint8)
-    marked[np.frombuffer(traw, "<u8")[::3] - 1] = 1  # entrance: word 0 of 3 per record
+    marked[fields[:, 0] - 1] = 1
     # walks cross a tunnel by its record's exit and length, so the records
     # must account for every inner mark and every collapsed node
     inner = inn.bits()
@@ -430,28 +493,39 @@ def _parse_sections(data: bytes) -> TextIndex:
     # bounds the skip pointers expected below by the size of the file
     if sum(t.length for t in tunnels) > nt:
         raise FormatError(f"tunnel lengths sum past n_t = {nt}")
-    skip = {node: (tgt, dist) for node, tgt, dist in _unpack_records(rd.section(), "QQQ")}
-    tunnel_node = (marked | inner).tobytes()
-    if any(not (1 <= v <= nt and tunnel_node[v - 1]) for v in skip):
+    expected = _skip_pairs(tunnels, rate_t)
+    nodes = _unpack_ints(rd.section(), len(expected), width, "skip")
+    if len(nodes) and (nodes.min() < 1 or nodes.max() > nt
+                       or not (marked | inner)[nodes - 1].all()):
         raise FormatError(f"skip pointers must sit on marked nodes in [1..{nt}]")
-    pointers = sorted((tgt, dist, node) for node, (tgt, dist) in skip.items())
-    expected = [(t.exit, d) for t in sorted(tunnels, key=attrgetter("exit"))
-                for d in reversed(range(t.length - rate_t, 0, -rate_t))]
-    if [(tgt, dist) for tgt, dist, _ in pointers] != expected:
-        raise FormatError(f"skip pointers must reach each tunnel's exit every {rate_t} columns")
+    if len(np.unique(nodes)) != len(nodes):
+        raise FormatError("two skip pointers sit on one node")
+    skip = dict(zip(nodes.tolist(), expected))
     if rd.section():
         raise FormatError("the back section must be empty")
-    loc = dict(_unpack_records(rd.section(), "QQ"))
-    cnt = [v for (v,) in _unpack_records(rd.section(), "Q")]
-    # count and locate index these samples directly, so a bad one would
-    # surface as a wrong answer or an IndexError far from the file
-    if (len(cnt) != nt // rate_t + 1 or cnt[0] != 0 or cnt[-1] > n
-            or any(a > b for a, b in zip(cnt, cnt[1:]))):
-        raise FormatError(
-            f"cnt must hold {nt // rate_t + 1} non-decreasing samples from 0 to at most {n}")
-    if (any(not 1 <= r <= nt for r in loc) or len(set(loc.values())) != len(loc)
-            or any(not 1 <= p <= n for p in loc.values())):
-        raise FormatError(f"loc must map nodes in [1..{nt}] to distinct positions in [1..{n}]")
+    raw = rd.section()
+    mark_bytes = (nt + 7) >> 3
+    loc_nodes = np.flatnonzero(_unpack_ints(raw[:mark_bytes], nt, 1, "loc mark")) + 1
+    positions = _unpack_ints(raw[mark_bytes:], len(loc_nodes), width, "loc position")
+    # locate and extract return these positions, so a repeated one would
+    # surface as a wrong answer far from the file
+    if len(positions) and (positions.min() < 1 or positions.max() > n
+                           or len(np.unique(positions)) != len(positions)):
+        raise FormatError(f"loc must map nodes to distinct positions in [1..{n}]")
+    loc = dict(zip(loc_nodes.tolist(), positions.tolist()))
+    raw = rd.section()
+    if not ntun:
+        if raw:
+            raise FormatError("the cnt section must be empty without tunnels")
+        cnt = list(range(0, nt + 1, rate_t))
+    else:
+        # count indexes these samples directly, so a bad one would surface
+        # as a wrong answer or an IndexError far from the file
+        samples = _unpack_ints(raw, nt // rate_t + 1, width, "cnt")
+        if samples[0] != 0 or samples[-1] > n or (np.diff(samples) < 0).any():
+            raise FormatError(f"cnt must hold {nt // rate_t + 1} non-decreasing "
+                              f"samples from 0 to at most {n}")
+        cnt = samples.tolist()
     if rd.off != len(rd.data):
         raise TruncatedError("trailing bytes after the last section")
 

@@ -276,23 +276,21 @@ def select_edge_list(g) -> EdgeList:
 
 
 # ---------------------------------------------------------------------------
-# the label codec of the index file's L section, one bit per loop step
+# the integer codec of the index file, one bit per loop step
 
 
-def loop_pack_symbols(ids, sigma: int) -> bytes:
-    width = max(1, (sigma - 1).bit_length()) if sigma > 1 else 1
-    buf = bytearray((len(ids) * width + 7) >> 3)
+def loop_pack_ints(vals, width: int) -> bytes:
+    buf = bytearray((len(vals) * width + 7) >> 3)
     pos = 0
-    for v in ids:
+    for v in vals:
         for b in range(width):
-            if ((v - 1) >> b) & 1:
+            if (v >> b) & 1:
                 buf[pos >> 3] |= 1 << (pos & 7)
             pos += 1
     return bytes(buf)
 
 
-def loop_unpack_symbols(data: bytes, count: int, sigma: int) -> list[int]:
-    width = max(1, (sigma - 1).bit_length()) if sigma > 1 else 1
+def loop_unpack_ints(data: bytes, count: int, width: int) -> list[int]:
     out = []
     pos = 0
     for _ in range(count):
@@ -300,7 +298,7 @@ def loop_unpack_symbols(data: bytes, count: int, sigma: int) -> list[int]:
         for b in range(width):
             val |= ((data[pos >> 3] >> (pos & 7)) & 1) << b
             pos += 1
-        out.append(val + 1)
+        out.append(val)
     return out
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import copy_paste_mutate
 from twgi.cli import main
-from twgi.persist import serialize_index
+from twgi.persist import SECTIONS, serialize_index
 from twgi.text_index import build_index
 
 
@@ -114,7 +114,10 @@ def test_stats(workdir, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     keys = [line.split(":")[0] for line in out.strip().splitlines()]
-    assert keys == ["n", "n_t", "sigma", "tunnels", "bits_per_symbol"]
+    sections = [f"bits.{name}" for name in (*SECTIONS, "framing")]
+    assert keys == ["n", "n_t", "sigma", "tunnels", "bits_per_symbol", *sections]
+    bits = [int(line.split(":")[1]) for line in out.strip().splitlines()[5:]]
+    assert sum(bits) == 8 * os.path.getsize(index)
 
 
 def test_usage_error_exit_2():

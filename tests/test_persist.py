@@ -3,18 +3,22 @@ import hashlib
 import io
 import random
 import struct
+import sys
 import zlib
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SMALL_TEXTS,
     fig1_block,
     fig1_edge_list,
-    loop_pack_symbols,
-    loop_unpack_symbols,
+    loop_pack_ints,
+    loop_unpack_ints,
     make_patterns,
     naive_count,
     naive_locate,
@@ -24,19 +28,24 @@ from twgi.errors import (
     BadMagicError,
     ChecksumError,
     FormatError,
+    InvariantError,
     TruncatedError,
+    TwgiError,
     ValidationError,
     VersionError,
 )
 from twgi.persist import (
     VERSION,
+    _pack_ints,
     _pack_symbols,
+    _unpack_ints,
     _unpack_symbols,
     deserialize_index,
     parse_label,
     parse_pattern,
     read_blocks_file,
     read_graph_file,
+    section_bits,
     serialize_index,
     tunneled_graph_from_meta,
     tunneled_graph_meta,
@@ -47,6 +56,9 @@ from twgi.text_index import TextIndex, build_index
 from twgi.tunnel import TraversalPos
 from twgi.tunnel import tunnel_graph
 from twgi.wheeler import encode
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import layout  # noqa: E402
 
 
 def roundtrip_graph(el, sigma=None, meta=None):
@@ -134,7 +146,13 @@ def _move_loc(ix, key):
     ix.loc[key] = pos
 
 
-# each breaks one sampling rule that deserialize_index checks
+def _widest(ix):
+    """The largest value a field of the index file holds: 2**w - 1."""
+    return (1 << ix.n.bit_length()) - 1
+
+
+# each breaks one sampling rule that deserialize_index checks, or that
+# serialize_index checks where the file cannot hold the fault (UNWRITABLE)
 SAMPLING_FAULTS = {
     "rate_n zero": lambda ix: setattr(ix, "sample_rate_n", 0),
     "rate_t zero": lambda ix: setattr(ix, "sample_rate_t", 0),
@@ -147,7 +165,7 @@ SAMPLING_FAULTS = {
     "loc node past nt": lambda ix: _move_loc(ix, ix.tg.g.n + 1),
     "loc shared position": lambda ix: _set_item(ix.loc, max(ix.loc), ix.loc[min(ix.loc)]),
     "loc position 0": lambda ix: _set_item(ix.loc, min(ix.loc), 0),
-    "loc position past n": lambda ix: _set_item(ix.loc, min(ix.loc), ix.loc[min(ix.loc)] + 10**6),
+    "loc position past n": lambda ix: _set_item(ix.loc, min(ix.loc), _widest(ix)),
 }
 
 
@@ -160,7 +178,7 @@ TUNNEL_FAULTS = {
     "entrance 0": lambda ix: _set_tunnel(ix, 0, entrance=0),
     "entrance past nt": lambda ix: _set_tunnel(ix, 0, entrance=ix.tg.g.n + 1),
     "exit 0": lambda ix: _set_tunnel(ix, 0, exit=0),
-    "exit 10**6": lambda ix: _set_tunnel(ix, 0, exit=10**6),
+    "exit 2**w - 1": lambda ix: _set_tunnel(ix, 0, exit=_widest(ix)),
     "width 1": lambda ix: _set_tunnel(ix, 0, width=1),
     "length 0": lambda ix: _set_tunnel(ix, 0, length=0),
     "shared entrance": lambda ix: _set_tunnel(ix, 1, entrance=ix.tg.tunnels[0].entrance),
@@ -186,8 +204,9 @@ def _tunnel_length(ix, exit_rank):
 
 
 # each changes the skip pointer on node v and keeps back its inverse; only
-# the skip rule of deserialize_index tells such a file from a good one, and
-# without it locate answers wrong or fails at query time
+# the skip rules of serialize_index (exits and distances) and of
+# deserialize_index (nodes) tell such an index from a good one, and without
+# them locate answers wrong or fails at query time
 SKIP_FAULTS = {
     "distance +1": lambda ix, skip, v: skip.update({v: (skip[v][0], skip[v][1] + 1)}),
     "target not an exit": lambda ix, skip, v: skip.update({v: (_not_exit(ix), skip[v][1])}),
@@ -195,7 +214,27 @@ SKIP_FAULTS = {
     "pointer dropped": lambda ix, skip, v: skip.pop(v),
     "distance past the tunnel": lambda ix, skip, v: skip.update(
         {v: (skip[v][0], _tunnel_length(ix, skip[v][0]))}),
+    "node 0": lambda ix, skip, v: skip.update({0: skip.pop(v)}),
+    "node past nt": lambda ix, skip, v: skip.update({ix.tg.g.n + 1: skip.pop(v)}),
 }
+
+# faults a version-3 file cannot hold: it stores the skip pointer nodes
+# alone, in the order of the exits and distances that the records and
+# rate_t give, and the loc nodes as marks over [1..n_t]
+UNWRITABLE = {"rate_t zero", "loc node 0", "loc node past nt", "distance +1",
+              "target not an exit", "pointer dropped", "distance past the tunnel"}
+
+
+def _assert_rejected(ix, fault, match=None):
+    """serialize_index refuses an unwritable fault, and deserialize_index
+    rejects the file of any other."""
+    if fault in UNWRITABLE:
+        with pytest.raises(InvariantError, match=match):
+            serialize_index(ix)
+    else:
+        data = serialize_index(ix)
+        with pytest.raises(FormatError, match=match):
+            deserialize_index(data)
 
 
 def _inner_not_exit(ix):
@@ -289,6 +328,7 @@ class TestIndexFile:
 
     def test_version_mismatch(self):
         data = bytearray(serialize_index(build_index(b"abcabc")))
+        assert VERSION - 1 == 2  # the format before packed fields
         for version in (VERSION - 1, VERSION + 1):
             data[4:6] = struct.pack("<H", version)
             data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
@@ -340,17 +380,16 @@ class TestIndexFile:
         # non-decreasing, C[sigma+1] = m_t or C[c+1] - C[c] = L.count(c) breaks
         ix = small_index("fib")
         data = serialize_index(ix)
-        start = _section_offsets(data)[2]
+        width = ix.n.bit_length()
+        C = ix.tg.g.C[1:ix.tg.g.sigma + 2]
         for k in range(ix.tg.g.sigma + 1):  # C[k+1]
             for delta in (1, -1):
-                corrupt = bytearray(data)
-                (v,) = struct.unpack_from("<Q", corrupt, start + 8 * k)
-                if v + delta < 0:
+                if C[k] + delta < 0:
                     continue
-                struct.pack_into("<Q", corrupt, start + 8 * k, v + delta)
-                corrupt[-4:] = struct.pack("<I", zlib.crc32(bytes(corrupt[:-4])))
+                moved = [*C[:k], C[k] + delta, *C[k + 1:]]
+                corrupt = _with_section(data, 2, _pack_ints(moved, width))
                 with pytest.raises(FormatError, match="C must"):
-                    deserialize_index(bytes(corrupt))
+                    deserialize_index(corrupt)
 
     @pytest.mark.parametrize("sec", [11, 13, 14])  # skip, loc, cnt
     def test_record_section_extra_bytes(self, sec, small_index):
@@ -389,6 +428,28 @@ class TestIndexFile:
         for payload in (b"", data[start:start + 1], data[start:start + ln] + b"\x00"):
             with pytest.raises(TruncatedError):
                 deserialize_index(_with_section(data, sec, payload))
+
+    @pytest.mark.parametrize("sec", [9, 14])  # inner, cnt
+    def test_plain_index_derives_inner_marks_and_cnt(self, sec, small_index):
+        # without tunnels the inner marks are all zero and cnt[k] = k rate_t:
+        # one zero byte, or what the section would hold, under a recomputed CRC
+        ix = small_index("fib", False)
+        stored = {9: ix.tg.inner_marks.to_packed(), 14: _pack_ints(ix.cnt, ix.n.bit_length())}
+        data = serialize_index(ix)
+        assert struct.unpack_from("<I", data, _section_offsets(data)[sec] - 4) == (0,)
+        for payload in (bytes(1), stored[sec]):
+            with pytest.raises(FormatError, match="must be empty without tunnels"):
+                deserialize_index(_with_section(data, sec, payload))
+        # and an index whose section would not be empty has no file
+        bad = deserialize_index(data)
+        if sec == 9:
+            marks = np.zeros(ix.tg.g.n, np.uint8)
+            marks[5] = 1
+            bad.tg.inner_marks = BitVec(marks)
+        else:
+            bad.cnt[1] += 1
+        with pytest.raises(InvariantError, match="without tunnels"):
+            serialize_index(bad)
 
     @pytest.mark.parametrize("sec", [6, 7, 8, 12])  # I', O', entrance, back
     def test_derived_section_must_be_empty(self, sec, small_index):
@@ -429,16 +490,27 @@ class TestIndexFile:
     def test_bad_samples_rejected(self, fault, small_index):
         ix = deserialize_index(serialize_index(small_index("fib")))
         SAMPLING_FAULTS[fault](ix)
-        with pytest.raises(FormatError):
-            deserialize_index(serialize_index(ix))
+        _assert_rejected(ix, fault)
+
+    def test_zero_rate_t_in_header(self, small_index):
+        # the header can still hold the rate_t 0 that serialize_index refuses
+        data = serialize_index(small_index("fib"))
+        header = list(struct.unpack("<QQQIIII", data[12:52]))
+        header[5] = 0
+        with pytest.raises(FormatError, match="sample rates"):
+            deserialize_index(_with_section(data, 0, struct.pack("<QQQIIII", *header)))
 
     @pytest.mark.parametrize("fault", sorted(TUNNEL_FAULTS))
     def test_bad_tunnel_records_rejected(self, fault, small_index):
+        # the file derives the skip pointers' exits and distances from the
+        # records, so the bad record is written over the good file's one
         ix = deserialize_index(serialize_index(small_index("fib")))
         assert len(ix.tg.tunnels) > 1 and ix.skip
+        data = serialize_index(ix)
         TUNNEL_FAULTS[fault](ix)
+        fields = [f for t in ix.tg.tunnels for f in dataclasses.astuple(t)]
         with pytest.raises(FormatError):
-            deserialize_index(serialize_index(ix))
+            deserialize_index(_with_section(data, 10, _pack_ints(fields, ix.n.bit_length())))
 
     @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
     def test_records_disagreeing_with_marks_rejected(self, fault):
@@ -454,8 +526,23 @@ class TestIndexFile:
         ix = small_index("fib")
         skip = dict(ix.skip)
         SKIP_FAULTS[fault](ix, skip, min(skip))
-        with pytest.raises(FormatError, match="skip pointers"):
-            deserialize_index(serialize_index(_with_skip(ix, skip)))
+        _assert_rejected(_with_skip(ix, skip), fault, match="skip pointers")
+
+    def test_skip_section_nodes(self, small_index):
+        # faults only the node list can hold, under a recomputed CRC
+        ix = small_index("fib")
+        data = serialize_index(ix)
+        width = ix.n.bit_length()
+        start = _section_offsets(data)[11]
+        (ln,) = struct.unpack_from("<I", data, start - 4)
+        nodes = _unpack_ints(data[start:start + ln], len(ix.skip), width, "skip").tolist()
+        assert len(nodes) > 2
+        shared = [nodes[0], *nodes]
+        del shared[2]  # the second pointer moves onto the first one's node
+        with pytest.raises(FormatError, match="two skip pointers sit on one node"):
+            deserialize_index(_with_section(data, 11, _pack_ints(shared, width)))
+        with pytest.raises(TruncatedError):
+            deserialize_index(_with_section(data, 11, _pack_ints(nodes[:-1], width)))
 
     @pytest.mark.parametrize("name", ["fib", "rand96"])  # sigma 2 and 96
     def test_loaded_index_ranks_on_python_ints(self, name, small_index):
@@ -476,10 +563,15 @@ class TestIndexFile:
         for i in (0, 5, L.n):
             assert all(type(L.rank(i, c)) is int for c in range(1, g.sigma + 1))
         assert type(L.partial_rank(L.n)) is int and type(L.access(1)) is int
+        # the samples that count, locate and extract read are decoded once
+        assert ix.loc and all(type(k) is int and type(v) is int for k, v in ix.loc.items())
+        assert all(type(v) is int for v in ix.cnt)
+        assert all(type(v) is int and type(e) is int and type(d) is int
+                   for v, (e, d) in ix.skip.items())
 
     def test_skip_pointer_cycle_stops_every_walk(self, small_index):
         # two skip pointers of one tunnel point at each other at distance 0:
-        # each walk that reaches them must stop, and the file must not load.
+        # each walk that reaches them must stop, and no file can hold them.
         # Walks from the tunnel's entrance read its record and follow no
         # pointer forward, so extract still answers
         ix = deserialize_index(serialize_index(small_index("fib")))
@@ -488,8 +580,8 @@ class TestIndexFile:
         pos_a = ix.locate_one(TraversalPos(a, 1))
         ix.skip[a], ix.skip[b] = (b, 0), (a, 0)
         bad = _with_skip(ix, ix.skip)
-        with pytest.raises(FormatError, match="skip pointers"):
-            deserialize_index(serialize_index(bad))
+        with pytest.raises(InvariantError, match="skip pointers"):
+            serialize_index(bad)
         with pytest.raises(FormatError, match="no tunnel exit"):
             bad.locate_one(TraversalPos(a, 1))
         with pytest.raises(FormatError, match="no tunnel exit"):
@@ -519,28 +611,52 @@ def _section_offsets(data: bytes) -> list[int]:
 # sha256 of serialize_index output on the shared small texts: the file
 # format and every build step that decides its bytes are pinned
 INDEX_DIGESTS = {
-    ("fib", True): "0f766dd2a29cced0a27af6f1103e9a966970bfba4f33cf8f18e9abf0bf52f56b",
-    ("fib", False): "1b540fabdd9b7c4ac438c93fff387395ad552439e51e76708bbaad0f627f8b3f",
-    ("cpm4", True): "ef9733281c9a9c13e9e957407df4563c044d6e2ccc40a2e5ed5e89fc4d3a424b",
-    ("cpm4", False): "66b6acdcf9c4d0678bee1a1f0b1e711588945ef6c9b49d20d624e2253ba1dfc4",
-    ("rand96", True): "5ee31a380617476a13af523014d59999661db5c9a9914c73ef1bd5de4b55eb36",
-    ("rand96", False): "5ee31a380617476a13af523014d59999661db5c9a9914c73ef1bd5de4b55eb36",
-    ("cpm96", True): "e39a4a7d29fb62f55ab162b44763aa1ff690ae6dc2ac15d426a66cdd03be7707",
-    ("cpm96", False): "f158d6e036b018b0192850d24a2ddd6806b1598971cd9158ff38645b2d561f71",
+    ("fib", True): "16fd9264fb92d4a0b6a1e5a63914b04852f186528b5d25bdb57f07bb269dbec8",
+    ("fib", False): "1cc31502e2ad0bf66f18299761bf45fc7e06b3792f2e9a7eb36c014f870a057d",
+    ("cpm4", True): "0cace45335076d08493eca7cddc76b2b9683b4bbc4f8fc6729df5f110b176353",
+    ("cpm4", False): "0f29eae9c3d8c48d4e179445ef3e362754bebf58a80e3a98ed7ae0c6c196692c",
+    ("rand96", True): "2d9c1de23e37e3ff54fbdf11892b243218daf93d8c997a1253b389c52ee29241",
+    ("rand96", False): "2d9c1de23e37e3ff54fbdf11892b243218daf93d8c997a1253b389c52ee29241",
+    ("cpm96", True): "152b4f3199560a86a85d98fddb458638a605957e243aae104abea899b0858800",
+    ("cpm96", False): "41e7341a85ba4e95e360a3c6c8b581446094b34678766e315c738671311f9ade",
 }
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 15, 32, 63])
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 1000])
+def test_int_codec_matches_bit_loop(width, count):
+    rng = random.Random(width * 10_000 + count)
+    vals = [rng.randrange(1 << width) for _ in range(count)]
+    if vals:
+        vals[-1] = (1 << width) - 1  # the widest value, in the last (padded) byte
+    data = _pack_ints(vals, width)
+    assert data == loop_pack_ints(vals, width)
+    assert _unpack_ints(data, count, width, "test").tolist() == vals
+    assert loop_unpack_ints(data, count, width) == vals
+    for bad in (1 << width, -1):  # never truncated
+        with pytest.raises(InvariantError):
+            _pack_ints([*vals, bad], width)
+    if (count * width) % 8:
+        padded = data[:-1] + bytes([data[-1] | 0x80])
+        with pytest.raises(FormatError, match="nonzero bits"):
+            _unpack_ints(padded, count, width, "test")
+    with pytest.raises(FormatError, match="do not fit"):  # a header n of 2**63 or more
+        _unpack_ints(bytes(8 * count), count, 64, "test")
 
 
 @pytest.mark.parametrize("sigma", [1, 2, 3, 64, 65, 96, 256])
 @pytest.mark.parametrize("count", [0, 1, 7, 8, 1000])
 def test_label_codec_matches_bit_loop(sigma, count):
+    # L holds id - 1 in max(1, ceil(log2 sigma)) bits
     rng = random.Random(sigma * 10_000 + count)
     ids = [rng.randint(1, sigma) for _ in range(count)]
     if ids:
         ids[-1] = sigma  # the widest id, in the last (padded) byte
+    width = max(1, (sigma - 1).bit_length())
     data = _pack_symbols(ids, sigma)
-    assert data == loop_pack_symbols(ids, sigma)
+    assert data == loop_pack_ints([i - 1 for i in ids], width)
     assert _unpack_symbols(data, count, sigma).tolist() == ids
-    assert loop_unpack_symbols(data, count, sigma) == ids
+    assert [v + 1 for v in loop_unpack_ints(data, count, width)] == ids
 
 
 @pytest.mark.parametrize("name,tunneling", sorted(INDEX_DIGESTS))
@@ -558,17 +674,28 @@ DERIVED_SETTINGS = {"default": {}, "w2-s1-t1": dict(min_width=2, min_length=1, s
 @pytest.mark.parametrize("tunneling", [True, False])
 @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
 def test_load_derives_what_the_build_holds(name, tunneling, settings, small_index):
-    # the file stores no I', O', entrance marks or back: loading derives
-    # them, and the exit copies, equal to the ones the build made
+    # the file stores no I', O', entrance marks, back or skip pointer exits
+    # and distances, nor, without tunnels, inner marks or cnt: loading
+    # derives them, and the exit copies, equal to the ones the build made
     if settings == "default":
         ix = small_index(name, tunneling)
     else:
         ix = build_index(SMALL_TEXTS[name], tunneling=tunneling, **DERIVED_SETTINGS[settings])
     got = deserialize_index(serialize_index(ix))
-    for vec in ("iprime", "oprime", "entrance_marks"):
+    for vec in ("iprime", "oprime", "entrance_marks", "inner_marks"):
         assert getattr(got.tg, vec).to01() == getattr(ix.tg, vec).to01()
-    assert got.back == ix.back
+    assert got.skip == ix.skip and got.back == ix.back
+    assert got.cnt == ix.cnt and got.loc == ix.loc
     assert got.tg.exit_copies == ix.tg.exit_copies
+
+
+@pytest.mark.parametrize("tunneling", [True, False])
+@pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+def test_section_bits_match_the_bench_decoder(name, tunneling, small_index):
+    data = serialize_index(small_index(name, tunneling))
+    bits = section_bits(data)
+    assert bits == layout.section_bits(data)
+    assert sum(bits.values()) == 8 * len(data)
 
 
 @pytest.mark.parametrize("text", [b"babab", b"bacac"])
@@ -582,3 +709,54 @@ def test_entrance_at_the_source(text):
     for pat in {text[i:j] for i in range(len(text)) for j in range(i + 1, len(text) + 1)}:
         assert got.locate(pat) == naive_locate(text, pat)
     assert got.extract(1, len(text)) == text
+
+
+_FUZZ_TEXT = SMALL_TEXTS["fib"]
+_FUZZ_PATTERNS = [_FUZZ_TEXT[i:i + k] for i, k in ((0, 1), (100, 5), (700, 12), (1500, 40))]
+
+
+@pytest.mark.parametrize("tunneling", [True, False])
+@settings(max_examples=50, deadline=5000, database=None)
+@given(data=st.data())
+def test_mutated_section_loads_or_raises(tunneling, small_index, data):
+    """One section of the fib index, found by the length-prefixed framing,
+    gets bit flips, a written byte run or a new length, under a recomputed
+    CRC.  Loading must raise a ``TwgiError`` or give an index whose count,
+    locate and extract each answer or raise a ``TwgiError``; the walks'
+    step bounds keep each query finite.
+
+    The answers are not compared with the oracles: some files load and
+    answer wrong, such as one whose skip pointer nodes or tunnel exits are
+    swapped between valid places, or whose cnt samples change but stay
+    non-decreasing.  Telling those apart needs a load check that walks each
+    tunnel from its entrance to its exit, which the loader does not make.
+    """
+    good = serialize_index(small_index("fib", tunneling))
+    offsets = _section_offsets(good)
+    sec = data.draw(st.integers(0, len(offsets) - 1), label="section")
+    (ln,) = struct.unpack_from("<I", good, offsets[sec] - 4)
+    payload = bytearray(good[offsets[sec]:offsets[sec] + ln])
+    kind = data.draw(st.sampled_from(["flip", "run", "length"]), label="kind")
+    if kind == "flip" and payload:
+        for bit in data.draw(st.lists(st.integers(0, 8 * ln - 1), min_size=1, max_size=8)):
+            payload[bit >> 3] ^= 1 << (bit & 7)
+    elif kind == "run":
+        at = data.draw(st.integers(0, ln), label="at")
+        run = data.draw(st.binary(min_size=1, max_size=16), label="run")
+        payload[at:at + len(run)] = run
+    elif kind == "length":
+        new_len = data.draw(st.integers(0, ln + 16), label="length")
+        payload = payload[:new_len] + data.draw(st.binary(min_size=max(0, new_len - ln),
+                                                          max_size=max(0, new_len - ln)))
+    try:
+        ix = deserialize_index(_with_section(good, sec, bytes(payload)))
+    except TwgiError:
+        return
+    queries = [lambda p=p: ix.count(p) for p in _FUZZ_PATTERNS]
+    queries += [lambda p=p: ix.locate(p) for p in _FUZZ_PATTERNS]
+    queries.append(lambda: ix.extract(1, len(_FUZZ_TEXT)))
+    for query in queries:
+        try:
+            query()
+        except TwgiError:
+            pass
