@@ -56,7 +56,7 @@ from .errors import (
     VersionError,
 )
 from .text_index import TextIndex
-from .tunnel import Block, TunneledGraph, TunnelRecord
+from .tunnel import Block, TunneledGraph, TunnelRecord, _expand
 from .wheeler import EdgeList, WheelerGraph
 
 MAGIC = b"TWGI"
@@ -220,18 +220,29 @@ def tunneled_graph_meta(tg: TunneledGraph) -> dict:
 
 
 def tunneled_graph_from_meta(g: WheelerGraph, meta: dict) -> TunneledGraph:
+    """The tunneled graph that g and its ``#!`` meta describe.  Raises
+    ValidationError unless I' and O' hold m_t bits, the entrance marks are
+    the tunnel records' entrances, and every edge that leaves a tunnel node
+    for a node that is not inner has a recorded copy."""
+    for key in ("iprime", "oprime"):
+        if len(meta[key]) != g.m:
+            raise ValidationError(f"{key} holds {len(meta[key])} bits, the graph {g.m} edges")
     records = [TunnelRecord(*t) for t in meta["tunnels"]]
+    entrances = sorted(t.entrance for t in records)
+    if (sorted(meta["entrance"]) != entrances or len(set(entrances)) < len(entrances)
+            or any(not 1 <= e <= g.n for e in entrances)):
+        raise ValidationError(f"the entrance marks must be the tunnel records' "
+                              f"entrances, distinct and in [1..{g.n}]")
     ranks = np.arange(1, g.n + 1)
-    return TunneledGraph(
-        g,
-        BitVec(meta["iprime"]),
-        BitVec(meta["oprime"]),
-        BitVec(np.isin(ranks, meta["entrance"])),
-        BitVec(np.isin(ranks, meta["inner"])),
-        records,
-        meta["exit_copies"],
-        orig_n=meta["orig_n"] or g.n,
-    )
+    entrance, inner = np.isin(ranks, entrances), np.isin(ranks, meta["inner"])
+    src, tgt, _ = g.edge_arrays()
+    exits = np.flatnonzero((entrance | inner)[src - 1] & ~inner[tgt - 1]) + 1
+    missing = exits[~np.isin(exits, list(meta["exit_copies"]))]
+    if missing.size:
+        raise ValidationError(f"exit edge {missing[0]} has no recorded copy")
+    return TunneledGraph(g, BitVec(meta["iprime"]), BitVec(meta["oprime"]),
+                         BitVec(entrance), BitVec(inner), records,
+                         meta["exit_copies"], orig_n=meta["orig_n"] or g.n)
 
 
 # ---------------------------------------------------------------------------
@@ -536,20 +547,21 @@ def _parse_sections(data: bytes) -> TextIndex:
         raise FormatError("a tunnel entrance's in-degree must equal its width, less one at rank 1")
     ones = BitVec(np.ones(mt, np.uint8))  # I' and O' of a text index
     tg = TunneledGraph(g, ones, ones, BitVec(marked), inn, tunnels,
-                       _rebuild_exit_copies(g, tunnels), orig_n=n)
+                       _rebuild_exit_copies(g, tunnels) if ntun else {}, orig_n=n)
     return TextIndex(tg, n, rate_n, rate_t, skip, loc, cnt)
 
 
 def _rebuild_exit_copies(g: WheelerGraph, tunnels: list[TunnelRecord]) -> dict[int, int]:
     """String-tunnel exits leave only from the exit column; the copy index
-    is the edge's slot among the exit's out-edges."""
-    copies = {}
-    for t in tunnels:
-        for o in range(1, g.outdeg(t.exit) + 1):
-            p = g._lstart[t.exit] + o
-            c = g.L.access(p)
-            copies[g.C[c] + g.L.rank(p, c)] = o
-    return copies
+    is the edge's slot among the exit's out-edges.  Edge C[c] + i is the
+    i-th c of L, so a stable sort of L by label lists L's positions in edge
+    order."""
+    lstart = np.frombuffer(g._lstart, np.int64)
+    exits = np.array([t.exit for t in tunnels], np.int64)
+    owner, p = _expand(lstart[exits], lstart[exits + 1] - lstart[exits])  # 0-based
+    edge = np.empty(g.m, np.int64)
+    edge[np.argsort((g.L.ids() - 1).astype(np.uint8), kind="stable")] = np.arange(1, g.m + 1)
+    return dict(zip(edge[p].tolist(), (p + 1 - lstart[exits][owner]).tolist()))
 
 
 def save_index(ix: TextIndex, path) -> None:

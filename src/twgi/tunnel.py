@@ -4,8 +4,9 @@ traversal / path search on tunneled Wheeler graphs.
 A block is a family of w label-isomorphic subtrees whose column tuples
 occupy consecutive Wheeler ranks; tunneling collapses the w copies into
 one, redirecting boundary edges.  Traversal of the original graph is
-simulated on the tunneled one with (node, tunnel offset) pairs; bitvectors
-I' and O' recover which copy an edge entered or left.
+simulated on the tunneled one with (node, tunnel offset) pairs; two
+edge-to-copy maps, filled when the graph is made, say which copy an edge
+enters or leaves, so a traversal does no arithmetic on I' and O'.
 
 ``tunnel_graph`` checks all blocks at once and collapses them with array
 operations over the graph's edge arrays.  The tunneled rank phi counts the
@@ -23,23 +24,17 @@ differ, else 1 + ext[succ(r)].  A run of rows lasts the least ext over its
 pairs, cut one short of the smallest gap d between the rows' text positions
 (column d would revisit a row); a single row runs to the sink.
 
-Two places deliberately go beyond the bare I'/O' arithmetic, which is only
-exact when every copy participates in the edge group under inspection:
-
-* entering a tunnel adds a ``width - marked-groups`` correction so that
-  roots without in-edges (a legal zero-indegree prefix of the column) do
-  not shift the offset;
-* every exit edge records which copy it left, so exits stay exact when
-  copies have differing counts of same-labeled out-edges (legal under the
-  block conditions, and present in tree-shaped tunnels).
-
-The c-edges leaving a tunnel node form one O'-marked group per copy that
-has any.  Kept edges sort by (label, tunneled source, original source), and
-the rows of a column are consecutive original ranks, ascending with the
-copy index; so inside one label range the copy rises strictly with the
-group index.  ``_exit_group`` therefore finds a copy bound by binary search
-over the O' marks: O(log w) reads, on a tunnel of width w, of the positions
-of the O' ones, which are decoded once.
+``entry_copies`` maps each edge into a tunnel entrance to the copy it
+enters; it is decoded from I', in which each root with in-edges opens one
+group.  The roots without in-edges come first in Wheeler order, so the
+groups are the last copies.  ``exit_copies`` maps each edge that leaves a
+tunnel node, other than an in-tunnel move, to the copy it leaves: the
+transform reads it off the block rows, an index file off the exit's
+out-edge slots.  Kept edges sort by (label, tunneled source, original
+source), and the rows of a column are consecutive original ranks, ascending
+with the copy; so inside one label range of one tunnel node the exit copy
+never falls as the edge rank rises, and ``_exit_group`` finds a copy bound
+by binary search over ``exit_copies``.
 
 Every traversal (``step``, range search, the text walks) uses one edge-group
 lookup, ``_group``, and one landing rule, ``land``: an edge into an inner
@@ -52,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -414,9 +410,10 @@ class TunneledGraph:
 
     Holds the succinct graph of G_t, bitvectors I'/O' (first edge per
     original target / per original (source, letter) group), entrance and
-    inner marks over nodes, per-tunnel records, the per-exit-edge copy
-    directory, and the original-to-tunneled node map while one is known
-    (``tunnel_graph`` sets it; an index file does not store it).
+    inner marks over nodes, per-tunnel records, the copy each edge into an
+    entrance enters and each exit edge leaves, and the original-to-tunneled
+    node map while one is known (``tunnel_graph`` sets it; an index file does
+    not store it).
     """
 
     def __init__(self, g, iprime, oprime, entrance_marks, inner_marks,
@@ -435,10 +432,17 @@ class TunneledGraph:
         # every traversal step reads it, and most nodes carry no mark
         kind = entrance_marks.bits() * _ENTRANCE | inner_marks.bits() * _INNER
         self._kind = bytearray(1) + kind.tobytes()
-        # _oprime_ones[k] = select_1(O', k) (index 0 unused): the exit-group
-        # lookups read it instead of selecting
-        self._oprime_ones = array(
-            "q", np.append(0, np.flatnonzero(oprime.bits()) + 1).tobytes())
+        # in-edge j of entrance r enters copy width - (I' ones in (j,
+        # istart[r + 1]]): the copies reached by in-edges are the last ones,
+        # one per I'-marked group
+        istart = np.frombuffer(g._istart, np.int64)
+        entr = np.array([t.entrance for t in self.tunnels], np.int64)
+        deg = istart[entr + 1] - istart[entr]
+        owner, j = _expand(istart[entr] + 1, deg)
+        ones = np.append(0, np.cumsum(iprime.bits()[j - 1], dtype=np.int64))  # ones[k]: in j[:k]
+        width = np.array([t.width for t in self.tunnels], np.int64)
+        copy = (width - ones[np.cumsum(deg)])[owner] + ones[1:]
+        self.entry_copies = dict(zip(j.tolist(), copy.tolist()))
 
     # -- marks ---------------------------------------------------------------
 
@@ -451,49 +455,33 @@ class TunneledGraph:
     def is_tunnel_node(self, r: int) -> bool:
         return self._kind[r] != 0
 
-    # -- offset machinery ------------------------------------------------------
+    # -- copy lookups ----------------------------------------------------------
 
     def enter_offset(self, j: int, r: int) -> int:
-        """Index of the original subtree entered via edge j into entrance r.
+        """The copy of entrance r that its in-edge j enters."""
+        if r not in self.entrance_info or not self.g._istart[r] < j <= self.g._istart[r + 1]:
+            raise ValidationError(f"edge {j} does not enter a tunnel entrance at node {r}")
+        return self.entry_copies[j]
 
-        rank_1(I',j) - rank_1(I',select_1(I,r)-r) counts marked in-groups up
-        to j; roots without any in-edge contribute no group, so the width
-        minus the total group count realigns the offset.
-        """
-        rec = self.entrance_info.get(r)
-        if rec is None:
-            raise ValidationError(f"node {r} is not a tunnel entrance")
-        start = self.g._istart[r]
-        deg = self.g.indeg(r)
-        marks = self.iprime.rank(start + deg) - self.iprime.rank(start)
-        return (rec.width - marks) + self.iprime.rank(j) - self.iprime.rank(start)
-
-    def _exit_group(self, j1: int, j2: int, bound: int | None, last: bool = False):
-        """The exit-edge group of the first copy >= bound (with ``last``, of
-        the last copy <= bound) inside the label range [j1, j2] of one
-        tunnel node, as (first edge, last edge, copy); None when no copy
-        qualifies.  A bound of None takes the first (last) group."""
-        opr, ones = self.oprime, self._oprime_ones
-        base = opr.rank(j1)  # j1 opens the first group
-        groups = opr.rank(j2) - base + 1
-        if bound is None:
-            t = groups - 1 if last else 0
-        else:
-            # first group whose copy reaches key; copies rise with the group
-            key = bound + 1 if last else bound
-            lo, hi = 0, groups
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if self.exit_copies.get(ones[base + mid], mid + 1) < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            t = lo - 1 if last else lo
-            if not 0 <= t < groups:
+    def _exit_group(self, j1: int, j2: int, lo_copy: int | None,
+                    hi_copy: int | None, last: bool = False):
+        """(first, last) exit edge of the lowest copy in [lo_copy, hi_copy]
+        (with ``last``, the highest) inside the label range [j1, j2] of one
+        tunnel node, or None; a bound of None is open.  The copies never
+        fall as the edge rank rises, so each bound is one binary search."""
+        edges, copy = range(j1, j2 + 1), self.exit_copies.__getitem__
+        try:
+            if last:
+                e = j2 if hi_copy is None else j1 + bisect_right(edges, hi_copy, key=copy) - 1
+                if e < j1 or (lo_copy is not None and copy(e) < lo_copy):
+                    return None
+                return j1 + bisect_left(edges, copy(e), key=copy), e
+            s = j1 if lo_copy is None else j1 + bisect_left(edges, lo_copy, key=copy)
+            if s > j2 or (hi_copy is not None and copy(s) > hi_copy):
                 return None
-        s0 = ones[base + t]
-        e0 = ones[base + t + 1] - 1 if t + 1 < groups else j2
-        return s0, e0, self.exit_copies.get(s0, t + 1)
+            return s, j1 + bisect_right(edges, copy(s), key=copy) - 1
+        except KeyError as exc:
+            raise InvariantError(f"exit edge {exc.args[0]} has no recorded copy") from None
 
     def _group(self, a: int, b: int, c: int, lo_copy: int | None,
                hi_copy: int | None, last: bool = False):
@@ -511,13 +499,7 @@ class TunneledGraph:
         if (a != b or (lo_copy is None and hi_copy is None)
                 or not kind[a] or kind[g.edge_target(j1)] & _INNER):
             return j1, j2
-        grp = self._exit_group(j1, j2, hi_copy if last else lo_copy, last)
-        if grp is None:
-            return None
-        s0, e0, copy = grp
-        if (lo_copy is not None and copy < lo_copy) or (hi_copy is not None and copy > hi_copy):
-            return None
-        return s0, e0
+        return self._exit_group(j1, j2, lo_copy, hi_copy, last)
 
     def land(self, j: int, copy: int | None) -> tuple[int, int | None]:
         """(node, offset) that edge j reaches from copy ``copy`` of its source."""

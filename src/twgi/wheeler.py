@@ -11,9 +11,10 @@ label and source keep input order.
 Navigation never selects.  Construction decodes the unary vectors I and O
 once, in one pass over their set bits, into the node-offset arrays
 ``_istart`` and ``_lstart`` (edges entering, and L positions left by, the
-nodes of smaller rank); a tunneled graph decodes O' the same way.  The
-target of edge j is then the node whose in-edge interval holds j: a binary
-search over an array in memory, which costs a fraction of a select.
+nodes of smaller rank); a tunneled graph decodes I' once, with them, into
+the copy each edge into a tunnel enters.  The target of edge j is then the
+node whose in-edge interval holds j: a binary search over an array in
+memory, which costs a fraction of a select.
 """
 
 from __future__ import annotations

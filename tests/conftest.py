@@ -225,6 +225,24 @@ def assert_simulation_equal(el: EdgeList, tg, blocks) -> int:
     return checked
 
 
+def random_tunneled_graphs(seed: int, count: int):
+    """(edge list, blocks, tunneled graph) for random Wheeler graphs of at
+    most 14 nodes, tunneled on disjoint brute-force blocks; fig1 first."""
+    el, blocks = fig1_edge_list(), [fig1_block()]
+    yield el, blocks, tunnel_graph(encode(el), blocks)
+    rng = random.Random(seed)
+    for _ in range(count):
+        el = random_wheeler_edge_list(rng, n_max=14)
+        g = encode(el)
+        blocks, used = [], set()
+        for b in enumerate_blocks_bruteforce(g):
+            if b.width > 1 and not used & b.node_set():
+                blocks.append(b)
+                used |= b.node_set()
+        if blocks:
+            yield el, blocks, tunnel_graph(g, blocks)
+
+
 def make_patterns(rng: random.Random, text: bytes, count: int,
                   max_len: int = 32, min_len: int = 1) -> list[bytes]:
     """Mixed positive/negative patterns drawn from and around the text."""

@@ -182,6 +182,23 @@ def test_graph_tunnel_and_search(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "NOT FOUND"
 
 
+def test_graph_search_without_exit_copies_exit_1(tmp_path, capsys):
+    gf = tmp_path / "g.wg"
+    gf.write_text(GRAPH)
+    bf = tmp_path / "b.blk"
+    bf.write_text(BLOCKS)
+    out = tmp_path / "out.wg"
+    assert main(["graph", "tunnel", str(gf), "--blocks", str(bf), "-o", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith("#! exitcopy")]
+    assert len(kept) == len(lines) - 1
+    out.write_text("".join(kept))
+    capsys.readouterr()
+    assert main(["graph", "search", str(out), "bca"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_graph_search_plain_file(tmp_path, capsys):
     gf = tmp_path / "g.wg"
     gf.write_text(GRAPH)

@@ -22,6 +22,7 @@ from conftest import (
     make_patterns,
     naive_count,
     naive_locate,
+    random_tunneled_graphs,
 )
 from twgi.bitvec import BitVec
 from twgi.errors import (
@@ -100,6 +101,58 @@ class TestGraphFile:
         for pat in (b"ab", b"ba", b"cc", b"bca", b"abcabc"):
             assert tg2.path_search(pat) == tg.path_search(pat)
         assert tg2.exit_copies == tg.exit_copies
+        assert tg2.entry_copies == tg.entry_copies
+
+    def test_random_meta_roundtrip(self):
+        for _, _, tg in random_tunneled_graphs(89, 60):
+            tg2 = meta_roundtrip(tg)
+            assert tg2.entry_copies == tg.entry_copies
+            assert tg2.exit_copies == tg.exit_copies
+
+    def test_incomplete_exit_copies_rejected(self):
+        # without a copy for each exit edge, a search would have to guess
+        # which copy the edge leaves
+        rng = random.Random(97)
+        dropped = 0
+        for _, _, tg in random_tunneled_graphs(89, 60):  # fig1 first
+            copies = [*tg.exit_copies]
+            for drop in ([copies, [rng.choice(copies)]] if copies else []):
+                meta = tunneled_graph_meta(tg)
+                for j in drop:
+                    del meta["exit_copies"][j]
+                with pytest.raises(ValidationError, match="no recorded copy"):
+                    meta_roundtrip(tg, meta)
+                dropped += 1
+        assert dropped > 20
+
+    @pytest.mark.parametrize("entrance", [[], [5], [7, 7], [7, 8], [0, 7], [29]])
+    def test_entrance_marks_match_records(self, entrance):
+        tg = tunnel_graph(encode(fig1_edge_list()), [fig1_block()])
+        meta = tunneled_graph_meta(tg)
+        assert meta["entrance"] == [7] and tg.g.n == 28
+        meta["entrance"] = entrance
+        with pytest.raises(ValidationError, match="entrance marks"):
+            meta_roundtrip(tg, meta)
+        if entrance == [29]:  # a record past n_t, however marked
+            meta["tunnels"] = [(29, 5, 2, 7)]
+            with pytest.raises(ValidationError, match="entrance marks"):
+                meta_roundtrip(tg, meta)
+
+    @pytest.mark.parametrize("key", ["iprime", "oprime"])
+    def test_prime_lengths_match_edges(self, key):
+        tg = tunnel_graph(encode(fig1_edge_list()), [fig1_block()])
+        meta = tunneled_graph_meta(tg)
+        assert len(meta[key]) == tg.g.m
+        for bits in (meta[key][:5], meta[key] + "1", ""):
+            with pytest.raises(ValidationError, match=f"{key} holds {len(bits)} bits"):
+                meta_roundtrip(tg, {**meta, key: bits})
+
+
+def meta_roundtrip(tg, meta=None):
+    """tg written to a graph file with its (or the given) meta and read back."""
+    back, _, meta2 = roundtrip_graph(tg.g.to_edge_list(), sigma=tg.g.sigma,
+                                     meta=meta or tunneled_graph_meta(tg))
+    return tunneled_graph_from_meta(encode(back), meta2)
 
 
 class TestBlocksFile:
@@ -555,8 +608,10 @@ class TestIndexFile:
             assert all(type(w) is int for w in bv._words)
             for directory in (bv._super, bv._rel):
                 assert type(directory) is array
-        # the decoded O' positions that the exit-group lookups read
-        assert type(tg._oprime_ones) is array and tg._oprime_ones.typecode == "q"
+        # the copy maps that entering and leaving a tunnel read
+        for copies in (tg.entry_copies, tg.exit_copies):
+            assert all(type(j) is int and type(o) is int for j, o in copies.items())
+        assert tg.entry_copies or not tg.tunnels
         assert type(L._occ) is array and type(L._bytes) is bytes
         assert type(L.n) is int and type(L._stride) is int
         assert type(g.I.rank(3)) is int
@@ -676,7 +731,8 @@ DERIVED_SETTINGS = {"default": {}, "w2-s1-t1": dict(min_width=2, min_length=1, s
 def test_load_derives_what_the_build_holds(name, tunneling, settings, small_index):
     # the file stores no I', O', entrance marks, back or skip pointer exits
     # and distances, nor, without tunnels, inner marks or cnt: loading
-    # derives them, and the exit copies, equal to the ones the build made
+    # derives them, and the entry and exit copies, equal to the ones the
+    # build made
     if settings == "default":
         ix = small_index(name, tunneling)
     else:
@@ -687,6 +743,8 @@ def test_load_derives_what_the_build_holds(name, tunneling, settings, small_inde
     assert got.skip == ix.skip and got.back == ix.back
     assert got.cnt == ix.cnt and got.loc == ix.loc
     assert got.tg.exit_copies == ix.tg.exit_copies
+    assert got.tg.entry_copies == ix.tg.entry_copies
+    assert bool(got.tg.entry_copies) == bool(ix.tg.tunnels)
 
 
 @pytest.mark.parametrize("tunneling", [True, False])

@@ -2,10 +2,10 @@
 
 The select formulas and the linear exit-group scan in conftest are the
 references; the library must agree with them on every edge, node and copy
-bound, must call neither ``BitVec.select`` nor ``LabelSeq.select`` to build,
-load, search, step or walk, and must not read the tunnel marks bit by bit on
-a plain index's query path.  The build takes block columns from arrays and
-walks none of them.
+bound, must call neither ``BitVec.select`` nor ``LabelSeq.select`` (nor
+``BitVec.rank``) to build, load, search, step or walk, and must not read
+the tunnel marks bit by bit on a plain index's query path.  The build takes
+block columns from arrays and walks none of them.
 """
 
 import random
@@ -16,10 +16,10 @@ from conftest import (
     SMALL_TEXTS,
     assert_simulation_equal,
     chain_graph,
-    enumerate_blocks_bruteforce,
     fig1_block,
     fig1_edge_list,
     make_patterns,
+    random_tunneled_graphs,
     random_wheeler_edge_list,
     scan_node_first,
     scan_node_last,
@@ -143,6 +143,20 @@ def select_calls(monkeypatch):
 
 
 @pytest.fixture
+def rank_calls(monkeypatch):
+    """Counts every BitVec.rank call."""
+    calls = [0]
+    rank = BitVec.rank
+
+    def counting(bv, *args):
+        calls[0] += 1
+        return rank(bv, *args)
+
+    monkeypatch.setattr(BitVec, "rank", counting)
+    return calls
+
+
+@pytest.fixture
 def exit_lookups(monkeypatch):
     """Counts TunneledGraph._exit_group calls, so a guard can show that it
     saw the tunnel exits."""
@@ -155,24 +169,6 @@ def exit_lookups(monkeypatch):
 
     monkeypatch.setattr(TunneledGraph, "_exit_group", counting)
     return calls
-
-
-def random_tunneled_graphs(seed: int, count: int):
-    """(edge list, blocks, tunneled graph) for random Wheeler graphs of at
-    most 14 nodes, tunneled on disjoint brute-force blocks; fig1 first."""
-    el, blocks = fig1_edge_list(), [fig1_block()]
-    yield el, blocks, tunnel_graph(encode(el), blocks)
-    rng = random.Random(seed)
-    for _ in range(count):
-        el = random_wheeler_edge_list(rng, n_max=14)
-        g = encode(el)
-        blocks, used = [], set()
-        for b in enumerate_blocks_bruteforce(g):
-            if b.width > 1 and not used & b.node_set():
-                blocks.append(b)
-                used |= b.node_set()
-        if blocks:
-            yield el, blocks, tunnel_graph(g, blocks)
 
 
 CASES = [(name, tunneling) for name in SMALL_TEXTS for tunneling in (True, False)]
@@ -229,7 +225,7 @@ class TestSelectGuard:
         assert exit_lookups[0] > 0  # the tunnel exits are really searched
         assert select_calls[0] == 0
 
-    def test_general_graph_steps(self, select_calls, exit_lookups):
+    def test_general_graph_steps(self, select_calls, rank_calls, exit_lookups):
         rng = random.Random(79)
         graphs = steps = 0
         for el, blocks, tg in random_tunneled_graphs(83, 60):
@@ -239,7 +235,31 @@ class TestSelectGuard:
                 tg.path_search(bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 5))))
             graphs += 1
         assert graphs > 10 and steps > 0 and exit_lookups[0] > 0
-        assert select_calls[0] == 0
+        assert select_calls[0] == 0 and rank_calls[0] == 0
+
+
+class TestRankGuard:
+    """Entering and leaving a tunnel look the copy up in maps decoded when
+    the graph is made, so no build, load or query ranks a bitvector; the
+    select guard's general-graph test checks step and path search."""
+
+    def test_guard_sees_the_ranks(self, rank_calls):
+        BitVec("0110").rank(2)
+        assert rank_calls[0] == 1
+
+    @pytest.mark.parametrize("name,tunneling", CASES)
+    def test_text_index(self, name, tunneling, rank_calls):
+        text = SMALL_TEXTS[name]
+        ix = deserialize_index(serialize_index(build_index(text, tunneling=tunneling)))
+        rng = random.Random(101)
+        for pat in make_patterns(rng, text, 60, max_len=24):
+            ix.count(pat)
+            ix.locate(pat)
+        for _ in range(40):
+            start = rng.randint(1, len(text))
+            ix.extract(start, rng.randint(0, len(text) - start + 1))
+        assert ix.extract(1, len(text)) == text
+        assert rank_calls[0] == 0
 
 
 @pytest.fixture

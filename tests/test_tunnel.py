@@ -378,6 +378,15 @@ class TestOffsets:
         # edge 1 = (v1 -> x1), edge 2 = (former v4 -> x1)
         assert tg.enter_offset(1, 2) == 1
         assert tg.enter_offset(2, 2) == 2
+        assert tg.entry_copies == {1: 1, 2: 2}
+
+    def test_enter_offset_needs_an_edge_into_the_entrance(self):
+        _, _, tg = abcabc()
+        for j in (0, 3, tg.g.m, tg.g.m + 1):  # edge 3 enters node 3
+            with pytest.raises(ValidationError, match=f"edge {j} does not enter a tunnel"):
+                tg.enter_offset(j, 2)
+        with pytest.raises(ValidationError, match="entrance at node 3"):
+            tg.enter_offset(3, 3)  # node 3 is no entrance
 
     def test_exit_edge_examples(self):
         _, _, tg = abcabc()
@@ -393,10 +402,21 @@ class TestOffsets:
         with pytest.raises(NotFoundError):
             tg.step(TraversalPos(3, 1), c, 2)  # each copy has one c-edge
 
+    def test_missing_exit_copy_raises(self):
+        _, _, tg = abcabc()
+        c = tg.g.label_id(ord("c"))
+        assert tg.exit_copies == {4: 1, 5: 2}
+        for j in (4, 5):
+            copies = {k: o for k, o in tg.exit_copies.items() if k != j}
+            bare = TunneledGraph(tg.g, tg.iprime, tg.oprime, tg.entrance_marks,
+                                 tg.inner_marks, tg.tunnels, copies, tg.orig_n)
+            for pos in (TraversalPos(3, 1), TraversalPos(3, 2)):
+                with pytest.raises(InvariantError, match=f"exit edge {j} has no recorded copy"):
+                    bare.step(pos, c)
+
     def test_enter_offset_with_sourceless_root(self):
         # tunnel roots (1, 2) where copy 1 has no in-edge at all: the only
-        # entering edge must yield offset 2, which needs the width-minus-
-        # marks correction
+        # entering edge must yield offset 2, the last copy
         el = EdgeList(4, [(3, 2, 97), (4, 3, 98), (3, 4, 99)])
         assert validate_wheeler(el)
         g = encode(el)
