@@ -184,7 +184,12 @@ class LabelSeq:
 
     def ids(self) -> np.ndarray:
         """The symbol ids as an int64 array."""
-        return np.frombuffer(self._bytes, np.uint8).astype(np.int64) + 1
+        return self.codes().astype(np.int64) + 1
+
+    def codes(self) -> np.ndarray:
+        """The symbol ids less one, as a read-only uint8 array: a stable
+        sort of it is a radix sort, where one of ``ids()`` is a merge sort."""
+        return np.frombuffer(self._bytes, np.uint8)
 
     def access(self, i: int) -> int:
         if not 1 <= i <= self.n:

@@ -17,9 +17,10 @@ that start inside a tunnel, and extract's back hop to a position inside one.
 All copies of a tunnel node share one walk to the exit, where the walk
 splits by copy.
 
-All forward walks use partial rank: the next edge's label is read directly
-from L at the node's offset, so the rank is always taken at a position
-holding that same symbol.
+A forward step takes a known out-edge: a node's only one, or the one of its
+copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
+target, landing copy and label from the tunneled graph's step table, which
+decodes ``land`` once per L position.
 """
 
 from __future__ import annotations
@@ -136,7 +137,11 @@ class TextIndex:
             ptrs.sort()
         self.loc = loc                   # non-tunnel node rank -> text position
         self.cnt = cnt                   # cumulative widths at rank multiples
-        self.ext = sorted((pos, node) for node, pos in loc.items())
+        # the samples by text position, for extract to bisect
+        pos = np.fromiter(loc.values(), np.int64, len(loc))
+        by_pos = np.argsort(pos)
+        self.ext_pos = pos[by_pos].tolist()
+        self.ext_node = np.fromiter(loc, np.int64, len(loc))[by_pos].tolist()
 
     @property
     def text_len(self) -> int:
@@ -145,19 +150,24 @@ class TextIndex:
     # -- forward walking -----------------------------------------------------
 
     def _fstep(self, node: int, off: int, counter: StepCounter):
-        """One simulated original step: returns (node', off', label byte)."""
-        g = self.tg.g
-        lstart = g._lstart[node]
-        deg = g._lstart[node + 1] - lstart
-        if deg == 0:
+        """One simulated original step: returns (node', off', label byte).
+        Copy ``off`` of a tunnel node of out-degree w > 1 leaves by its
+        off-th out-edge, any other node by its only one; the step table
+        holds that edge's target, landing copy and label."""
+        tg = self.tg
+        lstart = tg.g._lstart
+        p = lstart[node]
+        deg = lstart[node + 1] - p
+        if deg > 1 and tg._kind[node]:
+            if not 1 <= off <= deg:
+                raise BoundsError(f"copy {off} of node {node} is outside its {deg} out-edges")
+            p += off
+        elif deg:
+            p += 1
+        else:
             raise BoundsError("walked past the sink")
-        slot = off if (deg > 1 and self.tg.is_tunnel_node(node)) else 1
-        p = lstart + slot
-        c = g.L.access(p)
-        j = g.C[c] + g.L.partial_rank(p)
         counter.steps += 1
-        r, noff = self.tg.land(j, off)
-        return r, noff, g.alphabet[c - 1]
+        return tg._step_to[p], tg._step_land[p] or off, tg._step_byte[p]
 
     def _to_exit(self, v: int, counter: StepCounter) -> tuple[int, int]:
         """(exit, distance) of the tunnel node v: its tunnel's exit and the
@@ -168,8 +178,7 @@ class TextIndex:
         if rec is not None:
             counter.steps += 1
             return rec.exit, rec.length - 1
-        g = self.tg.g
-        skip = self.skip
+        lstart, step_to, skip = self.tg.g._lstart, self.tg._step_to, self.skip
         cur, dist = v, 0
         for _ in range(self.n):
             ptr = skip.get(cur)
@@ -178,11 +187,10 @@ class TextIndex:
                 dist += ptr[1]
                 counter.steps += 1
                 continue
-            if g.outdeg(cur) != 1:
+            p = lstart[cur]
+            if lstart[cur + 1] - p != 1:
                 return cur, dist
-            p = g._lstart[cur] + 1
-            c = g.L.access(p)
-            cur = g.edge_target(g.C[c] + g.L.partial_rank(p))
+            cur = step_to[p + 1]
             dist += 1
             counter.steps += 1
         raise FormatError(f"found no tunnel exit in {self.n} steps from node {v}")
@@ -294,10 +302,9 @@ class TextIndex:
         if length == 0:
             return b""
         counter = counter if counter is not None else StepCounter()
-        idx = bisect_right(self.ext, (start, self.n + 1)) - 1
+        idx = bisect_right(self.ext_pos, start) - 1
         if idx >= 0:
-            pos, node = self.ext[idx]
-            off = 1
+            pos, node, off = self.ext_pos[idx], self.ext_node[idx], 1
         else:
             # the first sample may sit past `start` when the source node
             # lives inside a tunnel; the source is always rank 1, copy 1

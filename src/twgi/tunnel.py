@@ -40,7 +40,10 @@ Every traversal (``step``, range search, the text walks) uses one edge-group
 lookup, ``_group``, and one landing rule, ``land``: an edge into an inner
 node keeps the copy, one into an entrance takes ``enter_offset``, any other
 lands at offset 1.  By block condition (v) only in-tunnel moves reach inner
-nodes, so the target alone tells whether an edge carries the copy.
+nodes, so the target alone tells whether an edge carries the copy.  The
+text walks, which take one known out-edge at a time, read ``land`` decoded
+once per L position: the step table gives the target, the landing copy and
+the label of the edge at each position of L.
 """
 
 from __future__ import annotations
@@ -411,9 +414,11 @@ class TunneledGraph:
     Holds the succinct graph of G_t, bitvectors I'/O' (first edge per
     original target / per original (source, letter) group), entrance and
     inner marks over nodes, per-tunnel records, the copy each edge into an
-    entrance enters and each exit edge leaves, and the original-to-tunneled
+    entrance enters and each exit edge leaves, the step table of the text
+    walks (``land`` per L position), and the original-to-tunneled
     node map while one is known (``tunnel_graph`` sets it; an index file does
-    not store it).
+    not store it).  With ``exit_copies`` None the exit copies are the exits'
+    out-edge slots, as on the string tunnels of an index file.
     """
 
     def __init__(self, g, iprime, oprime, entrance_marks, inner_marks,
@@ -424,7 +429,6 @@ class TunneledGraph:
         self.entrance_marks = entrance_marks
         self.inner_marks = inner_marks
         self.tunnels = list(tunnels)
-        self.exit_copies = dict(exit_copies)
         self.orig_n = orig_n
         self.node_map = node_map
         self.entrance_info = {t.entrance: t for t in self.tunnels}
@@ -443,6 +447,25 @@ class TunneledGraph:
         width = np.array([t.width for t in self.tunnels], np.int64)
         copy = (width - ones[np.cumsum(deg)])[owner] + ones[1:]
         self.entry_copies = dict(zip(j.tolist(), copy.tolist()))
+        # a stable sort of L lists its positions (from 0) in edge order
+        codes = g.L.codes()
+        order = np.argsort(codes, kind="stable")
+        self.exit_copies = (dict(exit_copies) if exit_copies is not None
+                            else _exit_slots(g, self.tunnels, order))
+        # land() decoded once per L position p (index 0 unused): the node
+        # the edge at p reaches, the copy it lands on (0: the target is
+        # inner and the edge keeps its copy) and its label byte
+        step_to = np.zeros(g.m + 1, np.int32)
+        step_to[1:][order] = np.repeat(np.arange(1, g.n + 1, dtype=np.int32),
+                                       np.diff(istart[1:]))
+        inner = np.flatnonzero(kind & _INNER) + 1
+        into_inner = _expand(istart[inner], istart[inner + 1] - istart[inner])[1]  # from 0
+        step_land = np.ones(g.m + 1, np.int32)
+        step_land[order[j - 1] + 1] = copy
+        step_land[order[into_inner] + 1] = 0  # after the copies: land() tests inner first
+        self._step_to = array("i", step_to.tobytes())
+        self._step_land = array("i", step_land.tobytes())
+        self._step_byte = bytes(1) + codes.tobytes().translate(bytes(g.alphabet).ljust(256))
 
     # -- marks ---------------------------------------------------------------
 
@@ -598,6 +621,20 @@ class TunneledGraph:
     def __repr__(self) -> str:
         return (f"TunneledGraph(n_t={self.g.n}, m_t={self.g.m}, "
                 f"tunnels={len(self.tunnels)})")
+
+
+def _exit_slots(g: WheelerGraph, tunnels: list[TunnelRecord], order) -> dict[int, int]:
+    """The exit copies of string tunnels, which leave only from the exit
+    column: each out-edge of an exit leaves the copy of its slot among the
+    exit's out-edges.  ``order`` lists L's positions (from 0) in edge order."""
+    lstart = np.frombuffer(g._lstart, np.int64)
+    exits = np.array([t.exit for t in tunnels], np.int64)
+    owner, p = _expand(lstart[exits], lstart[exits + 1] - lstart[exits])  # from 0
+    slot = np.zeros(g.m, np.int64)
+    slot[p] = p + 1 - lstart[exits][owner]
+    slot = slot[order]
+    edge = np.flatnonzero(slot)
+    return dict(zip((edge + 1).tolist(), slot[edge].tolist()))
 
 
 def tunnel_graph(g: WheelerGraph, blocks: list[Block]) -> TunneledGraph:

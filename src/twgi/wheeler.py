@@ -290,11 +290,11 @@ class WheelerGraph:
         the ranks _istart[v] + 1 .. _istart[v + 1].
         """
         nodes = np.arange(1, self.n + 1)
-        labels = self.L.ids()
-        order = np.argsort(labels, kind="stable")
+        codes = self.L.codes()
+        order = np.argsort(codes, kind="stable")
         sources = np.repeat(nodes, np.diff(self._lstart[1:]))[order]
         targets = np.repeat(nodes, np.diff(self._istart[1:]))
-        return sources, targets, np.asarray(self.alphabet, np.int64)[labels[order] - 1]
+        return sources, targets, np.asarray(self.alphabet, np.int64)[codes[order]]
 
     def to_edge_list(self) -> EdgeList:
         """Recover the edge multiset in Wheeler edge order, labels as bytes."""

@@ -199,6 +199,26 @@ def test_graph_search_without_exit_copies_exit_1(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+def test_graph_search_inner_marked_entrance_exit_1(tmp_path, capsys):
+    gf = tmp_path / "g.wg"
+    gf.write_text(GRAPH)
+    bf = tmp_path / "b.blk"
+    bf.write_text(BLOCKS)
+    out = tmp_path / "out.wg"
+    assert main(["graph", "tunnel", str(gf), "--blocks", str(bf), "-o", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    (entrance,) = [line.split()[2] for line in lines if line.startswith("#! entrance")]
+    marked = [line.rstrip("\n") + f" {entrance}\n" if line.startswith("#! inner") else line
+              for line in lines]
+    assert marked != lines
+    out.write_text("".join(marked))
+    capsys.readouterr()
+    assert main(["graph", "search", str(out), "bca"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "inner-marked" in captured.err
+    assert captured.out == ""
+
+
 def test_graph_search_plain_file(tmp_path, capsys):
     gf = tmp_path / "g.wg"
     gf.write_text(GRAPH)

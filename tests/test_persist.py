@@ -138,6 +138,19 @@ class TestGraphFile:
             with pytest.raises(ValidationError, match="entrance marks"):
                 meta_roundtrip(tg, meta)
 
+    @pytest.mark.parametrize("name", ["fig1", "fib"])
+    def test_inner_marked_entrance_rejected(self, name, small_index):
+        # land() and the step table would disagree on which mark wins, as
+        # an index file may not hold such a mark either
+        tg = (small_index(name).tg if name == "fib"
+              else tunnel_graph(encode(fig1_edge_list()), [fig1_block()]))
+        meta = tunneled_graph_meta(tg)
+        assert meta_roundtrip(tg, meta).inner_marks == tg.inner_marks
+        meta["inner"] = sorted(meta["inner"] + meta["entrance"][-1:])
+        with pytest.raises(ValidationError, match=f"entrance {meta['entrance'][-1]} "
+                                                  f"must not be inner-marked"):
+            meta_roundtrip(tg, meta)
+
     @pytest.mark.parametrize("key", ["iprime", "oprime"])
     def test_prime_lengths_match_edges(self, key):
         tg = tunnel_graph(encode(fig1_edge_list()), [fig1_block()])
@@ -612,6 +625,9 @@ class TestIndexFile:
         for copies in (tg.entry_copies, tg.exit_copies):
             assert all(type(j) is int and type(o) is int for j, o in copies.items())
         assert tg.entry_copies or not tg.tunnels
+        # the step table that every forward step of a walk reads
+        assert type(tg._step_to) is array and type(tg._step_land) is array
+        assert type(tg._step_byte) is bytes
         assert type(L._occ) is array and type(L._bytes) is bytes
         assert type(L.n) is int and type(L._stride) is int
         assert type(g.I.rank(3)) is int

@@ -4,8 +4,10 @@ The select formulas and the linear exit-group scan in conftest are the
 references; the library must agree with them on every edge, node and copy
 bound, must call neither ``BitVec.select`` nor ``LabelSeq.select`` (nor
 ``BitVec.rank``) to build, load, search, step or walk, and must not read
-the tunnel marks bit by bit on a plain index's query path.  The build takes
-block columns from arrays and walks none of them.
+the tunnel marks bit by bit on a plain index's query path.  The text walks
+read the step table, which must equal ``land`` at every L position, and call
+no ``LabelSeq`` method and no ``edge_target``.  The build takes block
+columns from arrays and walks none of them.
 """
 
 import random
@@ -260,6 +262,103 @@ class TestRankGuard:
             ix.extract(start, rng.randint(0, len(text) - start + 1))
         assert ix.extract(1, len(text)) == text
         assert rank_calls[0] == 0
+
+
+def assert_step_table_lands(tg) -> int:
+    """The step table against land() at every L position p: the edge at p
+    is C[c] + partial_rank(p), c the label there.  A copy of -1 shows
+    whether the step keeps the walk's copy.  Returns the positions seen."""
+    g = tg.g
+    assert len(tg._step_to) == len(tg._step_land) == len(tg._step_byte) == g.m + 1
+    for p in range(1, g.m + 1):
+        c = g.L.access(p)
+        node, off = tg.land(g.C[c] + g.L.partial_rank(p), -1)
+        assert (tg._step_to[p], tg._step_land[p] or -1, tg._step_byte[p]) == \
+               (node, off, g.label_byte(c)), p
+    return g.m
+
+
+class TestStepTable:
+    @pytest.mark.parametrize("name,tunneling", CASES)
+    def test_text_index_table_is_land(self, name, tunneling, small_index):
+        ix = small_index(name, tunneling)
+        for tg in (ix.tg, deserialize_index(serialize_index(ix)).tg):
+            assert assert_step_table_lands(tg) == tg.g.m
+            assert any(tg._step_land[p] == 0 for p in range(tg.g.m + 1)) \
+                == (tunneling and name != "rand96")  # rand96 has only length-1 tunnels
+
+    def test_inner_mark_wins_as_in_land(self):
+        # no loader accepts an inner-marked entrance, but a graph made with
+        # one directly steps as land() does
+        tg = tunnel_graph(encode(fig1_edge_list()), [fig1_block()])
+        marks = BitVec(tg.inner_marks.bits() | tg.entrance_marks.bits())
+        both = TunneledGraph(tg.g, tg.iprime, tg.oprime, tg.entrance_marks, marks,
+                             tg.tunnels, tg.exit_copies, tg.orig_n)
+        assert assert_step_table_lands(both) == tg.g.m
+
+    def test_general_graph_table_is_land(self):
+        positions = carried = 0
+        for _, _, tg in random_tunneled_graphs(83, 60):
+            positions += assert_step_table_lands(tg)
+            carried += sum(1 for p in range(1, tg.g.m + 1) if tg._step_land[p] == 0)
+        assert positions > 100 and carried > 0
+
+
+@pytest.fixture
+def walk_lookups(monkeypatch):
+    """Names of the LabelSeq and WheelerGraph.edge_target calls made outside
+    a pattern search: a search ranks L by design, a walk reads the step
+    table."""
+    calls, searching = [], [False]
+    for owner, attr in ((LabelSeq, "access"), (LabelSeq, "rank"), (LabelSeq, "partial_rank"),
+                        (LabelSeq, "select"), (WheelerGraph, "edge_target")):
+        def counting(*args, _fn=getattr(owner, attr), _name=attr):
+            if not searching[0]:
+                calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, attr, counting)
+    search = TunneledGraph._search_pairs
+
+    def unguarded(tg, pattern):
+        searching[0] = True
+        try:
+            return search(tg, pattern)
+        finally:
+            searching[0] = False
+
+    monkeypatch.setattr(TunneledGraph, "_search_pairs", unguarded)
+    return calls
+
+
+class TestWalkGuard:
+    """Locate, extract and node widths walk by the step table and call no
+    LabelSeq method and no edge_target."""
+
+    def test_guard_sees_the_lookups(self, small_index, walk_lookups):
+        ix = small_index("fib")
+        assert ix.count(b"abaab") > 0 and walk_lookups == []
+        ix.tg.g.L.partial_rank(1)
+        ix.tg.g.edge_target(1)
+        assert walk_lookups == ["partial_rank", "edge_target"]
+
+    @pytest.mark.parametrize("name,tunneling", CASES)
+    def test_walks_read_the_table(self, name, tunneling, small_index, walk_lookups):
+        text = SMALL_TEXTS[name]
+        ix = deserialize_index(serialize_index(small_index(name, tunneling)))
+        walk_lookups.clear()  # the load counts each label of L once
+        rng = random.Random(103)
+        for pat in make_patterns(rng, text, 60, max_len=24):
+            ix.count(pat)
+            ix.locate(pat)
+        for _ in range(40):  # extracts that start inside tunnels hop back
+            start = rng.randint(1, len(text))
+            ix.extract(start, rng.randint(0, len(text) - start + 1))
+        assert ix.extract(1, len(text)) == text
+        for v in range(1, ix.tg.g.n + 1):
+            for o in range(1, ix.node_width(v) + 1):
+                ix.locate_one(TraversalPos(v, o))
+        assert walk_lookups == []
 
 
 @pytest.fixture

@@ -197,6 +197,23 @@ class TestExitRule:
             assert entrance_pointers > 0
 
 
+class TestForwardStep:
+    @pytest.mark.parametrize("name", ["fib", "cpm4"])
+    def test_copy_past_out_degree_raises(self, name, small_index):
+        # the step table ends at m_t, and a slot past an exit's out-degree
+        # would read the next node's edge
+        ix = small_index(name)
+        g, counter = ix.tg.g, StepCounter()
+        for t in ix.tg.tunnels:
+            assert ix._fstep(t.exit, t.width, counter)[0] >= 1
+            for off in (0, t.width + 1, t.width + 9):
+                with pytest.raises(BoundsError, match="outside its"):
+                    ix._fstep(t.exit, off, counter)
+        (sink,) = [v for v in range(1, g.n + 1) if g.outdeg(v) == 0]
+        with pytest.raises(BoundsError, match="past the sink"):
+            ix._fstep(sink, 1, counter)
+
+
 class TestNodeWidth:
     def test_examples(self):
         ix = build_index(b"abcabc")
@@ -393,5 +410,5 @@ class TestSampleSharing:
         for _ in range(10):
             text = bytes(rng.choice(b"ab") for _ in range(rng.randint(2, 300)))
             ix = build_index(text)
-            assert {(node, pos) for node, pos in ix.loc.items()} == \
-                   {(node, pos) for pos, node in ix.ext}
+            assert list(zip(ix.ext_pos, ix.ext_node)) == \
+                   sorted((pos, node) for node, pos in ix.loc.items())
