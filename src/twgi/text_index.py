@@ -248,6 +248,8 @@ class TextIndex:
         distance."""
         counter = counter if counter is not None else StepCounter()
         node, off = p.node, p.offset
+        if off < 1 or off > 1 and not self.tg._kind[node]:
+            raise BoundsError(f"node {node} has no copy {off}")
         travelled = 0
         is_tunnel_node = self.tg.is_tunnel_node
         for _ in range(self.n):
@@ -267,9 +269,11 @@ class TextIndex:
         found).  The empty pattern is rejected."""
         if len(pattern) == 0:
             raise ValidationError("locate needs a non-empty pattern")
+        if limit is not None and limit < 0:
+            raise ValidationError(f"locate limit {limit} is negative")
         counter = counter if counter is not None else StepCounter()
         got = self.tg._search_pairs(pattern)
-        if got is None:
+        if got is None or limit == 0:
             return []
         (lo, lo_off), (hi, hi_off) = got
         out = []

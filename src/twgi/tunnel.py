@@ -33,17 +33,19 @@ transform reads it off the block rows, an index file off the exit's
 out-edge slots.  Kept edges sort by (label, tunneled source, original
 source), and the rows of a column are consecutive original ranks, ascending
 with the copy; so inside one label range of one tunnel node the exit copy
-never falls as the edge rank rises, and ``_exit_group`` finds a copy bound
-by binary search over ``exit_copies``.
+never falls as the edge rank rises.
 
-Every traversal (``step``, range search, the text walks) uses one edge-group
-lookup, ``_group``, and one landing rule, ``land``: an edge into an inner
-node keeps the copy, one into an entrance takes ``enter_offset``, any other
-lands at offset 1.  By block condition (v) only in-tunnel moves reach inner
-nodes, so the target alone tells whether an edge carries the copy.  The
-text walks, which take one known out-edge at a time, read ``land`` decoded
-once per L position: the step table gives the target, the landing copy and
-the label of the edge at each position of L.
+A search step (``_edges``) ranks L once for a node range; only its end
+nodes take the copy rule, by at most one binary search over ``exit_copies``
+each, and every node between them takes all its edges (Gagie, Manzini and
+Siren's range search with Baier's tunnel offsets).  One landing rule,
+``land``, places an edge: one into an inner node keeps the copy, one into an
+entrance takes its ``entry_copies`` copy, any other lands at offset 1.  By
+block condition (v) only in-tunnel moves reach inner nodes, so the target
+alone tells whether an edge carries the copy.  The text walks, which take
+one known out-edge at a time, read ``land`` decoded once per L position: the
+step table gives the target, the landing copy and the label of the edge at
+each position of L.
 """
 
 from __future__ import annotations
@@ -478,52 +480,6 @@ class TunneledGraph:
     def is_tunnel_node(self, r: int) -> bool:
         return self._kind[r] != 0
 
-    # -- copy lookups ----------------------------------------------------------
-
-    def enter_offset(self, j: int, r: int) -> int:
-        """The copy of entrance r that its in-edge j enters."""
-        if r not in self.entrance_info or not self.g._istart[r] < j <= self.g._istart[r + 1]:
-            raise ValidationError(f"edge {j} does not enter a tunnel entrance at node {r}")
-        return self.entry_copies[j]
-
-    def _exit_group(self, j1: int, j2: int, lo_copy: int | None,
-                    hi_copy: int | None, last: bool = False):
-        """(first, last) exit edge of the lowest copy in [lo_copy, hi_copy]
-        (with ``last``, the highest) inside the label range [j1, j2] of one
-        tunnel node, or None; a bound of None is open.  The copies never
-        fall as the edge rank rises, so each bound is one binary search."""
-        edges, copy = range(j1, j2 + 1), self.exit_copies.__getitem__
-        try:
-            if last:
-                e = j2 if hi_copy is None else j1 + bisect_right(edges, hi_copy, key=copy) - 1
-                if e < j1 or (lo_copy is not None and copy(e) < lo_copy):
-                    return None
-                return j1 + bisect_left(edges, copy(e), key=copy), e
-            s = j1 if lo_copy is None else j1 + bisect_left(edges, lo_copy, key=copy)
-            if s > j2 or (hi_copy is not None and copy(s) > hi_copy):
-                return None
-            return s, j1 + bisect_right(edges, copy(s), key=copy) - 1
-        except KeyError as exc:
-            raise InvariantError(f"exit edge {exc.args[0]} has no recorded copy") from None
-
-    def _group(self, a: int, b: int, c: int, lo_copy: int | None,
-               hi_copy: int | None, last: bool = False):
-        """(first, last) c-edge leaving nodes [a..b], or None.  When one
-        tunnel node's c-edges leave the tunnel, only the group of the lowest
-        (with ``last``, highest) copy in [lo_copy, hi_copy] counts; a bound of
-        None is open."""
-        if a > b:
-            return None
-        g = self.g
-        j1, j2 = g.edge_range_for_label(NodeRange(a, b), c)
-        if j1 > j2:
-            return None
-        kind = self._kind
-        if (a != b or (lo_copy is None and hi_copy is None)
-                or not kind[a] or kind[g.edge_target(j1)] & _INNER):
-            return j1, j2
-        return self._exit_group(j1, j2, lo_copy, hi_copy, last)
-
     def land(self, j: int, copy: int | None) -> tuple[int, int | None]:
         """(node, offset) that edge j reaches from copy ``copy`` of its source."""
         r = self.g.edge_target(j)
@@ -531,57 +487,62 @@ class TunneledGraph:
         if kind & _INNER:
             return r, copy
         if kind & _ENTRANCE:
-            return r, self.enter_offset(j, r)
+            return r, self.entry_copies[j]
         return r, 1
 
-    # -- single-step traversal -------------------------------------------------
+    # -- search ------------------------------------------------------------------
+
+    def _edges(self, a: int, lo_off: int, b: int, hi_off: int | None, c: int):
+        """The c-edges leaving nodes [a..b] from copy lo_off of node a up to
+        copy hi_off of node b (None: its full width), as (first edge, copy,
+        last edge, copy), or None.  Each copy is the one ``land`` carries:
+        the end node's offset on its in-tunnel move, else 1 for the first
+        edge and None (the full width) for the last."""
+        g, kind = self.g, self._kind
+        rank, lstart, base = g.L.rank, g._lstart, g.C[c]
+        first = base + rank(lstart[a], c) + 1
+        last = base + rank(lstart[b + 1], c)
+        if first > last:
+            return None
+        lo_copy, hi_copy, copy = 1, None, self.exit_copies.__getitem__
+        try:
+            if kind[a] and lo_off > 1:
+                end = last if a == b else base + rank(lstart[a + 1], c)  # node a's last c-edge
+                if first <= end and kind[g.edge_target(first)] & _INNER:
+                    lo_copy = lo_off
+                elif first <= end:
+                    first += bisect_left(range(first, end + 1), lo_off, key=copy)
+            if kind[b] and hi_off is not None:
+                start = first if a == b else base + rank(lstart[b], c) + 1  # node b's first
+                if start <= last and kind[g.edge_target(last)] & _INNER:
+                    hi_copy = hi_off
+                elif start <= last:
+                    last = start - 1 + bisect_right(range(start, last + 1), hi_off, key=copy)
+        except KeyError as exc:
+            raise InvariantError(f"exit edge {exc.args[0]} has no recorded copy") from None
+        return (first, lo_copy, last, hi_copy) if first <= last else None
 
     def step(self, p: TraversalPos, c: int, k: int = 1) -> TraversalPos:
         """Take the k-th c-labeled edge from the simulated original position."""
         g = self.g
         if not 1 <= p.node <= g.n:
             raise BoundsError(f"node {p.node} outside [1..{g.n}]")
+        if p.offset < 1 or p.offset > 1 and not self._kind[p.node]:
+            raise BoundsError(f"node {p.node} has no copy {p.offset}")
         if not 1 <= c <= g.sigma:
             raise NotFoundError(f"symbol {c} not in alphabet")
-        grp = self._group(p.node, p.node, c, p.offset, p.offset)
-        if grp is None or not 1 <= k <= grp[1] - grp[0] + 1:
+        got = self._edges(p.node, p.offset, p.node, p.offset, c)
+        if got is None or not 1 <= k <= got[2] - got[0] + 1:
             raise NotFoundError(f"copy {p.offset} of node {p.node} has no {k}-th {c}-edge")
-        return TraversalPos(*self.land(grp[0] + k - 1, p.offset))
-
-    # -- range search ------------------------------------------------------------
+        return TraversalPos(*self.land(got[0] + k - 1, p.offset))
 
     def _follow_pairs(self, lo, hi, c):
-        """One search step on offset-annotated endpoints.
-
-        lo = (node, offset), hi = (node, offset-or-None); None means the
-        full width of the node.  The endpoints land by the first and last
-        edge over the parts lo node, middle nodes, hi node.  Returns the new
-        endpoint pair or None.
-        """
-        if not 1 <= c <= self.g.sigma:
+        """One search step on (node, offset) endpoints, hi's offset None for
+        the node's full width: the new endpoint pair, or None."""
+        got = self._edges(*lo, *hi, c)
+        if got is None:
             return None
-        lo_node, lo_off = lo
-        hi_node, hi_off = hi
-        if lo_node == hi_node:
-            parts = ((lo_node, lo_node, lo_off, hi_off),)
-        else:
-            parts = ((lo_node, lo_node, lo_off, None),
-                     (lo_node + 1, hi_node - 1, None, None),
-                     (hi_node, hi_node, None, hi_off))
-        for a, b, lo_copy, hi_copy in parts:
-            grp = self._group(a, b, c, lo_copy, hi_copy)
-            if grp is not None:
-                new_lo = self.land(grp[0], 1 if lo_copy is None else lo_copy)
-                break
-        else:
-            return None
-        for a, b, lo_copy, hi_copy in reversed(parts):
-            grp = self._group(a, b, c, lo_copy, hi_copy, last=True)
-            if grp is not None:
-                new_hi = self.land(grp[1], hi_copy)
-                break
-        else:
-            raise InvariantError("lo endpoint found but hi endpoint missing")
+        new_lo, new_hi = self.land(*got[:2]), self.land(*got[2:])
         if new_lo[0] > new_hi[0]:
             raise InvariantError("follow produced a non-coherent range")
         return new_lo, new_hi
@@ -600,15 +561,6 @@ class TunneledGraph:
                 return None
             lo, hi = nxt
         return lo, hi
-
-    def follow_range(self, r: NodeRange, c: int) -> NodeRange:
-        """Tunneled-node range reachable by letter c from range r."""
-        if r.is_empty or not 1 <= c <= self.g.sigma:
-            return NodeRange.empty()
-        got = self._follow_pairs((r.lo, 1), (r.hi, None), c)
-        if got is None:
-            return NodeRange.empty()
-        return NodeRange(got[0][0], got[1][0])
 
     def path_search(self, pattern) -> NodeRange:
         """Non-empty iff the pattern labels a path in the original graph;

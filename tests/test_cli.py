@@ -96,6 +96,15 @@ def test_locate_limit(workdir, capsys):
     assert len(capsys.readouterr().out.split()) == 1
 
 
+def test_locate_limit_zero_and_negative(workdir, capsys):
+    _, _, index = workdir
+    assert main(["locate", index, "c", "--limit", "0"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["locate", index, "c", "--limit", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_extract(workdir, capsys):
     _, _, index = workdir
     rc = main(["extract", index, "2", "3"])

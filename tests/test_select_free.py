@@ -97,6 +97,7 @@ class TestSelectOracles:
                              parts["O"], g.alphabet)
 
     def test_exit_group_lookup_matches_scan(self):
+        # an open lower bound is copy 1: every copy is at least 1
         for tg in tunneled_cases():
             w_max = max((t.width for t in tg.tunnels), default=1)
             bounds = [None, *range(1, w_max + 2)]
@@ -104,23 +105,21 @@ class TestSelectOracles:
                 for c in range(1, tg.g.sigma + 1):
                     for lo in bounds:
                         for hi in bounds:
-                            first = tg._group(v, v, c, lo, hi)
-                            last = tg._group(v, v, c, lo, hi, last=True)
-                            want = scan_node_first(tg, v, c, lo, hi)
-                            assert (first and first[0]) == (want and want[0]), (v, c, lo, hi)
-                            if want:
-                                assert_lands_like(tg, first[0], 1 if lo is None else lo, want)
-                            want = scan_node_last(tg, v, c, lo, hi)
-                            assert (last and last[1]) == (want and want[0]), (v, c, lo, hi)
-                            if want:
-                                assert_lands_like(tg, last[1], hi, want)
+                            got = tg._edges(v, lo or 1, v, hi, c)
+                            first = scan_node_first(tg, v, c, lo, hi)
+                            last = scan_node_last(tg, v, c, lo, hi)
+                            assert (got and got[0]) == (first and first[0]), (v, c, lo, hi)
+                            assert (got and got[2]) == (last and last[0]), (v, c, lo, hi)
+                            if got:
+                                assert_lands_like(tg, *got[:2], first)
+                                assert_lands_like(tg, *got[2:], last)
 
 
 def assert_lands_like(tg, j, copy, pick):
     """land(j, copy) against a scanned (edge, kind, carry) pick: an edge
     lands on an inner node exactly when the scan calls it an in-tunnel
     move, which carries the copy; any other edge enters a tunnel at the
-    copy enter_offset gives, or lands at offset 1."""
+    copy entry_copies gives, or lands at offset 1."""
     _, kind, carry = pick
     node, off = tg.land(j, copy)
     assert node == tg.g.edge_target(j)
@@ -128,7 +127,7 @@ def assert_lands_like(tg, j, copy, pick):
     if kind == "carry":
         assert off == carry, (j, pick)
     else:
-        assert off == (tg.enter_offset(j, node) if tg.is_entrance(node) else 1), (j, pick)
+        assert off == (tg.entry_copies[j] if tg.is_entrance(node) else 1), (j, pick)
 
 
 @pytest.fixture
@@ -160,17 +159,19 @@ def rank_calls(monkeypatch):
 
 @pytest.fixture
 def exit_lookups(monkeypatch):
-    """Counts TunneledGraph._exit_group calls, so a guard can show that it
-    saw the tunnel exits."""
-    calls = [0]
-    lookup = TunneledGraph._exit_group
+    """watch(tg) counts tg's exit-copy lookups in watch.calls, so a guard
+    can show that it saw the tunnel exits."""
+    class Counting(dict):
+        def __getitem__(self, j):
+            watch.calls += 1
+            return dict.__getitem__(self, j)
 
-    def counting(tg, *args, **kwargs):
-        calls[0] += 1
-        return lookup(tg, *args, **kwargs)
+    def watch(tg):
+        monkeypatch.setattr(tg, "exit_copies", Counting(tg.exit_copies))
+        return tg
 
-    monkeypatch.setattr(TunneledGraph, "_exit_group", counting)
-    return calls
+    watch.calls = 0
+    return watch
 
 
 CASES = [(name, tunneling) for name in SMALL_TEXTS for tunneling in (True, False)]
@@ -217,26 +218,27 @@ class TestSelectGuard:
         assert select_calls[0] == 0
 
     def test_tunneled_search_selects_nowhere(self, small_index, select_calls, exit_lookups):
-        ix = small_index("fib")
+        tg = exit_lookups(small_index("fib").tg)
         text = SMALL_TEXTS["fib"]
         rng = random.Random(71)
         for plen in (1, 2, 5, 13, 34, 97):
             for _ in range(20):
                 i = rng.randrange(len(text) - plen + 1)
-                assert ix.tg._search_pairs(text[i:i + plen]) is not None
-        assert exit_lookups[0] > 0  # the tunnel exits are really searched
+                assert tg._search_pairs(text[i:i + plen]) is not None
+        assert exit_lookups.calls > 0  # the tunnel exits are really searched
         assert select_calls[0] == 0
 
     def test_general_graph_steps(self, select_calls, rank_calls, exit_lookups):
         rng = random.Random(79)
         graphs = steps = 0
         for el, blocks, tg in random_tunneled_graphs(83, 60):
+            exit_lookups(tg)
             steps += assert_simulation_equal(el, tg, blocks)  # every step
             alphabet = sorted({c for _, _, c in el.edges}) or [97]
             for _ in range(30):
                 tg.path_search(bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 5))))
             graphs += 1
-        assert graphs > 10 and steps > 0 and exit_lookups[0] > 0
+        assert graphs > 10 and steps > 0 and exit_lookups.calls > 0
         assert select_calls[0] == 0 and rank_calls[0] == 0
 
 

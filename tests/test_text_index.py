@@ -256,6 +256,25 @@ class TestLocate:
         ix = build_index(b"abcabc")
         assert len(ix.locate(b"c", limit=1)) == 1
 
+    def test_limit_zero_and_negative(self):
+        ix = build_index(b"abracadabra" * 20)
+        assert ix.locate(b"abra", limit=0) == []
+        assert len(ix.locate(b"abra", limit=3)) == 3
+        for limit in (-1, -3):
+            with pytest.raises(ValidationError, match="negative"):
+                ix.locate(b"abra", limit=limit)
+
+    def test_locate_one_rejects_a_copy_outside_the_node(self):
+        ix = build_index(b"abracadabra" * 20)
+        assert not ix.tg.is_tunnel_node(1) and ix.tg.is_tunnel_node(2)
+        for pos in (TraversalPos(1, 0), TraversalPos(1, 7), TraversalPos(2, 0),
+                    TraversalPos(2, -2)):
+            with pytest.raises(BoundsError, match=f"no copy {pos.offset}"):
+                ix.locate_one(pos)
+            with pytest.raises(BoundsError, match=f"no copy {pos.offset}"):
+                ix.tg.step(pos, 1)
+        assert ix.locate_one(TraversalPos(1, 1)) == 1
+
     def test_duplicate_occurrence_raises(self, monkeypatch):
         ix = build_index(b"abcabc")
         monkeypatch.setattr(TextIndex, "locate_one", lambda self, p, counter=None: 7)

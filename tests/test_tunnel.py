@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     assert_simulation_equal,
+    block_offsets,
     chain_graph,
     colex_string_graph,
     copy_paste_mutate,
@@ -13,10 +14,11 @@ from conftest import (
     fig1_edge_list,
     naive_count,
     random_text,
+    random_tunneled_graphs,
     unequal_exit_graph,
     walk_string_blocks,
 )
-from twgi.errors import InvariantError, NotFoundError, ValidationError
+from twgi.errors import BoundsError, InvariantError, NotFoundError, ValidationError
 from twgi.text_index import build_graph_from_text
 from twgi.tunnel import (
     Block,
@@ -376,27 +378,35 @@ class TestOffsets:
     def test_enter_offset_examples(self):
         _, _, tg = abcabc()
         # edge 1 = (v1 -> x1), edge 2 = (former v4 -> x1)
-        assert tg.enter_offset(1, 2) == 1
-        assert tg.enter_offset(2, 2) == 2
         assert tg.entry_copies == {1: 1, 2: 2}
+        assert tg.land(1, None) == (2, 1)
+        assert tg.land(2, None) == (2, 2)
+        a = tg.g.label_id(97)
+        assert tg._edges(1, 1, 5, None, a) == (1, 1, 2, None)
+        assert tg._follow_pairs((1, 1), (5, None), a) == ((2, 1), (2, 2))
 
     def test_enter_offset_needs_an_edge_into_the_entrance(self):
+        for tg in (abcabc()[2], tunnel_graph(encode(fig1_edge_list()), [fig1_block()])):
+            into = {j for j in range(1, tg.g.m + 1) if tg.is_entrance(tg.g.edge_target(j))}
+            assert set(tg.entry_copies) == into
         _, _, tg = abcabc()
-        for j in (0, 3, tg.g.m, tg.g.m + 1):  # edge 3 enters node 3
-            with pytest.raises(ValidationError, match=f"edge {j} does not enter a tunnel"):
-                tg.enter_offset(j, 2)
-        with pytest.raises(ValidationError, match="entrance at node 3"):
-            tg.enter_offset(3, 3)  # node 3 is no entrance
+        for j in (0, 3, tg.g.m, tg.g.m + 1):  # edge 3 enters node 3, no entrance
+            assert j not in tg.entry_copies
+        assert not tg.is_entrance(3)
 
     def test_exit_edge_examples(self):
         _, _, tg = abcabc()
         c = tg.g.label_id(ord("c"))
         # c-edges of x2 (rank 3) are edges 4 and 5
         assert tg.g.edge_range_for_label(NodeRange(3, 3), c) == (4, 5)
-        assert tg._group(3, 3, c, 1, 1) == (4, 4)
-        assert tg._group(3, 3, c, 2, 2) == (5, 5)
-        assert tg._group(3, 3, c, 1, 1, last=True) == (4, 4)
-        assert tg._group(3, 3, c, 3, 3) is None  # offset beyond the group count
+        assert tg._edges(3, 1, 3, 1, c) == (4, 1, 4, None)
+        assert tg._edges(3, 2, 3, 2, c) == (5, 1, 5, None)
+        assert tg._edges(3, 1, 3, 2, c) == (4, 1, 5, None)
+        assert tg._edges(3, 2, 3, 1, c) is None  # lo copy above hi copy
+        assert tg._edges(3, 3, 3, 3, c) is None  # offset beyond the group count
+        b = tg.g.label_id(ord("b"))  # x1 -> x2 is an in-tunnel move: it keeps the copy
+        assert tg._edges(2, 2, 2, 2, b) == (3, 2, 3, 2)
+        assert tg._edges(2, 1, 2, None, b) == (3, 1, 3, None)
         with pytest.raises(NotFoundError):
             tg.step(TraversalPos(3, 3), c)
         with pytest.raises(NotFoundError):
@@ -425,7 +435,8 @@ class TestOffsets:
         tg = tunnel_graph(g, blocks)
         a = tg.g.label_id(97)
         entering_edge = tg.g.out_edge_rank(tg.node_map[3], a, 1)
-        assert tg.enter_offset(entering_edge, tg.node_map[2]) == 2
+        assert tg.entry_copies[entering_edge] == 2
+        assert tg.land(entering_edge, None) == (tg.node_map[2], 2)
         assert_simulation_equal(el, tg, blocks)
 
 
@@ -436,6 +447,17 @@ class TestStep:
         assert tg.step(TraversalPos(1, 1), a) == TraversalPos(2, 1)
         assert tg.step(TraversalPos(2, 2), b) == TraversalPos(3, 2)
         assert tg.step(TraversalPos(3, 2), c) == TraversalPos(5, 1)
+
+    def test_step_rejects_a_copy_outside_the_node(self):
+        _, _, tg = abcabc()
+        a, b = tg.g.label_id(97), tg.g.label_id(98)
+        # node 1 lies outside any tunnel, node 2 is a tunnel entrance
+        for pos, c in ((TraversalPos(1, 0), a), (TraversalPos(1, 2), a),
+                       (TraversalPos(1, 7), a), (TraversalPos(2, 0), b),
+                       (TraversalPos(2, -1), b)):
+            with pytest.raises(BoundsError, match=f"no copy {pos.offset}"):
+                tg.step(pos, c)
+        assert tg.step(TraversalPos(1, 1), a) == TraversalPos(2, 1)
 
     def test_step_not_found(self):
         _, _, tg = abcabc()
@@ -489,12 +511,14 @@ class TestStep:
 
 
 class TestTunneledSearch:
-    def test_follow_range_examples(self):
+    def test_search_step_examples(self):
         _, _, tg = abcabc()
-        a, b = tg.g.label_id(97), tg.g.label_id(98)
-        assert tg.follow_range(NodeRange(1, 5), a) == NodeRange(2, 2)
-        assert tg.follow_range(NodeRange.empty(), a).is_empty
-        assert tg.follow_range(NodeRange(2, 2), b) == NodeRange(3, 3)
+        a = tg.g.label_id(97)
+        assert tg.path_search(b"a") == NodeRange(2, 2)
+        assert tg._edges(2, 1, 2, None, a) is None  # x1 has no a-edge
+        assert tg.path_search(b"aa").is_empty
+        assert tg.path_search(b"ab") == NodeRange(3, 3)
+        assert tg._search_pairs(b"ab") == ((3, 1), (3, 2))
 
     def test_path_search_examples(self):
         _, _, tg = abcabc()
@@ -525,6 +549,29 @@ class TestTunneledSearch:
             pat = bytes(rng.choice(b"abc") for _ in range(rng.randint(1, 6)))
             assert tg.path_search(pat).is_empty == g.path_search(pat).is_empty, pat
 
+    def test_range_is_the_image_of_the_original_range(self):
+        # the search's (node, offset) ends are the images of the original
+        # graph's Wheeler range; an offset of None stands for the block width
+        rng = random.Random(97)
+        patterns = found = 0
+        for el, blocks, tg in random_tunneled_graphs(83, 200):
+            g, phi, offsets = encode(el), tg.node_map, block_offsets(blocks)
+            width = {v: b.width for b in blocks for col in b.columns for v in col}
+            alphabet = sorted({c for _, _, c in el.edges}) or [97]
+            for _ in range(40):
+                pat = bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+                want, got = g.path_search(pat), tg._search_pairs(pat)
+                patterns += 1
+                if want.is_empty:
+                    assert got is None, pat
+                    continue
+                (lo, lo_off), (hi, hi_off) = got
+                assert (lo, lo_off) == (phi[want.lo], offsets.get(want.lo, 1)), pat
+                assert hi == phi[want.hi], pat
+                assert (hi_off or width[want.hi]) == offsets.get(want.hi, 1), pat
+                found += 1
+        assert patterns > 5000 and found > 1000
+
     def test_offset_tracked_search_rejects_phantom_paths(self):
         # copy 1 exits by nothing, copy 2 exits by 'd': a bare node-range
         # follow would accept "acd"; the offset-tracked search must not
@@ -537,14 +584,6 @@ class TestTunneledSearch:
 
 
 class TestInvariantErrors:
-    def test_hi_endpoint_missing(self, monkeypatch):
-        _, _, tg = abcabc()
-        group = TunneledGraph._group
-        monkeypatch.setattr(TunneledGraph, "_group",
-                            lambda self, *args, last=False: None if last else group(self, *args))
-        with pytest.raises(InvariantError, match="hi endpoint missing"):
-            tg.follow_range(NodeRange(1, 1), tg.g.label_id(97))
-
     def test_node_accounting(self, monkeypatch):
         # a block declaring more columns than it lists slips past a check
         # that passes everything, and the node count no longer adds up
