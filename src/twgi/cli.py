@@ -167,10 +167,8 @@ def _cmd_graph(args) -> int:
             el, _, meta = read_graph_file(fh)
         pat = parse_pattern(args.pattern)
         g = encode(el)
-        if meta is not None:
-            rng = tunneled_graph_from_meta(g, meta).path_search(pat)
-        else:
-            rng = g.path_search(pat)
+        tg = tunnel_graph(g, []) if meta is None else tunneled_graph_from_meta(g, meta)
+        rng = tg.path_search(pat)
         if rng.is_empty:
             print("NOT FOUND")
             return 1

@@ -183,7 +183,7 @@ def read_graph_file(fh) -> tuple[EdgeList, int, dict | None]:
 def _parse_meta_line(body: str, meta: dict | None) -> dict:
     if meta is None:
         meta = {"tunnels": [], "entrance": [], "inner": [], "exit_copies": {},
-                "iprime": "", "oprime": "", "orig_n": 0}
+                "iprime": "", "oprime": "", "orig_n": None}
     parts = body.split()
     if not parts:
         return meta
@@ -222,9 +222,9 @@ def tunneled_graph_meta(tg: TunneledGraph) -> dict:
 def tunneled_graph_from_meta(g: WheelerGraph, meta: dict) -> TunneledGraph:
     """The tunneled graph that g and its ``#!`` meta describe.  Raises
     ValidationError unless I' and O' hold m_t bits, the entrance marks are
-    the tunnel records' entrances and none is inner-marked, and every edge
-    that leaves a tunnel node for a node that is not inner has a recorded
-    copy."""
+    the tunnel records' entrances and none is inner-marked, every edge that
+    leaves a tunnel node for a node that is not inner has a recorded copy,
+    and orig-n, when given, is the node count the records imply."""
     for key in ("iprime", "oprime"):
         if len(meta[key]) != g.m:
             raise ValidationError(f"{key} holds {len(meta[key])} bits, the graph {g.m} edges")
@@ -244,9 +244,11 @@ def tunneled_graph_from_meta(g: WheelerGraph, meta: dict) -> TunneledGraph:
     missing = exits[~np.isin(exits, list(meta["exit_copies"]))]
     if missing.size:
         raise ValidationError(f"exit edge {missing[0]} has no recorded copy")
-    return TunneledGraph(g, BitVec(meta["iprime"]), BitVec(meta["oprime"]),
-                         BitVec(entrance), BitVec(inner), records,
-                         meta["exit_copies"], orig_n=meta["orig_n"] or g.n)
+    tg = TunneledGraph(g, BitVec(meta["iprime"]), BitVec(meta["oprime"]), BitVec(inner),
+                       records, meta["exit_copies"])
+    if meta["orig_n"] not in (None, tg.orig_n):
+        raise ValidationError(f"orig-n {meta['orig_n']} is not the records' {tg.orig_n}")
+    return tg
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +560,7 @@ def _parse_sections(data: bytes) -> TextIndex:
     if any(g.indeg(t.entrance) != t.width - (t.entrance == 1) for t in tunnels):
         raise FormatError("a tunnel entrance's in-degree must equal its width, less one at rank 1")
     ones = BitVec(np.ones(mt, np.uint8))  # I' and O' of a text index
-    tg = TunneledGraph(g, ones, ones, BitVec(marked), inn, tunnels, None, orig_n=n)
+    tg = TunneledGraph(g, ones, ones, inn, tunnels, None)
     return TextIndex(tg, n, rate_n, rate_t, skip, loc, cnt)
 
 

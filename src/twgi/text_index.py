@@ -19,8 +19,8 @@ splits by copy.
 
 A forward step takes a known out-edge: a node's only one, or the one of its
 copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
-target, landing copy and label from the tunneled graph's step table, which
-decodes ``land`` once per L position.
+target, landing copy and label from the step table, ``land`` decoded once
+per L position when the index is made.
 """
 
 from __future__ import annotations
@@ -126,6 +126,7 @@ class TextIndex:
     def __init__(self, tg: TunneledGraph, n: int, sample_rate_n: int,
                  sample_rate_t: int, skip, loc, cnt):
         self.tg = tg
+        self._step_to, self._step_land, self._step_byte = tg.step_table()
         self.n = n                       # |T| + 1, node count of the original graph
         self.sample_rate_n = sample_rate_n
         self.sample_rate_t = sample_rate_t
@@ -167,7 +168,7 @@ class TextIndex:
         else:
             raise BoundsError("walked past the sink")
         counter.steps += 1
-        return tg._step_to[p], tg._step_land[p] or off, tg._step_byte[p]
+        return self._step_to[p], self._step_land[p] or off, self._step_byte[p]
 
     def _to_exit(self, v: int, counter: StepCounter) -> tuple[int, int]:
         """(exit, distance) of the tunnel node v: its tunnel's exit and the
@@ -178,7 +179,7 @@ class TextIndex:
         if rec is not None:
             counter.steps += 1
             return rec.exit, rec.length - 1
-        lstart, step_to, skip = self.tg.g._lstart, self.tg._step_to, self.skip
+        lstart, step_to, skip = self.tg.g._lstart, self._step_to, self.skip
         cur, dist = v, 0
         for _ in range(self.n):
             ptr = skip.get(cur)
@@ -248,6 +249,8 @@ class TextIndex:
         distance."""
         counter = counter if counter is not None else StepCounter()
         node, off = p.node, p.offset
+        if not 1 <= node <= self.tg.g.n:
+            raise BoundsError(f"node {node} outside [1..{self.tg.g.n}]")
         if off < 1 or off > 1 and not self.tg._kind[node]:
             raise BoundsError(f"node {node} has no copy {off}")
         travelled = 0

@@ -42,10 +42,12 @@ Siren's range search with Baier's tunnel offsets).  One landing rule,
 ``land``, places an edge: one into an inner node keeps the copy, one into an
 entrance takes its ``entry_copies`` copy, any other lands at offset 1.  By
 block condition (v) only in-tunnel moves reach inner nodes, so the target
-alone tells whether an edge carries the copy.  The text walks, which take
-one known out-edge at a time, read ``land`` decoded once per L position: the
-step table gives the target, the landing copy and the label of the edge at
-each position of L.
+alone tells whether an edge carries the copy.  A graph without tunnels is
+searched the same way, as ``tunnel_graph(g, [])``: no node is marked, every
+edge lands at offset 1, and the step is the plain range step.  The text
+walks, which take one known out-edge at a time, read ``land`` decoded once
+per L position: the step table, which a text index builds once, gives the
+target, the landing copy and the label of the edge at each position of L.
 """
 
 from __future__ import annotations
@@ -414,60 +416,74 @@ class TunneledGraph:
     """A tunneled Wheeler graph with the traversal support structures.
 
     Holds the succinct graph of G_t, bitvectors I'/O' (first edge per
-    original target / per original (source, letter) group), entrance and
-    inner marks over nodes, per-tunnel records, the copy each edge into an
-    entrance enters and each exit edge leaves, the step table of the text
-    walks (``land`` per L position), and the original-to-tunneled
-    node map while one is known (``tunnel_graph`` sets it; an index file does
-    not store it).  With ``exit_copies`` None the exit copies are the exits'
-    out-edge slots, as on the string tunnels of an index file.
+    original target / per original (source, letter) group), inner marks over
+    nodes, per-tunnel records, the copy each edge into an entrance enters and
+    each exit edge leaves, and the original-to-tunneled node map while one is
+    known (``tunnel_graph`` sets it; an index file does not store it).  The
+    entrance marks and the original node count are read off the records.
+    With ``exit_copies`` None the exit copies are the exits' out-edge slots,
+    as on the string tunnels of an index file.
     """
 
-    def __init__(self, g, iprime, oprime, entrance_marks, inner_marks,
-                 tunnels, exit_copies, orig_n, node_map=None):
+    def __init__(self, g, iprime, oprime, inner_marks, tunnels, exit_copies,
+                 node_map=None):
         self.g = g
         self.iprime = iprime
         self.oprime = oprime
-        self.entrance_marks = entrance_marks
         self.inner_marks = inner_marks
         self.tunnels = list(tunnels)
-        self.orig_n = orig_n
+        # a tunnel of width w and length s collapsed (w - 1) s original nodes
+        self.orig_n = g.n + sum((t.width - 1) * t.length for t in self.tunnels)
         self.node_map = node_map
         self.entrance_info = {t.entrance: t for t in self.tunnels}
+        entr = np.array([t.entrance for t in self.tunnels], np.int64)
         # both marks decoded once into one byte per node (index 0 unused):
         # every traversal step reads it, and most nodes carry no mark
-        kind = entrance_marks.bits() * _ENTRANCE | inner_marks.bits() * _INNER
-        self._kind = bytearray(1) + kind.tobytes()
+        kind = np.zeros(g.n + 1, np.uint8)
+        kind[1:] = inner_marks.bits() * _INNER
+        kind[entr] |= _ENTRANCE
+        self._kind = bytearray(kind.tobytes())
+        self.entrance_marks = BitVec(kind[1:] & _ENTRANCE)
         # in-edge j of entrance r enters copy width - (I' ones in (j,
         # istart[r + 1]]): the copies reached by in-edges are the last ones,
         # one per I'-marked group
         istart = np.frombuffer(g._istart, np.int64)
-        entr = np.array([t.entrance for t in self.tunnels], np.int64)
         deg = istart[entr + 1] - istart[entr]
         owner, j = _expand(istart[entr] + 1, deg)
         ones = np.append(0, np.cumsum(iprime.bits()[j - 1], dtype=np.int64))  # ones[k]: in j[:k]
         width = np.array([t.width for t in self.tunnels], np.int64)
         copy = (width - ones[np.cumsum(deg)])[owner] + ones[1:]
         self.entry_copies = dict(zip(j.tolist(), copy.tolist()))
-        # a stable sort of L lists its positions (from 0) in edge order
-        codes = g.L.codes()
-        order = np.argsort(codes, kind="stable")
+        self._entry = j, copy  # the same pairs as arrays, for the step table
+        self._order = None
         self.exit_copies = (dict(exit_copies) if exit_copies is not None
-                            else _exit_slots(g, self.tunnels, order))
-        # land() decoded once per L position p (index 0 unused): the node
-        # the edge at p reaches, the copy it lands on (0: the target is
-        # inner and the edge keeps its copy) and its label byte
-        step_to = np.zeros(g.m + 1, np.int32)
-        step_to[1:][order] = np.repeat(np.arange(1, g.n + 1, dtype=np.int32),
-                                       np.diff(istart[1:]))
-        inner = np.flatnonzero(kind & _INNER) + 1
+                            else _exit_slots(g, self.tunnels, self._edge_order()))
+
+    def _edge_order(self):
+        """L's positions (from 0) in edge order: a stable sort of L, made at
+        most once, for the exit slots and the step table."""
+        if self._order is None:
+            self._order = np.argsort(self.g.L.codes(), kind="stable")
+        return self._order
+
+    def step_table(self):
+        """``land`` decoded once per L position p (index 0 unused), for the
+        text walks, which take one known out-edge at a time: the node the
+        edge at p reaches, the copy it lands on (0: the target is inner and
+        the edge keeps its copy) and its label byte."""
+        g = self.g
+        istart = np.frombuffer(g._istart, np.int64)
+        order, self._order = self._edge_order(), None  # its last reader
+        to = np.zeros(g.m + 1, np.int32)
+        to[1:][order] = np.repeat(np.arange(1, g.n + 1, dtype=np.int32), np.diff(istart[1:]))
+        inner = np.flatnonzero(np.frombuffer(self._kind, np.uint8) & _INNER)
         into_inner = _expand(istart[inner], istart[inner + 1] - istart[inner])[1]  # from 0
-        step_land = np.ones(g.m + 1, np.int32)
-        step_land[order[j - 1] + 1] = copy
-        step_land[order[into_inner] + 1] = 0  # after the copies: land() tests inner first
-        self._step_to = array("i", step_to.tobytes())
-        self._step_land = array("i", step_land.tobytes())
-        self._step_byte = bytes(1) + codes.tobytes().translate(bytes(g.alphabet).ljust(256))
+        j, copy = self._entry
+        lands = np.ones(g.m + 1, np.int32)
+        lands[order[j - 1] + 1] = copy
+        lands[order[into_inner] + 1] = 0  # after the copies: land() tests inner first
+        byte = bytes(1) + g.L.codes().tobytes().translate(bytes(g.alphabet).ljust(256))
+        return array("i", to.tobytes()), array("i", lands.tobytes()), byte
 
     # -- marks ---------------------------------------------------------------
 
@@ -536,39 +552,28 @@ class TunneledGraph:
             raise NotFoundError(f"copy {p.offset} of node {p.node} has no {k}-th {c}-edge")
         return TraversalPos(*self.land(got[0] + k - 1, p.offset))
 
-    def _follow_pairs(self, lo, hi, c):
-        """One search step on (node, offset) endpoints, hi's offset None for
-        the node's full width: the new endpoint pair, or None."""
-        got = self._edges(*lo, *hi, c)
-        if got is None:
-            return None
-        new_lo, new_hi = self.land(*got[:2]), self.land(*got[2:])
-        if new_lo[0] > new_hi[0]:
-            raise InvariantError("follow produced a non-coherent range")
-        return new_lo, new_hi
-
     def _search_pairs(self, pattern):
         """Offset-annotated Wheeler range of the pattern over the simulated
-        original graph; None when empty."""
-        lo = (1, 1)
-        hi = (self.g.n, None)
+        original graph; None when empty.  Each symbol is one ``_edges`` call
+        on the (node, offset) ends (hi's offset None: its full width) and one
+        ``land`` for each end edge."""
+        label_id, edges, land = self.g.label_id, self._edges, self.land
+        lo, hi = (1, 1), (self.g.n, None)
         for byte in pattern:
-            c = self.g.label_id(byte)
-            if c is None:
+            c = label_id(byte)
+            got = None if c is None else edges(*lo, *hi, c)
+            if got is None:
                 return None
-            nxt = self._follow_pairs(lo, hi, c)
-            if nxt is None:
-                return None
-            lo, hi = nxt
+            lo, hi = land(*got[:2]), land(*got[2:])
+            if lo[0] > hi[0]:
+                raise InvariantError("follow produced a non-coherent range")
         return lo, hi
 
     def path_search(self, pattern) -> NodeRange:
         """Non-empty iff the pattern labels a path in the original graph;
         the returned range is over tunneled node ranks."""
         got = self._search_pairs(pattern)
-        if got is None:
-            return NodeRange.empty()
-        return NodeRange(got[0][0], got[1][0])
+        return NodeRange.empty() if got is None else NodeRange(got[0][0], got[1][0])
 
     def __repr__(self) -> str:
         return (f"TunneledGraph(n_t={self.g.n}, m_t={self.g.m}, "
@@ -632,18 +637,13 @@ def tunnel_graph(g: WheelerGraph, blocks: list[Block]) -> TunneledGraph:
     roots = phi[ev[er == 1]]  # column by column
     starts = roots[ec[er == 1] == 1]
     ends = roots[np.cumsum([b.size for b in real], dtype=np.int64) - 1]
-    kind = np.zeros(nt + 1, np.int8)  # of the tunneled nodes: 1 entrance, 2 inner
-    kind[roots] = 2
-    kind[starts] = 1
     return TunneledGraph(
         tg,
         BitVec(np.diff(v, prepend=0) != 0),
         BitVec((np.diff(u, prepend=0) != 0) | (np.diff(c, prepend=-1) != 0)),
-        BitVec(kind[1:] == 1),
-        BitVec(kind[1:] == 2),
+        BitVec(np.isin(np.arange(1, nt + 1), roots[ec[er == 1] > 1])),  # inner marks
         [TunnelRecord(a, z, b.width, b.size)
          for a, z, b in zip(starts.tolist(), ends.tolist(), real)],
         dict(zip((exits + 1).tolist(), row[u[exits]].tolist())),
-        orig_n=n,
         node_map=phi,
     )

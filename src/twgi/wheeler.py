@@ -1,4 +1,4 @@
-"""Succinct Wheeler graph representation, validation, and path search.
+"""Succinct Wheeler graph representation and validation.
 
 A Wheeler graph over n nodes and m labeled edges is stored as the quadruple
 (L, C, I, O): L concatenates the out-edge labels per node in edge order, C
@@ -6,7 +6,9 @@ holds per-label edge-count prefix sums, and I/O encode in-/out-degrees in
 unary.  Node ranks, edge ranks, and L positions are all 1-based.
 
 Edge order is (label, source rank); ties among parallel edges with equal
-label and source keep input order.
+label and source keep input order.  This module offers the navigation
+primitives; path search is ``TunneledGraph.path_search``, which searches a
+graph without tunnels as ``tunnel_graph(g, [])``.
 
 Navigation never selects.  Construction decodes the unary vectors I and O
 once, in one pass over their set bits, into the node-offset arrays
@@ -255,29 +257,6 @@ class WheelerGraph:
         j1 = self.C[c] + self.L.rank(self._lstart[r.lo], c) + 1
         j2 = self.C[c] + self.L.rank(self._lstart[r.hi + 1], c)
         return j1, j2
-
-    def follow_range(self, r: NodeRange, c: int) -> NodeRange:
-        """Nodes reachable by a c-edge from r (path coherence keeps the
-        result contiguous); empty propagates."""
-        if r.is_empty or not 1 <= c <= self.sigma:
-            return NodeRange.empty()
-        j1, j2 = self.edge_range_for_label(r, c)
-        if j1 > j2:
-            return NodeRange.empty()
-        return NodeRange(self.edge_target(j1), self.edge_target(j2))
-
-    def path_search(self, pattern) -> NodeRange:
-        """Wheeler range of nodes at the end of a path labeled ``pattern``
-        (byte string or iterable of byte values); full range when empty."""
-        rng = NodeRange(1, self.n)
-        for byte in pattern:
-            c = self._label_to_id.get(byte)
-            if c is None:
-                return NodeRange.empty()
-            rng = self.follow_range(rng, c)
-            if rng.is_empty:
-                return rng
-        return rng
 
     # -- decoding ------------------------------------------------------------
 

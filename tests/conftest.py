@@ -72,6 +72,20 @@ def edgelist_step(el: EdgeList, v: int, c: int, k: int):
     return None
 
 
+def naive_path_range(el: EdgeList, pattern: bytes):
+    """(lo, hi) ranks of the nodes that end a path labeled ``pattern``,
+    walking the edge list from every node; None when no path has the label.
+    Asserts that the end nodes form one run of ranks (path coherence)."""
+    ends = set(range(1, el.n + 1))
+    for byte in pattern:
+        ends = {v for u, v, lab in el.edges if u in ends and lab == byte}
+    if not ends:
+        return None
+    lo, hi = min(ends), max(ends)
+    assert len(ends) == hi - lo + 1, f"the ends of {pattern!r} are not one run: {sorted(ends)}"
+    return lo, hi
+
+
 def random_wheeler_edge_list(rng: random.Random, n_max=20, sigma_max=4,
                              allow_sources=True) -> EdgeList:
     """Constructively generate a valid Wheeler graph.
@@ -637,19 +651,23 @@ def loop_tunnel_graph(g, blocks: list[Block]):
 
     tunnels = [TunnelRecord(col_rank[(bidx, 1)], col_rank[(bidx, b.size)], b.width, b.size)
                for bidx, b in enumerate(real)]
-    inner = [col_rank[(bidx, j)] for bidx, b in enumerate(real) for j in range(2, b.size + 1)]
+    entrance, inner = [], []
+    for (_, j), r in col_rank.items():
+        (entrance if j == 1 else inner).append(r)
     edges, ranks = np.arange(mt), np.arange(1, nt + 1)
-    return TunneledGraph(
+    out = TunneledGraph(
         tg,
         BitVec(np.isin(edges, list(first_in.values()))),
         BitVec(np.isin(edges, list(first_out.values()))),
-        BitVec(np.isin(ranks, [t.entrance for t in tunnels])),
         BitVec(np.isin(ranks, inner)),
         tunnels,
         exit_copies,
-        orig_n=n,
         node_map=phi,
     )
+    # the graph marks its records' entrances: they are the first columns' roots
+    assert out.entrance_marks == BitVec(np.isin(ranks, entrance))
+    assert out.orig_n == n
+    return out
 
 
 def walk_to_exit(g, v: int) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -140,9 +141,9 @@ def test_missing_file_exit_1(tmp_path, capsys):
 
 def test_corrupted_index_exit_1(workdir, capsys):
     _, _, index = workdir
-    data = bytearray(open(index, "rb").read())
+    data = bytearray(Path(index).read_bytes())
     data[len(data) // 2] ^= 1
-    open(index, "wb").write(bytes(data))
+    Path(index).write_bytes(bytes(data))
     assert main(["count", index, "abc"]) == 1
 
 
@@ -228,6 +229,23 @@ def test_graph_search_inner_marked_entrance_exit_1(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_graph_search_disagreeing_orig_n_exit_1(tmp_path, capsys):
+    gf = tmp_path / "g.wg"
+    gf.write_text(GRAPH)
+    bf = tmp_path / "b.blk"
+    bf.write_text(BLOCKS)
+    out = tmp_path / "out.wg"
+    assert main(["graph", "tunnel", str(gf), "--blocks", str(bf), "-o", str(out)]) == 0
+    text = out.read_text()
+    assert "#! orig-n 7\n" in text
+    out.write_text(text.replace("#! orig-n 7\n", "#! orig-n 999\n"))
+    capsys.readouterr()
+    assert main(["graph", "search", str(out), "bca"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "orig-n" in captured.err
+    assert captured.out == ""
+
+
 def test_graph_search_plain_file(tmp_path, capsys):
     gf = tmp_path / "g.wg"
     gf.write_text(GRAPH)
@@ -246,11 +264,17 @@ def test_graph_tunnel_bad_blocks_exit_1(tmp_path, capsys):
     assert rc == 1
 
 
-# GRAPH with one number, field count or label token malformed
+# GRAPH with one line, number, field count or label token malformed
 MALFORMED_GRAPHS = {
     "header number": GRAPH.replace("WG 7 6 3", "WG 7 x 3"),
+    "header word": GRAPH.replace("WG 7 6 3", "GW 7 6 3"),
+    "header fields": GRAPH.replace("WG 7 6 3", "WG 7 6"),
+    "no header": "# a comment and no graph\n",
     "edge number": GRAPH.replace("1 2 a", "1 x a"),
+    "edge fields": GRAPH.replace("1 2 a", "1 2 a b"),
     "label token": GRAPH.replace("1 2 a", "1 2 \\xzz"),
+    "label above a byte": GRAPH.replace("1 2 a", "1 2 \u0100"),
+    "unknown meta key": GRAPH.replace("\n", "\n#! bogus 1\n", 1),
     "orig-n without a value": GRAPH.replace("\n", "\n#! orig-n\n", 1),
     "tunnel with two fields": GRAPH.replace("\n", "\n#! tunnel 1 2\n", 1),
     "exitcopy without a colon": GRAPH.replace("\n", "\n#! exitcopy 5\n", 1),
@@ -259,6 +283,7 @@ MALFORMED_BLOCKS = {
     "size": "BLOCK 2 x\n",
     "header fields": "BLOCK 2\n",
     "column number": "BLOCK 2 1\n2 y\n",
+    "column before any BLOCK": "2 3\nBLOCK 2 1\n2 3\n",
 }
 
 
@@ -313,3 +338,10 @@ def test_bad_escape_in_pattern_exit_1(workdir, capsys):
     _, _, index = workdir
     assert main(["count", index, "\\xzz"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_pattern_character_above_a_byte_exit_1(workdir, capsys):
+    _, _, index = workdir
+    assert main(["count", index, "a\u0100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "is not a byte" in captured.err

@@ -125,6 +125,23 @@ class TestGraphFile:
                 dropped += 1
         assert dropped > 20
 
+    @pytest.mark.parametrize("line,want", [("#! orig-n 35\n", 35), ("", 35),
+                                           ("#! orig-n 999\n", None), ("#! orig-n 28\n", None)])
+    def test_orig_n_is_the_records(self, line, want):
+        # the records imply the original node count: a file may leave the
+        # line out, and one that disagrees is rejected
+        tg = tunnel_graph(encode(fig1_edge_list()), [fig1_block()])
+        assert (tg.orig_n, tg.g.n) == (35, 28)
+        buf = io.StringIO()
+        write_graph_file(buf, tg.g.to_edge_list(), sigma=tg.g.sigma, meta=tunneled_graph_meta(tg))
+        assert "#! orig-n 35\n" in buf.getvalue()
+        el, _, meta = read_graph_file(io.StringIO(buf.getvalue().replace("#! orig-n 35\n", line)))
+        if want is None:
+            with pytest.raises(ValidationError, match="orig-n .* is not the records' 35"):
+                tunneled_graph_from_meta(encode(el), meta)
+        else:
+            assert tunneled_graph_from_meta(encode(el), meta).orig_n == want
+
     @pytest.mark.parametrize("entrance", [[], [5], [7, 7], [7, 8], [0, 7], [29]])
     def test_entrance_marks_match_records(self, entrance):
         tg = tunnel_graph(encode(fig1_edge_list()), [fig1_block()])
@@ -626,8 +643,8 @@ class TestIndexFile:
             assert all(type(j) is int and type(o) is int for j, o in copies.items())
         assert tg.entry_copies or not tg.tunnels
         # the step table that every forward step of a walk reads
-        assert type(tg._step_to) is array and type(tg._step_land) is array
-        assert type(tg._step_byte) is bytes
+        assert type(ix._step_to) is array and type(ix._step_land) is array
+        assert type(ix._step_byte) is bytes
         assert type(L._occ) is array and type(L._bytes) is bytes
         assert type(L.n) is int and type(L._stride) is int
         assert type(g.I.rank(3)) is int

@@ -266,17 +266,17 @@ class TestRankGuard:
         assert rank_calls[0] == 0
 
 
-def assert_step_table_lands(tg) -> int:
-    """The step table against land() at every L position p: the edge at p
-    is C[c] + partial_rank(p), c the label there.  A copy of -1 shows
+def assert_step_table_lands(tg, table) -> int:
+    """The step table of tg against land() at every L position p: the edge
+    at p is C[c] + partial_rank(p), c the label there.  A copy of -1 shows
     whether the step keeps the walk's copy.  Returns the positions seen."""
     g = tg.g
-    assert len(tg._step_to) == len(tg._step_land) == len(tg._step_byte) == g.m + 1
+    to, lands, byte = table
+    assert len(to) == len(lands) == len(byte) == g.m + 1
     for p in range(1, g.m + 1):
         c = g.L.access(p)
         node, off = tg.land(g.C[c] + g.L.partial_rank(p), -1)
-        assert (tg._step_to[p], tg._step_land[p] or -1, tg._step_byte[p]) == \
-               (node, off, g.label_byte(c)), p
+        assert (to[p], lands[p] or -1, byte[p]) == (node, off, g.label_byte(c)), p
     return g.m
 
 
@@ -284,25 +284,27 @@ class TestStepTable:
     @pytest.mark.parametrize("name,tunneling", CASES)
     def test_text_index_table_is_land(self, name, tunneling, small_index):
         ix = small_index(name, tunneling)
-        for tg in (ix.tg, deserialize_index(serialize_index(ix)).tg):
-            assert assert_step_table_lands(tg) == tg.g.m
-            assert any(tg._step_land[p] == 0 for p in range(tg.g.m + 1)) \
-                == (tunneling and name != "rand96")  # rand96 has only length-1 tunnels
+        for got in (ix, deserialize_index(serialize_index(ix))):
+            table = (got._step_to, got._step_land, got._step_byte)
+            assert assert_step_table_lands(got.tg, table) == got.tg.g.m
+            # an edge keeps its copy into an inner node; rand96 has only
+            # length-1 tunnels, which have none
+            assert (0 in got._step_land) == (tunneling and name != "rand96")
 
     def test_inner_mark_wins_as_in_land(self):
         # no loader accepts an inner-marked entrance, but a graph made with
         # one directly steps as land() does
         tg = tunnel_graph(encode(fig1_edge_list()), [fig1_block()])
         marks = BitVec(tg.inner_marks.bits() | tg.entrance_marks.bits())
-        both = TunneledGraph(tg.g, tg.iprime, tg.oprime, tg.entrance_marks, marks,
-                             tg.tunnels, tg.exit_copies, tg.orig_n)
-        assert assert_step_table_lands(both) == tg.g.m
+        both = TunneledGraph(tg.g, tg.iprime, tg.oprime, marks, tg.tunnels, tg.exit_copies)
+        assert assert_step_table_lands(both, both.step_table()) == tg.g.m
 
     def test_general_graph_table_is_land(self):
         positions = carried = 0
         for _, _, tg in random_tunneled_graphs(83, 60):
-            positions += assert_step_table_lands(tg)
-            carried += sum(1 for p in range(1, tg.g.m + 1) if tg._step_land[p] == 0)
+            table = tg.step_table()
+            positions += assert_step_table_lands(tg, table)
+            carried += table[1][1:].count(0)
         assert positions > 100 and carried > 0
 
 

@@ -273,6 +273,11 @@ class TestLocate:
                 ix.locate_one(pos)
             with pytest.raises(BoundsError, match=f"no copy {pos.offset}"):
                 ix.tg.step(pos, 1)
+        # a node outside [1..n_t], as TunneledGraph.step rejects it
+        for node in (0, -1, ix.tg.g.n + 1):
+            for call in (ix.locate_one, lambda pos: ix.tg.step(pos, 1)):
+                with pytest.raises(BoundsError, match=f"node {node} outside"):
+                    call(TraversalPos(node, 1))
         assert ix.locate_one(TraversalPos(1, 1)) == 1
 
     def test_duplicate_occurrence_raises(self, monkeypatch):

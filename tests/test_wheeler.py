@@ -6,9 +6,11 @@ from conftest import (
     colex_string_graph,
     edgelist_step,
     naive_count,
+    naive_path_range,
     random_wheeler_edge_list,
 )
 from twgi.errors import BoundsError, NotFoundError, ValidationError
+from twgi.tunnel import tunnel_graph
 from twgi.wheeler import EdgeList, NodeRange, encode, validate_wheeler
 
 
@@ -105,28 +107,33 @@ class TestNavigation:
         j1, j2 = g.edge_range_for_label(NodeRange(1, 1), b)
         assert j1 > j2
 
+    # a graph without tunnels is searched as tunnel_graph(g, [])
+
     def test_follow_range_examples(self):
         g = encode(ab_graph())
         a = g.label_id(ord("a"))
-        assert g.follow_range(NodeRange(1, 3), a) == NodeRange(2, 2)
-        assert g.follow_range(NodeRange.empty(), a).is_empty
+        assert tunnel_graph(g, []).path_search(b"a") == NodeRange(2, 2)
+        assert naive_path_range(ab_graph(), b"a") == (2, 2)
+        j1, j2 = g.edge_range_for_label(NodeRange.empty(), a)
+        assert j1 > j2
 
     def test_follow_range_abcabc(self):
         el, rank = colex_string_graph(b"abcabc")
-        g = encode(el)
-        b = g.label_id(ord("b"))
-        got = g.follow_range(NodeRange(1, 7), b)
+        got = tunnel_graph(encode(el), []).path_search(b"b")
         want = sorted(rank[k] for k in range(1, 7)
                       if b"abcabc"[k - 1] == ord("b"))
         assert got == NodeRange(want[0], want[-1])
         assert len(got) == len(want)
+        assert naive_path_range(el, b"b") == (got.lo, got.hi)
 
     def test_path_search_examples(self):
-        g = encode(ab_graph())
-        assert g.path_search(b"ab") == NodeRange(3, 3)
-        assert g.path_search(b"") == NodeRange(1, 3)
-        assert g.path_search(b"ba").is_empty
-        assert g.path_search(b"zz").is_empty
+        tg = tunnel_graph(encode(ab_graph()), [])
+        assert tg.path_search(b"ab") == NodeRange(3, 3)
+        assert tg.path_search(b"") == NodeRange(1, 3)
+        assert tg.path_search(b"ba").is_empty
+        assert tg.path_search(b"zz").is_empty
+        for pat, want in ((b"ab", (3, 3)), (b"", (1, 3)), (b"ba", None), (b"zz", None)):
+            assert naive_path_range(ab_graph(), pat) == want
 
     def test_navigation_matches_edge_list_exhaustively(self):
         rng = random.Random(11)
@@ -160,12 +167,12 @@ class TestNavigation:
                 byte = rng.choice(g.alphabet)
                 targets = sorted({v for u, v, lab in el.edges
                                   if lo <= u <= hi and lab == byte})
-                got = g.follow_range(NodeRange(lo, hi), g.label_id(byte))
+                j1, j2 = g.edge_range_for_label(NodeRange(lo, hi), g.label_id(byte))
                 if not targets:
-                    assert got.is_empty
+                    assert j1 > j2
                 else:
                     assert targets == list(range(targets[0], targets[-1] + 1))
-                    assert got == NodeRange(targets[0], targets[-1])
+                    assert (g.edge_target(j1), g.edge_target(j2)) == (targets[0], targets[-1])
 
     def test_path_search_counts_occurrences(self):
         rng = random.Random(17)
@@ -173,13 +180,13 @@ class TestNavigation:
             n = rng.randint(0, 200)
             text = bytes(rng.choice(b"ab" if rng.random() < 0.5 else b"abcd")
                          for _ in range(n))
-            g = encode(colex_string_graph(text)[0])
+            tg = tunnel_graph(encode(colex_string_graph(text)[0]), [])
             for _ in range(25):
                 plen = rng.randint(1, 8)
                 i = rng.randrange(max(1, n))
                 pat = text[i:i + plen] if n else b"a"
                 if not pat:
                     continue
-                assert len(g.path_search(pat)) == naive_count(text, pat)
+                assert len(tg.path_search(pat)) == naive_count(text, pat)
                 neg = bytes(rng.choice(b"abcdz") for _ in range(plen))
-                assert len(g.path_search(neg)) == naive_count(text, neg)
+                assert len(tg.path_search(neg)) == naive_count(text, neg)
