@@ -193,7 +193,9 @@ def _parse_meta_line(body: str, meta: dict | None) -> dict:
     elif key == "orig-n":
         (meta["orig_n"],) = _ints(parts[1:], body, 1)
     elif key in ("iprime", "oprime"):
-        meta[key] = parts[1] if len(parts) > 1 else ""
+        meta[key] = "".join(parts[1:])
+        if len(parts) > 2 or meta[key].strip("01"):
+            raise ValidationError(f"{key} must be one token of 0s and 1s: {body!r}")
     elif key in ("entrance", "inner"):
         meta[key] = _ints(parts[1:], body)
     elif key == "tunnel":
@@ -201,6 +203,8 @@ def _parse_meta_line(body: str, meta: dict | None) -> dict:
     elif key == "exitcopy":
         for pair in parts[1:]:
             j, o = _ints(pair.split(":"), body, 2)
+            if j in meta["exit_copies"]:
+                raise ValidationError(f"exit edge {j} is given a copy twice")
             meta["exit_copies"][j] = o
     else:
         raise ValidationError(f"unknown metadata key {key!r}")
@@ -222,9 +226,11 @@ def tunneled_graph_meta(tg: TunneledGraph) -> dict:
 def tunneled_graph_from_meta(g: WheelerGraph, meta: dict) -> TunneledGraph:
     """The tunneled graph that g and its ``#!`` meta describe.  Raises
     ValidationError unless I' and O' hold m_t bits, the entrance marks are
-    the tunnel records' entrances and none is inner-marked, every edge that
-    leaves a tunnel node for a node that is not inner has a recorded copy,
-    and orig-n, when given, is the node count the records imply."""
+    the tunnel records' entrances and none is inner-marked, the inner marks
+    are distinct nodes, exactly the edges that leave a tunnel node for a
+    node that is not inner have a recorded copy, the copies lie in [1..the
+    largest width] and do not fall inside one (source, label) range, and
+    orig-n, when given, is the node count the records imply."""
     for key in ("iprime", "oprime"):
         if len(meta[key]) != g.m:
             raise ValidationError(f"{key} holds {len(meta[key])} bits, the graph {g.m} edges")
@@ -234,18 +240,33 @@ def tunneled_graph_from_meta(g: WheelerGraph, meta: dict) -> TunneledGraph:
             or any(not 1 <= e <= g.n for e in entrances)):
         raise ValidationError(f"the entrance marks must be the tunnel records' "
                               f"entrances, distinct and in [1..{g.n}]")
+    if (len(set(meta["inner"])) < len(meta["inner"])
+            or any(not 1 <= v <= g.n for v in meta["inner"])):
+        raise ValidationError(f"the inner marks must be distinct and in [1..{g.n}]")
     ranks = np.arange(1, g.n + 1)
     entrance, inner = np.isin(ranks, entrances), np.isin(ranks, meta["inner"])
     if (entrance & inner).any():
         raise ValidationError(f"tunnel entrance {ranks[entrance & inner][0]} must not "
                               f"be inner-marked")
-    src, tgt, _ = g.edge_arrays()
+    src, tgt, lab = g.edge_arrays()
     exits = np.flatnonzero((entrance | inner)[src - 1] & ~inner[tgt - 1]) + 1
-    missing = exits[~np.isin(exits, list(meta["exit_copies"]))]
+    listed = meta["exit_copies"]
+    missing = exits[~np.isin(exits, list(listed))]
     if missing.size:
         raise ValidationError(f"exit edge {missing[0]} has no recorded copy")
+    if len(listed) > exits.size:
+        raise ValidationError(f"edge {min(set(listed) - set(exits.tolist()))} has a copy but "
+                              f"does not leave a tunnel node for a node that is not inner")
+    copies = np.array([listed[j] for j in exits.tolist()], np.int64)
+    w_max = max((t.width for t in records), default=1)
+    if copies.size and not 1 <= copies.min() <= copies.max() <= w_max:
+        raise ValidationError(f"exit copies must lie in [1..{w_max}], the widest tunnel's")
+    group = src[exits - 1] * 256 + lab[exits - 1]
+    if ((group[1:] == group[:-1]) & (np.diff(copies) < 0)).any():
+        raise ValidationError("exit copies must not fall as the edge rank rises "
+                              "inside one (source, label) range")
     tg = TunneledGraph(g, BitVec(meta["iprime"]), BitVec(meta["oprime"]), BitVec(inner),
-                       records, meta["exit_copies"])
+                       records, listed)
     if meta["orig_n"] not in (None, tg.orig_n):
         raise ValidationError(f"orig-n {meta['orig_n']} is not the records' {tg.orig_n}")
     return tg

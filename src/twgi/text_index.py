@@ -19,8 +19,8 @@ splits by copy.
 
 A forward step takes a known out-edge: a node's only one, or the one of its
 copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
-target, landing copy and label from the step table, ``land`` decoded once
-per L position when the index is made.
+target, landing copy and label from the graph's step table, the landing
+rule decoded once per L position when the graph is made.
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ class TextIndex:
     def __init__(self, tg: TunneledGraph, n: int, sample_rate_n: int,
                  sample_rate_t: int, skip, loc, cnt):
         self.tg = tg
-        self._step_to, self._step_land, self._step_byte = tg.step_table()
         self.n = n                       # |T| + 1, node count of the original graph
         self.sample_rate_n = sample_rate_n
         self.sample_rate_t = sample_rate_t
@@ -168,7 +167,7 @@ class TextIndex:
         else:
             raise BoundsError("walked past the sink")
         counter.steps += 1
-        return self._step_to[p], self._step_land[p] or off, self._step_byte[p]
+        return tg._step_to[p], tg._step_land[p] or off, tg._step_byte[p]
 
     def _to_exit(self, v: int, counter: StepCounter) -> tuple[int, int]:
         """(exit, distance) of the tunnel node v: its tunnel's exit and the
@@ -179,7 +178,7 @@ class TextIndex:
         if rec is not None:
             counter.steps += 1
             return rec.exit, rec.length - 1
-        lstart, step_to, skip = self.tg.g._lstart, self._step_to, self.skip
+        lstart, step_to, skip = self.tg.g._lstart, self.tg._step_to, self.skip
         cur, dist = v, 0
         for _ in range(self.n):
             ptr = skip.get(cur)

@@ -4,9 +4,9 @@ traversal / path search on tunneled Wheeler graphs.
 A block is a family of w label-isomorphic subtrees whose column tuples
 occupy consecutive Wheeler ranks; tunneling collapses the w copies into
 one, redirecting boundary edges.  Traversal of the original graph is
-simulated on the tunneled one with (node, tunnel offset) pairs; two
-edge-to-copy maps, filled when the graph is made, say which copy an edge
-enters or leaves, so a traversal does no arithmetic on I' and O'.
+simulated on the tunneled one with (node, tunnel offset) pairs; the copy
+an edge lands on and the copy an exit edge leaves are decoded when the graph
+is made, so a traversal does no arithmetic on I' and O'.
 
 ``tunnel_graph`` checks all blocks at once and collapses them with array
 operations over the graph's edge arrays.  The tunneled rank phi counts the
@@ -24,30 +24,31 @@ differ, else 1 + ext[succ(r)].  A run of rows lasts the least ext over its
 pairs, cut one short of the smallest gap d between the rows' text positions
 (column d would revisit a row); a single row runs to the sink.
 
-``entry_copies`` maps each edge into a tunnel entrance to the copy it
-enters; it is decoded from I', in which each root with in-edges opens one
-group.  The roots without in-edges come first in Wheeler order, so the
-groups are the last copies.  ``exit_copies`` maps each edge that leaves a
-tunnel node, other than an in-tunnel move, to the copy it leaves: the
-transform reads it off the block rows, an index file off the exit's
-out-edge slots.  Kept edges sort by (label, tunneled source, original
-source), and the rows of a column are consecutive original ranks, ascending
-with the copy; so inside one label range of one tunnel node the exit copy
-never falls as the edge rank rises.
+One landing rule places an edge, and the graph decodes it once, with one
+stable sort of L, into the step table: per L position the edge's target, its
+landing copy and its label byte.  An edge into an inner node keeps the copy
+(landing copy 0); one into entrance r enters copy width - (I' ones among r's
+in-edges after it), since each root with in-edges opens one I' group and the
+roots without in-edges come first in Wheeler order, so the groups are the
+last copies; any other edge lands at offset 1.  By block condition (v) only
+in-tunnel moves reach inner nodes, so the target alone tells whether an
+edge carries the copy.  ``land`` reads the table through the L position of
+each edge rank, and the text walks, which take one known out-edge at a time,
+read it by L position.
+
+``exit_copies`` maps each edge that leaves a tunnel node, other than an
+in-tunnel move, to the copy it leaves: the transform reads it off the block
+rows, an index file off the exit's out-edge slots.  Kept edges sort by
+(label, tunneled source, original source), and the rows of a column are
+consecutive original ranks, ascending with the copy; so inside one label
+range of one tunnel node the exit copy never falls as the edge rank rises.
 
 A search step (``_edges``) ranks L once for a node range; only its end
 nodes take the copy rule, by at most one binary search over ``exit_copies``
 each, and every node between them takes all its edges (Gagie, Manzini and
-Siren's range search with Baier's tunnel offsets).  One landing rule,
-``land``, places an edge: one into an inner node keeps the copy, one into an
-entrance takes its ``entry_copies`` copy, any other lands at offset 1.  By
-block condition (v) only in-tunnel moves reach inner nodes, so the target
-alone tells whether an edge carries the copy.  A graph without tunnels is
-searched the same way, as ``tunnel_graph(g, [])``: no node is marked, every
-edge lands at offset 1, and the step is the plain range step.  The text
-walks, which take one known out-edge at a time, read ``land`` decoded once
-per L position: the step table, which a text index builds once, gives the
-target, the landing copy and the label of the edge at each position of L.
+Siren's range search with Baier's tunnel offsets).  A graph without tunnels
+is searched the same way, as ``tunnel_graph(g, [])``: no node is marked,
+every edge lands at offset 1, and the step is the plain range step.
 """
 
 from __future__ import annotations
@@ -417,9 +418,9 @@ class TunneledGraph:
 
     Holds the succinct graph of G_t, bitvectors I'/O' (first edge per
     original target / per original (source, letter) group), inner marks over
-    nodes, per-tunnel records, the copy each edge into an entrance enters and
-    each exit edge leaves, and the original-to-tunneled node map while one is
-    known (``tunnel_graph`` sets it; an index file does not store it).  The
+    nodes, per-tunnel records, the step table, the copy each exit edge
+    leaves, and the original-to-tunneled node map while one is known
+    (``tunnel_graph`` sets it; an index file does not store it).  The
     entrance marks and the original node count are read off the records.
     With ``exit_copies`` None the exit copies are the exits' out-edge slots,
     as on the string tunnels of an index file.
@@ -444,67 +445,41 @@ class TunneledGraph:
         kind[entr] |= _ENTRANCE
         self._kind = bytearray(kind.tobytes())
         self.entrance_marks = BitVec(kind[1:] & _ENTRANCE)
-        # in-edge j of entrance r enters copy width - (I' ones in (j,
-        # istart[r + 1]]): the copies reached by in-edges are the last ones,
-        # one per I'-marked group
+        # the i-th c of L is edge C[c] + i: a stable sort of L gives each
+        # edge rank its L position, and the table is indexed by L position
+        order = np.argsort(g.L.codes(), kind="stable")
+        pos = np.append(0, order + 1).astype(np.int32)
         istart = np.frombuffer(g._istart, np.int64)
+        to, lands = np.zeros(g.m + 1, np.int32), np.ones(g.m + 1, np.int32)
+        to[1:][order] = np.repeat(np.arange(1, g.n + 1, dtype=np.int32), np.diff(istart[1:]))
+        # an edge lands at copy 1 unless it enters a tunnel (see the module
+        # notes); only the in-edges of tunnel nodes are visited, the inner
+        # nodes' last, so that an inner mark wins
         deg = istart[entr + 1] - istart[entr]
         owner, j = _expand(istart[entr] + 1, deg)
         ones = np.append(0, np.cumsum(iprime.bits()[j - 1], dtype=np.int64))  # ones[k]: in j[:k]
         width = np.array([t.width for t in self.tunnels], np.int64)
         copy = (width - ones[np.cumsum(deg)])[owner] + ones[1:]
-        self.entry_copies = dict(zip(j.tolist(), copy.tolist()))
-        self._entry = j, copy  # the same pairs as arrays, for the step table
-        self._order = None
+        if copy.min(initial=1) < 1:
+            raise ValidationError(f"I' marks more groups into entrance "
+                                  f"{entr[owner[np.argmin(copy)]]} than it has copies")
+        lands[pos[j]] = copy
+        inner = np.flatnonzero(kind & _INNER)
+        lands[pos[_expand(istart[inner] + 1, istart[inner + 1] - istart[inner])[1]]] = 0
+        self._pos, self._step_to, self._step_land = (
+            array("i", a.tobytes()) for a in (pos, to, lands))
+        self._step_byte = bytes(1) + g.L.codes().tobytes().translate(bytes(g.alphabet).ljust(256))
         self.exit_copies = (dict(exit_copies) if exit_copies is not None
-                            else _exit_slots(g, self.tunnels, self._edge_order()))
-
-    def _edge_order(self):
-        """L's positions (from 0) in edge order: a stable sort of L, made at
-        most once, for the exit slots and the step table."""
-        if self._order is None:
-            self._order = np.argsort(self.g.L.codes(), kind="stable")
-        return self._order
-
-    def step_table(self):
-        """``land`` decoded once per L position p (index 0 unused), for the
-        text walks, which take one known out-edge at a time: the node the
-        edge at p reaches, the copy it lands on (0: the target is inner and
-        the edge keeps its copy) and its label byte."""
-        g = self.g
-        istart = np.frombuffer(g._istart, np.int64)
-        order, self._order = self._edge_order(), None  # its last reader
-        to = np.zeros(g.m + 1, np.int32)
-        to[1:][order] = np.repeat(np.arange(1, g.n + 1, dtype=np.int32), np.diff(istart[1:]))
-        inner = np.flatnonzero(np.frombuffer(self._kind, np.uint8) & _INNER)
-        into_inner = _expand(istart[inner], istart[inner + 1] - istart[inner])[1]  # from 0
-        j, copy = self._entry
-        lands = np.ones(g.m + 1, np.int32)
-        lands[order[j - 1] + 1] = copy
-        lands[order[into_inner] + 1] = 0  # after the copies: land() tests inner first
-        byte = bytes(1) + g.L.codes().tobytes().translate(bytes(g.alphabet).ljust(256))
-        return array("i", to.tobytes()), array("i", lands.tobytes()), byte
-
-    # -- marks ---------------------------------------------------------------
-
-    def is_entrance(self, r: int) -> bool:
-        return bool(self._kind[r] & _ENTRANCE)
-
-    def is_inner(self, r: int) -> bool:
-        return bool(self._kind[r] & _INNER)
+                            else _exit_slots(g, self.tunnels, order))
 
     def is_tunnel_node(self, r: int) -> bool:
         return self._kind[r] != 0
 
     def land(self, j: int, copy: int | None) -> tuple[int, int | None]:
-        """(node, offset) that edge j reaches from copy ``copy`` of its source."""
-        r = self.g.edge_target(j)
-        kind = self._kind[r]
-        if kind & _INNER:
-            return r, copy
-        if kind & _ENTRANCE:
-            return r, self.entry_copies[j]
-        return r, 1
+        """(node, offset) that edge j reaches from copy ``copy`` of its
+        source: one read of the step table at j's L position."""
+        p = self._pos[j]
+        return self._step_to[p], self._step_land[p] or copy
 
     # -- search ------------------------------------------------------------------
 
@@ -514,7 +489,7 @@ class TunneledGraph:
         last edge, copy), or None.  Each copy is the one ``land`` carries:
         the end node's offset on its in-tunnel move, else 1 for the first
         edge and None (the full width) for the last."""
-        g, kind = self.g, self._kind
+        g, kind, pos, lands = self.g, self._kind, self._pos, self._step_land
         rank, lstart, base = g.L.rank, g._lstart, g.C[c]
         first = base + rank(lstart[a], c) + 1
         last = base + rank(lstart[b + 1], c)
@@ -524,13 +499,13 @@ class TunneledGraph:
         try:
             if kind[a] and lo_off > 1:
                 end = last if a == b else base + rank(lstart[a + 1], c)  # node a's last c-edge
-                if first <= end and kind[g.edge_target(first)] & _INNER:
+                if first <= end and not lands[pos[first]]:
                     lo_copy = lo_off
                 elif first <= end:
                     first += bisect_left(range(first, end + 1), lo_off, key=copy)
             if kind[b] and hi_off is not None:
                 start = first if a == b else base + rank(lstart[b], c) + 1  # node b's first
-                if start <= last and kind[g.edge_target(last)] & _INNER:
+                if start <= last and not lands[pos[last]]:
                     hi_copy = hi_off
                 elif start <= last:
                     last = start - 1 + bisect_right(range(start, last + 1), hi_off, key=copy)

@@ -13,10 +13,10 @@ graph without tunnels as ``tunnel_graph(g, [])``.
 Navigation never selects.  Construction decodes the unary vectors I and O
 once, in one pass over their set bits, into the node-offset arrays
 ``_istart`` and ``_lstart`` (edges entering, and L positions left by, the
-nodes of smaller rank); a tunneled graph decodes I' once, with them, into
-the copy each edge into a tunnel enters.  The target of edge j is then the
-node whose in-edge interval holds j: a binary search over an array in
-memory, which costs a fraction of a select.
+nodes of smaller rank).  ``edge_target(j)`` is then the node whose in-edge
+interval holds j: a binary search over an array in memory, which costs a
+fraction of a select.  No search or walk calls it: a tunneled graph
+decodes every edge's target, with its landing copy, into its step table.
 """
 
 from __future__ import annotations

@@ -349,6 +349,42 @@ def scan_exit_groups(tg, j1: int, j2: int):
             for idx, (s0, e0) in enumerate(zip(starts, ends))]
 
 
+def oracle_land(tg, j: int, copy):
+    """(node, offset) that edge j reaches from copy ``copy`` of its source,
+    from edge_target, the marks and a scan of I': an inner-marked target
+    keeps the copy; a record's entrance r is entered at copy width - (I'
+    ones among r's in-edges after j), since the I'-marked groups are the
+    last copies; any other target is reached at offset 1."""
+    g = tg.g
+    r = g.edge_target(j)
+    if tg.inner_marks.access(r):
+        return r, copy
+    rec = next((t for t in tg.tunnels if t.entrance == r), None)
+    if rec is None:
+        return r, 1
+    k = j + 1
+    while k <= g.m and g.edge_target(k) == r:
+        k += 1
+    return r, rec.width - sum(tg.iprime.access(i) for i in range(j + 1, k))
+
+
+def assert_lands(tg) -> int:
+    """The step table and land() against oracle_land at every L position p,
+    whose edge is C[c] + partial_rank(p), c the label there.  A copy of -1
+    shows whether the edge keeps the walk's copy.  Returns the edges seen."""
+    g = tg.g
+    assert len(tg._pos) == len(tg._step_to) == len(tg._step_land) == len(tg._step_byte) == g.m + 1
+    for p in range(1, g.m + 1):
+        c = g.L.access(p)
+        j = g.C[c] + g.L.partial_rank(p)
+        node, off = oracle_land(tg, j, -1)
+        assert tg._pos[j] == p, (j, p)
+        assert tg.land(j, -1) == (node, off), j
+        assert (tg._step_to[p], tg._step_land[p] or -1, tg._step_byte[p]) == \
+            (node, off, g.label_byte(c)), p
+    return g.m
+
+
 def scan_node_first(tg, v, c, min_copy, max_copy):
     """First c-edge leaving node v from a copy in [min_copy, max_copy]
     (None = unbounded), over the scanned exit groups: (edge, "carry", copy)
@@ -358,7 +394,7 @@ def scan_node_first(tg, v, c, min_copy, max_copy):
         return None
     if not tg.is_tunnel_node(v):
         return (j1, "plain", None)
-    if tg.is_inner(tg.g.edge_target(j1)):
+    if tg.inner_marks.access(tg.g.edge_target(j1)):
         return (j1, "carry", min_copy if min_copy is not None else 1)
     for s0, _, copy in scan_exit_groups(tg, j1, j2):
         if min_copy is not None and copy < min_copy:
@@ -376,7 +412,7 @@ def scan_node_last(tg, v, c, min_copy, max_copy):
         return None
     if not tg.is_tunnel_node(v):
         return (j2, "plain", None)
-    if tg.is_inner(tg.g.edge_target(j1)):
+    if tg.inner_marks.access(tg.g.edge_target(j1)):
         return (j1, "carry", max_copy)
     best = None
     for _, e0, copy in scan_exit_groups(tg, j1, j2):

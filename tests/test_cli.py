@@ -150,6 +150,10 @@ def test_corrupted_index_exit_1(workdir, capsys):
 GRAPH = "WG 7 6 3\n1 2 a\n2 4 b\n3 5 b\n4 6 c\n5 7 c\n6 3 a\n"
 BAD_GRAPH = "WG 2 1 1\n2 1 a\n"
 BLOCKS = "BLOCK 2 2\n2 3\n4 5\n"
+# GRAPH tunneled on BLOCKS, as `twgi graph tunnel` writes it
+TUNNELED = ("WG 5 5 3\n#! tunneled\n#! orig-n 7\n#! iprime 11111\n#! oprime 11111\n"
+            "#! entrance 2\n#! inner 3\n#! tunnel 2 3 2 2\n#! exitcopy 4:1 5:2\n"
+            "1 2 a\n4 2 a\n2 3 b\n3 4 c\n3 5 c\n")
 
 
 def test_graph_validate_ok(tmp_path, capsys):
@@ -278,6 +282,29 @@ MALFORMED_GRAPHS = {
     "orig-n without a value": GRAPH.replace("\n", "\n#! orig-n\n", 1),
     "tunnel with two fields": GRAPH.replace("\n", "\n#! tunnel 1 2\n", 1),
     "exitcopy without a colon": GRAPH.replace("\n", "\n#! exitcopy 5\n", 1),
+    "exit copy 0": TUNNELED.replace("5:2", "5:0"),
+    "exit copy above the widest tunnel": TUNNELED.replace("5:2", "5:9"),
+    "exit copy given twice": TUNNELED.replace("5:2", "5:2 5:1"),
+    "exit copy off an exit": TUNNELED.replace("5:2", "5:2 3:1"),
+    "exit copy past m_t": TUNNELED.replace("5:2", "5:2 6:1"),
+    "exit copies falling": TUNNELED.replace("4:1 5:2", "4:2 5:1"),
+    "iprime character": TUNNELED.replace("iprime 11111", "iprime 1x1z1"),
+    "oprime two tokens": TUNNELED.replace("oprime 11111", "oprime 11111 0"),
+    "inner mark out of range": TUNNELED.replace("inner 3", "inner 3 0 999"),
+    "inner mark repeated": TUNNELED.replace("inner 3", "inner 3 3"),
+}
+# the entries above that break a line of TUNNELED, and what the error names
+BAD_TUNNEL_META = {
+    "exit copy 0": "must lie in [1..2]",
+    "exit copy above the widest tunnel": "must lie in [1..2]",
+    "exit copy given twice": "exit edge 5 is given a copy twice",
+    "exit copy off an exit": "edge 3 has a copy but does not leave a tunnel node",
+    "exit copy past m_t": "edge 6 has a copy but does not leave a tunnel node",
+    "exit copies falling": "must not fall",
+    "iprime character": "iprime must be one token of 0s and 1s",
+    "oprime two tokens": "oprime must be one token of 0s and 1s",
+    "inner mark out of range": "inner marks must be distinct and in [1..5]",
+    "inner mark repeated": "inner marks must be distinct and in [1..5]",
 }
 MALFORMED_BLOCKS = {
     "size": "BLOCK 2 x\n",
@@ -293,6 +320,29 @@ def test_malformed_graph_file_exit_1(tmp_path, capsys, name):
     gf.write_text(MALFORMED_GRAPHS[name])
     assert main(["graph", "search", str(gf), "a"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_tunneled_graph_file_answers(tmp_path, capsys):
+    # the file that each BAD_TUNNEL_META entry breaks in one line
+    gf, bf, out = tmp_path / "g.wg", tmp_path / "b.blk", tmp_path / "t.wg"
+    gf.write_text(GRAPH)
+    bf.write_text(BLOCKS)
+    assert main(["graph", "tunnel", str(gf), "--blocks", str(bf), "-o", str(out)]) == 0
+    assert out.read_text() == TUNNELED
+    capsys.readouterr()
+    for pattern, want in (("cabc", "FOUND [5, 5]"), ("abc", "FOUND [4, 5]")):
+        assert main(["graph", "search", str(out), pattern]) == 0
+        assert capsys.readouterr().out.strip() == want
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TUNNEL_META))
+def test_bad_tunnel_meta_exit_1(tmp_path, capsys, name):
+    gf = tmp_path / "g.wg"
+    gf.write_text(MALFORMED_GRAPHS[name])
+    assert main(["graph", "search", str(gf), "cabc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and BAD_TUNNEL_META[name] in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_BLOCKS))

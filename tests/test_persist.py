@@ -62,6 +62,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import layout  # noqa: E402
 
 
+def landing_table(tg):
+    """Where each edge lands: each edge rank's L position and the step table."""
+    return tg._pos, tg._step_to, tg._step_land, tg._step_byte
+
+
 def roundtrip_graph(el, sigma=None, meta=None):
     buf = io.StringIO()
     write_graph_file(buf, el, sigma=sigma, meta=meta)
@@ -101,12 +106,12 @@ class TestGraphFile:
         for pat in (b"ab", b"ba", b"cc", b"bca", b"abcabc"):
             assert tg2.path_search(pat) == tg.path_search(pat)
         assert tg2.exit_copies == tg.exit_copies
-        assert tg2.entry_copies == tg.entry_copies
+        assert landing_table(tg2) == landing_table(tg)
 
     def test_random_meta_roundtrip(self):
         for _, _, tg in random_tunneled_graphs(89, 60):
             tg2 = meta_roundtrip(tg)
-            assert tg2.entry_copies == tg.entry_copies
+            assert landing_table(tg2) == landing_table(tg)
             assert tg2.exit_copies == tg.exit_copies
 
     def test_incomplete_exit_copies_rejected(self):
@@ -124,6 +129,62 @@ class TestGraphFile:
                     meta_roundtrip(tg, meta)
                 dropped += 1
         assert dropped > 20
+
+    def test_bad_exit_copies_rejected(self):
+        # a copy out of range, a copy for an edge that is no exit, or copies
+        # that fall inside one (source, label) range would answer searches
+        # wrong
+        bad = 0
+        for _, _, tg in random_tunneled_graphs(89, 60):
+            if not tg.exit_copies:
+                continue
+            src, _, lab = tg.g.edge_arrays()
+            exits = sorted(tg.exit_copies)
+            j, w = exits[0], max(t.width for t in tg.tunnels)
+            edits = [({j: 0}, "must lie in"), ({j: w + 1}, "must lie in"),
+                     ({tg.g.m + 1: 1}, "does not leave")]
+            edits += [({a: tg.exit_copies[b], b: tg.exit_copies[a]}, "must not fall")
+                      for a, b in zip(exits, exits[1:])
+                      if (src[a - 1], lab[a - 1]) == (src[b - 1], lab[b - 1])
+                      and tg.exit_copies[a] != tg.exit_copies[b]]
+            for edit, match in edits:
+                meta = tunneled_graph_meta(tg)
+                meta["exit_copies"].update(edit)
+                with pytest.raises(ValidationError, match=match):
+                    meta_roundtrip(tg, meta)
+                bad += 1
+        assert bad > 100
+
+    @pytest.mark.parametrize("line,match", [
+        ("#! exitcopy 4:1 5:2 5:1", "twice"),
+        ("#! iprime 1x1z1", "one token of 0s and 1s"),
+        ("#! oprime 11111 0", "one token of 0s and 1s"),
+    ])
+    def test_bad_meta_line_rejected(self, line, match):
+        with pytest.raises(ValidationError, match=match):
+            read_graph_file(io.StringIO(f"WG 2 1 1\n{line}\n1 2 a\n"))
+
+    @pytest.mark.parametrize("inner", [[0], [29], [3, 3]])
+    def test_bad_inner_marks_rejected(self, inner):
+        tg = tunnel_graph(encode(fig1_edge_list()), [fig1_block()])
+        meta = tunneled_graph_meta(tg)
+        meta["inner"] = meta["inner"] + inner
+        with pytest.raises(ValidationError, match="inner marks must be distinct"):
+            meta_roundtrip(tg, meta)
+
+    def test_more_entry_groups_than_copies_rejected(self):
+        # copy width - (I' ones after the edge) of an entrance with more
+        # in-edges than copies would fall below 1 if I' marked every one
+        wide = 0
+        for _, _, tg in random_tunneled_graphs(89, 60):
+            if all(tg.g.indeg(t.entrance) <= t.width for t in tg.tunnels):
+                continue
+            meta = tunneled_graph_meta(tg)
+            meta["iprime"] = "1" * tg.g.m
+            with pytest.raises(ValidationError, match="than it has copies"):
+                meta_roundtrip(tg, meta)
+            wide += 1
+        assert wide > 5
 
     @pytest.mark.parametrize("line,want", [("#! orig-n 35\n", 35), ("", 35),
                                            ("#! orig-n 999\n", None), ("#! orig-n 28\n", None)])
@@ -638,13 +699,12 @@ class TestIndexFile:
             assert all(type(w) is int for w in bv._words)
             for directory in (bv._super, bv._rel):
                 assert type(directory) is array
-        # the copy maps that entering and leaving a tunnel read
-        for copies in (tg.entry_copies, tg.exit_copies):
-            assert all(type(j) is int and type(o) is int for j, o in copies.items())
-        assert tg.entry_copies or not tg.tunnels
-        # the step table that every forward step of a walk reads
-        assert type(ix._step_to) is array and type(ix._step_land) is array
-        assert type(ix._step_byte) is bytes
+        # the copy map that leaving a tunnel reads
+        assert all(type(j) is int and type(o) is int for j, o in tg.exit_copies.items())
+        assert tg.exit_copies or not tg.tunnels
+        # the step table that every forward step and every landing reads
+        assert all(type(a) is array for a in (tg._pos, tg._step_to, tg._step_land))
+        assert type(tg._step_byte) is bytes
         assert type(L._occ) is array and type(L._bytes) is bytes
         assert type(L.n) is int and type(L._stride) is int
         assert type(g.I.rank(3)) is int
@@ -764,7 +824,7 @@ DERIVED_SETTINGS = {"default": {}, "w2-s1-t1": dict(min_width=2, min_length=1, s
 def test_load_derives_what_the_build_holds(name, tunneling, settings, small_index):
     # the file stores no I', O', entrance marks, back or skip pointer exits
     # and distances, nor, without tunnels, inner marks or cnt: loading
-    # derives them, and the entry and exit copies, equal to the ones the
+    # derives them, and the landing table and exit copies, equal to the ones the
     # build made
     if settings == "default":
         ix = small_index(name, tunneling)
@@ -776,8 +836,9 @@ def test_load_derives_what_the_build_holds(name, tunneling, settings, small_inde
     assert got.skip == ix.skip and got.back == ix.back
     assert got.cnt == ix.cnt and got.loc == ix.loc
     assert got.tg.exit_copies == ix.tg.exit_copies
-    assert got.tg.entry_copies == ix.tg.entry_copies
-    assert bool(got.tg.entry_copies) == bool(ix.tg.tunnels)
+    assert landing_table(got.tg) == landing_table(ix.tg)
+    # only an edge into a tunnel entrance lands past copy 1
+    assert (max(got.tg._step_land) > 1) == bool(ix.tg.tunnels)
 
 
 @pytest.mark.parametrize("tunneling", [True, False])

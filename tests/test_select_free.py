@@ -4,10 +4,11 @@ The select formulas and the linear exit-group scan in conftest are the
 references; the library must agree with them on every edge, node and copy
 bound, must call neither ``BitVec.select`` nor ``LabelSeq.select`` (nor
 ``BitVec.rank``) to build, load, search, step or walk, and must not read
-the tunnel marks bit by bit on a plain index's query path.  The text walks
-read the step table, which must equal ``land`` at every L position, and call
-no ``LabelSeq`` method and no ``edge_target``.  The build takes block
-columns from arrays and walks none of them.
+the tunnel marks bit by bit on a plain index's query path.  Every edge
+lands where the conftest oracle (edge_target, the marks and a scan of I')
+says, through ``land`` and through the step table.  The text walks call no
+``LabelSeq`` method, and no walk or search calls ``edge_target``.  The
+build takes block columns from arrays and walks none of them.
 """
 
 import random
@@ -16,11 +17,13 @@ import pytest
 
 from conftest import (
     SMALL_TEXTS,
+    assert_lands,
     assert_simulation_equal,
     chain_graph,
     fig1_block,
     fig1_edge_list,
     make_patterns,
+    oracle_land,
     random_tunneled_graphs,
     random_wheeler_edge_list,
     scan_node_first,
@@ -118,16 +121,11 @@ class TestSelectOracles:
 def assert_lands_like(tg, j, copy, pick):
     """land(j, copy) against a scanned (edge, kind, carry) pick: an edge
     lands on an inner node exactly when the scan calls it an in-tunnel
-    move, which carries the copy; any other edge enters a tunnel at the
-    copy entry_copies gives, or lands at offset 1."""
+    move, which carries the copy; any other edge lands where oracle_land
+    says."""
     _, kind, carry = pick
-    node, off = tg.land(j, copy)
-    assert node == tg.g.edge_target(j)
-    assert tg.is_inner(node) == (kind == "carry"), (j, pick)
-    if kind == "carry":
-        assert off == carry, (j, pick)
-    else:
-        assert off == (tg.entry_copies[j] if tg.is_entrance(node) else 1), (j, pick)
+    assert tg.inner_marks.access(tg.g.edge_target(j)) == (kind == "carry"), (j, pick)
+    assert tg.land(j, copy) == oracle_land(tg, j, carry), (j, pick)
 
 
 @pytest.fixture
@@ -243,9 +241,10 @@ class TestSelectGuard:
 
 
 class TestRankGuard:
-    """Entering and leaving a tunnel look the copy up in maps decoded when
-    the graph is made, so no build, load or query ranks a bitvector; the
-    select guard's general-graph test checks step and path search."""
+    """Entering and leaving a tunnel read the copy off the step table and
+    the exit-copy map, both decoded when the graph is made, so no build,
+    load or query ranks a bitvector; the select guard's general-graph test
+    checks step and path search."""
 
     def test_guard_sees_the_ranks(self, rank_calls):
         BitVec("0110").rank(2)
@@ -266,58 +265,47 @@ class TestRankGuard:
         assert rank_calls[0] == 0
 
 
-def assert_step_table_lands(tg, table) -> int:
-    """The step table of tg against land() at every L position p: the edge
-    at p is C[c] + partial_rank(p), c the label there.  A copy of -1 shows
-    whether the step keeps the walk's copy.  Returns the positions seen."""
-    g = tg.g
-    to, lands, byte = table
-    assert len(to) == len(lands) == len(byte) == g.m + 1
-    for p in range(1, g.m + 1):
-        c = g.L.access(p)
-        node, off = tg.land(g.C[c] + g.L.partial_rank(p), -1)
-        assert (to[p], lands[p] or -1, byte[p]) == (node, off, g.label_byte(c)), p
-    return g.m
-
-
 class TestStepTable:
+    """Every edge of every small text, tunneled and plain, built and loaded,
+    of the random tunneled graphs and of a graph with an inner-marked
+    entrance lands where oracle_land says."""
+
     @pytest.mark.parametrize("name,tunneling", CASES)
     def test_text_index_table_is_land(self, name, tunneling, small_index):
         ix = small_index(name, tunneling)
         for got in (ix, deserialize_index(serialize_index(ix))):
-            table = (got._step_to, got._step_land, got._step_byte)
-            assert assert_step_table_lands(got.tg, table) == got.tg.g.m
+            assert assert_lands(got.tg) == got.tg.g.m
             # an edge keeps its copy into an inner node; rand96 has only
             # length-1 tunnels, which have none
-            assert (0 in got._step_land) == (tunneling and name != "rand96")
+            assert (0 in got.tg._step_land[1:]) == (tunneling and name != "rand96")
 
     def test_inner_mark_wins_as_in_land(self):
         # no loader accepts an inner-marked entrance, but a graph made with
-        # one directly steps as land() does
+        # one directly lands its in-edges as on an inner node
         tg = tunnel_graph(encode(fig1_edge_list()), [fig1_block()])
         marks = BitVec(tg.inner_marks.bits() | tg.entrance_marks.bits())
         both = TunneledGraph(tg.g, tg.iprime, tg.oprime, marks, tg.tunnels, tg.exit_copies)
-        assert assert_step_table_lands(both, both.step_table()) == tg.g.m
+        assert assert_lands(both) == tg.g.m
+        assert both._step_land.count(0) > tg._step_land.count(0)
 
     def test_general_graph_table_is_land(self):
         positions = carried = 0
         for _, _, tg in random_tunneled_graphs(83, 60):
-            table = tg.step_table()
-            positions += assert_step_table_lands(tg, table)
-            carried += table[1][1:].count(0)
+            positions += assert_lands(tg)
+            carried += tg._step_land[1:].count(0)
         assert positions > 100 and carried > 0
 
 
 @pytest.fixture
 def walk_lookups(monkeypatch):
-    """Names of the LabelSeq and WheelerGraph.edge_target calls made outside
-    a pattern search: a search ranks L by design, a walk reads the step
-    table."""
+    """Names of the LabelSeq calls made outside a pattern search and of
+    every WheelerGraph.edge_target call: a search ranks L by design, and
+    both a search and a walk read the step table."""
     calls, searching = [], [False]
     for owner, attr in ((LabelSeq, "access"), (LabelSeq, "rank"), (LabelSeq, "partial_rank"),
                         (LabelSeq, "select"), (WheelerGraph, "edge_target")):
         def counting(*args, _fn=getattr(owner, attr), _name=attr):
-            if not searching[0]:
+            if not searching[0] or _name == "edge_target":
                 calls.append(_name)
             return _fn(*args)
 
@@ -337,7 +325,7 @@ def walk_lookups(monkeypatch):
 
 class TestWalkGuard:
     """Locate, extract and node widths walk by the step table and call no
-    LabelSeq method and no edge_target."""
+    LabelSeq method; no count, locate or path search calls edge_target."""
 
     def test_guard_sees_the_lookups(self, small_index, walk_lookups):
         ix = small_index("fib")
@@ -355,6 +343,7 @@ class TestWalkGuard:
         for pat in make_patterns(rng, text, 60, max_len=24):
             ix.count(pat)
             ix.locate(pat)
+            ix.tg.path_search(pat)
         for _ in range(40):  # extracts that start inside tunnels hop back
             start = rng.randint(1, len(text))
             ix.extract(start, rng.randint(0, len(text) - start + 1))
@@ -363,6 +352,16 @@ class TestWalkGuard:
             for o in range(1, ix.node_width(v) + 1):
                 ix.locate_one(TraversalPos(v, o))
         assert walk_lookups == []
+
+    def test_general_graph_search_lands_by_table(self, walk_lookups):
+        rng = random.Random(107)
+        found = 0
+        for el, _, tg in random_tunneled_graphs(83, 60):
+            alphabet = sorted({c for _, _, c in el.edges}) or [97]
+            for _ in range(30):
+                pattern = bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 5)))
+                found += not tg.path_search(pattern).is_empty
+        assert found > 100 and "edge_target" not in walk_lookups
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import (
+    assert_lands,
     assert_simulation_equal,
     block_offsets,
     chain_graph,
@@ -378,22 +379,20 @@ class TestTunnelGraph:
 class TestOffsets:
     def test_enter_offset_examples(self):
         _, _, tg = abcabc()
-        # edge 1 = (v1 -> x1), edge 2 = (former v4 -> x1)
-        assert tg.entry_copies == {1: 1, 2: 2}
+        # edge 1 = (v1 -> x1), edge 2 = (former v4 -> x1), edge 3 = (x1 -> x2)
         assert tg.land(1, None) == (2, 1)
         assert tg.land(2, None) == (2, 2)
+        assert tg.land(3, 2) == (3, 2)  # an in-tunnel move keeps the copy
         a = tg.g.label_id(97)
         assert tg._edges(1, 1, 5, None, a) == (1, 1, 2, None)
         assert tg._search_pairs(b"a") == ((2, 1), (2, 2))
 
     def test_enter_offset_needs_an_edge_into_the_entrance(self):
+        # only an edge into an entrance lands past copy 1
         for tg in (abcabc()[2], tunnel_graph(encode(fig1_edge_list()), [fig1_block()])):
-            into = {j for j in range(1, tg.g.m + 1) if tg.is_entrance(tg.g.edge_target(j))}
-            assert set(tg.entry_copies) == into
-        _, _, tg = abcabc()
-        for j in (0, 3, tg.g.m, tg.g.m + 1):  # edge 3 enters node 3, no entrance
-            assert j not in tg.entry_copies
-        assert not tg.is_entrance(3)
+            assert assert_lands(tg) == tg.g.m
+            past = {tg.g.edge_target(j) for j in range(1, tg.g.m + 1) if tg.land(j, 1)[1] > 1}
+            assert past and past <= set(tg.entrance_info)
 
     def test_exit_edge_examples(self):
         _, _, tg = abcabc()
@@ -435,8 +434,8 @@ class TestOffsets:
         tg = tunnel_graph(g, blocks)
         a = tg.g.label_id(97)
         entering_edge = tg.g.out_edge_rank(tg.node_map[3], a, 1)
-        assert tg.entry_copies[entering_edge] == 2
         assert tg.land(entering_edge, None) == (tg.node_map[2], 2)
+        assert assert_lands(tg) == tg.g.m
         assert_simulation_equal(el, tg, blocks)
 
 
