@@ -29,11 +29,11 @@ The I', O', entrance and back sections are always empty, and loading
 derives them: I' and O' are all ones (a string's nodes have one in-edge and
 one out-edge at most), the entrances are the records', and back is the
 inverse of skip.  Every skip pointer sits on a distinct entrance- or
-inner-marked node.  Queries cross a tunnel by its record, so no two records
-share an entrance or an exit, an entrance has in-degree equal to the width
-(one less at the source, rank 1), the records account for every inner mark
-and the n - n_t collapsed nodes, and an exit is inner-marked (the entrance
-itself for length 1) with out-degree equal to the width.
+inner-marked node.  ``TunneledGraph`` checks the records against the marks
+and the exits' out-edges, and loading adds the rules of string tunnels: the
+records account for the n - n_t collapsed nodes, and an entrance has
+in-degree equal to the width (one less at the source, rank 1), an exit
+out-degree equal to it.
 """
 
 from __future__ import annotations
@@ -216,57 +216,30 @@ def tunneled_graph_meta(tg: TunneledGraph) -> dict:
         "orig_n": tg.orig_n,
         "iprime": tg.iprime.to01(),
         "oprime": tg.oprime.to01(),
-        "entrance": (np.flatnonzero(tg.entrance_marks.bits()) + 1).tolist(),
+        "entrance": sorted(t.entrance for t in tg.tunnels),
         "inner": (np.flatnonzero(tg.inner_marks.bits()) + 1).tolist(),
         "tunnels": [(t.entrance, t.exit, t.width, t.length) for t in tg.tunnels],
-        "exit_copies": dict(tg.exit_copies),
+        "exit_copies": tg.exit_copies,
     }
 
 
 def tunneled_graph_from_meta(g: WheelerGraph, meta: dict) -> TunneledGraph:
     """The tunneled graph that g and its ``#!`` meta describe.  Raises
     ValidationError unless I' and O' hold m_t bits, the entrance marks are
-    the tunnel records' entrances and none is inner-marked, the inner marks
-    are distinct nodes, exactly the edges that leave a tunnel node for a
-    node that is not inner have a recorded copy, the copies lie in [1..the
-    largest width] and do not fall inside one (source, label) range, and
-    orig-n, when given, is the node count the records imply."""
+    the records', the inner marks distinct nodes in [1..n_t], orig-n (when
+    given) the records' node count, and ``TunneledGraph`` accepts the rest."""
     for key in ("iprime", "oprime"):
         if len(meta[key]) != g.m:
             raise ValidationError(f"{key} holds {len(meta[key])} bits, the graph {g.m} edges")
     records = [TunnelRecord(*t) for t in meta["tunnels"]]
-    entrances = sorted(t.entrance for t in records)
-    if (sorted(meta["entrance"]) != entrances or len(set(entrances)) < len(entrances)
-            or any(not 1 <= e <= g.n for e in entrances)):
-        raise ValidationError(f"the entrance marks must be the tunnel records' "
-                              f"entrances, distinct and in [1..{g.n}]")
+    if sorted(meta["entrance"]) != sorted(t.entrance for t in records):
+        raise ValidationError("the entrance marks must be the tunnel records' entrances")
     if (len(set(meta["inner"])) < len(meta["inner"])
             or any(not 1 <= v <= g.n for v in meta["inner"])):
         raise ValidationError(f"the inner marks must be distinct and in [1..{g.n}]")
-    ranks = np.arange(1, g.n + 1)
-    entrance, inner = np.isin(ranks, entrances), np.isin(ranks, meta["inner"])
-    if (entrance & inner).any():
-        raise ValidationError(f"tunnel entrance {ranks[entrance & inner][0]} must not "
-                              f"be inner-marked")
-    src, tgt, lab = g.edge_arrays()
-    exits = np.flatnonzero((entrance | inner)[src - 1] & ~inner[tgt - 1]) + 1
-    listed = meta["exit_copies"]
-    missing = exits[~np.isin(exits, list(listed))]
-    if missing.size:
-        raise ValidationError(f"exit edge {missing[0]} has no recorded copy")
-    if len(listed) > exits.size:
-        raise ValidationError(f"edge {min(set(listed) - set(exits.tolist()))} has a copy but "
-                              f"does not leave a tunnel node for a node that is not inner")
-    copies = np.array([listed[j] for j in exits.tolist()], np.int64)
-    w_max = max((t.width for t in records), default=1)
-    if copies.size and not 1 <= copies.min() <= copies.max() <= w_max:
-        raise ValidationError(f"exit copies must lie in [1..{w_max}], the widest tunnel's")
-    group = src[exits - 1] * 256 + lab[exits - 1]
-    if ((group[1:] == group[:-1]) & (np.diff(copies) < 0)).any():
-        raise ValidationError("exit copies must not fall as the edge rank rises "
-                              "inside one (source, label) range")
-    tg = TunneledGraph(g, BitVec(meta["iprime"]), BitVec(meta["oprime"]), BitVec(inner),
-                       records, listed)
+    tg = TunneledGraph(g, BitVec(meta["iprime"]), BitVec(meta["oprime"]),
+                       BitVec(np.isin(np.arange(1, g.n + 1), meta["inner"])),
+                       records, meta["exit_copies"])
     if meta["orig_n"] not in (None, tg.orig_n):
         raise ValidationError(f"orig-n {meta['orig_n']} is not the records' {tg.orig_n}")
     return tg
@@ -475,6 +448,8 @@ def deserialize_index(data: bytes) -> TextIndex:
         return _parse_sections(data)
     except struct.error as exc:
         raise TruncatedError(f"malformed section: {exc}") from exc
+    except ValidationError as exc:  # TunneledGraph checks the tunnels
+        raise FormatError(str(exc)) from None
 
 
 def _parse_sections(data: bytes) -> TextIndex:
@@ -513,36 +488,21 @@ def _parse_sections(data: bytes) -> TextIndex:
         inn = BitVec(np.zeros(nt, np.uint8))
     fields = _unpack_ints(rd.section(), 4 * ntun, width, "tunnel record").reshape(ntun, 4)
     tunnels = [TunnelRecord(*rec) for rec in fields.tolist()]
-    # exits, entrance offsets and the entrance marks are read off these records
-    for t in tunnels:
-        if not (1 <= t.entrance <= nt and 1 <= t.exit <= nt and t.width >= 2 and t.length >= 1):
-            raise FormatError(f"{t} needs an entrance and an exit in [1..{nt}], "
-                              f"width >= 2 and length >= 1")
-    if len({t.entrance for t in tunnels}) < ntun or len({t.exit for t in tunnels}) < ntun:
-        raise FormatError("two tunnel records share an entrance or an exit")
-    marked = np.zeros(nt, np.uint8)
-    marked[fields[:, 0] - 1] = 1
-    # walks cross a tunnel by its record's exit and length, so the records
-    # must account for every inner mark and every collapsed node
-    inner = inn.bits()
-    if (marked & inner).any():
-        raise FormatError("a tunnel entrance must not be inner-marked")
-    if (inn.ones != sum(t.length - 1 for t in tunnels)
-            or sum((t.width - 1) * t.length for t in tunnels) != n - nt):
-        raise FormatError("tunnel records must account for every inner mark "
-                          "and for the n - n_t collapsed nodes")
-    if any(t.exit != t.entrance if t.length == 1 else not inner[t.exit - 1]
-           for t in tunnels):
-        raise FormatError("a tunnel's exit must be inner-marked, or its entrance "
-                          "when its length is 1")
-
-    # bounds the skip pointers expected below by the size of the file
-    if sum(t.length for t in tunnels) > nt:
-        raise FormatError(f"tunnel lengths sum past n_t = {nt}")
+    g = WheelerGraph(nt, mt, sigma, L, C, I, O, alphabet)
+    ones = BitVec(np.ones(mt, np.uint8))  # I' and O' of a text index
+    tg = TunneledGraph(g, ones, ones, inn, tunnels, None)
+    # walks cross a tunnel by its record's exit and length
+    if tg.orig_n != n:
+        raise FormatError("tunnel records must account for the n - n_t collapsed nodes")
+    if any(g.outdeg(t.exit) != t.width for t in tunnels):
+        raise FormatError("a tunnel's exit must have out-degree equal to its width")
+    if any(g.indeg(t.entrance) != t.width - (t.entrance == 1) for t in tunnels):
+        raise FormatError("a tunnel entrance's in-degree must equal its width, less one at rank 1")
+    # TunneledGraph bounds the lengths, so the skip pointers, by n_t
     expected = _skip_pairs(tunnels, rate_t)
     nodes = _unpack_ints(rd.section(), len(expected), width, "skip")
     if len(nodes) and (nodes.min() < 1 or nodes.max() > nt
-                       or not (marked | inner)[nodes - 1].all()):
+                       or not np.frombuffer(tg._kind, np.uint8)[nodes].all()):
         raise FormatError(f"skip pointers must sit on marked nodes in [1..{nt}]")
     if _repeats(nodes):
         raise FormatError("two skip pointers sit on one node")
@@ -575,13 +535,6 @@ def _parse_sections(data: bytes) -> TextIndex:
     if rd.off != len(rd.data):
         raise TruncatedError("trailing bytes after the last section")
 
-    g = WheelerGraph(nt, mt, sigma, L, C, I, O, alphabet)
-    if any(g.outdeg(t.exit) != t.width for t in tunnels):
-        raise FormatError("a tunnel's exit must have out-degree equal to its width")
-    if any(g.indeg(t.entrance) != t.width - (t.entrance == 1) for t in tunnels):
-        raise FormatError("a tunnel entrance's in-degree must equal its width, less one at rank 1")
-    ones = BitVec(np.ones(mt, np.uint8))  # I' and O' of a text index
-    tg = TunneledGraph(g, ones, ones, inn, tunnels, None)
     return TextIndex(tg, n, rate_n, rate_t, skip, loc, cnt)
 
 

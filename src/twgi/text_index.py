@@ -247,11 +247,8 @@ class TextIndex:
         each tunnel in one jump to its exit, and subtract the travelled
         distance."""
         counter = counter if counter is not None else StepCounter()
+        self.tg.check_pos(p)
         node, off = p.node, p.offset
-        if not 1 <= node <= self.tg.g.n:
-            raise BoundsError(f"node {node} outside [1..{self.tg.g.n}]")
-        if off < 1 or off > 1 and not self.tg._kind[node]:
-            raise BoundsError(f"node {node} has no copy {off}")
         travelled = 0
         is_tunnel_node = self.tg.is_tunnel_node
         for _ in range(self.n):
@@ -432,7 +429,7 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
     # A sample that falls on a tunnel element moves to the next plain one.
     node = phi[rank[1:]]  # by text position - 1
     first = np.flatnonzero(tg.inner_marks.bits()[node - 1] == 0)
-    plain = np.flatnonzero(tg.entrance_marks.bits()[node[first] - 1] == 0)
+    plain = np.flatnonzero(np.isin(node[first], [t.entrance for t in tg.tunnels], invert=True))
     wanted = sorted({1, len(first), *range(rate_n, len(first) + 1, rate_n)})
     at_plain = first[plain[np.searchsorted(plain, np.array(wanted) - 1)]]
     loc = dict(zip(node[at_plain].tolist(), (at_plain + 1).tolist()))

@@ -36,19 +36,22 @@ edge carries the copy.  ``land`` reads the table through the L position of
 each edge rank, and the text walks, which take one known out-edge at a time,
 read it by L position.
 
-``exit_copies`` maps each edge that leaves a tunnel node, other than an
-in-tunnel move, to the copy it leaves: the transform reads it off the block
-rows, an index file off the exit's out-edge slots.  Kept edges sort by
-(label, tunneled source, original source), and the rows of a column are
-consecutive original ranks, ascending with the copy; so inside one label
+The exit-copy table holds, by edge rank, the copy that each edge leaving a
+tunnel node, other than an in-tunnel move, leaves from (0 for any other
+edge): the transform reads it off the block rows, an index file off the
+exits' out-edge slots, and ``exit_copies`` is its dict view.  Kept edges
+sort by (label, tunneled source, original source), and the rows of a column
+are consecutive original ranks, ascending with the copy; so inside one label
 range of one tunnel node the exit copy never falls as the edge rank rises.
+``TunneledGraph`` checks the records, marks and exit copies of every graph.
 
 A search step (``_edges``) ranks L once for a node range; only its end
-nodes take the copy rule, by at most one binary search over ``exit_copies``
-each, and every node between them takes all its edges (Gagie, Manzini and
-Siren's range search with Baier's tunnel offsets).  A graph without tunnels
-is searched the same way, as ``tunnel_graph(g, [])``: no node is marked,
-every edge lands at offset 1, and the step is the plain range step.
+nodes take the copy rule, by at most one binary search over the exit-copy
+table each, and every node between them takes all its edges (Gagie,
+Manzini and Siren's range search with Baier's tunnel offsets).  A graph
+without tunnels is searched the same way, as ``tunnel_graph(g, [])``: no
+node is marked, every edge lands at offset 1, and the step is the plain
+range step.
 """
 
 from __future__ import annotations
@@ -418,12 +421,16 @@ class TunneledGraph:
 
     Holds the succinct graph of G_t, bitvectors I'/O' (first edge per
     original target / per original (source, letter) group), inner marks over
-    nodes, per-tunnel records, the step table, the copy each exit edge
-    leaves, and the original-to-tunneled node map while one is known
-    (``tunnel_graph`` sets it; an index file does not store it).  The
-    entrance marks and the original node count are read off the records.
-    With ``exit_copies`` None the exit copies are the exits' out-edge slots,
-    as on the string tunnels of an index file.
+    nodes, per-tunnel records, the step table, the exit-copy table, and the
+    original-to-tunneled node map while one is known (``tunnel_graph`` sets
+    it; an index file does not store it).  The entrance marks and the
+    original node count are read off the records.  With ``exit_copies``
+    None the exit copies are the exits' out-edge slots, as on the string
+    tunnels of an index file.  Raises ValidationError unless the records
+    have their own entrances and exits in [1..n_t], width >= 2, length >= 1;
+    sum(length - 1) inner marks, none on an entrance, one on each exit but
+    an entrance of length 1; in-edges of inner nodes only from tunnel nodes;
+    and exit copies as ``_exit_table`` checks them.
     """
 
     def __init__(self, g, iprime, oprime, inner_marks, tunnels, exit_copies,
@@ -437,24 +444,40 @@ class TunneledGraph:
         self.orig_n = g.n + sum((t.width - 1) * t.length for t in self.tunnels)
         self.node_map = node_map
         self.entrance_info = {t.entrance: t for t in self.tunnels}
-        entr = np.array([t.entrance for t in self.tunnels], np.int64)
+        n, ntun = g.n, len(self.tunnels)
+        for t in self.tunnels:
+            if not (1 <= t.entrance <= n and 1 <= t.exit <= n and t.width >= 2 and t.length >= 1):
+                raise ValidationError(f"{t} needs an entrance and an exit in [1..{n}], "
+                                      f"width >= 2 and length >= 1")
+        exits = [t.exit for t in self.tunnels]
+        if len(self.entrance_info) < ntun or len(set(exits)) < ntun:
+            raise ValidationError("two tunnel records share an entrance or an exit")
         # both marks decoded once into one byte per node (index 0 unused):
         # every traversal step reads it, and most nodes carry no mark
-        kind = np.zeros(g.n + 1, np.uint8)
+        kind = np.zeros(n + 1, np.uint8)
         kind[1:] = inner_marks.bits() * _INNER
+        entr = np.array(list(self.entrance_info), np.int64)
+        if kind[entr].any():
+            raise ValidationError(f"tunnel entrance {entr[kind[entr] > 0][0]} must not "
+                                  f"be inner-marked")
+        if inner_marks.ones != sum(t.length - 1 for t in self.tunnels):
+            raise ValidationError("tunnel records must account for every inner mark")
+        if any(t.exit != t.entrance if t.length == 1 else not kind[t.exit] for t in self.tunnels):
+            raise ValidationError("a tunnel's exit must be inner-marked, or its entrance "
+                                  "when its length is 1")
         kind[entr] |= _ENTRANCE
         self._kind = bytearray(kind.tobytes())
-        self.entrance_marks = BitVec(kind[1:] & _ENTRANCE)
+        self._w_max = max((t.width for t in self.tunnels), default=1)
         # the i-th c of L is edge C[c] + i: a stable sort of L gives each
         # edge rank its L position, and the table is indexed by L position
         order = np.argsort(g.L.codes(), kind="stable")
         pos = np.append(0, order + 1).astype(np.int32)
         istart = np.frombuffer(g._istart, np.int64)
         to, lands = np.zeros(g.m + 1, np.int32), np.ones(g.m + 1, np.int32)
-        to[1:][order] = np.repeat(np.arange(1, g.n + 1, dtype=np.int32), np.diff(istart[1:]))
+        to[1:][order] = np.repeat(np.arange(1, n + 1, dtype=np.int32), np.diff(istart[1:]))
         # an edge lands at copy 1 unless it enters a tunnel (see the module
-        # notes); only the in-edges of tunnel nodes are visited, the inner
-        # nodes' last, so that an inner mark wins
+        # notes): only the in-edges of entrances and the out-edges of
+        # tunnel nodes are visited
         deg = istart[entr + 1] - istart[entr]
         owner, j = _expand(istart[entr] + 1, deg)
         ones = np.append(0, np.cumsum(iprime.bits()[j - 1], dtype=np.int64))  # ones[k]: in j[:k]
@@ -464,16 +487,40 @@ class TunneledGraph:
             raise ValidationError(f"I' marks more groups into entrance "
                                   f"{entr[owner[np.argmin(copy)]]} than it has copies")
         lands[pos[j]] = copy
-        inner = np.flatnonzero(kind & _INNER)
-        lands[pos[_expand(istart[inner] + 1, istart[inner + 1] - istart[inner])[1]]] = 0
-        self._pos, self._step_to, self._step_land = (
-            array("i", a.tobytes()) for a in (pos, to, lands))
+        lstart = np.frombuffer(g._lstart, np.int64)
+        tun = np.flatnonzero(kind)
+        owner, p = _expand(lstart[tun] + 1, lstart[tun + 1] - lstart[tun])  # L positions
+        moves = (kind[to[p]] & _INNER) != 0  # the in-tunnel moves, which keep the copy
+        inner = tun[(kind[tun] & _INNER) != 0]
+        if moves.sum() != (istart[inner + 1] - istart[inner]).sum():
+            raise ValidationError("every edge into an inner tunnel node must leave a tunnel node")
+        lands[p[moves]] = 0
+        exit_table = (_exit_table(g, tun[owner], p, moves, pos, exits, self._w_max, exit_copies)
+                      if ntun or exit_copies else ())
+        self._pos, self._step_to, self._step_land, self._exit_copy = (
+            array("i", np.asarray(a, np.int32).tobytes()) for a in (pos, to, lands, exit_table))
         self._step_byte = bytes(1) + g.L.codes().tobytes().translate(bytes(g.alphabet).ljust(256))
-        self.exit_copies = (dict(exit_copies) if exit_copies is not None
-                            else _exit_slots(g, self.tunnels, order))
+
+    @property
+    def entrance_marks(self) -> BitVec:
+        """The records' entrances as marks over the nodes, made on each read."""
+        return BitVec(np.frombuffer(self._kind, np.uint8)[1:] & _ENTRANCE)
+
+    @property
+    def exit_copies(self) -> dict[int, int]:
+        """The exit-copy table as a dict by edge rank, made on each read."""
+        return {j: copy for j, copy in enumerate(self._exit_copy) if copy}
 
     def is_tunnel_node(self, r: int) -> bool:
         return self._kind[r] != 0
+
+    def check_pos(self, p: TraversalPos) -> None:
+        """Raises BoundsError unless p's node is in [1..n_t] and its offset
+        is 1, or at most the widest tunnel's width at a tunnel node."""
+        if not 1 <= p.node <= self.g.n:
+            raise BoundsError(f"node {p.node} outside [1..{self.g.n}]")
+        if not 1 <= p.offset <= (self._w_max if self._kind[p.node] else 1):
+            raise BoundsError(f"node {p.node} has no copy {p.offset}")
 
     def land(self, j: int, copy: int | None) -> tuple[int, int | None]:
         """(node, offset) that edge j reaches from copy ``copy`` of its
@@ -495,32 +542,25 @@ class TunneledGraph:
         last = base + rank(lstart[b + 1], c)
         if first > last:
             return None
-        lo_copy, hi_copy, copy = 1, None, self.exit_copies.__getitem__
-        try:
-            if kind[a] and lo_off > 1:
-                end = last if a == b else base + rank(lstart[a + 1], c)  # node a's last c-edge
-                if first <= end and not lands[pos[first]]:
-                    lo_copy = lo_off
-                elif first <= end:
-                    first += bisect_left(range(first, end + 1), lo_off, key=copy)
-            if kind[b] and hi_off is not None:
-                start = first if a == b else base + rank(lstart[b], c) + 1  # node b's first
-                if start <= last and not lands[pos[last]]:
-                    hi_copy = hi_off
-                elif start <= last:
-                    last = start - 1 + bisect_right(range(start, last + 1), hi_off, key=copy)
-        except KeyError as exc:
-            raise InvariantError(f"exit edge {exc.args[0]} has no recorded copy") from None
+        lo_copy, hi_copy, copy = 1, None, self._exit_copy.__getitem__
+        if kind[a] and lo_off > 1:
+            end = last if a == b else base + rank(lstart[a + 1], c)  # node a's last c-edge
+            if first <= end and not lands[pos[first]]:
+                lo_copy = lo_off
+            elif first <= end:
+                first += bisect_left(range(first, end + 1), lo_off, key=copy)
+        if kind[b] and hi_off is not None:
+            start = first if a == b else base + rank(lstart[b], c) + 1  # node b's first
+            if start <= last and not lands[pos[last]]:
+                hi_copy = hi_off
+            elif start <= last:
+                last = start - 1 + bisect_right(range(start, last + 1), hi_off, key=copy)
         return (first, lo_copy, last, hi_copy) if first <= last else None
 
     def step(self, p: TraversalPos, c: int, k: int = 1) -> TraversalPos:
         """Take the k-th c-labeled edge from the simulated original position."""
-        g = self.g
-        if not 1 <= p.node <= g.n:
-            raise BoundsError(f"node {p.node} outside [1..{g.n}]")
-        if p.offset < 1 or p.offset > 1 and not self._kind[p.node]:
-            raise BoundsError(f"node {p.node} has no copy {p.offset}")
-        if not 1 <= c <= g.sigma:
+        self.check_pos(p)
+        if not 1 <= c <= self.g.sigma:
             raise NotFoundError(f"symbol {c} not in alphabet")
         got = self._edges(p.node, p.offset, p.node, p.offset, c)
         if got is None or not 1 <= k <= got[2] - got[0] + 1:
@@ -555,18 +595,44 @@ class TunneledGraph:
                 f"tunnels={len(self.tunnels)})")
 
 
-def _exit_slots(g: WheelerGraph, tunnels: list[TunnelRecord], order) -> dict[int, int]:
-    """The exit copies of string tunnels, which leave only from the exit
-    column: each out-edge of an exit leaves the copy of its slot among the
-    exit's out-edges.  ``order`` lists L's positions (from 0) in edge order."""
-    lstart = np.frombuffer(g._lstart, np.int64)
-    exits = np.array([t.exit for t in tunnels], np.int64)
-    owner, p = _expand(lstart[exits], lstart[exits + 1] - lstart[exits])  # from 0
-    slot = np.zeros(g.m, np.int64)
-    slot[p] = p + 1 - lstart[exits][owner]
-    slot = slot[order]
-    edge = np.flatnonzero(slot)
-    return dict(zip((edge + 1).tolist(), slot[edge].tolist()))
+def _exit_table(g: WheelerGraph, src, p, moves, pos, exits, w_max: int, exit_copies):
+    """The copy each edge leaves a tunnel node from, by edge rank (0: none).
+    Raises ValidationError unless exactly the out-edges ``src``/``p`` (by
+    source and L position) of tunnel nodes that are no in-tunnel ``moves``
+    have a copy, in [1..w_max], and inside one (source, label) range the
+    copies do not fall as the edge rank rises, beside no in-tunnel move.
+    With ``exit_copies`` None, the out-edges of the ``exits`` leave the copy
+    of their slot, and it suffices that exactly they leave."""
+    leave = ~moves
+    if exit_copies is None:
+        is_exit = np.zeros(g.n + 1, bool)
+        is_exit[exits] = True
+        if (leave != is_exit[src]).any():
+            raise ValidationError("only a tunnel's exits may leave it: an out-edge of any "
+                                  "other tunnel node must enter an inner node, and an exit's not")
+        table = np.zeros(g.m + 1, np.int64)  # by L position
+        table[p[leave]] = (p - np.frombuffer(g._lstart, np.int64)[src])[leave]
+        return table.take(pos)
+    rank = np.zeros(g.m + 1, np.int64)
+    rank[pos] = np.arange(g.m + 1)
+    j = rank[p]
+    listed, need = set(exit_copies), set(j[leave].tolist())
+    if need - listed:
+        raise ValidationError(f"exit edge {min(need - listed)} has no recorded copy")
+    if listed - need:
+        raise ValidationError(f"edge {min(listed - need)} has a copy but does not leave a "
+                              f"tunnel node for a node that is not inner")
+    if any(not 1 <= o <= w_max for o in exit_copies.values()):
+        raise ValidationError(f"exit copies must lie in [1..{w_max}], the widest tunnel's")
+    table = np.zeros(g.m + 1, np.int64)
+    table[list(exit_copies)] = list(exit_copies.values())
+    by_rank = np.argsort(j)
+    group, held = (src * 256 + g.L.codes()[p - 1])[by_rank], table[j[by_rank]]
+    if ((group[1:] == group[:-1])
+            & ((np.diff(held) < 0) | (held[1:] == 0) | (held[:-1] == 0))).any():
+        raise ValidationError("exit copies must not fall as the edge rank rises inside one "
+                              "(source, label) range, and an in-tunnel move must be alone in it")
+    return table
 
 
 def tunnel_graph(g: WheelerGraph, blocks: list[Block]) -> TunneledGraph:

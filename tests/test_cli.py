@@ -292,6 +292,8 @@ MALFORMED_GRAPHS = {
     "oprime two tokens": TUNNELED.replace("oprime 11111", "oprime 11111 0"),
     "inner mark out of range": TUNNELED.replace("inner 3", "inner 3 0 999"),
     "inner mark repeated": TUNNELED.replace("inner 3", "inner 3 3"),
+    "tunnel length 0": TUNNELED.replace("#! tunnel 2 3 2 2", "#! tunnel 2 3 2 0"),
+    "tunnel exit past n_t": TUNNELED.replace("#! tunnel 2 3 2 2", "#! tunnel 2 99 2 2"),
 }
 # the entries above that break a line of TUNNELED, and what the error names
 BAD_TUNNEL_META = {
@@ -305,6 +307,8 @@ BAD_TUNNEL_META = {
     "oprime two tokens": "oprime must be one token of 0s and 1s",
     "inner mark out of range": "inner marks must be distinct and in [1..5]",
     "inner mark repeated": "inner marks must be distinct and in [1..5]",
+    "tunnel length 0": "width >= 2 and length >= 1",
+    "tunnel exit past n_t": "an exit in [1..5]",
 }
 MALFORMED_BLOCKS = {
     "size": "BLOCK 2 x\n",

@@ -54,8 +54,7 @@ from twgi.persist import (
     write_graph_file,
 )
 from twgi.text_index import TextIndex, build_index
-from twgi.tunnel import TraversalPos
-from twgi.tunnel import tunnel_graph
+from twgi.tunnel import TraversalPos, TunneledGraph, tunnel_graph
 from twgi.wheeler import encode
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -213,7 +212,7 @@ class TestGraphFile:
             meta_roundtrip(tg, meta)
         if entrance == [29]:  # a record past n_t, however marked
             meta["tunnels"] = [(29, 5, 2, 7)]
-            with pytest.raises(ValidationError, match="entrance marks"):
+            with pytest.raises(ValidationError, match=r"entrance and an exit in \[1\.\.28\]"):
                 meta_roundtrip(tg, meta)
 
     @pytest.mark.parametrize("name", ["fig1", "fib"])
@@ -439,6 +438,82 @@ RECORD_FAULTS = {
     "inner mark without a record": _add_inner_mark,
     "inner mark on an entrance": _inner_mark_to_entrance,
 }
+
+
+def _move_inner_mark(ix, frm: int, to: int):
+    bits = ix.tg.inner_marks.bits().copy()
+    bits[frm - 1], bits[to - 1] = 0, 1
+    ix.tg.inner_marks = BitVec(bits)
+
+
+# each breaks one rule of TunneledGraph on the tunnel records or the marks,
+# and the part of the error that names the rule
+TUNNEL_RULE_FAULTS = {
+    "length 0": (lambda ix: _set_tunnel(ix, 0, length=0), "length >= 1"),
+    "exit past n_t": (lambda ix: _set_tunnel(ix, 0, exit=ix.tg.g.n + 1), r"exit in \[1\.\."),
+    "shared exit": (lambda ix: _set_tunnel(ix, 1, exit=ix.tg.tunnels[0].exit),
+                    "share an entrance or an exit"),
+    "one inner mark too many": (_add_inner_mark, "account for every inner mark"),
+    "exit not inner-marked": (lambda ix: _move_inner_mark(
+        ix, next(t.exit for t in ix.tg.tunnels if t.length > 1), _plain(ix)),
+        "exit must be inner-marked"),
+    "inner-marked entrance": (_inner_mark_to_entrance, "must not be inner-marked"),
+}
+# every way to make a tunneled graph, from the (faulty) graph of an index
+TUNNEL_PRODUCERS = {
+    "TunneledGraph": (ValidationError, lambda ix: TunneledGraph(
+        ix.tg.g, ix.tg.iprime, ix.tg.oprime, ix.tg.inner_marks, ix.tg.tunnels,
+        ix.tg.exit_copies)),
+    "graph file meta": (ValidationError,
+                        lambda ix: tunneled_graph_from_meta(ix.tg.g, tunneled_graph_meta(ix.tg))),
+    "index file": (FormatError, lambda ix: deserialize_index(serialize_index(ix))),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(TUNNEL_PRODUCERS))
+@pytest.mark.parametrize("fault", sorted(TUNNEL_RULE_FAULTS))
+def test_tunnel_rules_hold_for_every_producer(fault, producer):
+    ix = build_index(SMALL_TEXTS["cpm96"], sample_rate_t=64, min_length=1)
+    assert not ix.skip and any(t.length > 1 for t in ix.tg.tunnels)
+    error, make = TUNNEL_PRODUCERS[producer]
+    make(ix)  # the good graph is accepted
+    breaks, match = TUNNEL_RULE_FAULTS[fault]
+    breaks(ix)
+    with pytest.raises(error, match=match):
+        make(ix)
+
+
+@pytest.mark.parametrize("name", list(SMALL_TEXTS))
+def test_plain_load_builds_no_exit_table(name, small_index):
+    # a search reads the exit-copy table only at a tunnel node
+    ix = deserialize_index(serialize_index(small_index(name, tunneling=False)))
+    assert len(ix.tg._exit_copy) == 0 and ix.tg.exit_copies == {}
+
+
+@pytest.mark.parametrize("name", ["fib", "cpm4"])
+@pytest.mark.parametrize("onto", ["plain node", "exit's successor"])
+def test_inner_mark_moved_off_its_tunnel(name, onto, small_index):
+    # a tunnel node that is neither an exit nor a skip pointer node loses its
+    # inner mark to a plain node of out-degree 1, or to a plain node that an
+    # exit enters: the records and the mark count still agree, but the
+    # tunnel's walk no longer reaches its exit
+    ix = small_index(name)
+    tg, data = ix.tg, serialize_index(ix)
+    exits = {t.exit for t in tg.tunnels}
+    inner = [v for v in np.flatnonzero(tg.inner_marks.bits()) + 1
+             if v not in exits and v not in ix.skip]
+    if onto == "plain node":
+        to = [v for v in range(1, tg.g.n + 1) if not tg.is_tunnel_node(v) and tg.g.outdeg(v) == 1]
+    else:
+        lstart = tg.g._lstart
+        to = sorted({tg._step_to[p] for e in exits for p in range(lstart[e] + 1, lstart[e + 1] + 1)
+                     if not tg.is_tunnel_node(tg._step_to[p]) and tg.g.indeg(tg._step_to[p]) == 1})
+    assert len(inner) > 10 and len(to) > 4
+    for frm, dst in zip(inner[::len(inner) // 4], to[::len(to) // 4]):
+        bits = tg.inner_marks.bits().copy()
+        bits[frm - 1], bits[dst - 1] = 0, 1
+        with pytest.raises(FormatError, match="tunnel"):
+            deserialize_index(_with_section(data, 9, BitVec(bits).to_packed()))
 
 
 class TestIndexFile:
@@ -699,11 +774,11 @@ class TestIndexFile:
             assert all(type(w) is int for w in bv._words)
             for directory in (bv._super, bv._rel):
                 assert type(directory) is array
-        # the copy map that leaving a tunnel reads
+        # the exit-copy table that leaving a tunnel reads, and its dict view
         assert all(type(j) is int and type(o) is int for j, o in tg.exit_copies.items())
         assert tg.exit_copies or not tg.tunnels
         # the step table that every forward step and every landing reads
-        assert all(type(a) is array for a in (tg._pos, tg._step_to, tg._step_land))
+        assert all(type(a) is array for a in (tg._pos, tg._step_to, tg._step_land, tg._exit_copy))
         assert type(tg._step_byte) is bytes
         assert type(L._occ) is array and type(L._bytes) is bytes
         assert type(L.n) is int and type(L._stride) is int

@@ -157,15 +157,18 @@ def rank_calls(monkeypatch):
 
 @pytest.fixture
 def exit_lookups(monkeypatch):
-    """watch(tg) counts tg's exit-copy lookups in watch.calls, so a guard
-    can show that it saw the tunnel exits."""
-    class Counting(dict):
+    """watch(tg) counts reads of tg's exit-copy table in watch.calls, so a
+    guard can show that it saw the tunnel exits."""
+    class Counting:
+        def __init__(self, table):
+            self.table = table
+
         def __getitem__(self, j):
             watch.calls += 1
-            return dict.__getitem__(self, j)
+            return self.table[j]
 
     def watch(tg):
-        monkeypatch.setattr(tg, "exit_copies", Counting(tg.exit_copies))
+        monkeypatch.setattr(tg, "_exit_copy", Counting(tg._exit_copy))
         return tg
 
     watch.calls = 0
@@ -242,7 +245,7 @@ class TestSelectGuard:
 
 class TestRankGuard:
     """Entering and leaving a tunnel read the copy off the step table and
-    the exit-copy map, both decoded when the graph is made, so no build,
+    the exit-copy table, both decoded when the graph is made, so no build,
     load or query ranks a bitvector; the select guard's general-graph test
     checks step and path search."""
 
@@ -267,8 +270,7 @@ class TestRankGuard:
 
 class TestStepTable:
     """Every edge of every small text, tunneled and plain, built and loaded,
-    of the random tunneled graphs and of a graph with an inner-marked
-    entrance lands where oracle_land says."""
+    and of the random tunneled graphs lands where oracle_land says."""
 
     @pytest.mark.parametrize("name,tunneling", CASES)
     def test_text_index_table_is_land(self, name, tunneling, small_index):
@@ -278,15 +280,6 @@ class TestStepTable:
             # an edge keeps its copy into an inner node; rand96 has only
             # length-1 tunnels, which have none
             assert (0 in got.tg._step_land[1:]) == (tunneling and name != "rand96")
-
-    def test_inner_mark_wins_as_in_land(self):
-        # no loader accepts an inner-marked entrance, but a graph made with
-        # one directly lands its in-edges as on an inner node
-        tg = tunnel_graph(encode(fig1_edge_list()), [fig1_block()])
-        marks = BitVec(tg.inner_marks.bits() | tg.entrance_marks.bits())
-        both = TunneledGraph(tg.g, tg.iprime, tg.oprime, marks, tg.tunnels, tg.exit_copies)
-        assert assert_lands(both) == tg.g.m
-        assert both._step_land.count(0) > tg._step_land.count(0)
 
     def test_general_graph_table_is_land(self):
         positions = carried = 0

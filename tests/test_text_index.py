@@ -280,6 +280,16 @@ class TestLocate:
                     call(TraversalPos(node, 1))
         assert ix.locate_one(TraversalPos(1, 1)) == 1
 
+    def test_locate_one_rejects_a_copy_above_the_widest_tunnel(self):
+        ix = build_index(b"abracadabra" * 20)
+        w_max = max(t.width for t in ix.tg.tunnels)
+        nodes = [v for v in range(1, ix.tg.g.n + 1) if ix.tg.is_tunnel_node(v)]
+        assert nodes
+        for v in nodes:
+            assert ix.locate_one(TraversalPos(v, ix.node_width(v))) >= 1
+            with pytest.raises(BoundsError, match=f"node {v} has no copy {w_max + 1}"):
+                ix.locate_one(TraversalPos(v, w_max + 1))
+
     def test_duplicate_occurrence_raises(self, monkeypatch):
         ix = build_index(b"abcabc")
         monkeypatch.setattr(TextIndex, "locate_one", lambda self, p, counter=None: 7)

@@ -20,6 +20,7 @@ from conftest import (
     unequal_exit_graph,
     walk_string_blocks,
 )
+from twgi.bitvec import BitVec
 from twgi.errors import BoundsError, InvariantError, NotFoundError, ValidationError
 from twgi.text_index import build_graph_from_text
 from twgi.tunnel import (
@@ -27,6 +28,7 @@ from twgi.tunnel import (
     StringBlock,
     TraversalPos,
     TunneledGraph,
+    TunnelRecord,
     check_block,
     check_string_block,
     derive_string_block,
@@ -407,21 +409,46 @@ class TestOffsets:
         b = tg.g.label_id(ord("b"))  # x1 -> x2 is an in-tunnel move: it keeps the copy
         assert tg._edges(2, 2, 2, 2, b) == (3, 2, 3, 2)
         assert tg._edges(2, 1, 2, None, b) == (3, 1, 3, None)
-        with pytest.raises(NotFoundError):
-            tg.step(TraversalPos(3, 3), c)
+        with pytest.raises(BoundsError, match="node 3 has no copy 3"):
+            tg.step(TraversalPos(3, 3), c)  # above the widest tunnel's width
         with pytest.raises(NotFoundError):
             tg.step(TraversalPos(3, 1), c, 2)  # each copy has one c-edge
 
+    def test_copy_above_the_widest_tunnel(self):
+        # an in-tunnel move carries the copy, so only the widest tunnel's
+        # width bounds it on entry
+        _, _, tg = abcabc()
+        b = tg.g.label_id(ord("b"))
+        assert tg.step(TraversalPos(2, 2), b) == TraversalPos(3, 2)
+        with pytest.raises(BoundsError, match="node 2 has no copy 5"):
+            tg.step(TraversalPos(2, 5), b)
+
     def test_missing_exit_copy_raises(self):
         _, _, tg = abcabc()
-        c = tg.g.label_id(ord("c"))
         assert tg.exit_copies == {4: 1, 5: 2}
         for j in (4, 5):
             copies = {k: o for k, o in tg.exit_copies.items() if k != j}
-            bare = TunneledGraph(tg.g, tg.iprime, tg.oprime, tg.inner_marks, tg.tunnels, copies)
-            for pos in (TraversalPos(3, 1), TraversalPos(3, 2)):
-                with pytest.raises(InvariantError, match=f"exit edge {j} has no recorded copy"):
-                    bare.step(pos, c)
+            with pytest.raises(ValidationError, match=f"exit edge {j} has no recorded copy"):
+                TunneledGraph(tg.g, tg.iprime, tg.oprime, tg.inner_marks, tg.tunnels, copies)
+
+    @pytest.mark.parametrize("edges,copies,match", [
+        # entrance 2's b-edges: the in-tunnel move 2 -> 3 and edge 3, 2 -> 4
+        ([(1, 2, 97), (2, 3, 98), (2, 4, 98), (3, 5, 99), (3, 6, 99)], {3: 1, 4: 1, 5: 2},
+         "in-tunnel move must be alone"),
+        # as exit slots (an index file's copies), edge 3 leaves from no exit
+        ([(1, 2, 97), (2, 3, 98), (2, 4, 98), (3, 5, 99), (3, 6, 99)], None,
+         "only a tunnel's exits may leave it"),
+        # edge 2, 1 -> 3, enters the inner node 3 from a plain node
+        ([(1, 2, 97), (1, 3, 98), (2, 3, 98), (3, 4, 99), (3, 5, 99)], {4: 1, 5: 2},
+         "must leave a tunnel node"),
+    ])
+    def test_edges_beside_in_tunnel_moves_rejected(self, edges, copies, match):
+        # one tunnel of width 2 from entrance 2 to its inner exit 3
+        n = max(max(u, v) for u, v, _ in edges)
+        g = encode(EdgeList(n, edges))
+        with pytest.raises(ValidationError, match=match):
+            TunneledGraph(g, BitVec("1" * g.m), BitVec("1" * g.m), BitVec("001".ljust(n, "0")),
+                          [TunnelRecord(2, 3, 2, 2)], copies)
 
     def test_enter_offset_with_sourceless_root(self):
         # tunnel roots (1, 2) where copy 1 has no in-edge at all: the only
