@@ -28,12 +28,12 @@ sampling fact is stored once:
 The I', O', entrance and back sections are always empty, and loading
 derives them: I' and O' are all ones (a string's nodes have one in-edge and
 one out-edge at most), the entrances are the records', and back is the
-inverse of skip.  Every skip pointer sits on a distinct entrance- or
-inner-marked node.  ``TunneledGraph`` checks the records against the marks
-and the exits' out-edges, and loading adds the rules of string tunnels: the
-records account for the n - n_t collapsed nodes, and an entrance has
-in-degree equal to the width (one less at the source, rank 1), an exit
-out-degree equal to it.
+inverse of skip.  Loading checks only what the file holds; the rest is
+checked for every graph and index, however made: ``TunneledGraph`` checks
+the records against the marks and the exits' out-edges, and ``TextIndex``
+the rules of string tunnels (the records account for the n - n_t
+collapsed nodes, an entrance has in-degree equal to the width, one less at
+the source, rank 1, and an exit out-degree equal to it) and the samples.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from __future__ import annotations
 import string
 import struct
 import zlib
-from operator import attrgetter
 
 import numpy as np
 
@@ -226,8 +225,8 @@ def tunneled_graph_meta(tg: TunneledGraph) -> dict:
 def tunneled_graph_from_meta(g: WheelerGraph, meta: dict) -> TunneledGraph:
     """The tunneled graph that g and its ``#!`` meta describe.  Raises
     ValidationError unless I' and O' hold m_t bits, the entrance marks are
-    the records', the inner marks distinct nodes in [1..n_t], orig-n (when
-    given) the records' node count, and ``TunneledGraph`` accepts the rest."""
+    the records', the inner marks distinct nodes in [1..n_t], orig-n the
+    records' node count, and ``TunneledGraph`` accepts the rest."""
     for key in ("iprime", "oprime"):
         if len(meta[key]) != g.m:
             raise ValidationError(f"{key} holds {len(meta[key])} bits, the graph {g.m} edges")
@@ -240,7 +239,8 @@ def tunneled_graph_from_meta(g: WheelerGraph, meta: dict) -> TunneledGraph:
     tg = TunneledGraph(g, BitVec(meta["iprime"]), BitVec(meta["oprime"]),
                        BitVec(np.isin(np.arange(1, g.n + 1), meta["inner"])),
                        records, meta["exit_copies"])
-    if meta["orig_n"] not in (None, tg.orig_n):
+    # only orig-n ties a record's width to a graph whose tunnels leave by any column
+    if meta["orig_n"] != tg.orig_n:
         raise ValidationError(f"orig-n {meta['orig_n']} is not the records' {tg.orig_n}")
     return tg
 
@@ -315,13 +315,6 @@ def _unpack_ints(data: bytes, count: int, width: int, name: str) -> np.ndarray:
     return (fields << np.arange(width)[:, None]).sum(axis=0)
 
 
-def _repeats(vals: np.ndarray) -> bool:
-    """Whether two of the ints are equal.  A sort: ``np.unique`` hashes,
-    which took ten times as long on the 1,334 loc positions of a 20 KB
-    index."""
-    return bool((np.diff(np.sort(vals)) == 0).any())
-
-
 def _label_width(sigma: int) -> int:
     return max(1, (sigma - 1).bit_length())
 
@@ -336,14 +329,6 @@ def _unpack_symbols(data: bytes, count: int, sigma: int) -> np.ndarray:
     if count and ids.max() > sigma:
         raise FormatError(f"label id {ids.max()} outside [1..{sigma}]")
     return ids
-
-
-def _skip_pairs(tunnels, rate_t: int) -> list[tuple[int, int]]:
-    """(exit, distance) of every skip pointer ``build_index`` sets, in file
-    order: by exit, then by ascending distance s - j, j = rate_t, 2 rate_t,
-    ... < s for a tunnel of length s."""
-    return [(t.exit, d) for t in sorted(tunnels, key=attrgetter("exit"))
-            for d in range((t.length - 1) % rate_t + 1, t.length, rate_t)]
 
 
 def _section(payload: bytes) -> bytes:
@@ -387,32 +372,19 @@ def section_bits(data: bytes) -> dict[str, int]:
 
 
 def serialize_index(ix: TextIndex) -> bytes:
-    """The index file of ``ix``.  An index that the file cannot hold, such
-    as a skip pointer whose exit or distance is not the one its tunnel
-    record gives, raises ``InvariantError``."""
+    """The index file of ``ix``, which ``TextIndex`` has checked: its skip
+    pointer nodes are written in the order it holds them, the order of the
+    (exit, distance) pairs that loading derives from the records."""
     tg = ix.tg
     g = tg.g
     nt = g.n
-    rate_t = ix.sample_rate_t
     width = ix.n.bit_length()
-    if rate_t < 1:
-        raise InvariantError(f"sample_rate_t {rate_t} must be at least 1")
-    expected = _skip_pairs(tg.tunnels, rate_t)
-    if sorted(ix.skip.values()) != sorted(expected):
-        raise InvariantError(f"skip pointers must reach each tunnel's exit every "
-                             f"{rate_t} columns: only their nodes are written")
-    node_at = {pair: node for node, pair in ix.skip.items()}
     loc_nodes = sorted(ix.loc)
-    if loc_nodes and not 1 <= loc_nodes[0] <= loc_nodes[-1] <= nt:
-        raise InvariantError(f"loc nodes must lie in [1..{nt}]: they are written as marks")
-    if not tg.tunnels and (ix.cnt != list(range(0, nt + 1, rate_t)) or tg.inner_marks.ones):
-        raise InvariantError("an index without tunnels must have cnt[k] = k * rate_t "
-                             "and no inner marks: loading derives them")
 
     buf = bytearray(MAGIC)
     buf += struct.pack("<HH", VERSION, _FLAG_TUNNELED if tg.tunnels else 0)
     buf += _section(struct.pack("<QQQIIII", ix.n, nt, g.m, g.sigma,
-                                ix.sample_rate_n, rate_t, len(tg.tunnels)))
+                                ix.sample_rate_n, ix.sample_rate_t, len(tg.tunnels)))
     buf += _section(bytes(g.alphabet))
     buf += _section(_pack_ints(g.C[1:g.sigma + 2], width))
     buf += _section(_pack_symbols(g.L.ids(), g.sigma))
@@ -421,7 +393,7 @@ def serialize_index(ix: TextIndex) -> bytes:
     buf += _section(tg.inner_marks.to_packed() if tg.tunnels else b"")
     buf += _section(_pack_ints([f for t in tg.tunnels
                                 for f in (t.entrance, t.exit, t.width, t.length)], width))
-    buf += _section(_pack_ints([node_at[pair] for pair in expected], width))
+    buf += _section(_pack_ints(list(ix.skip), width))
     buf += _section(b"")  # back: TextIndex derives it from skip
     buf += _section(_pack_ints(np.isin(np.arange(1, nt + 1), loc_nodes), 1)
                     + _pack_ints([ix.loc[v] for v in loc_nodes], width))
@@ -448,7 +420,7 @@ def deserialize_index(data: bytes) -> TextIndex:
         return _parse_sections(data)
     except struct.error as exc:
         raise TruncatedError(f"malformed section: {exc}") from exc
-    except ValidationError as exc:  # TunneledGraph checks the tunnels
+    except ValidationError as exc:  # TunneledGraph and TextIndex check the rest
         raise FormatError(str(exc)) from None
 
 
@@ -491,47 +463,21 @@ def _parse_sections(data: bytes) -> TextIndex:
     g = WheelerGraph(nt, mt, sigma, L, C, I, O, alphabet)
     ones = BitVec(np.ones(mt, np.uint8))  # I' and O' of a text index
     tg = TunneledGraph(g, ones, ones, inn, tunnels, None)
-    # walks cross a tunnel by its record's exit and length
-    if tg.orig_n != n:
-        raise FormatError("tunnel records must account for the n - n_t collapsed nodes")
-    if any(g.outdeg(t.exit) != t.width for t in tunnels):
-        raise FormatError("a tunnel's exit must have out-degree equal to its width")
-    if any(g.indeg(t.entrance) != t.width - (t.entrance == 1) for t in tunnels):
-        raise FormatError("a tunnel entrance's in-degree must equal its width, less one at rank 1")
-    # TunneledGraph bounds the lengths, so the skip pointers, by n_t
-    expected = _skip_pairs(tunnels, rate_t)
-    nodes = _unpack_ints(rd.section(), len(expected), width, "skip")
-    if len(nodes) and (nodes.min() < 1 or nodes.max() > nt
-                       or not np.frombuffer(tg._kind, np.uint8)[nodes].all()):
-        raise FormatError(f"skip pointers must sit on marked nodes in [1..{nt}]")
-    if _repeats(nodes):
-        raise FormatError("two skip pointers sit on one node")
-    skip = dict(zip(nodes.tolist(), expected))
+    # text_index._skip_pairs: (s - 1) // rate_t pointers for a tunnel of length s
+    skip = _unpack_ints(rd.section(), sum((t.length - 1) // rate_t for t in tunnels),
+                        width, "skip")
     if rd.section():
         raise FormatError("the back section must be empty")
     raw = rd.section()
     mark_bytes = (nt + 7) >> 3
     loc_nodes = np.flatnonzero(_unpack_ints(raw[:mark_bytes], nt, 1, "loc mark")) + 1
     positions = _unpack_ints(raw[mark_bytes:], len(loc_nodes), width, "loc position")
-    # locate and extract return these positions, so a repeated one would
-    # surface as a wrong answer far from the file
-    if len(positions) and (positions.min() < 1 or positions.max() > n
-                           or _repeats(positions)):
-        raise FormatError(f"loc must map nodes to distinct positions in [1..{n}]")
     loc = dict(zip(loc_nodes.tolist(), positions.tolist()))
     raw = rd.section()
-    if not ntun:
-        if raw:
-            raise FormatError("the cnt section must be empty without tunnels")
-        cnt = list(range(0, nt + 1, rate_t))
-    else:
-        # count indexes these samples directly, so a bad one would surface
-        # as a wrong answer or an IndexError far from the file
-        samples = _unpack_ints(raw, nt // rate_t + 1, width, "cnt")
-        if samples[0] != 0 or samples[-1] > n or (np.diff(samples) < 0).any():
-            raise FormatError(f"cnt must hold {nt // rate_t + 1} non-decreasing "
-                              f"samples from 0 to at most {n}")
-        cnt = samples.tolist()
+    if raw and not ntun:
+        raise FormatError("the cnt section must be empty without tunnels")
+    cnt = (_unpack_ints(raw, nt // rate_t + 1, width, "cnt") if ntun
+           else np.arange(0, nt + 1, rate_t))
     if rd.off != len(rd.data):
         raise TruncatedError("trailing bytes after the last section")
 

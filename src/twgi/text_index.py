@@ -5,17 +5,18 @@ of prefixes, i.e. the suffix array of the reversed text; its label array is
 the BWT of the reversed text.  After tunneling, count / locate / extract are
 answered with sampling structures:
 
-* text-position samples on the run-contracted node sequence for locate and
-  extract,
+* text-position samples on plain nodes of the run-contracted node sequence
+  for locate and extract,
 * cumulative tunnel-width sums at aligned ranks for count,
-* skip pointers inside long tunnels, and the backpointers from each exit,
-  which are derived from the skip pointers.
+* skip pointers inside long tunnels, at the exits and distances that
+  ``_skip_pairs`` reads off the records, and the backpointers they give.
 
 A walk that reaches a tunnel at its entrance crosses it in one jump: the
 tunnel record gives the exit and the length.  Skip pointers serve only walks
 that start inside a tunnel, and extract's back hop to a position inside one.
 All copies of a tunnel node share one walk to the exit, where the walk
-splits by copy.
+splits by copy.  Walks trust the records and the samples: ``TextIndex``
+checks them for every producer.
 
 A forward step takes a known out-edge: a node's only one, or the one of its
 copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -121,27 +123,57 @@ class StepCounter:
 
 
 class TextIndex:
-    """Tunneled FM-index over a byte string: count, locate, extract."""
+    """Tunneled FM-index over a byte string: count, locate, extract.
+
+    ``skip`` lists the pointer nodes in the order of ``_skip_pairs``.  Walks
+    trust what the constructor checks for every producer: it raises
+    ValidationError unless both rates are >= 1, the records account for the
+    n original nodes, each exit's out-degree and entrance's in-degree (one
+    less at rank 1) is its width, the pointers are distinct tunnel nodes,
+    ``loc`` maps plain nodes to distinct positions in [1..n], and ``cnt`` is
+    n_t // rate_t + 1 non-decreasing samples from 0 to at most n, k rate_t
+    without tunnels."""
 
     def __init__(self, tg: TunneledGraph, n: int, sample_rate_n: int,
                  sample_rate_t: int, skip, loc, cnt):
+        g, nt, rate_t = tg.g, tg.g.n, sample_rate_t
+        if sample_rate_n < 1 or rate_t < 1:
+            raise ValidationError(f"sample rates {sample_rate_n} and {rate_t} must be at least 1")
+        # walks cross a tunnel by its record's exit and length
+        if tg.orig_n != n:
+            raise ValidationError("tunnel records must account for the n - n_t collapsed nodes")
+        if any(g.outdeg(t.exit) != t.width or g.indeg(t.entrance) != t.width - (t.entrance == 1)
+               for t in tg.tunnels):
+            raise ValidationError("a tunnel's exit must have out-degree equal to its width, "
+                                  "and its entrance in-degree, less one at rank 1")
+        kind = np.frombuffer(tg._kind, np.uint8)
+        nodes, pairs = np.asarray(skip, np.int64), _skip_pairs(tg.tunnels, rate_t)
+        if len(nodes) != len(pairs) or not _distinct_in(nodes, 1, nt) or not kind[nodes].all():
+            raise ValidationError(f"skip pointers must sit on {len(pairs)} distinct tunnel "
+                                  f"nodes in [1..{nt}]")
+        pos = np.fromiter(loc.values(), np.int64, len(loc))
+        at = np.fromiter(loc, np.int64, len(loc))
+        if ((at < 1) | (at > nt)).any() or kind[at].any() or not _distinct_in(pos, 1, n):
+            raise ValidationError(f"loc must map plain nodes in [1..{nt}] to distinct "
+                                  f"positions in [1..{n}]")
+        cnt = np.asarray(cnt, np.int64)
+        if (len(cnt) != nt // rate_t + 1 or cnt[0] or cnt[-1] > n or (np.diff(cnt) < 0).any()
+                or not tg.tunnels and (cnt != np.arange(0, nt + 1, rate_t)).any()):
+            raise ValidationError(f"cnt must hold {nt // rate_t + 1} non-decreasing samples from "
+                                  f"0 to at most {n}, k * {rate_t} without tunnels")
         self.tg = tg
         self.n = n                       # |T| + 1, node count of the original graph
         self.sample_rate_n = sample_rate_n
         self.sample_rate_t = sample_rate_t
-        self.skip = skip                 # pointer node -> (exit rank, distance)
+        self.skip = dict(zip(nodes.tolist(), pairs))  # pointer node -> (exit rank, distance)
         self.back = {}                   # exit rank -> [(distance, node)] ascending
-        for node, (exit_rank, dist) in skip.items():
+        for node, (exit_rank, dist) in self.skip.items():
             self.back.setdefault(exit_rank, []).append((dist, node))
-        for ptrs in self.back.values():
-            ptrs.sort()
         self.loc = loc                   # non-tunnel node rank -> text position
-        self.cnt = cnt                   # cumulative widths at rank multiples
-        # the samples by text position, for extract to bisect
-        pos = np.fromiter(loc.values(), np.int64, len(loc))
-        by_pos = np.argsort(pos)
+        self.cnt = cnt.tolist()          # cumulative widths at rank multiples
+        by_pos = np.argsort(pos)         # the samples by text position, for extract to bisect
         self.ext_pos = pos[by_pos].tolist()
-        self.ext_node = np.fromiter(loc, np.int64, len(loc))[by_pos].tolist()
+        self.ext_node = at[by_pos].tolist()
 
     @property
     def text_len(self) -> int:
@@ -377,6 +409,21 @@ def _distinct_sorted(positions: list[int]) -> list[int]:
     return positions
 
 
+def _distinct_in(vals: np.ndarray, lo: int, hi: int) -> bool:
+    """Whether the ints are distinct and in [lo..hi].  A sort: ``np.unique``
+    hashes, ten times slower on the 1,334 loc positions of a 20 KB index."""
+    vals = np.sort(vals)
+    return not len(vals) or (lo <= vals[0] and vals[-1] <= hi and (np.diff(vals) > 0).all())
+
+
+def _skip_pairs(tunnels, rate_t: int) -> list[tuple[int, int]]:
+    """(exit, distance) of every skip pointer, in file order: by exit, then
+    by ascending distance s - j, j = rate_t, 2 rate_t, ... < s for a tunnel
+    of length s, so (s - 1) // rate_t of them."""
+    return [(t.exit, d) for t in sorted(tunnels, key=attrgetter("exit"))
+            for d in range((t.length - 1) % rate_t + 1, t.length, rate_t)]
+
+
 def build_index(text: bytes, *, sample_rate_n: int | None = None,
                 sample_rate_t: int | None = None, min_width: int = 2,
                 min_length: int = 2, tunneling: bool = True) -> TextIndex:
@@ -406,21 +453,20 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
     rate_t = sample_rate_t if sample_rate_t is not None else \
         max(1, math.ceil(math.log2(max(2, nt))))
 
-    # one pass over each tunnel's column roots sets the widths and the skip
-    # pointers; tg.tunnels lists the tunnels in block order
+    # tg.tunnels lists the tunnels in block order; the skip pointer at
+    # distance d from an exit is the root of column s - d of its tunnel
     phi = tg.node_map
     widths = np.ones(nt + 1, dtype=np.int64)
-    skip = {}
+    roots = {}  # exit -> the tunnel's column roots
     for blk, rec in zip([b for b in expanded if b.width > 1], tg.tunnels):
-        roots = phi[[col[0] for col in blk.columns]].tolist()
-        widths[roots] = blk.width
-        for j in range(rate_t, blk.size, rate_t):
-            skip[roots[j - 1]] = (rec.exit, blk.size - j)
+        roots[rec.exit] = phi[[col[0] for col in blk.columns]].tolist()
+        widths[roots[rec.exit]] = blk.width
+    skip = [roots[e][-1 - d] for e, d in _skip_pairs(tg.tunnels, rate_t)]
     cumulative = np.cumsum(widths[1:])
     if nt and int(cumulative[-1]) != n:
         raise InvariantError("width conservation broke: every original node "
                              "must be counted exactly once")
-    cnt = [0] + cumulative[rate_t - 1::rate_t].tolist()
+    cnt = np.append(0, cumulative[rate_t - 1::rate_t])
 
     # run-contracted text-order sequence: one element per non-tunnel node,
     # one per run of text positions through one tunnel.  A run starts at its

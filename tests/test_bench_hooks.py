@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import micro  # noqa: E402
 import tracing  # noqa: E402
 from clock import _MIN_SAMPLES, Clock  # noqa: E402
-from twgi import text_index  # noqa: E402
+from twgi import persist, text_index  # noqa: E402
 
 HOOKS = [(owner, attr) for owner, attr, *_ in tracing._SPANS + tracing._COUNTERS]
 
@@ -54,3 +54,15 @@ def test_build_phase_spans():
     assert names.count("tunnel.find_string_blocks") == 1
     assert names.count("tunnel.tunnel_graph") == 1
     assert "tunnel.expand" not in names
+
+
+def test_skip_jumps_counted_on_a_loaded_index(small_index):
+    # the bench's skips_per_occ counts the jumps through the dict that
+    # count_skips swaps in for ix.skip, which TextIndex makes on every load
+    text = SMALL_TEXTS["cpm4"]
+    ix = persist.deserialize_index(persist.serialize_index(small_index("cpm4")))
+    tracer = tracing.Tracer(None)
+    tracer.count_skips(ix)
+    for i in range(0, len(text) - 6, 3):
+        ix.locate(text[i:i + 6])
+    assert tracer.counts["", tracing.SKIP_JUMP] > 0

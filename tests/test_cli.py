@@ -294,6 +294,9 @@ MALFORMED_GRAPHS = {
     "inner mark repeated": TUNNELED.replace("inner 3", "inner 3 3"),
     "tunnel length 0": TUNNELED.replace("#! tunnel 2 3 2 2", "#! tunnel 2 3 2 0"),
     "tunnel exit past n_t": TUNNELED.replace("#! tunnel 2 3 2 2", "#! tunnel 2 99 2 2"),
+    # only orig-n ties a record's width to the graph
+    "tunnel width without orig-n": TUNNELED.replace("#! orig-n 7\n", "").replace(
+        "#! tunnel 2 3 2 2", "#! tunnel 2 3 3 2"),
 }
 # the entries above that break a line of TUNNELED, and what the error names
 BAD_TUNNEL_META = {
@@ -309,6 +312,7 @@ BAD_TUNNEL_META = {
     "inner mark repeated": "inner marks must be distinct and in [1..5]",
     "tunnel length 0": "width >= 2 and length >= 1",
     "tunnel exit past n_t": "an exit in [1..5]",
+    "tunnel width without orig-n": "orig-n None is not the records' 9",
 }
 MALFORMED_BLOCKS = {
     "size": "BLOCK 2 x\n",
