@@ -18,6 +18,14 @@ All copies of a tunnel node share one walk to the exit, where the walk
 splits by copy.  Walks trust the records and the samples: ``TextIndex``
 checks them for every producer.
 
+Locate walks each occurrence to the next text-order sample (Ferragina &
+Manzini 2005).  The range's tunnel nodes walk to their exits first, once
+each; a range of ``_LOCKSTEP_MIN_STARTS`` (node, copy) starts or more then
+walks them all in lockstep on numpy arrays, one step a round: retire the
+walks at a sample, jump those at an entrance to the exit, step the rest.  A
+round's numpy calls cost the same however few walks are live, so a smaller
+range walks one start at a time; the threshold is the measured break-even.
+
 A forward step takes a known out-edge: a node's only one, or the one of its
 copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
 target, landing copy and label from the graph's step table, the landing
@@ -35,7 +43,8 @@ import numpy as np
 
 from .bitvec import LabelSeq
 from .errors import BoundsError, FormatError, InvariantError, ValidationError
-from .tunnel import Block, TraversalPos, TunneledGraph, find_string_blocks, tunnel_graph
+from .tunnel import (_ENTRANCE, Block, TraversalPos, TunneledGraph, find_string_blocks,
+                     tunnel_graph)
 from .wheeler import WheelerGraph, unary
 
 
@@ -113,6 +122,13 @@ def build_graph_from_text(text: bytes) -> WheelerGraph:
 # ---------------------------------------------------------------------------
 # the index
 
+# A range with fewer (node, copy) starts walks them one at a time.  Measured
+# on the 20 KB benchmark indexes (CPython 3.11, numpy 2.4): the lockstep walk
+# took 80-140 us at 1-4 starts against 6-16 us for the single walks, broke
+# even near 30 starts on fib-locate and 48 on cpm4-build, and took 262
+# against 762 us at 188 starts on cpm4-build
+_LOCKSTEP_MIN_STARTS = 40
+
 
 @dataclass
 class StepCounter:
@@ -153,9 +169,10 @@ class TextIndex:
                                   f"nodes in [1..{nt}]")
         pos = np.fromiter(loc.values(), np.int64, len(loc))
         at = np.fromiter(loc, np.int64, len(loc))
-        if ((at < 1) | (at > nt)).any() or kind[at].any() or not _distinct_in(pos, 1, n):
+        if ((at < 1) | (at > nt)).any() or kind[at].any() or not _distinct_in(pos, 1, n) \
+                or pos.max(initial=0) != n:
             raise ValidationError(f"loc must map plain nodes in [1..{nt}] to distinct "
-                                  f"positions in [1..{n}]")
+                                  f"positions in [1..{n}], {n} among them")
         cnt = np.asarray(cnt, np.int64)
         if (len(cnt) != nt // rate_t + 1 or cnt[0] or cnt[-1] > n or (np.diff(cnt) < 0).any()
                 or not tg.tunnels and (cnt != np.arange(0, nt + 1, rate_t)).any()):
@@ -174,6 +191,11 @@ class TextIndex:
         by_pos = np.argsort(pos)         # the samples by text position, for extract to bisect
         self.ext_pos = pos[by_pos].tolist()
         self.ext_node = at[by_pos].tolist()
+        by_node = np.argsort(at)         # and by node, for the lockstep walk to search
+        self._loc_at, self._loc_pos = at[by_node], pos[by_node]
+        # the records' entrances, exits and lengths - 1, by entrance
+        self._entr = np.array(sorted((t.entrance, t.exit, t.length - 1) for t in tg.tunnels),
+                              np.int64).reshape(-1, 3).T
 
     @property
     def text_len(self) -> int:
@@ -275,19 +297,21 @@ class TextIndex:
 
     def locate_one(self, p: TraversalPos, counter: StepCounter | None = None) -> int:
         """Text position (1-based) of the original node at the simulated
-        position p: walk forward to the next text-order sample, crossing
-        each tunnel in one jump to its exit, and subtract the travelled
-        distance."""
-        counter = counter if counter is not None else StepCounter()
+        position p; raises BoundsError unless p is a position of the graph."""
         self.tg.check_pos(p)
-        node, off = p.node, p.offset
+        return self._walk(p.node, p.offset, counter if counter is not None else StepCounter())
+
+    def _walk(self, node: int, off: int, counter: StepCounter) -> int:
+        """Text position of copy ``off`` of the node: walk forward to the
+        next text-order sample, crossing each tunnel in one jump to its exit,
+        and subtract the travelled distance."""
         travelled = 0
-        is_tunnel_node = self.tg.is_tunnel_node
+        loc, kind = self.loc, self.tg._kind
         for _ in range(self.n):
-            pos = self.loc.get(node)
+            pos = loc.get(node)
             if pos is not None:
                 return pos - travelled
-            if is_tunnel_node(node):
+            if kind[node]:
                 node, dist = self._to_exit(node, counter)
                 travelled += dist
             node, off, _ = self._fstep(node, off, counter)
@@ -296,8 +320,15 @@ class TextIndex:
 
     def locate(self, pattern: bytes, limit: int | None = None,
                counter: StepCounter | None = None) -> list[int]:
-        """Ascending start positions of the pattern (all, or first `limit`
-        found).  The empty pattern is rejected."""
+        """Ascending start positions of the pattern (all, or the first
+        `limit` in rank and copy order).  The empty pattern is rejected.
+
+        Every copy of a tunnel node reaches the same exit, so each node of
+        the range walks there once and its copies start from the exit
+        (``_starts``).  A range of ``_LOCKSTEP_MIN_STARTS`` starts or more
+        walks them all at once (``_lockstep``), a smaller one start by start
+        (``_walk``): the threshold is where the two broke even on the
+        benchmark's indexes.  Both give the same positions and steps."""
         if len(pattern) == 0:
             raise ValidationError("locate needs a non-empty pattern")
         if limit is not None and limit < 0:
@@ -307,24 +338,88 @@ class TextIndex:
         if got is None or limit == 0:
             return []
         (lo, lo_off), (hi, hi_off) = got
-        out = []
+        nodes, offs, dists = self._starts(lo, lo_off, hi, hi_off, limit, counter)
         plen = len(pattern)
-        for v in range(lo, hi + 1):
-            # every copy of a tunnel node reaches the same exit: walk there
-            # once, then locate each copy from the exit
-            if self.tg.is_tunnel_node(v):
-                node, dist = self._to_exit(v, counter)
-                w_v = self.tg.g.outdeg(node)
-            else:
-                node, dist, w_v = v, 0, 1
+        if len(nodes) < _LOCKSTEP_MIN_STARTS:
+            found = [self._walk(v, o, counter) - d - plen for v, o, d in zip(nodes, offs, dists)]
+        else:
+            found = (self._lockstep(nodes, offs, dists, counter) - plen).tolist()
+        return _distinct_sorted(found)
+
+    def _starts(self, lo: int, lo_off: int, hi: int, hi_off: int | None,
+                limit: int | None, counter: StepCounter):
+        """(nodes, copies, distances) of the range's occurrences, the first
+        ``limit`` of them: a plain node starts at its one copy, and the
+        copies of a tunnel node at its exit, the distance to it travelled."""
+        if limit is not None and hi - lo >= limit:  # every node holds an occurrence
+            hi, hi_off = lo + limit - 1, None
+        lstart, kind = self.tg.g._lstart, self.tg._kind
+        nodes, offs, dists = [], [], []
+        nxt = lo
+        for v in [v for v in range(lo, hi + 1) if kind[v]] + [hi + 1]:
+            nodes += range(nxt, v)  # the plain nodes before v
+            offs += [1] * (v - nxt)
+            dists += [0] * (v - nxt)
+            if v > hi:
+                break
+            node, dist = self._to_exit(v, counter)
             first = lo_off if v == lo else 1
-            last = (hi_off if hi_off is not None else w_v) if v == hi else w_v
-            for o in range(first, last + 1):
-                end_pos = self.locate_one(TraversalPos(node, o), counter) - dist
-                out.append(end_pos - plen)
-                if limit is not None and len(out) >= limit:
-                    return _distinct_sorted(out)
-        return _distinct_sorted(out)
+            last = hi_off if v == hi and hi_off is not None else lstart[node + 1] - lstart[node]
+            nodes += [node] * (last - first + 1)
+            offs += range(first, last + 1)
+            dists += [dist] * (last - first + 1)
+            nxt = v + 1
+        return nodes[:limit], offs[:limit], dists[:limit]
+
+    def _lockstep(self, nodes, offs, dists, counter: StepCounter) -> np.ndarray:
+        """Text positions of the walks from copy offs[i] of nodes[i], dists[i]
+        already travelled, walked together: each round retires the walks at
+        a sample, jumps the walks at a tunnel entrance to its record's exit
+        and steps every walk left once through the step table.  A walk has
+        travelled its distance, its jumps and the rounds before it retires."""
+        tg = self.tg
+        kind = np.frombuffer(tg._kind, np.uint8)
+        lstart = np.frombuffer(tg.g._lstart, np.int64)
+        step_to = np.frombuffer(tg._step_to, np.int32)
+        step_land = np.frombuffer(tg._step_land, np.int32)
+        at, pos, (entrances, exits, lengths) = self._loc_at, self._loc_pos, self._entr
+        node, off, base = (np.array(a, np.int64) for a in (nodes, offs, dists))
+        lend, below_last, tunneled = lstart[1:], at[:-1], len(entrances) > 0
+        count, done = np.count_nonzero, []
+        for rnd in range(self.n):
+            i = below_last.searchsorted(node)  # the sample at or after the node, or the last
+            hit = at[i] == node
+            if count(hit):
+                h = hit.nonzero()[0]
+                done.append(pos[i[h]] - base[h] - rnd)
+                live = (~hit).nonzero()[0]
+                if not len(live):
+                    return np.concatenate(done)
+                node, off, base = node[live], off[live], base[live]
+            if tunneled:
+                ent = (kind[node] == _ENTRANCE).nonzero()[0]  # never inner-marked
+                if len(ent):
+                    j = entrances.searchsorted(node[ent])
+                    node[ent] = exits[j]
+                    base[ent] += lengths[j]
+                    counter.steps += len(ent)
+            # a walk leaves by the out-edge of its copy: no edge or start puts
+            # a copy above 1 on a plain node, so only a node of fewer
+            # out-edges than the copy needs _fstep's rule
+            p = lstart[node] + off
+            over = p > lend[node]
+            if count(over):
+                deg = lend[node] - lstart[node]
+                bad = (over & (deg != 1)).nonzero()[0]
+                if len(bad):
+                    self._fstep(int(node[bad[0]]), int(off[bad[0]]), counter)  # raises
+                p = lstart[node] + np.minimum(off, deg)  # a tunnel node of one out-edge
+            land = step_land[p]
+            node = step_to[p].astype(np.int64)
+            # an in-tunnel move (landing copy 0) keeps the copy
+            off = land if count(land) == len(land) else np.where(land != 0, land, off)
+            counter.steps += len(node)
+        raise FormatError(f"found no sample in {self.n} steps")
 
     # -- extracting -----------------------------------------------------------------
 

@@ -15,6 +15,7 @@ from array import array
 import numpy as np
 import pytest
 
+from twgi import text_index
 from twgi.bitvec import BitVec
 from twgi.errors import InvariantError, NotFoundError, ValidationError
 from twgi.text_index import _string_graph, build_index
@@ -946,3 +947,13 @@ def small_index():
         return built[key]
 
     return get
+
+
+@pytest.fixture
+def lockstep(monkeypatch):
+    """lockstep(on) sends every later locate down one path: the lockstep
+    walk of a whole range (True) or the walks one start at a time (False)."""
+    def force(on: bool):
+        monkeypatch.setattr(text_index, "_LOCKSTEP_MIN_STARTS", 1 if on else math.inf)
+
+    return force

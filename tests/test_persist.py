@@ -381,6 +381,11 @@ def _move_in_edge(ix, s: Samples):
     s.g = WheelerGraph(g.n, g.m, g.sigma, g.L, g.C, unary(deg), g.O, g.alphabet)
 
 
+def _sink_sample(ix) -> int:
+    """The node of the sample at text position n, the last."""
+    return next(v for v, pos in ix.loc.items() if pos == ix.n)
+
+
 def _loc_moves(ix) -> list[tuple[int, int]]:
     """(v, u) for each loc sample v whose next tunnel node above, u, comes
     before the next sample: a mark moved from v to u keeps the positions in
@@ -419,6 +424,7 @@ SAMPLE_FAULTS = {
                             "loc must map"),
     "loc shared position": (lambda ix, s: _set_item(s.loc, max(s.loc), s.loc[min(s.loc)]),
                             "loc must map"),
+    "loc without position n": (lambda ix, s: s.loc.pop(_sink_sample(ix)), "loc must map"),
     "cnt 3 short": (lambda ix, s: s.cnt.__delitem__(slice(-3, None)), "cnt must hold"),
     "cnt 1 long": (lambda ix, s: s.cnt.append(s.cnt[-1]), "cnt must hold"),
     "cnt start": (lambda ix, s: _set_item(s.cnt, 0, 1), "cnt must hold"),
@@ -599,6 +605,16 @@ def test_loc_moved_onto_a_tunnel_node(name, moves, small_index):
             _construct(ix, bad)
         with pytest.raises(FormatError, match="loc must map plain nodes"):
             deserialize_index(_file(ix, bad))
+
+
+def test_loc_without_the_last_position(small_index):
+    # before the rule that loc holds position n, this file loaded, and 28 of
+    # the 292 locates of the 8-grams at stride 7 walked past the sink
+    ix = small_index("cpm4")
+    bad = _samples(ix)
+    del bad.loc[_sink_sample(ix)]
+    with pytest.raises(FormatError, match=f"loc must map .* {ix.n} among them"):
+        deserialize_index(_file(ix, bad))
 
 
 class TestIndexFile:
@@ -872,7 +888,7 @@ class TestIndexFile:
             assert all(type(v) is int and type(e) is int and type(d) is int
                        for v, (e, d) in got.skip.items())
 
-    def test_skip_pointer_cycle_stops_every_walk(self, small_index):
+    def test_skip_pointer_cycle_stops_every_walk(self, small_index, lockstep):
         # two skip pointers of one tunnel point at each other at distance 0:
         # each walk that reaches them must stop.  No producer can make them,
         # as TextIndex takes the pointers' exits and distances from the
@@ -892,6 +908,14 @@ class TestIndexFile:
             bad.locate_one(TraversalPos(a, 1))
         with pytest.raises(FormatError, match="no tunnel exit"):
             bad.node_width(a)
+        # a pattern ending before text position pos_a has node a in its range
+        pattern = SMALL_TEXTS["fib"][pos_a - 9:pos_a - 1]
+        (lo, _), (hi, _) = bad.tg._search_pairs(pattern)
+        assert lo <= a <= hi
+        for on in (False, True):
+            lockstep(on)
+            with pytest.raises(FormatError, match="no tunnel exit"):
+                bad.locate(pattern)
         assert bad.extract(pos_a + 1, 1) == SMALL_TEXTS["fib"][pos_a:pos_a + 1]
 
 

@@ -205,14 +205,16 @@ class TestSelectGuard:
         assert select_calls[0] == 0
 
     @pytest.mark.parametrize("name,tunneling", CASES)
-    def test_queries(self, name, tunneling, small_index, select_calls):
+    def test_queries(self, name, tunneling, small_index, select_calls, lockstep):
         ix = small_index(name, tunneling)
         text = SMALL_TEXTS[name]
         rng = random.Random(67)
         for pat in make_patterns(rng, text, 60, max_len=24):
             ix.tg._search_pairs(pat)
             ix.count(pat)
-            ix.locate(pat)
+            for on in (False, True):
+                lockstep(on)
+                ix.locate(pat)
         for _ in range(40):  # extracts that start inside tunnels hop back
             start = rng.randint(1, len(text))
             ix.extract(start, rng.randint(0, len(text) - start + 1))
@@ -254,13 +256,15 @@ class TestRankGuard:
         assert rank_calls[0] == 1
 
     @pytest.mark.parametrize("name,tunneling", CASES)
-    def test_text_index(self, name, tunneling, rank_calls):
+    def test_text_index(self, name, tunneling, rank_calls, lockstep):
         text = SMALL_TEXTS[name]
         ix = deserialize_index(serialize_index(build_index(text, tunneling=tunneling)))
         rng = random.Random(101)
         for pat in make_patterns(rng, text, 60, max_len=24):
             ix.count(pat)
-            ix.locate(pat)
+            for on in (False, True):
+                lockstep(on)
+                ix.locate(pat)
         for _ in range(40):
             start = rng.randint(1, len(text))
             ix.extract(start, rng.randint(0, len(text) - start + 1))
@@ -328,14 +332,16 @@ class TestWalkGuard:
         assert walk_lookups == ["partial_rank", "edge_target"]
 
     @pytest.mark.parametrize("name,tunneling", CASES)
-    def test_walks_read_the_table(self, name, tunneling, small_index, walk_lookups):
+    def test_walks_read_the_table(self, name, tunneling, small_index, walk_lookups, lockstep):
         text = SMALL_TEXTS[name]
         ix = deserialize_index(serialize_index(small_index(name, tunneling)))
         walk_lookups.clear()  # the load counts each label of L once
         rng = random.Random(103)
         for pat in make_patterns(rng, text, 60, max_len=24):
             ix.count(pat)
-            ix.locate(pat)
+            for on in (False, True):
+                lockstep(on)
+                ix.locate(pat)
             ix.tg.path_search(pat)
         for _ in range(40):  # extracts that start inside tunnels hop back
             start = rng.randint(1, len(text))

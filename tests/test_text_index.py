@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -14,7 +15,8 @@ from conftest import (
     random_text,
     walk_to_exit,
 )
-from twgi.errors import BoundsError, InvariantError, ValidationError
+from twgi.errors import BoundsError, FormatError, InvariantError, ValidationError
+from twgi.persist import deserialize_index, serialize_index
 from twgi.text_index import (
     StepCounter,
     TextIndex,
@@ -290,12 +292,17 @@ class TestLocate:
             with pytest.raises(BoundsError, match=f"node {v} has no copy {w_max + 1}"):
                 ix.locate_one(TraversalPos(v, w_max + 1))
 
-    def test_duplicate_occurrence_raises(self, monkeypatch):
+    def test_duplicate_occurrence_raises(self, monkeypatch, lockstep):
+        # every walk of either path answers 7, so the two a's collide
         ix = build_index(b"abcabc")
-        monkeypatch.setattr(TextIndex, "locate_one", lambda self, p, counter=None: 7)
-        for limit in (None, 2):
-            with pytest.raises(InvariantError, match="two occurrences"):
-                ix.locate(b"a", limit=limit)
+        monkeypatch.setattr(TextIndex, "_walk", lambda self, node, off, counter: 7)
+        monkeypatch.setattr(TextIndex, "_lockstep",
+                            lambda self, nodes, offs, dists, counter: np.full(len(nodes), 7))
+        for on in (False, True):
+            lockstep(on)
+            for limit in (None, 2):
+                with pytest.raises(InvariantError, match="two occurrences"):
+                    ix.locate(b"a", limit=limit)
 
     def test_width_conservation(self, monkeypatch):
         # two columns of one tunnel mapped to one tunneled node: the widths
@@ -317,6 +324,89 @@ class TestLocate:
         ix = build_index(b"abcabc")
         with pytest.raises(ValidationError):
             ix.locate(b"")
+
+
+def _first_occurrences(ix, pat, limit):
+    """The pattern's first ``limit`` occurrences in rank and copy order,
+    one ``locate_one`` each, ascending."""
+    got = ix.tg._search_pairs(pat)
+    if got is None:
+        return []
+    (lo, lo_off), (hi, hi_off) = got
+    out = []
+    for v in range(lo, hi + 1):
+        last = hi_off if v == hi and hi_off is not None else ix.node_width(v)
+        out += [ix.locate_one(TraversalPos(v, o)) - len(pat)
+                for o in range(lo_off if v == lo else 1, last + 1)]
+    return sorted(out[:limit])
+
+
+class TestLockstep:
+    """Locate walks a range of many starts in lockstep and a small one start
+    by start; either path must give the naive answers, the same steps and,
+    under a limit, the same first occurrences."""
+
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_both_paths_match_naive(self, name, tunneling, small_index, lockstep):
+        text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
+        rng = random.Random(41)
+        found = 0
+        for pat in make_patterns(rng, text, 60, max_len=10) + [text[:1], text[-3:]]:
+            want = naive_locate(text, pat)
+            got = {}
+            for on in (False, True):
+                lockstep(on)
+                counter = StepCounter()
+                got[on] = ix.locate(pat, counter=counter), counter.steps
+                for limit in (1, 3, len(want) // 2 + 1):
+                    assert ix.locate(pat, limit=limit) == _first_occurrences(ix, pat, limit), \
+                        (pat, on, limit)
+            assert got[False] == got[True] and got[True][0] == want, pat
+            found += len(want)
+        assert found > 100
+
+    @pytest.mark.parametrize("name", ["fib", "cpm4", "cpm96"])
+    def test_walks_from_inside_a_tunnel(self, name, small_index):
+        # locate starts no walk inside a tunnel; started on every copy of
+        # every tunnel node, the lockstep walk keeps each copy through the
+        # in-tunnel moves and finds the positions the single walks find
+        ix = small_index(name)
+        starts = [(v, o) for v in range(1, ix.tg.g.n + 1) if ix.tg.is_tunnel_node(v)
+                  for o in range(1, ix.node_width(v) + 1)]
+        nodes, offs = map(list, zip(*starts))
+        got = ix._lockstep(nodes, offs, [0] * len(nodes), StepCounter())
+        assert sorted(got.tolist()) == sorted(ix._walk(v, o, StepCounter()) for v, o in starts)
+
+    def test_walk_past_the_sink_raises(self, small_index, lockstep):
+        # without the sample at position n, a walk that reaches the sink has
+        # no edge to take; TextIndex rejects such samples, so the sample is
+        # removed after construction
+        text = SMALL_TEXTS["cpm4"]
+        bad = deserialize_index(serialize_index(small_index("cpm4")))
+        sink = next(v for v, pos in bad.loc.items() if pos == bad.n)
+        del bad.loc[sink]
+        keep = bad._loc_at != sink
+        bad._loc_at, bad._loc_pos = bad._loc_at[keep], bad._loc_pos[keep]
+        for on in (False, True):
+            lockstep(on)
+            with pytest.raises(BoundsError, match="walked past the sink"):
+                bad.locate(text[-6:])
+            assert bad.locate(text[:6]) == naive_locate(text, text[:6])
+
+    def test_a_step_cycle_stops_both_walks(self, small_index, lockstep):
+        # the node after the second-to-last sample steps to itself: a walk
+        # from it meets no sample, and both paths stop after n steps
+        text = SMALL_TEXTS["fib"]
+        bad = deserialize_index(serialize_index(small_index("fib", tunneling=False)))
+        pos = bad.ext_pos[-2]
+        u = bad._fstep(bad.ext_node[-2], 1, StepCounter())[0]
+        assert u not in bad.loc
+        bad.tg._step_to[bad.tg.g._lstart[u] + 1] = u
+        for on in (False, True):
+            lockstep(on)
+            with pytest.raises(FormatError, match=f"found no sample in {bad.n} steps"):
+                bad.locate(text[pos - 8:pos])
 
 
 class TestExtract:
@@ -423,19 +513,23 @@ class TestStepBudgets:
                 assert counter.steps <= budget, (text, pat, counter.steps)
 
     @pytest.mark.parametrize("name", ["fib", "cpm4", "cpm96"])
-    def test_tunneled_locate_steps_per_occurrence(self, name, small_index):
+    def test_tunneled_locate_steps_per_occurrence(self, name, small_index, lockstep):
         # a walk crosses each tunnel in one jump and the copies of a tunnel
-        # node share it, so tunneling must not multiply locate's steps
+        # node share it, so tunneling must not multiply locate's steps; the
+        # lockstep walk counts the steps and jumps of each of its walks
         text = SMALL_TEXTS[name]
         per_occ = {}
-        for tunneling in (True, False):
-            ix = small_index(name, tunneling)
-            counter, occ = StepCounter(), 0
-            for pat in make_patterns(random.Random(5), text, 200, max_len=12):
-                if pat in text:
-                    occ += len(ix.locate(pat, counter=counter))
-            per_occ[tunneling] = counter.steps / occ
-        assert per_occ[True] <= 2 * per_occ[False], per_occ
+        for on in (False, True):
+            lockstep(on)
+            for tunneling in (True, False):
+                ix = small_index(name, tunneling)
+                counter, occ = StepCounter(), 0
+                for pat in make_patterns(random.Random(5), text, 200, max_len=12):
+                    if pat in text:
+                        occ += len(ix.locate(pat, counter=counter))
+                per_occ[on, tunneling] = counter.steps / occ
+        assert per_occ[True, True] == per_occ[False, True], per_occ
+        assert per_occ[True, True] <= 2 * per_occ[True, False], per_occ
 
 
 class TestSampleSharing:
