@@ -41,8 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="locate sample stride (default: ceil(log2 n))")
     b.add_argument("--tunnel-rate", type=int, default=None,
                    help="tunnel-skip stride (default: ceil(log2 n_t))")
-    b.add_argument("--min-width", type=int, default=2)
-    b.add_argument("--min-length", type=int, default=2)
     b.add_argument("--no-tunnel", action="store_true",
                    help="build a plain FM-index without tunneling")
 
@@ -84,8 +82,6 @@ def _cmd_build(args) -> int:
         text,
         sample_rate_n=args.sample_rate,
         sample_rate_t=args.tunnel_rate,
-        min_width=args.min_width,
-        min_length=args.min_length,
         tunneling=not args.no_tunnel,
     )
     save_index(ix, args.output)

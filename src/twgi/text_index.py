@@ -272,7 +272,7 @@ class TextIndex:
         w_hi = self.node_width(hi, counter)
         if hi_off is None:
             hi_off = w_hi
-        total = self._range_weight(lo, hi, counter)
+        total = self._range_weight(lo, hi - 1, counter) + w_hi  # hi's width once
         return total - (lo_off - 1) - (w_hi - hi_off)
 
     def _range_weight(self, lo: int, hi: int, counter: StepCounter) -> int:
@@ -520,13 +520,15 @@ def _skip_pairs(tunnels, rate_t: int) -> list[tuple[int, int]]:
 
 
 def build_index(text: bytes, *, sample_rate_n: int | None = None,
-                sample_rate_t: int | None = None, min_width: int = 2,
-                min_length: int = 2, tunneling: bool = True) -> TextIndex:
-    """Build the full index: string graph, block discovery, tunneling, and
-    all sampling structures.  With tunneling off this degenerates to a plain
-    FM-index over the Wheeler graph."""
+                sample_rate_t: int | None = None, tunneling: bool = True) -> TextIndex:
+    """Build the full index: string graph, block discovery (blocks of width
+    and length >= 2, each merging an edge), tunneling, and all sampling
+    structures.  With tunneling off this degenerates to a plain FM-index."""
     if isinstance(text, str):
         raise TypeError("text must be bytes")
+    if (sample_rate_n is not None and sample_rate_n < 1) or \
+            (sample_rate_t is not None and sample_rate_t < 1):
+        raise ValidationError("sample rates must be >= 1")
     text = bytes(text)
     g, rank = _string_graph(text)
     n = g.n
@@ -534,15 +536,12 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
     # order; tunnel_graph checks every block
     at = np.argsort(rank)  # rank[at[r]] = r
     expanded = []
-    for sb in (find_string_blocks(g, min_width, min_length) if tunneling else []):
+    for sb in (find_string_blocks(g) if tunneling else []):
         rows = at[sb.start_rank:sb.start_rank + sb.width]
         expanded.append(Block(sb.width, sb.length,
                               rank[rows + np.arange(sb.length)[:, None]].tolist()))
     tg = tunnel_graph(g, expanded)
     nt = tg.g.n
-    if (sample_rate_n is not None and sample_rate_n < 1) or \
-            (sample_rate_t is not None and sample_rate_t < 1):
-        raise ValidationError("sample rates must be >= 1")
     rate_n = sample_rate_n if sample_rate_n is not None else \
         max(1, math.ceil(math.log2(max(2, n))))
     rate_t = sample_rate_t if sample_rate_t is not None else \
@@ -553,7 +552,7 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
     phi = tg.node_map
     widths = np.ones(nt + 1, dtype=np.int64)
     roots = {}  # exit -> the tunnel's column roots
-    for blk, rec in zip([b for b in expanded if b.width > 1], tg.tunnels):
+    for blk, rec in zip(expanded, tg.tunnels):
         roots[rec.exit] = phi[[col[0] for col in blk.columns]].tolist()
         widths[roots[rec.exit]] = blk.width
     skip = [roots[e][-1 - d] for e, d in _skip_pairs(tg.tunnels, rate_t)]

@@ -22,7 +22,7 @@ them without a walk.  The pair (r, r+1) extends ext[r] columns: 0 at the
 sink or where the two successors stop being adjacent, 1 where the out-labels
 differ, else 1 + ext[succ(r)].  A run of rows lasts the least ext over its
 pairs, cut one short of the smallest gap d between the rows' text positions
-(column d would revisit a row); a single row runs to the sink.
+(column d would revisit a row).  A tunnel must merge an edge, so w, s >= 2.
 
 One landing rule places an edge, and the graph decodes it once, with one
 stable sort of L, into the step table: per L position the edge's target, its
@@ -324,14 +324,19 @@ def check_string_block(g: WheelerGraph, sb: StringBlock) -> CheckResult:
     return CheckResult.bad(*violation) if violation else CheckResult.good()
 
 
-def find_string_blocks(g: WheelerGraph, min_w: int = 2, min_s: int = 2) -> list[StringBlock]:
+def find_string_blocks(g: WheelerGraph) -> list[StringBlock]:
     """Heuristic block discovery on the Wheeler graph of a string.
 
-    Seeds on maximal runs of nodes with equal (out-label, in-label), widens
-    each seed by a row below or above while its longest valid length does
-    not fall, then selects greedily by merged-edge benefit (w-1)(s-1) with
+    A block of width w and length s merges (w-1)(s-1) edges, so only blocks
+    of width and length >= 2 are kept.  Seeds on maximal runs of nodes with
+    equal (out-label, in-label), then selects greedily by (w-1)(s-1) with
     ties to smaller start rank.  Overlapping candidates are truncated to
     their longest conflict-free column prefix and re-scored.
+
+    A seed widens only onto the source row.  Any other row next to a seed
+    differs in its out-label, leaving the widened block at most 1 long, or
+    in its in-label, leaving it 0 long.  The source, rank 1, has no
+    in-label, so a seed at rank 2 takes it in when its length holds.
 
     Lengths come from arrays, not walks.  Column t of row r is the node at
     text position pos[r] + t.  ext[r], the columns by which the pair (r, r+1)
@@ -339,12 +344,9 @@ def find_string_blocks(g: WheelerGraph, min_w: int = 2, min_s: int = 2) -> list[
     their out-labels differ, else 1 + ext[succ(r)], read off a running
     minimum over text order.  The seed [start..start+w-1] is valid up to
     min(ext[start..start+w-2], d-1), d the smallest gap between its rows'
-    positions, or to the sink (n-1-pos[start]) when w = 1, and not at all
-    when its in-labels differ.
+    positions.
     """
     _require_path_graph(g)
-    if min_w < 1 or min_s < 1:
-        raise ValidationError("min_w and min_s must be >= 1")
     n = g.n
     src, tgt, lab = g.edge_arrays()
     succ, out, inl = np.zeros(n + 2, np.int64), np.full(n + 2, -1), np.full(n + 2, -1)
@@ -364,32 +366,20 @@ def find_string_blocks(g: WheelerGraph, min_w: int = 2, min_s: int = 2) -> list[
     pos, ext = array("q", pos.tobytes()), array("q", ext.tobytes())
     starts = np.flatnonzero(np.diff(out[1:n + 1] * 257 + inl[1:n + 1], prepend=-259)) + 1
     widths = np.diff(starts, append=n + 1)  # runs of equal (out, in), labels -1..255
-    seeds = (widths >= min_w) & (out[starts] >= 0)
+    seeds = (widths >= 2) & (out[starts] >= 0)
 
     def longest(start: int, w: int) -> int:
-        if len(set(inl[start:start + w].tolist()) - {-1}) > 1:
-            return 0
-        if w == 1:
-            return n - 1 - pos[start]
         ps = sorted(pos[start:start + w])
         gap = min(b - a for a, b in zip(ps, ps[1:]))
         return min(min(ext[start:start + w - 1]), gap - 1)
 
-    candidates = set()
+    heap = []
     for start, w in zip(starts[seeds].tolist(), widths[seeds].tolist()):
         s = longest(start, w)
-        while s >= 1:
-            for ns in (start - 1, start):
-                s2 = longest(ns, w + 1) if 1 <= ns <= n - w else -1
-                if s2 >= s:
-                    start, w, s = ns, w + 1, s2
-                    break
-            else:
-                if s >= min_s:
-                    candidates.add((start, w, s))
-                break
-
-    heap = [(-(w - 1) * (s - 1), start, w, s) for start, w, s in candidates]
+        if s >= 2:
+            if start == 2 and longest(1, w + 1) == s:  # the source row
+                start, w = 1, w + 1
+            heap.append((-(w - 1) * (s - 1), start, w, s))
     heapq.heapify(heap)
     used = bytearray(n)  # collapsed nodes, by text position
     selected = []
@@ -404,7 +394,7 @@ def find_string_blocks(g: WheelerGraph, min_w: int = 2, min_s: int = 2) -> list[
             selected.append(StringBlock(start, w, s))
             for p in rows:
                 used[p:p + s] = b"\x01" * s
-        elif s2 >= min_s:
+        elif s2 >= 2:
             heapq.heappush(heap, (-(w - 1) * (s2 - 1), start, w, s2))
     return sorted(selected, key=lambda sb: sb.start_rank)
 

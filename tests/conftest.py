@@ -18,7 +18,7 @@ import pytest
 from twgi import text_index
 from twgi.bitvec import BitVec
 from twgi.errors import InvariantError, NotFoundError, ValidationError
-from twgi.text_index import _string_graph, build_index
+from twgi.text_index import TextIndex, _string_graph, build_index
 from twgi.tunnel import (
     Block,
     StringBlock,
@@ -26,7 +26,6 @@ from twgi.tunnel import (
     TunneledGraph,
     TunnelRecord,
     derive_string_block,
-    find_string_blocks,
     tunnel_graph,
 )
 from twgi.wheeler import CheckResult, EdgeList, NodeRange, encode, validate_wheeler
@@ -719,17 +718,36 @@ def walk_to_exit(g, v: int) -> tuple[int, int]:
     raise InvariantError(f"no node of out-degree other than 1 within {g.n} steps of {v}")
 
 
-def loop_samples(text: bytes, *, sample_rate_n=None, sample_rate_t=None,
-                 min_width: int = 2, min_length: int = 2):
-    """(loc, skip, back, cnt) of build_index by loops: block membership
-    node by node, the run-contracted elements from it position by position,
-    and the pointers and widths column by column."""
+def loop_samples(text: bytes, **kw):
+    """(loc, skip, back, cnt) of build_index by loops, for the blocks that
+    ``walk_string_blocks`` finds at ``min_width`` and ``min_length``
+    (default 2, build_index's): see ``_loop_build``."""
+    return _loop_build(text, **kw)[3:]
+
+
+def oracle_index(text: bytes, **kw) -> TextIndex:
+    """The TextIndex of the blocks that ``walk_string_blocks`` finds at
+    ``min_width`` and ``min_length``, with the samples of ``loop_samples``.
+    At the defaults it equals build_index's; other thresholds give tunnels
+    that build_index never makes but an index file may hold, such as
+    length-1 ones or only width-3 ones."""
+    tg, rate_n, rate_t, loc, skip, _, cnt = _loop_build(text, **kw)
+    tg.node_map = None
+    nodes = [node for node, _ in sorted(skip.items(), key=lambda item: item[1])]
+    return TextIndex(tg, len(text) + 1, rate_n, rate_t, nodes, loc, cnt)
+
+
+def _loop_build(text: bytes, *, sample_rate_n=None, sample_rate_t=None,
+                min_width: int = 2, min_length: int = 2):
+    """(tunneled graph, rate_n, rate_t, loc, skip, back, cnt) by loops:
+    block membership node by node, the run-contracted elements from it
+    position by position, and the pointers and widths column by column."""
     g, rank = _string_graph(text)
     rank = rank.tolist()
     n = g.n
     at = sorted(range(len(rank)), key=rank.__getitem__)  # rank[at[r]] = r
     blocks = []
-    for sb in find_string_blocks(g, min_width, min_length):
+    for sb in walk_string_blocks(g, min_width, min_length):
         rows = at[sb.start_rank:sb.start_rank + sb.width]
         blocks.append(Block(sb.width, sb.length,
                             [tuple(rank[i + t] for i in rows) for t in range(sb.length)]))
@@ -777,7 +795,7 @@ def loop_samples(text: bytes, *, sample_rate_n=None, sample_rate_t=None,
         total += widths[v]
         if v % rate_t == 0:
             cnt.append(total)
-    return loc, skip, back, cnt
+    return tg, rate_n, rate_t, loc, skip, back, cnt
 
 
 # ---------------------------------------------------------------------------
@@ -787,10 +805,13 @@ def loop_samples(text: bytes, *, sample_rate_n=None, sample_rate_t=None,
 
 
 def walk_string_blocks(g, min_w: int = 2, min_s: int = 2) -> list[StringBlock]:
-    """find_string_blocks by walks: seeds on maximal runs of equal
-    out-labels split by in-label, widens each seed while derive_string_block
-    finds a length no shorter, then selects greedily by (w-1)(s-1), ties to
-    the smaller start rank, truncating overlapping candidates."""
+    """find_string_blocks by walks, at any width and length thresholds:
+    seeds on maximal runs of equal out-labels split by in-label, widens each
+    seed while derive_string_block finds a length no shorter, then selects
+    greedily by (w-1)(s-1), ties to the smaller start rank, truncating
+    overlapping candidates.  At the defaults, find_string_blocks' fixed
+    thresholds, a seed of length 2 or more widens only onto the source row;
+    at length 1 any neighbour row may join."""
     n = g.n
     out = [None] + [g.out_label_single(r) for r in range(1, n + 1)] + [None]
     inl = [None] + [g.in_label(r) for r in range(1, n + 1)] + [None]

@@ -34,11 +34,11 @@ def test_build_prints_summary(tmp_path, capsys):
     assert lines["merged_edges"] == "1"
 
 
+# flag -> (its arguments, the build_index keywords they give)
 BUILD_FLAGS = {
-    "--sample-rate": ("sample_rate_n", 3),
-    "--tunnel-rate": ("sample_rate_t", 2),
-    "--min-width": ("min_width", 3),
-    "--min-length": ("min_length", 1),
+    "--sample-rate": (["3"], dict(sample_rate_n=3)),
+    "--tunnel-rate": (["2"], dict(sample_rate_t=2)),
+    "--no-tunnel": ([], dict(tunneling=False)),
 }
 
 
@@ -48,13 +48,16 @@ def test_build_flags_reach_the_index(tmp_path, flags):
     text = tmp_path / "t.txt"
     text.write_bytes(data)
     argv = ["build", str(text), "-o", str(tmp_path / "x.twgi")]
+    kw = {}
     for flag in flags:
-        argv += [flag, str(BUILD_FLAGS[flag][1])]
+        argv += [flag, *BUILD_FLAGS[flag][0]]
+        kw.update(BUILD_FLAGS[flag][1])
     assert main(argv) == 0
     assert main(["build", str(text), "-o", str(tmp_path / "default.twgi")]) == 0
     got = (tmp_path / "x.twgi").read_bytes()
-    assert got == serialize_index(build_index(data, **dict(BUILD_FLAGS[f] for f in flags)))
+    assert got == serialize_index(build_index(data, **kw))
     assert got != (tmp_path / "default.twgi").read_bytes()
+
 
 
 def test_count(workdir, capsys):

@@ -12,9 +12,11 @@ from conftest import (
     make_patterns,
     naive_count,
     naive_locate,
+    oracle_index,
     random_text,
     walk_to_exit,
 )
+from twgi import text_index
 from twgi.errors import BoundsError, FormatError, InvariantError, ValidationError
 from twgi.persist import deserialize_index, serialize_index
 from twgi.text_index import (
@@ -107,9 +109,14 @@ class TestBuildIndex:
                 assert on.count(pat) == off.count(pat) == naive_count(text, pat)
                 assert on.locate(pat) == off.locate(pat) == naive_locate(text, pat)
 
-    def test_bad_rates_rejected(self):
-        with pytest.raises(ValidationError):
-            build_index(b"abcabc", sample_rate_n=0)
+    def test_bad_rates_rejected(self, monkeypatch):
+        def no_build(text):
+            raise AssertionError("built the string graph before checking the rates")
+
+        monkeypatch.setattr(text_index, "_string_graph", no_build)
+        for rates in (dict(sample_rate_n=0), dict(sample_rate_t=-1)):
+            with pytest.raises(ValidationError, match="sample rates"):
+                build_index(b"abcabc", **rates)
         with pytest.raises(TypeError):
             build_index("not bytes")
 
@@ -145,11 +152,14 @@ class TestSamples:
     @pytest.mark.parametrize("rate_n,rate_t", [(1, 1), (2, 3), (None, None)])
     @pytest.mark.parametrize("min_width,min_length", [(2, 1), (2, 2), (3, 1), (3, 3)])
     def test_match_loop_samples(self, min_width, min_length, rate_n, rate_t):
+        # build_index's own tunnels at (2, 2); at other thresholds the
+        # oracle's tunnels, whose skip layout TextIndex derives
         length_one = 0
         for text in SAMPLE_TEXTS:
-            kw = dict(sample_rate_n=rate_n, sample_rate_t=rate_t,
-                      min_width=min_width, min_length=min_length)
-            ix = build_index(text, **kw)
+            rates = dict(sample_rate_n=rate_n, sample_rate_t=rate_t)
+            kw = dict(rates, min_width=min_width, min_length=min_length)
+            ix = build_index(text, **rates) if (min_width, min_length) == (2, 2) \
+                else oracle_index(text, **kw)
             assert (ix.loc, ix.skip, ix.back, ix.cnt) == loop_samples(text, **kw)
             length_one += sum(t.length == 1 for t in ix.tg.tunnels)
         if min_length == 1:
@@ -176,8 +186,8 @@ class TestExitRule:
         rng = random.Random(43)
         length_one = entrance_pointers = 0
         for text in EXIT_TEXTS:
-            ix = build_index(text, sample_rate_t=rate_t, min_width=min_width,
-                             min_length=min_length)
+            ix = oracle_index(text, sample_rate_t=rate_t, min_width=min_width,
+                              min_length=min_length)
             g = ix.tg.g
             for v in range(1, g.n + 1):
                 if ix.tg.is_tunnel_node(v):
@@ -239,6 +249,29 @@ class TestCount:
         assert ix.count(b"") == 7
         assert ix.count(b"bc") == 2
         assert ix.count(b"zzz") == 0
+
+    @pytest.mark.parametrize("name", ["fib", "cpm4"])
+    def test_hi_width_evaluated_once(self, name, small_index, monkeypatch):
+        # count needs the width of the range's last node for its copy
+        # offset, and sums the range's widths: it must evaluate that width
+        # once, aligned or not, tunnel node or not
+        ix, text = small_index(name), SMALL_TEXTS[name]
+        evaluated, seen = [], set()
+        width = ix.node_width
+        monkeypatch.setattr(ix, "node_width",
+                            lambda v, counter=None: evaluated.append(v) or width(v, counter))
+        for pat in make_patterns(random.Random(3), text, 300, max_len=12):
+            got = ix.tg._search_pairs(pat)
+            if got is None:
+                continue
+            hi = got[1][0]
+            evaluated.clear()
+            assert ix.count(pat) == naive_count(text, pat)
+            assert evaluated.count(hi) == 1, (pat, hi)
+            seen.add((ix.tg.is_tunnel_node(hi), hi % ix.sample_rate_t == 0))
+        # aligned and unaligned hi, and an unaligned tunnel node: a second
+        # evaluation of its width would walk to its exit again
+        assert {aligned for _, aligned in seen} == {True, False} and (True, False) in seen
 
 
 class TestLocate:

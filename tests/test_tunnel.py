@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -193,12 +195,12 @@ ORACLE_TEXTS = {
 
 
 def short_texts():
-    """Every text of length 0..2 over {a, b}, three texts whose blocks
+    """Every text of length 0..10 over {a, b}, three texts whose blocks
     end in a column of differing out-labels (``abcabd``, ``bacac``) or
     widen onto the last rank (``cacacb``), then short random and copy-paste
-    texts; a single row (w = 1) walks to the sink in the oracle, so these
-    carry the min_w = 1 cases."""
-    texts = [b"", b"a", b"b", b"aa", b"ab", b"ba", b"bb", b"abcabd", b"bacac", b"cacacb"]
+    texts."""
+    texts = [bytes(t) for k in range(11) for t in itertools.product(b"ab", repeat=k)]
+    texts += [b"abcabd", b"bacac", b"cacacb"]
     rng = random.Random(47)
     for k in range(40):
         size, sigma = rng.randint(3, 64), (1, 2, 3, 4, 96)[k % 5]
@@ -207,36 +209,56 @@ def short_texts():
     return texts
 
 
+@functools.cache
+def found_and_walked(text: bytes):
+    """The blocks of find_string_blocks and of the walking oracle, both at
+    the finder's fixed thresholds (width and length at least 2)."""
+    g = build_graph_from_text(text)
+    return find_string_blocks(g), walk_string_blocks(g)
+
+
+def at_least(blocks, min_w: int, min_s: int):
+    return [sb for sb in blocks if sb.width >= min_w and sb.length >= min_s]
+
+
 class TestFindStringBlocks:
+    # the finder has no thresholds of its own: each (min_w, min_s) compares
+    # the blocks of one size class, the ones at least that wide and long
     @pytest.mark.parametrize("min_w", [2, 3])
     @pytest.mark.parametrize("min_s", [1, 2, 3])
     @pytest.mark.parametrize("name", list(ORACLE_TEXTS))
     def test_matches_walking_oracle(self, name, min_w, min_s):
-        g = build_graph_from_text(ORACLE_TEXTS[name])
-        assert find_string_blocks(g, min_w, min_s) == walk_string_blocks(g, min_w, min_s)
+        found, walked = found_and_walked(ORACLE_TEXTS[name])
+        assert at_least(found, min_w, min_s) == at_least(walked, min_w, min_s)
 
     @pytest.mark.parametrize("min_w", [1, 2, 3])
     @pytest.mark.parametrize("min_s", [1, 2, 3])
     def test_matches_walking_oracle_short(self, min_w, min_s):
         for text in short_texts():
-            g = build_graph_from_text(text)
-            assert (find_string_blocks(g, min_w, min_s)
-                    == walk_string_blocks(g, min_w, min_s)), text
+            found, walked = found_and_walked(text)
+            assert at_least(found, min_w, min_s) == at_least(walked, min_w, min_s), text
+
+    @pytest.mark.parametrize("text", [b"baabaaba", b"bbabbabb"])
+    def test_seed_takes_in_the_source_row(self, text):
+        # the source, rank 1, has no in-label, so it joins the seed of equal
+        # out-labels that starts at rank 2 without shortening it
+        found, walked = found_and_walked(text)
+        assert found == walked == [StringBlock(1, 3, 2)]
 
     def test_rejects_cycle_off_the_path(self):
         # a Wheeler graph with n-1 edges and no branching, whose nodes 2 and
         # 3 form a cycle that the source's path never reaches
         g = encode(EdgeList(3, [(2, 3, 98), (3, 2, 97)]))
         with pytest.raises(ValidationError, match="not a path graph"):
-            find_string_blocks(g, 1, 1)
+            find_string_blocks(g)
 
     def test_abcabc(self):
         g = build_graph_from_text(b"abcabc")
-        assert find_string_blocks(g, 2, 2) == [StringBlock(2, 2, 2)]
+        assert find_string_blocks(g) == [StringBlock(2, 2, 2)]
 
     def test_no_repeats_empty(self):
         g = build_graph_from_text(b"abc")
-        assert find_string_blocks(g, 2, 2) == []
+        assert find_string_blocks(g) == []
 
     def test_periodic_matches_bruteforce_containment(self):
         for k in (2, 3, 4):
