@@ -42,7 +42,12 @@ BUILD_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("flags", [[f] for f in sorted(BUILD_FLAGS)] + [sorted(BUILD_FLAGS)])
+# each flag alone, both rates on a tunneled index, then every flag together
+@pytest.mark.parametrize(
+    "flags",
+    [[f] for f in sorted(BUILD_FLAGS)]
+    + [["--sample-rate", "--tunnel-rate"], sorted(BUILD_FLAGS)],
+)
 def test_build_flags_reach_the_index(tmp_path, flags):
     data = copy_paste_mutate(random.Random(2), 600, 4)
     text = tmp_path / "t.txt"
@@ -57,7 +62,6 @@ def test_build_flags_reach_the_index(tmp_path, flags):
     got = (tmp_path / "x.twgi").read_bytes()
     assert got == serialize_index(build_index(data, **kw))
     assert got != (tmp_path / "default.twgi").read_bytes()
-
 
 
 def test_count(workdir, capsys):
