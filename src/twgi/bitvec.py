@@ -153,7 +153,9 @@ class LabelSeq:
     The symbols are stored once, as bytes of id - 1.  Row k of a flat count
     table holds each symbol's occurrences among the first 128 k symbols (the
     sampled occurrence table of FM-index rank), so a rank reads one count and
-    adds a C-level ``bytes.count`` over at most 127 bytes.
+    adds a C-level ``bytes.count`` over at most 127 bytes.  The path search
+    (``TunneledGraph._search_pairs``) reads the count table and the bytes
+    directly by the same formula: a change to the layout must update both.
     """
 
     __slots__ = ("n", "sigma", "_bytes", "_occ", "_stride")

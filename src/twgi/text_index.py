@@ -269,29 +269,36 @@ class TextIndex:
         if got is None:
             return 0
         (lo, lo_off), (hi, hi_off) = got
-        w_hi = self.node_width(hi, counter)
+        # copies lo_off.. of lo up to copy hi_off of hi: hi's width counts
+        # only when the range holds all of hi (hi_off None)
         if hi_off is None:
-            hi_off = w_hi
-        total = self._range_weight(lo, hi - 1, counter) + w_hi  # hi's width once
-        return total - (lo_off - 1) - (w_hi - hi_off)
+            return self._range_weight(lo, hi, counter) - (lo_off - 1)
+        return self._range_weight(lo, hi - 1, counter) + hi_off - (lo_off - 1)
 
     def _range_weight(self, lo: int, hi: int, counter: StepCounter) -> int:
-        """Sum of w(v) over ranks [lo..hi] using the aligned samples plus at
-        most ~2*sample_rate_t boundary width evaluations."""
+        """Sum of w(v) over ranks [lo..hi]: the aligned samples inside it,
+        and at each end the widths up to the nearer sample, added or taken
+        off, at most ~sample_rate_t width evaluations in all."""
         rt = self.sample_rate_t
+
+        def widths(first: int, last: int) -> int:
+            return sum(self.node_width(v, counter) for v in range(first, last + 1))
+
         a = (lo - 1 + rt - 1) // rt   # smallest aligned index >= lo-1
         b = hi // rt                  # largest aligned index <= hi
-        total = 0
-        if a <= b:
-            total += self.cnt[b] - self.cnt[a]
-            for v in range(lo, a * rt + 1):
-                total += self.node_width(v, counter)
-            for v in range(b * rt + 1, hi + 1):
-                total += self.node_width(v, counter)
+        if a > b:
+            return widths(lo, hi)
+        if lo - 1 - (a - 1) * rt < a * rt - (lo - 1):  # the sample below lo - 1 is nearer
+            a -= 1
+            left = -widths(a * rt + 1, lo - 1)
         else:
-            for v in range(lo, hi + 1):
-                total += self.node_width(v, counter)
-        return total
+            left = widths(lo, a * rt)
+        if (b + 1) * rt - hi < hi - b * rt and (b + 1) * rt <= self.tg.g.n:
+            b += 1
+            right = -widths(hi + 1, b * rt)
+        else:
+            right = widths(b * rt + 1, hi)
+        return self.cnt[b] - self.cnt[a] + left + right
 
     # -- locating ----------------------------------------------------------------
 

@@ -45,13 +45,17 @@ are consecutive original ranks, ascending with the copy; so inside one label
 range of one tunnel node the exit copy never falls as the edge rank rises.
 ``TunneledGraph`` checks the records, marks and exit copies of every graph.
 
-A search step (``_edges``) ranks L once for a node range; only its end
-nodes take the copy rule, by at most one binary search over the exit-copy
-table each, and every node between them takes all its edges (Gagie,
-Manzini and Siren's range search with Baier's tunnel offsets).  A graph
-without tunnels is searched the same way, as ``tunnel_graph(g, [])``: no
-node is marked, every edge lands at offset 1, and the step is the plain
-range step.
+A search step ranks L once for a node range; only its end nodes take the
+copy rule, and every node between them takes all its edges (Gagie, Manzini
+and Siren's range search with Baier's tunnel offsets).  ``_search_pairs``
+writes the step out: it ranks L as ``LabelSeq.rank`` does and lands both
+ends by the step table.  A tunnel end of one out-edge needs no rank: it
+keeps its copy on an in-tunnel move and drops it on an edge of another
+label.  ``_edges``, the one narrowing rule, which ``step`` calls too, takes
+any other tunnel end by at most one binary search over the exit-copy table.
+A graph without tunnels is searched the same way, as
+``tunnel_graph(g, [])``: no node is marked, every edge lands at offset 1,
+and the step is the plain range step.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bitvec import BitVec
+from .bitvec import _BLOCK_BITS, _NEEDLE, BitVec
 from .errors import BoundsError, InvariantError, NotFoundError, ValidationError
 from .wheeler import CheckResult, NodeRange, WheelerGraph, _encode
 
@@ -559,20 +563,56 @@ class TunneledGraph:
 
     def _search_pairs(self, pattern):
         """Offset-annotated Wheeler range of the pattern over the simulated
-        original graph; None when empty.  Each symbol is one ``_edges`` call
-        on the (node, offset) ends (hi's offset None: its full width) and one
-        ``land`` for each end edge."""
-        label_id, edges, land = self.g.label_id, self._edges, self.land
-        lo, hi = (1, 1), (self.g.n, None)
+        original graph; None when empty.  Each symbol takes ``_edges`` and
+        ``land`` at both (node, offset) ends (hi's offset None: its full
+        width), written out as the module notes say."""
+        g, edges = self.g, self._edges
+        ids, C, lstart, kind = g._label_to_id, g.C, g._lstart, self._kind
+        L, occ, stride = g.L._bytes, g.L._occ, g.L._stride
+        pos, to, lands, bits = self._pos, self._step_to, self._step_land, _BLOCK_BITS
+        a, lo_off, b, hi_off = 1, 1, g.n, None
         for byte in pattern:
-            c = label_id(byte)
-            got = None if c is None else edges(*lo, *hi, c)
-            if got is None:
+            c = ids.get(byte)
+            if c is None:
                 return None
-            lo, hi = land(*got[:2]), land(*got[2:])
-            if lo[0] > hi[0]:
+            p = q = 0  # the L positions of the end edges, once known
+            lo_copy, hi_copy, narrow = 1, None, False
+            if kind[a] and lo_off > 1:
+                i = lstart[a]
+                if lstart[a + 1] - i != 1 or L[i] == c - 1 and lands[i + 1]:
+                    narrow = True
+                elif L[i] == c - 1:  # an in-tunnel move keeps the copy
+                    p, lo_copy = i + 1, lo_off
+            if kind[b] and hi_off is not None:
+                i = lstart[b]
+                if lstart[b + 1] - i != 1 or L[i] == c - 1 and lands[i + 1]:
+                    narrow = True
+                elif L[i] == c - 1:
+                    q, hi_copy = i + 1, hi_off
+            if narrow:
+                got = edges(a, lo_off, b, hi_off, c)
+                if got is None:
+                    return None
+                first, lo_copy, last, hi_copy = got
+                p, q = pos[first], pos[last]
+            else:
+                base, needle = C[c], _NEEDLE[c]
+                if not p:
+                    i = lstart[a]
+                    k = i >> bits
+                    first = base + occ[k * stride + c] + L.count(needle, k << bits, i) + 1
+                if not q:
+                    i = lstart[b + 1]
+                    k = i >> bits
+                    last = base + occ[k * stride + c] + L.count(needle, k << bits, i)
+                    if not p and first > last:  # an end taken unranked has its edge
+                        return None
+                    q = pos[last]
+                p = p or pos[first]
+            a, lo_off, b, hi_off = to[p], lands[p] or lo_copy, to[q], lands[q] or hi_copy
+            if a > b:
                 raise InvariantError("follow produced a non-coherent range")
-        return lo, hi
+        return (a, lo_off), (b, hi_off)
 
     def path_search(self, pattern) -> NodeRange:
         """Non-empty iff the pattern labels a path in the original graph;

@@ -424,6 +424,36 @@ def scan_node_last(tg, v, c, min_copy, max_copy):
     return best
 
 
+def edges_search(tg, pattern, seen=None):
+    """The path search as one ``_edges`` call and two ``land`` calls per
+    symbol: the reference for ``TunneledGraph._search_pairs``.  ``seen``, a
+    Counter, counts how each step can take its ends: "plain" when neither
+    end has a copy to narrow by, else per such end "narrow" (not one
+    out-edge, or its c-edge leaves the tunnel), "keeps" (its one edge is
+    an in-tunnel c-move) or "other label" (its one edge is no c-edge)."""
+    g = tg.g
+    lo, hi = (1, 1), (g.n, None)
+    for byte in pattern:
+        c = g.label_id(byte)
+        if c is None:
+            return None
+        if seen is not None:
+            ends = [v for v, narrows in ((lo[0], lo[1] > 1), (hi[0], hi[1] is not None))
+                    if narrows and tg.is_tunnel_node(v)]
+            seen["plain"] += not ends
+            for v in ends:
+                p = g._lstart[v] + 1
+                seen["narrow" if g.outdeg(v) != 1 or g.L.access(p) == c and tg._step_land[p]
+                     else "keeps" if g.L.access(p) == c else "other label"] += 1
+        got = tg._edges(*lo, *hi, c)
+        if got is None:
+            return None
+        lo, hi = tg.land(*got[:2]), tg.land(*got[2:])
+        if lo[0] > hi[0]:
+            raise InvariantError("follow produced a non-coherent range")
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # loop forms of the Wheeler axiom check, the block check and the tunneling
 # transform, which the library computes with array operations
@@ -978,3 +1008,23 @@ def lockstep(monkeypatch):
         monkeypatch.setattr(text_index, "_LOCKSTEP_MIN_STARTS", 1 if on else math.inf)
 
     return force
+
+
+@pytest.fixture
+def exit_lookups(monkeypatch):
+    """watch(tg) counts reads of tg's exit-copy table in watch.calls, so a
+    guard can show that it saw the tunnel exits."""
+    class Counting:
+        def __init__(self, table):
+            self.table = table
+
+        def __getitem__(self, j):
+            watch.calls += 1
+            return self.table[j]
+
+    def watch(tg):
+        monkeypatch.setattr(tg, "_exit_copy", Counting(tg._exit_copy))
+        return tg
+
+    watch.calls = 0
+    return watch

@@ -155,26 +155,6 @@ def rank_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def exit_lookups(monkeypatch):
-    """watch(tg) counts reads of tg's exit-copy table in watch.calls, so a
-    guard can show that it saw the tunnel exits."""
-    class Counting:
-        def __init__(self, table):
-            self.table = table
-
-        def __getitem__(self, j):
-            watch.calls += 1
-            return self.table[j]
-
-    def watch(tg):
-        monkeypatch.setattr(tg, "_exit_copy", Counting(tg._exit_copy))
-        return tg
-
-    watch.calls = 0
-    return watch
-
-
 CASES = [(name, tunneling) for name in SMALL_TEXTS for tunneling in (True, False)]
 
 

@@ -252,9 +252,9 @@ class TestCount:
 
     @pytest.mark.parametrize("name", ["fib", "cpm4"])
     def test_hi_width_evaluated_once(self, name, small_index, monkeypatch):
-        # count needs the width of the range's last node for its copy
-        # offset, and sums the range's widths: it must evaluate that width
-        # once, aligned or not, tunnel node or not
+        # count sums the range's widths, and needs the width of the range's
+        # last node only when the range holds all its copies: it must
+        # evaluate that width at most once, aligned or not, tunnel node or not
         ix, text = small_index(name), SMALL_TEXTS[name]
         evaluated, seen = [], set()
         width = ix.node_width
@@ -267,11 +267,34 @@ class TestCount:
             hi = got[1][0]
             evaluated.clear()
             assert ix.count(pat) == naive_count(text, pat)
-            assert evaluated.count(hi) == 1, (pat, hi)
+            assert evaluated.count(hi) <= 1, (pat, hi)
             seen.add((ix.tg.is_tunnel_node(hi), hi % ix.sample_rate_t == 0))
         # aligned and unaligned hi, and an unaligned tunnel node: a second
         # evaluation of its width would walk to its exit again
         assert {aligned for _, aligned in seen} == {True, False} and (True, False) in seen
+
+    @pytest.mark.parametrize("name", ["fib", "cpm4"])
+    def test_range_end_sums_from_the_nearer_sample(self, name, small_index, monkeypatch):
+        # a range whose last node sits one below an aligned sample takes that
+        # sample and subtracts the widths up to it, at most two, rather than
+        # summing rate_t - 2 or more widths up from the sample below
+        ix, text = small_index(name), SMALL_TEXTS[name]
+        rt, evaluated, found = ix.sample_rate_t, [], 0
+        assert rt > 4
+        width = ix.node_width
+        monkeypatch.setattr(ix, "node_width",
+                            lambda v, counter=None: evaluated.append(v) or width(v, counter))
+        for pat in make_patterns(random.Random(5), text, 1500, max_len=12):
+            got = ix.tg._search_pairs(pat)
+            if got is None or got[1][0] % rt != rt - 1 or got[0][0] > got[1][0] + 1 - rt:
+                continue
+            hi = got[1][0]
+            evaluated.clear()
+            assert ix.count(pat) == naive_count(text, pat)
+            at_end = [v for v in evaluated if hi + 1 - rt < v <= hi + 1]  # hi's sample block
+            assert len(at_end) <= 2, (pat, hi, at_end)
+            found += 1
+        assert found > 0
 
 
 class TestLocate:

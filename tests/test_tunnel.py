@@ -1,20 +1,24 @@
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import (
+    SMALL_TEXTS,
     assert_lands,
     assert_simulation_equal,
     block_offsets,
     chain_graph,
     colex_string_graph,
     copy_paste_mutate,
+    edges_search,
     enumerate_blocks_bruteforce,
     fibonacci_word,
     fig1_block,
     fig1_edge_list,
+    make_patterns,
     naive_count,
     naive_path_range,
     random_text,
@@ -24,6 +28,7 @@ from conftest import (
 )
 from twgi.bitvec import BitVec
 from twgi.errors import BoundsError, InvariantError, NotFoundError, ValidationError
+from twgi.persist import deserialize_index, serialize_index
 from twgi.text_index import build_graph_from_text
 from twgi.tunnel import (
     Block,
@@ -632,6 +637,81 @@ class TestTunneledSearch:
         assert naive_path_range(el, b"acd") is None
 
 
+def search_against_reference(tg, patterns, monkeypatch, exit_lookups):
+    """Asserts that tg._search_pairs equals edges_search on every pattern.
+    Returns the reference's Counter of step kinds, plus "fallback": the
+    ``_edges`` calls of ``_search_pairs``, and "exit reads": its reads of
+    the exit-copy table."""
+    seen, calls = Counter(), [0]
+    edges = tg._edges
+
+    def counting(*args):
+        calls[0] += 1
+        return edges(*args)
+
+    exit_lookups(tg)
+    monkeypatch.setattr(tg, "_edges", counting)
+    for pat in patterns:
+        want = edges_search(tg, pat, seen)
+        before, reads = calls[0], exit_lookups.calls
+        assert tg._search_pairs(pat) == want, pat
+        seen["fallback"] += calls[0] - before
+        seen["exit reads"] += exit_lookups.calls - reads
+    assert seen["fallback"] <= seen["narrow"]
+    return seen
+
+
+SEARCH_BRANCHES = ("plain", "keeps", "other label", "narrow", "fallback", "exit reads")
+
+
+class TestSearchLoop:
+    """The written-out search answers as the composition it replaced, one
+    ``_edges`` and two ``land`` calls per symbol, and each of its branches
+    runs: the plain step, a one-out-edge end that keeps its copy, one whose
+    edge has another label, and the ``_edges`` fallback."""
+
+    @pytest.mark.parametrize("name", list(SMALL_TEXTS))
+    @pytest.mark.parametrize("tunneling", [True, False])
+    def test_text_index_equals_edges_search(self, name, tunneling, small_index, monkeypatch,
+                                            exit_lookups):
+        text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
+        rng = random.Random(109)
+        patterns = make_patterns(rng, text, 150, max_len=24)
+        for plen in (1, 2, 5, 13, 34, 97):
+            starts = (rng.randrange(len(text) - plen + 1) for _ in range(10))
+            patterns += [text[i:i + plen] for i in starts]
+        for tg in (ix.tg, deserialize_index(serialize_index(ix)).tg):
+            seen = search_against_reference(tg, patterns, monkeypatch, exit_lookups)
+            assert seen["plain"] > 0
+            if not tg.tunnels:  # no end ever has a copy to narrow by
+                assert set(seen) <= {"plain", "fallback", "exit reads"}
+                assert seen["fallback"] == seen["exit reads"] == 0
+            elif name != "rand96":  # whose tunnels, all of length 1, are exits
+                assert all(seen[kind] > 0 for kind in SEARCH_BRANCHES), seen
+
+    def test_general_graphs_equal_edges_search(self, monkeypatch, exit_lookups):
+        # every pattern of up to 3 symbols, and some longer ones; on the first
+        # graph, "abb" reaches a one-out-edge lo end at copy 2 whose edge
+        # leaves the tunnel from copy 1, so the range must drop that edge
+        el = EdgeList(12, [(4, 5, 97), (5, 5, 97), (6, 5, 97), (12, 6, 97), (1, 7, 98),
+                           (1, 8, 98), (2, 8, 98), (3, 8, 98), (4, 9, 98), (4, 9, 98),
+                           (6, 9, 98), (6, 10, 98), (7, 10, 98), (10, 11, 98), (10, 11, 98),
+                           (11, 12, 98), (12, 12, 98)])
+        blocks = [Block(4, 1, [(1, 2, 3, 4)]), Block(3, 1, [(7, 8, 9)])]
+        rng = random.Random(113)
+        total = Counter()
+        graphs = [(el, blocks, tunnel_graph(encode(el), blocks))]
+        for el, _, tg in graphs + list(random_tunneled_graphs(83, 200)):
+            alphabet = sorted({c for _, _, c in el.edges}) or [97]
+            patterns = [bytes(p) for k in (1, 2, 3) for p in itertools.product(alphabet, repeat=k)]
+            patterns += [bytes(rng.choice(alphabet) for _ in range(rng.randint(4, 6)))
+                         for _ in range(20)]
+            total += search_against_reference(tg, patterns, monkeypatch, exit_lookups)
+        # the blocks of these graphs hold 6 in-tunnel moves, 1 of them from a
+        # node of one out-edge, so "keeps" is left to the text indexes
+        assert all(total[kind] > 0 for kind in SEARCH_BRANCHES if kind != "keeps"), total
+
+
 class TestInvariantErrors:
     def test_node_accounting(self, monkeypatch):
         # a block declaring more columns than it lists slips past a check
@@ -642,9 +722,11 @@ class TestInvariantErrors:
         with pytest.raises(InvariantError, match="node accounting"):
             tunnel_graph(g, [Block(2, 3, [(1, 2), (3, 4)])])
 
-    def test_non_coherent_range(self, monkeypatch):
+    def test_non_coherent_range(self):
+        # both a-edges reach node 2; a step table that sends the first one
+        # to node 3 lands lo above hi
         _, _, tg = abcabc()
-        ends = iter([(2, 1), (1, 1)])  # lo resolves above hi
-        monkeypatch.setattr(TunneledGraph, "land", lambda self, j, copy: next(ends))
+        assert tg._search_pairs(b"a") == ((2, 1), (2, 2))
+        tg._step_to[tg._pos[1]] = 3
         with pytest.raises(InvariantError, match="non-coherent"):
             tg.path_search(b"a")
