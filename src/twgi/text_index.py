@@ -29,7 +29,9 @@ range walks one start at a time; the threshold is the measured break-even.
 A forward step takes a known out-edge: a node's only one, or the one of its
 copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
 target, landing copy and label from the graph's step table, the landing
-rule decoded once per L position when the graph is made.
+rule decoded once per L position when the graph is made.  ``_fstep`` is
+that rule; ``extract`` writes it out in its seek and output loops, with
+the same checks, so a change to the step rule must update both.
 """
 
 from __future__ import annotations
@@ -207,7 +209,8 @@ class TextIndex:
         """One simulated original step: returns (node', off', label byte).
         Copy ``off`` of a tunnel node of out-degree w > 1 leaves by its
         off-th out-edge, any other node by its only one; the step table
-        holds that edge's target, landing copy and label."""
+        holds that edge's target, landing copy and label.  ``extract``
+        writes this step out: a change here must update it too."""
         tg = self.tg
         lstart = tg.g._lstart
         p = lstart[node]
@@ -278,11 +281,15 @@ class TextIndex:
     def _range_weight(self, lo: int, hi: int, counter: StepCounter) -> int:
         """Sum of w(v) over ranks [lo..hi]: the aligned samples inside it,
         and at each end the widths up to the nearer sample, added or taken
-        off, at most ~sample_rate_t width evaluations in all."""
-        rt = self.sample_rate_t
+        off, at most ~sample_rate_t width evaluations in all.  Without
+        tunnels every width is 1, so the sum is the range's size."""
+        if not self.tg.tunnels:
+            return hi - lo + 1
+        rt, kind = self.sample_rate_t, self.tg._kind
 
         def widths(first: int, last: int) -> int:
-            return sum(self.node_width(v, counter) for v in range(first, last + 1))
+            return sum(self.node_width(v, counter) if kind[v] else 1
+                       for v in range(first, last + 1))
 
         a = (lo - 1 + rt - 1) // rt   # smallest aligned index >= lo-1
         b = hi // rt                  # largest aligned index <= hi
@@ -432,13 +439,22 @@ class TextIndex:
 
     def extract(self, start: int, length: int,
                 counter: StepCounter | None = None) -> bytes:
-        """T[start .. start+length-1] (1-based, inclusive)."""
+        """T[start .. start+length-1] (1-based, inclusive).
+
+        The walk seeks from the nearest sample at or before ``start``,
+        crossing each tunnel by its record until the target lies inside one,
+        then hopping back from its exit and stepping; it then steps once per
+        output byte.  Both loops write out ``_fstep``'s step, checks
+        included, and add their steps to the counter at the end."""
         if start < 1 or length < 0 or start + length - 1 > self.text_len:
             raise BoundsError(
                 f"extract({start},{length}) outside text of length {self.text_len}")
         if length == 0:
             return b""
         counter = counter if counter is not None else StepCounter()
+        tg = self.tg
+        kind, lstart = tg._kind, tg.g._lstart
+        step_to, step_land, step_byte = tg._step_to, tg._step_land, tg._step_byte
         idx = bisect_right(self.ext_pos, start) - 1
         if idx >= 0:
             pos, node, off = self.ext_pos[idx], self.ext_node[idx], 1
@@ -446,32 +462,53 @@ class TextIndex:
             # the first sample may sit past `start` when the source node
             # lives inside a tunnel; the source is always rank 1, copy 1
             pos, node, off = 1, 1, 1
+        steps, inside = 0, False
         for _ in range(self.n):
             if pos >= start:
                 break
-            if self.tg.is_tunnel_node(node):
+            if kind[node] and not inside:
                 exit_rank, dist = self._to_exit(node, counter)
                 if pos + dist > start:
                     # target lies inside this tunnel: hop to the exit's
-                    # backpointer closest before the target, then plain-walk
+                    # backpointer closest before the target, then step
                     # (no pointer sits between that backpointer and the target)
                     node, pos = self._back_hop(exit_rank, pos + dist, start, node, pos)
-                    counter.steps += 1
-                    while pos < start:
-                        node, off, _ = self._fstep(node, off, counter)
-                        pos += 1
-                    break
+                    steps += 1
+                    inside = True
+                    continue
                 node, pos = exit_rank, pos + dist
                 if pos == start:
                     break
-            node, off, _ = self._fstep(node, off, counter)
+            p = lstart[node]
+            deg = lstart[node + 1] - p
+            if deg > 1 and kind[node]:
+                if not 1 <= off <= deg:
+                    raise BoundsError(f"copy {off} of node {node} is outside its {deg} out-edges")
+                p += off
+            elif deg:
+                p += 1
+            else:
+                raise BoundsError("walked past the sink")
+            node, off = step_to[p], step_land[p] or off
             pos += 1
+            steps += 1
         else:
             raise FormatError(f"did not reach text position {start} in {self.n} steps")
-        out = bytearray()
-        for _ in range(length):
-            node, off, byte = self._fstep(node, off, counter)
-            out.append(byte)
+        out = bytearray(length)
+        for i in range(length):
+            p = lstart[node]
+            deg = lstart[node + 1] - p
+            if deg > 1 and kind[node]:
+                if not 1 <= off <= deg:
+                    raise BoundsError(f"copy {off} of node {node} is outside its {deg} out-edges")
+                p += off
+            elif deg:
+                p += 1
+            else:
+                raise BoundsError("walked past the sink")
+            node, off = step_to[p], step_land[p] or off
+            out[i] = step_byte[p]
+        counter.steps += steps + length
         return bytes(out)
 
     def _back_hop(self, exit_rank: int, exit_pos: int, target: int,

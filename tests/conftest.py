@@ -11,14 +11,15 @@ import heapq
 import math
 import random
 from array import array
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from twgi import text_index
 from twgi.bitvec import BitVec
-from twgi.errors import InvariantError, NotFoundError, ValidationError
-from twgi.text_index import TextIndex, _string_graph, build_index
+from twgi.errors import BoundsError, FormatError, InvariantError, NotFoundError, ValidationError
+from twgi.text_index import StepCounter, TextIndex, _string_graph, build_index
 from twgi.tunnel import (
     Block,
     StringBlock,
@@ -452,6 +453,42 @@ def edges_search(tg, pattern, seen=None):
         if lo[0] > hi[0]:
             raise InvariantError("follow produced a non-coherent range")
     return lo, hi
+
+
+def fstep_extract(ix, start: int, length: int, counter=None) -> bytes:
+    """Extract with one ``_fstep`` call per seek and output step: the
+    reference for ``TextIndex.extract``, which writes that step out."""
+    if start < 1 or length < 0 or start + length - 1 > ix.text_len:
+        raise BoundsError(f"extract({start},{length}) outside text of length {ix.text_len}")
+    if length == 0:
+        return b""
+    counter = counter if counter is not None else StepCounter()
+    idx = bisect_right(ix.ext_pos, start) - 1
+    pos, node, off = (ix.ext_pos[idx], ix.ext_node[idx], 1) if idx >= 0 else (1, 1, 1)
+    for _ in range(ix.n):
+        if pos >= start:
+            break
+        if ix.tg.is_tunnel_node(node):
+            exit_rank, dist = ix._to_exit(node, counter)
+            if pos + dist > start:
+                node, pos = ix._back_hop(exit_rank, pos + dist, start, node, pos)
+                counter.steps += 1
+                while pos < start:
+                    node, off, _ = ix._fstep(node, off, counter)
+                    pos += 1
+                break
+            node, pos = exit_rank, pos + dist
+            if pos == start:
+                break
+        node, off, _ = ix._fstep(node, off, counter)
+        pos += 1
+    else:
+        raise FormatError(f"did not reach text position {start} in {ix.n} steps")
+    out = bytearray()
+    for _ in range(length):
+        node, off, byte = ix._fstep(node, off, counter)
+        out.append(byte)
+    return bytes(out)
 
 
 # ---------------------------------------------------------------------------

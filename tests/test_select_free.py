@@ -37,7 +37,7 @@ from twgi import tunnel
 from twgi.bitvec import BitVec, LabelSeq
 from twgi.errors import NotFoundError
 from twgi.persist import deserialize_index, serialize_index
-from twgi.text_index import build_graph_from_text, build_index
+from twgi.text_index import TextIndex, build_graph_from_text, build_index
 from twgi.tunnel import (
     Block,
     StringBlock,
@@ -331,6 +331,24 @@ class TestWalkGuard:
             for o in range(1, ix.node_width(v) + 1):
                 ix.locate_one(TraversalPos(v, o))
         assert walk_lookups == []
+
+    @pytest.mark.parametrize("name,tunneling", CASES)
+    def test_extract_takes_no_fstep_call(self, name, tunneling, small_index, monkeypatch):
+        # extract writes out _fstep's step in its seek and output loops
+        text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
+        calls = []
+        fstep = TextIndex._fstep
+        monkeypatch.setattr(TextIndex, "_fstep",
+                            lambda self, *args: calls.append(args) or fstep(self, *args))
+        rng = random.Random(109)
+        for _ in range(40):
+            start = rng.randint(1, len(text))
+            ln = rng.randint(0, len(text) - start + 1)
+            assert ix.extract(start, ln) == text[start - 1:start - 1 + ln]
+        assert ix.extract(1, len(text)) == text and calls == []
+        unsampled = next(v for v in range(1, ix.tg.g.n + 1) if v not in ix.loc)
+        ix.locate_one(TraversalPos(unsampled, 1))
+        assert calls  # the guard sees a walk that steps
 
     def test_general_graph_search_lands_by_table(self, walk_lookups):
         rng = random.Random(107)

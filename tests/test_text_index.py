@@ -8,6 +8,7 @@ from conftest import (
     colex_string_graph,
     copy_paste_mutate,
     fibonacci_word,
+    fstep_extract,
     loop_samples,
     make_patterns,
     naive_count,
@@ -297,6 +298,17 @@ class TestCount:
         assert found > 0
 
 
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_plain_count_evaluates_no_width(self, name, small_index, monkeypatch):
+        # without tunnels every width is 1: a range weighs its size
+        ix, text = small_index(name, tunneling=False), SMALL_TEXTS[name]
+        calls = []
+        monkeypatch.setattr(ix, "node_width", lambda v, counter=None: calls.append(v) or 1)
+        for pat in make_patterns(random.Random(7), text, 300, max_len=12):
+            assert ix.count(pat) == naive_count(text, pat), pat
+        assert calls == []
+
+
 class TestLocate:
     def test_locate_one_examples(self):
         ix = build_index(b"abcabc")
@@ -507,6 +519,77 @@ class TestExtract:
         assert ix._back_hop(exit_rank, exit_pos, target, 0, target - 6) == (node, target - 5)
         for cur_pos in (target - 5, target - 3):
             assert ix._back_hop(exit_rank, exit_pos, target, 0, cur_pos) == (0, cur_pos)
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("name,tunneling,rate_t", [
+        (name, tunneling, rate_t) for name in sorted(SMALL_TEXTS)
+        for tunneling, rate_t in ((True, 1), (True, None), (False, None))])
+    def test_matches_fstep_reference(self, name, tunneling, rate_t, loaded, small_index):
+        # extract writes out _fstep's step: the same bytes and steps as one
+        # _fstep call per step, from every start.  Without tunnels the rate
+        # sets only count's samples, so the plain index takes the default
+        text = SMALL_TEXTS[name]
+        ix = small_index(name, tunneling) if rate_t is None else \
+            build_index(text, sample_rate_t=rate_t, tunneling=tunneling)
+        if loaded:
+            ix = deserialize_index(serialize_index(ix))
+        for start in range(1, len(text) + 1):
+            rest = len(text) - start + 1
+            # the whole rest from every 32nd start: from every start it takes
+            # ~2 s an index
+            for ln in (0, 1, 7, rest) if start % 32 == 1 else (0, 1, 7):
+                ln = min(ln, rest)
+                got, want = StepCounter(), StepCounter()
+                assert ix.extract(start, ln, got) == fstep_extract(ix, start, ln, want) \
+                    == text[start - 1:start - 1 + ln], (start, ln)
+                assert got.steps == want.steps, (start, ln)
+
+    @pytest.mark.parametrize("name", ["fib", "cpm4"])
+    def test_a_copy_past_the_exit_raises(self, name, small_index):
+        # every edge into a tunnel lands one copy past its width: a walk keeps
+        # that copy to the exit, whose step must reject it in the seek and in
+        # the output loop, at the starts where _fstep does
+        text = SMALL_TEXTS[name]
+        bad = deserialize_index(serialize_index(small_index(name)))
+        tg = bad.tg
+        width = {t.entrance: t.width for t in tg.tunnels}
+        for p in range(1, tg.g.m + 1):
+            if tg._step_to[p] in width and tg._step_land[p]:
+                tg._step_land[p] = width[tg._step_to[p]] + 1
+        raised = {1: [], 7: []}
+        for start in range(1, len(text) + 1):
+            for ln in raised:
+                try:
+                    want = fstep_extract(bad, start, min(ln, len(text) - start + 1))
+                except BoundsError as e:
+                    with pytest.raises(BoundsError, match="outside its") as got:
+                        bad.extract(start, min(ln, len(text) - start + 1))
+                    assert str(got.value) == str(e)
+                    raised[ln].append(start)
+                else:
+                    assert bad.extract(start, min(ln, len(text) - start + 1)) == want, start
+        # one byte raises in the output loop only from the exit itself; from
+        # the later starts whose seek crosses the tunnel, the seek raises
+        assert len(raised[1]) >= 2 and raised[7], raised
+        with pytest.raises(BoundsError, match="outside its"):
+            bad.extract(1, len(text))
+
+    def test_a_step_cycle_does_not_hang(self, small_index):
+        # the node after the second-to-last sample steps to itself: an
+        # extract through it returns what the walk reads there, as _fstep's
+        # does, or raises FormatError, but stops
+        text = SMALL_TEXTS["fib"]
+        bad = deserialize_index(serialize_index(small_index("fib", tunneling=False)))
+        pos = bad.ext_pos[-2]
+        u = bad._fstep(bad.ext_node[-2], 1, StepCounter())[0]
+        bad.tg._step_to[bad.tg.g._lstart[u] + 1] = u
+        for start in (pos - 8, pos, pos + 3):
+            ln = len(text) - start + 1
+            try:
+                got = bad.extract(start, ln)
+            except FormatError:
+                continue
+            assert got == fstep_extract(bad, start, ln) != text[start - 1:], start
 
     def test_full_roundtrip_various(self):
         rng = random.Random(19)
