@@ -23,17 +23,18 @@ sampling fact is stored once:
   by their text positions in rank order.
 * cnt holds the n_t // rate_t + 1 cumulative tunnel widths at the ranks
   k rate_t.  Without tunnels cnt and the inner marks are written empty:
-  loading derives cnt[k] = k rate_t and all-zero marks.
+  every width is 1 and no node is marked.
 
-The I', O', entrance and back sections are always empty, and loading
-derives them: I' and O' are all ones (a string's nodes have one in-edge and
-one out-edge at most), the entrances are the records', and back is the
-inverse of skip.  Loading checks only what the file holds; the rest is
-checked for every graph and index, however made: ``TunneledGraph`` checks
-the records against the marks and the exits' out-edges, and ``TextIndex``
-the rules of string tunnels (the records account for the n - n_t
-collapsed nodes, an entrance has in-degree equal to the width, one less at
-the source, rank 1, and an exit out-degree equal to it) and the samples.
+The I', O', entrance and back sections are always empty: I' and O' are all
+ones (a string's nodes have one in-edge and one out-edge at most), the
+entrances are the records', and no reader needs back.  Loading checks only
+what the file holds; the rest is checked for every graph and index, however
+made: ``TunneledGraph`` checks the records against the marks and the exits'
+out-edges, and ``TextIndex`` the rules of string tunnels (the records
+account for the n - n_t collapsed nodes, an entrance has in-degree equal to
+the width, one less at the source, rank 1, and an exit out-degree equal to
+it), the loc samples and, by walking them, the tunnels.  The walk gives the
+skip nodes and cnt, and the file's must equal them.
 """
 
 from __future__ import annotations
@@ -310,9 +311,9 @@ def _unpack_ints(data: bytes, count: int, width: int, name: str) -> np.ndarray:
     bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
     if bits[nbits:].any():
         raise FormatError(f"{name} section pads its last byte with nonzero bits")
-    # bit k of every field in one contiguous row: the sum runs over rows
-    fields = np.ascontiguousarray(bits[:nbits].reshape(count, width).T).astype(np.int64)
-    return (fields << np.arange(width)[:, None]).sum(axis=0)
+    if width == 1:
+        return bits[:nbits].astype(np.int64)
+    return bits[:nbits].reshape(count, width) @ (1 << np.arange(width, dtype=np.int64))
 
 
 def _label_width(sigma: int) -> int:
@@ -393,8 +394,8 @@ def serialize_index(ix: TextIndex) -> bytes:
     buf += _section(tg.inner_marks.to_packed() if tg.tunnels else b"")
     buf += _section(_pack_ints([f for t in tg.tunnels
                                 for f in (t.entrance, t.exit, t.width, t.length)], width))
-    buf += _section(_pack_ints(list(ix.skip), width))
-    buf += _section(b"")  # back: TextIndex derives it from skip
+    buf += _section(_pack_ints(ix.skip_nodes, width))
+    buf += _section(b"")  # back: no reader needs it
     buf += _section(_pack_ints(np.isin(np.arange(1, nt + 1), loc_nodes), 1)
                     + _pack_ints([ix.loc[v] for v in loc_nodes], width))
     buf += _section(_pack_ints(ix.cnt, width) if tg.tunnels else b"")
@@ -427,8 +428,6 @@ def deserialize_index(data: bytes) -> TextIndex:
 def _parse_sections(data: bytes) -> TextIndex:
     rd = _Reader(data[:-4], 8)
     n, nt, mt, sigma, rate_n, rate_t, ntun = struct.unpack("<QQQIIII", rd.section())
-    if rate_n < 1 or rate_t < 1:
-        raise FormatError(f"sample rates {rate_n} and {rate_t} must be at least 1")
     width = n.bit_length()
     alphabet = list(rd.section())
     if len(alphabet) != sigma:
@@ -463,9 +462,7 @@ def _parse_sections(data: bytes) -> TextIndex:
     g = WheelerGraph(nt, mt, sigma, L, C, I, O, alphabet)
     ones = BitVec(np.ones(mt, np.uint8))  # I' and O' of a text index
     tg = TunneledGraph(g, ones, ones, inn, tunnels, None)
-    # text_index._skip_pairs: (s - 1) // rate_t pointers for a tunnel of length s
-    skip = _unpack_ints(rd.section(), sum((t.length - 1) // rate_t for t in tunnels),
-                        width, "skip")
+    skip = rd.section()
     if rd.section():
         raise FormatError("the back section must be empty")
     raw = rd.section()
@@ -473,15 +470,18 @@ def _parse_sections(data: bytes) -> TextIndex:
     loc_nodes = np.flatnonzero(_unpack_ints(raw[:mark_bytes], nt, 1, "loc mark")) + 1
     positions = _unpack_ints(raw[mark_bytes:], len(loc_nodes), width, "loc position")
     loc = dict(zip(loc_nodes.tolist(), positions.tolist()))
-    raw = rd.section()
-    if raw and not ntun:
+    cnt = rd.section()
+    if cnt and not ntun:
         raise FormatError("the cnt section must be empty without tunnels")
-    cnt = (_unpack_ints(raw, nt // rate_t + 1, width, "cnt") if ntun
-           else np.arange(0, nt + 1, rate_t))
     if rd.off != len(rd.data):
         raise TruncatedError("trailing bytes after the last section")
 
-    return TextIndex(tg, n, rate_n, rate_t, skip, loc, cnt)
+    ix = TextIndex(tg, n, rate_n, rate_t, loc)
+    if _unpack_ints(skip, len(ix.skip_nodes), width, "skip").tolist() != ix.skip_nodes:
+        raise FormatError(f"skip pointers must sit on {len(ix.skip_nodes)} distinct walked nodes")
+    if ntun and _unpack_ints(cnt, len(ix.cnt), width, "cnt").tolist() != ix.cnt:
+        raise FormatError(f"cnt must hold the walked widths at {len(ix.cnt)} ranks k * {rate_t}")
+    return ix
 
 
 def save_index(ix: TextIndex, path) -> None:

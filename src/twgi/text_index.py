@@ -3,28 +3,22 @@
 The Wheeler graph of a string is a path whose node order is the colex order
 of prefixes, i.e. the suffix array of the reversed text; its label array is
 the BWT of the reversed text.  After tunneling, count / locate / extract are
-answered with sampling structures:
+answered with text-position samples on plain nodes of the run-contracted
+node sequence (Ferragina & Manzini 2005) and with one walk of every tunnel,
+by pointer jumping (Wyllie 1979), when the index is made.  It orders each
+tunnel's nodes by distance to its exit, so that a walk crosses a tunnel in
+one jump wherever it meets it (Baier 2018) and extract lands inside one in
+one read, and sums the tunnel nodes' widths, which count searches twice.
+The walk is also the check that walks may trust the records, and it gives
+the skip pointers and cnt samples that an index file stores.
 
-* text-position samples on plain nodes of the run-contracted node sequence
-  for locate and extract,
-* cumulative tunnel-width sums at aligned ranks for count,
-* skip pointers inside long tunnels, at the exits and distances that
-  ``_skip_pairs`` reads off the records, and the backpointers they give.
-
-A walk that reaches a tunnel at its entrance crosses it in one jump: the
-tunnel record gives the exit and the length.  Skip pointers serve only walks
-that start inside a tunnel, and extract's back hop to a position inside one.
-All copies of a tunnel node share one walk to the exit, where the walk
-splits by copy.  Walks trust the records and the samples: ``TextIndex``
-checks them for every producer.
-
-Locate walks each occurrence to the next text-order sample (Ferragina &
-Manzini 2005).  The range's tunnel nodes walk to their exits first, once
-each; a range of ``_LOCKSTEP_MIN_STARTS`` (node, copy) starts or more then
-walks them all in lockstep on numpy arrays, one step a round: retire the
-walks at a sample, jump those at an entrance to the exit, step the rest.  A
-round's numpy calls cost the same however few walks are live, so a smaller
-range walks one start at a time; the threshold is the measured break-even.
+Locate walks each occurrence to the next text-order sample.  The copies of a
+tunnel node share its exit, where the walk splits by copy.  A range of
+``_LOCKSTEP_MIN_STARTS`` (node, copy) starts or more walks them all in
+lockstep on numpy arrays, one step a round: retire the walks at a sample,
+jump those at an entrance to the exit, step the rest.  A round's numpy calls
+cost the same however few walks are live, so a smaller range walks one start
+at a time; the threshold is the measured break-even.
 
 A forward step takes a known out-edge: a node's only one, or the one of its
 copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
@@ -37,16 +31,17 @@ the same checks, so a change to the step rule must update both.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
 
 from .bitvec import LabelSeq
 from .errors import BoundsError, FormatError, InvariantError, ValidationError
-from .tunnel import (_ENTRANCE, Block, TraversalPos, TunneledGraph, find_string_blocks,
-                     tunnel_graph)
+from .tunnel import Block, TraversalPos, TunneledGraph, find_string_blocks, tunnel_graph
 from .wheeler import WheelerGraph, unary
 
 
@@ -134,8 +129,8 @@ _LOCKSTEP_MIN_STARTS = 40
 
 @dataclass
 class StepCounter:
-    """Counts graph traversal operations: forward steps, and jumps by a
-    tunnel record or a skip pointer."""
+    """Counts graph traversal operations: forward steps, and jumps across a
+    tunnel to its exit or, in extract, to a node inside it."""
 
     steps: int = 0
 
@@ -143,17 +138,16 @@ class StepCounter:
 class TextIndex:
     """Tunneled FM-index over a byte string: count, locate, extract.
 
-    ``skip`` lists the pointer nodes in the order of ``_skip_pairs``.  Walks
-    trust what the constructor checks for every producer: it raises
-    ValidationError unless both rates are >= 1, the records account for the
-    n original nodes, each exit's out-degree and entrance's in-degree (one
-    less at rank 1) is its width, the pointers are distinct tunnel nodes,
-    ``loc`` maps plain nodes to distinct positions in [1..n], and ``cnt`` is
-    n_t // rate_t + 1 non-decreasing samples from 0 to at most n, k rate_t
-    without tunnels."""
+    The constructor walks every tunnel once (``_walk_tunnels``); the skip
+    nodes and ``cnt`` that an index file stores are read off that walk.  Walks
+    trust what it checks for every producer: it raises ValidationError
+    unless both rates are >= 1, the records account for the n original
+    nodes, each exit's out-degree and entrance's in-degree (one less at
+    rank 1) is its width, the tunnels walk as ``_walk_tunnels`` requires,
+    and ``loc`` maps plain nodes to distinct positions in [1..n]."""
 
     def __init__(self, tg: TunneledGraph, n: int, sample_rate_n: int,
-                 sample_rate_t: int, skip, loc, cnt):
+                 sample_rate_t: int, loc):
         g, nt, rate_t = tg.g, tg.g.n, sample_rate_t
         if sample_rate_n < 1 or rate_t < 1:
             raise ValidationError(f"sample rates {sample_rate_n} and {rate_t} must be at least 1")
@@ -165,39 +159,93 @@ class TextIndex:
             raise ValidationError("a tunnel's exit must have out-degree equal to its width, "
                                   "and its entrance in-degree, less one at rank 1")
         kind = np.frombuffer(tg._kind, np.uint8)
-        nodes, pairs = np.asarray(skip, np.int64), _skip_pairs(tg.tunnels, rate_t)
-        if len(nodes) != len(pairs) or not _distinct_in(nodes, 1, nt) or not kind[nodes].all():
-            raise ValidationError(f"skip pointers must sit on {len(pairs)} distinct tunnel "
-                                  f"nodes in [1..{nt}]")
         pos = np.fromiter(loc.values(), np.int64, len(loc))
         at = np.fromiter(loc, np.int64, len(loc))
-        if ((at < 1) | (at > nt)).any() or kind[at].any() or not _distinct_in(pos, 1, n) \
-                or pos.max(initial=0) != n:
+        by_pos = np.argsort(pos)         # the samples by text position, for extract to bisect
+        ext_pos = pos[by_pos]
+        if ((at < 1) | (at > nt)).any() or kind[at].any() or not len(loc) or ext_pos[0] < 1 \
+                or ext_pos[-1] != n or (np.diff(ext_pos) == 0).any():
             raise ValidationError(f"loc must map plain nodes in [1..{nt}] to distinct "
                                   f"positions in [1..{n}], {n} among them")
-        cnt = np.asarray(cnt, np.int64)
-        if (len(cnt) != nt // rate_t + 1 or cnt[0] or cnt[-1] > n or (np.diff(cnt) < 0).any()
-                or not tg.tunnels and (cnt != np.arange(0, nt + 1, rate_t)).any()):
-            raise ValidationError(f"cnt must hold {nt // rate_t + 1} non-decreasing samples from "
-                                  f"0 to at most {n}, k * {rate_t} without tunnels")
         self.tg = tg
         self.n = n                       # |T| + 1, node count of the original graph
         self.sample_rate_n = sample_rate_n
         self.sample_rate_t = sample_rate_t
-        self.skip = dict(zip(nodes.tolist(), pairs))  # pointer node -> (exit rank, distance)
-        self.back = {}                   # exit rank -> [(distance, node)] ascending
-        for node, (exit_rank, dist) in self.skip.items():
-            self.back.setdefault(exit_rank, []).append((dist, node))
+        self._tun = memoryview(tg._tun)
+        self._walk_tunnels()
+        ranks = np.arange(0, nt + 1, rate_t)  # cnt: the cumulative widths at them
+        self.cnt = (ranks + np.asarray(self._extra)[tg._tun.searchsorted(ranks, "right")]).tolist()
         self.loc = loc                   # non-tunnel node rank -> text position
-        self.cnt = cnt.tolist()          # cumulative widths at rank multiples
-        by_pos = np.argsort(pos)         # the samples by text position, for extract to bisect
-        self.ext_pos = pos[by_pos].tolist()
+        self.ext_pos = ext_pos.tolist()
         self.ext_node = at[by_pos].tolist()
         by_node = np.argsort(at)         # and by node, for the lockstep walk to search
         self._loc_at, self._loc_pos = at[by_node], pos[by_node]
-        # the records' entrances, exits and lengths - 1, by entrance
-        self._entr = np.array(sorted((t.entrance, t.exit, t.length - 1) for t in tg.tunnels),
-                              np.int64).reshape(-1, 3).T
+
+    def _walk_tunnels(self) -> None:
+        """Keeps, as memoryviews (no copy; reads as fast as ``array``): ``_chain``,
+        the tunnel nodes by exit, then distance to it (the node k steps on from
+        ``_chain[i]`` is ``_chain[i - k]``); ``_to_exit``, their distances and a
+        last 0; ``_slot``, each node's index in ``_chain`` (that last one if
+        plain); ``_extra``, the tunnel nodes' widths past 1 summed in rank
+        order; and the skip nodes.  Pointer jumping: each tunnel node points to
+        its out-edge's target, an exit to itself, and a round doubles how far
+        pointers reach.  Raises ValidationError unless every tunnel node but
+        the exits has one out-edge, into a tunnel node, and each entrance
+        reaches its record's exit in length - 1 steps."""
+        tg, nt, rate_t = self.tg, self.tg.g.n, self.sample_rate_t
+        if not tg.tunnels:  # every width is 1
+            self._slot = self._chain = self._to_exit = memoryview(array("i"))
+            self._extra, self.skip_nodes = memoryview(array("q", [0])), []
+            return
+        exits, entrances, widths, lengths = np.array(
+            sorted(map(attrgetter("exit", "entrance", "width", "length"), tg.tunnels))).T
+        tun, k = tg._tun, len(tg._tun)
+        slot = np.full(nt + 1, k, np.int32)  # index in tun while walking, then in chain
+        slot[tun] = np.arange(k, dtype=np.int32)
+        at_exit = slot[exits]
+        lstart = np.frombuffer(tg.g._lstart, np.int64)
+        first = lstart[tun]
+        deg = lstart[tun + 1] - first
+        # each node points to its out-edge's target (int64: gathers by it convert nothing)
+        step_to = np.frombuffer(tg._step_to, np.int32)
+        nxt = slot[step_to.take(first + 1, mode="clip")].astype(np.int64)
+        nxt[at_exit], deg[at_exit] = at_exit, 1
+        if (deg != 1).any() or (nxt == k).any():
+            raise ValidationError("a tunnel node other than its exit must have one out-edge, "
+                                  "into a tunnel node")
+        dist = np.ones(k, np.int32)
+        dist[at_exit] = 0
+        # one pair of buffers (fresh arrays slow the load); "wrap" lets out= skip a copy
+        gathered, far = np.empty(k, np.int32), np.empty(k, np.int64)
+        for _ in range(int(lengths.max() - 1).bit_length()):
+            dist += dist.take(nxt, out=gathered, mode="wrap")
+            nxt, far = nxt.take(nxt, out=far, mode="wrap"), nxt
+        # each entrance must reach its record's exit in length - 1 steps; as the
+        # exits differ and the tunnels have sum(length) nodes, all lie on chains
+        ent = slot[entrances]
+        if (nxt[ent] != at_exit).any() or (dist[ent] != lengths - 1).any():
+            raise ValidationError("each tunnel's entrance must reach its record's exit "
+                                  "by length - 1 single edges")
+        run = np.cumsum(lengths) - lengths
+        start, past = np.empty(k, np.int64), np.empty(k, np.int64)  # by each exit
+        start[at_exit], past[at_exit] = run, widths - 1
+        at = start.take(nxt) + dist
+        chain, to_exit, extra = np.empty(k, np.int32), np.zeros(k + 1, np.int32), \
+            np.zeros(k + 1, np.int64)
+        chain[at], to_exit[at], slot[tun] = tun, dist, at
+        np.cumsum(past.take(nxt), out=extra[1:])
+        self._slot, self._chain, self._to_exit, self._extra = map(memoryview,
+                                                                  (slot, chain, to_exit, extra))
+        # by exit, then distance s - rate_t, s - 2 rate_t, ... > 0 in a tunnel of length s
+        self.skip_nodes = np.concatenate([chain[i + (s - 1) % rate_t + 1:i + s:rate_t] for i, s
+                                          in zip(run.tolist(), lengths.tolist())]).tolist()
+
+    @cached_property
+    def skip(self) -> dict[int, tuple[int, int]]:
+        """Pointer node -> (exit, distance) in ``skip_nodes`` order, made on first read."""
+        slot, chain, to_exit = self._slot, self._chain, self._to_exit
+        return {v: (chain[slot[v] - to_exit[slot[v]]], to_exit[slot[v]])
+                for v in self.skip_nodes}
 
     @property
     def text_len(self) -> int:
@@ -226,46 +274,22 @@ class TextIndex:
         counter.steps += 1
         return tg._step_to[p], tg._step_land[p] or off, tg._step_byte[p]
 
-    def _to_exit(self, v: int, counter: StepCounter) -> tuple[int, int]:
-        """(exit, distance) of the tunnel node v: its tunnel's exit and the
-        text positions from v to it.  An entrance reads both off its tunnel
-        record; an inner node follows skip pointers and single edges until
-        it reaches a node whose out-degree is not 1."""
-        rec = self.tg.entrance_info.get(v)
-        if rec is not None:
-            counter.steps += 1
-            return rec.exit, rec.length - 1
-        lstart, step_to, skip = self.tg.g._lstart, self.tg._step_to, self.skip
-        cur, dist = v, 0
-        for _ in range(self.n):
-            ptr = skip.get(cur)
-            if ptr is not None:
-                cur = ptr[0]
-                dist += ptr[1]
-                counter.steps += 1
-                continue
-            p = lstart[cur]
-            if lstart[cur + 1] - p != 1:
-                return cur, dist
-            cur = step_to[p + 1]
-            dist += 1
-            counter.steps += 1
-        raise FormatError(f"found no tunnel exit in {self.n} steps from node {v}")
+    def node_width(self, v: int) -> int:
+        """Width of the tunnel holding node v in [1..n_t], 1 outside tunnels."""
+        if not 1 <= v <= self.tg.g.n:
+            raise BoundsError(f"node {v} outside [1..{self.tg.g.n}]")
+        return self._cum(v) - self._cum(v - 1)
 
-    def node_width(self, v: int, counter: StepCounter | None = None) -> int:
-        """Width of the tunnel containing v (1 outside tunnels): the
-        out-degree of its exit."""
-        if not self.tg.is_tunnel_node(v):
-            return 1
-        counter = counter if counter is not None else StepCounter()
-        return self.tg.g.outdeg(self._to_exit(v, counter)[0])
+    def _cum(self, v: int) -> int:
+        """Widths of nodes 1..v summed: v plus the tunnel nodes' widths past 1.
+        An array over all nodes cost each load more than the search costs."""
+        return v + self._extra[bisect_right(self._tun, v)]
 
     # -- counting --------------------------------------------------------------
 
     def count(self, pattern: bytes, counter: StepCounter | None = None) -> int:
         """Occurrences of the pattern in the text (|T|+1 for the empty
-        pattern: every node is an occurrence)."""
-        counter = counter if counter is not None else StepCounter()
+        pattern: every node is an occurrence).  Count takes no step."""
         if len(pattern) == 0:
             return self.n
         got = self.tg._search_pairs(pattern)
@@ -274,38 +298,10 @@ class TextIndex:
         (lo, lo_off), (hi, hi_off) = got
         # copies lo_off.. of lo up to copy hi_off of hi: hi's width counts
         # only when the range holds all of hi (hi_off None)
+        cum = self._cum
         if hi_off is None:
-            return self._range_weight(lo, hi, counter) - (lo_off - 1)
-        return self._range_weight(lo, hi - 1, counter) + hi_off - (lo_off - 1)
-
-    def _range_weight(self, lo: int, hi: int, counter: StepCounter) -> int:
-        """Sum of w(v) over ranks [lo..hi]: the aligned samples inside it,
-        and at each end the widths up to the nearer sample, added or taken
-        off, at most ~sample_rate_t width evaluations in all.  Without
-        tunnels every width is 1, so the sum is the range's size."""
-        if not self.tg.tunnels:
-            return hi - lo + 1
-        rt, kind = self.sample_rate_t, self.tg._kind
-
-        def widths(first: int, last: int) -> int:
-            return sum(self.node_width(v, counter) if kind[v] else 1
-                       for v in range(first, last + 1))
-
-        a = (lo - 1 + rt - 1) // rt   # smallest aligned index >= lo-1
-        b = hi // rt                  # largest aligned index <= hi
-        if a > b:
-            return widths(lo, hi)
-        if lo - 1 - (a - 1) * rt < a * rt - (lo - 1):  # the sample below lo - 1 is nearer
-            a -= 1
-            left = -widths(a * rt + 1, lo - 1)
-        else:
-            left = widths(lo, a * rt)
-        if (b + 1) * rt - hi < hi - b * rt and (b + 1) * rt <= self.tg.g.n:
-            b += 1
-            right = -widths(hi + 1, b * rt)
-        else:
-            right = widths(b * rt + 1, hi)
-        return self.cnt[b] - self.cnt[a] + left + right
+            return cum(hi) - cum(lo - 1) - (lo_off - 1)
+        return cum(hi - 1) - cum(lo - 1) + hi_off - (lo_off - 1)
 
     # -- locating ----------------------------------------------------------------
 
@@ -320,14 +316,19 @@ class TextIndex:
         next text-order sample, crossing each tunnel in one jump to its exit,
         and subtract the travelled distance."""
         travelled = 0
-        loc, kind = self.loc, self.tg._kind
+        loc, kind, slot, chain, to_exit = (self.loc, self.tg._kind, self._slot, self._chain,
+                                           self._to_exit)
         for _ in range(self.n):
             pos = loc.get(node)
             if pos is not None:
                 return pos - travelled
             if kind[node]:
-                node, dist = self._to_exit(node, counter)
-                travelled += dist
+                i = slot[node]
+                dist = to_exit[i]
+                if dist:
+                    travelled += dist
+                    node = chain[i - dist]
+                    counter.steps += 1
             node, off, _ = self._fstep(node, off, counter)
             travelled += 1
         raise FormatError(f"found no sample in {self.n} steps")
@@ -367,7 +368,8 @@ class TextIndex:
         copies of a tunnel node at its exit, the distance to it travelled."""
         if limit is not None and hi - lo >= limit:  # every node holds an occurrence
             hi, hi_off = lo + limit - 1, None
-        lstart, kind = self.tg.g._lstart, self.tg._kind
+        lstart, kind, slot, chain, to_exit = (self.tg.g._lstart, self.tg._kind, self._slot,
+                                              self._chain, self._to_exit)
         nodes, offs, dists = [], [], []
         nxt = lo
         for v in [v for v in range(lo, hi + 1) if kind[v]] + [hi + 1]:
@@ -376,7 +378,10 @@ class TextIndex:
             dists += [0] * (v - nxt)
             if v > hi:
                 break
-            node, dist = self._to_exit(v, counter)
+            dist = to_exit[slot[v]]
+            node = chain[slot[v] - dist]
+            if dist:
+                counter.steps += 1
             first = lo_off if v == lo else 1
             last = hi_off if v == hi and hi_off is not None else lstart[node + 1] - lstart[node]
             nodes += [node] * (last - first + 1)
@@ -388,17 +393,17 @@ class TextIndex:
     def _lockstep(self, nodes, offs, dists, counter: StepCounter) -> np.ndarray:
         """Text positions of the walks from copy offs[i] of nodes[i], dists[i]
         already travelled, walked together: each round retires the walks at
-        a sample, jumps the walks at a tunnel entrance to its record's exit
-        and steps every walk left once through the step table.  A walk has
-        travelled its distance, its jumps and the rounds before it retires."""
+        a sample, jumps the walks inside a tunnel to its exit and steps every
+        walk left once through the step table.  A walk has travelled its
+        distance, its jumps and the rounds before it retires."""
         tg = self.tg
-        kind = np.frombuffer(tg._kind, np.uint8)
         lstart = np.frombuffer(tg.g._lstart, np.int64)
         step_to = np.frombuffer(tg._step_to, np.int32)
         step_land = np.frombuffer(tg._step_land, np.int32)
-        at, pos, (entrances, exits, lengths) = self._loc_at, self._loc_pos, self._entr
+        slot, chain, to_exit = map(np.asarray, (self._slot, self._chain, self._to_exit))
+        at, pos = self._loc_at, self._loc_pos
         node, off, base = (np.array(a, np.int64) for a in (nodes, offs, dists))
-        lend, below_last, tunneled = lstart[1:], at[:-1], len(entrances) > 0
+        lend, below_last, tunneled = lstart[1:], at[:-1], bool(tg.tunnels)
         count, done = np.count_nonzero, []
         for rnd in range(self.n):
             i = below_last.searchsorted(node)  # the sample at or after the node, or the last
@@ -411,12 +416,13 @@ class TextIndex:
                     return np.concatenate(done)
                 node, off, base = node[live], off[live], base[live]
             if tunneled:
-                ent = (kind[node] == _ENTRANCE).nonzero()[0]  # never inner-marked
-                if len(ent):
-                    j = entrances.searchsorted(node[ent])
-                    node[ent] = exits[j]
-                    base[ent] += lengths[j]
-                    counter.steps += len(ent)
+                c = slot[node]
+                d = to_exit[c]
+                jump = d.nonzero()[0]
+                if len(jump):
+                    node[jump] = chain[c[jump] - d[jump]]
+                    base[jump] += d[jump]
+                    counter.steps += len(jump)
             # a walk leaves by the out-edge of its copy: no edge or start puts
             # a copy above 1 on a plain node, so only a node of fewer
             # out-edges than the copy needs _fstep's rule
@@ -442,10 +448,10 @@ class TextIndex:
         """T[start .. start+length-1] (1-based, inclusive).
 
         The walk seeks from the nearest sample at or before ``start``,
-        crossing each tunnel by its record until the target lies inside one,
-        then hopping back from its exit and stepping; it then steps once per
-        output byte.  Both loops write out ``_fstep``'s step, checks
-        included, and add their steps to the counter at the end."""
+        jumping across each tunnel to its exit, or onto the target's node
+        when the target lies inside it; it then steps once per output byte.
+        Both loops write out ``_fstep``'s step, checks included, and add
+        their steps to the counter at the end."""
         if start < 1 or length < 0 or start + length - 1 > self.text_len:
             raise BoundsError(
                 f"extract({start},{length}) outside text of length {self.text_len}")
@@ -455,6 +461,7 @@ class TextIndex:
         tg = self.tg
         kind, lstart = tg._kind, tg.g._lstart
         step_to, step_land, step_byte = tg._step_to, tg._step_land, tg._step_byte
+        slot, chain, to_exit = self._slot, self._chain, self._to_exit
         idx = bisect_right(self.ext_pos, start) - 1
         if idx >= 0:
             pos, node, off = self.ext_pos[idx], self.ext_node[idx], 1
@@ -462,23 +469,19 @@ class TextIndex:
             # the first sample may sit past `start` when the source node
             # lives inside a tunnel; the source is always rank 1, copy 1
             pos, node, off = 1, 1, 1
-        steps, inside = 0, False
+        steps = 0
         for _ in range(self.n):
             if pos >= start:
                 break
-            if kind[node] and not inside:
-                exit_rank, dist = self._to_exit(node, counter)
-                if pos + dist > start:
-                    # target lies inside this tunnel: hop to the exit's
-                    # backpointer closest before the target, then step
-                    # (no pointer sits between that backpointer and the target)
-                    node, pos = self._back_hop(exit_rank, pos + dist, start, node, pos)
+            if kind[node]:
+                # in-tunnel moves keep the copy: jump to the exit, or onto the target
+                i = slot[node]
+                hop = min(to_exit[i], start - pos)
+                if hop:
+                    node = chain[i - hop]
+                    pos += hop
                     steps += 1
-                    inside = True
                     continue
-                node, pos = exit_rank, pos + dist
-                if pos == start:
-                    break
             p = lstart[node]
             deg = lstart[node + 1] - p
             if deg > 1 and kind[node]:
@@ -511,18 +514,6 @@ class TextIndex:
         counter.steps += steps + length
         return bytes(out)
 
-    def _back_hop(self, exit_rank: int, exit_pos: int, target: int,
-                  cur_node: int, cur_pos: int):
-        """Best pointer node at or before the target position: the pointer
-        nearest the exit that is at least exit_pos - target away, if it
-        lies past cur_pos (the distances are distinct and ascending)."""
-        ptrs = self.back.get(exit_rank, ())
-        i = bisect_left(ptrs, (exit_pos - target,))
-        if i < len(ptrs) and exit_pos - ptrs[i][0] > cur_pos:
-            dist_b, node_b = ptrs[i]
-            return node_b, exit_pos - dist_b
-        return cur_node, cur_pos
-
     # -- bookkeeping ------------------------------------------------------------------
 
     def stats(self) -> dict:
@@ -548,21 +539,6 @@ def _distinct_sorted(positions: list[int]) -> list[int]:
     return positions
 
 
-def _distinct_in(vals: np.ndarray, lo: int, hi: int) -> bool:
-    """Whether the ints are distinct and in [lo..hi].  A sort: ``np.unique``
-    hashes, ten times slower on the 1,334 loc positions of a 20 KB index."""
-    vals = np.sort(vals)
-    return not len(vals) or (lo <= vals[0] and vals[-1] <= hi and (np.diff(vals) > 0).all())
-
-
-def _skip_pairs(tunnels, rate_t: int) -> list[tuple[int, int]]:
-    """(exit, distance) of every skip pointer, in file order: by exit, then
-    by ascending distance s - j, j = rate_t, 2 rate_t, ... < s for a tunnel
-    of length s, so (s - 1) // rate_t of them."""
-    return [(t.exit, d) for t in sorted(tunnels, key=attrgetter("exit"))
-            for d in range((t.length - 1) % rate_t + 1, t.length, rate_t)]
-
-
 def build_index(text: bytes, *, sample_rate_n: int | None = None,
                 sample_rate_t: int | None = None, tunneling: bool = True) -> TextIndex:
     """Build the full index: string graph, block discovery (blocks of width
@@ -585,33 +561,17 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
         expanded.append(Block(sb.width, sb.length,
                               rank[rows + np.arange(sb.length)[:, None]].tolist()))
     tg = tunnel_graph(g, expanded)
-    nt = tg.g.n
     rate_n = sample_rate_n if sample_rate_n is not None else \
         max(1, math.ceil(math.log2(max(2, n))))
     rate_t = sample_rate_t if sample_rate_t is not None else \
-        max(1, math.ceil(math.log2(max(2, nt))))
-
-    # tg.tunnels lists the tunnels in block order; the skip pointer at
-    # distance d from an exit is the root of column s - d of its tunnel
-    phi = tg.node_map
-    widths = np.ones(nt + 1, dtype=np.int64)
-    roots = {}  # exit -> the tunnel's column roots
-    for blk, rec in zip(expanded, tg.tunnels):
-        roots[rec.exit] = phi[[col[0] for col in blk.columns]].tolist()
-        widths[roots[rec.exit]] = blk.width
-    skip = [roots[e][-1 - d] for e, d in _skip_pairs(tg.tunnels, rate_t)]
-    cumulative = np.cumsum(widths[1:])
-    if nt and int(cumulative[-1]) != n:
-        raise InvariantError("width conservation broke: every original node "
-                             "must be counted exactly once")
-    cnt = np.append(0, cumulative[rate_t - 1::rate_t])
+        max(1, math.ceil(math.log2(max(2, tg.g.n))))
 
     # run-contracted text-order sequence: one element per non-tunnel node,
     # one per run of text positions through one tunnel.  A run starts at its
     # tunnel's entrance and rows of one block lie at least s+1 positions
     # apart, so an element starts at every position whose node is not inner.
     # A sample that falls on a tunnel element moves to the next plain one.
-    node = phi[rank[1:]]  # by text position - 1
+    node = tg.node_map[rank[1:]]  # by text position - 1
     first = np.flatnonzero(tg.inner_marks.bits()[node - 1] == 0)
     plain = np.flatnonzero(np.isin(node[first], [t.entrance for t in tg.tunnels], invert=True))
     wanted = sorted({1, len(first), *range(rate_n, len(first) + 1, rate_n)})
@@ -619,4 +579,4 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
     loc = dict(zip(node[at_plain].tolist(), (at_plain + 1).tolist()))
 
     tg.node_map = None  # needed only to place the samples above
-    return TextIndex(tg, n, rate_n, rate_t, skip, loc, cnt)
+    return TextIndex(tg, n, rate_n, rate_t, loc)

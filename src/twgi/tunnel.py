@@ -482,7 +482,7 @@ class TunneledGraph:
                                   f"{entr[owner[np.argmin(copy)]]} than it has copies")
         lands[pos[j]] = copy
         lstart = np.frombuffer(g._lstart, np.int64)
-        tun = np.flatnonzero(kind)
+        self._tun = tun = np.flatnonzero(kind)  # the tunnel nodes, ascending
         owner, p = _expand(lstart[tun] + 1, lstart[tun + 1] - lstart[tun])  # L positions
         moves = (kind[to[p]] & _INNER) != 0  # the in-tunnel moves, which keep the copy
         inner = tun[(kind[tun] & _INNER) != 0]

@@ -457,7 +457,10 @@ def edges_search(tg, pattern, seen=None):
 
 def fstep_extract(ix, start: int, length: int, counter=None) -> bytes:
     """Extract with one ``_fstep`` call per seek and output step: the
-    reference for ``TextIndex.extract``, which writes that step out."""
+    reference for ``TextIndex.extract``, which writes that step out.  It
+    finds a tunnel's exit by ``walk_to_exit``, not by the index's walked
+    arrays, and counts one step for each jump across a tunnel, to its exit
+    or, stepping a scratch counter, to the target inside it."""
     if start < 1 or length < 0 or start + length - 1 > ix.text_len:
         raise BoundsError(f"extract({start},{length}) outside text of length {ix.text_len}")
     if length == 0:
@@ -469,17 +472,16 @@ def fstep_extract(ix, start: int, length: int, counter=None) -> bytes:
         if pos >= start:
             break
         if ix.tg.is_tunnel_node(node):
-            exit_rank, dist = ix._to_exit(node, counter)
-            if pos + dist > start:
-                node, pos = ix._back_hop(exit_rank, pos + dist, start, node, pos)
+            exit_rank, dist = walk_to_exit(ix.tg.g, node)
+            if dist:
                 counter.steps += 1
-                while pos < start:
-                    node, off, _ = ix._fstep(node, off, counter)
-                    pos += 1
-                break
-            node, pos = exit_rank, pos + dist
-            if pos == start:
-                break
+                if pos + dist > start:
+                    while pos < start:
+                        node, off, _ = ix._fstep(node, off, StepCounter())
+                        pos += 1
+                    break
+                node, pos = exit_rank, pos + dist
+                continue
         node, off, _ = ix._fstep(node, off, counter)
         pos += 1
     else:
@@ -786,7 +788,7 @@ def walk_to_exit(g, v: int) -> tuple[int, int]:
 
 
 def loop_samples(text: bytes, **kw):
-    """(loc, skip, back, cnt) of build_index by loops, for the blocks that
+    """(loc, skip, cnt) of build_index by loops, for the blocks that
     ``walk_string_blocks`` finds at ``min_width`` and ``min_length``
     (default 2, build_index's): see ``_loop_build``."""
     return _loop_build(text, **kw)[3:]
@@ -798,15 +800,14 @@ def oracle_index(text: bytes, **kw) -> TextIndex:
     At the defaults it equals build_index's; other thresholds give tunnels
     that build_index never makes but an index file may hold, such as
     length-1 ones or only width-3 ones."""
-    tg, rate_n, rate_t, loc, skip, _, cnt = _loop_build(text, **kw)
+    tg, rate_n, rate_t, loc, _, _ = _loop_build(text, **kw)
     tg.node_map = None
-    nodes = [node for node, _ in sorted(skip.items(), key=lambda item: item[1])]
-    return TextIndex(tg, len(text) + 1, rate_n, rate_t, nodes, loc, cnt)
+    return TextIndex(tg, len(text) + 1, rate_n, rate_t, loc)
 
 
 def _loop_build(text: bytes, *, sample_rate_n=None, sample_rate_t=None,
                 min_width: int = 2, min_length: int = 2):
-    """(tunneled graph, rate_n, rate_t, loc, skip, back, cnt) by loops:
+    """(tunneled graph, rate_n, rate_t, loc, skip, cnt) by loops:
     block membership node by node, the run-contracted elements from it
     position by position, and the pointers and widths column by column."""
     g, rank = _string_graph(text)
@@ -844,25 +845,21 @@ def _loop_build(text: bytes, *, sample_rate_n=None, sample_rate_t=None,
             e += 1
         loc[phi[rank[elements[e][0]]]] = elements[e][0]
 
-    skip, back = {}, {}
+    skip = {}
     widths = [1] * (nt + 1)
     for blk in real:
         s = blk.size
         exit_rank = phi[blk.columns[s - 1][0]]
         for j in range(rate_t, s, rate_t):
-            node = phi[blk.columns[j - 1][0]]
-            skip[node] = (exit_rank, s - j)
-            back.setdefault(exit_rank, []).append((s - j, node))
+            skip[phi[blk.columns[j - 1][0]]] = (exit_rank, s - j)
         for col in blk.columns:
             widths[phi[col[0]]] = blk.width
-    for ptrs in back.values():
-        ptrs.sort()
     cnt, total = [0], 0
     for v in range(1, nt + 1):
         total += widths[v]
         if v % rate_t == 0:
             cnt.append(total)
-    return tg, rate_n, rate_t, loc, skip, back, cnt
+    return tg, rate_n, rate_t, loc, skip, cnt
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SMALL_TEXTS
+from conftest import SMALL_TEXTS, naive_locate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import micro  # noqa: E402
@@ -56,13 +56,22 @@ def test_build_phase_spans():
     assert "tunnel.expand" not in names
 
 
-def test_skip_jumps_counted_on_a_loaded_index(small_index):
-    # the bench's skips_per_occ counts the jumps through the dict that
-    # count_skips swaps in for ix.skip, which TextIndex makes on every load
+def test_count_skips_installs_on_a_loaded_index(small_index):
+    # the bench's traced run swaps a counting dict in for ix.skip, which
+    # TextIndex makes on every load; no walk reads the pointers, and a
+    # traced locate on the swapped index still answers
     text = SMALL_TEXTS["cpm4"]
     ix = persist.deserialize_index(persist.serialize_index(small_index("cpm4")))
-    tracer = tracing.Tracer(None)
-    tracer.count_skips(ix)
-    for i in range(0, len(text) - 6, 3):
-        ix.locate(text[i:i + 6])
-    assert tracer.counts["", tracing.SKIP_JUMP] > 0
+    skip = dict(ix.skip)
+    with Clock() as clock:
+        tracer = tracing.Tracer(clock)
+        tracer.install()
+        try:
+            tracer.count_skips(ix)
+            for i in range(0, len(text) - 6, 3):
+                assert ix.locate(text[i:i + 6]) == naive_locate(text, text[i:i + 6])
+        finally:
+            tracer.restore()
+    assert ix.skip == skip and type(ix.skip) is not dict
+    locates = tracer.counts["text_index.locate", "text_index.locate"]
+    assert locates == len(range(0, len(text) - 6, 3))
