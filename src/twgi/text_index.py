@@ -16,9 +16,11 @@ Locate walks each occurrence to the next text-order sample.  The copies of a
 tunnel node share its exit, where the walk splits by copy.  A range of
 ``_LOCKSTEP_MIN_STARTS`` (node, copy) starts or more walks them all in
 lockstep on numpy arrays, one step a round: retire the walks at a sample,
-jump those at an entrance to the exit, step the rest.  A round's numpy calls
-cost the same however few walks are live, so a smaller range walks one start
-at a time; the threshold is the measured break-even.
+read off a node-indexed table of the samples' positions; jump those inside
+a tunnel to its exit, with no index list, reading a 0 distance at a plain
+node; step the rest.  A round's numpy calls cost the same however few walks
+are live, so a smaller range walks one start at a time; the threshold is
+the measured break-even.
 
 A forward step takes a known out-edge: a node's only one, or the one of its
 copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
@@ -120,11 +122,13 @@ def build_graph_from_text(text: bytes) -> WheelerGraph:
 # the index
 
 # A range with fewer (node, copy) starts walks them one at a time.  Measured
-# on the 20 KB benchmark indexes (CPython 3.11, numpy 2.4): the lockstep walk
-# took 80-140 us at 1-4 starts against 6-16 us for the single walks, broke
-# even near 30 starts on fib-locate and 48 on cpm4-build, and took 262
-# against 762 us at 188 starts on cpm4-build
-_LOCKSTEP_MIN_STARTS = 40
+# on the 20 KB benchmark indexes (CPython 3.11, numpy 2.4, Xeon), as
+# locate(p, limit=k) with the two paths timed in turn on 100 patterns: the
+# lockstep path took 80-90 us at 4 starts against 20-25 us, broke even at
+# 32-40 starts on fib-locate-plain, 40-46 on fib-locate, 43-48 on
+# rand96-count and 53-55 on cpm4-build, and took 440 against 570 us at 96
+# starts on cpm4-build
+_LOCKSTEP_MIN_STARTS = 44
 
 
 @dataclass
@@ -178,16 +182,18 @@ class TextIndex:
         self.loc = loc                   # non-tunnel node rank -> text position
         self.ext_pos = ext_pos.tolist()
         self.ext_node = at[by_pos].tolist()
-        by_node = np.argsort(at)         # and by node, for the lockstep walk to search
-        self._loc_at, self._loc_pos = at[by_node], pos[by_node]
+        # and by node, for the lockstep walk to gather: 0 off the samples, and
+        # int32 unless a position needs more
+        self._samp = np.zeros(nt + 1, np.int32 if n < 2 ** 31 else np.int64)
+        self._samp[at] = pos
 
     def _walk_tunnels(self) -> None:
         """Keeps, as memoryviews (no copy; reads as fast as ``array``): ``_chain``,
         the tunnel nodes by exit, then distance to it (the node k steps on from
-        ``_chain[i]`` is ``_chain[i - k]``); ``_to_exit``, their distances and a
-        last 0; ``_slot``, each node's index in ``_chain`` (that last one if
-        plain); ``_extra``, the tunnel nodes' widths past 1 summed in rank
-        order; and the skip nodes.  Pointer jumping: each tunnel node points to
+        ``_chain[i]`` is ``_chain[i - k]``), and a last 0; ``_to_exit``, their
+        distances and a last 0; ``_slot``, each node's index in ``_chain``
+        (that last one if plain); ``_extra``, the tunnel nodes' widths past 1
+        summed in rank order; and the skip nodes.  Pointer jumping: each tunnel node points to
         its out-edge's target, an exit to itself, and a round doubles how far
         pointers reach.  Raises ValidationError unless every tunnel node but
         the exits has one out-edge, into a tunnel node, and each entrance
@@ -230,7 +236,7 @@ class TextIndex:
         start, past = np.empty(k, np.int64), np.empty(k, np.int64)  # by each exit
         start[at_exit], past[at_exit] = run, widths - 1
         at = start.take(nxt) + dist
-        chain, to_exit, extra = np.empty(k, np.int32), np.zeros(k + 1, np.int32), \
+        chain, to_exit, extra = np.zeros(k + 1, np.int32), np.zeros(k + 1, np.int32), \
             np.zeros(k + 1, np.int64)
         chain[at], to_exit[at], slot[tun] = tun, dist, at
         np.cumsum(past.take(nxt), out=extra[1:])
@@ -307,8 +313,10 @@ class TextIndex:
 
     def locate_one(self, p: TraversalPos, counter: StepCounter | None = None) -> int:
         """Text position (1-based) of the original node at the simulated
-        position p; raises BoundsError unless p is a position of the graph."""
-        self.tg.check_pos(p)
+        position p; raises BoundsError unless p's node is in [1..n_t] and its
+        offset a copy of that node, within the width of its own tunnel."""
+        if not 1 <= p.offset <= self.node_width(p.node):
+            raise BoundsError(f"node {p.node} has no copy {p.offset}")
         return self._walk(p.node, p.offset, counter if counter is not None else StepCounter())
 
     def _walk(self, node: int, off: int, counter: StepCounter) -> int:
@@ -401,28 +409,28 @@ class TextIndex:
         step_to = np.frombuffer(tg._step_to, np.int32)
         step_land = np.frombuffer(tg._step_land, np.int32)
         slot, chain, to_exit = map(np.asarray, (self._slot, self._chain, self._to_exit))
-        at, pos = self._loc_at, self._loc_pos
+        samp, tunneled = self._samp, bool(tg.tunnels)
         node, off, base = (np.array(a, np.int64) for a in (nodes, offs, dists))
-        lend, below_last, tunneled = lstart[1:], at[:-1], bool(tg.tunnels)
-        count, done = np.count_nonzero, []
+        lend, count, done = lstart[1:], np.count_nonzero, []
         for rnd in range(self.n):
-            i = below_last.searchsorted(node)  # the sample at or after the node, or the last
-            hit = at[i] == node
-            if count(hit):
-                h = hit.nonzero()[0]
-                done.append(pos[i[h]] - base[h] - rnd)
-                live = (~hit).nonzero()[0]
-                if not len(live):
+            got = samp[node]  # the sample's text position at the node, or 0
+            hits = count(got)
+            if hits:
+                hit = got.nonzero()[0]
+                done.append(got[hit] - base[hit] - rnd)
+                if hits == len(got):
                     return np.concatenate(done)
+                live = (got == 0).nonzero()[0]
                 node, off, base = node[live], off[live], base[live]
             if tunneled:
+                # a plain node's slot reads the last 0 of _to_exit and _chain
                 c = slot[node]
                 d = to_exit[c]
-                jump = d.nonzero()[0]
-                if len(jump):
-                    node[jump] = chain[c[jump] - d[jump]]
-                    base[jump] += d[jump]
-                    counter.steps += len(jump)
+                jumps = count(d)
+                if jumps:
+                    base += d
+                    node = np.where(d != 0, chain[c - d], node)
+                    counter.steps += jumps
             # a walk leaves by the out-edge of its copy: no edge or start puts
             # a copy above 1 on a plain node, so only a node of fewer
             # out-edges than the copy needs _fstep's rule

@@ -510,7 +510,11 @@ class TunneledGraph:
 
     def check_pos(self, p: TraversalPos) -> None:
         """Raises BoundsError unless p's node is in [1..n_t] and its offset
-        is 1, or at most the widest tunnel's width at a tunnel node."""
+        is 1, or at most the widest tunnel's width at a tunnel node.  A node's
+        own width is that of its tunnel, found by walking to the exit, which
+        ``TextIndex`` does when it is made; a general graph has no such walk,
+        so ``step`` keeps the widest width and ``TextIndex.locate_one`` checks
+        the node's own."""
         if not 1 <= p.node <= self.g.n:
             raise BoundsError(f"node {p.node} outside [1..{self.g.n}]")
         if not 1 <= p.offset <= (self._w_max if self._kind[p.node] else 1):

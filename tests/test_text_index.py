@@ -166,6 +166,16 @@ class TestSamples:
             # entrances with no inner node: elements that start and end there
             assert length_one > 0
 
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_sample_table_holds_loc(self, name, tunneling, small_index):
+        # the lockstep walk reads loc from a node-indexed table, 0 off the samples
+        built = small_index(name, tunneling)
+        for ix in (built, deserialize_index(serialize_index(built))):
+            assert len(ix._samp) == ix.tg.g.n + 1 and ix._samp.dtype == np.int32
+            assert np.flatnonzero(ix._samp).tolist() == sorted(ix.loc)
+            assert all(ix._samp[v] == pos for v, pos in ix.loc.items())
+
 
 def _exit_texts():
     rng = random.Random(41)
@@ -360,15 +370,34 @@ class TestLocate:
                     call(TraversalPos(node, 1))
         assert ix.locate_one(TraversalPos(1, 1)) == 1
 
-    def test_locate_one_rejects_a_copy_above_the_widest_tunnel(self):
-        ix = build_index(b"abracadabra" * 20)
-        w_max = max(t.width for t in ix.tg.tunnels)
-        nodes = [v for v in range(1, ix.tg.g.n + 1) if ix.tg.is_tunnel_node(v)]
-        assert nodes
-        for v in nodes:
-            assert ix.locate_one(TraversalPos(v, ix.node_width(v))) >= 1
-            with pytest.raises(BoundsError, match=f"node {v} has no copy {w_max + 1}"):
-                ix.locate_one(TraversalPos(v, w_max + 1))
+    def test_locate_one_rejects_a_copy_above_the_widest_tunnel(self, small_index):
+        # every copy past the node's own width, up to one past the widest
+        # tunnel's, is rejected; cpm4 has tunnels of several widths
+        narrower = 0
+        for ix in (build_index(b"abracadabra" * 20), small_index("cpm4")):
+            w_max = max(t.width for t in ix.tg.tunnels)
+            nodes = [v for v in range(1, ix.tg.g.n + 1) if ix.tg.is_tunnel_node(v)]
+            assert nodes
+            for v in nodes:
+                width = ix.node_width(v)
+                assert ix.locate_one(TraversalPos(v, width)) >= 1
+                narrower += width < w_max
+                for copy in range(width + 1, w_max + 2):
+                    with pytest.raises(BoundsError, match=f"node {v} has no copy {copy}$"):
+                        ix.locate_one(TraversalPos(v, copy))
+        assert narrower
+
+    def test_locate_one_checks_the_own_width_before_a_step(self, small_index):
+        # node 139 of the 2 KB cpm4 index enters a tunnel of width 2, the
+        # widest is 7: copy 3 is rejected before the walk takes a step,
+        # not at the exit in the step's words
+        ix = small_index("cpm4")
+        assert 139 in ix.tg.entrance_info and ix.node_width(139) == 2
+        assert max(t.width for t in ix.tg.tunnels) == 7
+        counter = StepCounter()
+        with pytest.raises(BoundsError, match="^node 139 has no copy 3$"):
+            ix.locate_one(TraversalPos(139, 3), counter)
+        assert counter.steps == 0
 
     def test_duplicate_occurrence_raises(self, monkeypatch, lockstep):
         # every walk of either path answers 7, so the two a's collide
@@ -431,14 +460,21 @@ class TestLockstep:
     @pytest.mark.parametrize("name", ["fib", "cpm4", "cpm96"])
     def test_walks_from_inside_a_tunnel(self, name, small_index):
         # locate starts no walk inside a tunnel; started on every copy of
-        # every tunnel node, the lockstep walk keeps each copy through the
-        # in-tunnel moves and finds the positions the single walks find
+        # every node (plain nodes, entrances, inner nodes and exits), the
+        # lockstep walk keeps each copy through the in-tunnel moves and
+        # finds the positions and takes the steps the single walks do
         ix = small_index(name)
-        starts = [(v, o) for v in range(1, ix.tg.g.n + 1) if ix.tg.is_tunnel_node(v)
-                  for o in range(1, ix.node_width(v) + 1)]
+        tg = ix.tg
+        starts = [(v, o) for v in range(1, tg.g.n + 1) for o in range(1, ix.node_width(v) + 1)]
+        exits = {t.exit for t in tg.tunnels}
+        kinds = {"entrance" if v in tg.entrance_info else "exit" if v in exits else
+                 "inner" if tg.is_tunnel_node(v) else "plain" for v, _ in starts}
+        assert kinds == {"plain", "entrance", "inner", "exit"}
         nodes, offs = map(list, zip(*starts))
-        got = ix._lockstep(nodes, offs, [0] * len(nodes), StepCounter())
-        assert sorted(got.tolist()) == sorted(ix._walk(v, o, StepCounter()) for v, o in starts)
+        counter, single = StepCounter(), StepCounter()
+        got = ix._lockstep(nodes, offs, [0] * len(nodes), counter)
+        assert sorted(got.tolist()) == sorted(ix._walk(v, o, single) for v, o in starts)
+        assert counter.steps == single.steps
 
     def test_walk_past_the_sink_raises(self, small_index, lockstep):
         # without the sample at position n, a walk that reaches the sink has
@@ -448,8 +484,7 @@ class TestLockstep:
         bad = deserialize_index(serialize_index(small_index("cpm4")))
         sink = next(v for v, pos in bad.loc.items() if pos == bad.n)
         del bad.loc[sink]
-        keep = bad._loc_at != sink
-        bad._loc_at, bad._loc_pos = bad._loc_at[keep], bad._loc_pos[keep]
+        bad._samp[sink] = 0
         for on in (False, True):
             lockstep(on)
             with pytest.raises(BoundsError, match="walked past the sink"):
