@@ -32,8 +32,6 @@ from .tunnel import (
     TunneledGraph,
     TunnelRecord,
     check_block,
-    check_string_block,
-    derive_string_block,
     find_string_blocks,
     tunnel_graph,
 )
@@ -61,8 +59,6 @@ __all__ = [
     "TunnelRecord",
     "TunneledGraph",
     "check_block",
-    "check_string_block",
-    "derive_string_block",
     "find_string_blocks",
     "tunnel_graph",
     "TextIndex",

@@ -43,7 +43,7 @@ import numpy as np
 
 from .bitvec import LabelSeq
 from .errors import BoundsError, FormatError, InvariantError, ValidationError
-from .tunnel import Block, TraversalPos, TunneledGraph, find_string_blocks, tunnel_graph
+from .tunnel import TraversalPos, TunneledGraph, find_string_blocks, tunnel_graph
 from .wheeler import WheelerGraph, unary
 
 
@@ -284,6 +284,8 @@ class TextIndex:
         """Width of the tunnel holding node v in [1..n_t], 1 outside tunnels."""
         if not 1 <= v <= self.tg.g.n:
             raise BoundsError(f"node {v} outside [1..{self.tg.g.n}]")
+        if not self.tg._kind[v]:
+            return 1
         return self._cum(v) - self._cum(v - 1)
 
     def _cum(self, v: int) -> int:
@@ -560,15 +562,11 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
     text = bytes(text)
     g, rank = _string_graph(text)
     n = g.n
-    # column t of a string block's row r is the node t steps after r in text
-    # order; tunnel_graph checks every block
+    # rank holds the nodes by text position and at their positions, the text
+    # order that StringBlock.block reads; tunnel_graph checks every block
     at = np.argsort(rank)  # rank[at[r]] = r
-    expanded = []
-    for sb in (find_string_blocks(g) if tunneling else []):
-        rows = at[sb.start_rank:sb.start_rank + sb.width]
-        expanded.append(Block(sb.width, sb.length,
-                              rank[rows + np.arange(sb.length)[:, None]].tolist()))
-    tg = tunnel_graph(g, expanded)
+    found = find_string_blocks(g) if tunneling else []
+    tg = tunnel_graph(g, [sb.block(rank, at) for sb in found])
     rate_n = sample_rate_n if sample_rate_n is not None else \
         max(1, math.ceil(math.log2(max(2, n))))
     rate_t = sample_rate_t if sample_rate_t is not None else \

@@ -17,12 +17,14 @@ mark the first kept edge into each original target and out of each original
 (source, label) group: both are contiguous in edge order.
 
 On the path graph of a text, blocks are runs of colex-adjacent nodes that
-keep moving together (Baier, CPM 2018), and ``find_string_blocks`` measures
-them without a walk.  The pair (r, r+1) extends ext[r] columns: 0 at the
-sink or where the two successors stop being adjacent, 1 where the out-labels
-differ, else 1 + ext[succ(r)].  A run of rows lasts the least ext over its
-pairs, cut one short of the smallest gap d between the rows' text positions
-(column d would revisit a row).  A tunnel must merge an edge, so w, s >= 2.
+keep moving together (Baier, CPM 2018).  One rule, ``find_string_blocks``,
+measures them with arrays.  The pair (r, r+1) extends ext[r] columns: 0 at
+the sink or where the two successors stop being adjacent, 1 where the
+out-labels differ, else 1 + ext[succ(r)].  A run of rows lasts the least ext
+over its pairs, cut one short of the smallest gap d between the rows' text
+positions (column d would revisit a row).  A tunnel must merge an edge, so
+w, s >= 2.  One expansion, ``StringBlock.block``, reads a block's columns
+off the text order; the column walk is the tests' oracle.
 
 One landing rule places an edge, and the graph decodes it once, with one
 stable sort of L, into the step table: per L position the edge's target, its
@@ -96,23 +98,30 @@ class Block:
 
 @dataclass(frozen=True)
 class StringBlock:
-    """Path-graph specialization: s collapsed columns starting at the run
-    of ranks [start_rank .. start_rank+width-1]; the implied block has s+1
-    column tuples, the last staying uncollapsed."""
+    """Path-graph specialization: s collapsed columns, the first the run of
+    ranks [start_rank .. start_rank+width-1]; the column after the last
+    stays uncollapsed."""
 
     start_rank: int
     width: int
     length: int
 
+    def block(self, order, pos) -> Block:
+        """Row r's column t is order[pos[r] + t]: order holds the nodes by
+        text position, pos[v] node v's.  Raises ValidationError when the seed
+        lies outside [1..n] or a row runs past the sink."""
+        a, w, s = self.start_rank, self.width, self.length
+        if min(a, w, s) < 1 or a + w > len(pos):
+            raise ValidationError(f"string block ({a},{w},{s}) needs w, s >= 1, rows in "
+                                  f"[1..{len(pos) - 1}]")
+        rows = pos[a:a + w]
+        if rows.max() + s > len(order):
+            raise ValidationError(f"a row of string block ({a},{w},{s}) runs past the sink")
+        return Block(w, s, list(map(tuple, order[rows + np.arange(s)[:, None]].tolist())))
+
     def expand(self, g: WheelerGraph) -> Block:
-        s_max, cols = derive_string_block(g, self.start_rank, self.width)
-        if s_max < self.length:
-            raise ValidationError(
-                f"string block ({self.start_rank},{self.width},{self.length})"
-                f" only extends to length {s_max}")
-        entry = g.in_label(self.start_rank)
-        entry_byte = g.label_byte(entry) if entry is not None else None
-        return Block(self.width, self.length, cols[:self.length], entry_byte)
+        """``block`` on the text order of the path graph g."""
+        return self.block(*_text_order(g, *g.edge_arrays()[:2]))
 
 
 @dataclass(frozen=True)
@@ -272,60 +281,23 @@ def _require_path_graph(g: WheelerGraph) -> None:
         raise ValidationError(f"not a path graph: node {branching[0]} has branching degree")
 
 
-def _walk_string_block(g: WheelerGraph, start: int, w: int, s: int | None = None):
-    """Walk and check the column tuples of the string block seeded at
-    [start .. start+w-1]: (the tuples that passed, first failed condition as
-    (name, detail) or None).  With s, check the block of length s; without,
-    stop at the first failure or at the tuple after the first column with
-    mixed out-labels, so len(columns) - 1 is the longest valid length.
-    """
-    if w < 1 or start < 1 or start + w - 1 > g.n:
-        return [], ("bounds", f"seed run outside [1..{g.n}]")
-    cols = [tuple(range(start, start + w))]
-    present = [lab for lab in map(g.in_label, cols[0]) if lab is not None]
-    if any(lab != present[0] for lab in present):
-        return cols, ("iii", "in-labels of the seed column differ")
-    used = set(cols[0])
-    j = 1
-    while s is None or j <= s:
-        last = cols[-1]
-        outs = [g.out_label_single(r) for r in last]
-        if None in outs:
-            return cols, ("ii", f"column {j} contains the sink")
-        if any(o != outs[0] for o in outs):
-            if s is not None and j < s:
-                return cols, ("iii", f"in-labels of column {j + 1} differ")
-            s = j
-        nxt = tuple(g.edge_target(g.out_edge_rank(r, o, 1)) for r, o in zip(last, outs))
-        if any(nxt[i + 1] != nxt[i] + 1 for i in range(w - 1)):
-            return cols, ("i", f"column {j + 1} is not consecutive")
-        if used.intersection(nxt):
-            return cols, ("distinct", f"column {j + 1} overlaps the block")
-        cols.append(nxt)
-        used.update(nxt)
-        j += 1
-    return cols, None
-
-
-def derive_string_block(g: WheelerGraph, start: int, w: int):
-    """Greedily derive the longest valid string block at (start, w).
-
-    Returns (s_max, columns) where columns holds the s_max+1 implied tuples
-    (just the seed column when s_max = 0, none when the seed is out of
-    bounds).  The block of length s passes check_string_block iff
-    s <= s_max.
-    """
-    cols, _ = _walk_string_block(g, start, w)
-    return max(len(cols) - 1, 0), cols
-
-
-def check_string_block(g: WheelerGraph, sb: StringBlock) -> CheckResult:
-    """Check the path-graph block conditions for the implied s+1 tuples."""
+def _text_order(g: WheelerGraph, src, tgt):
+    """(order, pos) of the path graph g with edges src -> tgt: order[i] is
+    the node at text position i, the source at 0, and pos[v] is node v's
+    position (pos[0] unused)."""
     _require_path_graph(g)
-    if sb.length < 1 or sb.width < 1:
-        raise ValidationError("string block needs width >= 1 and length >= 1")
-    _, violation = _walk_string_block(g, sb.start_rank, sb.width, sb.length)
-    return CheckResult.bad(*violation) if violation else CheckResult.good()
+    n = g.n
+    succ = np.zeros(n + 1, np.int64)
+    succ[src] = tgt
+    step, order, v = array("q", succ.tobytes()), array("q"), 1  # words, not n int objects
+    while v and len(order) < n:
+        order.append(v)
+        v = step[v]
+    if v or len(order) != n:
+        raise ValidationError("not a path graph: some nodes lie off the source's path")
+    order, pos = np.frombuffer(order, np.int64), np.zeros(n + 1, np.int64)
+    pos[order] = np.arange(n)
+    return order, pos
 
 
 def find_string_blocks(g: WheelerGraph) -> list[StringBlock]:
@@ -350,23 +322,16 @@ def find_string_blocks(g: WheelerGraph) -> list[StringBlock]:
     min(ext[start..start+w-2], d-1), d the smallest gap between its rows'
     positions.
     """
-    _require_path_graph(g)
     n = g.n
     src, tgt, lab = g.edge_arrays()
+    path, pos = _text_order(g, src, tgt)
     succ, out, inl = np.zeros(n + 2, np.int64), np.full(n + 2, -1), np.full(n + 2, -1)
     succ[src], out[src], inl[tgt] = tgt, lab, lab  # -1: no such edge
-    step, path, v = array("q", succ.tobytes()), array("q"), 1  # words, not n int objects
-    while v and len(path) < n:
-        path.append(v)
-        v = step[v]
-    if v or len(path) != n:
-        raise ValidationError("not a path graph: some nodes lie off the source's path")
-    path = np.frombuffer(path, np.int64)
     extends, at = succ[path + 1] == succ[path] + 1, np.arange(n)  # no edge enters node 1
     stop = np.where(extends & (out[path] == out[path + 1]), n, at)
     stop = np.minimum.accumulate(stop[::-1])[::-1]  # where the 1 + ext[succ(r)] chain ends
-    pos, ext = np.zeros((2, n + 1), np.int64)
-    pos[path], ext[path] = at, stop - at + extends[stop]
+    ext = np.zeros(n + 1, np.int64)
+    ext[path] = stop - at + extends[stop]
     pos, ext = array("q", pos.tobytes()), array("q", ext.tobytes())
     starts = np.flatnonzero(np.diff(out[1:n + 1] * 257 + inl[1:n + 1], prepend=-259)) + 1
     widths = np.diff(starts, append=n + 1)  # runs of equal (out, in), labels -1..255

@@ -212,25 +212,6 @@ class WheelerGraph:
     def label_byte(self, c: int) -> int:
         return self.alphabet[c - 1]
 
-    def edge_label(self, j: int) -> int:
-        """Symbol id of edge with Wheeler rank j."""
-        if not 1 <= j <= self.m:
-            raise BoundsError(f"edge rank {j} outside [1..{self.m}]")
-        # largest c with C[c] < j; C is non-decreasing with C[sigma+1] = m
-        return bisect_left(self.C, j, 1, self.sigma + 2) - 1
-
-    def in_label(self, r: int) -> int | None:
-        """Symbol id shared by all in-edges of node r, or None."""
-        if self.indeg(r) == 0:
-            return None
-        return self.edge_label(self._istart[r] + 1)
-
-    def out_label_single(self, i: int) -> int | None:
-        """Symbol id of the single out-edge of i (path graphs), or None."""
-        if self.outdeg(i) == 0:
-            return None
-        return self.L.access(self._lstart[i] + 1)
-
     # -- navigation ----------------------------------------------------------
 
     def out_edge_rank(self, i: int, c: int, k: int) -> int:

@@ -11,7 +11,7 @@ import heapq
 import math
 import random
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from twgi.tunnel import (
     TraversalPos,
     TunneledGraph,
     TunnelRecord,
-    derive_string_block,
+    _require_path_graph,
     tunnel_graph,
 )
 from twgi.wheeler import CheckResult, EdgeList, NodeRange, encode, validate_wheeler
@@ -289,8 +289,26 @@ def select_edge_target(g, j: int) -> int:
     return g.I.rank(g.I.select(j, 0), 1)
 
 
+def edge_label(g, j: int) -> int:
+    """Symbol id of the edge of Wheeler rank j: the largest c with
+    C[c] < j, C being non-decreasing with C[sigma + 1] = m."""
+    if not 1 <= j <= g.m:
+        raise BoundsError(f"edge rank {j} outside [1..{g.m}]")
+    return bisect_left(g.C, j, 1, g.sigma + 2) - 1
+
+
+def in_label(g, r: int):
+    """Symbol id shared by all in-edges of node r, or None."""
+    return edge_label(g, g._istart[r] + 1) if g.indeg(r) else None
+
+
+def out_label(g, r: int):
+    """Symbol id of the single out-edge of node r (path graphs), or None."""
+    return g.L.access(g._lstart[r] + 1) if g.outdeg(r) else None
+
+
 def select_edge_source(g, j: int) -> int:
-    c = g.edge_label(j)
+    c = edge_label(g, j)
     pos = g.L.select(j - g.C[c], c)
     return g.O.rank(g.O.select(pos, 0), 1)
 
@@ -304,7 +322,7 @@ def select_node_offsets(g):
 
 def select_edge_list(g) -> EdgeList:
     return EdgeList(g.n, [(select_edge_source(g, j), select_edge_target(g, j),
-                           g.alphabet[g.edge_label(j) - 1])
+                           g.alphabet[edge_label(g, j) - 1])
                           for j in range(1, g.m + 1)])
 
 
@@ -783,7 +801,7 @@ def walk_to_exit(g, v: int) -> tuple[int, int]:
     for dist in range(g.n):
         if g.outdeg(cur) != 1:
             return cur, dist
-        cur = g.edge_target(g.out_edge_rank(cur, g.out_label_single(cur), 1))
+        cur = g.edge_target(g.out_edge_rank(cur, out_label(g, cur), 1))
     raise InvariantError(f"no node of out-degree other than 1 within {g.n} steps of {v}")
 
 
@@ -863,9 +881,66 @@ def _loop_build(text: bytes, *, sample_rate_n=None, sample_rate_t=None,
 
 
 # ---------------------------------------------------------------------------
-# block discovery by walking the graph: the string-block finder that derives
-# every candidate column by column, and the exhaustive search for maximal
-# blocks
+# block discovery by walking the graph: the column walk that derives and
+# checks a string block node by node, the string-block finder built on it,
+# and the exhaustive search for maximal blocks
+
+
+def _walk_string_block(g, start: int, w: int, s: int | None = None):
+    """Walk and check the column tuples of the string block seeded at
+    [start .. start+w-1]: (the tuples that passed, first failed condition as
+    (name, detail) or None).  With s, check the block of length s; without,
+    stop at the first failure or at the tuple after the first column with
+    mixed out-labels, so len(columns) - 1 is the longest valid length.
+    """
+    if w < 1 or start < 1 or start + w - 1 > g.n:
+        return [], ("bounds", f"seed run outside [1..{g.n}]")
+    cols = [tuple(range(start, start + w))]
+    present = [lab for lab in (in_label(g, r) for r in cols[0]) if lab is not None]
+    if any(lab != present[0] for lab in present):
+        return cols, ("iii", "in-labels of the seed column differ")
+    used = set(cols[0])
+    j = 1
+    while s is None or j <= s:
+        last = cols[-1]
+        outs = [out_label(g, r) for r in last]
+        if None in outs:
+            return cols, ("ii", f"column {j} contains the sink")
+        if any(o != outs[0] for o in outs):
+            if s is not None and j < s:
+                return cols, ("iii", f"in-labels of column {j + 1} differ")
+            s = j
+        nxt = tuple(g.edge_target(g.out_edge_rank(r, o, 1)) for r, o in zip(last, outs))
+        if any(nxt[i + 1] != nxt[i] + 1 for i in range(w - 1)):
+            return cols, ("i", f"column {j + 1} is not consecutive")
+        if used.intersection(nxt):
+            return cols, ("distinct", f"column {j + 1} overlaps the block")
+        cols.append(nxt)
+        used.update(nxt)
+        j += 1
+    return cols, None
+
+
+def derive_string_block(g, start: int, w: int):
+    """Greedily derive the longest valid string block at (start, w).
+
+    Returns (s_max, columns) where columns holds the s_max+1 implied tuples
+    (just the seed column when s_max = 0, none when the seed is out of
+    bounds).  The block of length s passes check_string_block iff
+    s <= s_max.
+    """
+    cols, _ = _walk_string_block(g, start, w)
+    return max(len(cols) - 1, 0), cols
+
+
+def check_string_block(g, sb: StringBlock) -> CheckResult:
+    """Check the path-graph block conditions for the implied s+1 tuples:
+    the s collapsed columns and the uncollapsed one after them."""
+    _require_path_graph(g)
+    if sb.length < 1 or sb.width < 1:
+        raise ValidationError("string block needs width >= 1 and length >= 1")
+    _, violation = _walk_string_block(g, sb.start_rank, sb.width, sb.length)
+    return CheckResult.bad(*violation) if violation else CheckResult.good()
 
 
 def walk_string_blocks(g, min_w: int = 2, min_s: int = 2) -> list[StringBlock]:
@@ -877,8 +952,8 @@ def walk_string_blocks(g, min_w: int = 2, min_s: int = 2) -> list[StringBlock]:
     thresholds, a seed of length 2 or more widens only onto the source row;
     at length 1 any neighbour row may join."""
     n = g.n
-    out = [None] + [g.out_label_single(r) for r in range(1, n + 1)] + [None]
-    inl = [None] + [g.in_label(r) for r in range(1, n + 1)] + [None]
+    out = [None] + [out_label(g, r) for r in range(1, n + 1)] + [None]
+    inl = [None] + [in_label(g, r) for r in range(1, n + 1)] + [None]
 
     seeds = []
     r = 1

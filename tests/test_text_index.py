@@ -260,6 +260,16 @@ class TestNodeWidth:
             with pytest.raises(BoundsError, match=f"node {v} outside"):
                 ix.node_width(v)
 
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", list(SMALL_TEXTS))
+    def test_matches_the_width_sums(self, name, tunneling, small_index):
+        # a plain node answers 1 without the sums; the sums still answer
+        ix = small_index(name, tunneling)
+        nodes = range(1, ix.tg.g.n + 1)
+        assert [ix.node_width(v) for v in nodes] == [ix._cum(v) - ix._cum(v - 1) for v in nodes]
+        # both kinds of node are met; 2 KB of random text forms no tunnel
+        assert any(map(ix.tg.is_tunnel_node, nodes)) == (tunneling and name != "rand96")
+
     def test_width_sum_is_n(self):
         rng = random.Random(13)
         for _ in range(20):

@@ -11,8 +11,10 @@ from conftest import (
     assert_simulation_equal,
     block_offsets,
     chain_graph,
+    check_string_block,
     colex_string_graph,
     copy_paste_mutate,
+    derive_string_block,
     edges_search,
     enumerate_blocks_bruteforce,
     fibonacci_word,
@@ -26,10 +28,12 @@ from conftest import (
     unequal_exit_graph,
     walk_string_blocks,
 )
+import twgi
+from twgi import text_index
 from twgi.bitvec import BitVec
 from twgi.errors import BoundsError, InvariantError, NotFoundError, ValidationError
 from twgi.persist import deserialize_index, serialize_index
-from twgi.text_index import build_graph_from_text
+from twgi.text_index import build_graph_from_text, build_index
 from twgi.tunnel import (
     Block,
     StringBlock,
@@ -37,12 +41,10 @@ from twgi.tunnel import (
     TunneledGraph,
     TunnelRecord,
     check_block,
-    check_string_block,
-    derive_string_block,
     find_string_blocks,
     tunnel_graph,
 )
-from twgi.wheeler import EdgeList, NodeRange, encode, validate_wheeler
+from twgi.wheeler import EdgeList, NodeRange, WheelerGraph, encode, validate_wheeler
 
 
 def abcabc():
@@ -112,10 +114,14 @@ class TestCheckStringBlock:
         g = encode(fig1_edge_list())
         with pytest.raises(ValidationError):
             check_string_block(g, StringBlock(2, 2, 1))
+        with pytest.raises(ValidationError, match="not a path graph"):
+            StringBlock(2, 2, 1).expand(g)
         # n-1 edges, but node 1 has two out-edges, or node 3 two in-edges
         for edges, node in (([(1, 2, 97), (1, 3, 98)], 1), ([(1, 3, 97), (2, 3, 97)], 3)):
             with pytest.raises(ValidationError, match=f"node {node} has branching"):
                 check_string_block(encode(EdgeList(3, edges)), StringBlock(1, 1, 1))
+            with pytest.raises(ValidationError, match=f"node {node} has branching"):
+                StringBlock(1, 1, 1).expand(encode(EdgeList(3, edges)))
 
     def test_agrees_with_check_block_on_expansion(self):
         g = build_graph_from_text(b"abcabc")
@@ -224,6 +230,61 @@ def found_and_walked(text: bytes):
 
 def at_least(blocks, min_w: int, min_s: int):
     return [sb for sb in blocks if sb.width >= min_w and sb.length >= min_s]
+
+
+class TestExpand:
+    """One expansion: ``StringBlock.expand`` and the build read a block's
+    columns off the text order through ``StringBlock.block``, and the
+    column walk of conftest is their oracle."""
+
+    @staticmethod
+    def texts():
+        yield from SMALL_TEXTS.values()
+        rng = random.Random(131)
+        for _ in range(200):
+            n = rng.randint(2, 300)
+            yield (copy_paste_mutate(rng, n, rng.choice((2, 4))) if rng.random() < 0.7
+                   else random_text(rng, n, rng.choice((2, 3))))
+
+    def test_expand_walk_and_build_agree(self, monkeypatch):
+        built = []
+        to_tunnels = text_index.tunnel_graph
+        monkeypatch.setattr(text_index, "tunnel_graph",
+                            lambda g, blocks: built.append((g, blocks)) or to_tunnels(g, blocks))
+        blocks = 0
+        for text in self.texts():
+            build_index(text)
+            g, passed = built.pop()
+            found = find_string_blocks(g)
+            assert len(passed) == len(found)
+            for sb, b in zip(found, passed):
+                got = sb.expand(g)
+                s_max, cols = derive_string_block(g, sb.start_rank, sb.width)
+                assert s_max >= sb.length, (text, sb)
+                assert (got.width, got.size) == (b.width, b.size) == (sb.width, sb.length)
+                assert got.columns == cols[:sb.length] == b.columns, (text, sb)
+                blocks += 1
+        assert blocks > 1000
+
+    def test_rows_follow_the_text(self):
+        # row r's column t is the node t text positions after r
+        for text in (b"abcabc", b"mississippi", fibonacci_word(50)):
+            g = build_graph_from_text(text)
+            rank = colex_string_graph(text)[1]  # by text position
+            for start in range(1, g.n + 1):
+                k = rank.index(start)
+                for s in range(1, g.n - k + 1):
+                    assert StringBlock(start, 1, s).expand(g).columns == [
+                        (r,) for r in rank[k:k + s]]
+                with pytest.raises(ValidationError, match="runs past the sink"):
+                    StringBlock(start, 1, g.n - k + 1).expand(g)
+
+    def test_seed_outside_the_nodes_raises(self):
+        g = build_graph_from_text(b"abcabc")
+        assert g.n == 7 and StringBlock(6, 2, 1).expand(g).columns == [(6, 7)]
+        for a, w, s in ((0, 2, 1), (-1, 3, 1), (7, 2, 1), (8, 1, 1), (2, 0, 1), (2, 2, 0)):
+            with pytest.raises(ValidationError, match=r"needs w, s >= 1, rows in \[1..7\]"):
+                StringBlock(a, w, s).expand(g)
 
 
 class TestFindStringBlocks:
@@ -730,3 +791,15 @@ class TestInvariantErrors:
         tg._step_to[tg._pos[1]] = 3
         with pytest.raises(InvariantError, match="non-coherent"):
             tg.path_search(b"a")
+
+
+class TestPublicApi:
+    def test_every_exported_name_resolves(self):
+        assert all(hasattr(twgi, name) for name in twgi.__all__)
+
+    def test_the_column_walk_is_not_exported(self):
+        # the walk and its label helpers live on as test oracles (conftest)
+        for name in ("check_string_block", "derive_string_block"):
+            assert name not in twgi.__all__ and not hasattr(twgi, name)
+        for name in ("edge_label", "in_label", "out_label_single"):
+            assert not hasattr(WheelerGraph, name)
