@@ -15,11 +15,11 @@ the skip pointers and cnt samples that an index file stores.
 Locate walks each occurrence to the next text-order sample.  The copies of a
 tunnel node share its exit, where the walk splits by copy.  A range of
 ``_LOCKSTEP_MIN_STARTS`` (node, copy) starts or more walks them all in
-lockstep on numpy arrays, one step a round: retire the walks at a sample,
-read off a node-indexed table of the samples' positions; jump those inside
-a tunnel to its exit, with no index list, reading a 0 distance at a plain
-node; step the rest.  A round's numpy calls cost the same however few walks
-are live, so a smaller range walks one start at a time; the threshold is
+lockstep on numpy arrays, one hop a round through a table by L position,
+made on the first such locate: a hop takes an edge, jumps a landing on an
+entrance to its exit and names the edge the walk leaves by next, or the
+sample it reached.  A round is two gathers over every walk, finished ones
+included, so a smaller range walks one start at a time; the threshold is
 the measured break-even.
 
 A forward step takes a known out-edge: a node's only one, or the one of its
@@ -27,7 +27,8 @@ copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
 target, landing copy and label from the graph's step table, the landing
 rule decoded once per L position when the graph is made.  ``_fstep`` is
 that rule; ``extract`` writes it out in its seek and output loops, with
-the same checks, so a change to the step rule must update both.
+the same checks, and ``_leave`` holds it as arrays for the hop table, so a
+change to the step rule must update all three.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .bitvec import LabelSeq
 from .errors import BoundsError, FormatError, InvariantError, ValidationError
-from .tunnel import TraversalPos, TunneledGraph, find_string_blocks, tunnel_graph
+from .tunnel import TraversalPos, TunneledGraph, _expand, find_string_blocks, tunnel_graph
 from .wheeler import WheelerGraph, unary
 
 
@@ -123,12 +124,16 @@ def build_graph_from_text(text: bytes) -> WheelerGraph:
 
 # A range with fewer (node, copy) starts walks them one at a time.  Measured
 # on the 20 KB benchmark indexes (CPython 3.11, numpy 2.4, Xeon), as
-# locate(p, limit=k) with the two paths timed in turn on 100 patterns: the
-# lockstep path took 80-90 us at 4 starts against 20-25 us, broke even at
-# 32-40 starts on fib-locate-plain, 40-46 on fib-locate, 43-48 on
-# rand96-count and 53-55 on cpm4-build, and took 440 against 570 us at 96
-# starts on cpm4-build
-_LOCKSTEP_MIN_STARTS = 44
+# locate(p, limit=k) with the two paths timed in turn on 100 patterns of 100
+# or more occurrences, on the benchmark's clock, the hop table already made:
+# the lockstep path took 56-63 us at 6 starts against 30-36 us, broke even
+# at 14 starts on fib-locate, fib-locate-plain and rand96-count and 16-18
+# on cpm4-build, and took 70-90 against 101-122 us at 24 starts
+_LOCKSTEP_MIN_STARTS = 16
+# the hop table's mark of a step that _fstep refuses, in the low half of a
+# walk's sum above its steps, which must stay below it: at most 2 a hop and
+# n hops, so an index of 2^30 nodes or more walks one start at a time
+_STUCK = 2 ** 31
 
 
 @dataclass
@@ -264,7 +269,8 @@ class TextIndex:
         Copy ``off`` of a tunnel node of out-degree w > 1 leaves by its
         off-th out-edge, any other node by its only one; the step table
         holds that edge's target, landing copy and label.  ``extract``
-        writes this step out: a change here must update it too."""
+        writes this step out and ``_leave`` holds it as arrays: a change
+        here must update them too."""
         tg = self.tg
         lstart = tg.g._lstart
         p = lstart[node]
@@ -351,7 +357,8 @@ class TextIndex:
         Every copy of a tunnel node reaches the same exit, so each node of
         the range walks there once and its copies start from the exit
         (``_starts``).  A range of ``_LOCKSTEP_MIN_STARTS`` starts or more
-        walks them all at once (``_lockstep``), a smaller one start by start
+        walks them all at once through the hop table (``_lockstep``), which
+        the first such range makes; a smaller one walks start by start
         (``_walk``): the threshold is where the two broke even on the
         benchmark's indexes.  Both give the same positions and steps."""
         if len(pattern) == 0:
@@ -365,7 +372,7 @@ class TextIndex:
         (lo, lo_off), (hi, hi_off) = got
         nodes, offs, dists = self._starts(lo, lo_off, hi, hi_off, limit, counter)
         plen = len(pattern)
-        if len(nodes) < _LOCKSTEP_MIN_STARTS:
+        if len(nodes) < _LOCKSTEP_MIN_STARTS or 2 * self.n >= _STUCK:
             found = [self._walk(v, o, counter) - d - plen for v, o, d in zip(nodes, offs, dists)]
         else:
             found = (self._lockstep(nodes, offs, dists, counter) - plen).tolist()
@@ -400,56 +407,98 @@ class TextIndex:
             nxt = v + 1
         return nodes[:limit], offs[:limit], dists[:limit]
 
+    @cached_property
+    def _hops(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lockstep walk's hop table by L position q, made on first use.
+        A hop takes edge q and, if it lands on a tunnel's entrance, jumps to
+        the exit.  ``nxt[q]`` is the L position the walk then leaves by (at
+        an exit, by its landing copy), or 0 if the edge reaches a sample or
+        where ``_fstep`` would raise.  ``val[q]`` is what the hop adds to the
+        walk's sum: its steps (1, or 2 with a jump) in the low 32 bits, plus
+        ``_STUCK`` where ``_fstep`` would raise, and above them the position
+        of the sample reached less 1, or minus the distance travelled.
+        Entry 0, 0 and 0, is the hop of a finished walk."""
+        tg = self.tg
+        to = np.frombuffer(tg._step_to, np.int32)
+        lstart = np.frombuffer(tg.g._lstart, np.int64)
+        got = self._samp.take(to)
+        q = lstart.take(to) + 1  # a plain node leaves by its one out-edge
+        val = (got - 1).astype(np.int64) * 2 ** 32 + 1
+        # a walk jumps before an in-tunnel move, so the hops that land in a
+        # tunnel land on its entrance; the in-tunnel moves are no walk's hop
+        ent = self._into(np.fromiter(tg.entrance_info, np.int64, len(tg.entrance_info)))
+        at, dist = self._jump(to.take(ent).astype(np.int64))
+        q[ent] = self._leave(at, np.frombuffer(tg._step_land, np.int32).take(ent))
+        val[ent] -= dist.astype(np.int64) * 2 ** 32 - (dist != 0)  # the jump's distance and step
+        q[self._into(np.flatnonzero(lstart[2:] == lstart[1:-1]) + 1)] = -1  # into a sink
+        q[got != 0] = 0
+        val[q < 0] = _STUCK
+        nxt = np.maximum(q, 0).astype(np.int32)
+        nxt[0] = val[0] = 0
+        return nxt, val
+
+    def _into(self, nodes: np.ndarray) -> np.ndarray:
+        """The L positions of the edges into the given nodes."""
+        istart = np.frombuffer(self.tg.g._istart, np.int64)
+        first = istart.take(nodes)
+        j = _expand(first + 1, istart.take(nodes + 1) - first)[1]
+        return np.frombuffer(self.tg._pos, np.int32).take(j)
+
+    def _jump(self, node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(node, distance) of each walk after it jumps to its tunnel's exit:
+        a plain node or an exit stays, at distance 0."""
+        if not self.tg.tunnels:
+            return node, np.zeros_like(node)
+        # a plain node's slot reads the last 0 of _to_exit and _chain
+        c = np.asarray(self._slot).take(node)
+        d = np.asarray(self._to_exit).take(c)
+        if np.count_nonzero(d):  # locate starts no walk inside a tunnel
+            node = np.where(d != 0, np.asarray(self._chain).take(c - d), node)
+        return node, d
+
+    def _leave(self, node: np.ndarray, off) -> np.ndarray:
+        """The L position each walk at a copy ``off`` of a plain node or an
+        exit leaves by, by ``_fstep``'s rule: 0 at a sample, -1 where
+        ``_fstep`` raises.  An exit's out-degree is its width, above 1."""
+        lstart = np.frombuffer(self.tg.g._lstart, np.int64)
+        first = lstart.take(node)
+        off = np.where(np.frombuffer(self.tg._kind, np.uint8).take(node) != 0, off, 1)
+        q = np.where((off < 1) | (off > lstart.take(node + 1) - first), -1, first + off)
+        q[self._samp.take(node) != 0] = 0
+        return q
+
     def _lockstep(self, nodes, offs, dists, counter: StepCounter) -> np.ndarray:
         """Text positions of the walks from copy offs[i] of nodes[i], dists[i]
-        already travelled, walked together: each round retires the walks at
-        a sample, jumps the walks inside a tunnel to its exit and steps every
-        walk left once through the step table.  A walk has travelled its
-        distance, its jumps and the rounds before it retires."""
-        tg = self.tg
-        lstart = np.frombuffer(tg.g._lstart, np.int64)
-        step_to = np.frombuffer(tg._step_to, np.int32)
-        step_land = np.frombuffer(tg._step_land, np.int32)
-        slot, chain, to_exit = map(np.asarray, (self._slot, self._chain, self._to_exit))
-        samp, tunneled = self._samp, bool(tg.tunnels)
-        node, off, base = (np.array(a, np.int64) for a in (nodes, offs, dists))
-        lend, count, done = lstart[1:], np.count_nonzero, []
-        for rnd in range(self.n):
-            got = samp[node]  # the sample's text position at the node, or 0
-            hits = count(got)
-            if hits:
-                hit = got.nonzero()[0]
-                done.append(got[hit] - base[hit] - rnd)
-                if hits == len(got):
-                    return np.concatenate(done)
-                live = (got == 0).nonzero()[0]
-                node, off, base = node[live], off[live], base[live]
-            if tunneled:
-                # a plain node's slot reads the last 0 of _to_exit and _chain
-                c = slot[node]
-                d = to_exit[c]
-                jumps = count(d)
-                if jumps:
-                    base += d
-                    node = np.where(d != 0, chain[c - d], node)
-                    counter.steps += jumps
-            # a walk leaves by the out-edge of its copy: no edge or start puts
-            # a copy above 1 on a plain node, so only a node of fewer
-            # out-edges than the copy needs _fstep's rule
-            p = lstart[node] + off
-            over = p > lend[node]
-            if count(over):
-                deg = lend[node] - lstart[node]
-                bad = (over & (deg != 1)).nonzero()[0]
-                if len(bad):
-                    self._fstep(int(node[bad[0]]), int(off[bad[0]]), counter)  # raises
-                p = lstart[node] + np.minimum(off, deg)  # a tunnel node of one out-edge
-            land = step_land[p]
-            node = step_to[p].astype(np.int64)
-            # an in-tunnel move (landing copy 0) keeps the copy
-            off = land if count(land) == len(land) else np.where(land != 0, land, off)
-            counter.steps += len(node)
-        raise FormatError(f"found no sample in {self.n} steps")
+        already travelled, walked together: a walk inside a tunnel jumps to
+        its exit, then each round adds every walk's hop to its sum and moves
+        it on by the hop table, until every walk stands at 0.  A walk that
+        stuck is walked again by ``_walk``, to raise ``_fstep``'s error: the
+        first to stick, in the earliest round."""
+        nxt, val = self._hops
+        node, d = self._jump(np.array(nodes, np.int64))
+        counter.steps += int(np.count_nonzero(d))
+        start = self._leave(node, np.array(offs, np.int64))
+        acc = (self._samp.take(node) - d - np.array(dists, np.int64)) * 2 ** 32
+        acc[start < 0] = _STUCK
+        q = np.maximum(start, 0)
+        for _ in range(self.n):
+            if not np.count_nonzero(q):
+                break
+            acc += val.take(q)
+            q = nxt.take(q)
+        else:
+            if not (acc & _STUCK).any():
+                raise FormatError(f"found no sample in {self.n} steps")
+        if (acc & _STUCK).any():
+            stuck, q = start < 0, np.maximum(start, 0)
+            while not stuck.any():  # the round where the first walk stuck
+                stuck = (val.take(q) & _STUCK) != 0
+                q = nxt.take(q)
+            i = int(stuck.argmax())
+            self._walk(int(nodes[i]), int(offs[i]), StepCounter())  # raises
+            raise InvariantError("the hop table took a step that the walk does not")
+        counter.steps += int((acc & 0xFFFFFFFF).sum())
+        return acc >> 32
 
     # -- extracting -----------------------------------------------------------------
 

@@ -260,12 +260,6 @@ class WheelerGraph:
         """Recover the edge multiset in Wheeler edge order, labels as bytes."""
         return EdgeList(self.n, list(zip(*(a.tolist() for a in self.edge_arrays()))))
 
-    def structures_equal(self, other: "WheelerGraph") -> bool:
-        return (self.n == other.n and self.m == other.m
-                and self.sigma == other.sigma and self.alphabet == other.alphabet
-                and self.C == other.C and self.L == other.L
-                and self.I == other.I and self.O == other.O)
-
     def __repr__(self) -> str:
         return f"WheelerGraph(n={self.n}, m={self.m}, sigma={self.sigma})"
 

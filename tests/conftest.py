@@ -326,6 +326,12 @@ def select_edge_list(g) -> EdgeList:
                           for j in range(1, g.m + 1)])
 
 
+def structures_equal(g, h) -> bool:
+    """Whether two succinct graphs hold the same sizes, alphabet, C, L, I and O."""
+    return (g.n == h.n and g.m == h.m and g.sigma == h.sigma and g.alphabet == h.alphabet
+            and g.C == h.C and g.L == h.L and g.I == h.I and g.O == h.O)
+
+
 # ---------------------------------------------------------------------------
 # the integer codec of the index file, one bit per loop step
 

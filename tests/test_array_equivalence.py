@@ -21,6 +21,7 @@ from conftest import (
     loop_tunnel_graph,
     loop_validate_wheeler,
     random_wheeler_edge_list,
+    structures_equal,
 )
 from twgi.errors import ValidationError
 from twgi.text_index import build_graph_from_text
@@ -173,7 +174,7 @@ class TestValidateWheeler:
 
 
 def assert_same_tunneled(tg, want):
-    assert tg.g.structures_equal(want.g)
+    assert structures_equal(tg.g, want.g)
     for name in ("iprime", "oprime", "entrance_marks", "inner_marks"):
         assert getattr(tg, name) == getattr(want, name), name
     assert tg.tunnels == want.tunnels

@@ -15,6 +15,7 @@ from conftest import (
     naive_locate,
     oracle_index,
     random_text,
+    structures_equal,
     walk_to_exit,
 )
 from twgi import text_index
@@ -85,7 +86,7 @@ class TestBuildGraph:
             text = bytes(rng.randrange(lo, hi) for _ in range(n))
             direct = build_graph_from_text(text)
             oracle = encode(colex_string_graph(text)[0])
-            assert direct.structures_equal(oracle), text
+            assert structures_equal(direct, oracle), text
 
 
 class TestBuildIndex:
@@ -469,22 +470,84 @@ class TestLockstep:
 
     @pytest.mark.parametrize("name", ["fib", "cpm4", "cpm96"])
     def test_walks_from_inside_a_tunnel(self, name, small_index):
-        # locate starts no walk inside a tunnel; started on every copy of
-        # every node (plain nodes, entrances, inner nodes and exits), the
+        # locate starts no walk inside a tunnel or on the sink; started on
+        # every copy of every node (plain nodes, the sink, entrances, inner
+        # nodes and exits) of the tunneled index and of the plain one, the
         # lockstep walk keeps each copy through the in-tunnel moves and
         # finds the positions and takes the steps the single walks do
-        ix = small_index(name)
-        tg = ix.tg
-        starts = [(v, o) for v in range(1, tg.g.n + 1) for o in range(1, ix.node_width(v) + 1)]
-        exits = {t.exit for t in tg.tunnels}
-        kinds = {"entrance" if v in tg.entrance_info else "exit" if v in exits else
-                 "inner" if tg.is_tunnel_node(v) else "plain" for v, _ in starts}
-        assert kinds == {"plain", "entrance", "inner", "exit"}
+        for tunneling in (True, False):
+            ix = small_index(name, tunneling)
+            tg = ix.tg
+            starts = [(v, o) for v in range(1, tg.g.n + 1)
+                      for o in range(1, ix.node_width(v) + 1)]
+            exits = {t.exit for t in tg.tunnels}
+            kinds = {"entrance" if v in tg.entrance_info else "exit" if v in exits else
+                     "inner" if tg.is_tunnel_node(v) else "plain" for v, _ in starts}
+            assert kinds == ({"plain", "entrance", "inner", "exit"} if tunneling else {"plain"})
+            (sink,) = [v for v in range(1, tg.g.n + 1) if tg.g.outdeg(v) == 0]
+            nodes, offs = map(list, zip(*starts))
+            counter, single = StepCounter(), StepCounter()
+            got = ix._lockstep(nodes, offs, [0] * len(nodes), counter).tolist()
+            assert got == [ix._walk(v, o, single) for v, o in starts]
+            assert counter.steps == single.steps
+            assert got[starts.index((sink, 1))] == ix.n
+
+    @pytest.mark.parametrize("tunneling", [True, False])
+    def test_hop_table_is_made_on_first_lockstep_locate(self, tunneling, small_index):
+        # an index that walks no range in lockstep does not pay for the hop
+        # table; the first lockstep walk makes it and the next ones reuse it
+        text = SMALL_TEXTS["cpm4"]
+        ix = deserialize_index(serialize_index(small_index("cpm4", tunneling)))
+        few = text_index._LOCKSTEP_MIN_STARTS - 1
+        assert ix.count(text[:2]) > few and ix.extract(5, 30) == text[4:34]
+        assert ix.locate(text[:2], limit=few) == _first_occurrences(ix, text[:2], few)
+        assert "_hops" not in vars(ix)
+        assert ix.locate(text[:2]) == naive_locate(text, text[:2])
+        table = vars(ix)["_hops"]
+        many = ix.locate(text[1:3])
+        assert many == naive_locate(text, text[1:3]) and len(many) > few
+        assert vars(ix)["_hops"] is table
+
+    def test_the_first_walk_to_stick_raises(self, small_index, monkeypatch):
+        # edges into a tunnel land copies past its width, by up to 3: of the
+        # walks from every start, the lockstep walk raises the error of the
+        # one that sticks in the earliest round (after the fewest _fstep
+        # calls), the first start among them
+        bad = deserialize_index(serialize_index(small_index("cpm4")))
+        tg = bad.tg
+        width = {t.entrance: t.width for t in tg.tunnels}
+        for p in range(1, tg.g.m + 1):
+            if tg._step_to[p] in width and tg._step_land[p]:
+                tg._step_land[p] = width[tg._step_to[p]] + 1 + p % 3
+        calls, fstep = [], bad._fstep
+        monkeypatch.setattr(bad, "_fstep", lambda *a: calls.append(1) or fstep(*a))
+        starts = [(v, o) for v in range(1, tg.g.n + 1) for o in range(1, bad.node_width(v) + 1)]
+        stuck = []
+        for i, (v, o) in enumerate(starts):
+            calls.clear()
+            try:
+                bad._walk(v, o, StepCounter())
+            except BoundsError as e:
+                stuck.append((len(calls), i, str(e)))
+        assert len({msg for _, _, msg in stuck}) > 3
         nodes, offs = map(list, zip(*starts))
-        counter, single = StepCounter(), StepCounter()
-        got = ix._lockstep(nodes, offs, [0] * len(nodes), counter)
-        assert sorted(got.tolist()) == sorted(ix._walk(v, o, single) for v, o in starts)
-        assert counter.steps == single.steps
+        with pytest.raises(BoundsError) as got:
+            bad._lockstep(nodes, offs, [0] * len(nodes), StepCounter())
+        assert str(got.value) == min(stuck)[2]
+
+    def test_a_hop_onto_an_unsampled_sink_raises(self, small_index, lockstep):
+        # a walk that steps onto the sink, with its sample removed, finds no
+        # edge to take next
+        text = SMALL_TEXTS["fib"]
+        for tunneling in (True, False):
+            bad = deserialize_index(serialize_index(small_index("fib", tunneling)))
+            sink = next(v for v, pos in bad.loc.items() if pos == bad.n)
+            del bad.loc[sink]
+            bad._samp[sink] = 0
+            for on in (False, True):
+                lockstep(on)
+                with pytest.raises(BoundsError, match="walked past the sink"):
+                    bad.locate(text[-5:-2])
 
     def test_walk_past_the_sink_raises(self, small_index, lockstep):
         # without the sample at position n, a walk that reaches the sink has

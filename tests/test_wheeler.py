@@ -8,6 +8,7 @@ from conftest import (
     naive_count,
     naive_path_range,
     random_wheeler_edge_list,
+    structures_equal,
 )
 from twgi.errors import BoundsError, NotFoundError, ValidationError
 from twgi.tunnel import tunnel_graph
@@ -80,7 +81,7 @@ class TestEncode:
             back = g.to_edge_list()
             assert validate_wheeler(back)
             assert sorted(back.edges) == sorted(el.edges)
-            assert encode(back).structures_equal(g)
+            assert structures_equal(encode(back), g)
 
 
 class TestNavigation:
