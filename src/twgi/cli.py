@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sample-rate", type=int, default=None,
                    help="locate sample stride (default: ceil(log2 n))")
     b.add_argument("--tunnel-rate", type=int, default=None,
-                   help="tunnel-skip stride (default: ceil(log2 n_t))")
+                   help="stride of the skip nodes and cnt samples stored in the index "
+                        "file (default: ceil(log2 n_t)); no query reads them")
     b.add_argument("--no-tunnel", action="store_true",
                    help="build a plain FM-index without tunneling")
 

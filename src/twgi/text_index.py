@@ -13,14 +13,12 @@ The walk is also the check that walks may trust the records, and it gives
 the skip pointers and cnt samples that an index file stores.
 
 Locate walks each occurrence to the next text-order sample.  The copies of a
-tunnel node share its exit, where the walk splits by copy.  A range of
-``_LOCKSTEP_MIN_STARTS`` (node, copy) starts or more walks them all in
-lockstep on numpy arrays, one hop a round through a table by L position,
-made on the first such locate: a hop takes an edge, jumps a landing on an
-entrance to its exit and names the edge the walk leaves by next, or the
-sample it reached.  A round is two gathers over every walk, finished ones
-included, so a smaller range walks one start at a time; the threshold is
-the measured break-even.
+tunnel node share its exit, where the walk splits by copy.  The (node, copy)
+starts walk in lockstep on numpy arrays, one hop a round through a table by
+L position, made on the first locate: a hop takes an edge, jumps a landing
+on an entrance to its exit and names the edge the walk leaves by next, or
+the sample it reached.  A round is two gathers over every walk, finished
+ones included; ``locate_one`` walks its one start the same way.
 
 A forward step takes a known out-edge: a node's only one, or the one of its
 copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
@@ -122,17 +120,9 @@ def build_graph_from_text(text: bytes) -> WheelerGraph:
 # ---------------------------------------------------------------------------
 # the index
 
-# A range with fewer (node, copy) starts walks them one at a time.  Measured
-# on the 20 KB benchmark indexes (CPython 3.11, numpy 2.4, Xeon), as
-# locate(p, limit=k) with the two paths timed in turn on 100 patterns of 100
-# or more occurrences, on the benchmark's clock, the hop table already made:
-# the lockstep path took 56-63 us at 6 starts against 30-36 us, broke even
-# at 14 starts on fib-locate, fib-locate-plain and rand96-count and 16-18
-# on cpm4-build, and took 70-90 against 101-122 us at 24 starts
-_LOCKSTEP_MIN_STARTS = 16
 # the hop table's mark of a step that _fstep refuses, in the low half of a
 # walk's sum above its steps, which must stay below it: at most 2 a hop and
-# n hops, so an index of 2^30 nodes or more walks one start at a time
+# n hops, so TextIndex refuses an index of 2^30 nodes or more
 _STUCK = 2 ** 31
 
 
@@ -150,13 +140,16 @@ class TextIndex:
     The constructor walks every tunnel once (``_walk_tunnels``); the skip
     nodes and ``cnt`` that an index file stores are read off that walk.  Walks
     trust what it checks for every producer: it raises ValidationError
-    unless both rates are >= 1, the records account for the n original
-    nodes, each exit's out-degree and entrance's in-degree (one less at
-    rank 1) is its width, the tunnels walk as ``_walk_tunnels`` requires,
-    and ``loc`` maps plain nodes to distinct positions in [1..n]."""
+    unless n < 2^30 (a walk's steps must stay below ``_STUCK``), both rates
+    are >= 1, the records account for the n original nodes, each exit's
+    out-degree and entrance's in-degree (one less at rank 1) is its width,
+    the tunnels walk as ``_walk_tunnels`` requires, and ``loc`` maps plain
+    nodes to distinct positions in [1..n]."""
 
     def __init__(self, tg: TunneledGraph, n: int, sample_rate_n: int,
                  sample_rate_t: int, loc):
+        if 2 * n >= _STUCK:
+            raise ValidationError(f"an index holds fewer than {_STUCK // 2} nodes, not {n}")
         g, nt, rate_t = tg.g, tg.g.n, sample_rate_t
         if sample_rate_n < 1 or rate_t < 1:
             raise ValidationError(f"sample rates {sample_rate_n} and {rate_t} must be at least 1")
@@ -187,9 +180,8 @@ class TextIndex:
         self.loc = loc                   # non-tunnel node rank -> text position
         self.ext_pos = ext_pos.tolist()
         self.ext_node = at[by_pos].tolist()
-        # and by node, for the lockstep walk to gather: 0 off the samples, and
-        # int32 unless a position needs more
-        self._samp = np.zeros(nt + 1, np.int32 if n < 2 ** 31 else np.int64)
+        # and by node, for the lockstep walk to gather: 0 off the samples
+        self._samp = np.zeros(nt + 1, np.int32)
         self._samp[at] = pos
 
     def _walk_tunnels(self) -> None:
@@ -322,32 +314,13 @@ class TextIndex:
     def locate_one(self, p: TraversalPos, counter: StepCounter | None = None) -> int:
         """Text position (1-based) of the original node at the simulated
         position p; raises BoundsError unless p's node is in [1..n_t] and its
-        offset a copy of that node, within the width of its own tunnel."""
+        offset a copy of that node, within the width of its own tunnel.  The
+        one start walks as a range's starts do (``locate``)."""
         if not 1 <= p.offset <= self.node_width(p.node):
             raise BoundsError(f"node {p.node} has no copy {p.offset}")
-        return self._walk(p.node, p.offset, counter if counter is not None else StepCounter())
-
-    def _walk(self, node: int, off: int, counter: StepCounter) -> int:
-        """Text position of copy ``off`` of the node: walk forward to the
-        next text-order sample, crossing each tunnel in one jump to its exit,
-        and subtract the travelled distance."""
-        travelled = 0
-        loc, kind, slot, chain, to_exit = (self.loc, self.tg._kind, self._slot, self._chain,
-                                           self._to_exit)
-        for _ in range(self.n):
-            pos = loc.get(node)
-            if pos is not None:
-                return pos - travelled
-            if kind[node]:
-                i = slot[node]
-                dist = to_exit[i]
-                if dist:
-                    travelled += dist
-                    node = chain[i - dist]
-                    counter.steps += 1
-            node, off, _ = self._fstep(node, off, counter)
-            travelled += 1
-        raise FormatError(f"found no sample in {self.n} steps")
+        counter = counter if counter is not None else StepCounter()
+        start = self._starts(p.node, p.offset, p.node, p.offset, None, counter)
+        return int(self._lockstep(*start, counter)[0])
 
     def locate(self, pattern: bytes, limit: int | None = None,
                counter: StepCounter | None = None) -> list[int]:
@@ -356,11 +329,8 @@ class TextIndex:
 
         Every copy of a tunnel node reaches the same exit, so each node of
         the range walks there once and its copies start from the exit
-        (``_starts``).  A range of ``_LOCKSTEP_MIN_STARTS`` starts or more
-        walks them all at once through the hop table (``_lockstep``), which
-        the first such range makes; a smaller one walks start by start
-        (``_walk``): the threshold is where the two broke even on the
-        benchmark's indexes.  Both give the same positions and steps."""
+        (``_starts``).  The starts then walk all at once through the hop
+        table (``_lockstep``), which the first locate makes."""
         if len(pattern) == 0:
             raise ValidationError("locate needs a non-empty pattern")
         if limit is not None and limit < 0:
@@ -370,13 +340,8 @@ class TextIndex:
         if got is None or limit == 0:
             return []
         (lo, lo_off), (hi, hi_off) = got
-        nodes, offs, dists = self._starts(lo, lo_off, hi, hi_off, limit, counter)
-        plen = len(pattern)
-        if len(nodes) < _LOCKSTEP_MIN_STARTS or 2 * self.n >= _STUCK:
-            found = [self._walk(v, o, counter) - d - plen for v, o, d in zip(nodes, offs, dists)]
-        else:
-            found = (self._lockstep(nodes, offs, dists, counter) - plen).tolist()
-        return _distinct_sorted(found)
+        starts = self._starts(lo, lo_off, hi, hi_off, limit, counter)
+        return _distinct_sorted((self._lockstep(*starts, counter) - len(pattern)).tolist())
 
     def _starts(self, lo: int, lo_off: int, hi: int, hi_off: int | None,
                 limit: int | None, counter: StepCounter):
@@ -427,8 +392,10 @@ class TextIndex:
         # a walk jumps before an in-tunnel move, so the hops that land in a
         # tunnel land on its entrance; the in-tunnel moves are no walk's hop
         ent = self._into(np.fromiter(tg.entrance_info, np.int64, len(tg.entrance_info)))
-        at, dist = self._jump(to.take(ent).astype(np.int64))
-        q[ent] = self._leave(at, np.frombuffer(tg._step_land, np.int32).take(ent))
+        c = np.asarray(self._slot).take(to.take(ent))
+        dist = np.asarray(self._to_exit).take(c)
+        q[ent] = self._leave(np.asarray(self._chain).take(c - dist),
+                             np.frombuffer(tg._step_land, np.int32).take(ent))
         val[ent] -= dist.astype(np.int64) * 2 ** 32 - (dist != 0)  # the jump's distance and step
         q[self._into(np.flatnonzero(lstart[2:] == lstart[1:-1]) + 1)] = -1  # into a sink
         q[got != 0] = 0
@@ -444,18 +411,6 @@ class TextIndex:
         j = _expand(first + 1, istart.take(nodes + 1) - first)[1]
         return np.frombuffer(self.tg._pos, np.int32).take(j)
 
-    def _jump(self, node: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(node, distance) of each walk after it jumps to its tunnel's exit:
-        a plain node or an exit stays, at distance 0."""
-        if not self.tg.tunnels:
-            return node, np.zeros_like(node)
-        # a plain node's slot reads the last 0 of _to_exit and _chain
-        c = np.asarray(self._slot).take(node)
-        d = np.asarray(self._to_exit).take(c)
-        if np.count_nonzero(d):  # locate starts no walk inside a tunnel
-            node = np.where(d != 0, np.asarray(self._chain).take(c - d), node)
-        return node, d
-
     def _leave(self, node: np.ndarray, off) -> np.ndarray:
         """The L position each walk at a copy ``off`` of a plain node or an
         exit leaves by, by ``_fstep``'s rule: 0 at a sample, -1 where
@@ -468,17 +423,17 @@ class TextIndex:
         return q
 
     def _lockstep(self, nodes, offs, dists, counter: StepCounter) -> np.ndarray:
-        """Text positions of the walks from copy offs[i] of nodes[i], dists[i]
-        already travelled, walked together: a walk inside a tunnel jumps to
-        its exit, then each round adds every walk's hop to its sum and moves
-        it on by the hop table, until every walk stands at 0.  A walk that
-        stuck is walked again by ``_walk``, to raise ``_fstep``'s error: the
-        first to stick, in the earliest round."""
+        """Text positions of the walks from copy offs[i] of nodes[i], a plain
+        node or an exit as ``_starts`` gives them, dists[i] already
+        travelled, walked together: each round adds every walk's hop to its
+        sum and moves it on by the hop table, until every walk stands at 0.
+        If a walk stuck, ``_fstep`` is called where it refused, to raise its
+        error: at the start, or past the hop's edge and the exit it jumps to.
+        The first walk to stick, in the earliest round, is the one reported."""
         nxt, val = self._hops
-        node, d = self._jump(np.array(nodes, np.int64))
-        counter.steps += int(np.count_nonzero(d))
+        node = np.array(nodes, np.int64)
         start = self._leave(node, np.array(offs, np.int64))
-        acc = (self._samp.take(node) - d - np.array(dists, np.int64)) * 2 ** 32
+        acc = (self._samp.take(node) - np.array(dists, np.int64)) * 2 ** 32
         acc[start < 0] = _STUCK
         q = np.maximum(start, 0)
         for _ in range(self.n):
@@ -490,12 +445,18 @@ class TextIndex:
             if not (acc & _STUCK).any():
                 raise FormatError(f"found no sample in {self.n} steps")
         if (acc & _STUCK).any():
-            stuck, q = start < 0, np.maximum(start, 0)
-            while not stuck.any():  # the round where the first walk stuck
-                stuck = (val.take(q) & _STUCK) != 0
-                q = nxt.take(q)
-            i = int(stuck.argmax())
-            self._walk(int(nodes[i]), int(offs[i]), StepCounter())  # raises
+            i = int((start < 0).argmax())
+            v, off = nodes[i], offs[i]
+            if start[i] >= 0:  # no start stuck: find the round where a hop did
+                q = start
+                while not (stuck := (val.take(q) & _STUCK) != 0).any():
+                    q = nxt.take(q)
+                e = int(q[stuck.argmax()])
+                v, off = self.tg._step_to[e], self.tg._step_land[e]
+                if self.tg._kind[v]:  # a landing on an entrance jumps to its exit
+                    i = self._slot[v]
+                    v = self._chain[i - self._to_exit[i]]
+            self._fstep(int(v), int(off), StepCounter())  # raises
             raise InvariantError("the hop table took a step that the walk does not")
         counter.steps += int((acc & 0xFFFFFFFF).sum())
         return acc >> 32

@@ -121,7 +121,7 @@ class StringBlock:
 
     def expand(self, g: WheelerGraph) -> Block:
         """``block`` on the text order of the path graph g."""
-        return self.block(*_text_order(g, *g.edge_arrays()[:2]))
+        return self.block(*_text_order(g, *g.edge_arrays()[:2])[:2])
 
 
 @dataclass(frozen=True)
@@ -282,12 +282,13 @@ def _require_path_graph(g: WheelerGraph) -> None:
 
 
 def _text_order(g: WheelerGraph, src, tgt):
-    """(order, pos) of the path graph g with edges src -> tgt: order[i] is
-    the node at text position i, the source at 0, and pos[v] is node v's
-    position (pos[0] unused)."""
+    """(order, pos, succ) of the path graph g with edges src -> tgt:
+    order[i] is the node at text position i, the source at 0, pos[v] is
+    node v's position (pos[0] unused) and succ[v] the node after v: 0 after
+    the sink, and at 0 and n + 1, so that succ[v + 1] reads for every node."""
     _require_path_graph(g)
     n = g.n
-    succ = np.zeros(n + 1, np.int64)
+    succ = np.zeros(n + 2, np.int64)
     succ[src] = tgt
     step, order, v = array("q", succ.tobytes()), array("q"), 1  # words, not n int objects
     while v and len(order) < n:
@@ -297,7 +298,7 @@ def _text_order(g: WheelerGraph, src, tgt):
         raise ValidationError("not a path graph: some nodes lie off the source's path")
     order, pos = np.frombuffer(order, np.int64), np.zeros(n + 1, np.int64)
     pos[order] = np.arange(n)
-    return order, pos
+    return order, pos, succ
 
 
 def find_string_blocks(g: WheelerGraph) -> list[StringBlock]:
@@ -324,9 +325,9 @@ def find_string_blocks(g: WheelerGraph) -> list[StringBlock]:
     """
     n = g.n
     src, tgt, lab = g.edge_arrays()
-    path, pos = _text_order(g, src, tgt)
-    succ, out, inl = np.zeros(n + 2, np.int64), np.full(n + 2, -1), np.full(n + 2, -1)
-    succ[src], out[src], inl[tgt] = tgt, lab, lab  # -1: no such edge
+    path, pos, succ = _text_order(g, src, tgt)
+    out, inl = np.full(n + 2, -1), np.full(n + 2, -1)
+    out[src], inl[tgt] = lab, lab  # -1: no such edge
     extends, at = succ[path + 1] == succ[path] + 1, np.arange(n)  # no edge enters node 1
     stop = np.where(extends & (out[path] == out[path + 1]), n, at)
     stop = np.minimum.accumulate(stop[::-1])[::-1]  # where the 1 + ext[succ(r)] chain ends

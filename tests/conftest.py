@@ -16,7 +16,6 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 import pytest
 
-from twgi import text_index
 from twgi.bitvec import BitVec
 from twgi.errors import BoundsError, FormatError, InvariantError, NotFoundError, ValidationError
 from twgi.text_index import StepCounter, TextIndex, _string_graph, build_index
@@ -515,6 +514,31 @@ def fstep_extract(ix, start: int, length: int, counter=None) -> bytes:
         node, off, byte = ix._fstep(node, off, counter)
         out.append(byte)
     return bytes(out)
+
+
+def fstep_walk(ix, node: int, off: int, counter=None) -> int:
+    """Text position of copy ``off`` of the node, with one ``_fstep`` call
+    per step: the reference for ``TextIndex.locate_one`` and ``locate``,
+    which walk the hop table.  It walks forward to the next text-order
+    sample, crossing each tunnel in one jump to its exit, counted as one
+    step, and subtracts the travelled distance."""
+    counter = counter if counter is not None else StepCounter()
+    travelled = 0
+    kind, slot, chain, to_exit = ix.tg._kind, ix._slot, ix._chain, ix._to_exit
+    for _ in range(ix.n):
+        pos = ix.loc.get(node)
+        if pos is not None:
+            return pos - travelled
+        if kind[node]:
+            i = slot[node]
+            dist = to_exit[i]
+            if dist:
+                travelled += dist
+                node = chain[i - dist]
+                counter.steps += 1
+        node, off, _ = ix._fstep(node, off, counter)
+        travelled += 1
+    raise FormatError(f"found no sample in {ix.n} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -1113,16 +1137,6 @@ def small_index():
         return built[key]
 
     return get
-
-
-@pytest.fixture
-def lockstep(monkeypatch):
-    """lockstep(on) sends every later locate down one path: the lockstep
-    walk of a whole range (True) or the walks one start at a time (False)."""
-    def force(on: bool):
-        monkeypatch.setattr(text_index, "_LOCKSTEP_MIN_STARTS", 1 if on else math.inf)
-
-    return force
 
 
 @pytest.fixture

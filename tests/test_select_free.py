@@ -23,6 +23,7 @@ from conftest import (
     chain_graph,
     fig1_block,
     fig1_edge_list,
+    fstep_walk,
     make_patterns,
     oracle_land,
     random_tunneled_graphs,
@@ -185,16 +186,14 @@ class TestSelectGuard:
         assert select_calls[0] == 0
 
     @pytest.mark.parametrize("name,tunneling", CASES)
-    def test_queries(self, name, tunneling, small_index, select_calls, lockstep):
+    def test_queries(self, name, tunneling, small_index, select_calls):
         ix = small_index(name, tunneling)
         text = SMALL_TEXTS[name]
         rng = random.Random(67)
         for pat in make_patterns(rng, text, 60, max_len=24):
             ix.tg._search_pairs(pat)
             ix.count(pat)
-            for on in (False, True):
-                lockstep(on)
-                ix.locate(pat)
+            ix.locate(pat)
         for _ in range(40):  # extracts that start inside tunnels hop back
             start = rng.randint(1, len(text))
             ix.extract(start, rng.randint(0, len(text) - start + 1))
@@ -236,15 +235,13 @@ class TestRankGuard:
         assert rank_calls[0] == 1
 
     @pytest.mark.parametrize("name,tunneling", CASES)
-    def test_text_index(self, name, tunneling, rank_calls, lockstep):
+    def test_text_index(self, name, tunneling, rank_calls):
         text = SMALL_TEXTS[name]
         ix = deserialize_index(serialize_index(build_index(text, tunneling=tunneling)))
         rng = random.Random(101)
         for pat in make_patterns(rng, text, 60, max_len=24):
             ix.count(pat)
-            for on in (False, True):
-                lockstep(on)
-                ix.locate(pat)
+            ix.locate(pat)
         for _ in range(40):
             start = rng.randint(1, len(text))
             ix.extract(start, rng.randint(0, len(text) - start + 1))
@@ -312,16 +309,14 @@ class TestWalkGuard:
         assert walk_lookups == ["partial_rank", "edge_target"]
 
     @pytest.mark.parametrize("name,tunneling", CASES)
-    def test_walks_read_the_table(self, name, tunneling, small_index, walk_lookups, lockstep):
+    def test_walks_read_the_table(self, name, tunneling, small_index, walk_lookups):
         text = SMALL_TEXTS[name]
         ix = deserialize_index(serialize_index(small_index(name, tunneling)))
         walk_lookups.clear()  # the load counts each label of L once
         rng = random.Random(103)
         for pat in make_patterns(rng, text, 60, max_len=24):
             ix.count(pat)
-            for on in (False, True):
-                lockstep(on)
-                ix.locate(pat)
+            ix.locate(pat)
             ix.tg.path_search(pat)
         for _ in range(40):  # extracts that start inside tunnels hop back
             start = rng.randint(1, len(text))
@@ -347,8 +342,8 @@ class TestWalkGuard:
             assert ix.extract(start, ln) == text[start - 1:start - 1 + ln]
         assert ix.extract(1, len(text)) == text and calls == []
         unsampled = next(v for v in range(1, ix.tg.g.n + 1) if v not in ix.loc)
-        ix.locate_one(TraversalPos(unsampled, 1))
-        assert calls  # the guard sees a walk that steps
+        fstep_walk(ix, unsampled, 1)
+        assert calls  # the guard sees the oracle's walk step
 
     def test_general_graph_search_lands_by_table(self, walk_lookups):
         rng = random.Random(107)
