@@ -32,8 +32,9 @@ change to the step rule must update all three.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -144,7 +145,14 @@ class TextIndex:
     are >= 1, the records account for the n original nodes, each exit's
     out-degree and entrance's in-degree (one less at rank 1) is its width,
     the tunnels walk as ``_walk_tunnels`` requires, and ``loc`` maps plain
-    nodes to distinct positions in [1..n]."""
+    nodes to distinct positions in [1..n].
+
+    Count and locate search from a start state: the search state, as
+    ``tg._search_pairs`` passes it on, after the pattern's first k bytes,
+    read off a table of every k-byte prefix of the text (``_kgrams``).  The
+    first count or locate makes it, from the index alone, and no file
+    stores it; k is the deepest level, at most 8, reached while (states at
+    the level) x sigma <= n_t // 4."""
 
     def __init__(self, tg: TunneledGraph, n: int, sample_rate_n: int,
                  sample_rate_t: int, loc):
@@ -291,14 +299,61 @@ class TextIndex:
         An array over all nodes cost each load more than the search costs."""
         return v + self._extra[bisect_right(self._tun, v)]
 
+    # -- searching -------------------------------------------------------------
+
+    @cached_property
+    def _kgrams(self) -> tuple[int, array, list[array]]:
+        """(k, keys, states): the search state of every k-byte prefix that
+        occurs, made on the first count or locate (Bowtie's ``ftab``).  Level
+        j + 1 extends each state of level j by each alphabet byte, one
+        ``_search_pairs`` step, and keeps the non-empty states; the deepest
+        level, at most 8, is the last one reached while (states at the
+        level) x sigma <= n_t // 4, so the table and the work to make it stay
+        within a quarter of the nodes.  ``keys`` holds each prefix as
+        ``int.from_bytes(prefix, "big")``, ascending as the alphabet is, and
+        unsigned, as 8 bytes from 0x80 up pass 2^63; every prefix has k
+        bytes, so one starting with 0x00 collides with no shorter one.
+        ``states`` holds four int32 arrays, a, lo_off, b and hi_off by key,
+        with hi_off None as 0.  At k = 0 the one key is the empty prefix's,
+        whose state is the full range."""
+        search, nt, alphabet = self.tg._search_pairs, self.tg.g.n, self.tg.g.alphabet
+        level, k = [(0, 1, 1, nt, None)], 0
+        while k < 8 and len(level) * len(alphabet) <= nt // 4:
+            deeper = []
+            for key, *state in level:
+                for c in alphabet:
+                    got = search(bytes((c,)), state)
+                    if got is not None:
+                        (a, lo_off), (b, hi_off) = got
+                        deeper.append((key << 8 | c, a, lo_off, b, hi_off))
+            level, k = deeper, k + 1
+        keys, *states = list(zip(*level)) or [()] * 5
+        return k, array("Q", keys), [array("i", [x or 0 for x in col]) for col in states]
+
+    def _search(self, pattern: bytes):
+        """``tg._search_pairs(pattern)``, its first k steps read off the
+        k-gram table: a pattern shorter than k is searched in full, and one
+        whose first k bytes are no key occurs nowhere, since the table holds
+        every non-empty state of depth k."""
+        k, keys, (a, lo_off, b, hi_off) = self._kgrams
+        if len(pattern) < k:
+            return self.tg._search_pairs(pattern)
+        key = int.from_bytes(pattern[:k], "big")
+        i = bisect_left(keys, key)
+        if i == len(keys) or keys[i] != key:
+            return None
+        return self.tg._search_pairs(pattern[k:], (a[i], lo_off[i], b[i], hi_off[i] or None))
+
     # -- counting --------------------------------------------------------------
 
     def count(self, pattern: bytes, counter: StepCounter | None = None) -> int:
         """Occurrences of the pattern in the text (|T|+1 for the empty
-        pattern: every node is an occurrence).  Count takes no step."""
+        pattern: every node is an occurrence).  Count takes no step.  The
+        search (``_search``) starts from the k-gram table's state of the
+        pattern's first k bytes, which the first count or locate makes."""
         if len(pattern) == 0:
             return self.n
-        got = self.tg._search_pairs(pattern)
+        got = self._search(pattern)
         if got is None:
             return 0
         (lo, lo_off), (hi, hi_off) = got
@@ -330,13 +385,14 @@ class TextIndex:
         Every copy of a tunnel node reaches the same exit, so each node of
         the range walks there once and its copies start from the exit
         (``_starts``).  The starts then walk all at once through the hop
-        table (``_lockstep``), which the first locate makes."""
+        table (``_lockstep``), which the first locate makes.  The search is
+        count's, from the k-gram table (``_search``)."""
         if len(pattern) == 0:
             raise ValidationError("locate needs a non-empty pattern")
         if limit is not None and limit < 0:
             raise ValidationError(f"locate limit {limit} is negative")
         counter = counter if counter is not None else StepCounter()
-        got = self.tg._search_pairs(pattern)
+        got = self._search(pattern)
         if got is None or limit == 0:
             return []
         (lo, lo_off), (hi, hi_off) = got
@@ -347,18 +403,20 @@ class TextIndex:
                 limit: int | None, counter: StepCounter):
         """(nodes, copies, distances) of the range's occurrences, the first
         ``limit`` of them: a plain node starts at its one copy, and the
-        copies of a tunnel node at its exit, the distance to it travelled."""
+        copies of a tunnel node at its exit, the distance to it travelled,
+        one jump counted for each tunnel node with a kept copy."""
         if limit is not None and hi - lo >= limit:  # every node holds an occurrence
             hi, hi_off = lo + limit - 1, None
-        lstart, kind, slot, chain, to_exit = (self.tg.g._lstart, self.tg._kind, self._slot,
-                                              self._chain, self._to_exit)
+        lstart, tun, slot, chain, to_exit = (self.tg.g._lstart, self._tun, self._slot,
+                                             self._chain, self._to_exit)
+        cut = self.n if limit is None else limit  # no range holds n occurrences
         nodes, offs, dists = [], [], []
         nxt = lo
-        for v in [v for v in range(lo, hi + 1) if kind[v]] + [hi + 1]:
+        for v in [*tun[bisect_left(tun, lo):bisect_right(tun, hi)], hi + 1]:
             nodes += range(nxt, v)  # the plain nodes before v
             offs += [1] * (v - nxt)
             dists += [0] * (v - nxt)
-            if v > hi:
+            if v > hi or len(nodes) >= cut:
                 break
             dist = to_exit[slot[v]]
             node = chain[slot[v] - dist]
@@ -370,7 +428,8 @@ class TextIndex:
             offs += range(first, last + 1)
             dists += [dist] * (last - first + 1)
             nxt = v + 1
-        return nodes[:limit], offs[:limit], dists[:limit]
+        del nodes[cut:], offs[cut:], dists[cut:]
+        return nodes, offs, dists
 
     @cached_property
     def _hops(self) -> tuple[np.ndarray, np.ndarray]:
@@ -537,6 +596,9 @@ class TextIndex:
     # -- bookkeeping ------------------------------------------------------------------
 
     def stats(self) -> dict:
+        """Sizes of the index, and of its k-gram table (made here if no
+        count or locate has made it): k, its keys and its resident bytes."""
+        k, keys, states = self._kgrams
         return {
             "n": self.n,
             "n_t": self.tg.g.n,
@@ -545,6 +607,9 @@ class TextIndex:
             "tunnels": len(self.tg.tunnels),
             "sample_rate_n": self.sample_rate_n,
             "sample_rate_t": self.sample_rate_t,
+            "kgram_k": k,
+            "kgram_keys": len(keys),
+            "kgram_bytes": sum(map(sys.getsizeof, [keys, *states])),
         }
 
     def __repr__(self) -> str:

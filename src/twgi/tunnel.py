@@ -531,16 +531,20 @@ class TunneledGraph:
             raise NotFoundError(f"copy {p.offset} of node {p.node} has no {k}-th {c}-edge")
         return TraversalPos(*self.land(got[0] + k - 1, p.offset))
 
-    def _search_pairs(self, pattern):
+    def _search_pairs(self, pattern, state=None):
         """Offset-annotated Wheeler range of the pattern over the simulated
         original graph; None when empty.  Each symbol takes ``_edges`` and
         ``land`` at both (node, offset) ends (hi's offset None: its full
-        width), written out as the module notes say."""
+        width), written out as the module notes say.  The search starts from
+        ``state`` = (a, lo_off, b, hi_off), the range of copies lo_off of a
+        to hi_off of b that a prefix reached, or from every node's every
+        copy; so ``_search_pairs(q, state of p)`` is ``_search_pairs(p + q)``,
+        and the empty pattern gives the state back."""
         g, edges = self.g, self._edges
         ids, C, lstart, kind = g._label_to_id, g.C, g._lstart, self._kind
         L, occ, stride = g.L._bytes, g.L._occ, g.L._stride
         pos, to, lands, bits = self._pos, self._step_to, self._step_land, _BLOCK_BITS
-        a, lo_off, b, hi_off = 1, 1, g.n, None
+        a, lo_off, b, hi_off = state or (1, 1, g.n, None)
         for byte in pattern:
             c = ids.get(byte)
             if c is None:

@@ -132,9 +132,27 @@ def test_stats(workdir, capsys):
     out = capsys.readouterr().out
     keys = [line.split(":")[0] for line in out.strip().splitlines()]
     sections = [f"bits.{name}" for name in (*SECTIONS, "framing")]
-    assert keys == ["n", "n_t", "sigma", "tunnels", "bits_per_symbol", *sections]
-    bits = [int(line.split(":")[1]) for line in out.strip().splitlines()[5:]]
+    assert keys == ["n", "n_t", "sigma", "tunnels", "bits_per_symbol", *sections,
+                    "kgram_k", "kgram_keys", "kgram_bytes"]
+    bits = [int(line.split(":")[1]) for line in out.strip().splitlines()[5:-3]]
     assert sum(bits) == 8 * os.path.getsize(index)
+
+
+@pytest.mark.parametrize("tunnel", [True, False])
+def test_stats_reports_the_kgram_table(tmp_path, capsys, tunnel):
+    # the table of every k-gram's search state: k, one key per distinct
+    # k-gram of the text, and the bytes the two arrays hold
+    data = copy_paste_mutate(random.Random(4), 2048, 4)
+    text, index = tmp_path / "t.txt", tmp_path / "t.twgi"
+    text.write_bytes(data)
+    assert main(["build", str(text), "-o", str(index), *([] if tunnel else ["--no-tunnel"])]) == 0
+    capsys.readouterr()
+    assert main(["stats", str(index)]) == 0
+    lines = dict(line.split(": ") for line in capsys.readouterr().out.strip().splitlines())
+    k, keys = int(lines["kgram_k"]), int(lines["kgram_keys"])
+    assert 1 < k <= 8
+    assert keys == len({data[i:i + k] for i in range(len(data) - k + 1)})
+    assert 24 * keys < int(lines["kgram_bytes"]) < 24 * keys + 512
 
 
 def test_usage_error_exit_2():

@@ -286,10 +286,10 @@ def walk_lookups(monkeypatch):
         monkeypatch.setattr(owner, attr, counting)
     search = TunneledGraph._search_pairs
 
-    def unguarded(tg, pattern):
+    def unguarded(tg, pattern, state=None):
         searching[0] = True
         try:
-            return search(tg, pattern)
+            return search(tg, pattern, state)
         finally:
             searching[0] = False
 

@@ -355,6 +355,106 @@ class TestCount:
         assert calls == []
 
 
+def _flat(got):
+    """(a, lo_off, b, hi_off) of a ``_search_pairs`` answer: a start state."""
+    (a, lo_off), (b, hi_off) = got
+    return a, lo_off, b, hi_off
+
+
+def _grams(text: bytes, k: int) -> list[bytes]:
+    return sorted({text[i:i + k] for i in range(len(text) - k + 1)})
+
+
+class TestKgramTable:
+    """Count and locate start their search from the table of every k-gram's
+    search state (``TextIndex._kgrams``), made on the first count or locate
+    of an index, built or loaded."""
+
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_keys_are_the_kgrams_and_states_their_search(self, name, tunneling, small_index):
+        text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
+        for got in (ix, deserialize_index(serialize_index(ix))):
+            k, keys, states = got._kgrams
+            grams = _grams(text, k)
+            assert list(keys) == [int.from_bytes(gram, "big") for gram in grams]
+            for i, gram in enumerate(grams):
+                a, lo_off, b, hi_off = _flat(got.tg._search_pairs(gram))
+                assert [col[i] for col in states] == [a, lo_off, b, hi_off or 0], gram
+
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_depth_rule(self, name, tunneling, small_index):
+        # k is the deepest level, at most 8, reached while the states at a
+        # level times sigma stay within n_t // 4
+        text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
+        k, sigma, budget = ix._kgrams[0], len(set(text)), ix.tg.g.n // 4
+        assert all(len(_grams(text, j)) * sigma <= budget for j in range(k))
+        assert k == 8 or len(_grams(text, k)) * sigma > budget
+        assert ix.stats()["kgram_k"] == k and ix.stats()["kgram_keys"] == len(_grams(text, k))
+
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_search_continues_from_any_prefix_state(self, name, tunneling, small_index):
+        text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
+        for got in (ix, deserialize_index(serialize_index(ix))):
+            search = got.tg._search_pairs
+            for pat in make_patterns(random.Random(107), text, 40, max_len=12):
+                want = search(pat)
+                for j in range(len(pat) + 1):
+                    head = search(pat[:j])
+                    assert (want is None if head is None
+                            else search(pat[j:], _flat(head)) == want), (pat, j)
+
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_queries_around_k_match_naive(self, name, tunneling, small_index):
+        # shorter than k, exactly k and longer; an absent k-prefix of
+        # alphabet bytes (none exists at k = 1); a byte outside the alphabet
+        # before, inside and after the k-prefix; k-prefixes from byte 0
+        text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
+        for got in (ix, deserialize_index(serialize_index(ix))):
+            k = got._kgrams[0]
+            out = bytes([min(set(range(256)) - set(text))])
+            rng = random.Random(109)
+            starts = [rng.randrange(len(text) - k) for _ in range(20)]
+            pats = [text[:j] for j in range(1, k + 1)] + [text[i:i + k + 3] for i in starts]
+            present = set(_grams(text, k))
+            alphabet = sorted(set(text))
+            absent = [p for p in (bytes(rng.choice(alphabet) for _ in range(k))
+                                  for _ in range(200)) if p not in present]
+            assert absent or k == 1
+            pats += absent[:5] + [p + text[:2] for p in absent[:5]]
+            pats += [out + text[:k], text[:k - 1] + out + text[k:k + 2], text[:k] + out]
+            zero = [text[i:i + k + j] for i in range(len(text) - k) if text[i] == 0 for j in (0, 2)]
+            assert bool(zero) == (name in ("rand96", "cpm96"))
+            pats += zero[:10]
+            for pat in pats:
+                assert got.count(pat) == naive_count(text, pat), pat
+                assert got.locate(pat) == naive_locate(text, pat), pat
+
+    def test_eight_byte_keys_from_high_bytes(self):
+        # at k = 8 a prefix from byte 0x80 up passes 2^63
+        text = fibonacci_word(2048).translate(bytes.maketrans(b"ab", b"\xfe\xff"))
+        ix = build_index(text)
+        k, keys, _ = ix._kgrams
+        assert k == 8 and max(keys) >= 2 ** 63
+        assert list(keys) == [int.from_bytes(gram, "big") for gram in _grams(text, k)]
+        for pat in make_patterns(random.Random(113), text, 60, max_len=12):
+            assert ix.count(pat) == naive_count(text, pat), pat
+            assert ix.locate(pat) == naive_locate(text, pat), pat
+
+    def test_made_on_the_first_query_and_never_stored(self):
+        ix = build_index(SMALL_TEXTS["cpm4"])
+        data = serialize_index(ix)
+        for query in ("count", "locate"):
+            loaded = deserialize_index(data)
+            assert "_kgrams" not in vars(loaded)
+            assert getattr(loaded, query)(b"ab")
+            assert loaded._kgrams[0] > 1 and serialize_index(loaded) == data
+        assert "_kgrams" not in vars(ix)
+
+
 class TestLocate:
     def test_locate_one_examples(self):
         ix = build_index(b"abcabc")
@@ -461,6 +561,25 @@ def _first_occurrences(ix, pat, limit):
     return sorted(out[:limit]), counter.steps
 
 
+def _oracle_starts(ix, lo, lo_off, hi, hi_off, limit):
+    """(starts, jumps) that ``_starts`` should give: the first ``limit``
+    occurrences in rank and copy order, a tunnel node's copies at the exit
+    ``walk_to_exit`` finds, and one jump for each tunnel node off its exit
+    with a kept copy."""
+    occ = []
+    for v in range(lo, hi + 1):
+        last = hi_off if v == hi and hi_off is not None else ix.node_width(v)
+        occ += [(v, o) for o in range(lo_off if v == lo else 1, last + 1)]
+    starts, jumped = ([], [], []), set()
+    for v, o in occ[:limit]:
+        node, dist = walk_to_exit(ix.tg.g, v) if ix.tg.is_tunnel_node(v) else (v, 0)
+        if dist:
+            jumped.add(v)
+        for into, x in zip(starts, (node, o, dist)):
+            into.append(x)
+    return starts, len(jumped)
+
+
 def _landing_past_the_width(ix):
     """A loaded copy of ix whose edges into a tunnel land copies past its
     width, by 1 to 3."""
@@ -510,6 +629,38 @@ class TestLockstep:
                 counter = StepCounter()
                 got = ix.locate(pat, limit=limit, counter=counter)
                 assert (got, counter.steps) == _first_occurrences(ix, pat, limit), (pat, limit)
+
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_starts_jump_only_for_kept_copies(self, name, tunneling, small_index):
+        # _starts stops at `limit` starts: a tunnel node whose copies the
+        # limit cuts is not jumped, which counting every tunnel node up to
+        # the range's end would do
+        text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
+        overcut = 0
+        for pat in make_patterns(random.Random(59), text, 40, max_len=6) + [b"caaca"]:
+            got = ix.tg._search_pairs(pat)
+            if got is None:
+                continue
+            (lo, lo_off), (hi, hi_off) = got
+            for limit in [*range(1, 17), None]:
+                counter = StepCounter()
+                starts, jumps = _oracle_starts(ix, lo, lo_off, hi, hi_off, limit)
+                assert (ix._starts(lo, lo_off, hi, hi_off, limit, counter), counter.steps) \
+                    == (starts, jumps), (pat, limit)
+                end = hi if limit is None else min(hi, lo + limit - 1)
+                overcut += jumps < sum(walk_to_exit(ix.tg.g, v)[1] > 0 for v in
+                                       range(lo, end + 1) if ix.tg.is_tunnel_node(v))
+        assert bool(overcut) == (tunneling and name in ("cpm4", "cpm96"))
+
+    def test_caaca_under_limit_5_jumps_once(self, small_index):
+        ix = small_index("cpm4")
+        (lo, lo_off), (hi, hi_off) = ix.tg._search_pairs(b"caaca")
+        counter = StepCounter()
+        nodes, offs, dists = ix._starts(lo, lo_off, hi, hi_off, 5, counter)
+        assert (len(nodes), counter.steps) == (5, 1)
+        assert [(v, o) for v, o, d in zip(nodes, offs, dists) if d] == [(560, 1), (560, 2),
+                                                                         (560, 3)]
 
     @pytest.mark.parametrize("name", ["fib", "cpm4"])
     def test_small_limits_raise_the_first_walk_to_stick(self, name, small_index, monkeypatch):
