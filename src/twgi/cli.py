@@ -86,12 +86,12 @@ def _cmd_build(args) -> int:
         tunneling=not args.no_tunnel,
     )
     save_index(ix, args.output)
-    g = ix.tg.g  # not ix.stats(), which makes the k-gram table no build needs
-    print(f"n: {ix.n}")
-    print(f"n_t: {g.n}")
-    print(f"m_t: {g.m}")
-    print(f"tunnels: {len(ix.tg.tunnels)}")
-    print(f"merged_edges: {(ix.n - 1) - g.m}")
+    st = ix.stats()
+    print(f"n: {st['n']}")
+    print(f"n_t: {st['n_t']}")
+    print(f"m_t: {st['m_t']}")
+    print(f"tunnels: {st['tunnels']}")
+    print(f"merged_edges: {(st['n'] - 1) - st['m_t']}")
     return 0
 
 

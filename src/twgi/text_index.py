@@ -47,6 +47,15 @@ from .tunnel import TraversalPos, TunneledGraph, _expand, find_string_blocks, tu
 from .wheeler import WheelerGraph, unary
 
 
+# The k-gram table's one-byte searches call the function, not the method, so
+# a wrapper put on the method (a tracer's span) sees the queries' searches only.
+_table_search = TunneledGraph._search_pairs
+
+# The most one-byte searches that making the k-gram table takes, at a few
+# microseconds each.
+_TABLE_SEARCHES = 1 << 11
+
+
 # ---------------------------------------------------------------------------
 # suffix array construction (prefix doubling)
 
@@ -151,8 +160,9 @@ class TextIndex:
     ``tg._search_pairs`` passes it on, after the pattern's first k bytes,
     read off a table of every k-byte prefix of the text (``_kgrams``).  The
     first count or locate makes it, from the index alone, and no file
-    stores it; k is the deepest level, at most 8, reached while (states at
-    the level) x sigma <= n_t // 4."""
+    stores it; k is the deepest level, at most 8, that the table reaches in
+    at most min(n_t // 4, 2048) one-byte searches, so one query per load
+    pays a few milliseconds for it, whatever the index's size."""
 
     def __init__(self, tg: TunneledGraph, n: int, sample_rate_n: int,
                  sample_rate_t: int, loc):
@@ -306,23 +316,26 @@ class TextIndex:
         """(k, keys, states): the search state of every k-byte prefix that
         occurs, made on the first count or locate (Bowtie's ``ftab``).  Level
         j + 1 extends each state of level j by each alphabet byte, one
-        ``_search_pairs`` step, and keeps the non-empty states; the deepest
-        level, at most 8, is the last one reached while (states at the
-        level) x sigma <= n_t // 4, so the table and the work to make it stay
-        within a quarter of the nodes.  ``keys`` holds each prefix as
-        ``int.from_bytes(prefix, "big")``, ascending as the alphabet is, and
-        unsigned, as 8 bytes from 0x80 up pass 2^63; every prefix has k
-        bytes, so one starting with 0x00 collides with no shorter one.
+        ``_search_pairs`` step, and keeps the non-empty states.  k is the
+        deepest level, at most 8, whose levels take at most min(n_t // 4,
+        ``_TABLE_SEARCHES``) such steps in all: the table and the work to make
+        it stay within a quarter of the nodes, and the first query of a load
+        pays a bounded cost, which one query per load does not win back.
+        ``keys`` holds each prefix as ``int.from_bytes(prefix, "big")``,
+        ascending as the alphabet is, and unsigned, as 8 bytes from 0x80 up
+        pass 2^63; every prefix has k bytes, so one starting with 0x00
+        collides with no shorter one.
         ``states`` holds four int32 arrays, a, lo_off, b and hi_off by key,
         with hi_off None as 0.  At k = 0 the one key is the empty prefix's,
         whose state is the full range."""
-        search, nt, alphabet = self.tg._search_pairs, self.tg.g.n, self.tg.g.alphabet
-        level, k = [(0, 1, 1, nt, None)], 0
-        while k < 8 and len(level) * len(alphabet) <= nt // 4:
+        tg, nt, alphabet = self.tg, self.tg.g.n, self.tg.g.alphabet
+        level, k, budget = [(0, 1, 1, nt, None)], 0, min(nt // 4, _TABLE_SEARCHES)
+        while k < 8 and len(level) * len(alphabet) <= budget:
+            budget -= len(level) * len(alphabet)
             deeper = []
             for key, *state in level:
                 for c in alphabet:
-                    got = search(bytes((c,)), state)
+                    got = _table_search(tg, bytes((c,)), state)
                     if got is not None:
                         (a, lo_off), (b, hi_off) = got
                         deeper.append((key << 8 | c, a, lo_off, b, hi_off))

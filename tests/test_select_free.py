@@ -37,6 +37,7 @@ from conftest import (
 )
 from twgi.bitvec import BitVec, LabelSeq
 from twgi.errors import NotFoundError
+from twgi import text_index
 from twgi.persist import deserialize_index, serialize_index
 from twgi.text_index import TextIndex, build_graph_from_text, build_index
 from twgi.tunnel import (
@@ -294,6 +295,7 @@ def walk_lookups(monkeypatch):
             searching[0] = False
 
     monkeypatch.setattr(TunneledGraph, "_search_pairs", unguarded)
+    monkeypatch.setattr(text_index, "_table_search", unguarded)  # the k-gram table's
     return calls
 
 

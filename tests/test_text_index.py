@@ -365,6 +365,17 @@ def _grams(text: bytes, k: int) -> list[bytes]:
     return sorted({text[i:i + k] for i in range(len(text) - k + 1)})
 
 
+def _table_depth(text: bytes, budget: int) -> tuple[int, int]:
+    """(k, one-byte searches) of the k-gram table's rule, read off the text:
+    level j takes (distinct j-grams) x sigma searches, and k is the deepest
+    level, at most 8, whose levels take at most ``budget`` in all."""
+    sigma, k, spent = len(set(text)), 0, 0
+    while k < 8 and spent + len(_grams(text, k)) * sigma <= budget:
+        spent += len(_grams(text, k)) * sigma
+        k += 1
+    return k, spent
+
+
 class TestKgramTable:
     """Count and locate start their search from the table of every k-gram's
     search state (``TextIndex._kgrams``), made on the first count or locate
@@ -385,13 +396,28 @@ class TestKgramTable:
     @pytest.mark.parametrize("tunneling", [True, False])
     @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
     def test_depth_rule(self, name, tunneling, small_index):
-        # k is the deepest level, at most 8, reached while the states at a
-        # level times sigma stay within n_t // 4
+        # k is the deepest level, at most 8, whose making takes at most
+        # n_t // 4 one-byte searches; the cap of 2048 binds from n_t = 8192
         text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
-        k, sigma, budget = ix._kgrams[0], len(set(text)), ix.tg.g.n // 4
-        assert all(len(_grams(text, j)) * sigma <= budget for j in range(k))
-        assert k == 8 or len(_grams(text, k)) * sigma > budget
+        k = ix._kgrams[0]
+        assert ix.tg.g.n // 4 < text_index._TABLE_SEARCHES
+        assert k == _table_depth(text, ix.tg.g.n // 4)[0]
         assert ix.stats()["kgram_k"] == k and ix.stats()["kgram_keys"] == len(_grams(text, k))
+
+    def test_making_the_table_is_capped(self, monkeypatch):
+        # a larger index stops at 2048 one-byte searches, a level short of
+        # what n_t // 4 allows, so one query per load pays a bounded cost
+        text = random_text(random.Random(5), 40_000, 4)
+        ix = build_index(text)
+        calls = []
+        search = text_index._table_search
+        monkeypatch.setattr(text_index, "_table_search",
+                            lambda *args: calls.append(args) or search(*args))
+        k, spent = _table_depth(text, text_index._TABLE_SEARCHES)
+        assert (k, len(calls)) == (5, 0) and _table_depth(text, ix.tg.g.n // 4)[0] == 6
+        assert ix._kgrams[0] == k and len(calls) == spent <= text_index._TABLE_SEARCHES
+        for pat in make_patterns(random.Random(127), text, 40, max_len=10):
+            assert ix.count(pat) == naive_count(text, pat), pat
 
     @pytest.mark.parametrize("tunneling", [True, False])
     @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
