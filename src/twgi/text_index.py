@@ -14,11 +14,13 @@ the skip pointers and cnt samples that an index file stores.
 
 Locate walks each occurrence to the next text-order sample.  The copies of a
 tunnel node share its exit, where the walk splits by copy.  The (node, copy)
-starts walk in lockstep on numpy arrays, one hop a round through a table by
-L position, made on the first locate: a hop takes an edge, jumps a landing
-on an entrance to its exit and names the edge the walk leaves by next, or
-the sample it reached.  A round is two gathers over every walk, finished
-ones included; ``locate_one`` walks its one start the same way.
+starts, numpy arrays from the search's range on, walk in lockstep through a
+table by L position, made on the first locate: a hop takes an edge, jumps a
+landing on an entrance to its exit and names the edge the walk leaves by
+next, or the sample it reached.  The table is that one-hop table composed
+with itself twice (pointer jumping, Wyllie 1979), so a round is two gathers
+over every walk, finished ones included, and takes four hops;
+``locate_one`` walks its one start the same way.
 
 A forward step takes a known out-edge: a node's only one, or the one of its
 copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
@@ -135,6 +137,11 @@ def build_graph_from_text(text: bytes) -> WheelerGraph:
 # n hops, so TextIndex refuses an index of 2^30 nodes or more
 _STUCK = 2 ** 31
 
+# the hops a lockstep round takes: the one-hop table composed with itself
+# until its entries take this many, a power of 2; more cost the table's making
+# more than they save the rounds
+_ROUND_HOPS = 4
+
 
 @dataclass
 class StepCounter:
@@ -153,8 +160,9 @@ class TextIndex:
     unless n < 2^30 (a walk's steps must stay below ``_STUCK``), both rates
     are >= 1, the records account for the n original nodes, each exit's
     out-degree and entrance's in-degree (one less at rank 1) is its width,
-    the tunnels walk as ``_walk_tunnels`` requires, and ``loc`` maps plain
-    nodes to distinct positions in [1..n].
+    the tunnels walk as ``_walk_tunnels`` requires, ``loc`` maps plain
+    nodes to distinct positions in [1..n], and every node of out-degree 0
+    holds a sample, so no walk that reaches one steps past it.
 
     Count and locate search from a start state: the search state, as
     ``tg._search_pairs`` passes it on, after the pattern's first k bytes,
@@ -201,6 +209,9 @@ class TextIndex:
         # and by node, for the lockstep walk to gather: 0 off the samples
         self._samp = np.zeros(nt + 1, np.int32)
         self._samp[at] = pos
+        lstart = np.frombuffer(g._lstart, np.int64)
+        if not self._samp.take(np.flatnonzero(lstart[2:] == lstart[1:-1]) + 1).all():
+            raise ValidationError("every node of out-degree 0 must hold a sample")
 
     def _walk_tunnels(self) -> None:
         """Keeps, as memoryviews (no copy; reads as fast as ``array``): ``_chain``,
@@ -410,43 +421,66 @@ class TextIndex:
             return []
         (lo, lo_off), (hi, hi_off) = got
         starts = self._starts(lo, lo_off, hi, hi_off, limit, counter)
-        return _distinct_sorted((self._lockstep(*starts, counter) - len(pattern)).tolist())
+        positions = np.sort(self._lockstep(*starts, counter) - len(pattern))
+        if (positions[1:] == positions[:-1]).any():
+            raise InvariantError("two occurrences located at one text position")
+        return positions.tolist()
 
     def _starts(self, lo: int, lo_off: int, hi: int, hi_off: int | None,
                 limit: int | None, counter: StepCounter):
-        """(nodes, copies, distances) of the range's occurrences, the first
-        ``limit`` of them: a plain node starts at its one copy, and the
-        copies of a tunnel node at its exit, the distance to it travelled,
-        one jump counted for each tunnel node with a kept copy."""
-        if limit is not None and hi - lo >= limit:  # every node holds an occurrence
-            hi, hi_off = lo + limit - 1, None
-        lstart, tun, slot, chain, to_exit = (self.tg.g._lstart, self._tun, self._slot,
-                                             self._chain, self._to_exit)
-        cut = self.n if limit is None else limit  # no range holds n occurrences
-        nodes, offs, dists = [], [], []
-        nxt = lo
-        for v in [*tun[bisect_left(tun, lo):bisect_right(tun, hi)], hi + 1]:
-            nodes += range(nxt, v)  # the plain nodes before v
-            offs += [1] * (v - nxt)
-            dists += [0] * (v - nxt)
-            if v > hi or len(nodes) >= cut:
-                break
-            dist = to_exit[slot[v]]
-            node = chain[slot[v] - dist]
-            if dist:
-                counter.steps += 1
-            first = lo_off if v == lo else 1
-            last = hi_off if v == hi and hi_off is not None else lstart[node + 1] - lstart[node]
-            nodes += [node] * (last - first + 1)
-            offs += range(first, last + 1)
-            dists += [dist] * (last - first + 1)
-            nxt = v + 1
-        del nodes[cut:], offs[cut:], dists[cut:]
-        return nodes, offs, dists
+        """(nodes, copies, distances), int64 arrays, of the range's
+        occurrences, the first ``limit`` of them: a plain node starts at its
+        one copy, and the copies of a tunnel node at its exit, the distance
+        to it travelled.  The range keeps copies lo_off.. of lo and ..hi_off
+        of hi, none of lo if lo_off is past its width; one jump is counted
+        for each tunnel node off its exit with a kept copy."""
+        if limit is not None and hi - lo > limit:  # every node past lo holds an occurrence
+            hi, hi_off = lo + limit, None
+        tun = self._tun
+        t = self.tg._tun[bisect_left(tun, lo):bisect_right(tun, hi)]
+        nodes = np.arange(lo, hi + 1)
+        counts = np.ones(len(nodes), np.int64)
+        dists = np.zeros(len(nodes), np.int64)
+        if len(t):  # a tunnel node starts at its exit, once per copy
+            lstart = np.frombuffer(self.tg.g._lstart, np.int64)
+            s = np.asarray(self._slot).take(t)
+            dist = np.asarray(self._to_exit).take(s)
+            exit_ = np.asarray(self._chain).take(s - dist)
+            nodes[t - lo], dists[t - lo] = exit_, dist
+            counts[t - lo] = lstart.take(exit_ + 1) - lstart.take(exit_)
+        if hi_off is not None:
+            counts[-1] = hi_off
+        counts[0] = max(counts[0] - (lo_off - 1), 0)
+        cum = np.cumsum(counts)
+        if limit is not None and cum[-1] > limit:
+            k = int(cum.searchsorted(limit)) + 1  # the nodes that reach the limit
+            nodes, dists, counts, cum = nodes[:k], dists[:k], counts[:k], cum[:k]
+            counts[-1] -= cum[-1] - limit
+            cum[-1] = limit
+        counter.steps += int(np.count_nonzero(dists[counts > 0]))
+        offs = np.arange(1, cum[-1] + 1) - np.repeat(cum - counts, counts)
+        offs[:counts[0]] += lo_off - 1
+        return np.repeat(nodes, counts), offs, np.repeat(dists, counts)
 
     @cached_property
     def _hops(self) -> tuple[np.ndarray, np.ndarray]:
-        """The lockstep walk's hop table by L position q, made on first use.
+        """The lockstep walk's hop table by L position, made on first use:
+        ``_hop_table``'s one-hop table composed with itself until an entry
+        takes ``_ROUND_HOPS`` hops.  ``nxt[q]`` is the L position the walk
+        leaves by after them, or 0 once it stopped on the way; ``val[q]`` is
+        their sum: their steps in the low 32 bits, ``_STUCK`` at most once,
+        as a stuck hop ends its walk at entry 0, and above them the sample's
+        position less 1, or minus the distance travelled.  Each composition
+        is two gathers over the table, which keeps its int32 ``nxt`` and
+        int64 ``val``: 12 bytes per L position."""
+        nxt, val = self._hop_table()
+        for _ in range(_ROUND_HOPS.bit_length() - 1):
+            val += val.take(nxt)
+            nxt = nxt.take(nxt)
+        return nxt, val
+
+    def _hop_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The one-hop table by L position q, made afresh on each call.
         A hop takes edge q and, if it lands on a tunnel's entrance, jumps to
         the exit.  ``nxt[q]`` is the L position the walk then leaves by (at
         an exit, by its landing copy), or 0 if the edge reaches a sample or
@@ -494,18 +528,19 @@ class TextIndex:
         q[self._samp.take(node) != 0] = 0
         return q
 
-    def _lockstep(self, nodes, offs, dists, counter: StepCounter) -> np.ndarray:
+    def _lockstep(self, nodes: np.ndarray, offs: np.ndarray, dists: np.ndarray,
+                  counter: StepCounter) -> np.ndarray:
         """Text positions of the walks from copy offs[i] of nodes[i], a plain
         node or an exit as ``_starts`` gives them, dists[i] already
-        travelled, walked together: each round adds every walk's hop to its
-        sum and moves it on by the hop table, until every walk stands at 0.
-        If a walk stuck, ``_fstep`` is called where it refused, to raise its
-        error: at the start, or past the hop's edge and the exit it jumps to.
-        The first walk to stick, in the earliest round, is the one reported."""
+        travelled, walked together: each round adds every walk's next
+        ``_ROUND_HOPS`` hops to its sum and moves it on by the hop table,
+        until every walk stands at 0.  If a walk stuck, ``_fstep`` is called
+        where it refused, to raise its error: at the start, or past the
+        hop's edge and the exit it jumps to.  The first walk to stick, in
+        the earliest round of one hop (``_hop_table``), is the one reported."""
         nxt, val = self._hops
-        node = np.array(nodes, np.int64)
-        start = self._leave(node, np.array(offs, np.int64))
-        acc = (self._samp.take(node) - np.array(dists, np.int64)) * 2 ** 32
+        start = self._leave(nodes, offs)
+        acc = (self._samp.take(nodes) - dists) * 2 ** 32
         acc[start < 0] = _STUCK
         q = np.maximum(start, 0)
         for _ in range(self.n):
@@ -520,6 +555,7 @@ class TextIndex:
             i = int((start < 0).argmax())
             v, off = nodes[i], offs[i]
             if start[i] >= 0:  # no start stuck: find the round where a hop did
+                nxt, val = self._hop_table()
                 q = start
                 while not (stuck := (val.take(q) & _STUCK) != 0).any():
                     q = nxt.take(q)
@@ -609,9 +645,11 @@ class TextIndex:
     # -- bookkeeping ------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Sizes of the index, and of its k-gram table (made here if no
-        count or locate has made it): k, its keys and its resident bytes."""
+        """Sizes of the index, of its k-gram table (k, its keys and its
+        resident bytes) and of its hop table (the hops a lockstep round takes
+        and its resident bytes), each made here if no query has made it."""
         k, keys, states = self._kgrams
+        nxt, val = self._hops
         return {
             "n": self.n,
             "n_t": self.tg.g.n,
@@ -623,18 +661,13 @@ class TextIndex:
             "kgram_k": k,
             "kgram_keys": len(keys),
             "kgram_bytes": sum(map(sys.getsizeof, [keys, *states])),
+            "hops_per_round": _ROUND_HOPS,
+            "hop_bytes": nxt.nbytes + val.nbytes,
         }
 
     def __repr__(self) -> str:
         return (f"TextIndex(|T|={self.text_len}, n_t={self.tg.g.n}, "
                 f"tunnels={len(self.tg.tunnels)})")
-
-
-def _distinct_sorted(positions: list[int]) -> list[int]:
-    positions.sort()
-    if len(set(positions)) != len(positions):
-        raise InvariantError("two occurrences located at one text position")
-    return positions
 
 
 def build_index(text: bytes, *, sample_rate_n: int | None = None,

@@ -471,9 +471,6 @@ class TunneledGraph:
         """The exit-copy table as a dict by edge rank, made on each read."""
         return {j: copy for j, copy in enumerate(self._exit_copy) if copy}
 
-    def is_tunnel_node(self, r: int) -> bool:
-        return self._kind[r] != 0
-
     def check_pos(self, p: TraversalPos) -> None:
         """Raises BoundsError unless p's node is in [1..n_t] and its offset
         is 1, or at most the widest tunnel's width at a tunnel node.  A node's

@@ -209,9 +209,6 @@ class WheelerGraph:
     def label_id(self, byte: int) -> int | None:
         return self._label_to_id.get(byte)
 
-    def label_byte(self, c: int) -> int:
-        return self.alphabet[c - 1]
-
     # -- navigation ----------------------------------------------------------
 
     def out_edge_rank(self, i: int, c: int, k: int) -> int:

@@ -306,6 +306,16 @@ def out_label(g, r: int):
     return g.L.access(g._lstart[r] + 1) if g.outdeg(r) else None
 
 
+def label_byte(g, c: int) -> int:
+    """The byte of symbol id c."""
+    return g.alphabet[c - 1]
+
+
+def is_tunnel_node(tg, v: int) -> bool:
+    """Whether node v of the tunneled graph lies in a tunnel."""
+    return tg._kind[v] != 0
+
+
 def select_edge_source(g, j: int) -> int:
     c = edge_label(g, j)
     pos = g.L.select(j - g.C[c], c)
@@ -405,7 +415,7 @@ def assert_lands(tg) -> int:
         assert tg._pos[j] == p, (j, p)
         assert tg.land(j, -1) == (node, off), j
         assert (tg._step_to[p], tg._step_land[p] or -1, tg._step_byte[p]) == \
-            (node, off, g.label_byte(c)), p
+            (node, off, label_byte(g, c)), p
     return g.m
 
 
@@ -416,7 +426,7 @@ def scan_node_first(tg, v, c, min_copy, max_copy):
     j1, j2 = tg.g.edge_range_for_label(NodeRange(v, v), c)
     if j1 > j2:
         return None
-    if not tg.is_tunnel_node(v):
+    if not is_tunnel_node(tg, v):
         return (j1, "plain", None)
     if tg.inner_marks.access(tg.g.edge_target(j1)):
         return (j1, "carry", min_copy if min_copy is not None else 1)
@@ -434,7 +444,7 @@ def scan_node_last(tg, v, c, min_copy, max_copy):
     j1, j2 = tg.g.edge_range_for_label(NodeRange(v, v), c)
     if j1 > j2:
         return None
-    if not tg.is_tunnel_node(v):
+    if not is_tunnel_node(tg, v):
         return (j2, "plain", None)
     if tg.inner_marks.access(tg.g.edge_target(j1)):
         return (j1, "carry", max_copy)
@@ -463,7 +473,7 @@ def edges_search(tg, pattern, seen=None):
             return None
         if seen is not None:
             ends = [v for v, narrows in ((lo[0], lo[1] > 1), (hi[0], hi[1] is not None))
-                    if narrows and tg.is_tunnel_node(v)]
+                    if narrows and is_tunnel_node(tg, v)]
             seen["plain"] += not ends
             for v in ends:
                 p = g._lstart[v] + 1
@@ -494,7 +504,7 @@ def fstep_extract(ix, start: int, length: int, counter=None) -> bytes:
     for _ in range(ix.n):
         if pos >= start:
             break
-        if ix.tg.is_tunnel_node(node):
+        if is_tunnel_node(ix.tg, node):
             exit_rank, dist = walk_to_exit(ix.tg.g, node)
             if dist:
                 counter.steps += 1

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import copy_paste_mutate
 from twgi.cli import main
-from twgi.persist import SECTIONS, serialize_index
+from twgi.persist import SECTIONS, load_index, serialize_index
 from twgi.text_index import build_index
 
 
@@ -133,8 +133,8 @@ def test_stats(workdir, capsys):
     keys = [line.split(":")[0] for line in out.strip().splitlines()]
     sections = [f"bits.{name}" for name in (*SECTIONS, "framing")]
     assert keys == ["n", "n_t", "sigma", "tunnels", "bits_per_symbol", *sections,
-                    "kgram_k", "kgram_keys", "kgram_bytes"]
-    bits = [int(line.split(":")[1]) for line in out.strip().splitlines()[5:-3]]
+                    "kgram_k", "kgram_keys", "kgram_bytes", "hops_per_round", "hop_bytes"]
+    bits = [int(line.split(":")[1]) for line in out.strip().splitlines()[5:-5]]
     assert sum(bits) == 8 * os.path.getsize(index)
 
 
@@ -153,6 +153,22 @@ def test_stats_reports_the_kgram_table(tmp_path, capsys, tunnel):
     assert 1 < k <= 8
     assert keys == len({data[i:i + k] for i in range(len(data) - k + 1)})
     assert 24 * keys < int(lines["kgram_bytes"]) < 24 * keys + 512
+
+
+@pytest.mark.parametrize("tunnel", [True, False])
+def test_stats_reports_the_hop_table(tmp_path, capsys, tunnel):
+    # the lockstep walk's hop table, which stats makes as no locate has: four
+    # hops a round, and an int32 and an int64 per L position
+    text, index = tmp_path / "t.txt", tmp_path / "t.twgi"
+    text.write_bytes(copy_paste_mutate(random.Random(4), 2048, 4))
+    assert main(["build", str(text), "-o", str(index), *([] if tunnel else ["--no-tunnel"])]) == 0
+    capsys.readouterr()
+    assert main(["stats", str(index)]) == 0
+    lines = dict(line.split(": ") for line in capsys.readouterr().out.strip().splitlines())
+    ix = load_index(str(index))
+    assert bool(ix.tg.tunnels) == tunnel
+    assert int(lines["hops_per_round"]) == 4
+    assert int(lines["hop_bytes"]) == 12 * (ix.tg.g.m + 1)
 
 
 def test_usage_error_exit_2():

@@ -18,6 +18,7 @@ from conftest import (
     SMALL_TEXTS,
     fig1_block,
     fig1_edge_list,
+    is_tunnel_node,
     loop_pack_ints,
     loop_unpack_ints,
     make_patterns,
@@ -376,7 +377,7 @@ def _move_in_edge(ix, s: Samples):
     ``TunneledGraph`` bounds an entrance's in-edges only by its copies."""
     g = s.g
     e = next(t.entrance for t in s.tunnels
-             if t.entrance < g.n and not ix.tg.is_tunnel_node(t.entrance + 1))
+             if t.entrance < g.n and not is_tunnel_node(ix.tg, t.entrance + 1))
     deg = [g.indeg(v) for v in range(1, g.n + 1)]
     deg[e - 1] -= 1
     deg[e] += 1
@@ -395,7 +396,7 @@ def _loc_moves(ix) -> list[tuple[int, int]]:
     nodes = sorted(ix.loc)
     moves = []
     for v, nxt in zip(nodes, nodes[1:] + [ix.tg.g.n + 1]):
-        u = next((u for u in range(v + 1, nxt) if ix.tg.is_tunnel_node(u)), None)
+        u = next((u for u in range(v + 1, nxt) if is_tunnel_node(ix.tg, u)), None)
         if u is not None:
             moves.append((v, u))
     return moves
@@ -625,11 +626,13 @@ def test_inner_mark_moved_off_its_tunnel(name, onto, small_index):
     inner = [v for v in np.flatnonzero(tg.inner_marks.bits()) + 1
              if v not in exits and v not in ix.skip]
     if onto == "plain node":
-        to = [v for v in range(1, tg.g.n + 1) if not tg.is_tunnel_node(v) and tg.g.outdeg(v) == 1]
+        to = [v for v in range(1, tg.g.n + 1)
+              if not is_tunnel_node(tg, v) and tg.g.outdeg(v) == 1]
     else:
         lstart = tg.g._lstart
         to = sorted({tg._step_to[p] for e in exits for p in range(lstart[e] + 1, lstart[e + 1] + 1)
-                     if not tg.is_tunnel_node(tg._step_to[p]) and tg.g.indeg(tg._step_to[p]) == 1})
+                     if not is_tunnel_node(tg, tg._step_to[p])
+                     and tg.g.indeg(tg._step_to[p]) == 1})
     assert len(inner) > 10 and len(to) > 4
     for frm, dst in zip(inner[::len(inner) // 4], to[::len(to) // 4]):
         bits = tg.inner_marks.bits().copy()
@@ -662,6 +665,26 @@ def test_loc_without_the_last_position(small_index):
     bad = _samples(ix)
     del bad.loc[_sink_sample(ix)]
     with pytest.raises(FormatError, match=f"loc must map .* {ix.n} among them"):
+        deserialize_index(_file(ix, bad))
+
+
+@pytest.mark.parametrize("tunneling", [True, False])
+@pytest.mark.parametrize("name", ["fib", "cpm4"])
+def test_sink_without_its_sample(name, tunneling, small_index):
+    # the sample at position n moves from the sink onto the first unsampled
+    # plain node: loc still holds position n, and before the rule that every
+    # node of out-degree 0 holds a sample this file loaded, and locates of
+    # 3-byte patterns walked past the sink
+    ix = small_index(name, tunneling)
+    tg = ix.tg
+    (sink,) = [v for v in range(1, tg.g.n + 1) if tg.g.outdeg(v) == 0]
+    assert sink == _sink_sample(ix)
+    to = next(v for v in range(1, tg.g.n + 1) if v not in ix.loc and not tg._kind[v])
+    bad = _samples(ix)
+    _move_loc(bad.loc, sink, to)
+    with pytest.raises(ValidationError, match="every node of out-degree 0 must hold a sample"):
+        _construct(ix, bad)
+    with pytest.raises(FormatError, match="every node of out-degree 0 must hold a sample"):
         deserialize_index(_file(ix, bad))
 
 

@@ -10,6 +10,7 @@ from conftest import (
     fibonacci_word,
     fstep_extract,
     fstep_walk,
+    is_tunnel_node,
     loop_samples,
     make_patterns,
     naive_count,
@@ -219,7 +220,7 @@ class TestExitRule:
                               min_length=min_length)
             g = ix.tg.g
             for v in range(1, g.n + 1):
-                if ix.tg.is_tunnel_node(v):
+                if is_tunnel_node(ix.tg, v):
                     # the walked exit, distance and width, by single-edge steps
                     exit_rank, dist = walk_to_exit(g, v)
                     i = ix._slot[v]
@@ -284,7 +285,7 @@ class TestNodeWidth:
         nodes = range(1, ix.tg.g.n + 1)
         assert [ix.node_width(v) for v in nodes] == [ix._cum(v) - ix._cum(v - 1) for v in nodes]
         # both kinds of node are met; 2 KB of random text forms no tunnel
-        assert any(map(ix.tg.is_tunnel_node, nodes)) == (tunneling and name != "rand96")
+        assert any(is_tunnel_node(ix.tg, v) for v in nodes) == (tunneling and name != "rand96")
 
     def test_width_sum_is_n(self):
         rng = random.Random(13)
@@ -319,7 +320,7 @@ class TestCount:
             evaluated.clear()
             assert ix.count(pat) == naive_count(text, pat)
             assert not evaluated, (pat, hi)
-            seen.add((ix.tg.is_tunnel_node(hi), hi % ix.sample_rate_t == 0))
+            seen.add((is_tunnel_node(ix.tg, hi), hi % ix.sample_rate_t == 0))
         # aligned and unaligned hi, and an unaligned tunnel node
         assert {aligned for _, aligned in seen} == {True, False} and (True, False) in seen
 
@@ -508,7 +509,7 @@ class TestLocate:
 
     def test_locate_one_rejects_a_copy_outside_the_node(self):
         ix = build_index(b"abracadabra" * 20)
-        assert not ix.tg.is_tunnel_node(1) and ix.tg.is_tunnel_node(2)
+        assert not is_tunnel_node(ix.tg, 1) and is_tunnel_node(ix.tg, 2)
         for pos in (TraversalPos(1, 0), TraversalPos(1, 7), TraversalPos(2, 0),
                     TraversalPos(2, -2)):
             with pytest.raises(BoundsError, match=f"no copy {pos.offset}"):
@@ -528,7 +529,7 @@ class TestLocate:
         narrower = 0
         for ix in (build_index(b"abracadabra" * 20), small_index("cpm4")):
             w_max = max(t.width for t in ix.tg.tunnels)
-            nodes = [v for v in range(1, ix.tg.g.n + 1) if ix.tg.is_tunnel_node(v)]
+            nodes = [v for v in range(1, ix.tg.g.n + 1) if is_tunnel_node(ix.tg, v)]
             assert nodes
             for v in nodes:
                 width = ix.node_width(v)
@@ -555,7 +556,7 @@ class TestLocate:
         # every walk answers 7, so the two a's collide
         ix = build_index(b"abcabc")
         monkeypatch.setattr(TextIndex, "_lockstep",
-                            lambda self, nodes, offs, dists, counter: np.full(len(nodes), 7))
+                            lambda self, nodes, offs, dists, counter: np.full_like(nodes, 7))
         for limit in (None, 2):
             with pytest.raises(InvariantError, match="two occurrences"):
                 ix.locate(b"a", limit=limit)
@@ -598,12 +599,41 @@ def _oracle_starts(ix, lo, lo_off, hi, hi_off, limit):
         occ += [(v, o) for o in range(lo_off if v == lo else 1, last + 1)]
     starts, jumped = ([], [], []), set()
     for v, o in occ[:limit]:
-        node, dist = walk_to_exit(ix.tg.g, v) if ix.tg.is_tunnel_node(v) else (v, 0)
+        node, dist = walk_to_exit(ix.tg.g, v) if is_tunnel_node(ix.tg, v) else (v, 0)
         if dist:
             jumped.add(v)
         for into, x in zip(starts, (node, o, dist)):
             into.append(x)
     return starts, len(jumped)
+
+
+def _one_hop_table(ix):
+    """(nxt, val) lists by L position q, by ``_fstep`` and ``walk_to_exit``:
+    the reference for one hop of ``_hops``.  The hop takes edge q and, if it
+    lands on an entrance, jumps to the exit; it then names the edge that
+    ``_fstep`` leaves by, or 0 at a sample or where ``_fstep`` raises.  Its
+    value is its steps plus the sample's position less 1, or less the
+    distance travelled, times 2^32; ``_STUCK`` alone where ``_fstep`` raises."""
+    tg, m = ix.tg, ix.tg.g.m
+    nxt, val = [0] * (m + 1), [0] * (m + 1)
+    for q in range(1, m + 1):
+        v, off = tg._step_to[q], tg._step_land[q] or 1
+        if v in ix.loc:
+            val[q] = (ix.loc[v] - 1) * 2 ** 32 + 1
+            continue
+        steps, dist = 1, 1
+        if v in tg.entrance_info:
+            v, d = walk_to_exit(tg.g, v)
+            steps, dist = 1 + (d > 0), 1 + d
+        try:
+            ix._fstep(v, off, StepCounter())
+        except BoundsError:
+            val[q] = text_index._STUCK
+            continue
+        deg = tg.g.outdeg(v)
+        nxt[q] = tg.g._lstart[v] + (off if deg > 1 and tg._kind[v] else 1)
+        val[q] = steps - dist * 2 ** 32
+    return nxt, val
 
 
 def _landing_past_the_width(ix):
@@ -672,11 +702,12 @@ class TestLockstep:
             for limit in [*range(1, 17), None]:
                 counter = StepCounter()
                 starts, jumps = _oracle_starts(ix, lo, lo_off, hi, hi_off, limit)
-                assert (ix._starts(lo, lo_off, hi, hi_off, limit, counter), counter.steps) \
-                    == (starts, jumps), (pat, limit)
+                got = ix._starts(lo, lo_off, hi, hi_off, limit, counter)
+                assert (tuple(a.tolist() for a in got), counter.steps) == (starts, jumps), \
+                    (pat, limit)
                 end = hi if limit is None else min(hi, lo + limit - 1)
                 overcut += jumps < sum(walk_to_exit(ix.tg.g, v)[1] > 0 for v in
-                                       range(lo, end + 1) if ix.tg.is_tunnel_node(v))
+                                       range(lo, end + 1) if is_tunnel_node(ix.tg, v))
         assert bool(overcut) == (tunneling and name in ("cpm4", "cpm96"))
 
     def test_caaca_under_limit_5_jumps_once(self, small_index):
@@ -737,7 +768,7 @@ class TestLockstep:
                       for o in range(1, ix.node_width(v) + 1)]
             exits = {t.exit for t in tg.tunnels}
             kinds = {"entrance" if v in tg.entrance_info else "exit" if v in exits else
-                     "inner" if tg.is_tunnel_node(v) else "plain" for v, _ in starts}
+                     "inner" if is_tunnel_node(tg, v) else "plain" for v, _ in starts}
             assert kinds == ({"plain", "entrance", "inner", "exit"} if tunneling else {"plain"})
             (sink,) = [v for v in range(1, tg.g.n + 1) if tg.g.outdeg(v) == 0]
             for v, o in starts:
@@ -763,6 +794,53 @@ class TestLockstep:
             assert ix.locate_one(TraversalPos(1, 1)) == 1
             assert vars(ix)["_hops"] is table
 
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_hop_table_takes_four_hops(self, name, tunneling, small_index):
+        # an entry of the hop table is four hops of the reference one-hop
+        # table: the L position after them and the sum of their values, on
+        # the index and on a copy whose landings stick; a stuck hop ends its
+        # walk, so its mark is added once
+        ix = small_index(name, tunneling)
+        for index in (ix, _landing_past_the_width(ix)):
+            one_nxt, one_val = _one_hop_table(index)
+            want_nxt, want_val = [], []
+            for q in range(len(one_nxt)):
+                acc = 0
+                for _ in range(4):
+                    acc, q = acc + one_val[q], one_nxt[q]
+                want_nxt.append(q)
+                want_val.append(acc)
+            nxt, val = index._hops
+            assert (nxt.dtype, val.dtype, len(nxt)) == (np.int32, np.int64, ix.tg.g.m + 1)
+            assert nxt.tolist() == want_nxt and val.tolist() == want_val
+        stuck = (val & text_index._STUCK) != 0
+        assert stuck.any() == bool(ix.tg.tunnels)
+        assert ((val[stuck] & 0xFFFFFFFF) - text_index._STUCK <= 8).all()
+
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_starts_from_a_copy_past_the_width(self, name, tunneling, small_index):
+        # no search gives a range whose first copy is past lo's width: lo then
+        # keeps no copy and is not jumped, and the starts, under every limit,
+        # come from the nodes after it as the oracle's do
+        ix = small_index(name, tunneling)
+        tg, nt = ix.tg, ix.tg.g.n
+        tunnel_nodes = [v for v in range(1, nt - 3) if tg._kind[v]]
+        los = tunnel_nodes[::max(1, len(tunnel_nodes) // 40)] + list(range(1, nt - 3, nt // 20))
+        jumped = 0
+        for lo in los:
+            lo_off = ix.node_width(lo) + 1
+            for hi, hi_off in ((lo, None), (lo, 1), (lo + 3, None), (lo + 3, 1)):
+                for limit in (None, 1, 2, 5):
+                    counter = StepCounter()
+                    got = ix._starts(lo, lo_off, hi, hi_off, limit, counter)
+                    starts, jumps = _oracle_starts(ix, lo, lo_off, hi, hi_off, limit)
+                    assert (tuple(a.tolist() for a in got), counter.steps) == (starts, jumps), \
+                        (lo, hi, hi_off, limit)
+                    jumped += jumps
+        assert bool(jumped) == (tunneling and name != "rand96")
+
     def test_the_first_walk_to_stick_raises(self, small_index, monkeypatch):
         # edges into a tunnel land copies past its width, by up to 3:
         # locate_one raises each stuck walk's own error, and of the walks
@@ -787,18 +865,18 @@ class TestLockstep:
             else:
                 assert bad.locate_one(TraversalPos(v, o)) == want, (v, o)
         assert len({msg for _, _, msg in stuck}) > 3
-        nodes, offs, dists = [], [], []
-        for v, o in starts:  # walks start at a plain node or an exit
-            for into, got in zip((nodes, offs, dists), bad._starts(v, o, v, o, None, StepCounter())):
-                into += got
+        # walks start at a plain node or an exit
+        nodes, offs, dists = map(np.concatenate, zip(*(bad._starts(v, o, v, o, None, StepCounter())
+                                                       for v, o in starts)))
         with pytest.raises(BoundsError) as got:
             bad._lockstep(nodes, offs, dists, StepCounter())
         assert str(got.value) == min(stuck)[2]
         # starts at exits past their out-degree stick before any hop: the first
         exits = sorted({t.exit for t in tg.tunnels})[:3]
         with pytest.raises(BoundsError) as got:
-            bad._lockstep(nodes + exits, offs + [tg.g.outdeg(x) + 1 for x in exits],
-                          dists + [0] * 3, StepCounter())
+            bad._lockstep(np.append(nodes, exits),
+                          np.append(offs, [tg.g.outdeg(x) + 1 for x in exits]),
+                          np.append(dists, [0] * 3), StepCounter())
         deg = tg.g.outdeg(exits[0])
         assert str(got.value) == f"copy {deg + 1} of node {exits[0]} is outside its {deg} out-edges"
 
@@ -815,9 +893,9 @@ class TestLockstep:
                 bad.locate(text[-5:-2])
 
     def test_walk_past_the_sink_raises(self, small_index):
-        # without the sample at position n, a walk that reaches the sink has
-        # no edge to take; TextIndex rejects such samples, so the sample is
-        # removed after construction
+        # without its sample, a walk that reaches the sink has no edge to
+        # take; TextIndex requires a sample on every node of out-degree 0
+        # (test_persist.py), so the sample is removed after construction
         text = SMALL_TEXTS["cpm4"]
         bad = deserialize_index(serialize_index(small_index("cpm4")))
         sink = next(v for v, pos in bad.loc.items() if pos == bad.n)
