@@ -449,8 +449,8 @@ class TextIndex:
             at, s = t - lo, np.asarray(self._slot).take(t)
             dists[at] = dist = np.asarray(self._to_exit).take(s)
             nodes[at] = np.asarray(self._chain).take(s - dist)
-            extra = np.asarray(self._extra)[i:j + 1]  # summed widths past 1
-            counts[at] += extra[1:] - extra[:-1]
+            extra = np.asarray(self._extra)  # the widths past 1, summed in rank order
+            counts[at] = extra[i + 1:j + 1] - extra[i:j] + 1
         if hi_off is not None:
             counts[-1] = hi_off
         counts[0] = max(counts[0] - lo_off + 1, 0)
@@ -461,7 +461,9 @@ class TextIndex:
             counts[-1] -= cum[-1] - limit
             cum[-1] = limit
         counter.steps += int(np.count_nonzero(dists[counts > 0]))
-        before = cum - counts - 1  # each node's first start less 1, less its first copy
+        # a start's copy is its index less its node's first index, plus the
+        # node's first copy: 1, or lo_off at lo
+        before = cum - counts - 1
         before[0] = -lo_off
         offs = np.arange(cum[-1]) - before.repeat(counts)
         return nodes.repeat(counts), offs, dists.repeat(counts)
