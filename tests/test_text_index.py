@@ -814,7 +814,7 @@ class TestLockstep:
             nxt, val = index._hops
             assert (nxt.dtype, val.dtype, len(nxt)) == (np.int32, np.int64, ix.tg.g.m + 1)
             assert nxt.tolist() == want_nxt and val.tolist() == want_val
-        stuck = (val & text_index._STUCK) != 0
+        stuck = (val & text_index._STUCK) != 0  # on the copy: its landings stick
         assert stuck.any() == bool(ix.tg.tunnels)
         assert ((val[stuck] & 0xFFFFFFFF) - text_index._STUCK <= 8).all()
 
