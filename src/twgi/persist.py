@@ -250,13 +250,6 @@ def tunneled_graph_from_meta(g: WheelerGraph, meta: dict) -> TunneledGraph:
 # block files
 
 
-def write_blocks_file(fh, blocks: list[Block]) -> None:
-    for b in blocks:
-        fh.write(f"BLOCK {b.width} {b.size}\n")
-        for col in b.columns:
-            fh.write(" ".join(map(str, col)) + "\n")
-
-
 def read_blocks_file(fh) -> list[Block]:
     blocks = []
     cur = None

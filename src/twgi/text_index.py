@@ -26,9 +26,12 @@ A forward step takes a known out-edge: a node's only one, or the one of its
 copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
 target, landing copy and label from the graph's step table, the landing
 rule decoded once per L position when the graph is made.  ``_fstep`` is
-that rule; ``extract`` writes it out in its seek and output loops, with
-the same checks, and ``_leave`` holds it as arrays for the hop table, so a
-change to the step rule must update all three.
+that rule, with both of its checks, a copy past the exit's out-degree and a
+step past the sink; it is the tests' oracle and the bench times it.
+``extract`` writes it out in its seek and output loops with the sink check
+only, and ``_leave`` holds it as arrays for the hop table with neither: the
+load proves that no walk needs the copy check, nor a hop walk the sink
+check (``TextIndex``).  A change to the step rule must update all three.
 """
 
 from __future__ import annotations
@@ -132,10 +135,10 @@ def build_graph_from_text(text: bytes) -> WheelerGraph:
 # ---------------------------------------------------------------------------
 # the index
 
-# the hop table's mark of a step that _fstep refuses, in the low half of a
-# walk's sum above its steps, which must stay below it: at most 2 a hop and
-# n hops, so TextIndex refuses an index of 2^30 nodes or more
-_STUCK = 2 ** 31
+# a walk's steps, at most 2 a hop and n hops, share its sum with the
+# position above them and must stay in the low half: TextIndex refuses an
+# index of this many nodes or more
+_MAX_NODES = 2 ** 30
 
 # the hops a lockstep round takes, a power of 2: the one-hop table composed
 # with itself until its entries take this many.  8 or 16 save no measurable
@@ -157,12 +160,30 @@ class TextIndex:
     The constructor walks every tunnel once (``_walk_tunnels``); the skip
     nodes and ``cnt`` that an index file stores are read off that walk.  Walks
     trust what it checks for every producer: it raises ValidationError
-    unless n < 2^30 (a walk's steps must stay below ``_STUCK``), both rates
-    are >= 1, the records account for the n original nodes, each exit's
-    out-degree and entrance's in-degree (one less at rank 1) is its width,
-    the tunnels walk as ``_walk_tunnels`` requires, ``loc`` maps plain
-    nodes to distinct positions in [1..n], and every node of out-degree 0
-    holds a sample, so no walk that reaches one steps past it.
+    unless n < 2^30 (a walk's steps must stay in the low half of its sum),
+    both rates are >= 1, the records account for the n original nodes, each
+    exit's out-degree and entrance's in-degree (one less at rank 1) is its
+    width, the tunnels walk as ``_walk_tunnels`` requires, ``loc`` maps
+    plain nodes to distinct positions in [1..n], and every node of
+    out-degree 0 holds a sample.
+
+    So on every index it accepts no walk takes a copy past an exit's
+    out-degree, and no hop walk steps past a sink; ``_leave`` and
+    ``extract`` check neither:
+    1. An edge into an entrance lands at a copy in [1..w] of its record,
+       as ``TunneledGraph`` decodes I'.
+    2. That record's exit has out-degree w (checked here).
+    3. The entrance reaches that exit by in-tunnel moves, which keep the
+       copy (``_walk_tunnels``), and an inner node's one in-edge is the
+       move from the tunnel node before it (``TunneledGraph`` and
+       ``_walk_tunnels``): a walk meets a tunnel only at its entrance.
+    4. ``_starts`` hands on copy 1 of a plain node, or copies of a tunnel
+       node within its width, as searches land and carry them;
+       ``locate_one`` checks its copy against ``node_width``, and extract
+       seeks from copy 1.
+    5. Every node of out-degree 0 holds a sample, where a hop walk stops.
+    Extract stops at no sample: a file whose samples trade positions still
+    loads, and its extract can reach the sink, which extract checks for.
 
     Count and locate search from a start state: the search state, as
     ``tg._search_pairs`` passes it on, after the pattern's first k bytes,
@@ -174,8 +195,8 @@ class TextIndex:
 
     def __init__(self, tg: TunneledGraph, n: int, sample_rate_n: int,
                  sample_rate_t: int, loc):
-        if 2 * n >= _STUCK:
-            raise ValidationError(f"an index holds fewer than {_STUCK // 2} nodes, not {n}")
+        if n >= _MAX_NODES:
+            raise ValidationError(f"an index holds fewer than {_MAX_NODES} nodes, not {n}")
         g, nt, rate_t = tg.g, tg.g.n, sample_rate_t
         if sample_rate_n < 1 or rate_t < 1:
             raise ValidationError(f"sample rates {sample_rate_n} and {rate_t} must be at least 1")
@@ -474,11 +495,10 @@ class TextIndex:
         ``_hop_table``'s one-hop table composed with itself until an entry
         takes ``_ROUND_HOPS`` hops.  ``nxt[q]`` is the L position the walk
         leaves by after them, or 0 once it stopped on the way; ``val[q]`` is
-        their sum: their steps in the low 32 bits, ``_STUCK`` at most once,
-        as a stuck hop ends its walk at entry 0, and above them the sample's
-        position less 1, or minus the distance travelled.  Each composition
-        is two gathers over the table, which keeps its int32 ``nxt`` and
-        int64 ``val``: 12 bytes per L position."""
+        their sum: their steps in the low 32 bits, and above them the
+        sample's position less 1, or minus the distance travelled.  Each
+        composition is two gathers over the table, which keeps its int32
+        ``nxt`` and int64 ``val``: 12 bytes per L position."""
         nxt, val = self._hop_table()
         for _ in range(_ROUND_HOPS.bit_length() - 1):
             val += val.take(nxt)
@@ -489,12 +509,13 @@ class TextIndex:
         """The one-hop table by L position q, made afresh on each call.
         A hop takes edge q and, if it lands on a tunnel's entrance, jumps to
         the exit.  ``nxt[q]`` is the L position the walk then leaves by (at
-        an exit, by its landing copy), or 0 if the edge reaches a sample or
-        where ``_fstep`` would raise.  ``val[q]`` is what the hop adds to the
-        walk's sum: its steps (1, or 2 with a jump) in the low 32 bits, plus
-        ``_STUCK`` where ``_fstep`` would raise, and above them the position
-        of the sample reached less 1, or minus the distance travelled.
-        Entry 0, 0 and 0, is the hop of a finished walk."""
+        an exit, by its landing copy), or 0 if the edge reaches a sample.
+        ``val[q]`` is what the hop adds to the walk's sum: its steps (1, or 2
+        with a jump) in the low 32 bits, and above them the position of the
+        sample reached less 1, or minus the distance travelled.  Entry 0, 0
+        and 0, is the hop of a finished walk.  Every hop that leaves is one
+        that ``_fstep`` takes, by the argument in ``TextIndex``: the landing
+        copy is within the exit's out-degree, and every sink is a sample."""
         tg = self.tg
         to = np.frombuffer(tg._step_to, np.int32)
         lstart = np.frombuffer(tg.g._lstart, np.int64)
@@ -509,10 +530,8 @@ class TextIndex:
         q[ent] = self._leave(np.asarray(self._chain).take(c - dist),
                              np.frombuffer(tg._step_land, np.int32).take(ent))
         val[ent] -= dist.astype(np.int64) * 2 ** 32 - (dist != 0)  # the jump's distance and step
-        q[self._into(np.flatnonzero(lstart[2:] == lstart[1:-1]) + 1)] = -1  # into a sink
         q[got != 0] = 0
-        val[q < 0] = _STUCK
-        nxt = np.maximum(q, 0).astype(np.int32)
+        nxt = q.astype(np.int32)
         nxt[0] = val[0] = 0
         return nxt, val
 
@@ -525,12 +544,11 @@ class TextIndex:
 
     def _leave(self, node: np.ndarray, off) -> np.ndarray:
         """The L position each walk at a copy ``off`` of a plain node or an
-        exit leaves by, by ``_fstep``'s rule: 0 at a sample, -1 where
-        ``_fstep`` raises.  An exit's out-degree is its width, above 1."""
-        lstart = np.frombuffer(self.tg.g._lstart, np.int64)
-        first = lstart.take(node)
-        off = np.where(np.frombuffer(self.tg._kind, np.uint8).take(node) != 0, off, 1)
-        q = np.where((off < 1) | (off > lstart.take(node + 1) - first), -1, first + off)
+        exit leaves by, by ``_fstep``'s rule, or 0 at a sample.  No copy
+        needs a check: an exit's out-degree is its width, and every copy a
+        walk brings to it lies within that width (``TextIndex``)."""
+        first = np.frombuffer(self.tg.g._lstart, np.int64).take(node)
+        q = first + np.where(np.frombuffer(self.tg._kind, np.uint8).take(node) != 0, off, 1)
         q[self._samp.take(node) != 0] = 0
         return q
 
@@ -540,38 +558,18 @@ class TextIndex:
         node or an exit as ``_starts`` gives them, dists[i] already
         travelled, walked together: each round adds every walk's next
         ``_ROUND_HOPS`` hops to its sum and moves it on by the hop table,
-        until every walk stands at 0.  If a walk stuck, ``_fstep`` is called
-        where it refused, to raise its error: at the start, or past the
-        hop's edge and the exit it jumps to.  The first walk to stick, in
-        the earliest round of one hop (``_hop_table``), is the one reported."""
+        until every walk stands at 0.  A walk that meets no sample in n
+        rounds, as on a file whose steps cycle, raises FormatError."""
         nxt, val = self._hops
-        start = self._leave(nodes, offs)
+        q = self._leave(nodes, offs)
         acc = (self._samp.take(nodes) - dists) * 2 ** 32
-        acc[start < 0] = _STUCK
-        q = np.maximum(start, 0)
         for _ in range(self.n):
             if not np.count_nonzero(q):
                 break
             acc += val.take(q)
             q = nxt.take(q)
         else:
-            if not (acc & _STUCK).any():
-                raise FormatError(f"found no sample in {self.n} steps")
-        if np.count_nonzero(acc & _STUCK):
-            i = int((start < 0).argmax())
-            v, off = nodes[i], offs[i]
-            if start[i] >= 0:  # no start stuck: find the round where a hop did
-                nxt, val = self._hop_table()
-                q = start
-                while not (stuck := (val.take(q) & _STUCK) != 0).any():
-                    q = nxt.take(q)
-                e = int(q[stuck.argmax()])
-                v, off = self.tg._step_to[e], self.tg._step_land[e]
-                if self.tg._kind[v]:  # a landing on an entrance jumps to its exit
-                    i = self._slot[v]
-                    v = self._chain[i - self._to_exit[i]]
-            self._fstep(int(v), int(off), StepCounter())  # raises
-            raise InvariantError("the hop table took a step that the walk does not")
+            raise FormatError(f"found no sample in {self.n} steps")
         counter.steps += int((acc & 0xFFFFFFFF).sum())
         return acc >> 32
 
@@ -584,8 +582,10 @@ class TextIndex:
         The walk seeks from the nearest sample at or before ``start``,
         jumping across each tunnel to its exit, or onto the target's node
         when the target lies inside it; it then steps once per output byte.
-        Both loops write out ``_fstep``'s step, checks included, and add
-        their steps to the counter at the end."""
+        Both loops write out ``_fstep``'s step and add their steps to the
+        counter at the end.  They keep its check for a step past the sink,
+        which samples with swapped positions reach, but not its copy check,
+        which no index that loads needs (``TextIndex``)."""
         if start < 1 or length < 0 or start + length - 1 > self.text_len:
             raise BoundsError(
                 f"extract({start},{length}) outside text of length {self.text_len}")
@@ -619,8 +619,6 @@ class TextIndex:
             p = lstart[node]
             deg = lstart[node + 1] - p
             if deg > 1 and kind[node]:
-                if not 1 <= off <= deg:
-                    raise BoundsError(f"copy {off} of node {node} is outside its {deg} out-edges")
                 p += off
             elif deg:
                 p += 1
@@ -636,8 +634,6 @@ class TextIndex:
             p = lstart[node]
             deg = lstart[node + 1] - p
             if deg > 1 and kind[node]:
-                if not 1 <= off <= deg:
-                    raise BoundsError(f"copy {off} of node {node} is outside its {deg} out-edges")
                 p += off
             elif deg:
                 p += 1

@@ -89,9 +89,6 @@ class Block:
     columns: list[tuple[int, ...]]
     entry_label: int | None = field(default=None, compare=False)
 
-    def node_set(self) -> set[int]:
-        return {v for col in self.columns for v in col}
-
     def key(self):
         return (self.width, self.columns[0], frozenset(self.columns[1:]))
 
@@ -389,8 +386,9 @@ class TunneledGraph:
     tunnels of an index file.  Raises ValidationError unless the records
     have their own entrances and exits in [1..n_t], width >= 2, length >= 1;
     sum(length - 1) inner marks, none on an entrance, one on each exit but
-    an entrance of length 1; in-edges of inner nodes only from tunnel nodes;
-    and exit copies as ``_exit_table`` checks them.
+    an entrance of length 1; one in-edge on each inner node, from a tunnel
+    node (block condition (iv)); and exit copies as ``_exit_table`` checks
+    them.
     """
 
     def __init__(self, g, iprime, oprime, inner_marks, tunnels, exit_copies,
@@ -452,19 +450,15 @@ class TunneledGraph:
         owner, p = _expand(lstart[tun] + 1, lstart[tun + 1] - lstart[tun])  # L positions
         moves = (kind[to[p]] & _INNER) != 0  # the in-tunnel moves, which keep the copy
         inner = tun[(kind[tun] & _INNER) != 0]
-        if moves.sum() != (istart[inner + 1] - istart[inner]).sum():
-            raise ValidationError("every edge into an inner tunnel node must leave a tunnel node")
+        if moves.sum() != len(inner) or (istart[inner + 1] - istart[inner] != 1).any():
+            raise ValidationError("every inner tunnel node must have one in-edge, and it must "
+                                  "leave a tunnel node")
         lands[p[moves]] = 0
         exit_table = (_exit_table(g, tun[owner], p, moves, pos, exits, self._w_max, exit_copies)
                       if ntun or exit_copies else ())
         self._pos, self._step_to, self._step_land, self._exit_copy = (
             array("i", np.asarray(a, np.int32).tobytes()) for a in (pos, to, lands, exit_table))
         self._step_byte = bytes(1) + g.L.codes().tobytes().translate(bytes(g.alphabet).ljust(256))
-
-    @property
-    def entrance_marks(self) -> BitVec:
-        """The records' entrances as marks over the nodes, made on each read."""
-        return BitVec(np.frombuffer(self._kind, np.uint8)[1:] & _ENTRANCE)
 
     @property
     def exit_copies(self) -> dict[int, int]:

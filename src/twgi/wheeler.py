@@ -198,16 +198,13 @@ class WheelerGraph:
         self._lstart = _node_starts(self.O, self.n, "O")
         self._istart = _node_starts(self.I, self.n, "I")
 
-    # -- degrees and label helpers -----------------------------------------
+    # -- degrees -------------------------------------------------------------
 
     def outdeg(self, i: int) -> int:
         return self._lstart[i + 1] - self._lstart[i]
 
     def indeg(self, i: int) -> int:
         return self._istart[i + 1] - self._istart[i]
-
-    def label_id(self, byte: int) -> int | None:
-        return self._label_to_id.get(byte)
 
     # -- navigation ----------------------------------------------------------
 

@@ -25,6 +25,7 @@ from twgi.tunnel import (
     TraversalPos,
     TunneledGraph,
     TunnelRecord,
+    _ENTRANCE,
     _require_path_graph,
     tunnel_graph,
 )
@@ -216,7 +217,7 @@ def assert_simulation_equal(el: EdgeList, tg, blocks) -> int:
     for v in range(1, el.n + 1):
         pos = TraversalPos(phi[v], offsets.get(v, 1))
         for byte in alphabet:
-            cid = tg.g.label_id(byte)
+            cid = label_id(tg.g, byte)
             k = 0
             while True:
                 k += 1
@@ -250,9 +251,9 @@ def random_tunneled_graphs(seed: int, count: int):
         g = encode(el)
         blocks, used = [], set()
         for b in enumerate_blocks_bruteforce(g):
-            if b.width > 1 and not used & b.node_set():
+            if b.width > 1 and not used & node_set(b):
                 blocks.append(b)
-                used |= b.node_set()
+                used |= node_set(b)
         if blocks:
             yield el, blocks, tunnel_graph(g, blocks)
 
@@ -314,6 +315,29 @@ def label_byte(g, c: int) -> int:
 def is_tunnel_node(tg, v: int) -> bool:
     """Whether node v of the tunneled graph lies in a tunnel."""
     return tg._kind[v] != 0
+
+
+def label_id(g, byte: int) -> int | None:
+    """The symbol id of a byte, or None outside the alphabet."""
+    return g._label_to_id.get(byte)
+
+
+def entrance_marks(tg) -> BitVec:
+    """The records' entrances as the graph marks them, over the nodes."""
+    return BitVec(np.frombuffer(tg._kind, np.uint8)[1:] & _ENTRANCE)
+
+
+def node_set(b: Block) -> set[int]:
+    """Every node of the block."""
+    return {v for col in b.columns for v in col}
+
+
+def write_blocks_file(fh, blocks: list[Block]) -> None:
+    """The blocks as ``persist.read_blocks_file`` reads them."""
+    for b in blocks:
+        fh.write(f"BLOCK {b.width} {b.size}\n")
+        for col in b.columns:
+            fh.write(" ".join(map(str, col)) + "\n")
 
 
 def select_edge_source(g, j: int) -> int:
@@ -468,7 +492,7 @@ def edges_search(tg, pattern, seen=None):
     g = tg.g
     lo, hi = (1, 1), (g.n, None)
     for byte in pattern:
-        c = g.label_id(byte)
+        c = label_id(g, byte)
         if c is None:
             return None
         if seen is not None:
@@ -549,6 +573,32 @@ def fstep_walk(ix, node: int, off: int, counter=None) -> int:
         node, off, _ = ix._fstep(node, off, counter)
         travelled += 1
     raise FormatError(f"found no sample in {ix.n} steps")
+
+
+def fstep_hop_table(ix) -> tuple[list[int], list[int]]:
+    """(nxt, val) lists by L position q, by ``_fstep`` and ``walk_to_exit``:
+    the reference for ``TextIndex._hop_table``.  The hop takes edge q and,
+    if it lands on an entrance, jumps to the exit; it then names the edge
+    that ``_fstep`` leaves by, or 0 at a sample.  Its value is its steps
+    plus the sample's position less 1, or less the distance travelled,
+    times 2^32.  ``_fstep`` raises BoundsError where a hop would take a copy
+    past an exit's out-degree or step past a sink, which no index allows."""
+    tg, m = ix.tg, ix.tg.g.m
+    nxt, val = [0] * (m + 1), [0] * (m + 1)
+    for q in range(1, m + 1):
+        v, off = tg._step_to[q], tg._step_land[q] or 1
+        if v in ix.loc:
+            val[q] = (ix.loc[v] - 1) * 2 ** 32 + 1
+            continue
+        steps, dist = 1, 1
+        if v in tg.entrance_info:
+            v, d = walk_to_exit(tg.g, v)
+            steps, dist = 1 + (d > 0), 1 + d
+        ix._fstep(v, off, StepCounter())
+        deg = tg.g.outdeg(v)
+        nxt[q] = tg.g._lstart[v] + (off if deg > 1 and tg._kind[v] else 1)
+        val[q] = steps - dist * 2 ** 32
+    return nxt, val
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +703,7 @@ def loop_check_block(view: GraphView, b: Block) -> CheckResult:
                 return CheckResult.bad(
                     "i", f"column {j} is not a run of consecutive ranks")
 
-    node_set = set(nodes)
+    in_block = set(nodes)
     vi = [set() for _ in range(w + 1)]
     colidx = {}
     for j, col in enumerate(b.columns, 1):
@@ -732,7 +782,7 @@ def loop_check_block(view: GraphView, b: Block) -> CheckResult:
                         continue
                     if t in vi[i]:
                         internal += 1
-                    elif t in node_set:
+                    elif t in in_block:
                         cross += 1
                     else:
                         outside += 1
@@ -828,7 +878,7 @@ def loop_tunnel_graph(g, blocks: list[Block]):
         node_map=phi,
     )
     # the graph marks its records' entrances: they are the first columns' roots
-    assert out.entrance_marks == BitVec(np.isin(ranks, entrance))
+    assert entrance_marks(out) == BitVec(np.isin(ranks, entrance))
     assert out.orig_n == n
     return out
 
@@ -1090,7 +1140,7 @@ def enumerate_blocks_bruteforce(g, max_nodes: int = 64) -> list[Block]:
 def _bf_extensions(view, b: Block) -> list[Block]:
     out = []
     w = b.width
-    blocknodes = b.node_set()
+    blocknodes = node_set(b)
     # append a column: its first row must be a child of a first-row node
     child_bases = set()
     for col in b.columns:

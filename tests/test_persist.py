@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     SMALL_TEXTS,
+    entrance_marks,
     fig1_block,
     fig1_edge_list,
+    fstep_hop_table,
     is_tunnel_node,
     loop_pack_ints,
     loop_unpack_ints,
@@ -26,10 +28,12 @@ from conftest import (
     naive_locate,
     oracle_index,
     random_tunneled_graphs,
+    write_blocks_file,
 )
 from twgi.bitvec import BitVec
 from twgi.errors import (
     BadMagicError,
+    BoundsError,
     ChecksumError,
     FormatError,
     InvariantError,
@@ -53,7 +57,6 @@ from twgi.persist import (
     serialize_index,
     tunneled_graph_from_meta,
     tunneled_graph_meta,
-    write_blocks_file,
     write_graph_file,
 )
 from twgi.text_index import TextIndex, build_index
@@ -313,7 +316,7 @@ TUNNEL_FAULTS = {
 
 
 def _plain(ix):
-    marks = ix.tg.entrance_marks.bits() | ix.tg.inner_marks.bits()
+    marks = entrance_marks(ix.tg).bits() | ix.tg.inner_marks.bits()
     return int(np.flatnonzero(marks == 0)[0]) + 1
 
 
@@ -510,7 +513,7 @@ def _inner_not_exit(ix):
 
 def _add_inner_mark(ix):
     """Inner-marks a plain node halfway up the ranks, which walks pass through."""
-    plain = np.flatnonzero((ix.tg.entrance_marks.bits() | ix.tg.inner_marks.bits()) == 0)
+    plain = np.flatnonzero((entrance_marks(ix.tg).bits() | ix.tg.inner_marks.bits()) == 0)
     bits = ix.tg.inner_marks.bits().copy()
     bits[plain[len(plain) // 2]] = 1
     ix.tg.inner_marks = BitVec(bits)
@@ -688,6 +691,46 @@ def test_sink_without_its_sample(name, tunneling, small_index):
         deserialize_index(_file(ix, bad))
 
 
+@pytest.mark.parametrize("name", ["fib", "cpm96"])
+def test_in_edge_moved_onto_an_inner_node(name, small_index):
+    # one in-edge of a neighbour moves onto an inner node through the I
+    # section, for every inner node and both neighbours, under a recomputed
+    # CRC: the inner node has two in-edges, and a walk that took the moved
+    # edge would land inside a tunnel with a copy that no entrance gave it
+    ix = small_index(name)
+    g, data = ix.tg.g, serialize_index(ix)
+    deg = np.diff(np.frombuffer(g._istart, np.int64))[1:]
+    files = 0
+    for x in (np.flatnonzero(ix.tg.inner_marks.bits()) + 1).tolist():
+        for y in (x - 1, x + 1):
+            if 1 <= y <= g.n and deg[y - 1]:
+                moved = deg.copy()
+                moved[y - 1] -= 1
+                moved[x - 1] += 1
+                with pytest.raises(FormatError, match="inner tunnel node must have one in-edge"):
+                    deserialize_index(_with_section(data, 4, unary(moved).to_packed()))
+                files += 1
+    assert files > 2 * len(ix.tg.tunnels)
+
+
+@pytest.mark.parametrize("tunneling", [True, False])
+@pytest.mark.parametrize("name", ["fib", "cpm4"])
+def test_swapped_samples_extract_past_the_sink(name, tunneling, small_index):
+    # the samples at position 1 and at the last position before n trade
+    # positions: the file loads, as no check of O(n_t) sees it, and its hop
+    # walks still stop at samples, but extract from position 1 seeks from
+    # the wrong node and reaches the sink, where it must refuse to step
+    ix = small_index(name, tunneling)
+    bad = _samples(ix)
+    first, last = ix.ext_node[0], ix.ext_node[-2]
+    assert ix.ext_pos[0] == 1 and ix.ext_pos[-1] == ix.n
+    bad.loc[first], bad.loc[last] = bad.loc[last], bad.loc[first]
+    got = deserialize_index(_file(ix, bad))
+    assert fstep_hop_table(got) == tuple(a.tolist() for a in got._hop_table())
+    with pytest.raises(BoundsError, match="walked past the sink"):
+        got.extract(1, ix.n - 1)
+
+
 class TestIndexFile:
     def test_byte_stable_roundtrip(self):
         ix = build_index(b"abcabc")
@@ -845,7 +888,7 @@ class TestIndexFile:
         # recomputed CRC: loading derives these facts and reads no copy
         ix = small_index("fib")
         stored = {6: ix.tg.iprime.to_packed(), 7: ix.tg.oprime.to_packed(),
-                  8: ix.tg.entrance_marks.to_packed(),
+                  8: entrance_marks(ix.tg).to_packed(),
                   12: struct.pack("<I", len(ix.skip)) + b"".join(
                       struct.pack("<QQQ", e, d, node) for node, (e, d) in ix.skip.items())}
         data = serialize_index(ix)
@@ -933,7 +976,7 @@ class TestIndexFile:
         ix = deserialize_index(serialize_index(small_index(name)))
         g, tg = ix.tg.g, ix.tg
         L = g.L
-        for bv in (g.I, g.O, tg.iprime, tg.oprime, tg.entrance_marks, tg.inner_marks):
+        for bv in (g.I, g.O, tg.iprime, tg.oprime, entrance_marks(tg), tg.inner_marks):
             assert type(bv.n) is int and type(bv._ones) is int
             assert all(type(w) is int for w in bv._words)
             for directory in (bv._super, bv._rel):
@@ -1078,8 +1121,9 @@ def test_load_derives_what_the_build_holds(name, tunneling, settings, small_inde
         ix = build_index(SMALL_TEXTS[name], tunneling=False,
                          sample_rate_t=DERIVED_SETTINGS[settings]["sample_rate_t"])
     got = deserialize_index(serialize_index(ix))
-    for vec in ("iprime", "oprime", "entrance_marks", "inner_marks"):
+    for vec in ("iprime", "oprime", "inner_marks"):
         assert getattr(got.tg, vec).to01() == getattr(ix.tg, vec).to01()
+    assert entrance_marks(got.tg).to01() == entrance_marks(ix.tg).to01()
     assert got.skip == ix.skip and list(got.skip) == list(ix.skip)
     assert got.cnt == ix.cnt and got.loc == ix.loc
     assert got.tg.exit_copies == ix.tg.exit_copies
@@ -1104,7 +1148,7 @@ def test_entrance_at_the_source(text):
     ix = build_index(text)
     assert any(t.entrance == 1 and ix.tg.g.indeg(1) == t.width - 1 for t in ix.tg.tunnels)
     got = deserialize_index(serialize_index(ix))
-    assert got.tg.entrance_marks.to01() == ix.tg.entrance_marks.to01()
+    assert entrance_marks(got.tg).to01() == entrance_marks(ix.tg).to01()
     for pat in {text[i:j] for i in range(len(text)) for j in range(i + 1, len(text) + 1)}:
         assert got.locate(pat) == naive_locate(text, pat)
     assert got.extract(1, len(text)) == text
@@ -1120,15 +1164,18 @@ _FUZZ_PATTERNS = [_FUZZ_TEXT[i:i + k] for i, k in ((0, 1), (100, 5), (700, 12), 
 def test_mutated_section_loads_or_raises(tunneling, small_index, data):
     """One section of the fib index, found by the length-prefixed framing,
     gets bit flips, a written byte run or a new length, under a recomputed
-    CRC.  Loading must raise a ``TwgiError`` or give an index whose count,
-    locate and extract each answer or raise a ``TwgiError``; the walks'
-    step bounds keep each query finite.
+    CRC.  Loading must raise a ``TwgiError`` or give an index whose hop
+    table takes only steps that ``_fstep`` takes (the load-time argument in
+    ``TextIndex``'s docstring), and whose count, locate and extract each
+    answer or raise a ``TwgiError``; the walks' step bounds keep each query
+    finite.
 
-    The answers are not compared with the oracles: some files load and
-    answer wrong, such as one whose skip pointer nodes or tunnel exits are
-    swapped between valid places, or whose cnt samples change but stay
-    non-decreasing.  Telling those apart needs a load check that walks each
-    tunnel from its entrance to its exit, which the loader does not make.
+    The answers are not compared with the oracles: a file can load and
+    answer wrong, such as one whose samples trade positions
+    (``test_swapped_samples_extract_past_the_sink``).  Swapped skip pointer
+    nodes, swapped tunnel exits and a changed but non-decreasing cnt loaded
+    and answered wrong too until the loader walked every tunnel; they now
+    fail at load (``test_walk_faults_rejected_at_load``).
     """
     good = serialize_index(small_index("fib", tunneling))
     offsets = _section_offsets(good)
@@ -1151,6 +1198,7 @@ def test_mutated_section_loads_or_raises(tunneling, small_index, data):
         ix = deserialize_index(_with_section(good, sec, bytes(payload)))
     except TwgiError:
         return
+    assert fstep_hop_table(ix) == tuple(a.tolist() for a in ix._hop_table())
     queries = [lambda p=p: ix.count(p) for p in _FUZZ_PATTERNS]
     queries += [lambda p=p: ix.locate(p) for p in _FUZZ_PATTERNS]
     queries.append(lambda: ix.extract(1, len(_FUZZ_TEXT)))

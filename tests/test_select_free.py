@@ -21,6 +21,7 @@ from conftest import (
     assert_lands,
     assert_simulation_equal,
     chain_graph,
+    entrance_marks,
     fig1_block,
     fig1_edge_list,
     fstep_walk,
@@ -407,7 +408,7 @@ class TestMarkGuard:
         # the entrance and inner marks are decoded once, when the graph is
         # made; a query on an untunneled index reads neither bitvector
         ix = deserialize_index(serialize_index(small_index(name, tunneling=False)))
-        marks = (ix.tg.entrance_marks, ix.tg.inner_marks)
+        marks = (entrance_marks(ix.tg), ix.tg.inner_marks)
         calls = [0]
         access = BitVec.access
 

@@ -5,6 +5,7 @@ import pytest
 from conftest import (
     colex_string_graph,
     edgelist_step,
+    label_id,
     naive_count,
     naive_path_range,
     random_wheeler_edge_list,
@@ -87,7 +88,7 @@ class TestEncode:
 class TestNavigation:
     def test_out_edge_rank_examples(self):
         g = encode(ab_graph())
-        a, b = g.label_id(ord("a")), g.label_id(ord("b"))
+        a, b = label_id(g, ord("a")), label_id(g, ord("b"))
         assert g.out_edge_rank(1, a, 1) == 1
         assert g.out_edge_rank(2, b, 1) == 2
         with pytest.raises(NotFoundError):
@@ -102,7 +103,7 @@ class TestNavigation:
 
     def test_edge_range_for_label_examples(self):
         g = encode(ab_graph())
-        a, b = g.label_id(ord("a")), g.label_id(ord("b"))
+        a, b = label_id(g, ord("a")), label_id(g, ord("b"))
         assert g.edge_range_for_label(NodeRange(1, 3), a) == (1, 1)
         assert g.edge_range_for_label(NodeRange(2, 2), b) == (2, 2)
         j1, j2 = g.edge_range_for_label(NodeRange(1, 1), b)
@@ -112,7 +113,7 @@ class TestNavigation:
 
     def test_follow_range_examples(self):
         g = encode(ab_graph())
-        a = g.label_id(ord("a"))
+        a = label_id(g, ord("a"))
         assert tunnel_graph(g, []).path_search(b"a") == NodeRange(2, 2)
         assert naive_path_range(ab_graph(), b"a") == (2, 2)
         j1, j2 = g.edge_range_for_label(NodeRange.empty(), a)
@@ -144,7 +145,7 @@ class TestNavigation:
             assert g.m <= 500
             for v in range(1, g.n + 1):
                 for byte in g.alphabet:
-                    c = g.label_id(byte)
+                    c = label_id(g, byte)
                     k = 0
                     while True:
                         k += 1
@@ -168,7 +169,7 @@ class TestNavigation:
                 byte = rng.choice(g.alphabet)
                 targets = sorted({v for u, v, lab in el.edges
                                   if lo <= u <= hi and lab == byte})
-                j1, j2 = g.edge_range_for_label(NodeRange(lo, hi), g.label_id(byte))
+                j1, j2 = g.edge_range_for_label(NodeRange(lo, hi), label_id(g, byte))
                 if not targets:
                     assert j1 > j2
                 else:
