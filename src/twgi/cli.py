@@ -34,14 +34,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "compressed text indexes, validate and tunnel Wheeler graphs.")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    b = sub.add_parser("build", help="index a text file")
+    b = sub.add_parser("build", help="index a text file",
+                       description="Index a text file.  The index file holds the graph, its "
+                                   "tunnel records and the locate samples; loading derives "
+                                   "the rest.")
     b.add_argument("text", help="input file (raw bytes)")
     b.add_argument("-o", "--output", required=True, help="index file to write")
     b.add_argument("--sample-rate", type=int, default=None,
                    help="locate sample stride (default: ceil(log2 n))")
-    b.add_argument("--tunnel-rate", type=int, default=None,
-                   help="stride of the skip nodes and cnt samples stored in the index "
-                        "file (default: ceil(log2 n_t)); no query reads them")
     b.add_argument("--no-tunnel", action="store_true",
                    help="build a plain FM-index without tunneling")
 
@@ -82,7 +82,6 @@ def _cmd_build(args) -> int:
     ix = build_index(
         text,
         sample_rate_n=args.sample_rate,
-        sample_rate_t=args.tunnel_rate,
         tunneling=not args.no_tunnel,
     )
     save_index(ix, args.output)

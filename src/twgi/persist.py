@@ -6,35 +6,30 @@ CRC-32 over all preceding bytes.  Any single corrupted byte is caught: the
 magic and version have dedicated errors and everything (including them) is
 covered by the checksum.
 
-A text index file (format version 3) holds the header, alphabet, C, L, I,
-O, inner marks, tunnel records, skip, loc and cnt, the ``SECTIONS`` in that
-order.  The header is fixed-width; every other integer (C, the four fields
-of each tunnel record, skip nodes, loc positions, cnt samples) is an
+A text index file (format version 4) holds the ``SECTIONS`` in order:
+the header, alphabet, C, L, I, O, I', O', entrance, inner marks, tunnel
+records, skip, back, loc and cnt.  The header is fixed-width; every other
+integer (C, the four fields of each tunnel record, loc positions) is an
 unsigned field of w = ``n.bit_length()`` bits, n = |T| + 1, packed least
 significant bit first with zero padding in the last byte.  L holds each
-label id - 1 in ceil(log2 sigma) bits (at least 1) the same way.  Each
-sampling fact is stored once:
+label id - 1 in ceil(log2 sigma) bits (at least 1) the same way.  loc is a
+bitvector over the n_t nodes marking the sampled ones, followed by their
+text positions in rank order.  Without tunnels the inner marks are written
+empty: no node is marked.
 
-* skip holds only the pointer nodes.  A tunnel of length s has one pointer
-  to its exit at each distance s - j, j = rate_t, 2 rate_t, ... < s, so the
-  exits and distances follow from the records; the nodes are listed by
-  exit, then by ascending distance.
-* loc is a bitvector over the n_t nodes marking the sampled ones, followed
-  by their text positions in rank order.
-* cnt holds the n_t // rate_t + 1 cumulative tunnel widths at the ranks
-  k rate_t.  Without tunnels cnt and the inner marks are written empty:
-  every width is 1 and no node is marked.
-
-The I', O', entrance and back sections are always empty: I' and O' are all
-ones (a string's nodes have one in-edge and one out-edge at most), the
-entrances are the records', and no reader needs back.  Loading checks only
-what the file holds; the rest is checked for every graph and index, however
-made: ``TunneledGraph`` checks the records against the marks and the exits'
-out-edges, and ``TextIndex`` the rules of string tunnels (the records
-account for the n - n_t collapsed nodes, an entrance has in-degree equal to
-the width, one less at the source, rank 1, and an exit out-degree equal to
-it), the loc samples and, by walking them, the tunnels.  The walk gives the
-skip nodes and cnt, and the file's must equal them.
+The I', O', entrance, skip, back and cnt sections are always empty; they
+keep their places so that the framing stays that of version 3.  I' and O'
+are all ones (a string's nodes have one in-edge and one out-edge at most),
+the entrances are the records', and the skip pointers and the cumulative
+widths that cnt held are read off the walk of the tunnels that
+``TextIndex`` makes; no reader needs back.  The header's rate_t is only the
+stride of ``TextIndex.skip``.  Loading checks only what the file holds; the
+rest is checked for every graph and index, however made: ``TunneledGraph``
+checks the records against the marks and the exits' out-edges, and
+``TextIndex`` the rules of string tunnels (the records account for the
+n - n_t collapsed nodes, an entrance has in-degree equal to the width, one
+less at the source, rank 1, and an exit out-degree equal to it), the loc
+samples and, by walking them, the tunnels.
 """
 
 from __future__ import annotations
@@ -60,10 +55,11 @@ from .tunnel import Block, TunneledGraph, TunnelRecord
 from .wheeler import EdgeList, WheelerGraph
 
 MAGIC = b"TWGI"
-VERSION = 3
+VERSION = 4
 _FLAG_TUNNELED = 1
 SECTIONS = ("header", "alphabet", "C", "L", "I", "O", "iprime", "oprime",
             "entrance", "inner", "tunnels", "skip", "back", "loc", "cnt")
+_MUST_BE_EMPTY = "the skip, back and cnt sections must be empty"
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +362,7 @@ def section_bits(data: bytes) -> dict[str, int]:
 
 
 def serialize_index(ix: TextIndex) -> bytes:
-    """The index file of ``ix``, which ``TextIndex`` has checked: its skip
-    pointer nodes are written in the order it holds them, the order of the
-    (exit, distance) pairs that loading derives from the records."""
+    """The index file of ``ix``, which ``TextIndex`` has checked."""
     tg = ix.tg
     g = tg.g
     nt = g.n
@@ -387,11 +381,10 @@ def serialize_index(ix: TextIndex) -> bytes:
     buf += _section(tg.inner_marks.to_packed() if tg.tunnels else b"")
     buf += _section(_pack_ints([f for t in tg.tunnels
                                 for f in (t.entrance, t.exit, t.width, t.length)], width))
-    buf += _section(_pack_ints(ix.skip_nodes, width))
-    buf += _section(b"")  # back: no reader needs it
+    buf += _section(b"") * 2  # skip and back: loading derives the one, no reader needs the other
     buf += _section(_pack_ints(np.isin(np.arange(1, nt + 1), loc_nodes), 1)
                     + _pack_ints([ix.loc[v] for v in loc_nodes], width))
-    buf += _section(_pack_ints(ix.cnt, width) if tg.tunnels else b"")
+    buf += _section(b"")  # cnt: loading derives it
     buf += struct.pack("<I", zlib.crc32(bytes(buf)))
     return bytes(buf)
 
@@ -455,26 +448,18 @@ def _parse_sections(data: bytes) -> TextIndex:
     g = WheelerGraph(nt, mt, sigma, L, C, I, O, alphabet)
     ones = BitVec(np.ones(mt, np.uint8))  # I' and O' of a text index
     tg = TunneledGraph(g, ones, ones, inn, tunnels, None)
-    skip = rd.section()
-    if rd.section():
-        raise FormatError("the back section must be empty")
+    if rd.section() or rd.section():
+        raise FormatError(_MUST_BE_EMPTY)
     raw = rd.section()
     mark_bytes = (nt + 7) >> 3
     loc_nodes = np.flatnonzero(_unpack_ints(raw[:mark_bytes], nt, 1, "loc mark")) + 1
     positions = _unpack_ints(raw[mark_bytes:], len(loc_nodes), width, "loc position")
     loc = dict(zip(loc_nodes.tolist(), positions.tolist()))
-    cnt = rd.section()
-    if cnt and not ntun:
-        raise FormatError("the cnt section must be empty without tunnels")
+    if rd.section():
+        raise FormatError(_MUST_BE_EMPTY)
     if rd.off != len(rd.data):
         raise TruncatedError("trailing bytes after the last section")
-
-    ix = TextIndex(tg, n, rate_n, rate_t, loc)
-    if _unpack_ints(skip, len(ix.skip_nodes), width, "skip").tolist() != ix.skip_nodes:
-        raise FormatError(f"skip pointers must sit on {len(ix.skip_nodes)} distinct walked nodes")
-    if ntun and _unpack_ints(cnt, len(ix.cnt), width, "cnt").tolist() != ix.cnt:
-        raise FormatError(f"cnt must hold the walked widths at {len(ix.cnt)} ranks k * {rate_t}")
-    return ix
+    return TextIndex(tg, n, rate_n, rate_t, loc)
 
 
 def save_index(ix: TextIndex, path) -> None:

@@ -9,8 +9,8 @@ by pointer jumping (Wyllie 1979), when the index is made.  It orders each
 tunnel's nodes by distance to its exit, so that a walk crosses a tunnel in
 one jump wherever it meets it (Baier 2018) and extract lands inside one in
 one read, and sums the tunnel nodes' widths, which count searches twice.
-The walk is also the check that walks may trust the records, and it gives
-the skip pointers and cnt samples that an index file stores.
+The walk is also the check that walks may trust the records; an index file
+stores nothing that it derives.
 
 Locate walks each occurrence to the next text-order sample.  The copies of a
 tunnel node share its exit, where the walk splits by copy.  The (node, copy)
@@ -157,9 +157,9 @@ class StepCounter:
 class TextIndex:
     """Tunneled FM-index over a byte string: count, locate, extract.
 
-    The constructor walks every tunnel once (``_walk_tunnels``); the skip
-    nodes and ``cnt`` that an index file stores are read off that walk.  Walks
-    trust what it checks for every producer: it raises ValidationError
+    The constructor walks every tunnel once (``_walk_tunnels``), and
+    ``skip`` is read off that walk; ``sample_rate_t`` is only its stride.
+    Walks trust what it checks for every producer: it raises ValidationError
     unless n < 2^30 (a walk's steps must stay in the low half of its sum),
     both rates are >= 1, the records account for the n original nodes, each
     exit's out-degree and entrance's in-degree (one less at rank 1) is its
@@ -197,9 +197,10 @@ class TextIndex:
                  sample_rate_t: int, loc):
         if n >= _MAX_NODES:
             raise ValidationError(f"an index holds fewer than {_MAX_NODES} nodes, not {n}")
-        g, nt, rate_t = tg.g, tg.g.n, sample_rate_t
-        if sample_rate_n < 1 or rate_t < 1:
-            raise ValidationError(f"sample rates {sample_rate_n} and {rate_t} must be at least 1")
+        g, nt = tg.g, tg.g.n
+        if sample_rate_n < 1 or sample_rate_t < 1:
+            raise ValidationError(f"sample rates {sample_rate_n} and {sample_rate_t} "
+                                  f"must be at least 1")
         # walks cross a tunnel by its record's exit and length
         if tg.orig_n != n:
             raise ValidationError("tunnel records must account for the n - n_t collapsed nodes")
@@ -222,8 +223,6 @@ class TextIndex:
         self.sample_rate_t = sample_rate_t
         self._tun = memoryview(tg._tun)
         self._walk_tunnels()
-        ranks = np.arange(0, nt + 1, rate_t)  # cnt: the cumulative widths at them
-        self.cnt = (ranks + np.asarray(self._extra)[tg._tun.searchsorted(ranks, "right")]).tolist()
         self.loc = loc                   # non-tunnel node rank -> text position
         self.ext_pos = ext_pos.tolist()
         self.ext_node = at[by_pos].tolist()
@@ -239,16 +238,16 @@ class TextIndex:
         the tunnel nodes by exit, then distance to it (the node k steps on from
         ``_chain[i]`` is ``_chain[i - k]``), and a last 0; ``_to_exit``, their
         distances and a last 0; ``_slot``, each node's index in ``_chain``
-        (that last one if plain); ``_extra``, the tunnel nodes' widths past 1
-        summed in rank order; and the skip nodes.  Pointer jumping: each tunnel node points to
+        (that last one if plain); and ``_extra``, the tunnel nodes' widths past
+        1 summed in rank order.  Pointer jumping: each tunnel node points to
         its out-edge's target, an exit to itself, and a round doubles how far
         pointers reach.  Raises ValidationError unless every tunnel node but
         the exits has one out-edge, into a tunnel node, and each entrance
         reaches its record's exit in length - 1 steps."""
-        tg, nt, rate_t = self.tg, self.tg.g.n, self.sample_rate_t
+        tg, nt = self.tg, self.tg.g.n
         if not tg.tunnels:  # every width is 1
             self._slot = self._chain = self._to_exit = memoryview(array("i"))
-            self._extra, self.skip_nodes = memoryview(array("q", [0])), []
+            self._extra = memoryview(array("q", [0]))
             return
         exits, entrances, widths, lengths = np.array(
             sorted(map(attrgetter("exit", "entrance", "width", "length"), tg.tunnels))).T
@@ -289,16 +288,18 @@ class TextIndex:
         np.cumsum(past.take(nxt), out=extra[1:])
         self._slot, self._chain, self._to_exit, self._extra = map(memoryview,
                                                                   (slot, chain, to_exit, extra))
-        # by exit, then distance s - rate_t, s - 2 rate_t, ... > 0 in a tunnel of length s
-        self.skip_nodes = np.concatenate([chain[i + (s - 1) % rate_t + 1:i + s:rate_t] for i, s
-                                          in zip(run.tolist(), lengths.tolist())]).tolist()
 
     @cached_property
     def skip(self) -> dict[int, tuple[int, int]]:
-        """Pointer node -> (exit, distance) in ``skip_nodes`` order, made on first read."""
-        slot, chain, to_exit = self._slot, self._chain, self._to_exit
-        return {v: (chain[slot[v] - to_exit[slot[v]]], to_exit[slot[v]])
-                for v in self.skip_nodes}
+        """Pointer node -> (exit, distance), made on first read: a tunnel of
+        length s has a pointer at each distance s - rate_t, s - 2 rate_t, ...
+        > 0, listed by exit, then by ascending distance.  No query reads it."""
+        chain, dist = np.asarray(self._chain)[:-1], np.asarray(self._to_exit)[:-1]
+        lengths = np.diff(np.flatnonzero(dist == 0), append=len(dist))  # a run starts at its exit
+        s = np.repeat(lengths, lengths)
+        at = np.flatnonzero((dist > 0) & ((s - dist) % self.sample_rate_t == 0))
+        return dict(zip(chain[at].tolist(), zip(chain[at - dist[at]].tolist(),
+                                                dist[at].tolist())))
 
     @property
     def text_len(self) -> int:
@@ -391,7 +392,7 @@ class TextIndex:
 
     # -- counting --------------------------------------------------------------
 
-    def count(self, pattern: bytes, counter: StepCounter | None = None) -> int:
+    def count(self, pattern: bytes) -> int:
         """Occurrences of the pattern in the text (|T|+1 for the empty
         pattern: every node is an occurrence).  Count takes no step.  The
         search (``_search``) starts from the k-gram table's state of the
@@ -673,14 +674,14 @@ class TextIndex:
 
 
 def build_index(text: bytes, *, sample_rate_n: int | None = None,
-                sample_rate_t: int | None = None, tunneling: bool = True) -> TextIndex:
+                tunneling: bool = True) -> TextIndex:
     """Build the full index: string graph, block discovery (blocks of width
     and length >= 2, each merging an edge), tunneling, and all sampling
-    structures.  With tunneling off this degenerates to a plain FM-index."""
+    structures.  With tunneling off this degenerates to a plain FM-index.
+    The skip stride is ceil(log2 n_t)."""
     if isinstance(text, str):
         raise TypeError("text must be bytes")
-    if (sample_rate_n is not None and sample_rate_n < 1) or \
-            (sample_rate_t is not None and sample_rate_t < 1):
+    if sample_rate_n is not None and sample_rate_n < 1:
         raise ValidationError("sample rates must be >= 1")
     text = bytes(text)
     g, rank = _string_graph(text)
@@ -692,8 +693,7 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
     tg = tunnel_graph(g, [sb.block(rank, at) for sb in found])
     rate_n = sample_rate_n if sample_rate_n is not None else \
         max(1, math.ceil(math.log2(max(2, n))))
-    rate_t = sample_rate_t if sample_rate_t is not None else \
-        max(1, math.ceil(math.log2(max(2, tg.g.n))))
+    rate_t = max(1, math.ceil(math.log2(max(2, tg.g.n))))
 
     # run-contracted text-order sequence: one element per non-tunnel node,
     # one per run of text positions through one tunnel.  A run starts at its

@@ -65,7 +65,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -87,10 +87,6 @@ class Block:
     width: int
     size: int
     columns: list[tuple[int, ...]]
-    entry_label: int | None = field(default=None, compare=False)
-
-    def key(self):
-        return (self.width, self.columns[0], frozenset(self.columns[1:]))
 
 
 @dataclass(frozen=True)
@@ -221,7 +217,6 @@ def _check_blocks(n: int, edges, blocks: list[Block]) -> tuple[int, CheckResult]
     lo, hi = np.full(nb, 256), np.full(nb, -1)
     np.minimum.at(lo, eb[rk], lab[at])
     np.maximum.at(hi, eb[rk], lab[at])
-    stored = np.array([-1 if b.entry_label is None else b.entry_label for b in blocks])
     mixed = hi > lo
 
     # (v): per column and label, one internal edge and no other in every
@@ -250,9 +245,8 @@ def _check_blocks(n: int, edges, blocks: list[Block]) -> tuple[int, CheckResult]
         ("i", (er < width) & (np.append(ev[1:], 0) != ev + 1), eb,
          lambda e: f"column {ec[e]} is not a run of consecutive ranks"),
         ("ii", shape_bad | iso_bad, eb, ii_detail),
-        ("iii", mixed | ((hi >= 0) & (stored >= 0) & (stored != lo)), np.arange(nb),
-         lambda b: (f"edges into the roots carry labels {lo[b]} and {hi[b]}" if mixed[b]
-                    else "stored entry label does not match the graph")),
+        ("iii", mixed, np.arange(nb),
+         lambda b: f"edges into the roots carry labels {lo[b]} and {hi[b]}"),
         ("iv", (ec > 1) & (indeg[node] != 1), eb,
          lambda e: f"node {ev[e]} has in-degree {indeg[node[e]]}, expected 1"),
         ("v", v_bad, eb[cv],

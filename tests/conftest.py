@@ -332,6 +332,11 @@ def node_set(b: Block) -> set[int]:
     return {v for col in b.columns for v in col}
 
 
+def block_key(b: Block):
+    """The block up to the order of its non-root columns."""
+    return (b.width, b.columns[0], frozenset(b.columns[1:]))
+
+
 def write_blocks_file(fh, blocks: list[Block]) -> None:
     """The blocks as ``persist.read_blocks_file`` reads them."""
     for b in blocks:
@@ -755,8 +760,6 @@ def loop_check_block(view: GraphView, b: Block) -> CheckResult:
             elif c != entry:
                 return CheckResult.bad(
                     "iii", f"edges into the roots carry labels {entry} and {c}")
-    if b.entry_label is not None and entry is not None and b.entry_label != entry:
-        return CheckResult.bad("iii", "stored entry label does not match the graph")
 
     # (iv) non-root block nodes have total in-degree 1
     for col in b.columns[1:]:
@@ -911,6 +914,11 @@ def oracle_index(text: bytes, **kw) -> TextIndex:
     tg, rate_n, rate_t, loc, _, _ = _loop_build(text, **kw)
     tg.node_map = None
     return TextIndex(tg, len(text) + 1, rate_n, rate_t, loc)
+
+
+def with_stride(ix: TextIndex, rate_t: int) -> TextIndex:
+    """ix with skip stride rate_t, which build_index sets to ceil(log2 n_t)."""
+    return TextIndex(ix.tg, ix.n, ix.sample_rate_n, rate_t, ix.loc)
 
 
 def _loop_build(text: bytes, *, sample_rate_n=None, sample_rate_t=None,
@@ -1123,7 +1131,7 @@ def enumerate_blocks_bruteforce(g, max_nodes: int = 64) -> list[Block]:
     maximal = {}
     while stack:
         b = stack.pop()
-        key = b.key()
+        key = block_key(b)
         if key in seen:
             continue
         seen.add(key)

@@ -48,7 +48,7 @@ def random_graphs(seed: int, count: int):
 def mutations(b: Block, n: int):
     """The block and near misses of it: each column, or its last node,
     shifted by one rank, a row added or dropped, two columns swapped, a node
-    out of bounds, a stored entry label that no edge carries."""
+    out of bounds."""
     w, s, cols = b.width, b.size, b.columns
     yield b
     for j in range(s):
@@ -67,7 +67,6 @@ def mutations(b: Block, n: int):
         yield Block(w, s, swapped)
     yield Block(w, s, cols[:-1] + [tuple(v + n for v in cols[-1])])
     yield Block(w, s, [tuple(v - cols[0][0] for v in cols[0])] + cols[1:])
-    yield Block(w, s, cols, entry_label=0)  # no graph here has label 0
 
 
 def loop_first_failure(view, blocks):

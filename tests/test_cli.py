@@ -34,34 +34,38 @@ def test_build_prints_summary(tmp_path, capsys):
     assert lines["merged_edges"] == "1"
 
 
-# flag -> (its arguments, the build_index keywords they give)
-BUILD_FLAGS = {
-    "--sample-rate": (["3"], dict(sample_rate_n=3)),
-    "--tunnel-rate": (["2"], dict(sample_rate_t=2)),
-    "--no-tunnel": ([], dict(tunneling=False)),
-}
+# build arguments -> the build_index keywords they give: each flag alone,
+# the locate samples at every run element and at the first and last only,
+# then every flag together
+BUILD_ARGS = [
+    (["--no-tunnel"], dict(tunneling=False)),
+    (["--sample-rate", "3"], dict(sample_rate_n=3)),
+    (["--sample-rate", "1"], dict(sample_rate_n=1)),
+    (["--sample-rate", "601"], dict(sample_rate_n=601)),
+    (["--no-tunnel", "--sample-rate", "3"], dict(sample_rate_n=3, tunneling=False)),
+]
 
 
-# each flag alone, both rates on a tunneled index, then every flag together
-@pytest.mark.parametrize(
-    "flags",
-    [[f] for f in sorted(BUILD_FLAGS)]
-    + [["--sample-rate", "--tunnel-rate"], sorted(BUILD_FLAGS)],
-)
+@pytest.mark.parametrize("flags", BUILD_ARGS)
 def test_build_flags_reach_the_index(tmp_path, flags):
+    args, kw = flags
     data = copy_paste_mutate(random.Random(2), 600, 4)
     text = tmp_path / "t.txt"
     text.write_bytes(data)
-    argv = ["build", str(text), "-o", str(tmp_path / "x.twgi")]
-    kw = {}
-    for flag in flags:
-        argv += [flag, *BUILD_FLAGS[flag][0]]
-        kw.update(BUILD_FLAGS[flag][1])
-    assert main(argv) == 0
+    assert main(["build", str(text), "-o", str(tmp_path / "x.twgi"), *args]) == 0
     assert main(["build", str(text), "-o", str(tmp_path / "default.twgi")]) == 0
     got = (tmp_path / "x.twgi").read_bytes()
     assert got == serialize_index(build_index(data, **kw))
     assert got != (tmp_path / "default.twgi").read_bytes()
+
+
+def test_tunnel_rate_is_a_usage_error(tmp_path, capsys):
+    # the skip stride is ceil(log2 n_t): no file stores the pointers it spaced
+    text = tmp_path / "t.txt"
+    text.write_bytes(b"abcabc")
+    assert main(["build", str(text), "-o", str(tmp_path / "x.twgi"), "--tunnel-rate", "2"]) == 2
+    assert "--tunnel-rate" in capsys.readouterr().err
+    assert not (tmp_path / "x.twgi").exists()
 
 
 def test_count(workdir, capsys):

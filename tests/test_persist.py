@@ -28,6 +28,7 @@ from conftest import (
     naive_locate,
     oracle_index,
     random_tunneled_graphs,
+    with_stride,
     write_blocks_file,
 )
 from twgi.bitvec import BitVec
@@ -323,21 +324,32 @@ def _plain(ix):
 @dataclasses.dataclass
 class Samples:
     """What ``TextIndex`` and the loader check, in the form both producers
-    take it: the graph and tunnel records, the rates, the skip pointer nodes
-    in file order, loc and cnt.  ``TextIndex`` derives skip and cnt, so only
-    an index file can hold other ones."""
+    take it: the graph and tunnel records, the rates and loc, and what the
+    file's skip and cnt sections hold, nothing in format version 4."""
     g: WheelerGraph
     tunnels: list
     rate_n: int
     rate_t: int
-    skip: list
     loc: dict
-    cnt: list
+    skip: list = dataclasses.field(default_factory=list)
+    cnt: list = dataclasses.field(default_factory=list)
 
 
 def _samples(ix) -> Samples:
-    return Samples(ix.tg.g, list(ix.tg.tunnels), ix.sample_rate_n, ix.sample_rate_t,
-                   list(ix.skip), dict(ix.loc), list(ix.cnt))
+    return Samples(ix.tg.g, list(ix.tg.tunnels), ix.sample_rate_n, ix.sample_rate_t, dict(ix.loc))
+
+
+def _v3_cnt(ix) -> list[int]:
+    """The cumulative widths at the ranks k rate_t, which format version 3
+    stored as cnt with tunnels: ``TextIndex`` reads each off its walk."""
+    return [ix._cum(r) for r in range(0, ix.tg.g.n + 1, ix.sample_rate_t)]
+
+
+def _v3(ix, s: Samples) -> Samples:
+    """s with the skip pointer nodes in version 3 file order and
+    ``_v3_cnt``."""
+    s.skip, s.cnt = list(ix.skip), _v3_cnt(ix)
+    return s
 
 
 def _construct(ix, s: Samples) -> TextIndex:
@@ -359,8 +371,7 @@ def _file(ix, s: Samples) -> bytes:
         11: _pack_ints(s.skip, width),
         13: _pack_ints(np.isin(np.arange(1, nt + 1), nodes), 1)
         + _pack_ints([s.loc[v] for v in nodes], width),
-        # a file without tunnels holds no cnt: a changed one is written anyway
-        14: _pack_ints(s.cnt, width) if s.tunnels or s.cnt != ix.cnt else b""}
+        14: _pack_ints(s.cnt, width)}
     for sec, payload in sections.items():
         data = _with_section(data, sec, payload)
     return data
@@ -406,23 +417,23 @@ def _loc_moves(ix) -> list[tuple[int, int]]:
 
 
 # each breaks one rule of TextIndex on the samples and the string tunnels,
-# or of the loader on the skip and cnt that TextIndex derives, and the part
-# of its error that names the rule.  Walks trust these rules: without them
-# locate and extract answer wrong or fail at query time.  A file of one
-# pointer or cnt sample too few or too many fails on its section's length
+# or of the loader, and the part of its error that names the rule.  Walks
+# trust these rules: without them locate and extract answer wrong or fail at
+# query time.  The skip and cnt faults are the faulty pointer nodes and cnt
+# samples that format version 3 refused: a version 4 file that stores any
+# skip or cnt section is refused before its content is read
+_EMPTY = "the skip, back and cnt sections must be empty"
 SAMPLE_FAULTS = {
     "rate_n zero": (lambda ix, s: setattr(s, "rate_n", 0), "sample rates"),
     "rate_t zero": (lambda ix, s: setattr(s, "rate_t", 0), "sample rates"),
     "exit out-degree": (_swap_exits, "exit must have out-degree equal to its width"),
     "entrance in-degree": (_move_in_edge, "its entrance in-degree"),
-    "node 0": (lambda ix, s: _set_item(s.skip, 0, 0), "skip pointers must sit on"),
-    "node past nt": (lambda ix, s: _set_item(s.skip, 0, ix.tg.g.n + 1),
-                     "skip pointers must sit on"),
-    "pointer dropped": (lambda ix, s: s.skip.pop(), "skip section holds"),
-    "pointer on a plain node": (lambda ix, s: _set_item(s.skip, 0, _plain(ix)),
-                                "skip pointers must sit on"),
-    "two pointers on one node": (lambda ix, s: _set_item(s.skip, 1, s.skip[0]),
-                                 "skip pointers must sit on"),
+    "node 0": (lambda ix, s: _set_item(_v3(ix, s).skip, 0, 0), _EMPTY),
+    "node past nt": (lambda ix, s: _set_item(_v3(ix, s).skip, 0, ix.tg.g.n + 1), _EMPTY),
+    "pointer dropped": (lambda ix, s: _v3(ix, s).skip.pop(), _EMPTY),
+    "pointer on a plain node": (lambda ix, s: _set_item(_v3(ix, s).skip, 0, _plain(ix)), _EMPTY),
+    "two pointers on one node": (lambda ix, s: _set_item(_v3(ix, s).skip, 1, s.skip[0]),
+                                 _EMPTY),
     "loc node 0": (lambda ix, s: _move_loc(s.loc, min(s.loc), 0), "loc must map"),
     "loc node past nt": (lambda ix, s: _move_loc(s.loc, max(s.loc), ix.tg.g.n + 1),
                          "loc must map"),
@@ -433,13 +444,13 @@ SAMPLE_FAULTS = {
     "loc shared position": (lambda ix, s: _set_item(s.loc, max(s.loc), s.loc[min(s.loc)]),
                             "loc must map"),
     "loc without position n": (lambda ix, s: s.loc.pop(_sink_sample(ix)), "loc must map"),
-    "cnt 3 short": (lambda ix, s: s.cnt.__delitem__(slice(-3, None)), "cnt section holds"),
-    "cnt 1 long": (lambda ix, s: s.cnt.append(s.cnt[-1]), "cnt section holds"),
-    "cnt start": (lambda ix, s: _set_item(s.cnt, 0, 1), "cnt must hold"),
-    "cnt falls": (lambda ix, s: _set_item(s.cnt, 2, s.cnt[1] - 1), "cnt must hold"),
-    "cnt past n": (lambda ix, s: _set_item(s.cnt, -1, ix.n + 1), "cnt must hold"),
-    "cnt not k rate_t without tunnels": (lambda ix, s: _set_item(s.cnt, 1, s.cnt[1] + 1),
-                                         "must be empty without tunnels"),
+    "cnt 3 short": (lambda ix, s: _v3(ix, s).cnt.__delitem__(slice(-3, None)), _EMPTY),
+    "cnt 1 long": (lambda ix, s: _v3(ix, s).cnt.append(s.cnt[-1]), _EMPTY),
+    "cnt start": (lambda ix, s: _set_item(_v3(ix, s).cnt, 0, 1), _EMPTY),
+    "cnt falls": (lambda ix, s: _set_item(_v3(ix, s).cnt, 2, s.cnt[1] - 1), _EMPTY),
+    "cnt past n": (lambda ix, s: _set_item(_v3(ix, s).cnt, -1, ix.n + 1), _EMPTY),
+    "cnt not k rate_t without tunnels": (lambda ix, s: _set_item(_v3(ix, s).cnt, 1, s.cnt[1] + 1),
+                                         _EMPTY),
 }
 SKIP_FAULTS = {"node 0", "node past nt", "pointer dropped", "pointer on a plain node",
                "two pointers on one node"}
@@ -470,7 +481,8 @@ def _assert_rejected(fault, small_index):
 
 
 def _swap_pointers(ix, s: Samples):
-    """Swaps the file's first two pointer nodes of one exit."""
+    """Swaps the version 3 file's first two pointer nodes of one exit."""
+    _v3(ix, s)
     k = next(k for k, (u, v) in enumerate(zip(s.skip, s.skip[1:]))
              if ix.skip[u][0] == ix.skip[v][0])
     s.skip[k:k + 2] = s.skip[k + 1], s.skip[k]
@@ -487,11 +499,14 @@ def _swap_exits_of_one_width(ix, s: Samples):
 # each loaded before TextIndex walked every tunnel, and answered wrong: on
 # the 2 KB cpm4 index the swapped pointers 91 of 300 locates and 14 of 290
 # extracts, the swapped exits 126 locates, 13 counts and 89 extracts (46
-# more raised), and the changed cnt 5 of 300 counts
+# more raised), and the changed cnt 5 of 300 counts.  Format version 4
+# stores no pointers or cnt, so those two faults can come only in a stored
+# section, which the load refuses
 WALK_FAULTS = {
-    "pointers of one exit swapped": (_swap_pointers, "skip pointers must sit on"),
+    "pointers of one exit swapped": (_swap_pointers, _EMPTY),
     "exits swapped at one width": (_swap_exits_of_one_width, "must reach its record's exit"),
-    "cnt changed but monotone": (lambda ix, s: _set_item(s.cnt, 2, s.cnt[2] - 1), "cnt must hold"),
+    "cnt changed but monotone": (lambda ix, s: _set_item(_v3(ix, s).cnt, 2, s.cnt[2] - 1),
+                                 _EMPTY),
 }
 
 
@@ -548,9 +563,8 @@ def _move_exit(ix, length_one: bool):
 
 
 # each breaks one agreement between the tunnel records, the marks and the
-# degrees in an index without skip pointers.  Queries cross a tunnel by its
-# record, so each such file answers wrong or fails at query time unless
-# deserialize_index rejects it
+# degrees.  Queries cross a tunnel by its record, so each such file answers
+# wrong or fails at query time unless deserialize_index rejects it
 RECORD_FAULTS = {
     "length +1": lambda ix: _set_tunnel(ix, 0, length=ix.tg.tunnels[0].length + 1),
     "length -1": lambda ix: _set_tunnel(ix, 0, length=ix.tg.tunnels[0].length - 1),
@@ -599,8 +613,8 @@ TUNNEL_PRODUCERS = {
 @pytest.mark.parametrize("producer", sorted(TUNNEL_PRODUCERS))
 @pytest.mark.parametrize("fault", sorted(TUNNEL_RULE_FAULTS))
 def test_tunnel_rules_hold_for_every_producer(fault, producer):
-    ix = oracle_index(SMALL_TEXTS["cpm96"], sample_rate_t=64, min_length=1)
-    assert not ix.skip and any(t.length > 1 for t in ix.tg.tunnels)
+    ix = oracle_index(SMALL_TEXTS["cpm96"], min_length=1)
+    assert any(t.length > 1 for t in ix.tg.tunnels)
     error, make = TUNNEL_PRODUCERS[producer]
     make(ix)  # the good graph is accepted
     breaks, match = TUNNEL_RULE_FAULTS[fault]
@@ -619,15 +633,14 @@ def test_plain_load_builds_no_exit_table(name, small_index):
 @pytest.mark.parametrize("name", ["fib", "cpm4"])
 @pytest.mark.parametrize("onto", ["plain node", "exit's successor"])
 def test_inner_mark_moved_off_its_tunnel(name, onto, small_index):
-    # a tunnel node that is neither an exit nor a skip pointer node loses its
-    # inner mark to a plain node of out-degree 1, or to a plain node that an
-    # exit enters: the records and the mark count still agree, but the
-    # tunnel's walk no longer reaches its exit
+    # a tunnel node other than an exit loses its inner mark to a plain node
+    # of out-degree 1, or to a plain node that an exit enters: the records
+    # and the mark count still agree, but the tunnel's walk no longer
+    # reaches its exit
     ix = small_index(name)
     tg, data = ix.tg, serialize_index(ix)
     exits = {t.exit for t in tg.tunnels}
-    inner = [v for v in np.flatnonzero(tg.inner_marks.bits()) + 1
-             if v not in exits and v not in ix.skip]
+    inner = [v for v in np.flatnonzero(tg.inner_marks.bits()) + 1 if v not in exits]
     if onto == "plain node":
         to = [v for v in range(1, tg.g.n + 1)
               if not is_tunnel_node(tg, v) and tg.g.outdeg(v) == 1]
@@ -762,7 +775,7 @@ class TestIndexFile:
 
     def test_version_mismatch(self):
         data = bytearray(serialize_index(build_index(b"abcabc")))
-        assert VERSION - 1 == 2  # the format before packed fields
+        assert VERSION - 1 == 3  # the format that stored skip pointer nodes and cnt
         for version in (VERSION - 1, VERSION + 1):
             data[4:6] = struct.pack("<H", version)
             data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[:-4])))
@@ -827,15 +840,19 @@ class TestIndexFile:
 
     @pytest.mark.parametrize("sec", [11, 13, 14])  # skip, loc, cnt
     def test_record_section_extra_bytes(self, sec, small_index):
-        # 16 bytes past the declared records, under a recomputed CRC
+        # 16 bytes past the declared records, under a recomputed CRC: past
+        # the loc positions, or in the skip or cnt section, which hold none
         data = serialize_index(small_index("fib"))
         start = _section_offsets(data)[sec]
         (ln,) = struct.unpack_from("<I", data, start - 4)
+        assert (ln == 0) == (sec != 13)
         corrupt = bytearray(data[:-4])
         corrupt[start + ln:start + ln] = bytes(16)
         struct.pack_into("<I", corrupt, start - 4, ln + 16)
         corrupt += struct.pack("<I", zlib.crc32(bytes(corrupt)))
-        with pytest.raises(TruncatedError):
+        refused = pytest.raises(TruncatedError) if sec == 13 else \
+            pytest.raises(FormatError, match=_EMPTY)
+        with refused:
             deserialize_index(bytes(corrupt))
 
     def test_unknown_flag_rejected(self, small_index):
@@ -865,17 +882,18 @@ class TestIndexFile:
 
     @pytest.mark.parametrize("sec", [9, 14])  # inner, cnt
     def test_plain_index_derives_inner_marks_and_cnt(self, sec, small_index):
-        # without tunnels the inner marks are all zero and cnt[k] = k rate_t:
-        # one zero byte, or what the section would hold, under a recomputed CRC
+        # without tunnels the inner marks are all zero and the cumulative
+        # width at rank k rate_t is k rate_t: one zero byte, or what the
+        # section would hold, under a recomputed CRC
         ix = small_index("fib", False)
-        stored = {9: ix.tg.inner_marks.to_packed(), 14: _pack_ints(ix.cnt, ix.n.bit_length())}
+        assert _v3_cnt(ix) == list(range(0, ix.tg.g.n + 1, ix.sample_rate_t))
+        stored = {9: ix.tg.inner_marks.to_packed(), 14: _pack_ints(_v3_cnt(ix), ix.n.bit_length())}
         data = serialize_index(ix)
         assert struct.unpack_from("<I", data, _section_offsets(data)[sec] - 4) == (0,)
         for payload in (bytes(1), stored[sec]):
-            with pytest.raises(FormatError, match="must be empty without tunnels"):
+            with pytest.raises(FormatError, match="must be empty"):
                 deserialize_index(_with_section(data, sec, payload))
-        # and no index whose section would not be empty can be made: for
-        # cnt, see test_bad_samples_rejected[cnt not k rate_t without tunnels]
+        # and no index whose inner marks would not be empty can be made
         if sec == 9:
             marks = np.zeros(ix.tg.g.n, np.uint8)
             marks[5] = 1
@@ -895,6 +913,23 @@ class TestIndexFile:
         assert struct.unpack_from("<I", data, _section_offsets(data)[sec] - 4) == (0,)
         for payload in (bytes(1), stored[sec]):
             with pytest.raises(FormatError, match="must be empty"):
+                deserialize_index(_with_section(data, sec, payload))
+
+    @pytest.mark.parametrize("sec", [11, 12, 14])  # skip, back, cnt
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", ["fib", "cpm4"])
+    def test_skip_back_and_cnt_hold_nothing(self, name, tunneling, sec, small_index):
+        # one byte, or the skip pointer nodes or cnt that format version 3
+        # stored, under a recomputed CRC: loading reads both off the tunnel
+        # walk, and no reader needs back
+        ix = small_index(name, tunneling)
+        data = serialize_index(ix)
+        assert struct.unpack_from("<I", data, _section_offsets(data)[sec] - 4) == (0,)
+        v3 = {11: list(ix.skip), 12: [], 14: _v3_cnt(ix) if tunneling else []}[sec]
+        assert bool(v3) == (tunneling and sec != 12)
+        payloads = [bytes(1), _pack_ints(v3, ix.n.bit_length())] if v3 else [bytes(1)]
+        for payload in payloads:
+            with pytest.raises(FormatError, match=_EMPTY):
                 deserialize_index(_with_section(data, sec, payload))
 
     def test_alphabet_out_of_order(self, small_index):
@@ -921,8 +956,8 @@ class TestIndexFile:
         _assert_rejected(fault, small_index)
 
     def test_zero_rate_t_in_header(self, small_index):
-        # the header can hold the rate_t 0 that TextIndex refuses, and the
-        # loader reads the skip and cnt fields only once TextIndex accepts it
+        # the header can hold the rate_t 0 that TextIndex refuses: the skip
+        # stride, which no section of the file depends on
         data = serialize_index(small_index("fib"))
         header = list(struct.unpack("<QQQIIII", data[12:52]))
         header[5] = 0
@@ -931,8 +966,7 @@ class TestIndexFile:
 
     @pytest.mark.parametrize("fault", sorted(TUNNEL_FAULTS))
     def test_bad_tunnel_records_rejected(self, fault, small_index):
-        # the file derives the skip pointers' exits and distances from the
-        # records, so the bad record is written over the good file's one
+        # the bad record is written over the good file's one
         ix = deserialize_index(serialize_index(small_index("fib")))
         assert len(ix.tg.tunnels) > 1 and ix.skip
         data = serialize_index(ix)
@@ -944,8 +978,7 @@ class TestIndexFile:
     @pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
     def test_records_disagreeing_with_marks_rejected(self, fault):
         # length-1 tunnels beside longer ones of the same width
-        ix = oracle_index(SMALL_TEXTS["cpm96"], sample_rate_t=64, min_length=1)
-        assert not ix.skip and ix.tg.tunnels[0].length + 1 <= 64
+        ix = oracle_index(SMALL_TEXTS["cpm96"], min_length=1)
         RECORD_FAULTS[fault](ix)
         with pytest.raises(FormatError, match="tunnel"):
             deserialize_index(serialize_index(ix))
@@ -955,20 +988,19 @@ class TestIndexFile:
         _assert_rejected(fault, small_index)
 
     def test_skip_section_nodes(self, small_index):
-        # faults only the node list can hold, under a recomputed CRC
+        # the node lists that format version 3 stored or refused, under a
+        # recomputed CRC: the good one, one whose second pointer moves onto
+        # the first one's node, and one a pointer short
         ix = small_index("fib")
         data = serialize_index(ix)
         width = ix.n.bit_length()
-        start = _section_offsets(data)[11]
-        (ln,) = struct.unpack_from("<I", data, start - 4)
-        nodes = _unpack_ints(data[start:start + ln], len(ix.skip), width, "skip").tolist()
-        assert len(nodes) > 2
+        nodes = list(ix.skip)
+        assert len(nodes) == 11
         shared = [nodes[0], *nodes]
-        del shared[2]  # the second pointer moves onto the first one's node
-        with pytest.raises(FormatError, match="skip pointers must sit on 11 distinct"):
-            deserialize_index(_with_section(data, 11, _pack_ints(shared, width)))
-        with pytest.raises(TruncatedError):
-            deserialize_index(_with_section(data, 11, _pack_ints(nodes[:-1], width)))
+        del shared[2]
+        for stored in (nodes, shared, nodes[:-1]):
+            with pytest.raises(FormatError, match=_EMPTY):
+                deserialize_index(_with_section(data, 11, _pack_ints(stored, width)))
 
     @pytest.mark.parametrize("name", ["fib", "rand96"])  # sigma 2 and 96
     def test_loaded_index_ranks_on_python_ints(self, name, small_index):
@@ -997,16 +1029,15 @@ class TestIndexFile:
         # by TextIndex for the loaded index and the built one
         for got in (ix, small_index(name)):
             assert got.loc and all(type(k) is int and type(v) is int for k, v in got.loc.items())
-            assert all(type(v) is int for v in got.cnt)
             assert all(type(v) is int and type(e) is int and type(d) is int
                        for v, (e, d) in got.skip.items())
 
     def test_skip_pointers_serve_no_walk(self, small_index):
         # two skip pointers of one tunnel pointing at each other at distance
         # 0 stopped every walk that met them.  TextIndex derives the pointers
-        # from its walk and the file holds the good ones, so they are set
-        # after construction: walks read the walked exits, distances and
-        # widths, not the pointers, and every answer stays right
+        # from its walk and the file holds none, so they are set after
+        # construction: walks read the walked exits, distances and widths,
+        # not the pointers, and every answer stays right
         text = SMALL_TEXTS["fib"]
         bad = deserialize_index(serialize_index(small_index("fib")))
         (a, _), (b, _) = sorted(bad.skip.items(), key=lambda item: item[1])[-2:]
@@ -1045,14 +1076,14 @@ def _section_offsets(data: bytes) -> list[int]:
 # sha256 of serialize_index output on the shared small texts: the file
 # format and every build step that decides its bytes are pinned
 INDEX_DIGESTS = {
-    ("fib", True): "16fd9264fb92d4a0b6a1e5a63914b04852f186528b5d25bdb57f07bb269dbec8",
-    ("fib", False): "1cc31502e2ad0bf66f18299761bf45fc7e06b3792f2e9a7eb36c014f870a057d",
-    ("cpm4", True): "0cace45335076d08493eca7cddc76b2b9683b4bbc4f8fc6729df5f110b176353",
-    ("cpm4", False): "0f29eae9c3d8c48d4e179445ef3e362754bebf58a80e3a98ed7ae0c6c196692c",
-    ("rand96", True): "2d9c1de23e37e3ff54fbdf11892b243218daf93d8c997a1253b389c52ee29241",
-    ("rand96", False): "2d9c1de23e37e3ff54fbdf11892b243218daf93d8c997a1253b389c52ee29241",
-    ("cpm96", True): "152b4f3199560a86a85d98fddb458638a605957e243aae104abea899b0858800",
-    ("cpm96", False): "41e7341a85ba4e95e360a3c6c8b581446094b34678766e315c738671311f9ade",
+    ("fib", True): "d22f4371e909a73257b467b93ad55054ddcf30f51ca8dccc8d810f33c011d545",
+    ("fib", False): "954bea08fa0e314f2785617e87e46973cfedf7d2082fe36669e488d47e61996f",
+    ("cpm4", True): "7f62b5af693c48aae2c7a1ca1e12d304428fa5c58bd2ed594c448f87fe0b19f8",
+    ("cpm4", False): "309b913cf5531dea5d9af8a1931a9192cac7ecf6137287a8aeccf4243222c5ff",
+    ("rand96", True): "4a76cadaa8da37692787941170a07cec0af07372e43c0386208fb663d6d7f96e",
+    ("rand96", False): "4a76cadaa8da37692787941170a07cec0af07372e43c0386208fb663d6d7f96e",
+    ("cpm96", True): "2ad75f238a85900218820cada6941e929060c002f983dd8dffefc31b5c720aa2",
+    ("cpm96", False): "b4c926c66126145f0384735bc5a3546db49321a4a88845bb2b4256564cf7c9ca",
 }
 
 
@@ -1109,23 +1140,24 @@ DERIVED_SETTINGS = {"default": {}, "w2-s1-t1": dict(min_width=2, min_length=1, s
 @pytest.mark.parametrize("tunneling", [True, False])
 @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
 def test_load_derives_what_the_build_holds(name, tunneling, settings, small_index):
-    # the file stores no I', O', entrance marks or skip pointer exits and
-    # distances, nor, without tunnels, inner marks or cnt: loading derives
-    # them, and the landing table and exit copies, equal to the ones the
-    # build made
+    # the file stores no I', O', entrance marks, skip pointers or cnt, nor,
+    # without tunnels, inner marks: loading derives them, the tunnel walk
+    # that the skip pointers and cumulative widths are read off, and the
+    # landing table and exit copies, equal to the ones the build made
     if settings == "default":
         ix = small_index(name, tunneling)
     elif tunneling:
         ix = oracle_index(SMALL_TEXTS[name], **DERIVED_SETTINGS[settings])
     else:
-        ix = build_index(SMALL_TEXTS[name], tunneling=False,
-                         sample_rate_t=DERIVED_SETTINGS[settings]["sample_rate_t"])
+        ix = with_stride(small_index(name, False), DERIVED_SETTINGS[settings]["sample_rate_t"])
     got = deserialize_index(serialize_index(ix))
     for vec in ("iprime", "oprime", "inner_marks"):
         assert getattr(got.tg, vec).to01() == getattr(ix.tg, vec).to01()
     assert entrance_marks(got.tg).to01() == entrance_marks(ix.tg).to01()
     assert got.skip == ix.skip and list(got.skip) == list(ix.skip)
-    assert got.cnt == ix.cnt and got.loc == ix.loc
+    for walked in ("_slot", "_chain", "_to_exit", "_extra"):
+        assert getattr(got, walked).tolist() == getattr(ix, walked).tolist()
+    assert got.loc == ix.loc
     assert got.tg.exit_copies == ix.tg.exit_copies
     assert landing_table(got.tg) == landing_table(ix.tg)
     # only an edge into a tunnel entrance lands past copy 1
@@ -1139,6 +1171,7 @@ def test_section_bits_match_the_bench_decoder(name, tunneling, small_index):
     bits = section_bits(data)
     assert bits == layout.section_bits(data)
     assert sum(bits.values()) == 8 * len(data)
+    assert bits["skip"] == bits["cnt"] == 0
 
 
 @pytest.mark.parametrize("text", [b"baabaaba", b"bbabbabb"])
@@ -1172,10 +1205,10 @@ def test_mutated_section_loads_or_raises(tunneling, small_index, data):
 
     The answers are not compared with the oracles: a file can load and
     answer wrong, such as one whose samples trade positions
-    (``test_swapped_samples_extract_past_the_sink``).  Swapped skip pointer
-    nodes, swapped tunnel exits and a changed but non-decreasing cnt loaded
-    and answered wrong too until the loader walked every tunnel; they now
-    fail at load (``test_walk_faults_rejected_at_load``).
+    (``test_swapped_samples_extract_past_the_sink``).  Swapped tunnel exits
+    loaded and answered wrong too until the loader walked every tunnel; they
+    now fail at load (``test_walk_faults_rejected_at_load``), as does any
+    file that stores skip pointers or cnt.
     """
     good = serialize_index(small_index("fib", tunneling))
     offsets = _section_offsets(good)

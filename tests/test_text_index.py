@@ -20,6 +20,7 @@ from conftest import (
     random_text,
     structures_equal,
     walk_to_exit,
+    with_stride,
 )
 from twgi import text_index
 from twgi.errors import BoundsError, FormatError, InvariantError, ValidationError
@@ -119,9 +120,9 @@ class TestBuildIndex:
             raise AssertionError("built the string graph before checking the rates")
 
         monkeypatch.setattr(text_index, "_string_graph", no_build)
-        for rates in (dict(sample_rate_n=0), dict(sample_rate_t=-1)):
+        for rate_n in (0, -1):
             with pytest.raises(ValidationError, match="sample rates"):
-                build_index(b"abcabc", **rates)
+                build_index(b"abcabc", sample_rate_n=rate_n)
         with pytest.raises(TypeError):
             build_index("not bytes")
 
@@ -150,7 +151,6 @@ class TestBuildIndex:
             return all(type(v) is int for v in values)
 
         assert ix.loc and ints(ix.loc) and ints(ix.loc.values())
-        assert ints(ix.cnt)
         assert ints(ix.skip) and all(ints(ptr) for ptr in ix.skip.values())
 
 
@@ -170,15 +170,22 @@ class TestSamples:
     @pytest.mark.parametrize("rate_n,rate_t", [(1, 1), (2, 3), (None, None)])
     @pytest.mark.parametrize("min_width,min_length", [(2, 1), (2, 2), (3, 1), (3, 3)])
     def test_match_loop_samples(self, min_width, min_length, rate_n, rate_t):
-        # build_index's own tunnels at (2, 2); at other thresholds the
-        # oracle's tunnels.  TextIndex derives skip and cnt from its walk
+        # build_index's own tunnels at (2, 2), at its stride or rate_t; at
+        # other thresholds the oracle's tunnels.  TextIndex derives skip and
+        # the cumulative widths, cnt at the multiples of rate_t, from its walk
         length_one = 0
         for text in SAMPLE_TEXTS:
-            rates = dict(sample_rate_n=rate_n, sample_rate_t=rate_t)
-            kw = dict(rates, min_width=min_width, min_length=min_length)
-            ix = build_index(text, **rates) if (min_width, min_length) == (2, 2) \
-                else oracle_index(text, **kw)
-            assert (ix.loc, ix.skip, ix.cnt) == loop_samples(text, **kw)
+            kw = dict(sample_rate_n=rate_n, sample_rate_t=rate_t,
+                      min_width=min_width, min_length=min_length)
+            if (min_width, min_length) != (2, 2):
+                ix = oracle_index(text, **kw)
+            elif rate_t is None:
+                ix = build_index(text, sample_rate_n=rate_n)
+            else:
+                ix = with_stride(build_index(text, sample_rate_n=rate_n), rate_t)
+            loc, skip, cnt = loop_samples(text, **kw)
+            assert ix.loc == loc and ix.skip == skip
+            assert [ix._cum(r) for r in range(0, ix.tg.g.n + 1, ix.sample_rate_t)] == cnt
             length_one += sum(t.length == 1 for t in ix.tg.tunnels)
         if min_length == 1:
             # entrances with no inner node: elements that start and end there
@@ -327,8 +334,9 @@ class TestCount:
 
     @pytest.mark.parametrize("name", ["fib", "cpm4"])
     def test_range_end_sums_from_the_nearer_sample(self, name, small_index, monkeypatch):
-        # a range whose last node sits one below an aligned cnt sample: the
-        # cumulative widths answer it with no width evaluated, as every range
+        # a range whose last node sits one below a multiple of the stride:
+        # the cumulative widths answer it with no width evaluated, as every
+        # range
         ix, text = small_index(name), SMALL_TEXTS[name]
         rt, evaluated, found = ix.sample_rate_t, [], 0
         assert rt > 4
@@ -842,11 +850,11 @@ class TestExtract:
         for tunneling, rate_t in ((True, 1), (True, None), (False, None))])
     def test_matches_fstep_reference(self, name, tunneling, rate_t, loaded, small_index):
         # extract writes out _fstep's step: the same bytes and steps as one
-        # _fstep call per step, from every start.  Without tunnels the rate
-        # sets only count's samples, so the plain index takes the default
+        # _fstep call per step, from every start, at build_index's skip
+        # stride and at stride 1, which no walk reads
         text = SMALL_TEXTS[name]
         ix = small_index(name, tunneling) if rate_t is None else \
-            build_index(text, sample_rate_t=rate_t, tunneling=tunneling)
+            with_stride(small_index(name, tunneling), rate_t)
         if loaded:
             ix = deserialize_index(serialize_index(ix))
         for start in range(1, len(text) + 1):
@@ -925,17 +933,6 @@ class TestStepBudgets:
                     counter = StepCounter()
                     ix.locate_one(TraversalPos(v, off), counter)
                     assert counter.steps <= budget, (text, v, off, counter.steps)
-
-    def test_count_budget(self):
-        rng = random.Random(31)
-        for _ in range(15):
-            text = bytes(rng.choice(b"abc") for _ in range(rng.randint(10, 400)))
-            ix = build_index(text)
-            budget = 4 * ix.sample_rate_t ** 2 + 8
-            for pat in make_patterns(rng, text, 15, max_len=6):
-                counter = StepCounter()
-                ix.count(pat, counter)
-                assert counter.steps <= budget, (text, pat, counter.steps)
 
     @pytest.mark.parametrize("name", ["fib", "cpm4", "cpm96"])
     def test_tunneled_locate_steps_per_occurrence(self, name, small_index):
