@@ -132,7 +132,8 @@ def _cmd_stats(args) -> int:
     print(f"bits_per_symbol: {bps:.2f}")
     for name, bits in section_bits(data).items():
         print(f"bits.{name}: {bits}")
-    for name in ("kgram_k", "kgram_keys", "kgram_bytes", "hops_per_round", "hop_bytes"):
+    for name in ("kgram_k", "kgram_keys", "kgram_bytes", "hops_per_round", "hop_bytes",
+                 "extract_bytes"):
         print(f"{name}: {st[name]}")
     return 0
 

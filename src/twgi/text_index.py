@@ -7,8 +7,9 @@ answered with text-position samples on plain nodes of the run-contracted
 node sequence (Ferragina & Manzini 2005) and with one walk of every tunnel,
 by pointer jumping (Wyllie 1979), when the index is made.  It orders each
 tunnel's nodes by distance to its exit, so that a walk crosses a tunnel in
-one jump wherever it meets it (Baier 2018) and extract lands inside one in
-one read, and sums the tunnel nodes' widths, which count searches twice.
+one jump wherever it meets it (Baier 2018) and extract reads a tunnel's
+bytes up to its exit as one slice, and sums the tunnel nodes' widths, which
+count searches twice.
 The walk is also the check that walks may trust the records; an index file
 stores nothing that it derives.
 
@@ -27,11 +28,13 @@ copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
 target, landing copy and label from the graph's step table, the landing
 rule decoded once per L position when the graph is made.  ``_fstep`` is
 that rule, with both of its checks, a copy past the exit's out-degree and a
-step past the sink; it is the tests' oracle and the bench times it.
-``extract`` writes it out in its seek and output loops with the sink check
-only, and ``_leave`` holds it as arrays for the hop table with neither: the
-load proves that no walk needs the copy check, nor a hop walk the sink
-check (``TextIndex``).  A change to the step rule must update all three.
+step past the sink; it is the tests' oracle and the bench times it.  The
+step rule has two more readers.  ``extract``'s one loop writes it out with
+the sink check only, and reads it across plain nodes off its next-edge
+table (``_extract_tables``, made on the first extract).  ``_leave`` holds
+it as arrays for the hop table, with neither check.  The load proves that
+no walk needs the copy check, nor a hop walk the sink check (``TextIndex``).
+A change to the step rule must update all three readers.
 """
 
 from __future__ import annotations
@@ -168,8 +171,10 @@ class TextIndex:
     out-degree 0 holds a sample.
 
     So on every index it accepts no walk takes a copy past an exit's
-    out-degree, and no hop walk steps past a sink; ``_leave`` and
-    ``extract`` check neither:
+    out-degree, and no hop walk steps past a sink.  Of the step rule's
+    readers, ``_fstep`` checks both, ``extract``'s one loop and its
+    next-edge table (``_extract_tables``) the sink only, and ``_leave``
+    neither:
     1. An edge into an entrance lands at a copy in [1..w] of its record,
        as ``TunneledGraph`` decodes I'.
     2. That record's exit has out-degree w (checked here).
@@ -180,7 +185,7 @@ class TextIndex:
     4. ``_starts`` hands on copy 1 of a plain node, or copies of a tunnel
        node within its width, as searches land and carry them;
        ``locate_one`` checks its copy against ``node_width``, and extract
-       seeks from copy 1.
+       walks from copy 1 of a sample.
     5. Every node of out-degree 0 holds a sample, where a hop walk stops.
     Extract stops at no sample: a file whose samples trade positions still
     loads, and its extract can reach the sink, which extract checks for.
@@ -224,8 +229,8 @@ class TextIndex:
         self._tun = memoryview(tg._tun)
         self._walk_tunnels()
         self.loc = loc                   # non-tunnel node rank -> text position
-        self.ext_pos = ext_pos.tolist()
-        self.ext_node = at[by_pos].tolist()
+        self.ext_pos = array("i", ext_pos.astype(np.int32).tobytes())
+        self.ext_node = array("i", at[by_pos].astype(np.int32).tobytes())
         # and by node, for the lockstep walk to gather: 0 off the samples
         self._samp = np.zeros(nt + 1, np.int32)
         self._samp[at] = pos
@@ -311,9 +316,10 @@ class TextIndex:
         """One simulated original step: returns (node', off', label byte).
         Copy ``off`` of a tunnel node of out-degree w > 1 leaves by its
         off-th out-edge, any other node by its only one; the step table
-        holds that edge's target, landing copy and label.  ``extract``
-        writes this step out and ``_leave`` holds it as arrays: a change
-        here must update them too."""
+        holds that edge's target, landing copy and label.  ``extract``'s one
+        loop writes this step out, with its next-edge table for plain nodes
+        (``_extract_tables``), and ``_leave`` holds it as arrays: a change
+        here must update both."""
         tg = self.tg
         lstart = tg.g._lstart
         p = lstart[node]
@@ -576,17 +582,47 @@ class TextIndex:
 
     # -- extracting -----------------------------------------------------------------
 
+    @cached_property
+    def _extract_tables(self) -> tuple[memoryview, bytes]:
+        """(nxt, moves), extract's tables, made on the first extract.
+        ``nxt[q]`` is the L position by which a walk leaves edge q's target
+        when that target is a plain node with an out-edge, by ``_fstep``'s
+        rule, and 0 otherwise (a tunnel node, a sink, or q = 0): a memoryview
+        of int32, 4 bytes per L position.  ``moves`` holds each tunnel node's
+        in-tunnel move byte, 0 at an exit, in the order of ``_chain``
+        reversed, so that the bytes a walk reads from ``_chain[i]`` to its
+        exit start at ``len(moves) - 1 - i`` and are contiguous: one byte per
+        tunnel node."""
+        tg = self.tg
+        to = np.frombuffer(tg._step_to, np.int32)
+        lstart = np.frombuffer(tg.g._lstart, np.int64)
+        first = lstart.take(to)
+        plain = np.frombuffer(tg._kind, np.uint8).take(to) == 0
+        nxt = np.where(plain & (lstart.take(to + 1) > first), first + 1, 0).astype(np.int32)
+        nxt[0] = 0
+        chain = np.asarray(self._chain)[:-1]
+        byte = np.frombuffer(tg._step_byte, np.uint8).take(lstart.take(chain) + 1)
+        moves = np.where(np.asarray(self._to_exit)[:-1] > 0, byte, 0).astype(np.uint8)
+        return memoryview(nxt), moves[::-1].tobytes()
+
     def extract(self, start: int, length: int,
                 counter: StepCounter | None = None) -> bytes:
         """T[start .. start+length-1] (1-based, inclusive).
 
-        The walk seeks from the nearest sample at or before ``start``,
-        jumping across each tunnel to its exit, or onto the target's node
-        when the target lies inside it; it then steps once per output byte.
-        Both loops write out ``_fstep``'s step and add their steps to the
-        counter at the end.  They keep its check for a step past the sink,
-        which samples with swapped positions reach, but not its copy check,
-        which no index that loads needs (``TextIndex``)."""
+        One loop walks from the nearest sample at or before ``start``
+        through ``start + length - 1`` and reads every byte on the way: a
+        tunnel node's bytes up to its exit, or up to the last one wanted, as
+        one slice of ``moves``; a stretch of plain nodes by ``nxt``, two
+        reads and a store a byte (``_extract_tables``, made on the first
+        extract); and at an exit or where ``nxt`` reads 0, ``_fstep``'s
+        step written out.  That step keeps ``_fstep``'s check for a step
+        past the sink, which samples with swapped positions reach, but not
+        its copy check, which no index that loads needs (``TextIndex``);
+        ``_leave``, the step rule's third reader, keeps neither.
+        Each pass of the loop reads at least one byte, so it ends after at
+        most ``start + length - pos`` of them, pos the sample's position.
+        The counter gets a step for each byte read before ``start``, but one
+        for each tunnel slice begun there, and one for each byte returned."""
         if start < 1 or length < 0 or start + length - 1 > self.text_len:
             raise BoundsError(
                 f"extract({start},{length}) outside text of length {self.text_len}")
@@ -597,6 +633,8 @@ class TextIndex:
         kind, lstart = tg._kind, tg.g._lstart
         step_to, step_land, step_byte = tg._step_to, tg._step_land, tg._step_byte
         slot, chain, to_exit = self._slot, self._chain, self._to_exit
+        nxt, moves = self._extract_tables
+        rev = len(moves) - 1
         idx = bisect_right(self.ext_pos, start) - 1
         if idx >= 0:
             pos, node, off = self.ext_pos[idx], self.ext_node[idx], 1
@@ -604,18 +642,20 @@ class TextIndex:
             # the first sample may sit past `start` when the source node
             # lives inside a tunnel; the source is always rank 1, copy 1
             pos, node, off = 1, 1, 1
-        steps = 0
-        for _ in range(self.n):
-            if pos >= start:
-                break
+        seek, total = start - pos, start + length - pos
+        out = bytearray(total)
+        j = saved = 0  # bytes read; seek steps saved by tunnel slices
+        while j < total:
             if kind[node]:
-                # in-tunnel moves keep the copy: jump to the exit, or onto the target
+                # in-tunnel moves keep the copy: read up to the exit at once
                 i = slot[node]
-                hop = min(to_exit[i], start - pos)
-                if hop:
-                    node = chain[i - hop]
-                    pos += hop
-                    steps += 1
+                k = min(to_exit[i], total - j)
+                if k:
+                    out[j:j + k] = moves[rev - i:rev - i + k]
+                    if j < seek:
+                        saved += min(k, seek - j) - 1
+                    node = chain[i - k]
+                    j += k
                     continue
             p = lstart[node]
             deg = lstart[node + 1] - p
@@ -625,34 +665,28 @@ class TextIndex:
                 p += 1
             else:
                 raise BoundsError("walked past the sink")
+            for j in range(j, total):
+                out[j] = step_byte[p]
+                q = nxt[p]
+                if not q:
+                    break
+                p = q
+            j += 1
             node, off = step_to[p], step_land[p] or off
-            pos += 1
-            steps += 1
-        else:
-            raise FormatError(f"did not reach text position {start} in {self.n} steps")
-        out = bytearray(length)
-        for i in range(length):
-            p = lstart[node]
-            deg = lstart[node + 1] - p
-            if deg > 1 and kind[node]:
-                p += off
-            elif deg:
-                p += 1
-            else:
-                raise BoundsError("walked past the sink")
-            node, off = step_to[p], step_land[p] or off
-            out[i] = step_byte[p]
-        counter.steps += steps + length
+        counter.steps += total - saved
+        del out[:seek]
         return bytes(out)
 
     # -- bookkeeping ------------------------------------------------------------------
 
     def stats(self) -> dict:
         """Sizes of the index, of its k-gram table (k, its keys and its
-        resident bytes) and of its hop table (the hops a lockstep round takes
-        and its resident bytes), each made here if no query has made it."""
+        resident bytes), of its hop table (the hops a lockstep round takes
+        and its resident bytes) and of extract's tables (their resident
+        bytes), each made here if no query has made it."""
         k, keys, states = self._kgrams
         nxt, val = self._hops
+        ext_nxt, moves = self._extract_tables
         return {
             "n": self.n,
             "n_t": self.tg.g.n,
@@ -666,6 +700,7 @@ class TextIndex:
             "kgram_bytes": sum(map(sys.getsizeof, [keys, *states])),
             "hops_per_round": _ROUND_HOPS,
             "hop_bytes": nxt.nbytes + val.nbytes,
+            "extract_bytes": ext_nxt.nbytes + len(moves),
         }
 
     def __repr__(self) -> str:

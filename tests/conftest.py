@@ -606,6 +606,33 @@ def fstep_hop_table(ix) -> tuple[list[int], list[int]]:
     return nxt, val
 
 
+def fstep_extract_tables(ix) -> tuple[list[int], bytes]:
+    """(nxt, moves) by ``_fstep`` and ``walk_to_exit``: the reference for
+    ``TextIndex._extract_tables``.  ``nxt[q]`` names the edge that ``_fstep``
+    leaves edge q's target by, when that target is a plain node with an
+    out-edge, and is 0 otherwise.  ``moves`` walks each tunnel from its
+    entrance to its exit, exits descending, and takes each in-tunnel move's
+    byte, then a 0 for the exit."""
+    tg, g = ix.tg, ix.tg.g
+    nxt = [0] * (g.m + 1)
+    for q in range(1, g.m + 1):
+        v = tg._step_to[q]
+        if not is_tunnel_node(tg, v) and g.outdeg(v):
+            p = g._lstart[v] + 1
+            assert ix._fstep(v, 1, StepCounter()) == (tg._step_to[p], tg._step_land[p] or 1,
+                                                      tg._step_byte[p])
+            nxt[q] = p
+    moves = bytearray()
+    for t in sorted(tg.tunnels, key=lambda t: t.exit, reverse=True):
+        v, (exit_rank, dist) = t.entrance, walk_to_exit(g, t.entrance)
+        assert exit_rank == t.exit
+        for _ in range(dist):
+            v, _, byte = ix._fstep(v, 1, StepCounter())
+            moves.append(byte)
+        moves.append(0)
+    return nxt, bytes(moves)
+
+
 # ---------------------------------------------------------------------------
 # loop forms of the Wheeler axiom check, the block check and the tunneling
 # transform, which the library computes with array operations

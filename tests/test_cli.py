@@ -137,8 +137,9 @@ def test_stats(workdir, capsys):
     keys = [line.split(":")[0] for line in out.strip().splitlines()]
     sections = [f"bits.{name}" for name in (*SECTIONS, "framing")]
     assert keys == ["n", "n_t", "sigma", "tunnels", "bits_per_symbol", *sections,
-                    "kgram_k", "kgram_keys", "kgram_bytes", "hops_per_round", "hop_bytes"]
-    bits = [int(line.split(":")[1]) for line in out.strip().splitlines()[5:-5]]
+                    "kgram_k", "kgram_keys", "kgram_bytes", "hops_per_round", "hop_bytes",
+                    "extract_bytes"]
+    bits = [int(line.split(":")[1]) for line in out.strip().splitlines()[5:-6]]
     assert sum(bits) == 8 * os.path.getsize(index)
 
 
@@ -173,6 +174,22 @@ def test_stats_reports_the_hop_table(tmp_path, capsys, tunnel):
     assert bool(ix.tg.tunnels) == tunnel
     assert int(lines["hops_per_round"]) == 4
     assert int(lines["hop_bytes"]) == 12 * (ix.tg.g.m + 1)
+
+
+@pytest.mark.parametrize("tunnel", [True, False])
+def test_stats_reports_the_extract_table(tmp_path, capsys, tunnel):
+    # extract's tables, which stats makes as no extract has: an int32 per L
+    # position and a byte per tunnel node
+    text, index = tmp_path / "t.txt", tmp_path / "t.twgi"
+    text.write_bytes(copy_paste_mutate(random.Random(4), 2048, 4))
+    assert main(["build", str(text), "-o", str(index), *([] if tunnel else ["--no-tunnel"])]) == 0
+    capsys.readouterr()
+    assert main(["stats", str(index)]) == 0
+    lines = dict(line.split(": ") for line in capsys.readouterr().out.strip().splitlines())
+    ix = load_index(str(index))
+    tunnel_nodes = sum(t.length for t in ix.tg.tunnels)
+    assert bool(tunnel_nodes) == tunnel
+    assert int(lines["extract_bytes"]) == 4 * (ix.tg.g.m + 1) + tunnel_nodes
 
 
 def test_usage_error_exit_2():

@@ -1029,6 +1029,7 @@ class TestIndexFile:
         # by TextIndex for the loaded index and the built one
         for got in (ix, small_index(name)):
             assert got.loc and all(type(k) is int and type(v) is int for k, v in got.loc.items())
+            assert type(got.ext_pos) is array and type(got.ext_node) is array
             assert all(type(v) is int and type(e) is int and type(d) is int
                        for v, (e, d) in got.skip.items())
 

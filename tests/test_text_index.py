@@ -9,6 +9,7 @@ from conftest import (
     copy_paste_mutate,
     fibonacci_word,
     fstep_extract,
+    fstep_extract_tables,
     fstep_hop_table,
     fstep_walk,
     is_tunnel_node,
@@ -884,6 +885,36 @@ class TestExtract:
             except FormatError:
                 continue
             assert got == fstep_extract(bad, start, ln) != text[start - 1:], start
+
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_tables_match_the_fstep_reference(self, name, tunneling, small_index):
+        # the next-edge table and the tunnel bytes are the reference's, whose
+        # _fstep calls and walks to each exit read no walked array, on the
+        # built index and on its file
+        ix = small_index(name, tunneling)
+        for index in (ix, deserialize_index(serialize_index(ix))):
+            nxt, moves = index._extract_tables
+            assert (nxt.format, len(nxt)) == ("i", ix.tg.g.m + 1)
+            assert (nxt.tolist(), moves) == fstep_extract_tables(index)
+            assert len(moves) == sum(t.length for t in ix.tg.tunnels)
+            assert any(nxt) and bool(moves) == (tunneling and name != "rand96")
+
+    @pytest.mark.parametrize("tunneling", [True, False])
+    def test_tables_are_made_on_first_extract(self, tunneling, small_index):
+        # an index that only counts and locates does not pay for extract's
+        # tables; the first extract makes them, the next reuse them.
+        # test_a_step_cycle_does_not_hang depends on this: it writes _step_to
+        # after load, before the first extract, which reads what it wrote
+        text = SMALL_TEXTS["cpm4"]
+        ix = deserialize_index(serialize_index(small_index("cpm4", tunneling)))
+        assert ix.count(text[:2]) > 1 and ix.locate(text[1:3]) == naive_locate(text, text[1:3])
+        assert ix.locate_one(TraversalPos(1, 1)) == 1 and ix.extract(3, 0) == b""
+        assert "_extract_tables" not in vars(ix)
+        assert ix.extract(5, 30) == text[4:34]
+        tables = vars(ix)["_extract_tables"]
+        assert ix.extract(1, len(text)) == text
+        assert vars(ix)["_extract_tables"] is tables
 
     def test_full_roundtrip_various(self):
         rng = random.Random(19)
