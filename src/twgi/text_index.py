@@ -671,7 +671,7 @@ class TextIndex:
                 if not q:
                     break
                 p = q
-            j += 1
+            j += 1  # out[j] was written, whether the table ran out or the walk did
             node, off = step_to[p], step_land[p] or off
         counter.steps += total - saved
         del out[:seek]
