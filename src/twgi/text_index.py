@@ -29,12 +29,15 @@ target, landing copy and label from the graph's step table, the landing
 rule decoded once per L position when the graph is made.  ``_fstep`` is
 that rule, with both of its checks, a copy past the exit's out-degree and a
 step past the sink; it is the tests' oracle and the bench times it.  The
-step rule has two more readers.  ``extract``'s one loop writes it out with
-the sink check only, and reads it across plain nodes off its next-edge
-table (``_extract_tables``, made on the first extract).  ``_leave`` holds
-it as arrays for the hop table, with neither check.  The load proves that
-no walk needs the copy check, nor a hop walk the sink check (``TextIndex``).
-A change to the step rule must update all three readers.
+step rule has more readers.  Two tables by L position hold it as arrays:
+the hop table and extract's signed successor table (``_extract_tables``,
+made on the first extract), which names the edge a walk takes next, or,
+negated, the edge it leaves a tunnel's exit by after an edge into the
+entrance.  Both take that entrance case from ``_crossings``.  ``extract``
+writes the step out where its table reads 0, with the sink check only, and
+``_leave`` holds it for the lockstep walk's starts, with neither check.
+The load proves that no walk needs the copy check, nor a hop walk the sink
+check (``TextIndex``).  A change to the step rule must update every reader.
 """
 
 from __future__ import annotations
@@ -152,7 +155,10 @@ _ROUND_HOPS = 4
 @dataclass
 class StepCounter:
     """Counts graph traversal operations: forward steps, and jumps across a
-    tunnel to its exit or, in extract, to a node inside it."""
+    tunnel to its exit, one step each.  Extract counts a step for each byte
+    it returns and for each byte it reads on the way to ``start``, but one
+    for each tunnel slice begun before ``start``, however many of the
+    slice's bytes lie there."""
 
     steps: int = 0
 
@@ -172,9 +178,10 @@ class TextIndex:
 
     So on every index it accepts no walk takes a copy past an exit's
     out-degree, and no hop walk steps past a sink.  Of the step rule's
-    readers, ``_fstep`` checks both, ``extract``'s one loop and its
-    next-edge table (``_extract_tables``) the sink only, and ``_leave``
-    neither:
+    readers, ``_fstep`` checks both, ``extract``'s written-out step the sink
+    only, and the tables by L position (``_hop_table`` and
+    ``_extract_tables``, whose entrance case is ``_crossings``) and
+    ``_leave`` neither:
     1. An edge into an entrance lands at a copy in [1..w] of its record,
        as ``TunneledGraph`` decodes I'.
     2. That record's exit has out-degree w (checked here).
@@ -316,10 +323,11 @@ class TextIndex:
         """One simulated original step: returns (node', off', label byte).
         Copy ``off`` of a tunnel node of out-degree w > 1 leaves by its
         off-th out-edge, any other node by its only one; the step table
-        holds that edge's target, landing copy and label.  ``extract``'s one
-        loop writes this step out, with its next-edge table for plain nodes
-        (``_extract_tables``), and ``_leave`` holds it as arrays: a change
-        here must update both."""
+        holds that edge's target, landing copy and label.  ``extract``
+        writes this step out and reads it off its signed successor table
+        (``_extract_tables``); that table and the hop table take its
+        entrance case from ``_crossings``, and ``_leave`` holds it for the
+        lockstep walk's starts: a change here must update them all."""
         tg = self.tg
         lstart = tg.g._lstart
         p = lstart[node]
@@ -516,13 +524,14 @@ class TextIndex:
         """The one-hop table by L position q, made afresh on each call.
         A hop takes edge q and, if it lands on a tunnel's entrance, jumps to
         the exit.  ``nxt[q]`` is the L position the walk then leaves by (at
-        an exit, by its landing copy), or 0 if the edge reaches a sample.
-        ``val[q]`` is what the hop adds to the walk's sum: its steps (1, or 2
-        with a jump) in the low 32 bits, and above them the position of the
-        sample reached less 1, or minus the distance travelled.  Entry 0, 0
-        and 0, is the hop of a finished walk.  Every hop that leaves is one
-        that ``_fstep`` takes, by the argument in ``TextIndex``: the landing
-        copy is within the exit's out-degree, and every sink is a sample."""
+        an exit, by its landing copy, as ``_crossings`` gives it), or 0 if
+        the edge reaches a sample.  ``val[q]`` is what the hop adds to the
+        walk's sum: its steps (1, or 2 with a jump) in the low 32 bits, and
+        above them the position of the sample reached less 1, or minus the
+        distance travelled.  Entry 0, 0 and 0, is the hop of a finished walk.
+        Every hop that leaves is one that ``_fstep`` takes, by the argument
+        in ``TextIndex``: the landing copy is within the exit's out-degree,
+        and every sink is a sample."""
         tg = self.tg
         to = np.frombuffer(tg._step_to, np.int32)
         lstart = np.frombuffer(tg.g._lstart, np.int64)
@@ -531,16 +540,28 @@ class TextIndex:
         val = (got - 1).astype(np.int64) * 2 ** 32 + 1
         # a walk jumps before an in-tunnel move, so the hops that land in a
         # tunnel land on its entrance; the in-tunnel moves are no walk's hop
-        ent = self._into(np.fromiter(tg.entrance_info, np.int64, len(tg.entrance_info)))
-        c = np.asarray(self._slot).take(to.take(ent))
-        dist = np.asarray(self._to_exit).take(c)
-        q[ent] = self._leave(np.asarray(self._chain).take(c - dist),
-                             np.frombuffer(tg._step_land, np.int32).take(ent))
+        ent, dist, out = self._crossings()
+        q[ent] = out
         val[ent] -= dist.astype(np.int64) * 2 ** 32 - (dist != 0)  # the jump's distance and step
         q[got != 0] = 0
         nxt = q.astype(np.int32)
         nxt[0] = val[0] = 0
         return nxt, val
+
+    def _crossings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ent, dist, out), the step rule's entrance case as arrays, made
+        afresh on each call for the hop table and extract's ``succ``: the L
+        positions of the edges into tunnel entrances, each entrance's
+        distance to its exit, and the L position by which a walk leaves that
+        exit at the copy the edge lands on, ``lstart[exit] + step_land[q]``.
+        No copy needs a check: an exit's out-degree is its width, and an
+        edge into an entrance lands within it (``TextIndex``)."""
+        tg = self.tg
+        ent = self._into(np.fromiter(tg.entrance_info, np.int64, len(tg.entrance_info)))
+        c = np.asarray(self._slot).take(np.frombuffer(tg._step_to, np.int32).take(ent))
+        dist = np.asarray(self._to_exit).take(c)
+        out = np.frombuffer(tg.g._lstart, np.int64).take(np.asarray(self._chain).take(c - dist))
+        return ent, dist, out + np.frombuffer(tg._step_land, np.int32).take(ent)
 
     def _into(self, nodes: np.ndarray) -> np.ndarray:
         """The L positions of the edges into the given nodes."""
@@ -550,10 +571,11 @@ class TextIndex:
         return np.frombuffer(self.tg._pos, np.int32).take(j)
 
     def _leave(self, node: np.ndarray, off) -> np.ndarray:
-        """The L position each walk at a copy ``off`` of a plain node or an
-        exit leaves by, by ``_fstep``'s rule, or 0 at a sample.  No copy
-        needs a check: an exit's out-degree is its width, and every copy a
-        walk brings to it lies within that width (``TextIndex``)."""
+        """The L position each walk starting at a copy ``off`` of a plain
+        node or an exit (``_starts``) leaves by, by ``_fstep``'s rule, or 0
+        at a sample.  No copy needs a check: an exit's out-degree is its
+        width, and every copy a walk brings to it lies within that width
+        (``TextIndex``)."""
         first = np.frombuffer(self.tg.g._lstart, np.int64).take(node)
         q = first + np.where(np.frombuffer(self.tg._kind, np.uint8).take(node) != 0, off, 1)
         q[self._samp.take(node) != 0] = 0
@@ -584,11 +606,13 @@ class TextIndex:
 
     @cached_property
     def _extract_tables(self) -> tuple[memoryview, bytes]:
-        """(nxt, moves), extract's tables, made on the first extract.
-        ``nxt[q]`` is the L position by which a walk leaves edge q's target
-        when that target is a plain node with an out-edge, by ``_fstep``'s
-        rule, and 0 otherwise (a tunnel node, a sink, or q = 0): a memoryview
-        of int32, 4 bytes per L position.  ``moves`` holds each tunnel node's
+        """(succ, moves), extract's tables, made on the first extract.
+        ``succ[q]`` is the signed successor of edge q, a memoryview of int32,
+        4 bytes per L position: where q enters a plain node with an
+        out-edge, that out-edge, by ``_fstep``'s rule; where q enters a
+        tunnel's entrance, the out-edge by which the walk leaves the exit at
+        its landing copy, negated (``_crossings``); and 0 otherwise (a sink,
+        an inner node, or q = 0).  ``moves`` holds each tunnel node's
         in-tunnel move byte, 0 at an exit, in the order of ``_chain``
         reversed, so that the bytes a walk reads from ``_chain[i]`` to its
         exit start at ``len(moves) - 1 - i`` and are contiguous: one byte per
@@ -598,27 +622,31 @@ class TextIndex:
         lstart = np.frombuffer(tg.g._lstart, np.int64)
         first = lstart.take(to)
         plain = np.frombuffer(tg._kind, np.uint8).take(to) == 0
-        nxt = np.where(plain & (lstart.take(to + 1) > first), first + 1, 0).astype(np.int32)
-        nxt[0] = 0
+        succ = np.where(plain & (lstart.take(to + 1) > first), first + 1, 0).astype(np.int32)
+        ent, _, out = self._crossings()
+        succ[ent] = -out
+        succ[0] = 0
         chain = np.asarray(self._chain)[:-1]
         byte = np.frombuffer(tg._step_byte, np.uint8).take(lstart.take(chain) + 1)
         moves = np.where(np.asarray(self._to_exit)[:-1] > 0, byte, 0).astype(np.uint8)
-        return memoryview(nxt), moves[::-1].tobytes()
+        return memoryview(succ), moves[::-1].tobytes()
 
     def extract(self, start: int, length: int,
                 counter: StepCounter | None = None) -> bytes:
         """T[start .. start+length-1] (1-based, inclusive).
 
         One loop walks from the nearest sample at or before ``start``
-        through ``start + length - 1`` and reads every byte on the way: a
-        tunnel node's bytes up to its exit, or up to the last one wanted, as
-        one slice of ``moves``; a stretch of plain nodes by ``nxt``, two
-        reads and a store a byte (``_extract_tables``, made on the first
-        extract); and at an exit or where ``nxt`` reads 0, ``_fstep``'s
-        step written out.  That step keeps ``_fstep``'s check for a step
-        past the sink, which samples with swapped positions reach, but not
-        its copy check, which no index that loads needs (``TextIndex``);
-        ``_leave``, the step rule's third reader, keeps neither.
+        through ``start + length - 1`` and reads every byte on the way off
+        ``succ`` (``_extract_tables``, made on the first extract).  A
+        positive entry names the next edge: two reads and a store a byte.
+        A negative one follows an edge into a tunnel's entrance: the
+        tunnel's bytes up to its exit, or up to the last one wanted, are one
+        slice of ``moves``, and the walk goes on at the negated entry, the
+        exit's out-edge for the copy it landed on.  At the start, and where
+        ``succ`` reads 0, ``_fstep``'s step is written out.  That step keeps
+        ``_fstep``'s check for a step past the sink, which samples with
+        swapped positions reach, but not its copy check, which no index that
+        loads needs (``TextIndex``).
         Each pass of the loop reads at least one byte, so it ends after at
         most ``start + length - pos`` of them, pos the sample's position.
         The counter gets a step for each byte read before ``start``, but one
@@ -633,7 +661,7 @@ class TextIndex:
         kind, lstart = tg._kind, tg.g._lstart
         step_to, step_land, step_byte = tg._step_to, tg._step_land, tg._step_byte
         slot, chain, to_exit = self._slot, self._chain, self._to_exit
-        nxt, moves = self._extract_tables
+        succ, moves = self._extract_tables
         rev = len(moves) - 1
         idx = bisect_right(self.ext_pos, start) - 1
         if idx >= 0:
@@ -647,7 +675,7 @@ class TextIndex:
         j = saved = 0  # bytes read; seek steps saved by tunnel slices
         while j < total:
             if kind[node]:
-                # in-tunnel moves keep the copy: read up to the exit at once
+                # the source can be an entrance: read up to its exit at once
                 i = slot[node]
                 k = min(to_exit[i], total - j)
                 if k:
@@ -665,13 +693,25 @@ class TextIndex:
                 p += 1
             else:
                 raise BoundsError("walked past the sink")
-            for j in range(j, total):
-                out[j] = step_byte[p]
-                q = nxt[p]
-                if not q:
+            while j < total:
+                for j in range(j, total):
+                    out[j] = step_byte[p]
+                    q = succ[p]
+                    if q <= 0:
+                        break
+                    p = q
+                j += 1  # out[j] was written, whether succ ran out or the walk did
+                if q >= 0:
                     break
-                p = q
-            j += 1  # out[j] was written, whether the table ran out or the walk did
+                # edge p enters a tunnel, whose moves keep the copy: read up
+                # to the exit at once, then leave it by the edge -q names
+                i = slot[step_to[p]]
+                k = min(to_exit[i], total - j)
+                out[j:j + k] = moves[rev - i:rev - i + k]
+                if j < seek and k:
+                    saved += min(k, seek - j) - 1
+                j += k
+                p = -q
             node, off = step_to[p], step_land[p] or off
         counter.steps += total - saved
         del out[:seek]
@@ -686,7 +726,7 @@ class TextIndex:
         bytes), each made here if no query has made it."""
         k, keys, states = self._kgrams
         nxt, val = self._hops
-        ext_nxt, moves = self._extract_tables
+        succ, moves = self._extract_tables
         return {
             "n": self.n,
             "n_t": self.tg.g.n,
@@ -700,7 +740,7 @@ class TextIndex:
             "kgram_bytes": sum(map(sys.getsizeof, [keys, *states])),
             "hops_per_round": _ROUND_HOPS,
             "hop_bytes": nxt.nbytes + val.nbytes,
-            "extract_bytes": ext_nxt.nbytes + len(moves),
+            "extract_bytes": succ.nbytes + len(moves),
         }
 
     def __repr__(self) -> str:

@@ -607,21 +607,26 @@ def fstep_hop_table(ix) -> tuple[list[int], list[int]]:
 
 
 def fstep_extract_tables(ix) -> tuple[list[int], bytes]:
-    """(nxt, moves) by ``_fstep`` and ``walk_to_exit``: the reference for
-    ``TextIndex._extract_tables``.  ``nxt[q]`` names the edge that ``_fstep``
+    """(succ, moves) by ``_fstep`` and ``walk_to_exit``: the reference for
+    ``TextIndex._extract_tables``.  ``succ[q]`` names the edge that ``_fstep``
     leaves edge q's target by, when that target is a plain node with an
-    out-edge, and is 0 otherwise.  ``moves`` walks each tunnel from its
+    out-edge.  When the target is a tunnel's entrance, it names the edge
+    that ``_fstep`` leaves the exit by, at the copy that edge q lands on,
+    negated.  It is 0 otherwise.  ``moves`` walks each tunnel from its
     entrance to its exit, exits descending, and takes each in-tunnel move's
     byte, then a 0 for the exit."""
     tg, g = ix.tg, ix.tg.g
-    nxt = [0] * (g.m + 1)
+    succ = [0] * (g.m + 1)
     for q in range(1, g.m + 1):
-        v = tg._step_to[q]
-        if not is_tunnel_node(tg, v) and g.outdeg(v):
-            p = g._lstart[v] + 1
-            assert ix._fstep(v, 1, StepCounter()) == (tg._step_to[p], tg._step_land[p] or 1,
-                                                      tg._step_byte[p])
-            nxt[q] = p
+        v, off, sign = tg._step_to[q], tg._step_land[q] or 1, 1
+        if v in tg.entrance_info:
+            v, sign = walk_to_exit(g, v)[0], -1
+        elif is_tunnel_node(tg, v) or not g.outdeg(v):
+            continue
+        p = g._lstart[v] + (off if g.outdeg(v) > 1 and tg._kind[v] else 1)
+        assert ix._fstep(v, off, StepCounter()) == (tg._step_to[p], tg._step_land[p] or off,
+                                                    tg._step_byte[p])
+        succ[q] = sign * p
     moves = bytearray()
     for t in sorted(tg.tunnels, key=lambda t: t.exit, reverse=True):
         v, (exit_rank, dist) = t.entrance, walk_to_exit(g, t.entrance)
@@ -630,7 +635,7 @@ def fstep_extract_tables(ix) -> tuple[list[int], bytes]:
             v, _, byte = ix._fstep(v, 1, StepCounter())
             moves.append(byte)
         moves.append(0)
-    return nxt, bytes(moves)
+    return succ, bytes(moves)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import copy_paste_mutate
+from twgi import cli
 from twgi.cli import main
 from twgi.persist import SECTIONS, load_index, serialize_index
 from twgi.text_index import build_index
@@ -32,6 +33,30 @@ def test_build_prints_summary(tmp_path, capsys):
     assert lines["m_t"] == "5"
     assert lines["tunnels"] == "1"
     assert lines["merged_edges"] == "1"
+
+
+@pytest.mark.parametrize("tunnel", [True, False])
+def test_build_makes_no_query_table(tmp_path, capsys, monkeypatch, tunnel):
+    # the summary reads the index and its graph: the k-gram, hop and extract
+    # tables stay unmade, and the lines are what stats() reports
+    built = []
+
+    def build(*args, **kw):
+        built.append(build_index(*args, **kw))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_index", build)
+    text = tmp_path / "t.txt"
+    text.write_bytes(copy_paste_mutate(random.Random(2), 600, 4))
+    flags = [] if tunnel else ["--no-tunnel"]
+    assert main(["build", str(text), "-o", str(tmp_path / "x.twgi"), *flags]) == 0
+    (ix,) = built
+    assert not {"_kgrams", "_hops", "_extract_tables"} & vars(ix).keys()
+    st = ix.stats()
+    assert (st["tunnels"] > 0) == tunnel
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"{key}: {st[key]}" for key in ("n", "n_t", "m_t", "tunnels")),
+        f"merged_edges: {st['n'] - 1 - st['m_t']}"]
 
 
 # build arguments -> the build_index keywords they give: each flag alone,

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -792,6 +793,43 @@ class TestLockstep:
             bad.locate_one(TraversalPos(u, 1))
 
 
+TUNNELED = ["cpm4", "cpm96", "fib"]  # the SMALL_TEXTS whose indexes hold tunnels
+
+
+def _spans(ix) -> list[tuple[int, int]]:
+    """(x, s) for every copy of every tunnel, x the text position of the
+    entrance's copy and s the tunnel's length.  A walk reads T[x - 1] by the
+    edge into the entrance, T[x .. x+s-2] as one slice, stands at the exit
+    at x + s - 1 and reads T[x + s - 1] by its out-edge."""
+    spans = []
+    for t in ix.tg.tunnels:
+        for o in range(1, t.width + 1):
+            x = ix.locate_one(TraversalPos(t.entrance, o))
+            assert ix.locate_one(TraversalPos(t.exit, o)) == x + t.length - 1
+            spans.append((x, t.length))
+    return sorted(spans)
+
+
+def _edge_index(small_index, name: str, settings: str, loaded: bool):
+    """The tunneled index of SMALL_TEXTS[name]: build_index's, or the
+    oracle's at ``LANDING_SETTINGS[settings]``, whose tunnels include
+    length-1 ones, which a walk crosses by no slice; from its file if
+    ``loaded``."""
+    ix = small_index(name) if settings == "default" else \
+        oracle_index(SMALL_TEXTS[name], **LANDING_SETTINGS[settings])
+    return deserialize_index(serialize_index(ix)) if loaded else ix
+
+
+def _extract_matches(ix, text: bytes, windows) -> None:
+    """Every window's bytes and steps are ``fstep_extract``'s, and its bytes
+    the text's."""
+    for start, ln in windows:
+        got, want = StepCounter(), StepCounter()
+        assert ix.extract(start, ln, got) == fstep_extract(ix, start, ln, want) \
+            == text[start - 1:start - 1 + ln], (start, ln)
+        assert got.steps == want.steps, (start, ln)
+
+
 class TestExtract:
     def test_examples(self):
         ix = build_index(b"abcabc")
@@ -869,6 +907,60 @@ class TestExtract:
                     == text[start - 1:start - 1 + ln], (start, ln)
                 assert got.steps == want.steps, (start, ln)
 
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("settings", ["default", "w2-s1-t1"])
+    @pytest.mark.parametrize("name", TUNNELED)
+    def test_windows_end_inside_a_slice_or_at_its_exit(self, name, settings, loaded, small_index):
+        # the last byte is the slice's first, middle or second-to-last one,
+        # the last move (the walk stands at the exit), or the exit's own
+        text, ix = SMALL_TEXTS[name], _edge_index(small_index, name, settings, loaded)
+        windows = {(end - ln + 1, ln) for x, s in _spans(ix)
+                   for end in (x, x + (s - 2) // 2, x + s - 3, x + s - 2, x + s - 1)
+                   for ln in (1, 2, 9, s + 3) if x <= end < x + s and end - ln >= 0}
+        _extract_matches(ix, text, sorted(windows))
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("settings", ["default", "w2-s1-t1"])
+    @pytest.mark.parametrize("name", TUNNELED)
+    def test_seek_crosses_a_tunnel_before_start(self, name, settings, loaded, small_index):
+        # the walk from the sample enters a tunnel before start, and start
+        # lies inside its slice, at its exit, or past it
+        text, ix = SMALL_TEXTS[name], _edge_index(small_index, name, settings, loaded)
+        starts = {start for x, s in _spans(ix)
+                  for start in (x + 1, x + s - 2, x + s - 1, x + s, x + s + 3)
+                  if ix.ext_pos[bisect_right(ix.ext_pos, start) - 1] < x < start <= len(text)}
+        assert len(starts) > 10
+        _extract_matches(ix, text, [(start, min(ln, len(text) - start + 1))
+                                    for start in sorted(starts) for ln in (1, 6)])
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("name", TUNNELED)
+    def test_starts_before_the_first_sample_in_the_source_tunnel(self, name, loaded):
+        # two runs of the smallest byte, each followed by the text's head,
+        # make the source, rank 1, a width-3 tunnel's entrance: it holds no
+        # sample, and every start before the first one walks from the source
+        head = SMALL_TEXTS[name][:40]
+        text = SMALL_TEXTS[name] + (b"\0" * 30 + head) * 2
+        ix = build_index(text)
+        if loaded:
+            ix = deserialize_index(serialize_index(ix))
+        s = ix.tg.entrance_info[1].length
+        assert ix.tg._kind[1] and ix.ext_pos[0] > 1
+        _extract_matches(ix, text, [(start, ln) for start in range(1, ix.ext_pos[0])
+                                    for ln in (1, 2, s - start, s - start + 1, 50)
+                                    if ln > 0])
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("settings", ["default", "w2-s1-t1"])
+    @pytest.mark.parametrize("name", TUNNELED)
+    def test_one_byte_windows_around_each_tunnel(self, name, settings, loaded, small_index):
+        # the byte into each entrance, every byte of its slice, the exit's
+        # and the one after it
+        text, ix = SMALL_TEXTS[name], _edge_index(small_index, name, settings, loaded)
+        starts = {start for x, s in _spans(ix) for start in range(x - 1, x + s + 1)}
+        _extract_matches(ix, text, [(start, 1) for start in sorted(starts)
+                                    if 1 <= start <= len(text)])
+
     def test_a_step_cycle_does_not_hang(self, small_index):
         # the node after the second-to-last sample steps to itself: an
         # extract through it returns what the walk reads there, as _fstep's
@@ -889,16 +981,17 @@ class TestExtract:
     @pytest.mark.parametrize("tunneling", [True, False])
     @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
     def test_tables_match_the_fstep_reference(self, name, tunneling, small_index):
-        # the next-edge table and the tunnel bytes are the reference's, whose
-        # _fstep calls and walks to each exit read no walked array, on the
-        # built index and on its file
+        # the signed successor table and the tunnel bytes are the
+        # reference's, whose _fstep calls and walks to each exit read no
+        # walked array, on the built index and on its file
         ix = small_index(name, tunneling)
         for index in (ix, deserialize_index(serialize_index(ix))):
-            nxt, moves = index._extract_tables
-            assert (nxt.format, len(nxt)) == ("i", ix.tg.g.m + 1)
-            assert (nxt.tolist(), moves) == fstep_extract_tables(index)
+            succ, moves = index._extract_tables
+            assert (succ.format, len(succ)) == ("i", ix.tg.g.m + 1)
+            assert (succ.tolist(), moves) == fstep_extract_tables(index)
             assert len(moves) == sum(t.length for t in ix.tg.tunnels)
-            assert any(nxt) and bool(moves) == (tunneling and name != "rand96")
+            assert any(q > 0 for q in succ)
+            assert any(q < 0 for q in succ) == bool(moves) == (tunneling and name != "rand96")
 
     @pytest.mark.parametrize("tunneling", [True, False])
     def test_tables_are_made_on_first_extract(self, tunneling, small_index):
