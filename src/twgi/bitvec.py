@@ -155,7 +155,8 @@ class LabelSeq:
     sampled occurrence table of FM-index rank), so a rank reads one count and
     adds a C-level ``bytes.count`` over at most 127 bytes.  The path search
     (``TunneledGraph._search_pairs``) reads the count table and the bytes
-    directly by the same formula: a change to the layout must update both.
+    directly: it ranks by the same formula, and reads a range end's border
+    symbol as one byte.  A change to the layout must update both.
     """
 
     __slots__ = ("n", "sigma", "_bytes", "_occ", "_stride")

@@ -50,14 +50,16 @@ range of one tunnel node the exit copy never falls as the edge rank rises.
 A search step ranks L once for a node range; only its end nodes take the
 copy rule, and every node between them takes all its edges (Gagie, Manzini
 and Siren's range search with Baier's tunnel offsets).  ``_search_pairs``
-writes the step out: it ranks L as ``LabelSeq.rank`` does and lands both
-ends by the step table.  A tunnel end of one out-edge needs no rank: it
-keeps its copy on an in-tunnel move and drops it on an edge of another
-label.  ``_edges``, the one narrowing rule, which ``step`` calls too, takes
-any other tunnel end by at most one binary search over the exit-copy table.
-A graph without tunnels is searched the same way, as
-``tunnel_graph(g, [])``: no node is marked, every edge lands at offset 1,
-and the step is the plain range step.
+writes the step out and lands both ends by the step table.  An end whose
+border edge, the range's first out-edge for lo and its last for hi, carries
+the symbol takes that edge unranked (the r-index's toehold: Gagie, Navarro
+and Prezza); only an end that drops out ranks L, as ``LabelSeq.rank`` does.
+So a tunnel end of one out-edge keeps its copy on an in-tunnel move and
+ranks on an edge of another label.  ``_edges``, the one narrowing rule,
+which ``step`` calls too, takes any other tunnel end with copies to narrow
+by at most one binary search over the exit-copy table.  A graph without
+tunnels is searched the same way, as ``tunnel_graph(g, [])``: no node is
+marked, every edge lands at offset 1, and the step is the plain range step.
 """
 
 from __future__ import annotations
@@ -518,9 +520,11 @@ class TunneledGraph:
 
     def _search_pairs(self, pattern, state=None):
         """Offset-annotated Wheeler range of the pattern over the simulated
-        original graph; None when empty.  Each symbol takes ``_edges`` and
-        ``land`` at both (node, offset) ends (hi's offset None: its full
-        width), written out as the module notes say.  The search starts from
+        original graph; None when empty.  Each symbol takes the step of
+        ``_edges`` and ``land`` at both (node, offset) ends (hi's offset None:
+        its full width), written out as the module notes say: an end whose
+        border edge carries the symbol takes it unranked, and ``_edges`` runs
+        only for a tunnel end with copies to narrow.  The search starts from
         ``state`` = (a, lo_off, b, hi_off), the range of copies lo_off of a
         to hi_off of b that a prefix reached, or from every node's every
         copy; so ``_search_pairs(q, state of p)`` is ``_search_pairs(p + q)``,
@@ -534,20 +538,20 @@ class TunneledGraph:
             c = ids.get(byte)
             if c is None:
                 return None
-            p = q = 0  # the L positions of the end edges, once known
+            i, j = lstart[a], lstart[b + 1]  # the range's out-edges are L[i:j]
+            p = i + 1 if i < j and L[i] == c - 1 else 0  # the border edges, if c-edges
+            q = j if i < j and L[j - 1] == c - 1 else 0
             lo_copy, hi_copy, narrow = 1, None, False
             if kind[a] and lo_off > 1:
-                i = lstart[a]
-                if lstart[a + 1] - i != 1 or L[i] == c - 1 and lands[i + 1]:
+                if lstart[a + 1] - i != 1 or p and lands[p]:
                     narrow = True
-                elif L[i] == c - 1:  # an in-tunnel move keeps the copy
-                    p, lo_copy = i + 1, lo_off
+                elif p:  # an in-tunnel move keeps the copy
+                    lo_copy = lo_off
             if kind[b] and hi_off is not None:
-                i = lstart[b]
-                if lstart[b + 1] - i != 1 or L[i] == c - 1 and lands[i + 1]:
+                if j - lstart[b] != 1 or q and lands[q]:
                     narrow = True
-                elif L[i] == c - 1:
-                    q, hi_copy = i + 1, hi_off
+                elif q:
+                    hi_copy = hi_off
             if narrow:
                 got = edges(a, lo_off, b, hi_off, c)
                 if got is None:
@@ -557,13 +561,11 @@ class TunneledGraph:
             else:
                 base, needle = C[c], _NEEDLE[c]
                 if not p:
-                    i = lstart[a]
                     k = i >> bits
                     first = base + occ[k * stride + c] + L.count(needle, k << bits, i) + 1
                 if not q:
-                    i = lstart[b + 1]
-                    k = i >> bits
-                    last = base + occ[k * stride + c] + L.count(needle, k << bits, i)
+                    k = j >> bits
+                    last = base + occ[k * stride + c] + L.count(needle, k << bits, j)
                     if not p and first > last:  # an end taken unranked has its edge
                         return None
                     q = pos[last]

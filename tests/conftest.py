@@ -487,15 +487,20 @@ def scan_node_last(tg, v, c, min_copy, max_copy):
     return best
 
 
-def edges_search(tg, pattern, seen=None):
+def edges_search(tg, pattern, seen=None, state=None):
     """The path search as one ``_edges`` call and two ``land`` calls per
-    symbol: the reference for ``TunneledGraph._search_pairs``.  ``seen``, a
-    Counter, counts how each step can take its ends: "plain" when neither
-    end has a copy to narrow by, else per such end "narrow" (not one
-    out-edge, or its c-edge leaves the tunnel), "keeps" (its one edge is
-    an in-tunnel c-move) or "other label" (its one edge is no c-edge)."""
+    symbol, from ``state`` as ``_search_pairs`` takes it: the reference for
+    ``TunneledGraph._search_pairs``.  ``seen``, a Counter, counts how each
+    step can take its ends: "plain" when neither end has a copy to narrow
+    by, else per such end "narrow" (not one out-edge, or its c-edge leaves
+    the tunnel), "keeps" (its one edge is an in-tunnel c-move) or "other
+    label" (its one edge is no c-edge).  In a step that narrows no end it
+    also counts each end as "border", when the range's first out-edge (for
+    lo) or last (for hi) is a c-edge, which the step takes unranked, or
+    else as "ranked": the end drops out and the step ranks L for it."""
     g = tg.g
-    lo, hi = (1, 1), (g.n, None)
+    a, lo_off, b, hi_off = state or (1, 1, g.n, None)
+    lo, hi = (a, lo_off), (b, hi_off)
     for byte in pattern:
         c = label_id(g, byte)
         if c is None:
@@ -504,10 +509,17 @@ def edges_search(tg, pattern, seen=None):
             ends = [v for v, narrows in ((lo[0], lo[1] > 1), (hi[0], hi[1] is not None))
                     if narrows and is_tunnel_node(tg, v)]
             seen["plain"] += not ends
+            kinds = []
             for v in ends:
                 p = g._lstart[v] + 1
-                seen["narrow" if g.outdeg(v) != 1 or g.L.access(p) == c and tg._step_land[p]
-                     else "keeps" if g.L.access(p) == c else "other label"] += 1
+                kinds.append("narrow" if g.outdeg(v) != 1 or g.L.access(p) == c
+                             and tg._step_land[p] else "keeps" if g.L.access(p) == c
+                             else "other label")
+            if "narrow" not in kinds:
+                first, last = g._lstart[lo[0]] + 1, g._lstart[hi[0] + 1]
+                kinds += ["border" if first <= last and g.L.access(p) == c else "ranked"
+                          for p in (first, last)]
+            seen.update(kinds)
         got = tg._edges(*lo, *hi, c)
         if got is None:
             return None

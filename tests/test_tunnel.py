@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SMALL_TEXTS,
@@ -729,14 +731,26 @@ def search_against_reference(tg, patterns, monkeypatch, exit_lookups):
     return seen
 
 
-SEARCH_BRANCHES = ("plain", "keeps", "other label", "narrow", "fallback", "exit reads")
+class CountingBytes(bytes):
+    """L's bytes, counting the ``count`` calls made while ``on``."""
+
+    calls, on = 0, True
+
+    def count(self, *args):
+        self.calls += self.on
+        return super().count(*args)
+
+
+SEARCH_BRANCHES = ("plain", "keeps", "other label", "narrow", "fallback", "exit reads",
+                   "border", "ranked")
 
 
 class TestSearchLoop:
     """The written-out search answers as the composition it replaced, one
     ``_edges`` and two ``land`` calls per symbol, and each of its branches
-    runs: the plain step, a one-out-edge end that keeps its copy, one whose
-    edge has another label, and the ``_edges`` fallback."""
+    runs: the plain step, an end whose border edge carries the symbol, one
+    that drops out and ranks L, a one-out-edge end that keeps its copy, one
+    whose edge has another label, and the ``_edges`` fallback."""
 
     @pytest.mark.parametrize("name", list(SMALL_TEXTS))
     @pytest.mark.parametrize("tunneling", [True, False])
@@ -750,9 +764,9 @@ class TestSearchLoop:
             patterns += [text[i:i + plen] for i in starts]
         for tg in (ix.tg, deserialize_index(serialize_index(ix)).tg):
             seen = search_against_reference(tg, patterns, monkeypatch, exit_lookups)
-            assert seen["plain"] > 0
+            assert seen["plain"] > 0 and seen["border"] > 0 and seen["ranked"] > 0, seen
             if not tg.tunnels:  # no end ever has a copy to narrow by
-                assert set(seen) <= {"plain", "fallback", "exit reads"}
+                assert set(seen) <= {"plain", "border", "ranked", "fallback", "exit reads"}
                 assert seen["fallback"] == seen["exit reads"] == 0
             elif name != "rand96":  # whose tunnels, all of length 1, are exits
                 assert all(seen[kind] > 0 for kind in SEARCH_BRANCHES), seen
@@ -778,6 +792,93 @@ class TestSearchLoop:
         # the blocks of these graphs hold 6 in-tunnel moves, 1 of them from a
         # node of one out-edge, so "keeps" is left to the text indexes
         assert all(total[kind] > 0 for kind in SEARCH_BRANCHES if kind != "keeps"), total
+
+    @pytest.mark.parametrize("name", ["fib", "cpm4"])
+    @pytest.mark.parametrize("tunneling", [True, False])
+    def test_only_an_end_that_drops_out_ranks(self, name, tunneling, small_index, monkeypatch):
+        # a rank of L is one bytes.count; the ranks of _edges, which narrows
+        # by exit copies, are not counted.  Each step runs from the state the
+        # last one reached.
+        tg = small_index(name, tunneling).tg
+        spy = CountingBytes(tg.g.L._bytes)
+        monkeypatch.setattr(tg.g.L, "_bytes", spy)
+        edges = tg._edges
+
+        def uncounted(*args):
+            spy.on = False
+            try:
+                return edges(*args)
+            finally:
+                spy.on = True
+
+        monkeypatch.setattr(tg, "_edges", uncounted)
+        total = Counter()
+        for pat in make_patterns(random.Random(127), SMALL_TEXTS[name], 200, max_len=24):
+            state = None
+            for byte in pat:
+                seen = Counter()
+                want = edges_search(tg, bytes((byte,)), seen, state)
+                before = spy.calls
+                got = tg._search_pairs(bytes((byte,)), state)
+                assert got == want and spy.calls - before == seen["ranked"], (pat, seen)
+                total["both border"] += seen["border"] == 2
+                total += seen
+                if got is None:
+                    break
+                state = (*got[0], *got[1])
+        assert total["both border"] > 0 and total["ranked"] > 0, total
+
+    @pytest.mark.parametrize("name", list(SMALL_TEXTS))
+    @pytest.mark.parametrize("tunneling", [True, False])
+    def test_ranges_at_the_source_and_the_sink(self, name, tunneling, small_index):
+        # every suffix's range holds the sink, which has no out-edge: the
+        # shortest suffix that occurs once, and every longer one, reach a range
+        # of the sink alone.  Suffixes of up to 128 bytes and those two are
+        # searched (every suffix would take O(n^2) steps); on fib some of them
+        # end at the sink, on cpm4 none, so two ranges from the source and its
+        # neighbour to the sink are added.  The empty suffix's range, and the
+        # source's node alone, have the source as their lo end.
+        text = SMALL_TEXTS[name]
+        n = len(text)
+        once = next(k for k in range(1, n + 1) if naive_count(text, text[n - k:]) == 1)
+        suffixes = sorted({text[n - k:] for k in (*range(129), once, n)}, key=len)
+        extensions = [bytes((x,)) for x in sorted(set(text))]
+        extensions.append(bytes((min(set(range(256)) - set(text)),)))
+        ix = small_index(name, tunneling)
+        for tg in (ix.tg, deserialize_index(serialize_index(ix)).tg):
+            states = [(1, 1, 1, None)]
+            for suffix in suffixes:
+                got = tg._search_pairs(suffix)
+                assert got == edges_search(tg, suffix), suffix
+                states.append((*got[0], *got[1]))
+            sink = states[-1][0]  # the whole text's range: the sink alone
+            assert states[-1][2] == sink and tg.g._lstart[sink] == tg.g._lstart[sink + 1]
+            states += [(1, 1, sink, None), (sink - 1, 1, sink, None)]
+            for state in states:
+                for x in extensions:
+                    assert tg._search_pairs(x, state) == edges_search(tg, x, state=state), (state, x)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_random_texts_search_like_the_reference(data):
+    # count against the naive count, and the search loop against
+    # edges_search, on every substring of up to 12 bytes and on random
+    # patterns, most of them absent, some with a byte outside the alphabet;
+    # copy-paste-mutate texts have tunnels, random ones few
+    sigma = data.draw(st.sampled_from([2, 3, 4]), label="sigma")
+    make = data.draw(st.sampled_from([random_text, copy_paste_mutate]), label="generator")
+    text = make(random.Random(data.draw(st.integers(0, 2**32), label="seed")),
+                data.draw(st.integers(2, 300), label="size"), sigma)
+    alphabet = b"abcd"[:sigma]
+    ix = build_index(text, tunneling=data.draw(st.booleans(), label="tunneling"))
+    patterns = {text[i:i + k] for k in range(1, 13) for i in range(len(text) - k + 1)}
+    patterns.update(data.draw(st.lists(st.binary(min_size=1, max_size=14).map(
+        lambda p: bytes(alphabet[x % sigma] if x % 8 else 0x7a for x in p)), max_size=20),
+        label="patterns"))
+    for pat in patterns:
+        assert ix.count(pat) == naive_count(text, pat), pat
+        assert ix.tg._search_pairs(pat) == edges_search(ix.tg, pat), pat
 
 
 class TestInvariantErrors:
