@@ -28,16 +28,14 @@ copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
 target, landing copy and label from the graph's step table, the landing
 rule decoded once per L position when the graph is made.  ``_fstep`` is
 that rule, with both of its checks, a copy past the exit's out-degree and a
-step past the sink; it is the tests' oracle and the bench times it.  The
-step rule has more readers.  Two tables by L position hold it as arrays:
-the hop table and extract's signed successor table (``_extract_tables``,
-made on the first extract), which names the edge a walk takes next, or,
-negated, the edge it leaves a tunnel's exit by after an edge into the
-entrance.  Both take that entrance case from ``_crossings``.  ``extract``
-writes the step out where its table reads 0, with the sink check only, and
-``_leave`` holds it for the lockstep walk's starts, with neither check.
-The load proves that no walk needs the copy check, nor a hop walk the sink
-check (``TextIndex``).  A change to the step rule must update every reader.
+step past the sink; it is the tests' oracle and the bench times it.  One
+successor table by L position holds the rule as an array
+(``_successors``): the edge a walk takes next after each edge, jumping an
+entrance to its exit.  The hop table and extract's signed successor table
+(``_extract_tables``, made on the first extract) are read off it, and
+``_leave`` holds the rule for the lockstep walk's starts.  The load proves
+that no walk needs the copy check, nor a hop walk the sink check
+(``TextIndex``); extract finds the sink where its table reads 0.
 """
 
 from __future__ import annotations
@@ -178,9 +176,8 @@ class TextIndex:
 
     So on every index it accepts no walk takes a copy past an exit's
     out-degree, and no hop walk steps past a sink.  Of the step rule's
-    readers, ``_fstep`` checks both, ``extract``'s written-out step the sink
-    only, and the tables by L position (``_hop_table`` and
-    ``_extract_tables``, whose entrance case is ``_crossings``) and
+    readers, ``_fstep`` checks both, and the successor table by L position
+    (``_successors``, read by ``_hop_table`` and ``_extract_tables``) and
     ``_leave`` neither:
     1. An edge into an entrance lands at a copy in [1..w] of its record,
        as ``TunneledGraph`` decodes I'.
@@ -195,7 +192,8 @@ class TextIndex:
        walks from copy 1 of a sample.
     5. Every node of out-degree 0 holds a sample, where a hop walk stops.
     Extract stops at no sample: a file whose samples trade positions still
-    loads, and its extract can reach the sink, which extract checks for.
+    loads, and its extract can start at the sink or reach it, which extract
+    checks for.
 
     Count and locate search from a start state: the search state, as
     ``tg._search_pairs`` passes it on, after the pattern's first k bytes,
@@ -323,11 +321,10 @@ class TextIndex:
         """One simulated original step: returns (node', off', label byte).
         Copy ``off`` of a tunnel node of out-degree w > 1 leaves by its
         off-th out-edge, any other node by its only one; the step table
-        holds that edge's target, landing copy and label.  ``extract``
-        writes this step out and reads it off its signed successor table
-        (``_extract_tables``); that table and the hop table take its
-        entrance case from ``_crossings``, and ``_leave`` holds it for the
-        lockstep walk's starts: a change here must update them all."""
+        holds that edge's target, landing copy and label.  ``_successors``
+        holds this step as an array for the hop table and extract, and
+        ``_leave`` for the lockstep walk's starts: a change here must
+        update both."""
         tg = self.tg
         lstart = tg.g._lstart
         p = lstart[node]
@@ -523,45 +520,46 @@ class TextIndex:
     def _hop_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The one-hop table by L position q, made afresh on each call.
         A hop takes edge q and, if it lands on a tunnel's entrance, jumps to
-        the exit.  ``nxt[q]`` is the L position the walk then leaves by (at
-        an exit, by its landing copy, as ``_crossings`` gives it), or 0 if
-        the edge reaches a sample.  ``val[q]`` is what the hop adds to the
-        walk's sum: its steps (1, or 2 with a jump) in the low 32 bits, and
-        above them the position of the sample reached less 1, or minus the
-        distance travelled.  Entry 0, 0 and 0, is the hop of a finished walk.
-        Every hop that leaves is one that ``_fstep`` takes, by the argument
-        in ``TextIndex``: the landing copy is within the exit's out-degree,
-        and every sink is a sample."""
-        tg = self.tg
-        to = np.frombuffer(tg._step_to, np.int32)
-        lstart = np.frombuffer(tg.g._lstart, np.int64)
-        got = self._samp.take(to)
-        q = lstart.take(to) + 1  # a plain node leaves by its one out-edge
+        the exit.  ``nxt[q]`` is ``_successors``' entry, the L position the
+        walk then leaves by, or 0 if the edge reaches a sample.  ``val[q]`` is
+        what the hop adds to the walk's sum: its steps (1, or 2 with a jump)
+        in the low 32 bits, and above them the position of the sample
+        reached less 1, or minus the distance travelled.  Entry 0, 0 and 0,
+        is the hop of a finished walk.  Every hop that leaves is one that
+        ``_fstep`` takes, by the argument in ``TextIndex``: the landing copy
+        is within the exit's out-degree, and every sink is a sample."""
+        succ, ent, dist = self._successors()
+        got = self._samp.take(np.frombuffer(self.tg._step_to, np.int32))
         val = (got - 1).astype(np.int64) * 2 ** 32 + 1
-        # a walk jumps before an in-tunnel move, so the hops that land in a
-        # tunnel land on its entrance; the in-tunnel moves are no walk's hop
-        ent, dist, out = self._crossings()
-        q[ent] = out
         val[ent] -= dist.astype(np.int64) * 2 ** 32 - (dist != 0)  # the jump's distance and step
-        q[got != 0] = 0
-        nxt = q.astype(np.int32)
-        nxt[0] = val[0] = 0
-        return nxt, val
+        succ *= got == 0  # a hop that reaches a sample stops (a multiply beats a masked store)
+        val[0] = 0
+        return succ, val
 
-    def _crossings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ent, dist, out), the step rule's entrance case as arrays, made
-        afresh on each call for the hop table and extract's ``succ``: the L
-        positions of the edges into tunnel entrances, each entrance's
-        distance to its exit, and the L position by which a walk leaves that
-        exit at the copy the edge lands on, ``lstart[exit] + step_land[q]``.
-        No copy needs a check: an exit's out-degree is its width, and an
-        edge into an entrance lands within it (``TextIndex``)."""
+    def _successors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(succ, ent, dist), the step rule as arrays by L position, made
+        afresh on each call for the hop table and extract's table.
+        ``succ[q]``, int32, is the edge that ``_fstep`` takes next from edge
+        q's target, at the copy q lands on (copy 1 after an in-tunnel move,
+        whose entry no walk reads, as walks jump); where q enters a tunnel's
+        entrance, the edge by which the walk leaves the exit at that copy.
+        It is 0 only into a sink and at q = 0.  ``ent`` holds the L
+        positions of the edges into entrances and ``dist`` each one's
+        distance to its exit.  No copy needs a check (``TextIndex``)."""
         tg = self.tg
+        lstart = np.frombuffer(tg.g._lstart, np.int64)
+        to = np.frombuffer(tg._step_to, np.int32)
+        q = lstart.take(to) + 1
         ent = self._into(np.fromiter(tg.entrance_info, np.int64, len(tg.entrance_info)))
-        c = np.asarray(self._slot).take(np.frombuffer(tg._step_to, np.int32).take(ent))
+        c = np.asarray(self._slot).take(to.take(ent))
         dist = np.asarray(self._to_exit).take(c)
-        out = np.frombuffer(tg.g._lstart, np.int64).take(np.asarray(self._chain).take(c - dist))
-        return ent, dist, out + np.frombuffer(tg._step_land, np.int32).take(ent)
+        exits = np.asarray(self._chain).take(c - dist)
+        q[ent] = lstart.take(exits) + np.frombuffer(tg._step_land, np.int32).take(ent)
+        at = np.frombuffer(self.ext_node, np.int32)  # every sink holds a sample
+        q[self._into(at[lstart.take(at + 1) == lstart.take(at)])] = 0
+        succ = q.astype(np.int32)
+        succ[0] = 0
+        return succ, ent, dist
 
     def _into(self, nodes: np.ndarray) -> np.ndarray:
         """The L positions of the edges into the given nodes."""
@@ -607,27 +605,18 @@ class TextIndex:
     @cached_property
     def _extract_tables(self) -> tuple[memoryview, bytes]:
         """(succ, moves), extract's tables, made on the first extract.
-        ``succ[q]`` is the signed successor of edge q, a memoryview of int32,
-        4 bytes per L position: where q enters a plain node with an
-        out-edge, that out-edge, by ``_fstep``'s rule; where q enters a
-        tunnel's entrance, the out-edge by which the walk leaves the exit at
-        its landing copy, negated (``_crossings``); and 0 otherwise (a sink,
-        an inner node, or q = 0).  ``moves`` holds each tunnel node's
-        in-tunnel move byte, 0 at an exit, in the order of ``_chain``
-        reversed, so that the bytes a walk reads from ``_chain[i]`` to its
-        exit start at ``len(moves) - 1 - i`` and are contiguous: one byte per
-        tunnel node."""
-        tg = self.tg
-        to = np.frombuffer(tg._step_to, np.int32)
-        lstart = np.frombuffer(tg.g._lstart, np.int64)
-        first = lstart.take(to)
-        plain = np.frombuffer(tg._kind, np.uint8).take(to) == 0
-        succ = np.where(plain & (lstart.take(to + 1) > first), first + 1, 0).astype(np.int32)
-        ent, _, out = self._crossings()
-        succ[ent] = -out
-        succ[0] = 0
+        ``succ`` is ``_successors``' table, a memoryview of int32, 4 bytes
+        per L position, negated where q enters a tunnel's entrance: there it
+        names the out-edge by which the walk leaves the exit.  ``moves``
+        holds each tunnel node's in-tunnel move byte, 0 at an exit, in the
+        order of ``_chain`` reversed, so that the bytes a walk reads from
+        ``_chain[i]`` to its exit start at ``len(moves) - 1 - i`` and are
+        contiguous: one byte per tunnel node."""
+        succ, ent, _ = self._successors()
+        succ[ent] *= -1
         chain = np.asarray(self._chain)[:-1]
-        byte = np.frombuffer(tg._step_byte, np.uint8).take(lstart.take(chain) + 1)
+        byte = np.frombuffer(self.tg._step_byte, np.uint8).take(
+            np.frombuffer(self.tg.g._lstart, np.int64).take(chain) + 1)
         moves = np.where(np.asarray(self._to_exit)[:-1] > 0, byte, 0).astype(np.uint8)
         return memoryview(succ), moves[::-1].tobytes()
 
@@ -642,11 +631,11 @@ class TextIndex:
         A negative one follows an edge into a tunnel's entrance: the
         tunnel's bytes up to its exit, or up to the last one wanted, are one
         slice of ``moves``, and the walk goes on at the negated entry, the
-        exit's out-edge for the copy it landed on.  At the start, and where
-        ``succ`` reads 0, ``_fstep``'s step is written out.  That step keeps
-        ``_fstep``'s check for a step past the sink, which samples with
-        swapped positions reach, but not its copy check, which no index that
-        loads needs (``TextIndex``).
+        exit's out-edge for the copy it landed on.  The walk starts at copy
+        1 of the sample, or of the source's exit after the source's tunnel
+        slice.  It raises on a step past the sink, which samples with
+        swapped positions reach: at the start, or where ``succ`` reads 0
+        with bytes still wanted.  It needs no copy check (``TextIndex``).
         Each pass of the loop reads at least one byte, so it ends after at
         most ``start + length - pos`` of them, pos the sample's position.
         The counter gets a step for each byte read before ``start``, but one
@@ -657,62 +646,48 @@ class TextIndex:
         if length == 0:
             return b""
         counter = counter if counter is not None else StepCounter()
-        tg = self.tg
-        kind, lstart = tg._kind, tg.g._lstart
-        step_to, step_land, step_byte = tg._step_to, tg._step_land, tg._step_byte
-        slot, chain, to_exit = self._slot, self._chain, self._to_exit
+        lstart, step_to, step_byte = self.tg.g._lstart, self.tg._step_to, self.tg._step_byte
+        slot, to_exit = self._slot, self._to_exit
         succ, moves = self._extract_tables
         rev = len(moves) - 1
         idx = bisect_right(self.ext_pos, start) - 1
-        if idx >= 0:
-            pos, node, off = self.ext_pos[idx], self.ext_node[idx], 1
-        else:
-            # the first sample may sit past `start` when the source node
-            # lives inside a tunnel; the source is always rank 1, copy 1
-            pos, node, off = 1, 1, 1
+        # the first sample may sit past `start` when the source node lives
+        # inside a tunnel; the source is always rank 1, copy 1
+        pos, node = (self.ext_pos[idx], self.ext_node[idx]) if idx >= 0 else (1, 1)
         seek, total = start - pos, start + length - pos
         out = bytearray(total)
         j = saved = 0  # bytes read; seek steps saved by tunnel slices
+        if self.tg._kind[node]:
+            # the source can be an entrance: read up to its exit at once
+            i = slot[node]
+            j = min(to_exit[i], total)
+            out[:j] = moves[rev - i:rev - i + j]
+            saved = max(min(j, seek) - 1, 0)
+            node = self._chain[i - j]
+        p = lstart[node] + 1  # copy 1 of a sample or of the source's exit
+        if j < total and p > lstart[node + 1]:
+            raise BoundsError("walked past the sink")
         while j < total:
-            if kind[node]:
-                # the source can be an entrance: read up to its exit at once
-                i = slot[node]
-                k = min(to_exit[i], total - j)
-                if k:
-                    out[j:j + k] = moves[rev - i:rev - i + k]
-                    if j < seek:
-                        saved += min(k, seek - j) - 1
-                    node = chain[i - k]
-                    j += k
-                    continue
-            p = lstart[node]
-            deg = lstart[node + 1] - p
-            if deg > 1 and kind[node]:
-                p += off
-            elif deg:
-                p += 1
-            else:
-                raise BoundsError("walked past the sink")
-            while j < total:
-                for j in range(j, total):
-                    out[j] = step_byte[p]
-                    q = succ[p]
-                    if q <= 0:
-                        break
-                    p = q
-                j += 1  # out[j] was written, whether succ ran out or the walk did
-                if q >= 0:
+            for j in range(j, total):
+                out[j] = step_byte[p]
+                q = succ[p]
+                if q <= 0:
                     break
-                # edge p enters a tunnel, whose moves keep the copy: read up
-                # to the exit at once, then leave it by the edge -q names
-                i = slot[step_to[p]]
-                k = min(to_exit[i], total - j)
-                out[j:j + k] = moves[rev - i:rev - i + k]
-                if j < seek and k:
-                    saved += min(k, seek - j) - 1
-                j += k
-                p = -q
-            node, off = step_to[p], step_land[p] or off
+                p = q
+            j += 1  # out[j] was written, whether succ ran out or the walk did
+            if q >= 0:
+                if j < total:
+                    raise BoundsError("walked past the sink")
+                break
+            # edge p enters a tunnel, whose moves keep the copy: read up
+            # to the exit at once, then leave it by the edge -q names
+            i = slot[step_to[p]]
+            k = min(to_exit[i], total - j)
+            out[j:j + k] = moves[rev - i:rev - i + k]
+            if j < seek and k:
+                saved += min(k, seek - j) - 1
+            j += k
+            p = -q
         counter.steps += total - saved
         del out[:seek]
         return bytes(out)

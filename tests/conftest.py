@@ -621,19 +621,19 @@ def fstep_hop_table(ix) -> tuple[list[int], list[int]]:
 def fstep_extract_tables(ix) -> tuple[list[int], bytes]:
     """(succ, moves) by ``_fstep`` and ``walk_to_exit``: the reference for
     ``TextIndex._extract_tables``.  ``succ[q]`` names the edge that ``_fstep``
-    leaves edge q's target by, when that target is a plain node with an
-    out-edge.  When the target is a tunnel's entrance, it names the edge
-    that ``_fstep`` leaves the exit by, at the copy that edge q lands on,
-    negated.  It is 0 otherwise.  ``moves`` walks each tunnel from its
-    entrance to its exit, exits descending, and takes each in-tunnel move's
-    byte, then a 0 for the exit."""
+    leaves edge q's target by, at copy 1 after an in-tunnel move.  When the
+    target is a tunnel's entrance, it names the edge that ``_fstep`` leaves
+    the exit by, at the copy that edge q lands on, negated.  It is 0 into a
+    sink and at q = 0.  ``moves`` walks each tunnel from its entrance to its
+    exit, exits descending, and takes each in-tunnel move's byte, then a 0
+    for the exit."""
     tg, g = ix.tg, ix.tg.g
     succ = [0] * (g.m + 1)
     for q in range(1, g.m + 1):
         v, off, sign = tg._step_to[q], tg._step_land[q] or 1, 1
         if v in tg.entrance_info:
             v, sign = walk_to_exit(g, v)[0], -1
-        elif is_tunnel_node(tg, v) or not g.outdeg(v):
+        elif not g.outdeg(v):
             continue
         p = g._lstart[v] + (off if g.outdeg(v) > 1 and tg._kind[v] else 1)
         assert ix._fstep(v, off, StepCounter()) == (tg._step_to[p], tg._step_land[p] or off,

@@ -729,19 +729,22 @@ def test_in_edge_moved_onto_an_inner_node(name, small_index):
 @pytest.mark.parametrize("tunneling", [True, False])
 @pytest.mark.parametrize("name", ["fib", "cpm4"])
 def test_swapped_samples_extract_past_the_sink(name, tunneling, small_index):
-    # the samples at position 1 and at the last position before n trade
-    # positions: the file loads, as no check of O(n_t) sees it, and its hop
-    # walks still stop at samples, but extract from position 1 seeks from
-    # the wrong node and reaches the sink, where it must refuse to step
+    # two samples trade positions: the file loads, as no check of O(n_t)
+    # sees it, and its hop walks still stop at samples, but extract seeks
+    # from the wrong node.  When the samples at position 1 and at the last
+    # position before n trade, extract from position 1 reaches the sink;
+    # when the sink's sample trades with that last one, extract from its
+    # position starts at the sink.  Either way it must refuse to step
     ix = small_index(name, tunneling)
-    bad = _samples(ix)
-    first, last = ix.ext_node[0], ix.ext_node[-2]
     assert ix.ext_pos[0] == 1 and ix.ext_pos[-1] == ix.n
-    bad.loc[first], bad.loc[last] = bad.loc[last], bad.loc[first]
-    got = deserialize_index(_file(ix, bad))
-    assert fstep_hop_table(got) == tuple(a.tolist() for a in got._hop_table())
-    with pytest.raises(BoundsError, match="walked past the sink"):
-        got.extract(1, ix.n - 1)
+    for u, v, start, ln in ((ix.ext_node[0], ix.ext_node[-2], 1, ix.n - 1),
+                            (ix.ext_node[-1], ix.ext_node[-2], ix.ext_pos[-2], 1)):
+        bad = _samples(ix)
+        bad.loc[u], bad.loc[v] = bad.loc[v], bad.loc[u]
+        got = deserialize_index(_file(ix, bad))
+        assert fstep_hop_table(got) == tuple(a.tolist() for a in got._hop_table())
+        with pytest.raises(BoundsError, match="walked past the sink"):
+            got.extract(start, ln)
 
 
 class TestIndexFile:

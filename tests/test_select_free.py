@@ -332,7 +332,7 @@ class TestWalkGuard:
 
     @pytest.mark.parametrize("name,tunneling", CASES)
     def test_extract_takes_no_fstep_call(self, name, tunneling, small_index, monkeypatch):
-        # extract writes out _fstep's step in its seek and output loops
+        # extract reads _fstep's step off its successor table (_successors)
         text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
         calls = []
         fstep = TextIndex._fstep

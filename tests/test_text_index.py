@@ -983,12 +983,16 @@ class TestExtract:
     def test_tables_match_the_fstep_reference(self, name, tunneling, small_index):
         # the signed successor table and the tunnel bytes are the
         # reference's, whose _fstep calls and walks to each exit read no
-        # walked array, on the built index and on its file
+        # walked array, on the built index and on its file; the hop table
+        # reads the same successors wherever an edge reaches no sample
         ix = small_index(name, tunneling)
         for index in (ix, deserialize_index(serialize_index(ix))):
             succ, moves = index._extract_tables
             assert (succ.format, len(succ)) == ("i", ix.tg.g.m + 1)
             assert (succ.tolist(), moves) == fstep_extract_tables(index)
+            nxt = index._hop_table()[0]
+            unsampled = [q for q in range(len(succ)) if index.tg._step_to[q] not in index.loc]
+            assert all(nxt[q] == abs(succ[q]) for q in unsampled) and len(unsampled) > 1
             assert len(moves) == sum(t.length for t in ix.tg.tunnels)
             assert any(q > 0 for q in succ)
             assert any(q < 0 for q in succ) == bool(moves) == (tunneling and name != "rand96")
