@@ -1,20 +1,18 @@
-"""Rank/select bitvectors and a rank/select-capable label sequence.
+"""Packed bitvectors and a rank/select-capable label sequence.
 
 Positions and ordinals are 1-based at the public interface, matching the
 conventions of the navigation formulas built on top of them.  ``rank(i, b)``
 counts occurrences of bit ``b`` in positions ``1..i``; ``select(k, b)``
 returns the position of the ``k``-th occurrence of ``b``.
 
-The rank directory is two-level: absolute counts per superblock (512 bits)
-plus 16-bit relative counts per 64-bit word, with a popcount for the word
-remainder.  Select is a binary search over rank, O(log n): no query path
-selects (navigation reads offsets decoded once from the set bits), so it
-keeps no directory of its own.
-
-``BitVec`` alone knows the packed layout: bit i of a sequence is bit i % 8
-of byte i // 8 (LSB first), and every other module hands it bit arrays or
-packed bytes.  The directory is built once with numpy; queries read only
-pure-Python words and ``array`` counts.
+``BitVec`` holds its length, its packed bits and their count of ones, and
+nothing more: bit i of a sequence is bit i % 8 of byte i // 8 (LSB first),
+and every other module hands it bit arrays or packed bytes.  No build, load
+or query ranks or selects on it: navigation reads node offsets decoded once
+from the set bits, so it keeps no rank directory (a directory pays only
+where ranks are asked; Navarro, *Compact Data Structures*, 2016).  ``rank``
+is a popcount over the packed prefix, O(n), and ``select`` a binary search
+over it; both remain for the test oracles and the bench's micro-timings.
 
 ``LabelSeq`` has one layout for every alphabet of up to 256 symbols: the
 symbols as bytes, plus each symbol's count sampled every 128 positions.  A
@@ -32,14 +30,12 @@ import numpy as np
 
 from .errors import BoundsError, NotFoundError
 
-_WORD = 64
-_SUPER_WORDS = 8  # 512-bit superblocks
-
 
 class BitVec:
-    """Static bit sequence with O(1) rank and O(log n) select."""
+    """Static bit sequence: n, its packed bytes (bits past n zero) and its
+    count of ones.  ``access`` reads one byte; ``rank`` and ``select`` scan."""
 
-    __slots__ = ("n", "_words", "_super", "_rel", "_ones")
+    __slots__ = ("n", "_packed", "_ones")
 
     def __init__(self, bits: Iterable[int] | str | np.ndarray = ()):
         """``bits``: a 0/1 iterable, a ``"01"`` string or a numpy array.
@@ -49,44 +45,23 @@ class BitVec:
         elif not isinstance(bits, np.ndarray):
             bits = list(bits)
         bits = np.asarray(bits) != 0
-        self._build(np.packbits(bits, bitorder="little"), len(bits))
+        self._set(np.packbits(bits, bitorder="little").tobytes(), len(bits))
 
     @classmethod
     def from_packed(cls, data: bytes, length: int) -> "BitVec":
         """Wrap LSB-first packed bytes holding at least ``length`` bits."""
+        if len(data) << 3 < length:
+            raise BoundsError(f"{len(data)} bytes cannot hold {length} bits")
         bv = cls.__new__(cls)
-        bv._build(np.frombuffer(data, np.uint8, count=(length + 7) >> 3), length)
+        bv._set(bytes(data[:(length + 7) >> 3]), length)
         return bv
 
-    def _build(self, packed: np.ndarray, n: int) -> None:
-        nwords = (n + _WORD - 1) >> 6
-        buf = np.zeros(nwords * 8, np.uint8)
-        buf[:len(packed)] = packed
+    def _set(self, packed: bytes, n: int) -> None:
         if n & 7:  # bits past n read as zero, so popcounts stay exact
-            buf[n >> 3] &= (1 << (n & 7)) - 1
-        words = buf.view("<u8")
-        pc = np.bitwise_count(words).astype(np.int64)
-        before = np.cumsum(pc) - pc
-        ones = int(pc.sum())
-        sup = np.append(before[::_SUPER_WORDS], ones)
-        rel = before - before[np.arange(nwords) // _SUPER_WORDS * _SUPER_WORDS]
-        # query-time state is pure Python: a numpy scalar read per rank
-        # would cost more than the rank itself
+            packed = packed[:-1] + bytes((packed[-1] & ((1 << (n & 7)) - 1),))
         self.n = n
-        self._words = words.tolist()
-        self._super = array("q", sup.tobytes())
-        self._rel = array("H", rel.astype(np.uint16).tobytes() if nwords else bytes(2))
-        self._ones = ones
-
-    # -- internal 0-based helpers (p = exclusive prefix length) ------------
-
-    def rank1_prefix(self, p: int) -> int:
-        w = p >> 6
-        r = p & 63
-        base = self._super[w >> 3] + self._rel[w] if w < len(self._rel) else self._ones
-        if r and w < len(self._words):
-            base += (self._words[w] & ((1 << r) - 1)).bit_count()
-        return base
+        self._packed = packed
+        self._ones = int.from_bytes(packed, "little").bit_count()
 
     # -- public 1-based interface -------------------------------------------
 
@@ -105,12 +80,13 @@ class BitVec:
         if not 1 <= i <= self.n:
             raise BoundsError(f"bit position {i} outside [1..{self.n}]")
         p = i - 1
-        return (self._words[p >> 6] >> (p & 63)) & 1
+        return (self._packed[p >> 3] >> (p & 7)) & 1
 
     def rank(self, i: int, b: int = 1) -> int:
         if not 0 <= i <= self.n:
             raise BoundsError(f"rank position {i} outside [0..{self.n}]")
-        r1 = self.rank1_prefix(i)
+        r1 = (int.from_bytes(self._packed[:(i + 7) >> 3], "little")
+              & ((1 << i) - 1)).bit_count()
         return r1 if b else i - r1
 
     def select(self, k: int, b: int = 1) -> int:
@@ -119,23 +95,22 @@ class BitVec:
             raise NotFoundError(
                 f"select({k}, {b}): only {total} such bits present")
         # the least prefix p holding k such bits
-        rank = self.rank1_prefix if b else lambda p: p - self.rank1_prefix(p)
-        return bisect_left(range(self.n + 1), k, key=rank)
+        return bisect_left(range(self.n + 1), k, key=lambda p: self.rank(p, b))
 
     def bits(self) -> np.ndarray:
         """The n bits as a uint8 array of zeros and ones."""
-        return np.unpackbits(np.frombuffer(self.to_packed(), np.uint8),
+        return np.unpackbits(np.frombuffer(self._packed, np.uint8),
                              count=self.n, bitorder="little")
 
     def to_packed(self) -> bytes:
-        return np.array(self._words, "<u8").tobytes()[:(self.n + 7) >> 3]
+        return self._packed
 
     def to01(self) -> str:
         return (self.bits() + ord("0")).tobytes().decode()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BitVec) and self.n == other.n
-                and self._words == other._words)
+                and self._packed == other._packed)
 
     def __repr__(self) -> str:
         body = self.to01() if self.n <= 48 else self.to01()[:45] + "..."

@@ -342,10 +342,13 @@ class _Reader:
         return self.take(ln)
 
     def bits(self, nbits: int, name: str) -> BitVec:
-        """A bit section, which must hold exactly ceil(nbits / 8) bytes."""
+        """A bit section, which must hold exactly ceil(nbits / 8) bytes,
+        with zero padding."""
         raw = self.section()
         if len(raw) != (nbits + 7) >> 3:
             raise TruncatedError(f"{name} section holds {len(raw)} bytes for {nbits} bits")
+        if nbits & 7 and raw[-1] >> (nbits & 7):
+            raise FormatError(f"{name} section pads its last byte with nonzero bits")
         return BitVec.from_packed(raw, nbits)
 
 

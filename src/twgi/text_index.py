@@ -32,10 +32,10 @@ step past the sink; it is the tests' oracle and the bench times it.  One
 successor table by L position holds the rule as an array
 (``_successors``): the edge a walk takes next after each edge, jumping an
 entrance to its exit.  The hop table and extract's signed successor table
-(``_extract_tables``, made on the first extract) are read off it, and
-``_leave`` holds the rule for the lockstep walk's starts.  The load proves
-that no walk needs the copy check, nor a hop walk the sink check
-(``TextIndex``); extract finds the sink where its table reads 0.
+(``_extract_tables``, made on the first extract) are read off it, and a
+lockstep walk starts by its copy's out-edge.  The load proves that no walk
+needs the copy check, nor a hop walk the sink check (``TextIndex``);
+extract finds the sink where its table reads 0.
 """
 
 from __future__ import annotations
@@ -176,9 +176,9 @@ class TextIndex:
 
     So on every index it accepts no walk takes a copy past an exit's
     out-degree, and no hop walk steps past a sink.  Of the step rule's
-    readers, ``_fstep`` checks both, and the successor table by L position
-    (``_successors``, read by ``_hop_table`` and ``_extract_tables``) and
-    ``_leave`` neither:
+    two readers, ``_fstep`` checks both, and the successor table by L
+    position (``_successors``, read by ``_hop_table`` and
+    ``_extract_tables``) neither:
     1. An edge into an entrance lands at a copy in [1..w] of its record,
        as ``TunneledGraph`` decodes I'.
     2. That record's exit has out-degree w (checked here).
@@ -187,7 +187,7 @@ class TextIndex:
        move from the tunnel node before it (``TunneledGraph`` and
        ``_walk_tunnels``): a walk meets a tunnel only at its entrance.
     4. ``_starts`` hands on copy 1 of a plain node, or copies of a tunnel
-       node within its width, as searches land and carry them;
+       node within its width, at its exit, as searches land and carry them;
        ``locate_one`` checks its copy against ``node_width``, and extract
        walks from copy 1 of a sample.
     5. Every node of out-degree 0 holds a sample, where a hop walk stops.
@@ -322,9 +322,8 @@ class TextIndex:
         Copy ``off`` of a tunnel node of out-degree w > 1 leaves by its
         off-th out-edge, any other node by its only one; the step table
         holds that edge's target, landing copy and label.  ``_successors``
-        holds this step as an array for the hop table and extract, and
-        ``_leave`` for the lockstep walk's starts: a change here must
-        update both."""
+        holds this step as an array for the hop table and extract: a change
+        here must update it."""
         tg = self.tg
         lstart = tg.g._lstart
         p = lstart[node]
@@ -568,28 +567,21 @@ class TextIndex:
         j = _expand(first + 1, istart.take(nodes + 1) - first)[1]
         return np.frombuffer(self.tg._pos, np.int32).take(j)
 
-    def _leave(self, node: np.ndarray, off) -> np.ndarray:
-        """The L position each walk starting at a copy ``off`` of a plain
-        node or an exit (``_starts``) leaves by, by ``_fstep``'s rule, or 0
-        at a sample.  No copy needs a check: an exit's out-degree is its
-        width, and every copy a walk brings to it lies within that width
-        (``TextIndex``)."""
-        first = np.frombuffer(self.tg.g._lstart, np.int64).take(node)
-        q = first + np.where(np.frombuffer(self.tg._kind, np.uint8).take(node) != 0, off, 1)
-        q[self._samp.take(node) != 0] = 0
-        return q
-
     def _lockstep(self, nodes: np.ndarray, offs: np.ndarray, dists: np.ndarray,
                   counter: StepCounter) -> np.ndarray:
         """Text positions of the walks from copy offs[i] of nodes[i], a plain
         node or an exit as ``_starts`` gives them, dists[i] already
         travelled, walked together: each round adds every walk's next
         ``_ROUND_HOPS`` hops to its sum and moves it on by the hop table,
-        until every walk stands at 0.  A walk that meets no sample in n
-        rounds, as on a file whose steps cycle, raises FormatError."""
+        until every walk stands at 0.  A walk starts at 0 on a sample, else
+        at L position lstart[node] + copy, its copy's out-edge: by rule 4 of
+        ``TextIndex`` a plain node starts at copy 1 and a tunnel node at its
+        exit.  A walk that meets no sample in n rounds, as on a file whose
+        steps cycle, raises FormatError."""
         nxt, val = self._hops
-        q = self._leave(nodes, offs)
-        acc = (self._samp.take(nodes) - dists) * 2 ** 32
+        samp = self._samp.take(nodes)
+        q = (np.frombuffer(self.tg.g._lstart, np.int64).take(nodes) + offs) * (samp == 0)
+        acc = (samp - dists) * 2 ** 32
         for _ in range(self.n):
             if not np.count_nonzero(q):
                 break

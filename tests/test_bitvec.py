@@ -111,6 +111,8 @@ class TestConstruction:
         assert bv.ones == 3
         assert bv.to_packed() == b"\x07"
         assert bv.to01() == "111"
+        with pytest.raises(BoundsError):
+            BitVec.from_packed(b"\xff", 9)
 
     @pytest.mark.parametrize("n", [0, 1, 8, 63, 64, 65, 1000])
     def test_list_string_and_array_agree(self, n):

@@ -883,6 +883,27 @@ class TestIndexFile:
             with pytest.raises(TruncatedError):
                 deserialize_index(_with_section(data, sec, payload))
 
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", ["fib", "cpm4"])
+    def test_bit_section_pads_with_zeros(self, name, tunneling, small_index):
+        # each padding bit of I, O and the inner marks set, under a
+        # recomputed CRC: a bit section pads as the packed integer sections do
+        ix = small_index(name, tunneling)
+        g = ix.tg.g
+        data = serialize_index(ix)
+        padding = 0
+        for sec, nbits in ((4, g.n + g.m + 1), (5, g.n + g.m + 1), (9, g.n if tunneling else 0)):
+            start = _section_offsets(data)[sec]
+            (ln,) = struct.unpack_from("<I", data, start - 4)
+            assert ln == (nbits + 7) >> 3
+            for bit in range(nbits, 8 * ln):
+                payload = bytearray(data[start:start + ln])
+                payload[-1] ^= 1 << (bit & 7)
+                with pytest.raises(FormatError, match="pads its last byte with nonzero bits"):
+                    deserialize_index(_with_section(data, sec, bytes(payload)))
+                padding += 1
+        assert padding
+
     @pytest.mark.parametrize("sec", [9, 14])  # inner, cnt
     def test_plain_index_derives_inner_marks_and_cnt(self, sec, small_index):
         # without tunnels the inner marks are all zero and the cumulative
@@ -1007,15 +1028,15 @@ class TestIndexFile:
 
     @pytest.mark.parametrize("name", ["fib", "rand96"])  # sigma 2 and 96
     def test_loaded_index_ranks_on_python_ints(self, name, small_index):
-        # a numpy scalar in a rank directory would slow every rank
+        # a numpy scalar or array where a Python int or bytes is read would
+        # slow every read
         ix = deserialize_index(serialize_index(small_index(name)))
         g, tg = ix.tg.g, ix.tg
         L = g.L
         for bv in (g.I, g.O, tg.iprime, tg.oprime, entrance_marks(tg), tg.inner_marks):
+            assert type(bv.to_packed()) is bytes
             assert type(bv.n) is int and type(bv._ones) is int
-            assert all(type(w) is int for w in bv._words)
-            for directory in (bv._super, bv._rel):
-                assert type(directory) is array
+            assert type(bv.rank(bv.n)) is int and type(bv.rank(bv.n, 0)) is int
         # the exit-copy table that leaving a tunnel reads, and its dict view
         assert all(type(j) is int and type(o) is int for j, o in tg.exit_copies.items())
         assert tg.exit_copies or not tg.tunnels
@@ -1201,11 +1222,12 @@ _FUZZ_PATTERNS = [_FUZZ_TEXT[i:i + k] for i, k in ((0, 1), (100, 5), (700, 12), 
 def test_mutated_section_loads_or_raises(tunneling, small_index, data):
     """One section of the fib index, found by the length-prefixed framing,
     gets bit flips, a written byte run or a new length, under a recomputed
-    CRC.  Loading must raise a ``TwgiError`` or give an index whose hop
-    table takes only steps that ``_fstep`` takes (the load-time argument in
-    ``TextIndex``'s docstring), and whose count, locate and extract each
-    answer or raise a ``TwgiError``; the walks' step bounds keep each query
-    finite.
+    CRC.  Loading must raise a ``TwgiError`` or give an index that
+    re-serializes to the file's own bytes (a loader that ignored or mended
+    some bits would not), whose hop table takes only steps that ``_fstep``
+    takes (the load-time argument in ``TextIndex``'s docstring), and whose
+    count, locate and extract each answer or raise a ``TwgiError``; the
+    walks' step bounds keep each query finite.
 
     The answers are not compared with the oracles: a file can load and
     answer wrong, such as one whose samples trade positions
@@ -1231,10 +1253,12 @@ def test_mutated_section_loads_or_raises(tunneling, small_index, data):
         new_len = data.draw(st.integers(0, ln + 16), label="length")
         payload = payload[:new_len] + data.draw(st.binary(min_size=max(0, new_len - ln),
                                                           max_size=max(0, new_len - ln)))
+    mutated = _with_section(good, sec, bytes(payload))
     try:
-        ix = deserialize_index(_with_section(good, sec, bytes(payload)))
+        ix = deserialize_index(mutated)
     except TwgiError:
         return
+    assert serialize_index(ix) == mutated
     assert fstep_hop_table(ix) == tuple(a.tolist() for a in ix._hop_table())
     queries = [lambda p=p: ix.count(p) for p in _FUZZ_PATTERNS]
     queries += [lambda p=p: ix.locate(p) for p in _FUZZ_PATTERNS]
