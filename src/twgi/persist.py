@@ -6,30 +6,30 @@ CRC-32 over all preceding bytes.  Any single corrupted byte is caught: the
 magic and version have dedicated errors and everything (including them) is
 covered by the checksum.
 
-A text index file (format version 4) holds the ``SECTIONS`` in order:
-the header, alphabet, C, L, I, O, I', O', entrance, inner marks, tunnel
-records, skip, back, loc and cnt.  The header is fixed-width; every other
-integer (C, the four fields of each tunnel record, loc positions) is an
-unsigned field of w = ``n.bit_length()`` bits, n = |T| + 1, packed least
-significant bit first with zero padding in the last byte.  L holds each
-label id - 1 in ceil(log2 sigma) bits (at least 1) the same way.  loc is a
-bitvector over the n_t nodes marking the sampled ones, followed by their
-text positions in rank order.  Without tunnels the inner marks are written
-empty: no node is marked.
+A text index file (format version 4) holds the ``SECTIONS`` in order: the
+header, alphabet, C, L, I, O, I', O', entrance, inner marks, tunnel records,
+skip, back, loc and cnt.  The header is fixed-width; every other integer (C,
+the four fields of each tunnel record, loc positions) is an unsigned field
+of w = ``n.bit_length()`` bits, n = |T| + 1, packed least significant bit
+first with zero padding in the last byte.  L holds each label id - 1 in
+ceil(log2 sigma) bits (at least 1) the same way.  loc is a bitvector over
+the n_t nodes marking the sampled ones, then their text positions in rank
+order, read off ``TextIndex._samp`` and loaded as two arrays.  Without
+tunnels the inner marks are written empty: no node is marked.
 
 The I', O', entrance, skip, back and cnt sections are always empty; they
 keep their places so that the framing stays that of version 3.  I' and O'
 are all ones (a string's nodes have one in-edge and one out-edge at most),
 the entrances are the records', and the skip pointers and the cumulative
-widths that cnt held are read off the walk of the tunnels that
-``TextIndex`` makes; no reader needs back.  The header's rate_t is only the
-stride of ``TextIndex.skip``.  Loading checks only what the file holds; the
-rest is checked for every graph and index, however made: ``TunneledGraph``
-checks the records against the marks and the exits' out-edges, and
-``TextIndex`` the rules of string tunnels (the records account for the
-n - n_t collapsed nodes, an entrance has in-degree equal to the width, one
-less at the source, rank 1, and an exit out-degree equal to it), the loc
-samples and, by walking them, the tunnels.
+widths that cnt held are read off the walk of the tunnels that ``TextIndex``
+makes; no reader needs back.  The header's rate_t is only the stride of
+``TextIndex.skip``.  Loading checks only what the file holds; the rest is
+checked for every graph and index, however made: ``TunneledGraph`` checks
+the records against the marks and the exits' out-edges, and ``TextIndex``
+the rules of string tunnels (the records account for the n - n_t collapsed
+nodes; an entrance's in-degree, one less at rank 1, and an exit's out-degree
+equal the width), the samples (distinct plain nodes at distinct positions, n
+among them, and one on each sink) and, by walking them, the tunnels.
 """
 
 from __future__ import annotations
@@ -366,15 +366,13 @@ def section_bits(data: bytes) -> dict[str, int]:
 
 def serialize_index(ix: TextIndex) -> bytes:
     """The index file of ``ix``, which ``TextIndex`` has checked."""
-    tg = ix.tg
-    g = tg.g
-    nt = g.n
+    tg, g = ix.tg, ix.tg.g
     width = ix.n.bit_length()
-    loc_nodes = sorted(ix.loc)
+    samp = ix._samp[1:]  # by node from 1, 0 off the samples
 
     buf = bytearray(MAGIC)
     buf += struct.pack("<HH", VERSION, _FLAG_TUNNELED if tg.tunnels else 0)
-    buf += _section(struct.pack("<QQQIIII", ix.n, nt, g.m, g.sigma,
+    buf += _section(struct.pack("<QQQIIII", ix.n, g.n, g.m, g.sigma,
                                 ix.sample_rate_n, ix.sample_rate_t, len(tg.tunnels)))
     buf += _section(bytes(g.alphabet))
     buf += _section(_pack_ints(g.C[1:g.sigma + 2], width))
@@ -385,8 +383,7 @@ def serialize_index(ix: TextIndex) -> bytes:
     buf += _section(_pack_ints([f for t in tg.tunnels
                                 for f in (t.entrance, t.exit, t.width, t.length)], width))
     buf += _section(b"") * 2  # skip and back: loading derives the one, no reader needs the other
-    buf += _section(_pack_ints(np.isin(np.arange(1, nt + 1), loc_nodes), 1)
-                    + _pack_ints([ix.loc[v] for v in loc_nodes], width))
+    buf += _section(_pack_ints(samp != 0, 1) + _pack_ints(samp[samp != 0], width))
     buf += _section(b"")  # cnt: loading derives it
     buf += struct.pack("<I", zlib.crc32(bytes(buf)))
     return bytes(buf)
@@ -455,14 +452,13 @@ def _parse_sections(data: bytes) -> TextIndex:
         raise FormatError(_MUST_BE_EMPTY)
     raw = rd.section()
     mark_bytes = (nt + 7) >> 3
-    loc_nodes = np.flatnonzero(_unpack_ints(raw[:mark_bytes], nt, 1, "loc mark")) + 1
-    positions = _unpack_ints(raw[mark_bytes:], len(loc_nodes), width, "loc position")
-    loc = dict(zip(loc_nodes.tolist(), positions.tolist()))
+    nodes = np.flatnonzero(_unpack_ints(raw[:mark_bytes], nt, 1, "loc mark")) + 1
+    positions = _unpack_ints(raw[mark_bytes:], len(nodes), width, "loc position")
     if rd.section():
         raise FormatError(_MUST_BE_EMPTY)
     if rd.off != len(rd.data):
         raise TruncatedError("trailing bytes after the last section")
-    return TextIndex(tg, n, rate_n, rate_t, loc)
+    return TextIndex(tg, n, rate_n, rate_t, nodes, positions)
 
 
 def save_index(ix: TextIndex, path) -> None:

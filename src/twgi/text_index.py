@@ -170,9 +170,9 @@ class TextIndex:
     unless n < 2^30 (a walk's steps must stay in the low half of its sum),
     both rates are >= 1, the records account for the n original nodes, each
     exit's out-degree and entrance's in-degree (one less at rank 1) is its
-    width, the tunnels walk as ``_walk_tunnels`` requires, ``loc`` maps
-    plain nodes to distinct positions in [1..n], and every node of
-    out-degree 0 holds a sample.
+    width, the tunnels walk as ``_walk_tunnels`` requires, the samples put
+    distinct plain nodes in [1..n_t] at distinct positions in [1..n], n
+    among them, and every node of out-degree 0 holds a sample.
 
     So on every index it accepts no walk takes a copy past an exit's
     out-degree, and no hop walk steps past a sink.  Of the step rule's
@@ -204,7 +204,9 @@ class TextIndex:
     pays a few milliseconds for it, whatever the index's size."""
 
     def __init__(self, tg: TunneledGraph, n: int, sample_rate_n: int,
-                 sample_rate_t: int, loc):
+                 sample_rate_t: int, nodes, positions):
+        """The samples: node ``nodes[i]`` at text position ``positions[i]``, two
+        integer arrays of one length, kept as arrays only, by position and by node."""
         if n >= _MAX_NODES:
             raise ValidationError(f"an index holds fewer than {_MAX_NODES} nodes, not {n}")
         g, nt = tg.g, tg.g.n
@@ -218,13 +220,12 @@ class TextIndex:
                for t in tg.tunnels):
             raise ValidationError("a tunnel's exit must have out-degree equal to its width, "
                                   "and its entrance in-degree, less one at rank 1")
-        kind = np.frombuffer(tg._kind, np.uint8)
-        pos = np.fromiter(loc.values(), np.int64, len(loc))
-        at = np.fromiter(loc, np.int64, len(loc))
+        at, pos = np.asarray(nodes, np.int64), np.asarray(positions, np.int64)
         by_pos = np.argsort(pos)         # the samples by text position, for extract to bisect
         ext_pos = pos[by_pos]
-        if ((at < 1) | (at > nt)).any() or kind[at].any() or not len(loc) or ext_pos[0] < 1 \
-                or ext_pos[-1] != n or (np.diff(ext_pos) == 0).any():
+        if not 0 < len(at) == len(pos) or ((at < 1) | (at > nt)).any() \
+                or np.frombuffer(tg._kind, np.uint8)[at].any() or np.bincount(at).max() > 1 \
+                or np.diff(ext_pos, prepend=0).min() < 1 or ext_pos[-1] != n:
             raise ValidationError(f"loc must map plain nodes in [1..{nt}] to distinct "
                                   f"positions in [1..{n}], {n} among them")
         self.tg = tg
@@ -233,11 +234,9 @@ class TextIndex:
         self.sample_rate_t = sample_rate_t
         self._tun = memoryview(tg._tun)
         self._walk_tunnels()
-        self.loc = loc                   # non-tunnel node rank -> text position
         self.ext_pos = array("i", ext_pos.astype(np.int32).tobytes())
         self.ext_node = array("i", at[by_pos].astype(np.int32).tobytes())
-        # and by node, for the lockstep walk to gather: 0 off the samples
-        self._samp = np.zeros(nt + 1, np.int32)
+        self._samp = np.zeros(nt + 1, np.int32)  # by node, 0 off them, for the lockstep walk
         self._samp[at] = pos
         lstart = np.frombuffer(g._lstart, np.int64)
         if not self._samp.take(np.flatnonzero(lstart[2:] == lstart[1:-1]) + 1).all():
@@ -391,6 +390,8 @@ class TextIndex:
         k-gram table: a pattern shorter than k is searched in full, and one
         whose first k bytes are no key occurs nowhere, since the table holds
         every non-empty state of depth k."""
+        if isinstance(pattern, str):
+            raise TypeError("pattern must be bytes")
         k, keys, (a, lo_off, b, hi_off) = self._kgrams
         if len(pattern) < k:
             return self.tg._search_pairs(pattern)
@@ -554,8 +555,7 @@ class TextIndex:
         dist = np.asarray(self._to_exit).take(c)
         exits = np.asarray(self._chain).take(c - dist)
         q[ent] = lstart.take(exits) + np.frombuffer(tg._step_land, np.int32).take(ent)
-        at = np.frombuffer(self.ext_node, np.int32)  # every sink holds a sample
-        q[self._into(at[lstart.take(at + 1) == lstart.take(at)])] = 0
+        q[self._into(np.flatnonzero(lstart[2:] == lstart[1:-1]) + 1)] = 0
         succ = q.astype(np.int32)
         succ[0] = 0
         return succ, ent, dist
@@ -741,13 +741,12 @@ def build_index(text: bytes, *, sample_rate_n: int | None = None,
     # one per run of text positions through one tunnel.  A run starts at its
     # tunnel's entrance and rows of one block lie at least s+1 positions
     # apart, so an element starts at every position whose node is not inner.
-    # A sample that falls on a tunnel element moves to the next plain one.
+    # A sample on a tunnel element moves to the next plain one, which may hold the next.
     node = tg.node_map[rank[1:]]  # by text position - 1
     first = np.flatnonzero(tg.inner_marks.bits()[node - 1] == 0)
     plain = np.flatnonzero(np.isin(node[first], [t.entrance for t in tg.tunnels], invert=True))
-    wanted = sorted({1, len(first), *range(rate_n, len(first) + 1, rate_n)})
-    at_plain = first[plain[np.searchsorted(plain, np.array(wanted) - 1)]]
-    loc = dict(zip(node[at_plain].tolist(), (at_plain + 1).tolist()))
+    wanted = np.r_[1, np.arange(rate_n, len(first) + 1, rate_n), len(first)]
+    at_plain = np.unique(first[plain[np.searchsorted(plain, wanted - 1)]])
 
     tg.node_map = None  # needed only to place the samples above
-    return TextIndex(tg, n, rate_n, rate_t, loc)
+    return TextIndex(tg, n, rate_n, rate_t, node[at_plain], at_plain + 1)

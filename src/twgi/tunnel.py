@@ -578,6 +578,8 @@ class TunneledGraph:
     def path_search(self, pattern) -> NodeRange:
         """Non-empty iff the pattern labels a path in the original graph;
         the returned range is over tunneled node ranks."""
+        if isinstance(pattern, str):
+            raise TypeError("pattern must be bytes")
         got = self._search_pairs(pattern)
         return NodeRange.empty() if got is None else NodeRange(got[0][0], got[1][0])
 

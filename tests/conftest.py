@@ -567,17 +567,30 @@ def fstep_extract(ix, start: int, length: int, counter=None) -> bytes:
     return bytes(out)
 
 
-def fstep_walk(ix, node: int, off: int, counter=None) -> int:
+def sample_loc(ix) -> dict[int, int]:
+    """Node -> text position of each sample of ix, read off ``ext_node`` and
+    ``ext_pos``: the oracles take their samples from here, not from
+    ``_samp``, the table that the walks they check read."""
+    return dict(zip(ix.ext_node, ix.ext_pos))
+
+
+def index_with(tg, n: int, rate_n: int, rate_t: int, loc: dict) -> TextIndex:
+    """The TextIndex whose samples the dict loc, node -> position, holds."""
+    return TextIndex(tg, n, rate_n, rate_t, list(loc), list(loc.values()))
+
+
+def fstep_walk(ix, node: int, off: int, counter=None, loc=None) -> int:
     """Text position of copy ``off`` of the node, with one ``_fstep`` call
     per step: the reference for ``TextIndex.locate_one`` and ``locate``,
     which walk the hop table.  It walks forward to the next text-order
     sample, crossing each tunnel in one jump to its exit, counted as one
-    step, and subtracts the travelled distance."""
+    step, and subtracts the travelled distance.  ``loc`` is
+    ``sample_loc(ix)``, which a caller of many walks passes once."""
     counter = counter if counter is not None else StepCounter()
-    travelled = 0
+    travelled, loc = 0, sample_loc(ix) if loc is None else loc
     kind, slot, chain, to_exit = ix.tg._kind, ix._slot, ix._chain, ix._to_exit
     for _ in range(ix.n):
-        pos = ix.loc.get(node)
+        pos = loc.get(node)
         if pos is not None:
             return pos - travelled
         if kind[node]:
@@ -600,12 +613,12 @@ def fstep_hop_table(ix) -> tuple[list[int], list[int]]:
     plus the sample's position less 1, or less the distance travelled,
     times 2^32.  ``_fstep`` raises BoundsError where a hop would take a copy
     past an exit's out-degree or step past a sink, which no index allows."""
-    tg, m = ix.tg, ix.tg.g.m
+    tg, m, loc = ix.tg, ix.tg.g.m, sample_loc(ix)
     nxt, val = [0] * (m + 1), [0] * (m + 1)
     for q in range(1, m + 1):
         v, off = tg._step_to[q], tg._step_land[q] or 1
-        if v in ix.loc:
-            val[q] = (ix.loc[v] - 1) * 2 ** 32 + 1
+        if v in loc:
+            val[q] = (loc[v] - 1) * 2 ** 32 + 1
             continue
         steps, dist = 1, 1
         if v in tg.entrance_info:
@@ -957,12 +970,12 @@ def oracle_index(text: bytes, **kw) -> TextIndex:
     length-1 ones or only width-3 ones."""
     tg, rate_n, rate_t, loc, _, _ = _loop_build(text, **kw)
     tg.node_map = None
-    return TextIndex(tg, len(text) + 1, rate_n, rate_t, loc)
+    return index_with(tg, len(text) + 1, rate_n, rate_t, loc)
 
 
 def with_stride(ix: TextIndex, rate_t: int) -> TextIndex:
     """ix with skip stride rate_t, which build_index sets to ceil(log2 n_t)."""
-    return TextIndex(ix.tg, ix.n, ix.sample_rate_n, rate_t, ix.loc)
+    return index_with(ix.tg, ix.n, ix.sample_rate_n, rate_t, sample_loc(ix))
 
 
 def _loop_build(text: bytes, *, sample_rate_n=None, sample_rate_t=None,

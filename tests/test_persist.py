@@ -20,6 +20,7 @@ from conftest import (
     fig1_block,
     fig1_edge_list,
     fstep_hop_table,
+    index_with,
     is_tunnel_node,
     loop_pack_ints,
     loop_unpack_ints,
@@ -28,6 +29,7 @@ from conftest import (
     naive_locate,
     oracle_index,
     random_tunneled_graphs,
+    sample_loc,
     with_stride,
     write_blocks_file,
 )
@@ -323,9 +325,10 @@ def _plain(ix):
 
 @dataclasses.dataclass
 class Samples:
-    """What ``TextIndex`` and the loader check, in the form both producers
-    take it: the graph and tunnel records, the rates and loc, and what the
-    file's skip and cnt sections hold, nothing in format version 4."""
+    """What ``TextIndex`` and the loader check: the graph and tunnel
+    records, the rates, the samples as a dict loc, node -> position, which
+    ``_construct`` and ``_file`` each convert once, and what the file's skip
+    and cnt sections hold, nothing in format version 4."""
     g: WheelerGraph
     tunnels: list
     rate_n: int
@@ -336,7 +339,8 @@ class Samples:
 
 
 def _samples(ix) -> Samples:
-    return Samples(ix.tg.g, list(ix.tg.tunnels), ix.sample_rate_n, ix.sample_rate_t, dict(ix.loc))
+    return Samples(ix.tg.g, list(ix.tg.tunnels), ix.sample_rate_n, ix.sample_rate_t,
+                   sample_loc(ix))
 
 
 def _v3_cnt(ix) -> list[int]:
@@ -354,7 +358,7 @@ def _v3(ix, s: Samples) -> Samples:
 
 def _construct(ix, s: Samples) -> TextIndex:
     tg = TunneledGraph(s.g, ix.tg.iprime, ix.tg.oprime, ix.tg.inner_marks, s.tunnels, None)
-    return TextIndex(tg, ix.n, s.rate_n, s.rate_t, s.loc)
+    return index_with(tg, ix.n, s.rate_n, s.rate_t, s.loc)
 
 
 def _file(ix, s: Samples) -> bytes:
@@ -400,14 +404,14 @@ def _move_in_edge(ix, s: Samples):
 
 def _sink_sample(ix) -> int:
     """The node of the sample at text position n, the last."""
-    return next(v for v, pos in ix.loc.items() if pos == ix.n)
+    return next(v for v, pos in sample_loc(ix).items() if pos == ix.n)
 
 
 def _loc_moves(ix) -> list[tuple[int, int]]:
     """(v, u) for each loc sample v whose next tunnel node above, u, comes
     before the next sample: a mark moved from v to u keeps the positions in
     rank order."""
-    nodes = sorted(ix.loc)
+    nodes = sorted(sample_loc(ix))
     moves = []
     for v, nxt in zip(nodes, nodes[1:] + [ix.tg.g.n + 1]):
         u = next((u for u in range(v + 1, nxt) if is_tunnel_node(ix.tg, u)), None)
@@ -684,6 +688,27 @@ def test_loc_without_the_last_position(small_index):
         deserialize_index(_file(ix, bad))
 
 
+SAMPLE_ARRAY_FAULTS = ["node twice", "position short", "node short"]
+
+
+@pytest.mark.parametrize("tunneling", [True, False])
+@pytest.mark.parametrize("fault", SAMPLE_ARRAY_FAULTS)
+def test_sample_arrays_pair_distinct_nodes(fault, tunneling, small_index):
+    # TextIndex takes the samples as two arrays, which can name a node twice
+    # or differ in length, as neither a dict nor a file's marks and their
+    # positions can: the second sample's node is replaced by the first's, or
+    # either array loses its last entry
+    ix = small_index("fib", tunneling)
+    nodes, positions = list(ix.ext_node), list(ix.ext_pos)
+    bad = {"node twice": (nodes[:1] * 2 + nodes[2:], positions),
+           "position short": (nodes, positions[:-1]),
+           "node short": (nodes[:-1], positions)}[fault]
+    rates = ix.sample_rate_n, ix.sample_rate_t
+    assert TextIndex(ix.tg, ix.n, *rates, nodes, positions).ext_node == ix.ext_node
+    with pytest.raises(ValidationError, match="loc must map plain nodes"):
+        TextIndex(ix.tg, ix.n, *rates, *bad)
+
+
 @pytest.mark.parametrize("tunneling", [True, False])
 @pytest.mark.parametrize("name", ["fib", "cpm4"])
 def test_sink_without_its_sample(name, tunneling, small_index):
@@ -695,7 +720,8 @@ def test_sink_without_its_sample(name, tunneling, small_index):
     tg = ix.tg
     (sink,) = [v for v in range(1, tg.g.n + 1) if tg.g.outdeg(v) == 0]
     assert sink == _sink_sample(ix)
-    to = next(v for v in range(1, tg.g.n + 1) if v not in ix.loc and not tg._kind[v])
+    loc = sample_loc(ix)
+    to = next(v for v in range(1, tg.g.n + 1) if v not in loc and not tg._kind[v])
     bad = _samples(ix)
     _move_loc(bad.loc, sink, to)
     with pytest.raises(ValidationError, match="every node of out-degree 0 must hold a sample"):
@@ -1052,7 +1078,6 @@ class TestIndexFile:
         # the samples that count, locate and extract read are decoded once,
         # by TextIndex for the loaded index and the built one
         for got in (ix, small_index(name)):
-            assert got.loc and all(type(k) is int and type(v) is int for k, v in got.loc.items())
             assert type(got.ext_pos) is array and type(got.ext_node) is array
             assert all(type(v) is int and type(e) is int and type(d) is int
                        for v, (e, d) in got.skip.items())
@@ -1182,7 +1207,7 @@ def test_load_derives_what_the_build_holds(name, tunneling, settings, small_inde
     assert got.skip == ix.skip and list(got.skip) == list(ix.skip)
     for walked in ("_slot", "_chain", "_to_exit", "_extra"):
         assert getattr(got, walked).tolist() == getattr(ix, walked).tolist()
-    assert got.loc == ix.loc
+    assert sample_loc(got) == sample_loc(ix) and np.array_equal(got._samp, ix._samp)
     assert got.tg.exit_copies == ix.tg.exit_copies
     assert landing_table(got.tg) == landing_table(ix.tg)
     # only an edge into a tunnel entrance lands past copy 1

@@ -29,6 +29,7 @@ from conftest import (
     oracle_land,
     random_tunneled_graphs,
     random_wheeler_edge_list,
+    sample_loc,
     scan_node_first,
     scan_node_last,
     select_edge_list,
@@ -344,7 +345,8 @@ class TestWalkGuard:
             ln = rng.randint(0, len(text) - start + 1)
             assert ix.extract(start, ln) == text[start - 1:start - 1 + ln]
         assert ix.extract(1, len(text)) == text and calls == []
-        unsampled = next(v for v in range(1, ix.tg.g.n + 1) if v not in ix.loc)
+        loc = sample_loc(ix)
+        unsampled = next(v for v in range(1, ix.tg.g.n + 1) if v not in loc)
         fstep_walk(ix, unsampled, 1)
         assert calls  # the guard sees the oracle's walk step
 

@@ -20,6 +20,7 @@ from conftest import (
     naive_locate,
     oracle_index,
     random_text,
+    sample_loc,
     structures_equal,
     walk_to_exit,
     with_stride,
@@ -134,9 +135,9 @@ class TestBuildIndex:
         # and a load turns the refusal into a FormatError
         ix = small_index("fib")
         with pytest.raises(ValidationError, match=f"fewer than {2 ** 30} nodes, not {2 ** 30}$"):
-            TextIndex(ix.tg, 2 ** 30, 0, 0, {})
+            TextIndex(ix.tg, 2 ** 30, 0, 0, [], [])
         with pytest.raises(ValidationError, match="sample rates 0 and 0"):
-            TextIndex(ix.tg, 2 ** 30 - 1, 0, 0, {})
+            TextIndex(ix.tg, 2 ** 30 - 1, 0, 0, [], [])
         data = serialize_index(ix)
         monkeypatch.setattr(text_index, "_MAX_NODES", ix.n)  # the bound, lowered to n
         with pytest.raises(FormatError, match=f"fewer than {ix.n} nodes, not {ix.n}$"):
@@ -145,15 +146,25 @@ class TestBuildIndex:
     @pytest.mark.parametrize("tunneling", [True, False])
     @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
     def test_samples_hold_python_ints(self, name, tunneling, small_index):
-        # the build works on numpy arrays; a numpy scalar left in a sample
-        # table would slow every query on a freshly built index
+        # the build works on numpy arrays; a numpy scalar left in the skip
+        # pointers would slow every read of them on a freshly built index
         ix = small_index(name, tunneling)
 
         def ints(values):
             return all(type(v) is int for v in values)
 
-        assert ix.loc and ints(ix.loc) and ints(ix.loc.values())
         assert ints(ix.skip) and all(ints(ptr) for ptr in ix.skip.values())
+
+    def test_str_patterns_rejected(self, small_index):
+        # searched character by character, a str pattern met no label: count
+        # read 0, locate [] and path_search an empty range, and a pattern of
+        # k characters or more failed in int.from_bytes on the k-gram key
+        ix = small_index("fib")
+        assert ix.count(b"ab") > 0
+        for pattern in ("ab", "abra", "a" * ix._kgrams[0], "ab" * 20):
+            for search in (ix.count, ix.locate, ix.tg.path_search):
+                with pytest.raises(TypeError, match="^pattern must be bytes$"):
+                    search(pattern)
 
 
 def _sample_texts():
@@ -166,6 +177,12 @@ def _sample_texts():
 
 
 SAMPLE_TEXTS = _sample_texts()
+
+
+def _samp_loc(ix) -> dict[int, int]:
+    """Node -> text position of each sample, read off ``_samp``."""
+    at = np.flatnonzero(ix._samp)
+    return dict(zip(at.tolist(), ix._samp[at].tolist()))
 
 
 class TestSamples:
@@ -186,7 +203,7 @@ class TestSamples:
             else:
                 ix = with_stride(build_index(text, sample_rate_n=rate_n), rate_t)
             loc, skip, cnt = loop_samples(text, **kw)
-            assert ix.loc == loc and ix.skip == skip
+            assert sample_loc(ix) == loc and _samp_loc(ix) == loc and ix.skip == skip
             assert [ix._cum(r) for r in range(0, ix.tg.g.n + 1, ix.sample_rate_t)] == cnt
             length_one += sum(t.length == 1 for t in ix.tg.tunnels)
         if min_length == 1:
@@ -196,12 +213,16 @@ class TestSamples:
     @pytest.mark.parametrize("tunneling", [True, False])
     @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
     def test_sample_table_holds_loc(self, name, tunneling, small_index):
-        # the lockstep walk reads loc from a node-indexed table, 0 off the samples
+        # the lockstep walk reads the samples from a node-indexed table, 0
+        # off them, and extract from two arrays by position: both hold the
+        # loop's samples (no block is as wide as the text, so none without
+        # tunnels), built and loaded
+        text = SMALL_TEXTS[name]
+        loc = loop_samples(text, **({} if tunneling else {"min_width": len(text) + 2}))[0]
         built = small_index(name, tunneling)
         for ix in (built, deserialize_index(serialize_index(built))):
             assert len(ix._samp) == ix.tg.g.n + 1 and ix._samp.dtype == np.int32
-            assert np.flatnonzero(ix._samp).tolist() == sorted(ix.loc)
-            assert all(ix._samp[v] == pos for v, pos in ix.loc.items())
+            assert sample_loc(ix) == loc and _samp_loc(ix) == loc
 
 
 def _exit_texts():
@@ -587,15 +608,16 @@ def _first_occurrences(ix, pat, limit):
     if got is None:
         return [], 0
     (lo, lo_off), (hi, hi_off) = got
-    out = []
+    out, loc = [], sample_loc(ix)
     for v in range(lo, hi + 1):
         last = hi_off if v == hi and hi_off is not None else ix.node_width(v)
-        out += [fstep_walk(ix, v, o) - len(pat) for o in range(lo_off if v == lo else 1, last + 1)]
+        out += [fstep_walk(ix, v, o, loc=loc) - len(pat)
+                for o in range(lo_off if v == lo else 1, last + 1)]
         if limit is not None and len(out) >= limit:
             break
     counter = StepCounter()
     for v, o, _ in zip(*ix._starts(lo, lo_off, hi, hi_off, limit, counter)):
-        fstep_walk(ix, v, o, counter)
+        fstep_walk(ix, v, o, counter, loc)
     return sorted(out[:limit]), counter.steps
 
 
@@ -709,9 +731,10 @@ class TestLockstep:
                 assert kinds == ({"plain", "entrance", "inner", "exit"} if tg.tunnels
                                  else {"plain"})
                 (sink,) = [v for v in range(1, tg.g.n + 1) if tg.g.outdeg(v) == 0]
+                loc = sample_loc(ix)
                 for v, o in starts:
                     got, want = StepCounter(), StepCounter()
-                    assert ix.locate_one(TraversalPos(v, o), got) == fstep_walk(ix, v, o, want)
+                    assert ix.locate_one(TraversalPos(v, o), got) == fstep_walk(ix, v, o, want, loc)
                     assert got.steps == want.steps, (v, o)
                 assert ix.locate_one(TraversalPos(sink, 1)) == ix.n
 
@@ -785,7 +808,7 @@ class TestLockstep:
         bad = deserialize_index(serialize_index(small_index("fib", tunneling=False)))
         pos = bad.ext_pos[-2]
         u = bad._fstep(bad.ext_node[-2], 1, StepCounter())[0]
-        assert u not in bad.loc
+        assert u not in sample_loc(bad)
         bad.tg._step_to[bad.tg.g._lstart[u] + 1] = u
         with pytest.raises(FormatError, match=f"found no sample in {bad.n} steps"):
             bad.locate(text[pos - 8:pos])
@@ -991,7 +1014,8 @@ class TestExtract:
             assert (succ.format, len(succ)) == ("i", ix.tg.g.m + 1)
             assert (succ.tolist(), moves) == fstep_extract_tables(index)
             nxt = index._hop_table()[0]
-            unsampled = [q for q in range(len(succ)) if index.tg._step_to[q] not in index.loc]
+            loc = sample_loc(index)
+            unsampled = [q for q in range(len(succ)) if index.tg._step_to[q] not in loc]
             assert all(nxt[q] == abs(succ[q]) for q in unsampled) and len(unsampled) > 1
             assert len(moves) == sum(t.length for t in ix.tg.tunnels)
             assert any(q > 0 for q in succ)
@@ -1088,4 +1112,4 @@ class TestSampleSharing:
             text = bytes(rng.choice(b"ab") for _ in range(rng.randint(2, 300)))
             ix = build_index(text)
             assert list(zip(ix.ext_pos, ix.ext_node)) == \
-                   sorted((pos, node) for node, pos in ix.loc.items())
+                   sorted((pos, node) for node, pos in _samp_loc(ix).items())
