@@ -189,7 +189,13 @@ class TextIndex:
     4. ``_starts`` hands on copy 1 of a plain node, or copies of a tunnel
        node within its width, at its exit, as searches land and carry them;
        ``locate_one`` checks its copy against ``node_width``, and extract
-       walks from copy 1 of a sample.
+       walks from copy 1 of a sample.  Copy k of an exit leaves by its k-th
+       out-edge, the slot an index file gives it and the transform's row
+       order keeps (``TunneledGraph._copy_is_slot`` holds).  ``_fstep``,
+       ``_successors`` and the lockstep walk's start read it, and so does
+       the search, which narrows an exit end by shifting its L bound
+       (``TunneledGraph._search_pairs``); ``TunneledGraph._edges`` runs only
+       in ``step`` and on a general graph whose copy is not slot.
     5. Every node of out-degree 0 holds a sample, where a hop walk stops.
     Extract stops at no sample: a file whose samples trade positions still
     loads, and its extract can start at the sink or reach it, which extract
@@ -390,8 +396,6 @@ class TextIndex:
         k-gram table: a pattern shorter than k is searched in full, and one
         whose first k bytes are no key occurs nowhere, since the table holds
         every non-empty state of depth k."""
-        if isinstance(pattern, str):
-            raise TypeError("pattern must be bytes")
         k, keys, (a, lo_off, b, hi_off) = self._kgrams
         if len(pattern) < k:
             return self.tg._search_pairs(pattern)
@@ -408,6 +412,8 @@ class TextIndex:
         pattern: every node is an occurrence).  Count takes no step.  The
         search (``_search``) starts from the k-gram table's state of the
         pattern's first k bytes, which the first count or locate makes."""
+        if isinstance(pattern, str):
+            raise TypeError("pattern must be bytes")
         if len(pattern) == 0:
             return self.n
         got = self._search(pattern)
@@ -444,6 +450,8 @@ class TextIndex:
         (``_starts``).  The starts then walk all at once through the hop
         table (``_lockstep``), which the first locate makes.  The search is
         count's, from the k-gram table (``_search``)."""
+        if isinstance(pattern, str):
+            raise TypeError("pattern must be bytes")
         if len(pattern) == 0:
             raise ValidationError("locate needs a non-empty pattern")
         if limit is not None and limit < 0:

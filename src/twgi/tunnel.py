@@ -55,11 +55,19 @@ border edge, the range's first out-edge for lo and its last for hi, carries
 the symbol takes that edge unranked (the r-index's toehold: Gagie, Navarro
 and Prezza); only an end that drops out ranks L, as ``LabelSeq.rank`` does.
 So a tunnel end of one out-edge keeps its copy on an in-tunnel move and
-ranks on an edge of another label.  ``_edges``, the one narrowing rule,
-which ``step`` calls too, takes any other tunnel end with copies to narrow
-by at most one binary search over the exit-copy table.  A graph without
-tunnels is searched the same way, as ``tunnel_graph(g, [])``: no node is
-marked, every edge lands at offset 1, and the step is the plain range step.
+ranks on an edge of another label.  A tunnel end of more than one out-edge
+narrows by shifting its L bound where copy is slot: where copy k of every
+such node leaves by the node's k-th out-edge, as on every text index, whose
+tunnels keep their rows in order (Baier).  Lo at copy o then starts o - 1
+out-edges into its node and hi at copy o ends o out-edges in, neither past
+the node's last; no such edge keeps the copy, and the border rule takes the
+shifted ends.  ``TunneledGraph`` derives the flag from the exit-copy table.
+``_edges`` narrows by at most one binary search over that table: ``step``
+calls it, and the search only on a graph whose copy is not slot (a general
+graph may list an exit's edges out of copy order) or for a one-out-edge end
+whose edge leaves.  A graph without tunnels is searched the same way, as
+``tunnel_graph(g, [])``: no node is marked, every edge lands at offset 1,
+and the step is the plain range step.
 """
 
 from __future__ import annotations
@@ -374,7 +382,8 @@ class TunneledGraph:
 
     Holds the succinct graph of G_t, bitvectors I'/O' (first edge per
     original target / per original (source, letter) group), inner marks over
-    nodes, per-tunnel records, the step table, the exit-copy table, and the
+    nodes, per-tunnel records, the step table, the exit-copy table, whether
+    copy is slot there (``_copy_is_slot``, which the search reads), and the
     original-to-tunneled node map while one is known (``tunnel_graph`` sets
     it; an index file does not store it).  The entrance marks and the
     original node count are read off the records.  With ``exit_copies``
@@ -450,8 +459,9 @@ class TunneledGraph:
             raise ValidationError("every inner tunnel node must have one in-edge, and it must "
                                   "leave a tunnel node")
         lands[p[moves]] = 0
-        exit_table = (_exit_table(g, tun[owner], p, moves, pos, exits, self._w_max, exit_copies)
-                      if ntun or exit_copies else ())
+        exit_table, self._copy_is_slot = (
+            _exit_table(g, tun[owner], p, moves, pos, exits, self._w_max, exit_copies)
+            if ntun or exit_copies else ((), True))
         self._pos, self._step_to, self._step_land, self._exit_copy = (
             array("i", np.asarray(a, np.int32).tobytes()) for a in (pos, to, lands, exit_table))
         self._step_byte = bytes(1) + g.L.codes().tobytes().translate(bytes(g.alphabet).ljust(256))
@@ -523,13 +533,15 @@ class TunneledGraph:
         original graph; None when empty.  Each symbol takes the step of
         ``_edges`` and ``land`` at both (node, offset) ends (hi's offset None:
         its full width), written out as the module notes say: an end whose
-        border edge carries the symbol takes it unranked, and ``_edges`` runs
-        only for a tunnel end with copies to narrow.  The search starts from
-        ``state`` = (a, lo_off, b, hi_off), the range of copies lo_off of a
-        to hi_off of b that a prefix reached, or from every node's every
-        copy; so ``_search_pairs(q, state of p)`` is ``_search_pairs(p + q)``,
-        and the empty pattern gives the state back."""
-        g, edges = self.g, self._edges
+        border edge carries the symbol takes it unranked, a tunnel end of
+        more than one out-edge shifts its L bound to its copy's slot where
+        copy is slot, and ``_edges`` runs only for a tunnel end with copies
+        to narrow on any other graph, or whose one edge leaves the tunnel.
+        The search starts from ``state`` = (a, lo_off, b, hi_off), the range
+        of copies lo_off of a to hi_off of b that a prefix reached, or from
+        every node's every copy; so ``_search_pairs(q, state of p)`` is
+        ``_search_pairs(p + q)``, and the empty pattern gives the state back."""
+        g, edges, slots = self.g, self._edges, self._copy_is_slot
         ids, C, lstart, kind = g._label_to_id, g.C, g._lstart, self._kind
         L, occ, stride = g.L._bytes, g.L._occ, g.L._stride
         pos, to, lands, bits = self._pos, self._step_to, self._step_land, _BLOCK_BITS
@@ -539,19 +551,31 @@ class TunneledGraph:
             if c is None:
                 return None
             i, j = lstart[a], lstart[b + 1]  # the range's out-edges are L[i:j]
-            p = i + 1 if i < j and L[i] == c - 1 else 0  # the border edges, if c-edges
-            q = j if i < j and L[j - 1] == c - 1 else 0
             lo_copy, hi_copy, narrow = 1, None, False
             if kind[a] and lo_off > 1:
-                if lstart[a + 1] - i != 1 or p and lands[p]:
-                    narrow = True
-                elif p:  # an in-tunnel move keeps the copy
-                    lo_copy = lo_off
+                end = lstart[a + 1]
+                if end - i != 1:
+                    if slots:  # copy k leaves by the node's k-th out-edge
+                        i = min(i + lo_off - 1, end)
+                    else:
+                        narrow = True
+                elif L[i] == c - 1:  # an in-tunnel move keeps the copy
+                    if lands[i + 1]:
+                        narrow = True
+                    else:
+                        lo_copy = lo_off
             if kind[b] and hi_off is not None:
-                if j - lstart[b] != 1 or q and lands[q]:
-                    narrow = True
-                elif q:
-                    hi_copy = hi_off
+                start = lstart[b]
+                if j - start != 1:
+                    if slots:
+                        j = min(start + hi_off, j)
+                    else:
+                        narrow = True
+                elif L[j - 1] == c - 1:
+                    if lands[j]:
+                        narrow = True
+                    else:
+                        hi_copy = hi_off
             if narrow:
                 got = edges(a, lo_off, b, hi_off, c)
                 if got is None:
@@ -559,6 +583,8 @@ class TunneledGraph:
                 first, lo_copy, last, hi_copy = got
                 p, q = pos[first], pos[last]
             else:
+                p = i + 1 if i < j and L[i] == c - 1 else 0  # the border edges, if c-edges
+                q = j if i < j and L[j - 1] == c - 1 else 0
                 base, needle = C[c], _NEEDLE[c]
                 if not p:
                     k = i >> bits
@@ -595,8 +621,14 @@ def _exit_table(g: WheelerGraph, src, p, moves, pos, exits, w_max: int, exit_cop
     have a copy, in [1..w_max], and inside one (source, label) range the
     copies do not fall as the edge rank rises, beside no in-tunnel move.
     With ``exit_copies`` None, the out-edges of the ``exits`` leave the copy
-    of their slot, and it suffices that exactly they leave."""
+    of their slot, and it suffices that exactly they leave.  Returns the
+    table and whether copy is slot: every out-edge of a tunnel node of more
+    than one out-edge leaves from the copy equal to its slot, 1 for its
+    node's first out-edge."""
     leave = ~moves
+    lstart = np.frombuffer(g._lstart, np.int64)
+    slot = p - lstart[src]
+    multi = lstart[src + 1] - lstart[src] > 1
     if exit_copies is None:
         is_exit = np.zeros(g.n + 1, bool)
         is_exit[exits] = True
@@ -604,8 +636,8 @@ def _exit_table(g: WheelerGraph, src, p, moves, pos, exits, w_max: int, exit_cop
             raise ValidationError("only a tunnel's exits may leave it: an out-edge of any "
                                   "other tunnel node must enter an inner node, and an exit's not")
         table = np.zeros(g.m + 1, np.int64)  # by L position
-        table[p[leave]] = (p - np.frombuffer(g._lstart, np.int64)[src])[leave]
-        return table.take(pos)
+        table[p[leave]] = slot[leave]
+        return table.take(pos), not (multi & moves).any()
     rank = np.zeros(g.m + 1, np.int64)
     rank[pos] = np.arange(g.m + 1)
     j = rank[p]
@@ -625,7 +657,7 @@ def _exit_table(g: WheelerGraph, src, p, moves, pos, exits, w_max: int, exit_cop
             & ((np.diff(held) < 0) | (held[1:] == 0) | (held[:-1] == 0))).any():
         raise ValidationError("exit copies must not fall as the edge rank rises inside one "
                               "(source, label) range, and an in-tunnel move must be alone in it")
-    return table
+    return table, not (multi & (table[j] != slot)).any()
 
 
 def tunnel_graph(g: WheelerGraph, blocks: list[Block]) -> TunneledGraph:

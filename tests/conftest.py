@@ -492,11 +492,13 @@ def edges_search(tg, pattern, seen=None, state=None):
     symbol, from ``state`` as ``_search_pairs`` takes it: the reference for
     ``TunneledGraph._search_pairs``.  ``seen``, a Counter, counts how each
     step can take its ends: "plain" when neither end has a copy to narrow
-    by, else per such end "narrow" (not one out-edge, or its c-edge leaves
-    the tunnel), "keeps" (its one edge is an in-tunnel c-move) or "other
-    label" (its one edge is no c-edge).  In a step that narrows no end it
-    also counts each end as "border", when the range's first out-edge (for
-    lo) or last (for hi) is a c-edge, which the step takes unranked, or
+    by, else per such end "shifted" (not one out-edge, on a graph whose
+    copy is slot: the end's L bound moves to its copy's slot), "narrow"
+    (not one out-edge on any other graph, or its c-edge leaves the tunnel),
+    "keeps" (its one edge is an in-tunnel c-move) or "other label" (its one
+    edge is no c-edge).  In a step that narrows no end it also counts each
+    end as "border", when the range's first out-edge (for lo) or last (for
+    hi), after the shifts, is a c-edge, which the step takes unranked, or
     else as "ranked": the end drops out and the step ranks L for it."""
     g = tg.g
     a, lo_off, b, hi_off = state or (1, 1, g.n, None)
@@ -506,17 +508,25 @@ def edges_search(tg, pattern, seen=None, state=None):
         if c is None:
             return None
         if seen is not None:
-            ends = [v for v, narrows in ((lo[0], lo[1] > 1), (hi[0], hi[1] is not None))
+            first, last = g._lstart[lo[0]] + 1, g._lstart[hi[0] + 1]
+            ends = [(end, v, copy) for end, (v, copy), narrows
+                    in (("lo", lo, lo[1] > 1), ("hi", hi, hi[1] is not None))
                     if narrows and is_tunnel_node(tg, v)]
             seen["plain"] += not ends
             kinds = []
-            for v in ends:
-                p = g._lstart[v] + 1
-                kinds.append("narrow" if g.outdeg(v) != 1 or g.L.access(p) == c
-                             and tg._step_land[p] else "keeps" if g.L.access(p) == c
-                             else "other label")
+            for end, v, copy in ends:
+                p, deg = g._lstart[v] + 1, g.outdeg(v)
+                if deg != 1 and tg._copy_is_slot:
+                    kinds.append("shifted")  # copy k leaves by the node's k-th out-edge
+                    if end == "lo":
+                        first = g._lstart[v] + min(copy, deg + 1)
+                    else:
+                        last = g._lstart[v] + min(copy, deg)
+                else:
+                    kinds.append("narrow" if deg != 1 or g.L.access(p) == c
+                                 and tg._step_land[p] else "keeps" if g.L.access(p) == c
+                                 else "other label")
             if "narrow" not in kinds:
-                first, last = g._lstart[lo[0]] + 1, g._lstart[hi[0] + 1]
                 kinds += ["border" if first <= last and g.L.access(p) == c else "ranked"
                           for p in (first, last)]
             seen.update(kinds)
@@ -1262,6 +1272,23 @@ def small_index():
         return built[key]
 
     return get
+
+
+@pytest.fixture
+def edges_calls(monkeypatch):
+    """watch(tg) counts tg's ``_edges`` calls in watch.calls."""
+    def watch(tg):
+        edges = tg._edges
+
+        def counting(*args):
+            watch.calls += 1
+            return edges(*args)
+
+        monkeypatch.setattr(tg, "_edges", counting)
+        return tg
+
+    watch.calls = 0
+    return watch
 
 
 @pytest.fixture

@@ -7,11 +7,13 @@ bound, must call neither ``BitVec.select`` nor ``LabelSeq.select`` (nor
 the tunnel marks bit by bit on a plain index's query path.  Every edge
 lands where the conftest oracle (edge_target, the marks and a scan of I')
 says, through ``land`` and through the step table.  The text walks call no
-``LabelSeq`` method, and no walk or search calls ``edge_target``.  The
-build takes block columns from arrays and walks none of them.
+``LabelSeq`` method, and no walk or search calls ``edge_target``.  A text
+index's search narrows no end by ``_edges``.  The build takes block
+columns from arrays and walks none of them.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,6 +23,7 @@ from conftest import (
     assert_lands,
     assert_simulation_equal,
     chain_graph,
+    edges_search,
     entrance_marks,
     fig1_block,
     fig1_edge_list,
@@ -202,16 +205,19 @@ class TestSelectGuard:
             ix.extract(start, rng.randint(0, len(text) - start + 1))
         assert select_calls[0] == 0
 
-    def test_tunneled_search_selects_nowhere(self, small_index, select_calls, exit_lookups):
-        tg = exit_lookups(small_index("fib").tg)
+    def test_tunneled_search_selects_nowhere(self, small_index, select_calls):
+        tg = small_index("fib").tg
         text = SMALL_TEXTS["fib"]
         rng = random.Random(71)
-        for plen in (1, 2, 5, 13, 34, 97):
-            for _ in range(20):
-                i = rng.randrange(len(text) - plen + 1)
-                assert tg._search_pairs(text[i:i + plen]) is not None
-        assert exit_lookups.calls > 0  # the tunnel exits are really searched
+        patterns = [text[i:i + plen] for plen in (1, 2, 5, 13, 34, 97)
+                    for i in (rng.randrange(len(text) - plen + 1) for _ in range(20))]
+        for pattern in patterns:
+            assert tg._search_pairs(pattern) is not None
         assert select_calls[0] == 0
+        seen = Counter()
+        for pattern in patterns:
+            edges_search(tg, pattern, seen)
+        assert seen["shifted"] > 0  # the tunnel exits are really searched
 
     def test_general_graph_steps(self, select_calls, rank_calls, exit_lookups):
         rng = random.Random(79)
@@ -225,6 +231,58 @@ class TestSelectGuard:
             graphs += 1
         assert graphs > 10 and steps > 0 and exit_lookups.calls > 0
         assert select_calls[0] == 0 and rank_calls[0] == 0
+
+
+def slots_hold_copies(tg) -> bool:
+    """Whether every out-edge of each tunnel node of more than one out-edge
+    leaves from the copy equal to its slot, read off ``exit_copies`` by the
+    rank formula: the reference for ``TunneledGraph._copy_is_slot``."""
+    g, copies = tg.g, tg.exit_copies
+    for v in range(1, g.n + 1):
+        if tg._kind[v] and g.outdeg(v) > 1:
+            for slot, p in enumerate(range(g._lstart[v] + 1, g._lstart[v + 1] + 1), 1):
+                c = g.L.access(p)
+                if copies.get(g.C[c] + g.L.rank(p, c)) != slot:
+                    return False
+    return True
+
+
+class TestEdgesGuard:
+    """On a text index copy k of an exit leaves by its k-th out-edge, so the
+    search narrows an exit end by shifting its L bound and never calls
+    ``_edges``; ``step`` and graphs whose copy is not slot still do."""
+
+    def test_guard_sees_the_calls(self, small_index, edges_calls):
+        tg = edges_calls(small_index("fib").tg)
+        tg.step(TraversalPos(1), tg.g.L.access(1))
+        assert edges_calls.calls == 1
+
+    @pytest.mark.parametrize("name,tunneling", CASES)
+    def test_queries_call_no_edges(self, name, tunneling, small_index, edges_calls):
+        text = SMALL_TEXTS[name]
+        built = small_index(name, tunneling)
+        rng = random.Random(131)
+        patterns = make_patterns(rng, text, 60, max_len=24)
+        patterns += [text[i:i + plen] for plen in (2, 5, 13, 34, 97)
+                     for i in (rng.randrange(len(text) - plen + 1) for _ in range(20))]
+        seen = Counter()
+        for pattern in patterns:
+            edges_search(built.tg, pattern, seen)
+        assert seen["shifted"] > 0 or not built.tg.tunnels  # exit ends are searched
+        for ix in (built, deserialize_index(serialize_index(built))):
+            assert ix.tg._copy_is_slot and slots_hold_copies(ix.tg)
+            edges_calls(ix.tg)
+            for pattern in patterns:
+                ix.tg._search_pairs(pattern)
+                ix.count(pattern)
+                ix.locate(pattern)
+        assert edges_calls.calls == 0
+
+    def test_copy_is_slot_is_derived(self):
+        graphs = [tg for _, _, tg in random_tunneled_graphs(83, 200)]
+        flags = [tg._copy_is_slot for tg in graphs]
+        assert flags == [slots_hold_copies(tg) for tg in graphs]
+        assert not all(flags) and any(flags)
 
 
 class TestRankGuard:

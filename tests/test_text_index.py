@@ -158,10 +158,14 @@ class TestBuildIndex:
     def test_str_patterns_rejected(self, small_index):
         # searched character by character, a str pattern met no label: count
         # read 0, locate [] and path_search an empty range, and a pattern of
-        # k characters or more failed in int.from_bytes on the k-gram key
+        # k characters or more failed in int.from_bytes on the k-gram key; the
+        # empty str pattern was taken for b"", which counts every node and
+        # which locate rejects
         ix = small_index("fib")
-        assert ix.count(b"ab") > 0
-        for pattern in ("ab", "abra", "a" * ix._kgrams[0], "ab" * 20):
+        assert ix.count(b"ab") > 0 and ix.count(b"") == len(SMALL_TEXTS["fib"]) + 1
+        with pytest.raises(ValidationError, match="non-empty"):
+            ix.locate(b"")
+        for pattern in ("", "ab", "abra", "a" * ix._kgrams[0], "ab" * 20):
             for search in (ix.count, ix.locate, ix.tg.path_search):
                 with pytest.raises(TypeError, match="^pattern must be bytes$"):
                     search(pattern)

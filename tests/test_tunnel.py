@@ -707,42 +707,35 @@ class TestTunneledSearch:
         assert naive_path_range(el, b"acd") is None
 
 
-def search_against_reference(tg, patterns, monkeypatch, exit_lookups):
+def search_against_reference(tg, patterns, edges_calls, exit_lookups):
     """Asserts that tg._search_pairs equals edges_search on every pattern.
     Returns the reference's Counter of step kinds, plus "fallback": the
     ``_edges`` calls of ``_search_pairs``, and "exit reads": its reads of
     the exit-copy table."""
-    seen, calls = Counter(), [0]
-    edges = tg._edges
-
-    def counting(*args):
-        calls[0] += 1
-        return edges(*args)
-
-    exit_lookups(tg)
-    monkeypatch.setattr(tg, "_edges", counting)
+    seen = Counter()
+    exit_lookups(edges_calls(tg))
     for pat in patterns:
         want = edges_search(tg, pat, seen)
-        before, reads = calls[0], exit_lookups.calls
+        before, reads = edges_calls.calls, exit_lookups.calls
         assert tg._search_pairs(pat) == want, pat
-        seen["fallback"] += calls[0] - before
+        seen["fallback"] += edges_calls.calls - before
         seen["exit reads"] += exit_lookups.calls - reads
     assert seen["fallback"] <= seen["narrow"]
     return seen
 
 
 class CountingBytes(bytes):
-    """L's bytes, counting the ``count`` calls made while ``on``."""
+    """L's bytes, counting the ``count`` calls."""
 
-    calls, on = 0, True
+    calls = 0
 
     def count(self, *args):
-        self.calls += self.on
+        self.calls += 1
         return super().count(*args)
 
 
-SEARCH_BRANCHES = ("plain", "keeps", "other label", "narrow", "fallback", "exit reads",
-                   "border", "ranked")
+SEARCH_BRANCHES = ("plain", "keeps", "other label", "shifted", "narrow", "fallback",
+                   "exit reads", "border", "ranked")
 
 
 class TestSearchLoop:
@@ -750,11 +743,12 @@ class TestSearchLoop:
     ``_edges`` and two ``land`` calls per symbol, and each of its branches
     runs: the plain step, an end whose border edge carries the symbol, one
     that drops out and ranks L, a one-out-edge end that keeps its copy, one
-    whose edge has another label, and the ``_edges`` fallback."""
+    whose edge has another label, an end whose L bound shifts to its copy's
+    slot, and the ``_edges`` fallback."""
 
     @pytest.mark.parametrize("name", list(SMALL_TEXTS))
     @pytest.mark.parametrize("tunneling", [True, False])
-    def test_text_index_equals_edges_search(self, name, tunneling, small_index, monkeypatch,
+    def test_text_index_equals_edges_search(self, name, tunneling, small_index, edges_calls,
                                             exit_lookups):
         text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
         rng = random.Random(109)
@@ -763,15 +757,17 @@ class TestSearchLoop:
             starts = (rng.randrange(len(text) - plen + 1) for _ in range(10))
             patterns += [text[i:i + plen] for i in starts]
         for tg in (ix.tg, deserialize_index(serialize_index(ix)).tg):
-            seen = search_against_reference(tg, patterns, monkeypatch, exit_lookups)
+            seen = search_against_reference(tg, patterns, edges_calls, exit_lookups)
             assert seen["plain"] > 0 and seen["border"] > 0 and seen["ranked"] > 0, seen
             if not tg.tunnels:  # no end ever has a copy to narrow by
                 assert set(seen) <= {"plain", "border", "ranked", "fallback", "exit reads"}
                 assert seen["fallback"] == seen["exit reads"] == 0
-            elif name != "rand96":  # whose tunnels, all of length 1, are exits
-                assert all(seen[kind] > 0 for kind in SEARCH_BRANCHES), seen
+            else:  # every exit end narrows by its slots, and none by _edges
+                assert all(seen[kind] > 0 for kind in SEARCH_BRANCHES
+                           if kind not in ("narrow", "fallback", "exit reads")), seen
+                assert seen["narrow"] == seen["fallback"] == seen["exit reads"] == 0, seen
 
-    def test_general_graphs_equal_edges_search(self, monkeypatch, exit_lookups):
+    def test_general_graphs_equal_edges_search(self, edges_calls, exit_lookups):
         # every pattern of up to 3 symbols, and some longer ones; on the first
         # graph, "abb" reaches a one-out-edge lo end at copy 2 whose edge
         # leaves the tunnel from copy 1, so the range must drop that edge
@@ -780,15 +776,27 @@ class TestSearchLoop:
                            (6, 9, 98), (6, 10, 98), (7, 10, 98), (10, 11, 98), (10, 11, 98),
                            (11, 12, 98), (12, 12, 98)])
         blocks = [Block(4, 1, [(1, 2, 3, 4)]), Block(3, 1, [(7, 8, 9)])]
+        # on the next two, whose copy is slot, a tunnel node has no out-edge
+        # for some copies: "aa" reaches a hi end at copy 2, and a lo end at
+        # copy 4, of a node of none, and each shifted L bound must stop at the
+        # node's last out-edge
+        slots = [(EdgeList(5, [(4, 2, 97), (5, 2, 97), (3, 3, 99), (4, 4, 99), (5, 4, 99),
+                               (4, 5, 100)]), [Block(2, 1, [(1, 2)])]),
+                 (EdgeList(12, [(6, 4, 97), (6, 5, 97), (7, 6, 97), (7, 7, 97), (8, 7, 97),
+                                (8, 7, 97), (9, 8, 97), (9, 8, 97), (9, 8, 97), (10, 9, 97),
+                                (10, 9, 97), (10, 10, 97), (11, 10, 97), (12, 11, 97),
+                                (12, 12, 97)]), [Block(5, 1, [(1, 2, 3, 4, 5)])])]
         rng = random.Random(113)
         total = Counter()
-        graphs = [(el, blocks, tunnel_graph(encode(el), blocks))]
+        graphs = [(el, blocks, tunnel_graph(encode(el), blocks)) for el, blocks
+                  in [(el, blocks), *slots]]
+        assert all(tg._copy_is_slot for _, _, tg in graphs[1:])
         for el, _, tg in graphs + list(random_tunneled_graphs(83, 200)):
             alphabet = sorted({c for _, _, c in el.edges}) or [97]
             patterns = [bytes(p) for k in (1, 2, 3) for p in itertools.product(alphabet, repeat=k)]
             patterns += [bytes(rng.choice(alphabet) for _ in range(rng.randint(4, 6)))
                          for _ in range(20)]
-            total += search_against_reference(tg, patterns, monkeypatch, exit_lookups)
+            total += search_against_reference(tg, patterns, edges_calls, exit_lookups)
         # the blocks of these graphs hold 6 in-tunnel moves, 1 of them from a
         # node of one out-edge, so "keeps" is left to the text indexes
         assert all(total[kind] > 0 for kind in SEARCH_BRANCHES if kind != "keeps"), total
@@ -796,24 +804,16 @@ class TestSearchLoop:
     @pytest.mark.parametrize("name", ["fib", "cpm4"])
     @pytest.mark.parametrize("tunneling", [True, False])
     def test_only_an_end_that_drops_out_ranks(self, name, tunneling, small_index, monkeypatch):
-        # a rank of L is one bytes.count; the ranks of _edges, which narrows
-        # by exit copies, are not counted.  Each step runs from the state the
+        # a rank of L is one bytes.count, and a text index's search calls no
+        # _edges, which would rank more.  Each step runs from the state the
         # last one reached.
         tg = small_index(name, tunneling).tg
         spy = CountingBytes(tg.g.L._bytes)
         monkeypatch.setattr(tg.g.L, "_bytes", spy)
-        edges = tg._edges
-
-        def uncounted(*args):
-            spy.on = False
-            try:
-                return edges(*args)
-            finally:
-                spy.on = True
-
-        monkeypatch.setattr(tg, "_edges", uncounted)
-        total = Counter()
-        for pat in make_patterns(random.Random(127), SMALL_TEXTS[name], 200, max_len=24):
+        text, total = SMALL_TEXTS[name], Counter()
+        patterns = make_patterns(random.Random(127), text, 200, max_len=24)
+        patterns += [text[i:i + 97] for i in range(0, len(text) - 97, 100)]  # exit ends
+        for pat in patterns:
             state = None
             for byte in pat:
                 seen = Counter()
@@ -827,6 +827,7 @@ class TestSearchLoop:
                     break
                 state = (*got[0], *got[1])
         assert total["both border"] > 0 and total["ranked"] > 0, total
+        assert (total["shifted"] > 0) == tunneling, total
 
     @pytest.mark.parametrize("name", list(SMALL_TEXTS))
     @pytest.mark.parametrize("tunneling", [True, False])
