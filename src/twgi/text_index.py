@@ -14,14 +14,16 @@ The walk is also the check that walks may trust the records; an index file
 stores nothing that it derives.
 
 Locate walks each occurrence to the next text-order sample.  The copies of a
-tunnel node share its exit, where the walk splits by copy.  The (node, copy)
-starts, numpy arrays from the search's range on, walk in lockstep through a
+tunnel node share its exit, where the walk splits by copy.  Each start, in
+numpy arrays from the search's range on, is the L position the walk leaves
+by (0 on a sample) and its sum so far; the starts walk in lockstep through a
 table by L position, made on the first locate: a hop takes an edge, jumps a
 landing on an entrance to its exit and names the edge the walk leaves by
 next, or the sample it reached.  The table is that one-hop table composed
-with itself twice (pointer jumping, Wyllie 1979), so a round is two gathers
-over every walk, finished ones included, and takes four hops;
-``locate_one`` walks its one start the same way.
+with itself (pointer jumping, Wyllie 1979) until an entry takes as many hops
+as the least power of 2 at or above the sample rate, so a round is two
+gathers over every walk and mostly the only one; ``locate_one`` walks its
+one start the same way.
 
 A forward step takes a known out-edge: a node's only one, or the one of its
 copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
@@ -144,11 +146,6 @@ def build_graph_from_text(text: bytes) -> WheelerGraph:
 # index of this many nodes or more
 _MAX_NODES = 2 ** 30
 
-# the hops a lockstep round takes, a power of 2: the one-hop table composed
-# with itself until its entries take this many.  8 or 16 save no measurable
-# round time on 20 KB indexes and make the table slower to make
-_ROUND_HOPS = 4
-
 
 @dataclass
 class StepCounter:
@@ -192,8 +189,8 @@ class TextIndex:
        walks from copy 1 of a sample.  Copy k of an exit leaves by its k-th
        out-edge, the slot an index file gives it and the transform's row
        order keeps (``TunneledGraph._copy_is_slot`` holds).  ``_fstep``,
-       ``_successors`` and the lockstep walk's start read it, and so does
-       the search, which narrows an exit end by shifting its L bound
+       ``_successors`` and ``_starts`` read it, and so does the search,
+       which narrows an exit end by shifting its L bound
        (``TunneledGraph._search_pairs``); ``TunneledGraph._edges`` runs only
        in ``step`` and on a general graph whose copy is not slot.
     5. Every node of out-degree 0 holds a sample, where a hop walk stops.
@@ -437,8 +434,8 @@ class TextIndex:
         if not 1 <= p.offset <= self.node_width(p.node):
             raise BoundsError(f"node {p.node} has no copy {p.offset}")
         counter = counter if counter is not None else StepCounter()
-        start = self._starts(p.node, p.offset, p.node, p.offset, None, counter)
-        return int(self._lockstep(*start, counter)[0])
+        q, acc = self._starts(p.node, p.offset, p.node, p.offset, None, counter)
+        return int(self._lockstep(q, acc, counter)[0])
 
     def locate(self, pattern: bytes, limit: int | None = None,
                counter: StepCounter | None = None) -> list[int]:
@@ -461,27 +458,34 @@ class TextIndex:
         if got is None or limit == 0:
             return []
         (lo, lo_off), (hi, hi_off) = got
-        starts = self._starts(lo, lo_off, hi, hi_off, limit, counter)
-        positions = np.sort(self._lockstep(*starts, counter) - len(pattern))
+        q, acc = self._starts(lo, lo_off, hi, hi_off, limit, counter)
+        positions = np.sort(self._lockstep(q, acc, counter) - len(pattern))
         if np.count_nonzero(positions[1:] == positions[:-1]):
             raise InvariantError("two occurrences located at one text position")
         return positions.tolist()
 
     def _starts(self, lo: int, lo_off: int, hi: int, hi_off: int | None,
                 limit: int | None, counter: StepCounter):
-        """(nodes, copies, distances), int64 arrays, of the range's
+        """(q, acc), int64 arrays, the lockstep walks of the range's
         occurrences, the first ``limit`` of them: a plain node starts at its
         one copy, and the copies of a tunnel node at its exit, the distance
-        to it travelled.  The range keeps copies lo_off.. of lo and ..hi_off
-        of hi, none of lo if lo_off is past its width; one jump is counted
-        for each tunnel node off its exit with a kept copy.  A range of
-        plain nodes, one copy each, is one ``arange``."""
+        to it travelled.  A walk from copy k of a node starts at L position
+        lstart[node] + k, its copy's out-edge (by rule 4 of ``TextIndex``
+        a plain node starts at copy 1 and a tunnel node at its exit), or at
+        0 on a sample; its sum ``acc`` holds the sample's position, or minus
+        the distance travelled, above 32 low bits of steps, 0 so far.  The
+        range keeps copies lo_off.. of lo and ..hi_off of hi, none of lo if
+        lo_off is past its width; one jump is counted for each tunnel node
+        off its exit with a kept copy.  A range of plain nodes, one copy
+        each, reads its nodes' L starts and samples as two slices."""
         if limit is not None and hi - lo > limit:  # every node past lo holds an occurrence
             hi, hi_off = lo + limit, None
+        lstart = np.frombuffer(self.tg.g._lstart, np.int64)
         i, j = bisect_left(self._tun, lo), bisect_right(self._tun, hi)
         if i == j and lo_off == 1 and hi_off in (None, 1):  # plain nodes, one copy each
-            nodes = np.arange(lo, hi + 1 if limit is None else min(hi + 1, lo + limit))
-            return nodes, np.ones(len(nodes), np.int64), np.zeros(len(nodes), np.int64)
+            stop = hi + 1 if limit is None else min(hi + 1, lo + limit)
+            samp = self._samp[lo:stop]
+            return (lstart[lo:stop] + 1) * (samp == 0), samp * np.int64(2 ** 32)
         nodes = np.arange(lo, hi + 1)
         counts = np.ones(len(nodes), np.int64)
         dists = np.zeros(len(nodes), np.int64)
@@ -502,28 +506,38 @@ class TextIndex:
             counts[-1] -= cum[-1] - limit
             cum[-1] = limit
         counter.steps += int(np.count_nonzero(dists[counts > 0]))
-        # a start's copy is its index less its node's first index, plus the
-        # node's first copy: 1, or lo_off at lo
+        # a start's copy is its index less `before`, its node's first index
+        # less the node's first copy (1, or lo_off at lo); a sample's one
+        # start, copy 1, is at index before + 1
         before = cum - counts - 1
         before[0] = -lo_off
-        offs = np.arange(cum[-1]) - before.repeat(counts)
-        return nodes.repeat(counts), offs, dists.repeat(counts)
+        samp = self._samp.take(nodes)
+        first = np.where(samp == 0, lstart.take(nodes), -1) - before
+        return np.arange(cum[-1]) + first.repeat(counts), \
+            ((samp - dists) * 2 ** 32).repeat(counts)
 
     @cached_property
     def _hops(self) -> tuple[np.ndarray, np.ndarray]:
         """The lockstep walk's hop table by L position, made on first use:
         ``_hop_table``'s one-hop table composed with itself until an entry
-        takes ``_ROUND_HOPS`` hops.  ``nxt[q]`` is the L position the walk
+        takes ``_round_hops`` hops.  ``nxt[q]`` is the L position the walk
         leaves by after them, or 0 once it stopped on the way; ``val[q]`` is
         their sum: their steps in the low 32 bits, and above them the
         sample's position less 1, or minus the distance travelled.  Each
         composition is two gathers over the table, which keeps its int32
         ``nxt`` and int64 ``val``: 12 bytes per L position."""
         nxt, val = self._hop_table()
-        for _ in range(_ROUND_HOPS.bit_length() - 1):
+        for _ in range(self._round_hops.bit_length() - 1):
             val += val.take(nxt)
             nxt = nxt.take(nxt)
         return nxt, val
+
+    @property
+    def _round_hops(self) -> int:
+        """The hops a lockstep round takes: the least power of 2 at or above
+        ``sample_rate_n``, the text-order gap between most samples, so that
+        most walks end in one round."""
+        return 1 << (self.sample_rate_n - 1).bit_length()
 
     def _hop_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The one-hop table by L position q, made afresh on each call.
@@ -575,22 +589,15 @@ class TextIndex:
         j = _expand(first + 1, istart.take(nodes + 1) - first)[1]
         return np.frombuffer(self.tg._pos, np.int32).take(j)
 
-    def _lockstep(self, nodes: np.ndarray, offs: np.ndarray, dists: np.ndarray,
-                  counter: StepCounter) -> np.ndarray:
-        """Text positions of the walks from copy offs[i] of nodes[i], a plain
-        node or an exit as ``_starts`` gives them, dists[i] already
-        travelled, walked together: each round adds every walk's next
-        ``_ROUND_HOPS`` hops to its sum and moves it on by the hop table,
-        until every walk stands at 0.  A walk starts at 0 on a sample, else
-        at L position lstart[node] + copy, its copy's out-edge: by rule 4 of
-        ``TextIndex`` a plain node starts at copy 1 and a tunnel node at its
-        exit.  A walk that meets no sample in n rounds, as on a file whose
-        steps cycle, raises FormatError."""
+    def _lockstep(self, q: np.ndarray, acc: np.ndarray, counter: StepCounter) -> np.ndarray:
+        """Text positions of the walks that leave by L positions q with sums
+        acc, as ``_starts`` gives them, walked together: each round adds
+        every walk's next ``_round_hops`` hops to its sum (in place) and
+        moves it on by the hop table, until every walk stands at 0.  A walk
+        takes at most n hops, so it ends within ceil(n / hops) rounds; one
+        that has not, as on a file whose steps cycle, raises FormatError."""
         nxt, val = self._hops
-        samp = self._samp.take(nodes)
-        q = (np.frombuffer(self.tg.g._lstart, np.int64).take(nodes) + offs) * (samp == 0)
-        acc = (samp - dists) * 2 ** 32
-        for _ in range(self.n):
+        for _ in range(-(-self.n // self._round_hops) + 1):
             if not np.count_nonzero(q):
                 break
             acc += val.take(q)
@@ -696,9 +703,10 @@ class TextIndex:
 
     def stats(self) -> dict:
         """Sizes of the index, of its k-gram table (k, its keys and its
-        resident bytes), of its hop table (the hops a lockstep round takes
-        and its resident bytes) and of extract's tables (their resident
-        bytes), each made here if no query has made it."""
+        resident bytes), of its hop table (the hops a lockstep round takes,
+        the least power of 2 at or above ``sample_rate_n``, and its resident
+        bytes) and of extract's tables (their resident bytes), each made
+        here if no query has made it."""
         k, keys, states = self._kgrams
         nxt, val = self._hops
         succ, moves = self._extract_tables
@@ -713,7 +721,7 @@ class TextIndex:
             "kgram_k": k,
             "kgram_keys": len(keys),
             "kgram_bytes": sum(map(sys.getsizeof, [keys, *states])),
-            "hops_per_round": _ROUND_HOPS,
+            "hops_per_round": self._round_hops,
             "hop_bytes": nxt.nbytes + val.nbytes,
             "extract_bytes": succ.nbytes + len(moves),
         }

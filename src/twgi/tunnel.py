@@ -41,11 +41,14 @@ read it by L position.
 The exit-copy table holds, by edge rank, the copy that each edge leaving a
 tunnel node, other than an in-tunnel move, leaves from (0 for any other
 edge): the transform reads it off the block rows, an index file off the
-exits' out-edge slots, and ``exit_copies`` is its dict view.  Kept edges
-sort by (label, tunneled source, original source), and the rows of a column
-are consecutive original ranks, ascending with the copy; so inside one label
-range of one tunnel node the exit copy never falls as the edge rank rises.
-``TunneledGraph`` checks the records, marks and exit copies of every graph.
+exits' out-edge slots, and ``exit_copies`` is its dict view.  A graph keeps
+no table where every such edge leaves from the copy equal to its slot, its
+index among its node's out-edges, as on every text index: the slots are
+the table.  Kept edges sort by (label, tunneled source, original source),
+and the rows of a column are consecutive original ranks, ascending with the
+copy; so inside one label range of one tunnel node the exit copy never
+falls as the edge rank rises.  ``TunneledGraph`` checks the records, marks
+and exit copies of every graph.
 
 A search step ranks L once for a node range; only its end nodes take the
 copy rule, and every node between them takes all its edges (Gagie, Manzini
@@ -62,7 +65,7 @@ tunnels keep their rows in order (Baier).  Lo at copy o then starts o - 1
 out-edges into its node and hi at copy o ends o out-edges in, neither past
 the node's last; no such edge keeps the copy, and the border rule takes the
 shifted ends.  ``TunneledGraph`` derives the flag from the exit-copy table.
-``_edges`` narrows by at most one binary search over that table: ``step``
+``_edges`` narrows by at most one binary search over the copies: ``step``
 calls it, and the search only on a graph whose copy is not slot (a general
 graph may list an exit's edges out of copy order) or for a one-out-edge end
 whose edge leaves.  A graph without tunnels is searched the same way, as
@@ -382,18 +385,18 @@ class TunneledGraph:
 
     Holds the succinct graph of G_t, bitvectors I'/O' (first edge per
     original target / per original (source, letter) group), inner marks over
-    nodes, per-tunnel records, the step table, the exit-copy table, whether
-    copy is slot there (``_copy_is_slot``, which the search reads), and the
-    original-to-tunneled node map while one is known (``tunnel_graph`` sets
-    it; an index file does not store it).  The entrance marks and the
-    original node count are read off the records.  With ``exit_copies``
-    None the exit copies are the exits' out-edge slots, as on the string
-    tunnels of an index file.  Raises ValidationError unless the records
-    have their own entrances and exits in [1..n_t], width >= 2, length >= 1;
-    sum(length - 1) inner marks, none on an entrance, one on each exit but
-    an entrance of length 1; one in-edge on each inner node, from a tunnel
-    node (block condition (iv)); and exit copies as ``_exit_table`` checks
-    them.
+    nodes, per-tunnel records, the step table, the exit-copy table (empty
+    where each leaving edge's slot is its copy), whether copy is slot there
+    (``_copy_is_slot``, which the search reads), and the original-to-tunneled
+    node map while one is known (``tunnel_graph`` sets it; an index file
+    does not store it).  The entrance marks and the original node count are
+    read off the records.  With ``exit_copies`` None the exit copies are the
+    exits' out-edge slots, as on the string tunnels of an index file.
+    Raises ValidationError unless the records have their own entrances and
+    exits in [1..n_t], width >= 2, length >= 1; sum(length - 1) inner
+    marks, none on an entrance, one on each exit but an entrance of length
+    1; one in-edge on each inner node, from a tunnel node (block condition
+    (iv)); and exit copies as ``_exit_table`` checks them.
     """
 
     def __init__(self, g, iprime, oprime, inner_marks, tunnels, exit_copies,
@@ -468,8 +471,18 @@ class TunneledGraph:
 
     @property
     def exit_copies(self) -> dict[int, int]:
-        """The exit-copy table as a dict by edge rank, made on each read."""
-        return {j: copy for j, copy in enumerate(self._exit_copy) if copy}
+        """The exit-copy table as a dict by edge rank, made on each read: the
+        table's entries, or each leaving edge's slot where it keeps none."""
+        if self._exit_copy:
+            return {j: copy for j, copy in enumerate(self._exit_copy) if copy}
+        lstart, tun = np.frombuffer(self.g._lstart, np.int64), self._tun
+        owner, p = _expand(lstart[tun] + 1, lstart[tun + 1] - lstart[tun])
+        leave = np.frombuffer(self._step_land, np.int32).take(p) != 0  # no in-tunnel move
+        rank = np.empty(self.g.m + 1, np.int64)
+        rank[np.frombuffer(self._pos, np.int32)] = np.arange(self.g.m + 1)
+        j, slot = rank.take(p[leave]), (p - lstart.take(tun[owner]))[leave]
+        by_rank = np.argsort(j)
+        return dict(zip(j[by_rank].tolist(), slot[by_rank].tolist()))
 
     def check_pos(self, p: TraversalPos) -> None:
         """Raises BoundsError unless p's node is in [1..n_t] and its offset
@@ -498,24 +511,28 @@ class TunneledGraph:
         the end node's offset on its in-tunnel move, else 1 for the first
         edge and None (the full width) for the last."""
         g, kind, pos, lands = self.g, self._kind, self._pos, self._step_land
-        rank, lstart, base = g.L.rank, g._lstart, g.C[c]
+        rank, lstart, base, table = g.L.rank, g._lstart, g.C[c], self._exit_copy
         first = base + rank(lstart[a], c) + 1
         last = base + rank(lstart[b + 1], c)
         if first > last:
             return None
-        lo_copy, hi_copy, copy = 1, None, self._exit_copy.__getitem__
+
+        def copy(v):  # the copy by which node v's edge of a given rank leaves
+            return table.__getitem__ if table else lambda e: pos[e] - lstart[v]
+
+        lo_copy, hi_copy = 1, None
         if kind[a] and lo_off > 1:
             end = last if a == b else base + rank(lstart[a + 1], c)  # node a's last c-edge
             if first <= end and not lands[pos[first]]:
                 lo_copy = lo_off
             elif first <= end:
-                first += bisect_left(range(first, end + 1), lo_off, key=copy)
+                first += bisect_left(range(first, end + 1), lo_off, key=copy(a))
         if kind[b] and hi_off is not None:
             start = first if a == b else base + rank(lstart[b], c) + 1  # node b's first
             if start <= last and not lands[pos[last]]:
                 hi_copy = hi_off
             elif start <= last:
-                last = start - 1 + bisect_right(range(start, last + 1), hi_off, key=copy)
+                last = start - 1 + bisect_right(range(start, last + 1), hi_off, key=copy(b))
         return (first, lo_copy, last, hi_copy) if first <= last else None
 
     def step(self, p: TraversalPos, c: int, k: int = 1) -> TraversalPos:
@@ -622,9 +639,10 @@ def _exit_table(g: WheelerGraph, src, p, moves, pos, exits, w_max: int, exit_cop
     copies do not fall as the edge rank rises, beside no in-tunnel move.
     With ``exit_copies`` None, the out-edges of the ``exits`` leave the copy
     of their slot, and it suffices that exactly they leave.  Returns the
-    table and whether copy is slot: every out-edge of a tunnel node of more
-    than one out-edge leaves from the copy equal to its slot, 1 for its
-    node's first out-edge."""
+    table, or () where every edge that leaves does so from the copy equal
+    to its slot, 1 for its node's first out-edge, as on every text index;
+    and whether copy is slot: every out-edge of a tunnel node of more than
+    one out-edge leaves from the copy equal to its slot."""
     leave = ~moves
     lstart = np.frombuffer(g._lstart, np.int64)
     slot = p - lstart[src]
@@ -635,9 +653,7 @@ def _exit_table(g: WheelerGraph, src, p, moves, pos, exits, w_max: int, exit_cop
         if (leave != is_exit[src]).any():
             raise ValidationError("only a tunnel's exits may leave it: an out-edge of any "
                                   "other tunnel node must enter an inner node, and an exit's not")
-        table = np.zeros(g.m + 1, np.int64)  # by L position
-        table[p[leave]] = slot[leave]
-        return table.take(pos), not (multi & moves).any()
+        return (), not (multi & moves).any()
     rank = np.zeros(g.m + 1, np.int64)
     rank[pos] = np.arange(g.m + 1)
     j = rank[p]
@@ -657,7 +673,8 @@ def _exit_table(g: WheelerGraph, src, p, moves, pos, exits, w_max: int, exit_cop
             & ((np.diff(held) < 0) | (held[1:] == 0) | (held[:-1] == 0))).any():
         raise ValidationError("exit copies must not fall as the edge rank rises inside one "
                               "(source, label) range, and an in-tunnel move must be alone in it")
-    return table, not (multi & (table[j] != slot)).any()
+    copy = table[j]
+    return (() if (copy[leave] == slot[leave]).all() else table), not (multi & (copy != slot)).any()
 
 
 def tunnel_graph(g: WheelerGraph, blocks: list[Block]) -> TunneledGraph:

@@ -949,6 +949,8 @@ def loop_tunnel_graph(g, blocks: list[Block]):
     )
     # the graph marks its records' entrances: they are the first columns' roots
     assert entrance_marks(out) == BitVec(np.isin(ranks, entrance))
+    # its exit copies, from the table or from the slots where it keeps none
+    assert out.exit_copies == exit_copies
     assert out.orig_n == n
     return out
 
@@ -1298,6 +1300,9 @@ def exit_lookups(monkeypatch):
     class Counting:
         def __init__(self, table):
             self.table = table
+
+        def __len__(self):
+            return len(self.table)
 
         def __getitem__(self, j):
             watch.calls += 1

@@ -187,8 +187,9 @@ def test_stats_reports_the_kgram_table(tmp_path, capsys, tunnel):
 
 @pytest.mark.parametrize("tunnel", [True, False])
 def test_stats_reports_the_hop_table(tmp_path, capsys, tunnel):
-    # the lockstep walk's hop table, which stats makes as no locate has: four
-    # hops a round, and an int32 and an int64 per L position
+    # the lockstep walk's hop table, which stats makes as no locate has: 16
+    # hops a round, the default sample rate of a 2 KB text (12) rounded up to
+    # a power of 2, and an int32 and an int64 per L position
     text, index = tmp_path / "t.txt", tmp_path / "t.twgi"
     text.write_bytes(copy_paste_mutate(random.Random(4), 2048, 4))
     assert main(["build", str(text), "-o", str(index), *([] if tunnel else ["--no-tunnel"])]) == 0
@@ -197,7 +198,7 @@ def test_stats_reports_the_hop_table(tmp_path, capsys, tunnel):
     lines = dict(line.split(": ") for line in capsys.readouterr().out.strip().splitlines())
     ix = load_index(str(index))
     assert bool(ix.tg.tunnels) == tunnel
-    assert int(lines["hops_per_round"]) == 4
+    assert int(lines["hops_per_round"]) == 16
     assert int(lines["hop_bytes"]) == 12 * (ix.tg.g.m + 1)
 
 

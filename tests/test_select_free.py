@@ -28,6 +28,7 @@ from conftest import (
     fig1_block,
     fig1_edge_list,
     fstep_walk,
+    loop_tunnel_graph,
     make_patterns,
     oracle_land,
     random_tunneled_graphs,
@@ -247,6 +248,19 @@ def slots_hold_copies(tg) -> bool:
     return True
 
 
+def leaving_slots_hold_copies(tg, copies: dict[int, int]) -> bool:
+    """Whether every edge that ``copies`` (edge rank -> copy) lists leaves
+    from the copy equal to its slot, by the rank formula: the reference for
+    a graph keeping no exit-copy table."""
+    g = tg.g
+    for v in range(1, g.n + 1):
+        for slot, p in enumerate(range(g._lstart[v] + 1, g._lstart[v + 1] + 1), 1):
+            c = g.L.access(p)
+            if copies.get(g.C[c] + g.L.rank(p, c), slot) != slot:
+                return False
+    return True
+
+
 class TestEdgesGuard:
     """On a text index copy k of an exit leaves by its k-th out-edge, so the
     search narrows an exit end by shifting its L bound and never calls
@@ -283,6 +297,23 @@ class TestEdgesGuard:
         flags = [tg._copy_is_slot for tg in graphs]
         assert flags == [slots_hold_copies(tg) for tg in graphs]
         assert not all(flags) and any(flags)
+
+    def test_exit_table_is_kept_where_a_copy_is_not_slot(self, small_index):
+        # a graph whose every leaving edge leaves from its slot's copy keeps
+        # no exit-copy table, and its exit_copies read the slots: the loop
+        # transform checks them against the copies it derives by loops.  No
+        # text index keeps a table
+        kept = []
+        for el, blocks, tg in random_tunneled_graphs(83, 200):
+            copies = loop_tunnel_graph(encode(el), blocks).exit_copies
+            assert tg.exit_copies == copies
+            kept.append(len(tg._exit_copy) > 0)
+            assert kept[-1] != leaving_slots_hold_copies(tg, copies)
+        assert any(kept) and not all(kept)
+        for name, tunneling in CASES:
+            built = small_index(name, tunneling)
+            for ix in (built, deserialize_index(serialize_index(built))):
+                assert len(ix.tg._exit_copy) == 0
 
 
 class TestRankGuard:

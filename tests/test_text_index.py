@@ -592,7 +592,7 @@ class TestLocate:
         # every walk answers 7, so the two a's collide
         ix = build_index(b"abcabc")
         monkeypatch.setattr(TextIndex, "_lockstep",
-                            lambda self, nodes, offs, dists, counter: np.full_like(nodes, 7))
+                            lambda self, q, acc, counter: np.full_like(q, 7))
         for limit in (None, 2):
             with pytest.raises(InvariantError, match="two occurrences"):
                 ix.locate(b"a", limit=limit)
@@ -606,8 +606,8 @@ class TestLocate:
 def _first_occurrences(ix, pat, limit):
     """(positions, steps) of ``locate(pat, limit)`` by the oracle
     ``fstep_walk``: the first ``limit`` occurrences in rank and copy order,
-    each walked from its own (node, copy), ascending; and the steps of
-    ``_starts`` plus one oracle walk from each start it gives."""
+    each walked from its own (node, copy), ascending; and the jumps of
+    ``_oracle_starts`` plus one oracle walk from each start it gives."""
     got = ix.tg._search_pairs(pat)
     if got is None:
         return [], 0
@@ -619,8 +619,9 @@ def _first_occurrences(ix, pat, limit):
                 for o in range(lo_off if v == lo else 1, last + 1)]
         if limit is not None and len(out) >= limit:
             break
-    counter = StepCounter()
-    for v, o, _ in zip(*ix._starts(lo, lo_off, hi, hi_off, limit, counter)):
+    (nodes, copies, _), jumps = _oracle_starts(ix, lo, lo_off, hi, hi_off, limit)
+    counter = StepCounter(jumps)
+    for v, o in zip(nodes, copies):
         fstep_walk(ix, v, o, counter, loc)
     return sorted(out[:limit]), counter.steps
 
@@ -642,6 +643,15 @@ def _oracle_starts(ix, lo, lo_off, hi, hi_off, limit):
         for into, x in zip(starts, (node, o, dist)):
             into.append(x)
     return starts, len(jumped)
+
+
+def _walk_starts(ix, nodes, copies, dists) -> tuple[list[int], list[int]]:
+    """(q, acc) that ``_starts`` should give for ``_oracle_starts``' starts:
+    the L position of the start's copy's out-edge, or 0 at a sample, and
+    the sample's position, or minus the distance travelled, times 2^32."""
+    loc, lstart = sample_loc(ix), ix.tg.g._lstart
+    return ([0 if v in loc else lstart[v] + o for v, o in zip(nodes, copies)],
+            [(loc.get(v, 0) - d) << 32 for v, d in zip(nodes, dists)])
 
 
 class TestLockstep:
@@ -699,8 +709,8 @@ class TestLockstep:
                 counter = StepCounter()
                 starts, jumps = _oracle_starts(ix, lo, lo_off, hi, hi_off, limit)
                 got = ix._starts(lo, lo_off, hi, hi_off, limit, counter)
-                assert (tuple(a.tolist() for a in got), counter.steps) == (starts, jumps), \
-                    (pat, limit)
+                assert (tuple(a.tolist() for a in got), counter.steps) == \
+                    (_walk_starts(ix, *starts), jumps), (pat, limit)
                 end = hi if limit is None else min(hi, lo + limit - 1)
                 overcut += jumps < sum(walk_to_exit(ix.tg.g, v)[1] > 0 for v in
                                        range(lo, end + 1) if is_tunnel_node(ix.tg, v))
@@ -710,10 +720,12 @@ class TestLockstep:
         ix = small_index("cpm4")
         (lo, lo_off), (hi, hi_off) = ix.tg._search_pairs(b"caaca")
         counter = StepCounter()
-        nodes, offs, dists = ix._starts(lo, lo_off, hi, hi_off, 5, counter)
-        assert (len(nodes), counter.steps) == (5, 1)
-        assert [(v, o) for v, o, d in zip(nodes, offs, dists) if d] == [(560, 1), (560, 2),
-                                                                         (560, 3)]
+        q, acc = ix._starts(lo, lo_off, hi, hi_off, 5, counter)
+        assert (len(q), counter.steps) == (5, 1)
+        # the jumped starts leave by copies 1 to 3 of exit 560, which have
+        # travelled a distance (a negative sum)
+        assert [x - ix.tg.g._lstart[560] for x, a in zip(q.tolist(), acc.tolist())
+                if a < 0] == [1, 2, 3]
 
     @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
     def test_walks_from_inside_a_tunnel(self, name, small_index):
@@ -761,25 +773,27 @@ class TestLockstep:
 
     @pytest.mark.parametrize("tunneling", [True, False])
     @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
-    def test_hop_table_takes_four_hops(self, name, tunneling, small_index):
-        # the one-hop table is the reference's, whose _fstep calls raise at
-        # no L position, and an entry of the hop table is four of its hops:
-        # the L position after them and the sum of their values, on the
-        # built index and on its file
-        ix = small_index(name, tunneling)
-        for index in (ix, deserialize_index(serialize_index(ix))):
-            one_nxt, one_val = fstep_hop_table(index)
-            assert tuple(a.tolist() for a in index._hop_table()) == (one_nxt, one_val)
-            want_nxt, want_val = [], []
-            for q in range(len(one_nxt)):
-                acc = 0
-                for _ in range(4):
-                    acc, q = acc + one_val[q], one_nxt[q]
-                want_nxt.append(q)
-                want_val.append(acc)
-            nxt, val = index._hops
-            assert (nxt.dtype, val.dtype, len(nxt)) == (np.int32, np.int64, ix.tg.g.m + 1)
-            assert nxt.tolist() == want_nxt and val.tolist() == want_val
+    def test_hop_table_takes_four_hops(self, name, tunneling):
+        # at sample rate 3 a round takes four hops, the least power of 2 at
+        # or above the rate
+        _assert_hops_compose(build_index(SMALL_TEXTS[name], sample_rate_n=3,
+                                         tunneling=tunneling), 4)
+
+    @pytest.mark.parametrize("rate,hops", [(1, 1), (None, 16), (17, 32)])
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_hop_table_takes_the_rate_rounded_up(self, name, tunneling, rate, hops):
+        # rate 1 takes no composition; the default rate on a 2 KB text is 12
+        ix = build_index(SMALL_TEXTS[name], sample_rate_n=rate, tunneling=tunneling)
+        assert rate or ix.sample_rate_n == 12
+        _assert_hops_compose(ix, hops)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_one_round_spans_every_plain_sample_gap(self, name, small_index):
+        # a plain index's samples lie at most sample_rate_n text positions,
+        # one hop each, apart: every walk ends in its first round
+        nxt, _ = small_index(name, tunneling=False)._hops
+        assert not nxt.any()
 
     @pytest.mark.parametrize("tunneling", [True, False])
     @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
@@ -799,15 +813,28 @@ class TestLockstep:
                     counter = StepCounter()
                     got = ix._starts(lo, lo_off, hi, hi_off, limit, counter)
                     starts, jumps = _oracle_starts(ix, lo, lo_off, hi, hi_off, limit)
-                    assert (tuple(a.tolist() for a in got), counter.steps) == (starts, jumps), \
-                        (lo, hi, hi_off, limit)
+                    assert (tuple(a.tolist() for a in got), counter.steps) == \
+                        (_walk_starts(ix, *starts), jumps), (lo, hi, hi_off, limit)
                     jumped += jumps
         assert bool(jumped) == (tunneling and name != "rand96")
 
+    @pytest.mark.parametrize("tunneling", [True, False])
+    def test_a_walk_of_nearly_n_hops_ends(self, tunneling):
+        # at a sample rate past n the samples lie at the text's ends and a
+        # round takes at least n hops: a walk from the second position
+        # takes nearly n of them, one round, and the round bound lets it end
+        text = SMALL_TEXTS["fib"]
+        ix = build_index(text, sample_rate_n=2 * len(text), tunneling=tunneling)
+        assert len(sample_loc(ix)) <= 3 and ix.stats()["hops_per_round"] >= ix.n
+        for pat in (text[1:9], text[:3], text[-5:]):
+            assert ix.locate(pat) == naive_locate(text, pat)
+        v, o, _ = ix._fstep(1, 1, StepCounter())  # the source's successor
+        assert ix.locate_one(TraversalPos(v, o)) == 2
+
     def test_a_step_cycle_stops_both_walks(self, small_index):
         # the node after the second-to-last sample steps to itself: a walk
-        # from it meets no sample, and locate and locate_one stop after n
-        # steps
+        # from it meets no sample, and locate and locate_one stop after the
+        # rounds that take n hops
         text = SMALL_TEXTS["fib"]
         bad = deserialize_index(serialize_index(small_index("fib", tunneling=False)))
         pos = bad.ext_pos[-2]
@@ -818,6 +845,27 @@ class TestLockstep:
             bad.locate(text[pos - 8:pos])
         with pytest.raises(FormatError, match=f"found no sample in {bad.n} steps"):
             bad.locate_one(TraversalPos(u, 1))
+
+
+def _assert_hops_compose(ix, hops: int) -> None:
+    """The one-hop table is the reference's, whose _fstep calls raise at no
+    L position, and an entry of the hop table is ``hops`` of its hops: the L
+    position after them and the sum of their values, on the built index and
+    on its file, whose stats report the hops a round takes."""
+    for index in (ix, deserialize_index(serialize_index(ix))):
+        one_nxt, one_val = fstep_hop_table(index)
+        assert tuple(a.tolist() for a in index._hop_table()) == (one_nxt, one_val)
+        want_nxt, want_val = [], []
+        for q in range(len(one_nxt)):
+            acc = 0
+            for _ in range(hops):
+                acc, q = acc + one_val[q], one_nxt[q]
+            want_nxt.append(q)
+            want_val.append(acc)
+        nxt, val = index._hops
+        assert (nxt.dtype, val.dtype, len(nxt)) == (np.int32, np.int64, ix.tg.g.m + 1)
+        assert nxt.tolist() == want_nxt and val.tolist() == want_val
+        assert index.stats()["hops_per_round"] == hops
 
 
 TUNNELED = ["cpm4", "cpm96", "fib"]  # the SMALL_TEXTS whose indexes hold tunnels
