@@ -134,7 +134,7 @@ def _cmd_stats(args) -> int:
     for name, bits in section_bits(data).items():
         print(f"bits.{name}: {bits}")
     for name in ("kgram_k", "kgram_keys", "kgram_bytes", "hops_per_round", "hop_bytes",
-                 "extract_bytes"):
+                 "start_bytes", "extract_bytes"):
         print(f"{name}: {st[name]}")
     return 0
 

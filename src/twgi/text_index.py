@@ -16,14 +16,15 @@ stores nothing that it derives.
 Locate walks each occurrence to the next text-order sample.  The copies of a
 tunnel node share its exit, where the walk splits by copy.  Each start, in
 numpy arrays from the search's range on, is the L position the walk leaves
-by (0 on a sample) and its sum so far; the starts walk in lockstep through a
-table by L position, made on the first locate: a hop takes an edge, jumps a
-landing on an entrance to its exit and names the edge the walk leaves by
-next, or the sample it reached.  The table is that one-hop table composed
-with itself (pointer jumping, Wyllie 1979) until an entry takes as many hops
-as the least power of 2 at or above the sample rate, so a round is two
-gathers over every walk and mostly the only one; ``locate_one`` walks its
-one start the same way.
+by (0 on a sample) and its sum so far, read off a table by node where the
+range holds a tunnel node; the starts walk in lockstep through a table by L
+position, made on the first locate: a hop takes an edge, jumps a landing on
+an entrance to its exit and names the edge the walk leaves by next, or the
+sample it reached.  The hop table is that one-hop table composed with
+itself (pointer jumping, Wyllie 1979) until an entry takes as many hops as
+the least power of 2 at or above the sample rate, so a round is two gathers
+over every walk and mostly the only one; ``locate_one`` walks its one start
+the same way.
 
 A forward step takes a known out-edge: a node's only one, or the one of its
 copy at a tunnel exit.  So no walk ranks L: the step reads the edge's
@@ -188,9 +189,10 @@ class TextIndex:
        ``locate_one`` checks its copy against ``node_width``, and extract
        walks from copy 1 of a sample.  Copy k of an exit leaves by its k-th
        out-edge, the slot an index file gives it and the transform's row
-       order keeps (``TunneledGraph._copy_is_slot`` holds).  ``_fstep``,
-       ``_successors`` and ``_starts`` read it, and so does the search,
-       which narrows an exit end by shifting its L bound
+       order keeps (``TunneledGraph._copy_is_slot`` holds).  ``_fstep``
+       and ``_successors`` read it, ``_starts`` through the start table's
+       offsets (``_start_table``), and the search, which narrows an exit
+       end by shifting its L bound
        (``TunneledGraph._search_pairs``); ``TunneledGraph._edges`` runs only
        in ``step`` and on a general graph whose copy is not slot.
     5. Every node of out-degree 0 holds a sample, where a hop walk stops.
@@ -351,7 +353,8 @@ class TextIndex:
 
     def _cum(self, v: int) -> int:
         """Widths of nodes 1..v summed: v plus the tunnel nodes' widths past 1.
-        An array over all nodes cost each load more than the search costs."""
+        Locate reads it by node off ``_start_table``, which no load makes: an
+        array over all nodes would cost each load more than the search costs."""
         return v + self._extra[bisect_right(self._tun, v)]
 
     # -- searching -------------------------------------------------------------
@@ -442,10 +445,11 @@ class TextIndex:
         """Ascending start positions of the pattern (all, or the first
         `limit` in rank and copy order).  The empty pattern is rejected.
 
-        Every copy of a tunnel node reaches the same exit, so each node of
-        the range walks there once and its copies start from the exit
-        (``_starts``).  The starts then walk all at once through the hop
-        table (``_lockstep``), which the first locate makes.  The search is
+        Every copy of a tunnel node reaches the same exit, so its copies
+        start from the exit, each start read off a table by node
+        (``_starts``), which the first locate of a range holding a tunnel
+        node makes.  The starts then walk all at once through the hop table
+        (``_lockstep``), which the first locate makes.  The search is
         count's, from the k-gram table (``_search``)."""
         if isinstance(pattern, str):
             raise TypeError("pattern must be bytes")
@@ -477,44 +481,56 @@ class TextIndex:
         range keeps copies lo_off.. of lo and ..hi_off of hi, none of lo if
         lo_off is past its width; one jump is counted for each tunnel node
         off its exit with a kept copy.  A range of plain nodes, one copy
-        each, reads its nodes' L starts and samples as two slices."""
+        each, reads its nodes' L starts and samples as two slices.  Any
+        other range is the run of original ranks from its first kept copy to
+        its last; one search of the widths summed finds each rank's node,
+        and a gather of each of ``_start_table``'s arrays by node gives the
+        starts and the jumps, whatever the range's size.  Both paths return
+        fresh arrays, which ``_lockstep`` adds into."""
         if limit is not None and hi - lo > limit:  # every node past lo holds an occurrence
             hi, hi_off = lo + limit, None
-        lstart = np.frombuffer(self.tg.g._lstart, np.int64)
         i, j = bisect_left(self._tun, lo), bisect_right(self._tun, hi)
         if i == j and lo_off == 1 and hi_off in (None, 1):  # plain nodes, one copy each
             stop = hi + 1 if limit is None else min(hi + 1, lo + limit)
             samp = self._samp[lo:stop]
+            lstart = np.frombuffer(self.tg.g._lstart, np.int64)
             return (lstart[lo:stop] + 1) * (samp == 0), samp * np.int64(2 ** 32)
-        nodes = np.arange(lo, hi + 1)
-        counts = np.ones(len(nodes), np.int64)
-        dists = np.zeros(len(nodes), np.int64)
-        if i < j:  # a tunnel node starts at its exit, once per copy
-            t = self.tg._tun[i:j]
-            at, s = t - lo, np.asarray(self._slot).take(t)
-            dists[at] = dist = np.asarray(self._to_exit).take(s)
-            nodes[at] = np.asarray(self._chain).take(s - dist)
-            extra = np.asarray(self._extra)  # the widths past 1, summed in rank order
-            counts[at] = extra[i + 1:j + 1] - extra[i:j] + 1
-        if hi_off is not None:
-            counts[-1] = hi_off
-        counts[0] = max(counts[0] - lo_off + 1, 0)
-        cum = counts.cumsum()
-        if limit is not None and cum[-1] > limit:
-            k = int(cum.searchsorted(limit)) + 1  # the nodes that reach the limit
-            nodes, dists, counts, cum = nodes[:k], dists[:k], counts[:k], cum[:k]
-            counts[-1] -= cum[-1] - limit
-            cum[-1] = limit
-        counter.steps += int(np.count_nonzero(dists[counts > 0]))
-        # a start's copy is its index less `before`, its node's first index
-        # less the node's first copy (1, or lo_off at lo); a sample's one
-        # start, copy 1, is at index before + 1
-        before = cum - counts - 1
-        before[0] = -lo_off
-        samp = self._samp.take(nodes)
-        first = np.where(samp == 0, lstart.take(nodes), -1) - before
-        return np.arange(cum[-1]) + first.repeat(counts), \
-            ((samp - dists) * 2 ** 32).repeat(counts)
+        cw, off, s = self._start_table
+        first = min(int(cw[lo - 1]) + lo_off, int(cw[lo]) + 1)
+        last = int(cw[hi]) if hi_off is None else int(cw[hi - 1]) + hi_off
+        if limit is not None:
+            last = min(last, first + limit - 1)
+        if last < first:  # lo_off past the width of lo, the range's one node
+            return np.zeros(0, np.int64), np.zeros(0, np.int64)
+        ranks = np.arange(first, last + 1)
+        node = cw[lo:hi + 1].searchsorted(ranks) + lo
+        counter.steps += int(np.count_nonzero(s[node[0]:node[-1] + 1] < 0))
+        return off.take(node) + ranks, s.take(node) * np.int64(2 ** 32)
+
+    @cached_property
+    def _start_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cw, off, s), three int32 arrays by node v in [0..n_t] from which
+        ``_starts`` reads a range's starts, made on the first locate whose
+        range holds a tunnel node (a plain range reads slices), never at
+        load.  A range's occurrences are the original ranks of its copies:
+        copy k of node v has rank cw[v - 1] + k, and ``cw[v]`` is ``_cum(v)``.
+        The walk from that copy leaves by L position ``off[v] + rank``:
+        lstart[exit] + k, the exit's k-th out-edge (a plain node is its own
+        exit), or 0 on a sample.  Its sum starts at ``s[v]`` above 32 low
+        bits of steps: the sample's position, minus the distance to the exit
+        (negative exactly on a tunnel node off its exit, one jump), or 0."""
+        nt, tun = self.tg.g.n, self.tg._tun
+        cw = np.ones(nt + 1, np.int32)
+        cw[0] = 0
+        cw[tun] += np.diff(np.asarray(self._extra)).astype(np.int32)  # the widths past 1
+        np.cumsum(cw, out=cw)
+        exits = np.arange(nt + 1)
+        exits[tun], dist = self._exits(tun)
+        s = self._samp.copy()
+        s[tun] = -dist
+        off = np.where(s > 0, -1, np.frombuffer(self.tg.g._lstart, np.int64).take(exits))
+        off[1:] -= cw[:-1]
+        return cw, off.astype(np.int32), s
 
     @cached_property
     def _hops(self) -> tuple[np.ndarray, np.ndarray]:
@@ -573,14 +589,19 @@ class TextIndex:
         to = np.frombuffer(tg._step_to, np.int32)
         q = lstart.take(to) + 1
         ent = self._into(np.fromiter(tg.entrance_info, np.int64, len(tg.entrance_info)))
-        c = np.asarray(self._slot).take(to.take(ent))
-        dist = np.asarray(self._to_exit).take(c)
-        exits = np.asarray(self._chain).take(c - dist)
+        exits, dist = self._exits(to.take(ent))
         q[ent] = lstart.take(exits) + np.frombuffer(tg._step_land, np.int32).take(ent)
         q[self._into(np.flatnonzero(lstart[2:] == lstart[1:-1]) + 1)] = 0
         succ = q.astype(np.int32)
         succ[0] = 0
         return succ, ent, dist
+
+    def _exits(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The exit of each given tunnel node and its distance to it, as
+        ``_walk_tunnels`` orders them: two int32 arrays."""
+        c = np.asarray(self._slot).take(nodes)
+        dist = np.asarray(self._to_exit).take(c)
+        return np.asarray(self._chain).take(c - dist), dist
 
     def _into(self, nodes: np.ndarray) -> np.ndarray:
         """The L positions of the edges into the given nodes."""
@@ -705,10 +726,12 @@ class TextIndex:
         """Sizes of the index, of its k-gram table (k, its keys and its
         resident bytes), of its hop table (the hops a lockstep round takes,
         the least power of 2 at or above ``sample_rate_n``, and its resident
-        bytes) and of extract's tables (their resident bytes), each made
-        here if no query has made it."""
+        bytes), of its start table (its resident bytes, 0 on an index
+        without tunnels, whose ranges never read it) and of extract's tables
+        (their resident bytes), each made here if no query has made it."""
         k, keys, states = self._kgrams
         nxt, val = self._hops
+        starts = self._start_table if self.tg.tunnels else ()
         succ, moves = self._extract_tables
         return {
             "n": self.n,
@@ -723,6 +746,7 @@ class TextIndex:
             "kgram_bytes": sum(map(sys.getsizeof, [keys, *states])),
             "hops_per_round": self._round_hops,
             "hop_bytes": nxt.nbytes + val.nbytes,
+            "start_bytes": sum(a.nbytes for a in starts),
             "extract_bytes": succ.nbytes + len(moves),
         }
 

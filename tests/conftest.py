@@ -18,6 +18,7 @@ import pytest
 
 from twgi.bitvec import BitVec
 from twgi.errors import BoundsError, FormatError, InvariantError, NotFoundError, ValidationError
+from twgi.persist import deserialize_index, serialize_index
 from twgi.text_index import StepCounter, TextIndex, _string_graph, build_index
 from twgi.tunnel import (
     Block,
@@ -1263,14 +1264,17 @@ SMALL_TEXTS = {
 
 @pytest.fixture(scope="session")
 def small_index():
-    """small_index(name, tunneling) -> the TextIndex of SMALL_TEXTS[name],
-    built once per session.  Queries do not modify an index."""
+    """small_index(name, tunneling, rate, loaded) -> the TextIndex of
+    SMALL_TEXTS[name] at sample rate ``rate`` (None: the default), built, or
+    loaded from its file, once per session.  Queries do not modify an index."""
     built = {}
 
-    def get(name: str, tunneling: bool = True):
-        key = (name, tunneling)
+    def get(name: str, tunneling: bool = True, rate: int | None = None, loaded: bool = False):
+        key = (name, tunneling, rate, loaded)
         if key not in built:
-            built[key] = build_index(SMALL_TEXTS[name], tunneling=tunneling)
+            built[key] = deserialize_index(serialize_index(get(name, tunneling, rate))) \
+                if loaded else build_index(SMALL_TEXTS[name], sample_rate_n=rate,
+                                           tunneling=tunneling)
         return built[key]
 
     return get

@@ -51,7 +51,7 @@ def test_build_makes_no_query_table(tmp_path, capsys, monkeypatch, tunnel):
     flags = [] if tunnel else ["--no-tunnel"]
     assert main(["build", str(text), "-o", str(tmp_path / "x.twgi"), *flags]) == 0
     (ix,) = built
-    assert not {"_kgrams", "_hops", "_extract_tables"} & vars(ix).keys()
+    assert not {"_kgrams", "_hops", "_start_table", "_extract_tables"} & vars(ix).keys()
     st = ix.stats()
     assert (st["tunnels"] > 0) == tunnel
     assert capsys.readouterr().out.splitlines() == [
@@ -163,8 +163,8 @@ def test_stats(workdir, capsys):
     sections = [f"bits.{name}" for name in (*SECTIONS, "framing")]
     assert keys == ["n", "n_t", "sigma", "tunnels", "bits_per_symbol", *sections,
                     "kgram_k", "kgram_keys", "kgram_bytes", "hops_per_round", "hop_bytes",
-                    "extract_bytes"]
-    bits = [int(line.split(":")[1]) for line in out.strip().splitlines()[5:-6]]
+                    "start_bytes", "extract_bytes"]
+    bits = [int(line.split(":")[1]) for line in out.strip().splitlines()[5:-7]]
     assert sum(bits) == 8 * os.path.getsize(index)
 
 
@@ -200,6 +200,9 @@ def test_stats_reports_the_hop_table(tmp_path, capsys, tunnel):
     assert bool(ix.tg.tunnels) == tunnel
     assert int(lines["hops_per_round"]) == 16
     assert int(lines["hop_bytes"]) == 12 * (ix.tg.g.m + 1)
+    # the start table, three int32 by node, made only where a range can
+    # hold a tunnel node
+    assert int(lines["start_bytes"]) == (12 * (ix.tg.g.n + 1) if tunnel else 0)
 
 
 @pytest.mark.parametrize("tunnel", [True, False])

@@ -645,6 +645,59 @@ def _oracle_starts(ix, lo, lo_off, hi, hi_off, limit):
     return starts, len(jumped)
 
 
+# (sample_rate_n, loaded) of the start table tests past the default-rate
+# built indexes: every plain node, or one in 17, sampled
+RATES_AND_FILES = [(None, True), (1, False), (1, True), (17, False), (17, True)]
+
+
+def _holds_tunnel_node(ix, pat) -> bool:
+    (lo, _), (hi, _) = ix._search(pat)
+    return any(is_tunnel_node(ix.tg, v) for v in range(lo, hi + 1))
+
+
+def _assert_starts_keep_copies(ix, name, tunneling) -> None:
+    """``_starts`` gives ``_oracle_starts``' starts and jumps on the ranges
+    of 40 patterns and b"caaca" under limits 1 to 16 and None; it cuts some
+    tunnel node's copies exactly on the tunneled cpm4 and cpm96."""
+    text, overcut = SMALL_TEXTS[name], 0
+    for pat in make_patterns(random.Random(59), text, 40, max_len=6) + [b"caaca"]:
+        got = ix.tg._search_pairs(pat)
+        if got is None:
+            continue
+        (lo, lo_off), (hi, hi_off) = got
+        for limit in [*range(1, 17), None]:
+            counter = StepCounter()
+            starts, jumps = _oracle_starts(ix, lo, lo_off, hi, hi_off, limit)
+            got = ix._starts(lo, lo_off, hi, hi_off, limit, counter)
+            assert (tuple(a.tolist() for a in got), counter.steps) == \
+                (_walk_starts(ix, *starts), jumps), (pat, limit)
+            end = hi if limit is None else min(hi, lo + limit - 1)
+            overcut += jumps < sum(walk_to_exit(ix.tg.g, v)[1] > 0 for v in
+                                   range(lo, end + 1) if is_tunnel_node(ix.tg, v))
+    assert bool(overcut) == (tunneling and name in ("cpm4", "cpm96"))
+
+
+def _assert_starts_past_the_width(ix, name, tunneling) -> None:
+    """``_starts`` gives ``_oracle_starts``' starts and jumps on ranges whose
+    first copy is past lo's width, under limits None, 1, 2 and 5; some
+    tunnel node is jumped exactly on the tunneled indexes but rand96's."""
+    tg, nt = ix.tg, ix.tg.g.n
+    tunnel_nodes = [v for v in range(1, nt - 3) if tg._kind[v]]
+    los = tunnel_nodes[::max(1, len(tunnel_nodes) // 40)] + list(range(1, nt - 3, nt // 20))
+    jumped = 0
+    for lo in los:
+        lo_off = ix.node_width(lo) + 1
+        for hi, hi_off in ((lo, None), (lo, 1), (lo + 3, None), (lo + 3, 1)):
+            for limit in (None, 1, 2, 5):
+                counter = StepCounter()
+                got = ix._starts(lo, lo_off, hi, hi_off, limit, counter)
+                starts, jumps = _oracle_starts(ix, lo, lo_off, hi, hi_off, limit)
+                assert (tuple(a.tolist() for a in got), counter.steps) == \
+                    (_walk_starts(ix, *starts), jumps), (lo, hi, hi_off, limit)
+                jumped += jumps
+    assert bool(jumped) == (tunneling and name != "rand96")
+
+
 def _walk_starts(ix, nodes, copies, dists) -> tuple[list[int], list[int]]:
     """(q, acc) that ``_starts`` should give for ``_oracle_starts``' starts:
     the L position of the start's copy's out-edge, or 0 at a sample, and
@@ -698,23 +751,16 @@ class TestLockstep:
         # _starts stops at `limit` starts: a tunnel node whose copies the
         # limit cuts is not jumped, which counting every tunnel node up to
         # the range's end would do
-        text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
-        overcut = 0
-        for pat in make_patterns(random.Random(59), text, 40, max_len=6) + [b"caaca"]:
-            got = ix.tg._search_pairs(pat)
-            if got is None:
-                continue
-            (lo, lo_off), (hi, hi_off) = got
-            for limit in [*range(1, 17), None]:
-                counter = StepCounter()
-                starts, jumps = _oracle_starts(ix, lo, lo_off, hi, hi_off, limit)
-                got = ix._starts(lo, lo_off, hi, hi_off, limit, counter)
-                assert (tuple(a.tolist() for a in got), counter.steps) == \
-                    (_walk_starts(ix, *starts), jumps), (pat, limit)
-                end = hi if limit is None else min(hi, lo + limit - 1)
-                overcut += jumps < sum(walk_to_exit(ix.tg.g, v)[1] > 0 for v in
-                                       range(lo, end + 1) if is_tunnel_node(ix.tg, v))
-        assert bool(overcut) == (tunneling and name in ("cpm4", "cpm96"))
+        _assert_starts_keep_copies(small_index(name, tunneling), name, tunneling)
+
+    @pytest.mark.parametrize("rate,loaded", RATES_AND_FILES)
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_start_table_keeps_copies_at_each_rate(self, name, tunneling, rate, loaded,
+                                                   small_index):
+        # the start table of a loaded index, and of one whose every plain
+        # node, or few, hold a sample (rate 1: q = 0 on most plain nodes)
+        _assert_starts_keep_copies(small_index(name, tunneling, rate, loaded), name, tunneling)
 
     def test_caaca_under_limit_5_jumps_once(self, small_index):
         ix = small_index("cpm4")
@@ -801,22 +847,55 @@ class TestLockstep:
         # no search gives a range whose first copy is past lo's width: lo then
         # keeps no copy and is not jumped, and the starts, under every limit,
         # come from the nodes after it as the oracle's do
-        ix = small_index(name, tunneling)
-        tg, nt = ix.tg, ix.tg.g.n
-        tunnel_nodes = [v for v in range(1, nt - 3) if tg._kind[v]]
-        los = tunnel_nodes[::max(1, len(tunnel_nodes) // 40)] + list(range(1, nt - 3, nt // 20))
-        jumped = 0
-        for lo in los:
-            lo_off = ix.node_width(lo) + 1
-            for hi, hi_off in ((lo, None), (lo, 1), (lo + 3, None), (lo + 3, 1)):
-                for limit in (None, 1, 2, 5):
-                    counter = StepCounter()
-                    got = ix._starts(lo, lo_off, hi, hi_off, limit, counter)
-                    starts, jumps = _oracle_starts(ix, lo, lo_off, hi, hi_off, limit)
-                    assert (tuple(a.tolist() for a in got), counter.steps) == \
-                        (_walk_starts(ix, *starts), jumps), (lo, hi, hi_off, limit)
-                    jumped += jumps
-        assert bool(jumped) == (tunneling and name != "rand96")
+        _assert_starts_past_the_width(small_index(name, tunneling), name, tunneling)
+
+    @pytest.mark.parametrize("rate,loaded", RATES_AND_FILES)
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_start_table_past_the_width_at_each_rate(self, name, tunneling, rate, loaded,
+                                                     small_index):
+        _assert_starts_past_the_width(small_index(name, tunneling, rate, loaded), name,
+                                      tunneling)
+
+    def test_start_table_is_made_on_first_tunnel_range(self, small_index):
+        # a count, an extract, a locate of plain nodes or a locate_one of
+        # one does not make the start table; the first locate of a range
+        # holding a tunnel node does, and the next reuse it unchanged: the
+        # walk adds into the starts in place, so they are no view of it
+        text = SMALL_TEXTS["cpm4"]
+        ix = deserialize_index(serialize_index(small_index("cpm4")))
+        pats = [p for p in make_patterns(random.Random(61), text, 40, max_len=6) if ix.count(p)]
+        tunneled = [p for p in pats if _holds_tunnel_node(ix, p)]
+        plain = [p for p in pats if not _holds_tunnel_node(ix, p)]
+        assert tunneled and plain
+        node = next(v for v in range(1, ix.tg.g.n + 1) if not is_tunnel_node(ix.tg, v))
+        assert ix.count(tunneled[0]) > 0 and ix.extract(5, 30) == text[4:34]
+        for pat in plain:
+            assert ix.locate(pat) == naive_locate(text, pat)
+        ix.locate_one(TraversalPos(node, 1))
+        assert "_start_table" not in vars(ix)
+        pat = tunneled[0]
+        want = naive_locate(text, pat)
+        assert ix.locate(pat) == want
+        table = vars(ix)["_start_table"]
+        kept = [a.tobytes() for a in table]
+        assert ix.locate(pat) == want and set(ix.locate(pat, limit=2)) <= set(want)
+        assert vars(ix)["_start_table"] is table and [a.tobytes() for a in table] == kept
+        (lo, lo_off), (hi, hi_off) = ix._search(pat)
+        for got in ix._starts(lo, lo_off, hi, hi_off, None, StepCounter()):
+            assert not any(np.shares_memory(got, a) for a in table)
+
+    def test_no_locate_of_a_plain_index_makes_the_start_table(self, small_index):
+        # every range of an index without tunnels reads slices, and its stats
+        # report no start table
+        text = SMALL_TEXTS["cpm4"]
+        ix = deserialize_index(serialize_index(small_index("cpm4", tunneling=False)))
+        for pat in make_patterns(random.Random(61), text, 40, max_len=6):
+            want = naive_locate(text, pat)
+            assert ix.locate(pat) == want and set(ix.locate(pat, limit=1)) <= set(want)
+        for v in range(1, ix.tg.g.n + 1, 7):
+            ix.locate_one(TraversalPos(v, 1))
+        assert ix.stats()["start_bytes"] == 0 and "_start_table" not in vars(ix)
 
     @pytest.mark.parametrize("tunneling", [True, False])
     def test_a_walk_of_nearly_n_hops_ends(self, tunneling):
