@@ -131,9 +131,10 @@ class LabelSeq:
     one count and adds a C-level ``bytes.count`` over at most 127 bytes.  The
     table holds sigma + 1 int32 counts every 128 positions, about sigma/4 bits
     per position: 8 MB per million symbols at sigma = 256, against 1 MB of
-    symbol bytes.  The path search (``TunneledGraph._search_pairs``) reads the
-    count table and the bytes directly, by the same formula, and a range end's
-    border symbol as one byte: a change to the layout must update both.
+    symbol bytes.  The path searches (``TunneledGraph._search_pairs`` and the
+    text index's ``TextIndex._search_from``) read the count table and the
+    bytes directly, by the same formula, and ``_search_pairs`` a range end's
+    border symbol as one byte: a change to the layout must update all three.
     """
 
     __slots__ = ("n", "sigma", "_bytes", "_occ", "_stride")

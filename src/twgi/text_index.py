@@ -35,10 +35,19 @@ step past the sink; it is the tests' oracle and the bench times it.  One
 successor table by L position holds the rule as an array
 (``_successors``): the edge a walk takes next after each edge, jumping an
 entrance to its exit.  The hop table and extract's signed successor table
-(``_extract_tables``, made on the first extract) are read off it, and a
-lockstep walk starts by its copy's out-edge.  The load proves that no walk
-needs the copy check, nor a hop walk the sink check (``TextIndex``);
-extract finds the sink where its table reads 0.
+(``_extract_tables``, made on the first count, locate or extract) are read
+off it, and a lockstep walk starts by its copy's out-edge.  The load proves
+that no walk needs the copy check, nor a hop walk the sink check
+(``TextIndex``); extract finds the sink where its table reads 0.  Making
+the hop table, the first locate walks from every sample and checks that it
+holds its own text position.
+
+The search (``_search_from``) holds each end of a range as its border edge
+and follows the signed successor table while that edge carries the
+pattern's next byte; a range of one tunnel node's copies crosses the tunnel
+by one compare with its bytes, the slice extract reads, and only an end
+that drops out ranks L.  It returns ``TunneledGraph._search_pairs``' state,
+the search of a general tunneled graph and the tests' reference.
 """
 
 from __future__ import annotations
@@ -53,15 +62,11 @@ from operator import attrgetter
 
 import numpy as np
 
-from .bitvec import LabelSeq
+from .bitvec import _BLOCK_BITS, _NEEDLE, LabelSeq
 from .errors import BoundsError, FormatError, InvariantError, ValidationError
 from .tunnel import TraversalPos, TunneledGraph, _expand, find_string_blocks, tunnel_graph
 from .wheeler import WheelerGraph, unary
 
-
-# The k-gram table's one-byte searches call the function, not the method, so
-# a wrapper put on the method (a tracer's span) sees the queries' searches only.
-_table_search = TunneledGraph._search_pairs
 
 # The most one-byte searches that making the k-gram table takes, at a few
 # microseconds each.
@@ -191,22 +196,27 @@ class TextIndex:
        out-edge, the slot an index file gives it and the transform's row
        order keeps (``TunneledGraph._copy_is_slot`` holds).  ``_fstep``
        and ``_successors`` read it, ``_starts`` through the start table's
-       offsets (``_start_table``), and the search, which narrows an exit
-       end by shifting its L bound
-       (``TunneledGraph._search_pairs``); ``TunneledGraph._edges`` runs only
-       in ``step`` and on a general graph whose copy is not slot.
+       offsets (``_start_table``), and the search (``_search_from``), which
+       holds an exit end at L position lstart[exit] + copy, where
+       ``TunneledGraph._search_pairs`` shifts its L bound by the copy;
+       ``TunneledGraph._edges`` runs only in ``step`` and on a general
+       graph whose copy is not slot.
     5. Every node of out-degree 0 holds a sample, where a hop walk stops.
-    Extract stops at no sample: a file whose samples trade positions still
-    loads, and its extract can start at the sink or reach it, which extract
-    checks for.
+    A file whose samples trade positions, or whose position has a flipped
+    bit, passes these checks; making the hop table, the first locate finds
+    it (``_check_samples``).  Extract stops at no sample and makes no hop
+    table: its walk can start at the sink of such a file or reach it, which
+    extract checks for.
 
-    Count and locate search from a start state: the search state, as
-    ``tg._search_pairs`` passes it on, after the pattern's first k bytes,
-    read off a table of every k-byte prefix of the text (``_kgrams``).  The
-    first count or locate makes it, from the index alone, and no file
-    stores it; k is the deepest level, at most 8, that the table reaches in
-    at most min(n_t // 4, 2048) one-byte searches, so one query per load
-    pays a few milliseconds for it, whatever the index's size."""
+    Count and locate search with ``_search_from``, whose state is
+    ``tg._search_pairs``', from a start state: the state after the
+    pattern's first k bytes, read off a table of every k-byte prefix of the
+    text (``_kgrams``).  The first count or locate makes it, from the index
+    alone, and no file stores it; k is the deepest level, at most 8, that
+    the table reaches in at most min(n_t // 4, 2048) one-byte searches, so
+    one query per load pays a few milliseconds for it, whatever the index's
+    size.  The search follows extract's signed successor table, which the
+    first count, locate or extract makes."""
 
     def __init__(self, tg: TunneledGraph, n: int, sample_rate_n: int,
                  sample_rate_t: int, nodes, positions):
@@ -364,7 +374,7 @@ class TextIndex:
         """(k, keys, states): the search state of every k-byte prefix that
         occurs, made on the first count or locate (Bowtie's ``ftab``).  Level
         j + 1 extends each state of level j by each alphabet byte, one
-        ``_search_pairs`` step, and keeps the non-empty states.  k is the
+        ``_search_from`` step, and keeps the non-empty states.  k is the
         deepest level, at most 8, whose levels take at most min(n_t // 4,
         ``_TABLE_SEARCHES``) such steps in all: the table and the work to make
         it stay within a quarter of the nodes, and the first query of a load
@@ -376,14 +386,14 @@ class TextIndex:
         ``states`` holds four int32 arrays, a, lo_off, b and hi_off by key,
         with hi_off None as 0.  At k = 0 the one key is the empty prefix's,
         whose state is the full range."""
-        tg, nt, alphabet = self.tg, self.tg.g.n, self.tg.g.alphabet
+        nt, alphabet = self.tg.g.n, self.tg.g.alphabet
         level, k, budget = [(0, 1, 1, nt, None)], 0, min(nt // 4, _TABLE_SEARCHES)
         while k < 8 and len(level) * len(alphabet) <= budget:
             budget -= len(level) * len(alphabet)
             deeper = []
             for key, *state in level:
                 for c in alphabet:
-                    got = _table_search(tg, bytes((c,)), state)
+                    got = self._search_from(bytes((c,)), state)
                     if got is not None:
                         (a, lo_off), (b, hi_off) = got
                         deeper.append((key << 8 | c, a, lo_off, b, hi_off))
@@ -393,17 +403,149 @@ class TextIndex:
 
     def _search(self, pattern: bytes):
         """``tg._search_pairs(pattern)``, its first k steps read off the
-        k-gram table: a pattern shorter than k is searched in full, and one
-        whose first k bytes are no key occurs nowhere, since the table holds
-        every non-empty state of depth k."""
+        k-gram table and the rest taken by ``_search_from``: a pattern
+        shorter than k is searched in full, one of k bytes is its table
+        state, and one whose first k bytes are no key occurs nowhere, since
+        the table holds every non-empty state of depth k."""
         k, keys, (a, lo_off, b, hi_off) = self._kgrams
         if len(pattern) < k:
-            return self.tg._search_pairs(pattern)
+            return self._search_from(pattern)
         key = int.from_bytes(pattern[:k], "big")
         i = bisect_left(keys, key)
         if i == len(keys) or keys[i] != key:
             return None
-        return self.tg._search_pairs(pattern[k:], (a[i], lo_off[i], b[i], hi_off[i] or None))
+        if len(pattern) == k:
+            return (a[i], lo_off[i]), (b[i], hi_off[i] or None)
+        return self._search_from(pattern[k:], (a[i], lo_off[i], b[i], hi_off[i] or None))
+
+    @cached_property
+    def _search_tables(self) -> tuple:
+        """What ``_search_from`` reads, as one tuple, made on the first
+        count, locate or extract: extract's tables (``_extract_tables``),
+        the step table, the node bounds of L, the tunnel marks and
+        ``_walk_tunnels``' order, L's symbols and count table as
+        ``LabelSeq.rank`` reads them, and the full range's state."""
+        tg, g = self.tg, self.tg.g
+        return (*self._extract_tables, tg._step_byte, tg._step_to, tg._step_land, g._lstart,
+                tg._kind, self._slot, self._to_exit, self._chain, g.L._bytes, g.L._occ,
+                g.L._stride, g.C, g._label_to_id, tg._pos, (1, 1, g.n, None))
+
+    def _search_from(self, pattern: bytes, state=None):
+        """``tg._search_pairs(pattern, state)``, the same state, on this
+        index: the search state ``state`` = (a, lo_off, b, hi_off) that a
+        search reached (None: the full range), extended by the pattern.
+
+        Each end is held as its border edge, the edge it takes when that edge
+        carries the pattern's next byte: lo's is L position lstart[a] + 1 of a
+        plain node and lstart[a] + copy of an exit, and hi's lstart[b + 1] of
+        a plain node and lstart[b] + copy of an exit, or lstart[b + 1] for
+        copy None.  An end inside a tunnel also counts the moves to its exit
+        and keeps the exit's place in ``_chain``, where it takes the exit's
+        border for its copy; a sink's border is a neighbour's edge, and hi
+        takes a move there as copy None of the move's node.  A step compares
+        the border's byte (``_step_byte``) with the pattern's and follows
+        extract's signed successor table: a positive entry is the next border,
+        a negative one enters a tunnel at ``_step_land``'s copy, and 0 reaches
+        a sink; the end is then read off its node and copy again.  An end
+        without the byte ranks L as ``_search_pairs`` does, and ``_pos`` gives
+        its edge; when both do and rank past each other, the range is empty.
+        When both ends are copies of one tunnel node, the bytes up to its
+        exit, or up to the pattern's end, are one compare with a slice of
+        ``moves``: any other byte leaves no edge.  Raises InvariantError if
+        the result's lo lies above its hi."""
+        (succ, moves, sb, to, lands, lstart, kind, slot, to_exit, chain,
+         L, occ, stride, C, ids, pos, full) = self._search_tables
+        a, lo_off, b, hi_off = state or full
+        n, k = len(pattern), 0
+        # lo and hi: borders p and q, read off (a, lo_off) and (b, hi_off)
+        # while <= 0; last edges taken ep and eq; inside a tunnel, the moves
+        # left pd and qd, the exit's place xi and yi in _chain, and the
+        # copies lc and hc that the moves carry
+        p = q = ep = eq = 0
+        while k < n:
+            if p <= 0:
+                ep, pd, lc = 0, 0, 1
+                if not kind[a]:
+                    p = lstart[a] + 1
+                else:
+                    ci = slot[a]
+                    pd = to_exit[ci]
+                    if pd:  # inside a tunnel: the moves left, the exit's place in _chain
+                        p, xi, lc = lstart[a] + 1, ci - pd, lo_off
+                    else:
+                        p = lstart[a] + lo_off
+            if q <= 0:
+                eq = qd = 0
+                if kind[b]:
+                    v, hc = b, hi_off
+                else:  # v = 0, or a sink's border is the move of tunnel node v
+                    q, hc = lstart[b + 1], None
+                    v = 0 if lands[q] else chain[slot[to[q]] + 1]
+                if v:
+                    ci = slot[v]
+                    qd = to_exit[ci]
+                    if qd:
+                        q, yi = lstart[v] + 1, ci - qd
+                    else:
+                        q = lstart[v] + hc if hc else lstart[v + 1]
+            if p > q:  # no out-edge in the range: the sink alone
+                return None
+            if pd and p == q:  # copies of one tunnel node: up to the exit in one compare
+                m = min(pd, n - k)
+                at = len(moves) - 1 - xi - pd
+                if moves[at:at + m] != pattern[k:k + m]:
+                    return None
+                k += m
+                a = b = chain[xi + pd - m]
+                lo_off, hi_off, p, q = lc, hc, 0, 0
+                continue
+            for byte in pattern[k:]:
+                k += 1
+                if sb[p] == byte:
+                    ep, p, first = p, succ[p], 0
+                    if pd:
+                        pd -= 1
+                        if not pd:  # at the exit
+                            p = lstart[chain[xi]] + lc
+                else:  # lo drops out: its first c-edge past L[:p - 1]
+                    c = ids.get(byte)
+                    if c is None:
+                        return None
+                    r = (p - 1) >> _BLOCK_BITS
+                    first = C[c] + occ[r * stride + c] + L.count(
+                        _NEEDLE[c], r << _BLOCK_BITS, p - 1) + 1
+                if sb[q] == byte:
+                    eq, q = q, succ[q]
+                    if qd:
+                        qd -= 1
+                        if not qd:
+                            v = chain[yi]
+                            q = lstart[v] + hc if hc else lstart[v + 1]
+                else:  # hi drops out: its last c-edge in L[:q]
+                    if not first:  # lo took the byte's edge: the byte has an id
+                        c = ids[byte]
+                    r = q >> _BLOCK_BITS
+                    last = C[c] + occ[r * stride + c] + L.count(_NEEDLE[c], r << _BLOCK_BITS, q)
+                    if first > last:
+                        return None
+                    eq = pos[last]
+                    q, qd, hc = succ[eq] if lands[eq] else 0, 0, None
+                if first:
+                    ep = pos[first]
+                    p, pd, lc = succ[ep] if lands[ep] else 0, 0, 1
+                if p <= 0 or q <= 0:  # a tunnel, a sink or a move: read the end off its node
+                    if p <= 0:
+                        a, lo_off = to[ep], lands[ep] or 1
+                    if q <= 0:
+                        b, hi_off = to[eq], lands[eq] or None
+                    break
+        if p > 0 and ep:
+            a, lo_off = to[ep], lands[ep] or lc
+        if q > 0 and eq:
+            b, hi_off = to[eq], lands[eq] or hc
+        if a > b:
+            raise InvariantError("the search produced a non-coherent range")
+        return (a, lo_off), (b, hi_off)
 
     # -- counting --------------------------------------------------------------
 
@@ -411,7 +553,9 @@ class TextIndex:
         """Occurrences of the pattern in the text (|T|+1 for the empty
         pattern: every node is an occurrence).  Count takes no step.  The
         search (``_search``) starts from the k-gram table's state of the
-        pattern's first k bytes, which the first count or locate makes."""
+        pattern's first k bytes, which the first count or locate makes, and
+        follows extract's successor table, which the first count, locate or
+        extract makes."""
         if isinstance(pattern, str):
             raise TypeError("pattern must be bytes")
         if len(pattern) == 0:
@@ -449,8 +593,9 @@ class TextIndex:
         start from the exit, each start read off a table by node
         (``_starts``), which the first locate of a range holding a tunnel
         node makes.  The starts then walk all at once through the hop table
-        (``_lockstep``), which the first locate makes.  The search is
-        count's, from the k-gram table (``_search``)."""
+        (``_lockstep``), which the first locate makes and which checks the
+        samples' positions then.  The search is count's, from the k-gram
+        table along extract's successor table (``_search``)."""
         if isinstance(pattern, str):
             raise TypeError("pattern must be bytes")
         if len(pattern) == 0:
@@ -541,12 +686,36 @@ class TextIndex:
         their sum: their steps in the low 32 bits, and above them the
         sample's position less 1, or minus the distance travelled.  Each
         composition is two gathers over the table, which keeps its int32
-        ``nxt`` and int64 ``val``: 12 bytes per L position."""
+        ``nxt`` and int64 ``val``: 12 bytes per L position.  Made, the table
+        checks the samples' positions (``_check_samples``)."""
         nxt, val = self._hop_table()
         for _ in range(self._round_hops.bit_length() - 1):
             val += val.take(nxt)
             nxt = nxt.take(nxt)
+        self._check_samples(nxt, val)
         return nxt, val
+
+    def _check_samples(self, nxt: np.ndarray, val: np.ndarray) -> None:
+        """Raises FormatError, naming the first sample that fails, unless
+        the hop walk from every sample of out-degree 1, by its out-edge,
+        reads the sample's own position.  The walk reaches the next sample
+        s' on the text path after d steps and reads p(s') - d.  The load
+        checks that the positions are distinct, n among them, and that every
+        sink holds a sample; the walk from a sample at n would read less, so
+        n lies on the sink, and each position before it on the text path
+        follows from the next: every sample holds its true position, as no
+        O(n_t) check of a file can tell (samples that trade positions, or a
+        flipped bit of one)."""
+        lstart = np.frombuffer(self.tg.g._lstart, np.int64)
+        at = np.flatnonzero(self._samp)
+        at = at[lstart.take(at + 1) - lstart.take(at) == 1]
+        got = self._lockstep(lstart.take(at) + 1, np.zeros(len(at), np.int64), StepCounter(),
+                             (nxt, val))
+        wrong = np.flatnonzero(got != self._samp.take(at))
+        if wrong.size:
+            v = int(at[wrong[0]])
+            raise FormatError(f"the sample on node {v} holds position {self._samp[v]}, "
+                              f"but its walk reads {got[wrong[0]]}")
 
     @property
     def _round_hops(self) -> int:
@@ -610,14 +779,17 @@ class TextIndex:
         j = _expand(first + 1, istart.take(nodes + 1) - first)[1]
         return np.frombuffer(self.tg._pos, np.int32).take(j)
 
-    def _lockstep(self, q: np.ndarray, acc: np.ndarray, counter: StepCounter) -> np.ndarray:
+    def _lockstep(self, q: np.ndarray, acc: np.ndarray, counter: StepCounter,
+                  hops: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
         """Text positions of the walks that leave by L positions q with sums
         acc, as ``_starts`` gives them, walked together: each round adds
         every walk's next ``_round_hops`` hops to its sum (in place) and
-        moves it on by the hop table, until every walk stands at 0.  A walk
-        takes at most n hops, so it ends within ceil(n / hops) rounds; one
-        that has not, as on a file whose steps cycle, raises FormatError."""
-        nxt, val = self._hops
+        moves it on by the hop table, ``_hops`` or, while ``_hops`` checks
+        the samples, the table ``hops`` it made, until every walk stands at
+        0.  A walk takes at most n hops, so it ends within ceil(n / hops)
+        rounds; one that has not, as on a file whose steps cycle, raises
+        FormatError."""
+        nxt, val = hops or self._hops
         for _ in range(-(-self.n // self._round_hops) + 1):
             if not np.count_nonzero(q):
                 break
@@ -632,14 +804,15 @@ class TextIndex:
 
     @cached_property
     def _extract_tables(self) -> tuple[memoryview, bytes]:
-        """(succ, moves), extract's tables, made on the first extract.
-        ``succ`` is ``_successors``' table, a memoryview of int32, 4 bytes
-        per L position, negated where q enters a tunnel's entrance: there it
-        names the out-edge by which the walk leaves the exit.  ``moves``
-        holds each tunnel node's in-tunnel move byte, 0 at an exit, in the
-        order of ``_chain`` reversed, so that the bytes a walk reads from
-        ``_chain[i]`` to its exit start at ``len(moves) - 1 - i`` and are
-        contiguous: one byte per tunnel node."""
+        """(succ, moves), extract's tables, which the search
+        (``_search_from``) also follows, made on the first count, locate or
+        extract.  ``succ`` is ``_successors``' table, a memoryview of int32,
+        4 bytes per L position, negated where q enters a tunnel's entrance:
+        there it names the out-edge by which the walk leaves the exit.
+        ``moves`` holds each tunnel node's in-tunnel move byte, 0 at an exit,
+        in the order of ``_chain`` reversed, so that the bytes a walk reads
+        from ``_chain[i]`` to its exit start at ``len(moves) - 1 - i`` and
+        are contiguous: one byte per tunnel node."""
         succ, ent, _ = self._successors()
         succ[ent] *= -1
         chain = np.asarray(self._chain)[:-1]
@@ -652,22 +825,22 @@ class TextIndex:
                 counter: StepCounter | None = None) -> bytes:
         """T[start .. start+length-1] (1-based, inclusive).
 
-        One loop walks from the nearest sample at or before ``start``
-        through ``start + length - 1`` and reads every byte on the way off
-        ``succ`` (``_extract_tables``, made on the first extract).  A
-        positive entry names the next edge: two reads and a store a byte.
-        A negative one follows an edge into a tunnel's entrance: the
-        tunnel's bytes up to its exit, or up to the last one wanted, are one
-        slice of ``moves``, and the walk goes on at the negated entry, the
-        exit's out-edge for the copy it landed on.  The walk starts at copy
-        1 of the sample, or of the source's exit after the source's tunnel
-        slice.  It raises on a step past the sink, which samples with
-        swapped positions reach: at the start, or where ``succ`` reads 0
-        with bytes still wanted.  It needs no copy check (``TextIndex``).
-        Each pass of the loop reads at least one byte, so it ends after at
-        most ``start + length - pos`` of them, pos the sample's position.
-        The counter gets a step for each byte read before ``start``, but one
-        for each tunnel slice begun there, and one for each byte returned."""
+        One loop walks from the nearest sample at or before ``start`` through
+        ``start + length - 1`` and reads every byte on the way off ``succ``
+        (``_extract_tables``, made on the first count, locate or extract).  A
+        positive entry names the next edge: two reads and a store a byte.  A
+        negative one follows an edge into a tunnel's entrance: the tunnel's
+        bytes up to its exit, or up to the last one wanted, are one slice of
+        ``moves``, and the walk goes on at the negated entry, the exit's
+        out-edge for the copy it landed on.  The walk starts at copy 1 of the
+        sample, or of the source's exit after the source's tunnel slice.  It
+        raises on a step past the sink, which samples with swapped positions
+        reach: at the start, or where ``succ`` reads 0 with bytes still
+        wanted.  It needs no copy check (``TextIndex``).  Each pass of the
+        loop reads at least one byte, so it ends after at most
+        ``start + length - pos`` of them, pos the sample's position.  The
+        counter gets a step for each byte read before ``start``, but one for
+        each tunnel slice begun there, and one for each byte returned."""
         if start < 1 or length < 0 or start + length - 1 > self.text_len:
             raise BoundsError(
                 f"extract({start},{length}) outside text of length {self.text_len}")
@@ -728,7 +901,8 @@ class TextIndex:
         the least power of 2 at or above ``sample_rate_n``, and its resident
         bytes), of its start table (its resident bytes, 0 on an index
         without tunnels, whose ranges never read it) and of extract's tables
-        (their resident bytes), each made here if no query has made it."""
+        (their resident bytes; the search follows them too), each made here
+        if no query has made it."""
         k, keys, states = self._kgrams
         nxt, val = self._hops
         starts = self._start_table if self.tg.tunnels else ()

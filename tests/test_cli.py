@@ -51,7 +51,8 @@ def test_build_makes_no_query_table(tmp_path, capsys, monkeypatch, tunnel):
     flags = [] if tunnel else ["--no-tunnel"]
     assert main(["build", str(text), "-o", str(tmp_path / "x.twgi"), *flags]) == 0
     (ix,) = built
-    assert not {"_kgrams", "_hops", "_start_table", "_extract_tables"} & vars(ix).keys()
+    assert not {"_kgrams", "_hops", "_start_table", "_extract_tables",
+                "_search_tables"} & vars(ix).keys()
     st = ix.stats()
     assert (st["tunnels"] > 0) == tunnel
     assert capsys.readouterr().out.splitlines() == [

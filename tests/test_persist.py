@@ -773,6 +773,64 @@ def test_swapped_samples_extract_past_the_sink(name, tunneling, small_index):
             got.extract(start, ln)
 
 
+
+@pytest.mark.parametrize("tunneling", [True, False])
+@pytest.mark.parametrize("name", ["fib", "cpm4"])
+def test_swapped_samples_fail_at_the_first_locate(name, tunneling, small_index):
+    # the files of test_swapped_samples_extract_past_the_sink load, and the
+    # first locate or locate_one makes the hop table, whose walk from each
+    # sample reads another position than the file gives it; a later query
+    # raises again, as no table was kept
+    ix, text = small_index(name, tunneling), SMALL_TEXTS[name]
+    for u, v in ((ix.ext_node[0], ix.ext_node[-2]), (ix.ext_node[-1], ix.ext_node[-2])):
+        bad = _samples(ix)
+        bad.loc[u], bad.loc[v] = bad.loc[v], bad.loc[u]
+        got = deserialize_index(_file(ix, bad))
+        assert got.count(text[:3]) == naive_count(text, text[:3])
+        for first in (lambda: got.locate(text[:3]), lambda: got.locate_one(TraversalPos(1))):
+            with pytest.raises(FormatError, match="the sample on node .* but its walk reads"):
+                first()
+        assert "_hops" not in vars(got)
+
+
+@pytest.mark.parametrize("tunneling", [True, False])
+@pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+def test_random_sample_swaps_fail_at_the_first_locate(name, tunneling, small_index):
+    ix, text = small_index(name, tunneling), SMALL_TEXTS[name]
+    rng = random.Random(181)
+    nodes = sorted(sample_loc(ix))
+    for _ in range(12):
+        u, v = rng.sample(nodes, 2)
+        bad = _samples(ix)
+        bad.loc[u], bad.loc[v] = bad.loc[v], bad.loc[u]
+        got = deserialize_index(_file(ix, bad))
+        with pytest.raises(FormatError, match="the sample on node"):
+            got.locate(text[5:9])
+
+
+@pytest.mark.parametrize("tunneling", [True, False])
+@pytest.mark.parametrize("name", ["fib", "cpm4"])
+def test_loc_bit_flips_that_load_fail_at_the_first_locate(name, tunneling, small_index):
+    # a single-bit flip of the loc section, marks or positions, under a
+    # recomputed CRC: a file that loads holds a position that is not its
+    # sample's, and its first locate refuses it
+    data, text = serialize_index(small_index(name, tunneling)), SMALL_TEXTS[name]
+    start = _section_offsets(data)[13]
+    (ln,) = struct.unpack_from("<I", data, start - 4)
+    loaded = 0
+    for bit in range(8 * ln):
+        payload = bytearray(data[start:start + ln])
+        payload[bit >> 3] ^= 1 << (bit & 7)
+        try:
+            got = deserialize_index(_with_section(data, 13, bytes(payload)))
+        except TwgiError:
+            continue
+        loaded += 1
+        with pytest.raises(FormatError, match="the sample on node"):
+            got.locate(text[:3])
+    assert loaded > 600
+
+
 class TestIndexFile:
     def test_byte_stable_roundtrip(self):
         ix = build_index(b"abcabc")

@@ -43,7 +43,6 @@ from conftest import (
 )
 from twgi.bitvec import BitVec, LabelSeq
 from twgi.errors import NotFoundError
-from twgi import text_index
 from twgi.persist import deserialize_index, serialize_index
 from twgi.text_index import TextIndex, build_graph_from_text, build_index
 from twgi.tunnel import (
@@ -364,9 +363,11 @@ class TestStepTable:
 
 @pytest.fixture
 def walk_lookups(monkeypatch):
-    """Names of the LabelSeq calls made outside a pattern search and of
+    """Names of the LabelSeq calls made outside ``_search_pairs`` and of
     every WheelerGraph.edge_target call: a search ranks L by design, and
-    both a search and a walk read the step table."""
+    both a search and a walk read the step table.  ``TextIndex._search_from``
+    reads L's bytes and count table itself, as ``_search_pairs`` does, and
+    calls no LabelSeq method."""
     calls, searching = [], [False]
     for owner, attr in ((LabelSeq, "access"), (LabelSeq, "rank"), (LabelSeq, "partial_rank"),
                         (LabelSeq, "select"), (WheelerGraph, "edge_target")):
@@ -386,7 +387,6 @@ def walk_lookups(monkeypatch):
             searching[0] = False
 
     monkeypatch.setattr(TunneledGraph, "_search_pairs", unguarded)
-    monkeypatch.setattr(text_index, "_table_search", unguarded)  # the k-gram table's
     return calls
 
 

@@ -1,8 +1,11 @@
 import random
 from bisect import bisect_right
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SMALL_TEXTS,
@@ -447,9 +450,8 @@ class TestKgramTable:
         text = random_text(random.Random(5), 40_000, 4)
         ix = build_index(text)
         calls = []
-        search = text_index._table_search
-        monkeypatch.setattr(text_index, "_table_search",
-                            lambda *args: calls.append(args) or search(*args))
+        search = ix._search_from
+        monkeypatch.setattr(ix, "_search_from", lambda *args: calls.append(args) or search(*args))
         k, spent = _table_depth(text, text_index._TABLE_SEARCHES)
         assert (k, len(calls)) == (5, 0) and _table_depth(text, ix.tg.g.n // 4)[0] == 6
         assert ix._kgrams[0] == k and len(calls) == spent <= text_index._TABLE_SEARCHES
@@ -516,6 +518,237 @@ class TestKgramTable:
             assert getattr(loaded, query)(b"ab")
             assert loaded._kgrams[0] > 1 and serialize_index(loaded) == data
         assert "_kgrams" not in vars(ix)
+
+
+
+def _where(ix, v: int) -> str:
+    """Where node v lies: "sink" (no out-edge), "exit" (a tunnel node of
+    more than one out-edge, "one-node tunnel" when it is also its tunnel's
+    entrance), "inside" (any other tunnel node) or "plain"."""
+    deg = ix.tg.g.outdeg(v)
+    if not deg:
+        return "sink"
+    if not is_tunnel_node(ix.tg, v):
+        return "plain"
+    if deg == 1:
+        return "inside"
+    return "one-node tunnel" if v in ix.tg.entrance_info else "exit"
+
+
+def _step_kinds(ix, state, byte) -> list[str]:
+    """How the search step from ``state`` by ``byte`` takes lo and hi, read
+    off the graph by LabelSeq calls: "border" when the end's border edge,
+    the range's first out-edge after lo's copy or its last up to hi's,
+    carries the byte, else the edge the end ranks to: "move into an exit",
+    "move" (in-tunnel moves) or "edge".  An empty list for a byte outside
+    the alphabet."""
+    g, tg = ix.tg.g, ix.tg
+    a, lo_off, b, hi_off = state
+    c = g._label_to_id.get(byte)
+    if c is None:
+        return []
+    i, j = g._lstart[a], g._lstart[b + 1]
+    if g.outdeg(a) > 1:
+        i = min(i + lo_off - 1, g._lstart[a + 1])
+    if g.outdeg(b) > 1 and hi_off is not None:
+        j = g._lstart[b] + hi_off
+    first, last = g.C[c] + g.L.rank(i, c) + 1, g.C[c] + g.L.rank(j, c)
+    kinds = []
+    for border, edge in ((i + 1, first), (j, last)):
+        p = tg._pos[edge] if 1 <= edge <= g.m else 0
+        if i < j and g.L.access(border) == c:
+            kinds.append("border")
+        elif not p or tg._step_land[p]:
+            kinds.append("edge")
+        else:
+            kinds.append("move into an exit" if g.outdeg(tg._step_to[p]) > 1 else "move")
+    return kinds
+
+
+def _kgram_states(ix) -> list[tuple]:
+    """Every state of the k-gram table, as a search takes it."""
+    cols = ix._kgrams[2]
+    return [(a, lo_off, b, hi_off or None) for a, lo_off, b, hi_off in zip(*cols)]
+
+
+def _assert_search_from(ix, patterns, states=(None,)) -> Counter:
+    """Asserts that ``_search_from`` returns ``_search_pairs``' state for
+    every pattern from each state; counts where the non-empty results'
+    ends lie (``_where``), once per end."""
+    seen = Counter()
+    for state in states:
+        for pat in patterns:
+            want = ix.tg._search_pairs(pat, state)
+            assert ix._search_from(pat, state) == want, (state, pat)
+            if want is not None:
+                seen.update(_where(ix, end[0]) for end in want)
+    return seen
+
+
+def _search_patterns(text: bytes, seed: int) -> list[bytes]:
+    """Patterns present and absent, with bytes outside the alphabet; long
+    substrings, which cross tunnels; and suffixes, whose ranges hold the
+    sink."""
+    n, out = len(text), bytes([min(set(range(256)) - set(text))])
+    rng = random.Random(seed)
+    pats = make_patterns(rng, text, 150, max_len=40)
+    pats += [text[i:i + 97] for i in range(0, n - 97, 61)]
+    pats += [text[n - k:] for k in range(1, 130)] + [text]
+    pats += [bytes((x,)) for x in range(256)] + [b""]
+    pats += [p[:len(p) // 2] + out + p[len(p) // 2:] for p in pats[:20]]
+    return pats
+
+
+class TestSearchKernel:
+    """``TextIndex._search_from`` searches along extract's signed successor
+    table and crosses a tunnel node's copies by one compare; it returns
+    ``TunneledGraph._search_pairs``' state, which the tests take as the
+    reference, hi_off None against 1 included."""
+
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_matches_the_pair_search(self, name, tunneling, small_index):
+        # from the full range and from every k-gram state, built and loaded;
+        # the ranges end inside tunnels, at exits and at the sink
+        text = SMALL_TEXTS[name]
+        out = bytes([min(set(range(256)) - set(text))])
+        alphabet = [bytes((x,)) for x in sorted(set(text))]
+        for ix in (small_index(name, tunneling), small_index(name, tunneling, loaded=True)):
+            seen = _assert_search_from(ix, _search_patterns(text, 151))
+            rng = random.Random(157)
+            for state in _kgram_states(ix):
+                pats = alphabet + [out] + [text[i:i + rng.randint(2, 24)]
+                                           for i in rng.sample(range(len(text)), 3)]
+                seen += _assert_search_from(ix, pats, [state])
+            assert seen["sink"] > 0 and seen["plain"] > 0, seen
+            if tunneling and name != "rand96":
+                assert seen["inside"] > 0 and seen["exit"] > 0, seen
+
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_each_step_matches(self, name, tunneling, small_index):
+        # byte by byte, each step from the state the last one reached: ends
+        # take their border edges or rank, and a ranked edge can be an
+        # in-tunnel move, into an exit or not
+        text = SMALL_TEXTS[name]
+        ix = small_index(name, tunneling)
+        kinds = Counter()
+        for pat in _search_patterns(text, 163)[:300]:
+            state = (1, 1, ix.tg.g.n, None)
+            for byte in pat:
+                got = ix._search_from(bytes((byte,)), state)
+                assert got == ix.tg._search_pairs(bytes((byte,)), state), (state, byte)
+                kinds.update(_step_kinds(ix, state, byte))
+                if got is None:
+                    break
+                state = (*got[0], *got[1])
+        assert kinds["border"] > 0 and kinds["edge"] > 0, kinds
+        assert (kinds["move"] > 0) == (tunneling and name != "rand96"), kinds
+        assert (kinds["move into an exit"] > 0) == (tunneling and name in ("cpm4", "cpm96")), kinds
+
+    def test_an_end_at_the_sink_takes_a_neighbours_move(self, small_index):
+        # the sink has no out-edge, so lo's border is the next node's first
+        # out-edge and hi's the last of the node before: on cpm96 both are
+        # in-tunnel moves.  Taken, lo lands at copy 1 and hi at copy None
+        # of the move's target, whatever copies the range held
+        ix = small_index("cpm96")
+        tg, lstart = ix.tg, ix.tg.g._lstart
+        (sink,) = [v for v in range(1, tg.g.n + 1) if not tg.g.outdeg(v)]
+        lo_move, hi_move = lstart[sink] + 1, lstart[sink]
+        assert _where(ix, sink - 1) == _where(ix, sink + 1) == "inside"
+        assert tg._step_land[lo_move] == tg._step_land[hi_move] == 0
+        byte = tg._step_byte[lo_move]
+        t = tg._step_to[lo_move]
+        assert ix._search_from(bytes((byte,)), (sink, 1, sink + 1, None)) == ((t, 1), (t, None))
+        assert ix._search_from(bytes((byte,)), (sink, 1, sink + 1, 2)) == ((t, 1), (t, 2))
+        byte = tg._step_byte[hi_move]
+        t = tg._step_to[hi_move]
+        for hi_off in (1, None):
+            for lo_off in (1, 2):
+                state = (sink - 1, lo_off, sink, hi_off)
+                assert ix._search_from(bytes((byte,)), state) == ((t, lo_off), (t, None))
+        states = [(sink, 1, b, None) for b in range(sink, sink + 4)]
+        states += [(a, 1, sink, hi_off) for a in range(sink - 3, sink + 1) for hi_off in (1, None)]
+        _assert_search_from(ix, _search_patterns(SMALL_TEXTS["cpm96"], 167)[:200], states)
+
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_a_plain_hi_given_copy_1(self, name, tunneling, small_index):
+        # a plain node has one copy: hi_off 1 there searches as None does,
+        # and a move taken from it lands at copy None, not 1
+        text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
+        reached = [ix.tg._search_pairs(p) for p in _search_patterns(text, 173)]
+        states = _kgram_states(ix) + [(*got[0], *got[1]) for got in reached if got]
+        plain = [s for s in states if not is_tunnel_node(ix.tg, s[2])]
+        assert len(plain) > 60
+        rng = random.Random(173)
+        pats = [bytes((x,)) for x in sorted(set(text))]
+        pats += [text[i:i + rng.randint(2, 30)] for i in rng.sample(range(len(text)), 20)]
+        for a, lo_off, b, hi_off in plain[:60]:
+            for pat in pats:
+                want = ix.tg._search_pairs(pat, (a, lo_off, b, None))
+                assert ix._search_from(pat, (a, lo_off, b, 1)) == want, ((a, lo_off, b), pat)
+                assert ix.tg._search_pairs(pat, (a, lo_off, b, 1)) == want
+
+    @pytest.mark.parametrize("min_width", [2, 3])
+    def test_length_one_tunnels(self, min_width):
+        # an entrance that is its own exit: an edge into it enters at the
+        # exit, where the signed successor table already names its copy's
+        # out-edge
+        seen, one_node = Counter(), 0
+        for text in EXIT_TEXTS:
+            ix = oracle_index(text, min_width=min_width, min_length=1)
+            one_node += sum(t.length == 1 for t in ix.tg.tunnels)
+            seen += _assert_search_from(ix, _search_patterns(text, 179))
+            seen += _assert_search_from(ix, [bytes((x,)) for x in sorted(set(text))],
+                                        _kgram_states(ix))
+        assert one_node > 0 and seen["one-node tunnel"] > 0, seen
+
+    def test_non_coherent_range(self):
+        # both a-edges reach node 2; a step table that sends the first one
+        # to node 3 lands lo above hi, here and in the k-gram table's steps
+        ix = build_index(b"abcabc")
+        assert ix._search_from(b"a") == ((2, 1), (2, 2))
+        ix.tg._step_to[ix.tg._pos[1]] = 3
+        with pytest.raises(InvariantError, match="non-coherent"):
+            ix._search_from(b"a")
+        with pytest.raises(InvariantError, match="non-coherent"):
+            ix.count(b"a")
+
+    def test_a_pattern_of_k_bytes_makes_no_search(self, small_index, monkeypatch):
+        # the table holds the state of every k-byte prefix: nothing follows
+        # it, so no search runs
+        text = SMALL_TEXTS["cpm4"]
+        ix = deserialize_index(serialize_index(small_index("cpm4")))
+        k = ix._kgrams[0]
+        calls = []
+        search = ix._search_from
+        monkeypatch.setattr(ix, "_search_from", lambda *args: calls.append(args) or search(*args))
+        for i in range(0, 400, 7):
+            assert ix.count(text[i:i + k]) == naive_count(text, text[i:i + k])
+        assert calls == []
+        assert ix.count(text[:k + 1]) == naive_count(text, text[:k + 1]) and len(calls) == 1
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_random_texts_search_from_like_the_pair_search(data):
+    # on every substring of up to 12 bytes and on random patterns, most of
+    # them absent, some with a byte outside the alphabet, from the full
+    # range and from every k-gram state; copy-paste-mutate texts have
+    # tunnels, random ones few
+    sigma = data.draw(st.sampled_from([2, 3, 4]), label="sigma")
+    make = data.draw(st.sampled_from([random_text, copy_paste_mutate]), label="generator")
+    text = make(random.Random(data.draw(st.integers(0, 2**32), label="seed")),
+                data.draw(st.integers(2, 300), label="size"), sigma)
+    alphabet = b"abcd"[:sigma]
+    ix = build_index(text, tunneling=data.draw(st.booleans(), label="tunneling"))
+    patterns = {text[i:i + k] for k in range(1, 13) for i in range(len(text) - k + 1)}
+    patterns.update(data.draw(st.lists(st.binary(min_size=1, max_size=14).map(
+        lambda p: bytes(alphabet[x % sigma] if x % 8 else 0x7a for x in p)), max_size=20),
+        label="patterns"))
+    _assert_search_from(ix, sorted(patterns))
+    _assert_search_from(ix, [bytes((x,)) for x in (*alphabet, 0x7a)], _kgram_states(ix))
 
 
 class TestLocate:
@@ -833,6 +1066,24 @@ class TestLockstep:
         ix = build_index(SMALL_TEXTS[name], sample_rate_n=rate, tunneling=tunneling)
         assert rate or ix.sample_rate_n == 12
         _assert_hops_compose(ix, hops)
+
+    @pytest.mark.parametrize("rate,loaded", RATES_AND_FILES)
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_every_sample_walks_to_its_position(self, name, tunneling, rate, loaded,
+                                                small_index):
+        # the check that making the hop table runs: the walk from every
+        # sample but the sink, by its one out-edge, reads the position the
+        # loop's samples give it
+        text = SMALL_TEXTS[name]
+        ix = small_index(name, tunneling, rate, loaded)
+        kw = {} if tunneling else {"min_width": len(text) + 2}
+        loc = loop_samples(text, sample_rate_n=rate, **kw)[0]
+        walked = {v: pos for v, pos in loc.items() if ix.tg.g.outdeg(v)}
+        assert len(walked) == len(loc) - 1
+        starts = np.array([ix.tg.g._lstart[v] + 1 for v in walked], np.int64)
+        got = ix._lockstep(starts, np.zeros(len(walked), np.int64), StepCounter())
+        assert got.tolist() == list(walked.values())
 
     @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
     def test_one_round_spans_every_plain_sample_gap(self, name, small_index):
@@ -1154,19 +1405,27 @@ class TestExtract:
 
     @pytest.mark.parametrize("tunneling", [True, False])
     def test_tables_are_made_on_first_extract(self, tunneling, small_index):
-        # an index that only counts and locates does not pay for extract's
-        # tables; the first extract makes them, the next reuse them.
-        # test_a_step_cycle_does_not_hang depends on this: it writes _step_to
-        # after load, before the first extract, which reads what it wrote
+        # the signed successor table is also the search's: the first count,
+        # locate or extract makes it, the next reuse it, and a query that
+        # searches nothing (an empty count or extract, a locate_one) does
+        # not make it.  test_a_step_cycle_does_not_hang depends on this: it
+        # writes _step_to after load, before the first query, and its
+        # extract reads what it wrote
         text = SMALL_TEXTS["cpm4"]
-        ix = deserialize_index(serialize_index(small_index("cpm4", tunneling)))
-        assert ix.count(text[:2]) > 1 and ix.locate(text[1:3]) == naive_locate(text, text[1:3])
-        assert ix.locate_one(TraversalPos(1, 1)) == 1 and ix.extract(3, 0) == b""
-        assert "_extract_tables" not in vars(ix)
-        assert ix.extract(5, 30) == text[4:34]
-        tables = vars(ix)["_extract_tables"]
-        assert ix.extract(1, len(text)) == text
-        assert vars(ix)["_extract_tables"] is tables
+        data = serialize_index(small_index("cpm4", tunneling))
+        for first in (lambda ix: ix.count(text[:2]) > 1,
+                      lambda ix: ix.locate(text[1:3]) == naive_locate(text, text[1:3]),
+                      lambda ix: ix.extract(5, 30) == text[4:34]):
+            ix = deserialize_index(data)
+            assert ix.count(b"") == ix.n and ix.extract(3, 0) == b""
+            assert ix.locate_one(TraversalPos(1, 1)) == 1
+            assert not {"_extract_tables", "_search_tables"} & vars(ix).keys()
+            assert first(ix)
+            tables = vars(ix)["_extract_tables"]
+            assert ix.extract(1, len(text)) == text and ix.count(text[:5]) >= 1
+            assert ix.locate(text[:7]) == naive_locate(text, text[:7])
+            assert vars(ix)["_extract_tables"] is tables
+            assert all(a is b for a, b in zip(vars(ix)["_search_tables"], tables))
 
     def test_full_roundtrip_various(self):
         rng = random.Random(19)
