@@ -47,7 +47,13 @@ and follows the signed successor table while that edge carries the
 pattern's next byte; a range of one tunnel node's copies crosses the tunnel
 by one compare with its bytes, the slice extract reads, and only an end
 that drops out ranks L.  It returns ``TunneledGraph._search_pairs``' state,
-the search of a general tunneled graph and the tests' reference.
+the search of a general tunneled graph and the tests' reference.  It starts
+from the state of the pattern's first min(len(pattern), k) bytes, one bisect
+of a table by prefix length (``_kgrams``), so a pattern of at most k bytes
+takes no step.
+
+A query passed a ``StepCounter`` adds its steps to it; one passed none
+makes none and sums no steps.
 """
 
 from __future__ import annotations
@@ -159,7 +165,9 @@ class StepCounter:
     tunnel to its exit, one step each.  Extract counts a step for each byte
     it returns and for each byte it reads on the way to ``start``, but one
     for each tunnel slice begun before ``start``, however many of the
-    slice's bytes lie there."""
+    slice's bytes lie there.  A query adds its steps once, at its end, and
+    only to a counter it is passed: with none it makes none and sums no
+    steps, so counting costs a query nothing unless asked for."""
 
     steps: int = 0
 
@@ -210,13 +218,15 @@ class TextIndex:
 
     Count and locate search with ``_search_from``, whose state is
     ``tg._search_pairs``', from a start state: the state after the
-    pattern's first k bytes, read off a table of every k-byte prefix of the
-    text (``_kgrams``).  The first count or locate makes it, from the index
-    alone, and no file stores it; k is the deepest level, at most 8, that
-    the table reaches in at most min(n_t // 4, 2048) one-byte searches, so
-    one query per load pays a few milliseconds for it, whatever the index's
-    size.  The search follows extract's signed successor table, which the
-    first count, locate or extract makes."""
+    pattern's first j = min(len(pattern), k) bytes, one bisect of level j
+    of a table of every prefix of at most k bytes that occurs in the text
+    (``_kgrams``), so a pattern of at most k bytes takes no search step.
+    The first count or locate makes the table, from the index alone, and no
+    file stores it; k is the deepest level, at most 8, that the table
+    reaches in at most min(n_t // 4, 2048) one-byte searches, so one query
+    per load pays a few milliseconds for it, whatever the index's size.
+    The search follows extract's signed successor table, which the first
+    count, locate or extract makes."""
 
     def __init__(self, tg: TunneledGraph, n: int, sample_rate_n: int,
                  sample_rate_t: int, nodes, positions):
@@ -370,26 +380,32 @@ class TextIndex:
     # -- searching -------------------------------------------------------------
 
     @cached_property
-    def _kgrams(self) -> tuple[int, array, list[array]]:
-        """(k, keys, states): the search state of every k-byte prefix that
-        occurs, made on the first count or locate (Bowtie's ``ftab``).  Level
+    def _kgrams(self) -> list[tuple[array, array, array, array, array]]:
+        """The search state of every prefix of at most k bytes that occurs,
+        made on the first count or locate (Bowtie's ``ftab``), one level per
+        length j = 0..k: ``levels[j]`` is (keys, a, lo_off, b, hi_off).  Level
         j + 1 extends each state of level j by each alphabet byte, one
         ``_search_from`` step, and keeps the non-empty states.  k is the
         deepest level, at most 8, whose levels take at most min(n_t // 4,
         ``_TABLE_SEARCHES``) such steps in all: the table and the work to make
         it stay within a quarter of the nodes, and the first query of a load
         pays a bounded cost, which one query per load does not win back.
-        ``keys`` holds each prefix as ``int.from_bytes(prefix, "big")``,
-        ascending as the alphabet is, and unsigned, as 8 bytes from 0x80 up
-        pass 2^63; every prefix has k bytes, so one starting with 0x00
-        collides with no shorter one.
-        ``states`` holds four int32 arrays, a, lo_off, b and hi_off by key,
-        with hi_off None as 0.  At k = 0 the one key is the empty prefix's,
-        whose state is the full range."""
+        ``keys``, an array("Q"), holds each j-byte prefix as
+        ``int.from_bytes(prefix, "big")``, ascending as the alphabet is, and
+        unsigned, as 8 bytes from 0x80 up pass 2^63.  The states are four
+        int32 arrays by key, with hi_off None as 0.  Level 0 holds the empty
+        prefix, key 0, whose state is the full range."""
         nt, alphabet = self.tg.g.n, self.tg.g.alphabet
-        level, k, budget = [(0, 1, 1, nt, None)], 0, min(nt // 4, _TABLE_SEARCHES)
-        while k < 8 and len(level) * len(alphabet) <= budget:
-            budget -= len(level) * len(alphabet)
+        level, budget = [(0, 1, 1, nt, None)], min(nt // 4, _TABLE_SEARCHES)
+        levels = []
+        while True:
+            keys, *states = list(zip(*level)) or [()] * 5
+            levels.append((array("Q", keys), *(array("i", [x or 0 for x in col])
+                                               for col in states)))
+            cost = len(level) * len(alphabet)
+            if len(levels) > 8 or cost > budget:
+                return levels
+            budget -= cost
             deeper = []
             for key, *state in level:
                 for c in alphabet:
@@ -397,26 +413,26 @@ class TextIndex:
                     if got is not None:
                         (a, lo_off), (b, hi_off) = got
                         deeper.append((key << 8 | c, a, lo_off, b, hi_off))
-            level, k = deeper, k + 1
-        keys, *states = list(zip(*level)) or [()] * 5
-        return k, array("Q", keys), [array("i", [x or 0 for x in col]) for col in states]
+            level = deeper
 
     def _search(self, pattern: bytes):
-        """``tg._search_pairs(pattern)``, its first k steps read off the
-        k-gram table and the rest taken by ``_search_from``: a pattern
-        shorter than k is searched in full, one of k bytes is its table
-        state, and one whose first k bytes are no key occurs nowhere, since
-        the table holds every non-empty state of depth k."""
-        k, keys, (a, lo_off, b, hi_off) = self._kgrams
-        if len(pattern) < k:
-            return self._search_from(pattern)
-        key = int.from_bytes(pattern[:k], "big")
+        """``tg._search_pairs(pattern)``, its first j = min(len(pattern), k)
+        steps read off level j of the k-gram table and the rest taken by
+        ``_search_from``: a pattern of at most k bytes is one bisect and its
+        table state, and one whose first j bytes are no key occurs nowhere,
+        since level j holds every non-empty state of depth j."""
+        levels = self._kgrams
+        j = len(levels) - 1
+        if len(pattern) < j:
+            j = len(pattern)
+        keys, a, lo_off, b, hi_off = levels[j]
+        key = int.from_bytes(pattern[:j], "big")
         i = bisect_left(keys, key)
         if i == len(keys) or keys[i] != key:
             return None
-        if len(pattern) == k:
+        if len(pattern) == j:
             return (a[i], lo_off[i]), (b[i], hi_off[i] or None)
-        return self._search_from(pattern[k:], (a[i], lo_off[i], b[i], hi_off[i] or None))
+        return self._search_from(pattern[j:], (a[i], lo_off[i], b[i], hi_off[i] or None))
 
     @cached_property
     def _search_tables(self) -> tuple:
@@ -553,7 +569,8 @@ class TextIndex:
         """Occurrences of the pattern in the text (|T|+1 for the empty
         pattern: every node is an occurrence).  Count takes no step.  The
         search (``_search``) starts from the k-gram table's state of the
-        pattern's first k bytes, which the first count or locate makes, and
+        pattern's first min(len(pattern), k) bytes, one bisect, which the
+        first count or locate makes, and
         follows extract's successor table, which the first count, locate or
         extract makes."""
         if isinstance(pattern, str):
@@ -580,7 +597,6 @@ class TextIndex:
         one start walks as a range's starts do (``locate``)."""
         if not 1 <= p.offset <= self.node_width(p.node):
             raise BoundsError(f"node {p.node} has no copy {p.offset}")
-        counter = counter if counter is not None else StepCounter()
         q, acc = self._starts(p.node, p.offset, p.node, p.offset, None, counter)
         return int(self._lockstep(q, acc, counter)[0])
 
@@ -595,26 +611,29 @@ class TextIndex:
         node makes.  The starts then walk all at once through the hop table
         (``_lockstep``), which the first locate makes and which checks the
         samples' positions then.  The search is count's, from the k-gram
-        table along extract's successor table (``_search``)."""
+        table along extract's successor table (``_search``).  The walk's sums
+        are shifted, less the pattern's length and sorted in place; with no
+        ``counter`` no steps are summed."""
         if isinstance(pattern, str):
             raise TypeError("pattern must be bytes")
         if len(pattern) == 0:
             raise ValidationError("locate needs a non-empty pattern")
         if limit is not None and limit < 0:
             raise ValidationError(f"locate limit {limit} is negative")
-        counter = counter if counter is not None else StepCounter()
         got = self._search(pattern)
         if got is None or limit == 0:
             return []
         (lo, lo_off), (hi, hi_off) = got
         q, acc = self._starts(lo, lo_off, hi, hi_off, limit, counter)
-        positions = np.sort(self._lockstep(q, acc, counter) - len(pattern))
+        positions = self._lockstep(q, acc, counter)
+        positions -= len(pattern)
+        positions.sort()
         if np.count_nonzero(positions[1:] == positions[:-1]):
             raise InvariantError("two occurrences located at one text position")
         return positions.tolist()
 
     def _starts(self, lo: int, lo_off: int, hi: int, hi_off: int | None,
-                limit: int | None, counter: StepCounter):
+                limit: int | None, counter: StepCounter | None):
         """(q, acc), int64 arrays, the lockstep walks of the range's
         occurrences, the first ``limit`` of them: a plain node starts at its
         one copy, and the copies of a tunnel node at its exit, the distance
@@ -625,8 +644,9 @@ class TextIndex:
         the distance travelled, above 32 low bits of steps, 0 so far.  The
         range keeps copies lo_off.. of lo and ..hi_off of hi, none of lo if
         lo_off is past its width; one jump is counted for each tunnel node
-        off its exit with a kept copy.  A range of plain nodes, one copy
-        each, reads its nodes' L starts and samples as two slices.  Any
+        off its exit with a kept copy, unless ``counter`` is None.  A range
+        of plain nodes, one copy each, which one bisect of the tunnel nodes
+        tells, reads its nodes' L starts and samples as two slices.  Any
         other range is the run of original ranks from its first kept copy to
         its last; one search of the widths summed finds each rank's node,
         and a gather of each of ``_start_table``'s arrays by node gives the
@@ -634,8 +654,10 @@ class TextIndex:
         fresh arrays, which ``_lockstep`` adds into."""
         if limit is not None and hi - lo > limit:  # every node past lo holds an occurrence
             hi, hi_off = lo + limit, None
-        i, j = bisect_left(self._tun, lo), bisect_right(self._tun, hi)
-        if i == j and lo_off == 1 and hi_off in (None, 1):  # plain nodes, one copy each
+        tun = self._tun
+        i = bisect_left(tun, lo)
+        if (i == len(tun) or tun[i] > hi) and lo_off == 1 and hi_off in (None, 1):
+            # plain nodes, one copy each
             stop = hi + 1 if limit is None else min(hi + 1, lo + limit)
             samp = self._samp[lo:stop]
             lstart = np.frombuffer(self.tg.g._lstart, np.int64)
@@ -649,7 +671,8 @@ class TextIndex:
             return np.zeros(0, np.int64), np.zeros(0, np.int64)
         ranks = np.arange(first, last + 1)
         node = cw[lo:hi + 1].searchsorted(ranks) + lo
-        counter.steps += int(np.count_nonzero(s[node[0]:node[-1] + 1] < 0))
+        if counter is not None:
+            counter.steps += int(np.count_nonzero(s[node[0]:node[-1] + 1] < 0))
         return off.take(node) + ranks, s.take(node) * np.int64(2 ** 32)
 
     @cached_property
@@ -709,8 +732,7 @@ class TextIndex:
         lstart = np.frombuffer(self.tg.g._lstart, np.int64)
         at = np.flatnonzero(self._samp)
         at = at[lstart.take(at + 1) - lstart.take(at) == 1]
-        got = self._lockstep(lstart.take(at) + 1, np.zeros(len(at), np.int64), StepCounter(),
-                             (nxt, val))
+        got = self._lockstep(lstart.take(at) + 1, np.zeros(len(at), np.int64), None, (nxt, val))
         wrong = np.flatnonzero(got != self._samp.take(at))
         if wrong.size:
             v = int(at[wrong[0]])
@@ -779,26 +801,30 @@ class TextIndex:
         j = _expand(first + 1, istart.take(nodes + 1) - first)[1]
         return np.frombuffer(self.tg._pos, np.int32).take(j)
 
-    def _lockstep(self, q: np.ndarray, acc: np.ndarray, counter: StepCounter,
+    def _lockstep(self, q: np.ndarray, acc: np.ndarray, counter: StepCounter | None,
                   hops: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
         """Text positions of the walks that leave by L positions q with sums
         acc, as ``_starts`` gives them, walked together: each round adds
         every walk's next ``_round_hops`` hops to its sum (in place) and
         moves it on by the hop table, ``_hops`` or, while ``_hops`` checks
         the samples, the table ``hops`` it made, until every walk stands at
-        0.  A walk takes at most n hops, so it ends within ceil(n / hops)
-        rounds; one that has not, as on a file whose steps cycle, raises
-        FormatError."""
+        0, which it tests after each round: most walks end in the first.  A
+        walk takes at most n hops, so it ends within ceil(n / hops) rounds; a
+        walk still live after one round more, as on a file whose steps cycle,
+        raises FormatError.  The steps are summed into ``counter`` unless it
+        is None, and the positions are shifted out of ``acc`` in place."""
         nxt, val = hops or self._hops
         for _ in range(-(-self.n // self._round_hops) + 1):
-            if not np.count_nonzero(q):
-                break
             acc += val.take(q)
             q = nxt.take(q)
+            if not np.count_nonzero(q):
+                break
         else:
             raise FormatError(f"found no sample in {self.n} steps")
-        counter.steps += int((acc & 0xFFFFFFFF).sum())
-        return acc >> 32
+        if counter is not None:
+            counter.steps += int((acc & 0xFFFFFFFF).sum())
+        acc >>= 32
+        return acc
 
     # -- extracting -----------------------------------------------------------------
 
@@ -840,13 +866,13 @@ class TextIndex:
         loop reads at least one byte, so it ends after at most
         ``start + length - pos`` of them, pos the sample's position.  The
         counter gets a step for each byte read before ``start``, but one for
-        each tunnel slice begun there, and one for each byte returned."""
+        each tunnel slice begun there, and one for each byte returned; with
+        no counter, none is made."""
         if start < 1 or length < 0 or start + length - 1 > self.text_len:
             raise BoundsError(
                 f"extract({start},{length}) outside text of length {self.text_len}")
         if length == 0:
             return b""
-        counter = counter if counter is not None else StepCounter()
         lstart, step_to, step_byte = self.tg.g._lstart, self.tg._step_to, self.tg._step_byte
         slot, to_exit = self._slot, self._to_exit
         succ, moves = self._extract_tables
@@ -889,21 +915,22 @@ class TextIndex:
                 saved += min(k, seek - j) - 1
             j += k
             p = -q
-        counter.steps += total - saved
+        if counter is not None:
+            counter.steps += total - saved
         del out[:seek]
         return bytes(out)
 
     # -- bookkeeping ------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """Sizes of the index, of its k-gram table (k, its keys and its
-        resident bytes), of its hop table (the hops a lockstep round takes,
-        the least power of 2 at or above ``sample_rate_n``, and its resident
-        bytes), of its start table (its resident bytes, 0 on an index
+        """Sizes of the index, of its k-gram table (k, level k's keys and the
+        resident bytes of every level), of its hop table (the hops a lockstep
+        round takes, the least power of 2 at or above ``sample_rate_n``, and
+        its resident bytes), of its start table (its resident bytes, 0 on an index
         without tunnels, whose ranges never read it) and of extract's tables
         (their resident bytes; the search follows them too), each made here
         if no query has made it."""
-        k, keys, states = self._kgrams
+        levels = self._kgrams
         nxt, val = self._hops
         starts = self._start_table if self.tg.tunnels else ()
         succ, moves = self._extract_tables
@@ -915,9 +942,9 @@ class TextIndex:
             "tunnels": len(self.tg.tunnels),
             "sample_rate_n": self.sample_rate_n,
             "sample_rate_t": self.sample_rate_t,
-            "kgram_k": k,
-            "kgram_keys": len(keys),
-            "kgram_bytes": sum(map(sys.getsizeof, [keys, *states])),
+            "kgram_k": len(levels) - 1,
+            "kgram_keys": len(levels[-1][0]),
+            "kgram_bytes": sum(sys.getsizeof(col) for level in levels for col in level),
             "hops_per_round": self._round_hops,
             "hop_bytes": nxt.nbytes + val.nbytes,
             "start_bytes": sum(a.nbytes for a in starts),

@@ -171,8 +171,9 @@ def test_stats(workdir, capsys):
 
 @pytest.mark.parametrize("tunnel", [True, False])
 def test_stats_reports_the_kgram_table(tmp_path, capsys, tunnel):
-    # the table of every k-gram's search state: k, one key per distinct
-    # k-gram of the text, and the bytes the two arrays hold
+    # the table of every j-gram's search state, j = 0..k: k, one key per
+    # distinct k-gram of the text, and the bytes the five arrays of every
+    # level hold, 24 per j-gram and a bounded overhead per level
     data = copy_paste_mutate(random.Random(4), 2048, 4)
     text, index = tmp_path / "t.txt", tmp_path / "t.twgi"
     text.write_bytes(data)
@@ -183,7 +184,8 @@ def test_stats_reports_the_kgram_table(tmp_path, capsys, tunnel):
     k, keys = int(lines["kgram_k"]), int(lines["kgram_keys"])
     assert 1 < k <= 8
     assert keys == len({data[i:i + k] for i in range(len(data) - k + 1)})
-    assert 24 * keys < int(lines["kgram_bytes"]) < 24 * keys + 512
+    grams = sum(len({data[i:i + j] for i in range(len(data) - j + 1)}) for j in range(k + 1))
+    assert 24 * grams < int(lines["kgram_bytes"]) < 24 * grams + 512 * (k + 1)
 
 
 @pytest.mark.parametrize("tunnel", [True, False])

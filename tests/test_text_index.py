@@ -168,7 +168,7 @@ class TestBuildIndex:
         assert ix.count(b"ab") > 0 and ix.count(b"") == len(SMALL_TEXTS["fib"]) + 1
         with pytest.raises(ValidationError, match="non-empty"):
             ix.locate(b"")
-        for pattern in ("", "ab", "abra", "a" * ix._kgrams[0], "ab" * 20):
+        for pattern in ("", "ab", "abra", "a" * _depth(ix), "ab" * 20):
             for search in (ix.count, ix.locate, ix.tg.path_search):
                 with pytest.raises(TypeError, match="^pattern must be bytes$"):
                     search(pattern)
@@ -405,6 +405,11 @@ def _grams(text: bytes, k: int) -> list[bytes]:
     return sorted({text[i:i + k] for i in range(len(text) - k + 1)})
 
 
+def _depth(ix) -> int:
+    """k, the k-gram table's deepest level."""
+    return len(ix._kgrams) - 1
+
+
 def _table_depth(text: bytes, budget: int) -> tuple[int, int]:
     """(k, one-byte searches) of the k-gram table's rule, read off the text:
     level j takes (distinct j-grams) x sigma searches, and k is the deepest
@@ -424,14 +429,17 @@ class TestKgramTable:
     @pytest.mark.parametrize("tunneling", [True, False])
     @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
     def test_keys_are_the_kgrams_and_states_their_search(self, name, tunneling, small_index):
+        # every level j = 0..k: its keys are the j-grams, level 0's the
+        # empty prefix of the full range, and its states their searches
         text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
         for got in (ix, deserialize_index(serialize_index(ix))):
-            k, keys, states = got._kgrams
-            grams = _grams(text, k)
-            assert list(keys) == [int.from_bytes(gram, "big") for gram in grams]
-            for i, gram in enumerate(grams):
-                a, lo_off, b, hi_off = _flat(got.tg._search_pairs(gram))
-                assert [col[i] for col in states] == [a, lo_off, b, hi_off or 0], gram
+            for j, (keys, *states) in enumerate(got._kgrams):
+                grams = _grams(text, j)
+                assert keys.typecode == "Q" and {col.typecode for col in states} == {"i"}
+                assert list(keys) == [int.from_bytes(gram, "big") for gram in grams], j
+                for i, gram in enumerate(grams):
+                    a, lo_off, b, hi_off = _flat(got.tg._search_pairs(gram))
+                    assert [col[i] for col in states] == [a, lo_off, b, hi_off or 0], gram
 
     @pytest.mark.parametrize("tunneling", [True, False])
     @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
@@ -439,7 +447,7 @@ class TestKgramTable:
         # k is the deepest level, at most 8, whose making takes at most
         # n_t // 4 one-byte searches; the cap of 2048 binds from n_t = 8192
         text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
-        k = ix._kgrams[0]
+        k = _depth(ix)
         assert ix.tg.g.n // 4 < text_index._TABLE_SEARCHES
         assert k == _table_depth(text, ix.tg.g.n // 4)[0]
         assert ix.stats()["kgram_k"] == k and ix.stats()["kgram_keys"] == len(_grams(text, k))
@@ -454,7 +462,7 @@ class TestKgramTable:
         monkeypatch.setattr(ix, "_search_from", lambda *args: calls.append(args) or search(*args))
         k, spent = _table_depth(text, text_index._TABLE_SEARCHES)
         assert (k, len(calls)) == (5, 0) and _table_depth(text, ix.tg.g.n // 4)[0] == 6
-        assert ix._kgrams[0] == k and len(calls) == spent <= text_index._TABLE_SEARCHES
+        assert _depth(ix) == k and len(calls) == spent <= text_index._TABLE_SEARCHES
         for pat in make_patterns(random.Random(127), text, 40, max_len=10):
             assert ix.count(pat) == naive_count(text, pat), pat
 
@@ -479,7 +487,7 @@ class TestKgramTable:
         # before, inside and after the k-prefix; k-prefixes from byte 0
         text, ix = SMALL_TEXTS[name], small_index(name, tunneling)
         for got in (ix, deserialize_index(serialize_index(ix))):
-            k = got._kgrams[0]
+            k = _depth(got)
             out = bytes([min(set(range(256)) - set(text))])
             rng = random.Random(109)
             starts = [rng.randrange(len(text) - k) for _ in range(20)]
@@ -502,9 +510,9 @@ class TestKgramTable:
         # at k = 8 a prefix from byte 0x80 up passes 2^63
         text = fibonacci_word(2048).translate(bytes.maketrans(b"ab", b"\xfe\xff"))
         ix = build_index(text)
-        k, keys, _ = ix._kgrams
-        assert k == 8 and max(keys) >= 2 ** 63
-        assert list(keys) == [int.from_bytes(gram, "big") for gram in _grams(text, k)]
+        keys = ix._kgrams[-1][0]
+        assert _depth(ix) == 8 and max(keys) >= 2 ** 63
+        assert list(keys) == [int.from_bytes(gram, "big") for gram in _grams(text, 8)]
         for pat in make_patterns(random.Random(113), text, 60, max_len=12):
             assert ix.count(pat) == naive_count(text, pat), pat
             assert ix.locate(pat) == naive_locate(text, pat), pat
@@ -516,7 +524,7 @@ class TestKgramTable:
             loaded = deserialize_index(data)
             assert "_kgrams" not in vars(loaded)
             assert getattr(loaded, query)(b"ab")
-            assert loaded._kgrams[0] > 1 and serialize_index(loaded) == data
+            assert _depth(loaded) > 1 and serialize_index(loaded) == data
         assert "_kgrams" not in vars(ix)
 
 
@@ -566,8 +574,8 @@ def _step_kinds(ix, state, byte) -> list[str]:
 
 
 def _kgram_states(ix) -> list[tuple]:
-    """Every state of the k-gram table, as a search takes it."""
-    cols = ix._kgrams[2]
+    """Every state of the k-gram table's level k, as a search takes it."""
+    cols = ix._kgrams[-1][1:]
     return [(a, lo_off, b, hi_off or None) for a, lo_off, b, hi_off in zip(*cols)]
 
 
@@ -716,18 +724,24 @@ class TestSearchKernel:
             ix.count(b"a")
 
     def test_a_pattern_of_k_bytes_makes_no_search(self, small_index, monkeypatch):
-        # the table holds the state of every k-byte prefix: nothing follows
-        # it, so no search runs
-        text = SMALL_TEXTS["cpm4"]
-        ix = deserialize_index(serialize_index(small_index("cpm4")))
-        k = ix._kgrams[0]
-        calls = []
-        search = ix._search_from
-        monkeypatch.setattr(ix, "_search_from", lambda *args: calls.append(args) or search(*args))
-        for i in range(0, 400, 7):
-            assert ix.count(text[i:i + k]) == naive_count(text, text[i:i + k])
-        assert calls == []
-        assert ix.count(text[:k + 1]) == naive_count(text, text[:k + 1]) and len(calls) == 1
+        # level j of the table holds the state of every j-byte prefix: a
+        # pattern of 1..k bytes, present or absent, is one bisect, and no
+        # search runs
+        for name, text in sorted(SMALL_TEXTS.items()):
+            ix = deserialize_index(serialize_index(small_index(name)))
+            k = _depth(ix)
+            calls = []
+            search = ix._search_from
+            monkeypatch.setattr(ix, "_search_from",
+                                lambda *args: calls.append(args) or search(*args))
+            out = bytes([min(set(range(256)) - set(text))])
+            for j in range(1, k + 1):
+                for pat in [text[i:i + j] for i in range(0, 400, 7)] + [out * j,
+                                                                         text[:j - 1] + out]:
+                    assert ix.count(pat) == naive_count(text, pat), (name, pat)
+                    assert ix.locate(pat) == naive_locate(text, pat), (name, pat)
+            assert k >= 1 and calls == [], name
+            assert ix.count(text[:k + 1]) == naive_count(text, text[:k + 1]) and len(calls) == 1
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -1223,6 +1237,51 @@ def _edge_index(small_index, name: str, settings: str, loaded: bool):
     ix = small_index(name) if settings == "default" else \
         oracle_index(SMALL_TEXTS[name], **LANDING_SETTINGS[settings])
     return deserialize_index(serialize_index(ix)) if loaded else ix
+
+
+class TestNoCounter:
+    """A query passed no counter makes no ``StepCounter`` and keeps no step
+    count, and answers as one passed a counter does."""
+
+    @pytest.mark.parametrize("rate,loaded", [(None, False), *RATES_AND_FILES])
+    @pytest.mark.parametrize("tunneling", [True, False])
+    @pytest.mark.parametrize("name", sorted(SMALL_TEXTS))
+    def test_answers_as_with_a_counter(self, name, tunneling, rate, loaded, small_index,
+                                       monkeypatch):
+        text, ix = SMALL_TEXTS[name], small_index(name, tunneling, rate, loaded)
+        rng = random.Random(67)
+        want = {}
+        for pat in make_patterns(rng, text, 20, max_len=9) + [text[:1], text[-3:]]:
+            for limit in (None, 1, 5):
+                want[pat, limit] = ix.locate(pat, limit, StepCounter())
+        nodes = rng.sample(range(1, ix.tg.g.n + 1), 30)
+        copies = [TraversalPos(v, o) for v in nodes for o in range(1, ix.node_width(v) + 1)]
+        located = [ix.locate_one(pos, StepCounter()) for pos in copies]
+        windows = [(rng.randint(1, len(text) - 40), rng.randint(1, 40)) for _ in range(30)]
+        # the module's StepCounter no longer names a class: a query that
+        # made one would raise
+        monkeypatch.setattr(text_index, "StepCounter", None)
+        for (pat, limit), got in want.items():
+            assert ix.locate(pat, limit) == got, (pat, limit)
+            assert limit is not None or got == naive_locate(text, pat), pat
+        assert [ix.locate_one(pos) for pos in copies] == located
+        for start, ln in windows:
+            assert ix.extract(start, ln) == ix.extract(start, ln, StepCounter()) \
+                == text[start - 1:start - 1 + ln], (start, ln)
+
+    @pytest.mark.parametrize("tunneling", [True, False])
+    def test_a_range_with_no_starts_locates_nothing(self, tunneling, small_index, monkeypatch):
+        # no search gives such a range (lo's first copy past its width, lo
+        # its one node), but _starts keeps none of it: the walk of no
+        # starts takes no round's step and locates nothing
+        ix = small_index("cpm4", tunneling)
+        nt = ix.tg.g.n
+        for v in [1, 2, nt // 2] + [v for v in range(1, nt) if ix.tg._kind[v]][:1]:
+            off = ix.node_width(v) + 1
+            monkeypatch.setattr(ix, "_search", lambda pattern: ((v, off), (v, None)))
+            counter = StepCounter()
+            assert ix.locate(b"ab") == [] == ix.locate(b"ab", counter=counter)
+            assert ix.locate(b"ab", limit=3) == [] and counter.steps == 0
 
 
 def _extract_matches(ix, text: bytes, windows) -> None:
